@@ -7,7 +7,7 @@
 use bitsync_protocol::compact::{ShortId, ShortIdKeys};
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::tx::Transaction;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A size-bounded transaction pool with txid lookup and short-id matching.
 ///
@@ -26,8 +26,9 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct Mempool {
     txs: HashMap<Hash256, Transaction>,
-    /// Insertion order for FIFO eviction.
-    order: Vec<Hash256>,
+    /// Insertion order for FIFO eviction; may hold ids [`Mempool::remove`]
+    /// already took out of `txs`.
+    order: VecDeque<Hash256>,
     max_txs: usize,
     /// Total inserted ever (for stats).
     inserted: u64,
@@ -40,7 +41,7 @@ impl Mempool {
     pub fn new(max_txs: usize) -> Self {
         Mempool {
             txs: HashMap::new(),
-            order: Vec::new(),
+            order: VecDeque::new(),
             max_txs: max_txs.max(1),
             inserted: 0,
             evicted: 0,
@@ -75,11 +76,14 @@ impl Mempool {
             return false;
         }
         self.txs.insert(txid, tx);
-        self.order.push(txid);
+        self.order.push_back(txid);
         self.inserted += 1;
         while self.txs.len() > self.max_txs {
             // order may contain already-removed ids; skip those.
-            let victim = self.order.remove(0);
+            let victim = self
+                .order
+                .pop_front()
+                .expect("every pooled transaction has an order entry");
             if self.txs.remove(&victim).is_some() {
                 self.evicted += 1;
             }
@@ -185,6 +189,37 @@ mod tests {
         assert!(!p.contains(&ids[1]));
         assert!(p.contains(&ids[4]));
         assert_eq!(p.stats(), (5, 2));
+    }
+
+    #[test]
+    fn eviction_skips_stale_order_entries() {
+        let mut p = Mempool::new(4);
+        let ids: Vec<Hash256> = (0..4)
+            .map(|i| {
+                p.insert(tx(i));
+                tx(i).txid()
+            })
+            .collect();
+        // Leave stale ids at the front and in the middle of the order.
+        assert!(p.remove(&ids[0]).is_some());
+        assert!(p.remove(&ids[2]).is_some());
+        // Two free slots: no eviction yet.
+        p.insert(tx(4));
+        p.insert(tx(5));
+        assert_eq!(p.stats(), (6, 0));
+        // Over capacity: the oldest *live* entries go first (1, then 3),
+        // and the stale ids are dropped without counting as evictions.
+        p.insert(tx(6));
+        assert!(!p.contains(&ids[1]));
+        assert!(p.contains(&ids[3]));
+        assert_eq!(p.stats(), (7, 1));
+        p.insert(tx(7));
+        assert!(!p.contains(&ids[3]));
+        assert_eq!(p.len(), 4);
+        assert_eq!(p.stats(), (8, 2));
+        let left: Vec<Hash256> = p.select_for_block(10).iter().map(|t| t.txid()).collect();
+        let want: Vec<Hash256> = (4..8).map(|i| tx(i).txid()).collect();
+        assert_eq!(left, want);
     }
 
     #[test]

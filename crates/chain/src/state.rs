@@ -174,7 +174,7 @@ impl ChainState {
     }
 
     /// Connects a header without a body (headers-first sync), returning
-    /// the tip change it caused, if any.
+    /// its hash and the tip change it caused, if any.
     ///
     /// # Errors
     ///
@@ -182,8 +182,17 @@ impl ChainState {
     pub fn connect_header(
         &mut self,
         header: &BlockHeader,
-    ) -> Result<Option<ReorgInfo>, ChainError> {
+    ) -> Result<(Hash256, Option<ReorgInfo>), ChainError> {
         let hash = header.block_hash();
+        Ok((hash, self.link_header(hash, header)?))
+    }
+
+    /// Links `header`, whose hash the caller has already computed.
+    fn link_header(
+        &mut self,
+        hash: Hash256,
+        header: &BlockHeader,
+    ) -> Result<Option<ReorgInfo>, ChainError> {
         if self.entries.contains_key(&hash) {
             return Err(ChainError::Duplicate(hash));
         }
@@ -217,7 +226,7 @@ impl ChainState {
             return Err(ChainError::Duplicate(hash));
         }
         let reorg = if !self.entries.contains_key(&hash) {
-            self.connect_header(&block.header)?
+            self.link_header(hash, &block.header)?
         } else {
             None
         };
@@ -405,6 +414,24 @@ mod tests {
             c.connect_block(&b),
             Err(ChainError::BadMerkleRoot(_))
         ));
+    }
+
+    #[test]
+    fn swapped_transaction_rejected() {
+        let mut c = ChainState::with_genesis();
+        let txs = vec![Transaction::coinbase(1, 50), Transaction::coinbase(2, 50)];
+        let good = Block::assemble(2, c.tip_hash(), 1, 1, txs);
+        // Same header, one transaction rebuilt with a different value.
+        let mut outputs = good.txs[1].outputs.clone();
+        outputs[0].value += 1;
+        let mut b = good.clone();
+        b.txs[1] = Transaction::from_parts(2, good.txs[1].inputs.clone(), outputs, 0);
+        assert!(!b.check_merkle_root());
+        assert_eq!(
+            c.connect_block(&b),
+            Err(ChainError::BadMerkleRoot(good.block_hash()))
+        );
+        assert_eq!(c.connect_block(&good).map(|r| r.is_some()), Ok(true));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::config::{NodeConfig, TxAnnounce};
 use crate::peer::{Direction, Handshake, NodeId, Peer};
 use bitsync_addrman::AddrMan;
-use bitsync_chain::{ChainState, Mempool, ReorgInfo};
+use bitsync_chain::{ChainError, ChainState, Mempool, ReorgInfo};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr, NODE_NETWORK};
 use bitsync_protocol::block::Block;
 use bitsync_protocol::compact::{
@@ -843,17 +843,18 @@ impl Node {
                     Some(tx) => self.send(from, Message::Tx(tx)),
                     None => missing.push(iv),
                 },
-                InvType::Block => match self.chain.block(&iv.hash).cloned() {
-                    Some(b) => self.send(from, Message::Block(Box::new(b))),
+                InvType::Block => match self.chain.block(&iv.hash) {
+                    Some(b) => {
+                        let msg = Message::Block(Box::new(b.clone()));
+                        self.send(from, msg);
+                    }
                     None => missing.push(iv),
                 },
-                InvType::CompactBlock => match self.chain.block(&iv.hash).cloned() {
+                InvType::CompactBlock => match self.chain.block(&iv.hash) {
                     Some(b) => {
                         let nonce = self.rng.next_u64();
-                        self.send(
-                            from,
-                            Message::CmpctBlock(Box::new(CompactBlock::from_block(&b, nonce))),
-                        );
+                        let cb = CompactBlock::from_block(b, nonce);
+                        self.send(from, Message::CmpctBlock(Box::new(cb)));
                     }
                     None => missing.push(iv),
                 },
@@ -1032,7 +1033,7 @@ impl Node {
                 return false;
             }
         }
-        if !self.connect_and_relay(block, now) {
+        if !self.connect_and_relay(block, hash, now) {
             return false;
         }
         // Connect parked orphans this block (transitively) unblocked.
@@ -1043,7 +1044,7 @@ impl Node {
                 if self.orphans[i].header.prev_blockhash == parent {
                     let orphan = self.orphans.remove(i).expect("index in bounds");
                     let ohash = orphan.block_hash();
-                    if self.connect_and_relay(orphan, now) {
+                    if self.connect_and_relay(orphan, ohash, now) {
                         parents.push(ohash);
                     }
                 } else {
@@ -1072,10 +1073,10 @@ impl Node {
         self.orphans.len()
     }
 
-    /// Connects one block whose parent is known, updating stats, stale-tip
-    /// bookkeeping, reorg records, the mempool, and relaying it on.
-    fn connect_and_relay(&mut self, block: Block, now: SimTime) -> bool {
-        let hash = block.block_hash();
+    /// Connects one block whose parent is known (`hash` is its block
+    /// hash), updating stats, stale-tip bookkeeping, reorg records, the
+    /// mempool, and relaying it on.
+    fn connect_and_relay(&mut self, block: Block, hash: Hash256, now: SimTime) -> bool {
         let Ok(reorg) = self.chain.connect_block(&block) else {
             return false;
         };
@@ -1087,7 +1088,7 @@ impl Node {
         self.stale_tip_extra = false;
         self.record_reorg(reorg);
         self.mempool.remove_confirmed(&block.txids());
-        self.relay_block(&hash);
+        self.relay_block(&hash, &block);
         true
     }
 
@@ -1107,10 +1108,7 @@ impl Node {
         std::mem::take(&mut self.pending_reorgs)
     }
 
-    fn relay_block(&mut self, hash: &Hash256) {
-        let Some(block) = self.chain.block(hash).cloned() else {
-            return;
-        };
+    fn relay_block(&mut self, hash: &Hash256, block: &Block) {
         let targets: Vec<(NodeId, bool)> = self
             .round_robin_order()
             .into_iter()
@@ -1129,7 +1127,7 @@ impl Node {
             }
             let msg = if compact {
                 let nonce = self.rng.next_u64();
-                Message::CmpctBlock(Box::new(CompactBlock::from_block(&block, nonce)))
+                Message::CmpctBlock(Box::new(CompactBlock::from_block(block, nonce)))
             } else {
                 Message::Block(Box::new(block.clone()))
             };
@@ -1153,14 +1151,19 @@ impl Node {
     ) {
         let mut want: Vec<InvVect> = Vec::new();
         for h in &headers {
-            let hash = h.block_hash();
             if self.would_reorg(&h.prev_blockhash) && self.ban_fork_announcer(from, now, requests) {
                 return;
             }
-            if let Ok(reorg) = self.chain.connect_header(h) {
-                self.record_reorg(reorg);
-            }
-            if self.chain.contains(&hash) && !self.chain.has_body(&hash) {
+            let hash = match self.chain.connect_header(h) {
+                Ok((hash, reorg)) => {
+                    self.record_reorg(reorg);
+                    hash
+                }
+                // Already in the tree: its body may still be wanted.
+                Err(ChainError::Duplicate(hash)) => hash,
+                Err(_) => continue,
+            };
+            if !self.chain.has_body(&hash) {
                 want.push(InvVect::block(hash));
             }
         }
@@ -1213,7 +1216,7 @@ impl Node {
     }
 
     fn on_getblocktxn(&mut self, from: NodeId, req: BlockTxnRequest) {
-        let Some(block) = self.chain.block(&req.block_hash).cloned() else {
+        let Some(block) = self.chain.block(&req.block_hash) else {
             return;
         };
         let txs: Vec<Transaction> = req

@@ -5,7 +5,9 @@ use bitsync_chain::{Miner, TxGenerator};
 use bitsync_node::{unix_time, Direction, Node, NodeConfig, NodeId};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
 use bitsync_protocol::hash::{Hash256, InvVect};
-use bitsync_protocol::message::Message;
+use bitsync_protocol::message::{Message, SendCmpct};
+use bitsync_protocol::tx::Transaction;
+use bitsync_protocol::wire::{Decodable, Encodable};
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimTime;
 use std::net::Ipv4Addr;
@@ -170,6 +172,120 @@ fn duplicate_tx_not_rerelayed() {
         .filter(|m| matches!(m, Message::Tx(t) if t.txid() == tx.txid()))
         .count();
     assert_eq!(tx_sends, 1, "duplicate relay: {msgs:?}");
+}
+
+#[test]
+fn relayed_tx_is_one_allocation_in_both_mempools() {
+    let now = SimTime::from_secs(1);
+    let mut rng = SimRng::seed_from(60);
+    let mut gen = TxGenerator::new(1);
+    let mut a = node(0, 60);
+    let mut b = node(1, 61);
+    ready_inbound_peer(&mut a, 1, now);
+    ready_inbound_peer(&mut b, 0, now);
+
+    let tx = gen.next_tx(&mut rng);
+    let txid = tx.txid();
+    assert!(a.accept_tx(tx, now));
+    for msg in drain_to(&mut a, NodeId(1), now) {
+        if matches!(msg, Message::Tx(_)) {
+            b.deliver(NodeId(0), msg);
+        }
+    }
+    b.pump(now);
+
+    let at_a = a.mempool.get(&txid).expect("pooled at a");
+    let at_b = b.mempool.get(&txid).expect("relayed to b");
+    assert_eq!(at_a.inputs.as_ptr(), at_b.inputs.as_ptr());
+}
+
+#[test]
+fn compact_reconstruction_shares_bodies_with_the_receivers_mempool() {
+    let now = SimTime::from_secs(1);
+    let mut rng = SimRng::seed_from(62);
+    let mut gen = TxGenerator::new(1);
+    let mut a = node(0, 62);
+    let mut b = node(1, 63);
+    ready_inbound_peer(&mut a, 1, now);
+    ready_inbound_peer(&mut b, 0, now);
+    // b asked a for compact announcements.
+    a.deliver(
+        NodeId(1),
+        Message::SendCmpct(SendCmpct {
+            announce: true,
+            version: 1,
+        }),
+    );
+    a.pump(now);
+    drain_to(&mut a, NodeId(1), now);
+
+    // b pools its own copies of the transactions a is about to mine: equal
+    // to a's, but separate allocations (as if decoded off the wire).
+    let mut pooled = Vec::new();
+    for _ in 0..3 {
+        let tx = gen.next_tx(&mut rng);
+        let copy = Transaction::decode_exact(&tx.encode_to_vec()).unwrap();
+        assert_ne!(tx.inputs.as_ptr(), copy.inputs.as_ptr());
+        a.mempool.insert(tx);
+        b.mempool.insert(copy.clone());
+        pooled.push(copy);
+    }
+
+    let mut miner = Miner::new(3, 10);
+    let hash = a.mine_and_relay(&mut miner, now).expect("mined");
+    let announcements = drain_to(&mut a, NodeId(1), now);
+    assert!(
+        matches!(announcements[..], [Message::CmpctBlock(_)]),
+        "{announcements:?}"
+    );
+    for msg in announcements {
+        b.deliver(NodeId(0), msg);
+    }
+    b.pump(now);
+
+    let block = b.chain.block(&hash).expect("reconstructed and connected");
+    assert_eq!(block.txs.len(), 4);
+    for (in_block, in_pool) in block.txs[1..].iter().zip(&pooled) {
+        assert_eq!(in_block.txid(), in_pool.txid());
+        assert_eq!(in_block.inputs.as_ptr(), in_pool.inputs.as_ptr());
+    }
+}
+
+#[test]
+fn redelivered_headers_request_only_missing_bodies() {
+    let now = SimTime::from_secs(1);
+    let mut donor = node(1, 64);
+    let mut miner = Miner::new(4, 10);
+    for _ in 0..3 {
+        donor.mine_and_relay(&mut miner, now);
+    }
+    let hashes: Vec<Hash256> = (1..=3)
+        .map(|h| donor.chain.hash_at_height(h).unwrap())
+        .collect();
+    let headers: Vec<_> = hashes
+        .iter()
+        .map(|h| donor.chain.header(h).unwrap())
+        .collect();
+
+    let mut n = node(0, 65);
+    ready_inbound_peer(&mut n, 9, now);
+    n.deliver(NodeId(9), Message::Headers(headers.clone()));
+    drain_to(&mut n, NodeId(9), now);
+    // The first body arrives; the same headers are announced again.
+    let b1 = donor.chain.block(&hashes[0]).unwrap().clone();
+    n.deliver(NodeId(9), Message::Block(Box::new(b1)));
+    drain_to(&mut n, NodeId(9), now);
+    n.deliver(NodeId(9), Message::Headers(headers));
+    let wanted: Vec<Hash256> = drain_to(&mut n, NodeId(9), now)
+        .into_iter()
+        .filter_map(|m| match m {
+            Message::GetData(items) => Some(items),
+            _ => None,
+        })
+        .flatten()
+        .map(|iv| iv.hash)
+        .collect();
+    assert_eq!(wanted, hashes[1..]);
 }
 
 #[test]

@@ -45,18 +45,25 @@ pub struct BlockHeader {
 impl BlockHeader {
     /// The block hash: double-SHA-256 of the 80-byte header.
     pub fn block_hash(&self) -> Hash256 {
-        Hash256::hash_of(&self.encode_to_vec())
+        Hash256::hash_of(&self.to_bytes())
+    }
+
+    /// The 80-byte wire form, built on the stack.
+    pub fn to_bytes(&self) -> [u8; 80] {
+        let mut out = [0u8; 80];
+        out[0..4].copy_from_slice(&self.version.to_le_bytes());
+        out[4..36].copy_from_slice(self.prev_blockhash.as_bytes());
+        out[36..68].copy_from_slice(self.merkle_root.as_bytes());
+        out[68..72].copy_from_slice(&self.time.to_le_bytes());
+        out[72..76].copy_from_slice(&self.bits.to_le_bytes());
+        out[76..80].copy_from_slice(&self.nonce.to_le_bytes());
+        out
     }
 }
 
 impl Encodable for BlockHeader {
     fn encode(&self, w: &mut Writer) {
-        w.u32_le(self.version as u32);
-        self.prev_blockhash.encode(w);
-        self.merkle_root.encode(w);
-        w.u32_le(self.time);
-        w.u32_le(self.bits);
-        w.u32_le(self.nonce);
+        w.bytes(&self.to_bytes());
     }
 }
 
@@ -135,8 +142,7 @@ impl Block {
 
     /// Whether the header's Merkle root matches the transactions.
     pub fn check_merkle_root(&self) -> bool {
-        let txids: Vec<Hash256> = self.txs.iter().map(Transaction::txid).collect();
-        merkle_root(&txids) == self.header.merkle_root
+        merkle_root(&self.txids()) == self.header.merkle_root
     }
 
     /// Serialized size in bytes, computed without encoding.
@@ -214,8 +220,17 @@ mod tests {
     fn merkle_root_binds_transactions() {
         let b = sample_block();
         assert!(b.check_merkle_root());
+        // A transaction cannot be edited in place; swap in a rebuilt one.
+        let victim = &b.txs[1];
+        let mut outputs = victim.outputs.clone();
+        outputs[0].value += 1;
         let mut tampered = b.clone();
-        tampered.txs[1].outputs[0].value += 1;
+        tampered.txs[1] = Transaction::from_parts(
+            victim.version,
+            victim.inputs.clone(),
+            outputs,
+            victim.lock_time,
+        );
         assert!(!tampered.check_merkle_root());
     }
 

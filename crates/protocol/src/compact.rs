@@ -39,8 +39,9 @@ impl ShortIdKeys {
     /// Derives keys as `SHA256(header || nonce)` split into two
     /// little-endian u64s.
     pub fn derive(header: &BlockHeader, nonce: u64) -> Self {
-        let mut buf = header.encode_to_vec();
-        buf.extend_from_slice(&nonce.to_le_bytes());
+        let mut buf = [0u8; 88];
+        buf[..80].copy_from_slice(&header.to_bytes());
+        buf[80..].copy_from_slice(&nonce.to_le_bytes());
         let digest = sha256_digest(&buf);
         let k0 = u64::from_le_bytes(digest[0..8].try_into().expect("8 bytes"));
         let k1 = u64::from_le_bytes(digest[8..16].try_into().expect("8 bytes"));

@@ -76,24 +76,24 @@ mod proptests {
             ),
             any::<u32>(),
         )
-            .prop_map(|(ins, outs, lock_time)| Transaction {
-                version: 2,
-                inputs: ins
-                    .into_iter()
-                    .map(|(h, v, s)| TxIn {
-                        previous_output: OutPoint::new(Hash256::from_bytes(h), v),
-                        script_sig: s,
-                        sequence: u32::MAX,
-                    })
-                    .collect(),
-                outputs: outs
-                    .into_iter()
-                    .map(|(value, script_pubkey)| TxOut {
-                        value,
-                        script_pubkey,
-                    })
-                    .collect(),
-                lock_time,
+            .prop_map(|(ins, outs, lock_time)| {
+                Transaction::from_parts(
+                    2,
+                    ins.into_iter()
+                        .map(|(h, v, s)| TxIn {
+                            previous_output: OutPoint::new(Hash256::from_bytes(h), v),
+                            script_sig: s,
+                            sequence: u32::MAX,
+                        })
+                        .collect(),
+                    outs.into_iter()
+                        .map(|(value, script_pubkey)| TxOut {
+                            value,
+                            script_pubkey,
+                        })
+                        .collect(),
+                    lock_time,
+                )
             })
     }
 
@@ -105,10 +105,12 @@ mod proptests {
             prop_assert_eq!(NetAddr::decode_exact(&bytes).unwrap(), a);
         }
 
-        /// Transactions round-trip and txids are stable across the trip.
+        /// The construction-time txid is the hash of the serialization, and
+        /// transactions round-trip with their txid.
         #[test]
         fn tx_roundtrip(tx in arb_tx()) {
             let bytes = tx.encode_to_vec();
+            prop_assert_eq!(tx.txid(), Hash256::hash_of(&bytes));
             let back = Transaction::decode_exact(&bytes).unwrap();
             prop_assert_eq!(back.txid(), tx.txid());
             prop_assert_eq!(back, tx);

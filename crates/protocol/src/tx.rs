@@ -1,5 +1,6 @@
 //! Transactions in (pre-segwit) Bitcoin wire form: version, inputs, outputs
-//! and lock time. The txid is the double-SHA-256 of the serialization.
+//! and lock time. The txid is the double-SHA-256 of the serialization,
+//! computed once when a [`Transaction`] is built.
 //!
 //! Script contents are carried as opaque bytes — the simulation never
 //! executes scripts, but sizes and identifiers must be faithful because
@@ -8,6 +9,9 @@
 
 use crate::hash::Hash256;
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Maximum script length we accept when decoding (consensus allows 10,000
 /// bytes for executed scripts; this is a sanity bound for the simulator).
@@ -142,7 +146,48 @@ impl Decodable for TxOut {
     }
 }
 
-/// A Bitcoin transaction.
+/// The contents of a [`Transaction`]: the four wire fields, readable
+/// through the handle's `Deref`, plus the id computed from them.
+///
+/// Only the [`Transaction`] constructors build one (the `txid` field is
+/// private), and nothing hands out a `&mut TxBody` or an owned copy, so the
+/// memoized id can never go stale.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub struct TxBody {
+    /// Double-SHA-256 of the serialization of the fields below.
+    txid: Hash256,
+    /// Transaction format version.
+    pub version: i32,
+    /// Inputs.
+    pub inputs: Vec<TxIn>,
+    /// Outputs.
+    pub outputs: Vec<TxOut>,
+    /// Earliest block/time the transaction may be mined.
+    pub lock_time: u32,
+}
+
+impl Encodable for TxBody {
+    fn encode(&self, w: &mut Writer) {
+        w.u32_le(self.version as u32);
+        w.varint(self.inputs.len() as u64);
+        for i in &self.inputs {
+            i.encode(w);
+        }
+        w.varint(self.outputs.len() as u64);
+        for o in &self.outputs {
+            o.encode(w);
+        }
+        w.u32_le(self.lock_time);
+    }
+}
+
+/// A Bitcoin transaction: an immutable, reference-counted handle.
+///
+/// The body is hashed once, when the handle is built; [`Transaction::txid`]
+/// is a field read and `clone` a reference-count bump, so one body is shared
+/// by every mempool, block, send queue and in-flight message that holds the
+/// transaction. Fields are read through `Deref` (`tx.inputs`, `tx.outputs`);
+/// to change one, build a new transaction with [`Transaction::from_parts`].
 ///
 /// # Examples
 ///
@@ -155,28 +200,33 @@ impl Decodable for TxOut {
 ///     vec![TxOut::new(50_000, vec![0x51])],
 /// );
 /// assert!(!tx.txid().is_zero());
+/// assert_eq!(tx.outputs[0].value, 50_000);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Transaction {
-    /// Transaction format version.
-    pub version: i32,
-    /// Inputs.
-    pub inputs: Vec<TxIn>,
-    /// Outputs.
-    pub outputs: Vec<TxOut>,
-    /// Earliest block/time the transaction may be mined.
-    pub lock_time: u32,
-}
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Transaction(Arc<TxBody>);
 
 impl Transaction {
-    /// Creates a version-2 transaction with lock time zero.
-    pub fn new(inputs: Vec<TxIn>, outputs: Vec<TxOut>) -> Self {
-        Transaction {
-            version: 2,
+    /// Builds a transaction from all four wire fields, computing its txid.
+    pub fn from_parts(
+        version: i32,
+        inputs: Vec<TxIn>,
+        outputs: Vec<TxOut>,
+        lock_time: u32,
+    ) -> Self {
+        let mut body = TxBody {
+            txid: Hash256::ZERO,
+            version,
             inputs,
             outputs,
-            lock_time: 0,
-        }
+            lock_time,
+        };
+        body.txid = Hash256::hash_of(&body.encode_to_vec());
+        Transaction(Arc::new(body))
+    }
+
+    /// Creates a version-2 transaction with lock time zero.
+    pub fn new(inputs: Vec<TxIn>, outputs: Vec<TxOut>) -> Self {
+        Transaction::from_parts(2, inputs, outputs, 0)
     }
 
     /// Builds a coinbase transaction whose uniqueness comes from `tag`
@@ -193,9 +243,10 @@ impl Transaction {
         self.inputs.len() == 1 && self.inputs[0].previous_output.is_null()
     }
 
-    /// The transaction id: double-SHA-256 of the serialization.
+    /// The transaction id: double-SHA-256 of the serialization, computed
+    /// when the transaction was built.
     pub fn txid(&self) -> Hash256 {
-        Hash256::hash_of(&self.encode_to_vec())
+        self.0.txid
     }
 
     /// Serialized size in bytes, computed without encoding.
@@ -224,18 +275,28 @@ impl Transaction {
     }
 }
 
+impl Deref for Transaction {
+    type Target = TxBody;
+
+    fn deref(&self) -> &TxBody {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transaction")
+            .field("version", &self.version)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .field("lock_time", &self.lock_time)
+            .finish()
+    }
+}
+
 impl Encodable for Transaction {
     fn encode(&self, w: &mut Writer) {
-        w.u32_le(self.version as u32);
-        w.varint(self.inputs.len() as u64);
-        for i in &self.inputs {
-            i.encode(w);
-        }
-        w.varint(self.outputs.len() as u64);
-        for o in &self.outputs {
-            o.encode(w);
-        }
-        w.u32_le(self.lock_time);
+        self.0.encode(w);
     }
 }
 
@@ -253,12 +314,7 @@ impl Decodable for Transaction {
             outputs.push(TxOut::decode(r)?);
         }
         let lock_time = r.u32_le("tx.lock_time")?;
-        Ok(Transaction {
-            version,
-            inputs,
-            outputs,
-            lock_time,
-        })
+        Ok(Transaction::from_parts(version, inputs, outputs, lock_time))
     }
 }
 
@@ -289,9 +345,20 @@ mod tests {
     #[test]
     fn txid_changes_with_content() {
         let tx = sample_tx();
-        let mut tx2 = tx.clone();
-        tx2.outputs[0].value += 1;
+        let mut outputs = tx.outputs.clone();
+        outputs[0].value += 1;
+        let tx2 = Transaction::from_parts(tx.version, tx.inputs.clone(), outputs, tx.lock_time);
         assert_ne!(tx.txid(), tx2.txid());
+        assert_ne!(tx, tx2);
+    }
+
+    #[test]
+    fn from_parts_commits_to_version_and_lock_time() {
+        let tx = sample_tx();
+        let later = Transaction::from_parts(1, tx.inputs.clone(), tx.outputs.clone(), 500_000);
+        assert_eq!((later.version, later.lock_time), (1, 500_000));
+        assert_ne!(later.txid(), tx.txid());
+        assert_eq!(later.txid(), Hash256::hash_of(&later.encode_to_vec()));
     }
 
     #[test]
