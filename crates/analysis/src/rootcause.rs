@@ -131,9 +131,9 @@ impl ToJson for RootCauseReport {
 ///   (`addr_unreach_new`; census rows use `addr_unreach_frac`) — the
 ///   §IV-B 85.1% split, live.
 /// - `relay_lag`: the window's relay-delay p90 over
-///   [`RELAY_LAG_FULL_SECS`], clamped to 1.
+///   `RELAY_LAG_FULL_SECS` (10 s), clamped to 1.
 /// - `churn`: window churn events (departures + arrivals + rejoins) per
-///   honest online node over [`CHURN_FULL_RATE`], clamped to 1.
+///   honest online node over `CHURN_FULL_RATE` (1), clamped to 1.
 ///
 /// Missing keys read as zero pressure, so partial instrumentations (a
 /// world without churn, the census without a relay path) degrade softly.

@@ -15,7 +15,7 @@ mod tests {
 
     #[test]
     fn reexported_renderers_are_callable() {
-        let r = bitsync_core::experiments::rounds::run(3, 15);
+        let r = bitsync_core::experiments::rounds::run(3, 15, &Default::default());
         assert!(super::render_rounds(&r).contains("8^5"));
     }
 

@@ -19,8 +19,8 @@ use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
 use bitsync_node::config::{NodeConfig, RelayPolicy};
 use bitsync_node::world::{World, WorldConfig};
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::Instruments;
 
 /// One ablation arm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,18 +179,10 @@ impl AblationResult {
     }
 }
 
-/// Runs one arm.
-pub fn run_arm(cfg: &AblationConfig, arm: Arm) -> ArmResult {
-    run_arm_recorded(cfg, arm, &Recorder::new())
-}
-
-/// [`run_arm`] with world metrics reported into `rec`.
-pub fn run_arm_recorded(cfg: &AblationConfig, arm: Arm, rec: &Recorder) -> ArmResult {
-    let mut churn = cfg.churn;
-    churn.mean_lifetime =
-        SimDuration::from_secs_f64(churn.mean_lifetime.as_secs_f64() / cfg.churn_speedup);
-    churn.mean_offline_gap =
-        SimDuration::from_secs_f64(churn.mean_offline_gap.as_secs_f64() / cfg.churn_speedup);
+/// Runs one arm with its world reporting into `ins`; timeseries rows are
+/// labelled with [`Arm::label`].
+pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
+    ins.sampler.set_ctx(Some(arm.label()));
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
         node_cfg: arm.node_config(),
@@ -199,14 +191,14 @@ pub fn run_arm_recorded(cfg: &AblationConfig, arm: Arm, rec: &Recorder) -> ArmRe
         n_phantoms: 3_000,
         seed_phantoms: 200,
         seed_reachable: 32,
-        churn: Some(churn),
+        churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
         block_interval: Some(SimDuration::from_secs(600)),
         tx_rate: 0.2,
         ibd_fresh_mean: Some(SimDuration::from_mins(30)),
         instrument: Some(0),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
+    world.attach(ins);
 
     let warmup = cfg.warmup;
     world.run_until(SimTime::ZERO + warmup);
@@ -255,18 +247,10 @@ pub fn run_arm_recorded(cfg: &AblationConfig, arm: Arm, rec: &Recorder) -> ArmRe
     }
 }
 
-/// Runs every arm with the same seed.
-pub fn run(cfg: &AblationConfig) -> AblationResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with every arm's world reporting into `rec`.
-pub fn run_recorded(cfg: &AblationConfig, rec: &Recorder) -> AblationResult {
+/// Runs every arm with the same seed, all reporting into the one `ins`.
+pub fn run(cfg: &AblationConfig, ins: &Instruments) -> AblationResult {
     AblationResult {
-        arms: Arm::all()
-            .iter()
-            .map(|&a| run_arm_recorded(cfg, a, rec))
-            .collect(),
+        arms: Arm::all().iter().map(|&a| run_arm(cfg, a, ins)).collect(),
     }
 }
 
@@ -293,9 +277,9 @@ impl Experiment for AblationExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_recorded(cfg, rec);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_ablation(&r));
         r.to_json()
     }
@@ -311,7 +295,7 @@ mod tests {
 
     #[test]
     fn all_arms_produce_metrics() {
-        let result = run(&AblationConfig::quick(31));
+        let result = run(&AblationConfig::quick(31), &Instruments::default());
         assert_eq!(result.arms.len(), 5);
         for arm in &result.arms {
             assert!(arm.connection_success_rate > 0.0, "{:?}", arm.arm);
@@ -323,8 +307,8 @@ mod tests {
     #[test]
     fn tried_only_addr_improves_success_rate() {
         let cfg = AblationConfig::quick(32);
-        let base = run_arm(&cfg, Arm::Baseline);
-        let tried = run_arm(&cfg, Arm::TriedOnlyAddr);
+        let base = run_arm(&cfg, Arm::Baseline, &Instruments::default());
+        let tried = run_arm(&cfg, Arm::TriedOnlyAddr, &Instruments::default());
         // The §V claim: serving only tried (verified-reachable) addresses
         // raises the outgoing-connection success rate. Allow noise but
         // require no regression beyond it.

@@ -9,10 +9,8 @@ use bitsync_crawler::census::{CensusConfig, CensusNetwork};
 use bitsync_crawler::churn_matrix::ChurnMatrix;
 use bitsync_json::{ToJson, Value};
 use bitsync_protocol::addr::NetAddr;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::rng::SimRng;
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 use std::collections::HashSet;
 
 /// Experiment parameters.
@@ -172,38 +170,14 @@ impl ToJson for CensusExperimentResult {
     }
 }
 
-/// Runs the census experiment.
-pub fn run(cfg: &CensusExperimentConfig) -> CensusExperimentResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with crawler and probe metrics reported into `rec`.
-pub fn run_recorded(cfg: &CensusExperimentConfig, rec: &Recorder) -> CensusExperimentResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with per-node crawl events recorded into `tracer`.
-pub fn run_traced(
-    cfg: &CensusExperimentConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-) -> CensusExperimentResult {
-    run_instrumented(cfg, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_traced`] with one timeseries row per campaign day (the census
-/// has no event queue; the day is its natural sampling window).
-pub fn run_instrumented(
-    cfg: &CensusExperimentConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> CensusExperimentResult {
+/// Runs the census experiment, reporting into `ins`: crawler and probe
+/// metrics, one trace event per crawled node, and one timeseries row per
+/// campaign day (the census has no event queue; the day is its natural
+/// sampling window).
+pub fn run(cfg: &CensusExperimentConfig, ins: &Instruments) -> CensusExperimentResult {
     let mut rng = SimRng::seed_from(cfg.seed);
     let network = CensusNetwork::generate(cfg.census.clone(), &mut rng);
-    let campaign = cfg
-        .campaign
-        .run_instrumented(&network, &mut rng, Some(rec), tracer, sampler);
+    let campaign = cfg.campaign.run(&network, &mut rng, ins);
     let matrix = ChurnMatrix::build(&network, 1.0);
 
     // Table I: classify by ground truth. Responsive nodes are the
@@ -286,22 +260,9 @@ impl Experiment for CensusExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        self.run_instrumented(rec, tracer, &Sampler::disabled())
-    }
-
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_instrumented(cfg, rec, tracer, sampler);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_census(&r));
         r.to_json()
     }
@@ -316,7 +277,7 @@ mod tests {
     use super::*;
 
     fn result() -> CensusExperimentResult {
-        run(&CensusExperimentConfig::quick(17))
+        run(&CensusExperimentConfig::quick(17), &Instruments::default())
     }
 
     #[test]

@@ -20,10 +20,8 @@ use bitsync_json::{ToJson, Value};
 use bitsync_node::config::{NodeConfig, ResilienceConfig};
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::{Fault, FaultConfig};
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -164,72 +162,15 @@ impl ForkStressResult {
     }
 }
 
-/// Whether this node counts toward the honest sync metric: reachable, not
-/// spawned stalled, not malicious.
-fn is_honest(world: &World, slot: usize) -> bool {
-    let m = &world.meta[slot];
-    m.reachable && !m.stalled && !m.malicious
-}
-
-/// Fraction of honest online reachable nodes that are synchronized.
-fn honest_sync_fraction(world: &World) -> f64 {
-    let mut online = 0usize;
-    let mut synced = 0usize;
-    for id in world.online_ids() {
-        if is_honest(world, id.0 as usize) {
-            online += 1;
-            if world.is_synchronized(id) {
-                synced += 1;
-            }
-        }
-    }
-    if online == 0 {
-        0.0
-    } else {
-        synced as f64 / online as f64
-    }
-}
-
-/// Runs one cell.
-pub fn run_cell(cfg: &ForkStressConfig, intensity: f64, resilience: bool) -> CellResult {
-    run_cell_traced(
-        cfg,
-        intensity,
-        resilience,
-        &Recorder::new(),
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_cell`] with metrics reported into `rec` and events into `tracer`.
-pub fn run_cell_traced(
+/// Runs one cell with its world reporting into `ins`; timeseries rows are
+/// labelled with the cell (`i<intensity>/res_{on,off}`).
+pub fn run_cell(
     cfg: &ForkStressConfig,
     intensity: f64,
     resilience: bool,
-    rec: &Recorder,
-    tracer: &Tracer,
+    ins: &Instruments,
 ) -> CellResult {
-    run_cell_instrumented(
-        cfg,
-        intensity,
-        resilience,
-        rec,
-        tracer,
-        &Sampler::disabled(),
-    )
-}
-
-/// [`run_cell_traced`] with per-interval timeseries rows, labelled with
-/// the cell (`i<intensity>/res_{on,off}`) as the row context.
-pub fn run_cell_instrumented(
-    cfg: &ForkStressConfig,
-    intensity: f64,
-    resilience: bool,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> CellResult {
-    sampler.set_ctx(Some(&format!(
+    ins.sampler.set_ctx(Some(&format!(
         "i{intensity}/res_{}",
         if resilience { "on" } else { "off" }
     )));
@@ -258,13 +199,11 @@ pub fn run_cell_instrumented(
         fault: cfg.base_fault.scaled(intensity),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
-    world.attach_tracer(tracer.clone());
-    world.attach_sampler(sampler);
+    world.attach(ins);
 
     // Counter deltas: cells share the experiment recorder, so each cell's
     // contribution is the difference across its run.
-    let count0 = |name: &str| rec.counter(name);
+    let count0 = |name: &str| ins.metrics.counter(name);
     let before = [
         count0(metric::REORGS),
         count0(metric::FAULT_COMPETING_BLOCKS),
@@ -280,7 +219,7 @@ pub fn run_cell_instrumented(
     while t < end {
         t += cfg.sample_every;
         world.run_until(t);
-        sync_samples.push(honest_sync_fraction(&world));
+        sync_samples.push(world.honest_sync_fraction());
     }
 
     // Storm over: stop the weather and clock the recovery.
@@ -317,35 +256,13 @@ pub fn run_cell_instrumented(
     }
 }
 
-/// Runs the full sweep with the same seed in every cell.
-pub fn run(cfg: &ForkStressConfig) -> ForkStressResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with every cell's world reporting into `rec`.
-pub fn run_recorded(cfg: &ForkStressConfig, rec: &Recorder) -> ForkStressResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with a shared trace sink.
-pub fn run_traced(cfg: &ForkStressConfig, rec: &Recorder, tracer: &Tracer) -> ForkStressResult {
-    run_instrumented(cfg, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_traced`] with every cell sampling into the one `sampler`; rows
-/// carry the cell label as their context, cells in sweep order.
-pub fn run_instrumented(
-    cfg: &ForkStressConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> ForkStressResult {
+/// Runs the full sweep with the same seed in every cell, all reporting
+/// into the one `ins`, cells in sweep order.
+pub fn run(cfg: &ForkStressConfig, ins: &Instruments) -> ForkStressResult {
     let mut cells = Vec::new();
     for &intensity in &cfg.intensities {
         for resilience in [false, true] {
-            cells.push(run_cell_instrumented(
-                cfg, intensity, resilience, rec, tracer, sampler,
-            ));
+            cells.push(run_cell(cfg, intensity, resilience, ins));
         }
     }
     ForkStressResult { cells }
@@ -374,22 +291,9 @@ impl Experiment for ForkStressExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        self.run_instrumented(rec, tracer, &Sampler::disabled())
-    }
-
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_instrumented(cfg, rec, tracer, sampler);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_forkstress(&r));
         r.to_json()
     }
@@ -406,7 +310,7 @@ mod tests {
     #[test]
     fn sweep_produces_all_cells_in_order() {
         let cfg = ForkStressConfig::quick(81);
-        let r = run(&cfg);
+        let r = run(&cfg, &Instruments::default());
         assert_eq!(r.cells.len(), cfg.intensities.len() * 2);
         assert_eq!(r.baseline().intensity, 0.0);
         assert!(!r.baseline().resilience);
@@ -418,8 +322,8 @@ mod tests {
     #[test]
     fn storm_forces_forks_and_recovery_converges() {
         let cfg = ForkStressConfig::quick(82);
-        let calm = run_cell(&cfg, 0.0, false);
-        let stormy = run_cell(&cfg, 1.0, false);
+        let calm = run_cell(&cfg, 0.0, false, &Instruments::default());
+        let stormy = run_cell(&cfg, 1.0, false, &Instruments::default());
         assert_eq!(calm.competing_blocks + calm.solo_blocks, 0);
         assert!(
             stormy.competing_blocks + stormy.solo_blocks > 0,

@@ -8,7 +8,7 @@
 //! harness the repo has grown so far into one verdict:
 //!
 //! 1. **invariants** — the world runs with a
-//!    [`Checker`](bitsync_sim::check::Checker) attached: time monotonicity,
+//!    [`Checker`] attached: time monotonicity,
 //!    per-object delivery conservation, outdegree caps, and addrman table
 //!    consistency are checked on every event (see `bitsync-node`'s event
 //!    loop), plus a final addrman sweep over all online nodes;
@@ -50,6 +50,7 @@ use bitsync_sim::metrics::DEFAULT_BUCKETS;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::trace::{Tracer, DEFAULT_TRACE_CAP};
+use bitsync_sim::Instruments;
 use std::path::Path;
 
 /// One fuzzable world configuration: every field is a plain number so a
@@ -439,10 +440,13 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
     // Primary run: timer wheel, checker and tracer attached. Observers are
     // read-only, so its digest must match the bare runs below.
     let mut world = World::new(scenario.world_config(Backend::Wheel));
-    let checker = Checker::enabled();
-    world.attach_checker(checker.clone());
-    let tracer = Tracer::enabled(DEFAULT_TRACE_CAP);
-    world.attach_tracer(tracer.clone());
+    let ins = Instruments {
+        checker: Checker::enabled(),
+        tracer: Tracer::enabled(DEFAULT_TRACE_CAP),
+        ..Instruments::default()
+    };
+    world.attach(&ins);
+    let (checker, tracer) = (&ins.checker, &ins.tracer);
     if let Some(fault) = scenario.fault {
         world.inject_fault(fault);
     }

@@ -13,8 +13,8 @@ use bitsync_analysis::as_concentration::AsConcentration;
 use bitsync_analysis::routing::plan_hijack;
 use bitsync_json::{ToJson, Value};
 use bitsync_node::world::{World, WorldConfig};
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::Instruments;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -94,13 +94,10 @@ impl ToJson for PartitionResult {
     }
 }
 
-/// Runs the partition attack.
-pub fn run(cfg: &PartitionConfig) -> PartitionResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with world metrics reported into `rec`.
-pub fn run_recorded(cfg: &PartitionConfig, rec: &Recorder) -> PartitionResult {
+/// Runs the partition attack with its world reporting into `ins`;
+/// timeseries rows are labelled with the phase (`before`, `attack`,
+/// `heal`).
+pub fn run(cfg: &PartitionConfig, ins: &Instruments) -> PartitionResult {
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
         n_reachable: cfg.n_reachable,
@@ -115,7 +112,8 @@ pub fn run_recorded(cfg: &PartitionConfig, rec: &Recorder) -> PartitionResult {
         connection_mean_lifetime: Some(SimDuration::from_mins(8)),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
+    world.attach(ins);
+    ins.sampler.set_ctx(Some("before"));
     world.run_until(SimTime::ZERO + cfg.warmup);
     let sync_before = world.sync_fraction();
 
@@ -133,11 +131,13 @@ pub fn run_recorded(cfg: &PartitionConfig, rec: &Recorder) -> PartitionResult {
     let h0 = world.best_height();
     world.apply_partition(plan.targets.iter().copied());
     let isolated_nodes = world.isolated_count();
+    ins.sampler.set_ctx(Some("attack"));
     world.run_for(cfg.attack);
     let sync_during = world.sync_fraction();
     let blocks_during = world.best_height() - h0;
 
     world.lift_partition();
+    ins.sampler.set_ctx(Some("heal"));
     world.run_for(cfg.heal);
     let sync_after = world.sync_fraction();
 
@@ -175,9 +175,9 @@ impl Experiment for PartitionExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_recorded(cfg, rec);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_partition(&r));
         r.to_json()
     }
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn partition_splits_and_heals() {
-        let r = run(&PartitionConfig::quick(41));
+        let r = run(&PartitionConfig::quick(41), &Instruments::default());
         // The greedy plan isolates roughly the requested half.
         assert!(
             r.isolated_fraction > 0.3 && r.isolated_fraction < 0.75,
@@ -220,8 +220,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(&PartitionConfig::quick(42));
-        let b = run(&PartitionConfig::quick(42));
+        let a = run(&PartitionConfig::quick(42), &Instruments::default());
+        let b = run(&PartitionConfig::quick(42), &Instruments::default());
         assert_eq!(a.hijacked_asns, b.hijacked_asns);
         assert_eq!(a.isolated_nodes, b.isolated_nodes);
         assert_eq!(a.blocks_during, b.blocks_during);

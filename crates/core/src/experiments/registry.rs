@@ -7,16 +7,13 @@
 //! 1. each experiment's seed is a pure function of the global seed and the
 //!    experiment's name ([`experiment_seed`]), so the set of experiments
 //!    requested never perturbs any individual run;
-//! 2. each experiment builds its own world and its own
-//!    [`Recorder`](bitsync_sim::metrics::Recorder), so nothing is shared
-//!    across worker threads;
+//! 2. each experiment builds its own world and is handed its own
+//!    [`Instruments`], so nothing is shared across worker threads;
 //! 3. results are emitted in registry order and serialized with the
 //!    insertion-ordered [`bitsync_json`] printer.
 
 use bitsync_json::Value;
-use bitsync_sim::metrics::Recorder;
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// How big to make each experiment's world.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +58,7 @@ impl Scale {
 /// One paper artifact: a named, seedable, independently runnable
 /// experiment producing an erased JSON result.
 ///
-/// The lifecycle is `configure(scale, seed)` once, then `run(recorder)`
+/// The lifecycle is `configure(scale, seed)` once, then `run(instruments)`
 /// once; [`Experiment::rendered`] returns the human-readable figure/table
 /// text of the last run.
 pub trait Experiment: Send {
@@ -80,34 +77,11 @@ pub trait Experiment: Send {
     /// Prepares the experiment's config for `scale`, seeded with `seed`.
     fn configure(&mut self, scale: Scale, seed: u64);
 
-    /// Executes the experiment, reporting metrics into `rec`, and returns
-    /// the erased result.
-    fn run(&mut self, rec: &mut Recorder) -> Value;
-
-    /// [`Experiment::run`] with a per-event trace sink. The default ignores
-    /// the tracer; experiments whose internals are instrumented (the world
-    /// simulations, the census crawler) override this and have [`run`]
-    /// delegate here with [`Tracer::disabled`]. Tracing must never change
-    /// the result: the sink only observes.
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        let _ = tracer;
-        self.run(rec)
-    }
-
-    /// [`Experiment::run_traced`] with a timeseries sampler. The default
-    /// ignores the sampler; experiments with a windowed degradation story
-    /// (fig1, relay, census, resilience, forkstress) override this to
-    /// attach the sampler to their worlds. Like tracing, sampling must
-    /// never change the result: ticks only read state, never schedule.
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
-        let _ = sampler;
-        self.run_traced(rec, tracer)
-    }
+    /// Executes the experiment and returns the erased result. Every world
+    /// (or crawl) it builds reports into `ins` — metrics always, trace
+    /// events and timeseries rows when the caller enabled them. The
+    /// handles only observe: the result must not depend on which are on.
+    fn run(&mut self, ins: &Instruments) -> Value;
 
     /// The paper-style text report of the last [`Experiment::run`].
     fn rendered(&self) -> Option<String> {

@@ -13,10 +13,8 @@ use bitsync_json::{ToJson, Value};
 use bitsync_node::config::NodeConfig;
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_node::NodeId;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -115,31 +113,10 @@ impl ToJson for RelayResult {
 }
 
 /// Runs the relay-delay experiment on a forced 8-out/17-in star topology.
-pub fn run(cfg: &RelayConfig) -> RelayResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with world metrics — including the per-hop relay-delay
-/// histogram — reported into `rec`.
-pub fn run_recorded(cfg: &RelayConfig, rec: &Recorder) -> RelayResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with a trace sink attached to the world: relay
-/// origin/recv/send events, dial resolutions, ADDR exchanges, and churn
-/// flow into `tracer` (a disabled tracer records nothing, at no cost).
-pub fn run_traced(cfg: &RelayConfig, rec: &Recorder, tracer: &Tracer) -> RelayResult {
-    run_instrumented(cfg, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_traced`] with per-interval timeseries rows — the hub is already
-/// relay-instrumented, so windowed relay-delay quantiles come for free.
-pub fn run_instrumented(
-    cfg: &RelayConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> RelayResult {
+/// The world reports into `ins`: the per-hop relay-delay histogram, relay
+/// origin/recv/send trace events, and — the hub being relay-instrumented —
+/// windowed relay-delay quantiles in every timeseries row.
+pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
     let n_nodes = 1 + cfg.n_outbound + cfg.n_inbound;
     let mut node_cfg = cfg.node_cfg.clone();
     node_cfg.upload_bandwidth = cfg.upload_bandwidth;
@@ -159,9 +136,7 @@ pub fn run_instrumented(
         instrument: Some(0),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
-    world.attach_tracer(tracer.clone());
-    world.attach_sampler(sampler);
+    world.attach(ins);
     let hub = NodeId(0);
     for i in 0..cfg.n_outbound {
         world.force_connect(hub, NodeId(1 + i as u32));
@@ -215,22 +190,9 @@ impl Experiment for RelayExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        self.run_instrumented(rec, tracer, &Sampler::disabled())
-    }
-
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_instrumented(cfg, rec, tracer, sampler);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_fig10_11(&r));
         r.to_json()
     }
@@ -246,7 +208,7 @@ mod tests {
 
     #[test]
     fn records_block_and_tx_delays() {
-        let result = run(&RelayConfig::quick(5));
+        let result = run(&RelayConfig::quick(5), &Instruments::default());
         assert!(
             result.block_delays.len() >= 5,
             "blocks {}",
@@ -261,7 +223,7 @@ mod tests {
 
     #[test]
     fn blocks_slower_than_transactions() {
-        let result = run(&RelayConfig::quick(6));
+        let result = run(&RelayConfig::quick(6), &Instruments::default());
         let b = result.block_summary().unwrap();
         let t = result.tx_summary().unwrap();
         // The paper's headline shape: block relay (often a full block to
@@ -272,10 +234,10 @@ mod tests {
 
     #[test]
     fn priority_refinement_reduces_block_delay() {
-        let base = run(&RelayConfig::quick(7));
+        let base = run(&RelayConfig::quick(7), &Instruments::default());
         let mut prop_cfg = RelayConfig::quick(7);
         prop_cfg.node_cfg = NodeConfig::paper_proposal();
-        let prop = run(&prop_cfg);
+        let prop = run(&prop_cfg, &Instruments::default());
         let b0 = base.block_summary().unwrap().mean;
         let b1 = prop.block_summary().unwrap().mean;
         assert!(

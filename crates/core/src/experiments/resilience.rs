@@ -26,10 +26,8 @@ use bitsync_net::churn::ChurnConfig;
 use bitsync_node::config::{NodeConfig, ResilienceConfig as Countermeasures};
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::FaultConfig;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -194,38 +192,12 @@ impl ResilienceResult {
     }
 }
 
-/// Whether this node counts toward the honest sync/outdegree metrics:
-/// reachable, not spawned stalled, not an ADDR flooder.
-fn is_honest(world: &World, slot: usize) -> bool {
-    let m = &world.meta[slot];
-    m.reachable && !m.stalled && !m.malicious
-}
-
-/// Fraction of honest online reachable nodes that are synchronized.
-fn honest_sync_fraction(world: &World) -> f64 {
-    let mut online = 0usize;
-    let mut synced = 0usize;
-    for id in world.online_ids() {
-        if is_honest(world, id.0 as usize) {
-            online += 1;
-            if world.is_synchronized(id) {
-                synced += 1;
-            }
-        }
-    }
-    if online == 0 {
-        0.0
-    } else {
-        synced as f64 / online as f64
-    }
-}
-
 /// Mean outbound degree over honest online reachable nodes.
 fn honest_outdegree(world: &World) -> f64 {
     let mut total = 0usize;
     let mut online = 0usize;
     for id in world.online_ids() {
-        if is_honest(world, id.0 as usize) {
+        if world.meta[id.0 as usize].is_honest() {
             online += 1;
             total += world.node(id).expect("online").outbound_count();
         }
@@ -237,54 +209,18 @@ fn honest_outdegree(world: &World) -> f64 {
     }
 }
 
-/// Runs one cell.
-pub fn run_cell(cfg: &ResilienceConfig, intensity: f64, countermeasures: bool) -> CellResult {
-    run_cell_traced(
-        cfg,
-        intensity,
-        countermeasures,
-        &Recorder::new(),
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_cell`] with metrics reported into `rec` and events into `tracer`.
-pub fn run_cell_traced(
+/// Runs one cell with its world reporting into `ins`; timeseries rows are
+/// labelled with the cell (`i<intensity>/cm_{on,off}`).
+pub fn run_cell(
     cfg: &ResilienceConfig,
     intensity: f64,
     countermeasures: bool,
-    rec: &Recorder,
-    tracer: &Tracer,
+    ins: &Instruments,
 ) -> CellResult {
-    run_cell_instrumented(
-        cfg,
-        intensity,
-        countermeasures,
-        rec,
-        tracer,
-        &Sampler::disabled(),
-    )
-}
-
-/// [`run_cell_traced`] with per-interval timeseries rows, labelled with
-/// the cell (`i<intensity>/cm_{on,off}`) as the row context.
-pub fn run_cell_instrumented(
-    cfg: &ResilienceConfig,
-    intensity: f64,
-    countermeasures: bool,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> CellResult {
-    sampler.set_ctx(Some(&format!(
+    ins.sampler.set_ctx(Some(&format!(
         "i{intensity}/cm_{}",
         if countermeasures { "on" } else { "off" }
     )));
-    let mut churn = cfg.churn;
-    churn.mean_lifetime =
-        SimDuration::from_secs_f64(churn.mean_lifetime.as_secs_f64() / cfg.churn_speedup);
-    churn.mean_offline_gap =
-        SimDuration::from_secs_f64(churn.mean_offline_gap.as_secs_f64() / cfg.churn_speedup);
     let node_cfg = NodeConfig {
         resilience: if countermeasures {
             Countermeasures::bitcoin_core()
@@ -302,7 +238,7 @@ pub fn run_cell_instrumented(
         n_phantoms: cfg.n_phantoms,
         seed_phantoms: 200.min(cfg.n_phantoms),
         seed_reachable: 32,
-        churn: Some(churn),
+        churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
         block_interval: Some(SimDuration::from_secs(600)),
         tx_rate: 0.2,
         ibd_fresh_mean: Some(SimDuration::from_mins(30)),
@@ -310,13 +246,11 @@ pub fn run_cell_instrumented(
         fault: cfg.base_fault.scaled(intensity),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
-    world.attach_tracer(tracer.clone());
-    world.attach_sampler(sampler);
+    world.attach(ins);
 
     // Counter deltas: cells share the experiment recorder, so each cell's
     // contribution is the difference across its run.
-    let count0 = |name: &str| rec.counter(name);
+    let count0 = |name: &str| ins.metrics.counter(name);
     let before = [
         count0(metric::DIAL_RETRIES),
         count0(metric::PEER_BANNED),
@@ -334,7 +268,7 @@ pub fn run_cell_instrumented(
     while t < end {
         t += cfg.sample_every;
         world.run_until(t);
-        sync_samples.push(honest_sync_fraction(&world));
+        sync_samples.push(world.honest_sync_fraction());
         outdegree_samples.push(honest_outdegree(&world));
     }
 
@@ -386,40 +320,13 @@ pub fn run_cell_instrumented(
     }
 }
 
-/// Runs the full sweep with the same seed in every cell.
-pub fn run(cfg: &ResilienceConfig) -> ResilienceResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with every cell's world reporting into `rec`.
-pub fn run_recorded(cfg: &ResilienceConfig, rec: &Recorder) -> ResilienceResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with a shared trace sink.
-pub fn run_traced(cfg: &ResilienceConfig, rec: &Recorder, tracer: &Tracer) -> ResilienceResult {
-    run_instrumented(cfg, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_traced`] with every cell sampling into the one `sampler`; rows
-/// carry the cell label as their context, cells in sweep order.
-pub fn run_instrumented(
-    cfg: &ResilienceConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> ResilienceResult {
+/// Runs the full sweep with the same seed in every cell, all reporting
+/// into the one `ins`, cells in sweep order.
+pub fn run(cfg: &ResilienceConfig, ins: &Instruments) -> ResilienceResult {
     let mut cells = Vec::new();
     for &intensity in &cfg.intensities {
         for countermeasures in [false, true] {
-            cells.push(run_cell_instrumented(
-                cfg,
-                intensity,
-                countermeasures,
-                rec,
-                tracer,
-                sampler,
-            ));
+            cells.push(run_cell(cfg, intensity, countermeasures, ins));
         }
     }
     ResilienceResult { cells }
@@ -448,22 +355,9 @@ impl Experiment for ResilienceExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        self.run_instrumented(rec, tracer, &Sampler::disabled())
-    }
-
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_instrumented(cfg, rec, tracer, sampler);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_resilience(&r));
         r.to_json()
     }
@@ -480,7 +374,7 @@ mod tests {
     #[test]
     fn sweep_produces_all_cells_in_order() {
         let cfg = ResilienceConfig::quick(77);
-        let r = run(&cfg);
+        let r = run(&cfg, &Instruments::default());
         assert_eq!(r.cells.len(), cfg.intensities.len() * 2);
         assert_eq!(r.baseline().intensity, 0.0);
         assert!(!r.baseline().countermeasures);
@@ -493,8 +387,8 @@ mod tests {
     #[test]
     fn faults_fire_and_countermeasures_respond() {
         let cfg = ResilienceConfig::quick(78);
-        let stressed_off = run_cell(&cfg, 1.0, false);
-        let stressed_on = run_cell(&cfg, 1.0, true);
+        let stressed_off = run_cell(&cfg, 1.0, false, &Instruments::default());
+        let stressed_on = run_cell(&cfg, 1.0, true, &Instruments::default());
         assert!(stressed_off.faults_dropped > 0, "fault plane inactive");
         assert_eq!(stressed_off.peers_banned, 0);
         assert_eq!(stressed_off.handshake_timeouts, 0);
@@ -511,8 +405,8 @@ mod tests {
     #[test]
     fn baseline_cell_outperforms_stressed_cell() {
         let cfg = ResilienceConfig::quick(79);
-        let clean = run_cell(&cfg, 0.0, false);
-        let stressed = run_cell(&cfg, 1.0, false);
+        let clean = run_cell(&cfg, 0.0, false, &Instruments::default());
+        let stressed = run_cell(&cfg, 1.0, false, &Instruments::default());
         assert!(
             stressed.mean_sync_fraction <= clean.mean_sync_fraction,
             "faults did not hurt: {} vs {}",

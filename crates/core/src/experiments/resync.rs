@@ -11,8 +11,8 @@ use crate::experiments::registry::{Experiment, Scale};
 use bitsync_json::{ToJson, Value};
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_node::NodeId;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::Instruments;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -87,13 +87,10 @@ impl ToJson for ResyncResult {
     }
 }
 
-/// Runs the restart experiment.
-pub fn run(cfg: &ResyncConfig) -> ResyncResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with world metrics reported into `rec`.
-pub fn run_recorded(cfg: &ResyncConfig, rec: &Recorder) -> ResyncResult {
+/// Runs the restart experiment with its world reporting into `ins`;
+/// timeseries rows are labelled with the phase (`warmup`, `offline`,
+/// `resync`).
+pub fn run(cfg: &ResyncConfig, ins: &Instruments) -> ResyncResult {
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
         n_reachable: cfg.n_reachable,
@@ -107,13 +104,16 @@ pub fn run_recorded(cfg: &ResyncConfig, rec: &Recorder) -> ResyncResult {
         // mechanical connection/catch-up time is reported separately.
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
+    world.attach(ins);
     let observed = NodeId(0);
+    ins.sampler.set_ctx(Some("warmup"));
     world.run_until(SimTime::ZERO + cfg.warmup);
     world.force_depart(observed);
+    ins.sampler.set_ctx(Some("offline"));
     world.run_for(cfg.offline);
     let rejoin_at = world.now();
     world.force_rejoin(observed);
+    ins.sampler.set_ctx(Some("resync"));
     // The restarted node re-downloads from genesis in our world.
     let blocks_behind = world.best_height();
 
@@ -174,9 +174,9 @@ impl Experiment for ResyncExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_recorded(cfg, rec);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_resync(&r));
         r.to_json()
     }
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn node_recovers_and_phases_are_ordered() {
-        let r = run(&ResyncConfig::quick(21));
+        let r = run(&ResyncConfig::quick(21), &Instruments::default());
         let ready = r.relay_ready_secs.expect("node never recovered");
         let first = r.first_connection_secs.expect("never connected");
         let tip = r.tip_caught_up_secs.expect("never caught up");
@@ -206,8 +206,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(&ResyncConfig::quick(22));
-        let b = run(&ResyncConfig::quick(22));
+        let a = run(&ResyncConfig::quick(22), &Instruments::default());
+        let b = run(&ResyncConfig::quick(22), &Instruments::default());
         assert_eq!(a.relay_ready_secs, b.relay_ready_secs);
         assert_eq!(a.first_connection_secs, b.first_connection_secs);
     }

@@ -7,8 +7,8 @@ use crate::experiments::registry::{Experiment, Scale};
 use bitsync_analysis::propagation::{effective_outdegree, rounds_to_cover};
 use bitsync_json::{ToJson, Value};
 use bitsync_node::world::{World, WorldConfig};
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::Instruments;
 
 /// Output of the propagation analysis.
 #[derive(Clone, Debug)]
@@ -40,13 +40,9 @@ impl ToJson for RoundsResult {
     }
 }
 
-/// Runs the closed form plus a simulation cross-check.
-pub fn run(seed: u64, sim_nodes: usize) -> RoundsResult {
-    run_recorded(seed, sim_nodes, &Recorder::new())
-}
-
-/// [`run`] with the cross-check simulator reporting into `rec`.
-pub fn run_recorded(seed: u64, sim_nodes: usize, rec: &Recorder) -> RoundsResult {
+/// Runs the closed form plus a simulation cross-check whose world reports
+/// into `ins` (timeseries rows labelled `crosscheck`).
+pub fn run(seed: u64, sim_nodes: usize, ins: &Instruments) -> RoundsResult {
     let eff = effective_outdegree(8.0, 0.112, 5.0, 0.5, 240.0);
     let mut result = RoundsResult {
         rounds_at_8: rounds_to_cover(10_000, 8.0),
@@ -68,7 +64,8 @@ pub fn run_recorded(seed: u64, sim_nodes: usize, rec: &Recorder) -> RoundsResult
         block_interval: Some(SimDuration::from_secs(600)),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
+    ins.sampler.set_ctx(Some("crosscheck"));
+    world.attach(ins);
     // Let the mesh form, then wait for a block and watch coverage.
     world.run_until(SimTime::from_secs(300));
     let h0 = world.best_height();
@@ -115,9 +112,9 @@ impl Experiment for RoundsExperiment {
         self.cfg = Some((seed, sim_nodes));
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let (seed, sim_nodes) = self.cfg.expect("configure() before run()");
-        let r = run_recorded(seed, sim_nodes, rec);
+        let r = run(seed, sim_nodes, ins);
         self.rendered = Some(crate::report::render_rounds(&r));
         r.to_json()
     }
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn closed_form_matches_paper() {
-        let r = run(1, 20);
+        let r = run(1, 20, &Instruments::default());
         assert_eq!(r.rounds_at_8, 5);
         assert_eq!(r.rounds_at_2, 14);
         assert!(r.effective_outdegree < 8.0);
@@ -142,7 +139,7 @@ mod tests {
 
     #[test]
     fn simulated_block_covers_network() {
-        let r = run(2, 20);
+        let r = run(2, 20, &Instruments::default());
         let secs = r.sim_full_coverage_secs.expect("block never covered");
         // A 20-node healthy mesh should blanket in seconds, not minutes.
         assert!(secs <= 120, "coverage took {secs}s");

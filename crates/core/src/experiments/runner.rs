@@ -1,7 +1,7 @@
 //! The parallel experiment runner.
 //!
-//! Experiments are independent — each owns its world, its RNG stream, its
-//! metrics recorder, and (when enabled) its trace log — so the runner
+//! Experiments are independent — each owns its world, its RNG stream and
+//! its [`Instruments`] bundle — so the runner
 //! distributes them over plain worker threads pulling from a shared index.
 //! Reports come back in registry order and are byte-identical whatever the
 //! thread count: the JSON envelope and the trace log depend only on the
@@ -12,10 +12,10 @@
 use super::registry::{experiment_seed, Scale, REGISTRY};
 use crate::profile::PhaseSpan;
 use bitsync_json::Value;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::timeseries::{Sampler, TimeseriesLog};
 use bitsync_sim::trace::{TraceLog, Tracer};
+use bitsync_sim::Instruments;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -192,17 +192,17 @@ impl ExperimentRunner {
         exp.configure(self.cfg.scale, seed);
         close(&mut spans, t);
 
-        let mut rec = Recorder::new();
-        let tracer = match self.cfg.trace_cap {
-            Some(cap) => Tracer::enabled(cap),
-            None => Tracer::disabled(),
-        };
-        let sampler = match self.cfg.sample_interval {
-            Some(iv) => Sampler::enabled(iv),
-            None => Sampler::disabled(),
+        let ins = Instruments {
+            tracer: self.cfg.trace_cap.map(Tracer::enabled).unwrap_or_default(),
+            sampler: self
+                .cfg
+                .sample_interval
+                .map(Sampler::enabled)
+                .unwrap_or_default(),
+            ..Instruments::default()
         };
         let t = timed("run");
-        let result = exp.run_instrumented(&mut rec, &tracer, &sampler);
+        let result = exp.run(&ins);
         close(&mut spans, t);
 
         let t = timed("render");
@@ -212,7 +212,7 @@ impl ExperimentRunner {
             .with("scale", self.cfg.scale.name())
             .with("seed", seed)
             .with("result", result)
-            .with("metrics", rec.to_json());
+            .with("metrics", ins.metrics.to_json());
         let rendered = exp.rendered();
         close(&mut spans, t);
 
@@ -223,8 +223,8 @@ impl ExperimentRunner {
             seed,
             json,
             rendered,
-            trace: tracer.take(),
-            timeseries: sampler.take(),
+            trace: ins.tracer.take(),
+            timeseries: ins.sampler.take(),
             spans,
         }
     }
@@ -289,6 +289,8 @@ mod tests {
         assert_eq!(phases, ["configure", "run", "render"]);
     }
 
+    /// One single-world experiment (`relay`) and one multi-world one
+    /// (`ablation`).
     #[test]
     fn traced_relay_run_captures_relay_events_without_changing_json() {
         let traced = ExperimentRunner::new(RunnerConfig {
@@ -298,14 +300,18 @@ mod tests {
             trace_cap: Some(1 << 16),
             sample_interval: None,
         });
-        let with = traced.run(&["relay".to_string()]).unwrap().remove(0);
-        let without = quick(1).run(&["relay".to_string()]).unwrap().remove(0);
-        let log = with.trace.expect("trace captured");
-        assert!(!log.relay.is_empty(), "no relay events traced");
-        assert_eq!(
-            with.json.to_string(),
-            without.json.to_string(),
-            "tracing perturbed the report"
-        );
+        let targets = ["relay".to_string(), "ablation".to_string()];
+        let with = traced.run(&targets).unwrap();
+        let without = quick(1).run(&targets).unwrap();
+        for (with, without) in with.into_iter().zip(without) {
+            let log = with.trace.expect("trace captured");
+            assert!(!log.relay.is_empty(), "{}: no relay events", with.name);
+            assert_eq!(
+                with.json.to_string(),
+                without.json.to_string(),
+                "{}: tracing perturbed the report",
+                with.name
+            );
+        }
     }
 }

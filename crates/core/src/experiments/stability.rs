@@ -10,9 +10,8 @@ use bitsync_analysis::Summary;
 use bitsync_json::{ToJson, Value};
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_node::NodeId;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -100,18 +99,8 @@ impl ToJson for StabilityResult {
     }
 }
 
-/// Runs the Figure 6 experiment.
-pub fn run(cfg: &StabilityConfig) -> StabilityResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with world metrics reported into `rec`.
-pub fn run_recorded(cfg: &StabilityConfig, rec: &Recorder) -> StabilityResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with dial/churn events traced into `tracer`.
-pub fn run_traced(cfg: &StabilityConfig, rec: &Recorder, tracer: &Tracer) -> StabilityResult {
+/// Runs the Figure 6 experiment with its world reporting into `ins`.
+pub fn run(cfg: &StabilityConfig, ins: &Instruments) -> StabilityResult {
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
         n_reachable: cfg.n_reachable,
@@ -123,8 +112,7 @@ pub fn run_traced(cfg: &StabilityConfig, rec: &Recorder, tracer: &Tracer) -> Sta
         instrument: Some(0),
         ..WorldConfig::default()
     });
-    world.attach_metrics(rec.clone());
-    world.attach_tracer(tracer.clone());
+    world.attach(ins);
     let observed = NodeId(0);
     world.run_until(SimTime::ZERO + cfg.warmup);
     let mut series = Vec::with_capacity(cfg.window_secs as usize);
@@ -173,13 +161,9 @@ impl Experiment for StabilityExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_traced(cfg, rec, tracer);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_fig6(&r));
         r.to_json()
     }
@@ -195,7 +179,7 @@ mod tests {
 
     #[test]
     fn connection_count_is_unstable_and_bounded() {
-        let result = run(&StabilityConfig::quick(7));
+        let result = run(&StabilityConfig::quick(7), &Instruments::default());
         assert_eq!(result.series.len(), 260);
         // Bounded by 8 outbound slots + feelers + one in-flight dial.
         assert!(result.max <= 11, "max {}", result.max);
@@ -211,8 +195,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = run(&StabilityConfig::quick(9));
-        let b = run(&StabilityConfig::quick(9));
+        let a = run(&StabilityConfig::quick(9), &Instruments::default());
+        let b = run(&StabilityConfig::quick(9), &Instruments::default());
         assert_eq!(a.series, b.series);
     }
 }

@@ -9,9 +9,8 @@ use crate::experiments::registry::{Experiment, Scale};
 use bitsync_json::{ToJson, Value};
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_node::NodeId;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Experiment parameters.
 #[derive(Clone, Debug)]
@@ -139,19 +138,10 @@ impl ToJson for SuccessRateResult {
 
 /// Runs the Figure 7 experiment: each run restarts the observed node in a
 /// fresh world, mirroring the paper's restart-per-experiment protocol.
-pub fn run(cfg: &SuccessRateConfig) -> SuccessRateResult {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with every per-run world reporting into `rec`.
-pub fn run_recorded(cfg: &SuccessRateConfig, rec: &Recorder) -> SuccessRateResult {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with every dial attempt and outcome traced into
-/// `tracer` (all runs share the one trace log; the initiator id plus event
-/// order distinguish runs).
-pub fn run_traced(cfg: &SuccessRateConfig, rec: &Recorder, tracer: &Tracer) -> SuccessRateResult {
+/// Every per-run world reports into the one `ins`: the initiator id plus
+/// event order distinguish runs in the trace, the `run<i>` row context in
+/// the timeseries.
+pub fn run(cfg: &SuccessRateConfig, ins: &Instruments) -> SuccessRateResult {
     let mut runs = Vec::with_capacity(cfg.runs);
     for i in 0..cfg.runs {
         let mut world = World::new(WorldConfig {
@@ -164,8 +154,8 @@ pub fn run_traced(cfg: &SuccessRateConfig, rec: &Recorder, tracer: &Tracer) -> S
             connection_mean_lifetime: cfg.connection_mean_lifetime,
             ..WorldConfig::default()
         });
-        world.attach_metrics(rec.clone());
-        world.attach_tracer(tracer.clone());
+        ins.sampler.set_ctx(Some(&format!("run{i}")));
+        world.attach(ins);
         world.run_until(SimTime::ZERO + cfg.run_duration);
         let stats = world.node(NodeId(0)).map(|n| n.stats).unwrap_or_default();
         runs.push(RunCounts {
@@ -204,13 +194,9 @@ impl Experiment for SuccessRateExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_traced(cfg, rec, tracer);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_fig7(&r));
         r.to_json()
     }
@@ -226,7 +212,7 @@ mod tests {
 
     #[test]
     fn success_rate_is_low_as_in_the_paper() {
-        let result = run(&SuccessRateConfig::quick(1));
+        let result = run(&SuccessRateConfig::quick(1), &Instruments::default());
         assert_eq!(result.runs.len(), 3);
         for r in &result.runs {
             assert!(r.attempts > 0, "no attempts recorded");
@@ -240,14 +226,14 @@ mod tests {
 
     #[test]
     fn worst_is_at_most_mean() {
-        let result = run(&SuccessRateConfig::quick(2));
+        let result = run(&SuccessRateConfig::quick(2), &Instruments::default());
         assert!(result.worst_rate() <= result.mean_rate() + 1e-12);
     }
 
     #[test]
     fn deterministic() {
-        let a = run(&SuccessRateConfig::quick(3));
-        let b = run(&SuccessRateConfig::quick(3));
+        let a = run(&SuccessRateConfig::quick(3), &Instruments::default());
+        let b = run(&SuccessRateConfig::quick(3), &Instruments::default());
         assert_eq!(a.runs.len(), b.runs.len());
         for (x, y) in a.runs.iter().zip(&b.runs) {
             assert_eq!(x.attempts, y.attempts);

@@ -20,10 +20,8 @@ use bitsync_analysis::{Kde, Summary};
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
 use bitsync_node::world::{ChurnEvent, World, WorldConfig};
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 
 /// Which measurement-period regime to reproduce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,13 +101,9 @@ impl SyncScenarioConfig {
     }
 
     fn world_config(&self, year: Year) -> WorldConfig {
-        let mut churn = year.churn();
         // Accelerate both lifetimes and IBD by the same factor so the
         // steady-state unsynchronized fraction is preserved.
-        churn.mean_lifetime =
-            SimDuration::from_secs_f64(churn.mean_lifetime.as_secs_f64() / self.churn_speedup);
-        churn.mean_offline_gap =
-            SimDuration::from_secs_f64(churn.mean_offline_gap.as_secs_f64() / self.churn_speedup);
+        let churn = year.churn().sped_up(self.churn_speedup);
         let ibd =
             SimDuration::from_secs_f64(self.ibd_fresh_mean.as_secs_f64() / self.churn_speedup);
         WorldConfig {
@@ -197,52 +191,23 @@ impl ToJson for SyncComparison {
     }
 }
 
-/// Runs one arm.
-pub fn run_year(cfg: &SyncScenarioConfig, year: Year) -> YearResult {
-    run_year_recorded(cfg, year, &Recorder::new())
-}
-
-/// [`run_year`] with world metrics reported into `rec`.
-pub fn run_year_recorded(cfg: &SyncScenarioConfig, year: Year, rec: &Recorder) -> YearResult {
-    run_year_traced(cfg, year, rec, &Tracer::disabled())
-}
-
-/// [`run_year_recorded`] with churn/dial/relay events traced into
-/// `tracer`.
-pub fn run_year_traced(
-    cfg: &SyncScenarioConfig,
-    year: Year,
-    rec: &Recorder,
-    tracer: &Tracer,
-) -> YearResult {
-    run_year_instrumented(cfg, year, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_year_traced`] with per-interval timeseries rows sampled into
-/// `sampler`, labelled with the arm's year as the row context.
-pub fn run_year_instrumented(
-    cfg: &SyncScenarioConfig,
-    year: Year,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> YearResult {
+/// Runs one arm with its world reporting into `ins`; timeseries rows are
+/// labelled with the arm's year as the row context.
+pub fn run_year(cfg: &SyncScenarioConfig, year: Year, ins: &Instruments) -> YearResult {
     let mut wcfg = cfg.world_config(year);
     // Windowed relay-delay quantiles need a relay-instrumented node.
     // Instrumentation only records (relay log + metrics + sampler window);
     // it draws no randomness and schedules nothing, so the event stream —
     // and therefore the result — is identical either way.
-    if sampler.is_enabled() && wcfg.instrument.is_none() {
+    if ins.sampler.is_enabled() && wcfg.instrument.is_none() {
         wcfg.instrument = Some(0);
     }
-    sampler.set_ctx(Some(match year {
+    ins.sampler.set_ctx(Some(match year {
         Year::Y2019 => "y2019",
         Year::Y2020 => "y2020",
     }));
     let mut world = World::new(wcfg);
-    world.attach_metrics(rec.clone());
-    world.attach_tracer(tracer.clone());
-    world.attach_sampler(sampler);
+    world.attach(ins);
     let mut samples = Vec::new();
     let warmup = cfg.warmup;
     world.run_until(SimTime::ZERO + warmup);
@@ -276,33 +241,12 @@ pub fn run_year_instrumented(
 }
 
 /// Runs both arms with identical seeds and everything but churn fixed.
-pub fn run(cfg: &SyncScenarioConfig) -> SyncComparison {
-    run_recorded(cfg, &Recorder::new())
-}
-
-/// [`run`] with both arms' worlds reporting into `rec`.
-pub fn run_recorded(cfg: &SyncScenarioConfig, rec: &Recorder) -> SyncComparison {
-    run_traced(cfg, rec, &Tracer::disabled())
-}
-
-/// [`run_recorded`] with both arms tracing into the one `tracer` (the
-/// 2019 arm's events come first; both arms restart sim time at zero).
-pub fn run_traced(cfg: &SyncScenarioConfig, rec: &Recorder, tracer: &Tracer) -> SyncComparison {
-    run_instrumented(cfg, rec, tracer, &Sampler::disabled())
-}
-
-/// [`run_traced`] with both arms sampling into the one `sampler`; rows are
-/// distinguished by their `ctx` label (`y2019` then `y2020`), each arm
-/// restarting sim time at zero.
-pub fn run_instrumented(
-    cfg: &SyncScenarioConfig,
-    rec: &Recorder,
-    tracer: &Tracer,
-    sampler: &Sampler,
-) -> SyncComparison {
+/// Both report into the one `ins`: the 2019 arm's trace events and rows
+/// (`ctx` `y2019`) come first, each arm restarting sim time at zero.
+pub fn run(cfg: &SyncScenarioConfig, ins: &Instruments) -> SyncComparison {
     SyncComparison {
-        y2019: run_year_instrumented(cfg, Year::Y2019, rec, tracer, sampler),
-        y2020: run_year_instrumented(cfg, Year::Y2020, rec, tracer, sampler),
+        y2019: run_year(cfg, Year::Y2019, ins),
+        y2020: run_year(cfg, Year::Y2020, ins),
     }
 }
 
@@ -336,22 +280,9 @@ impl Experiment for SyncExperiment {
         });
     }
 
-    fn run(&mut self, rec: &mut Recorder) -> Value {
-        self.run_traced(rec, &Tracer::disabled())
-    }
-
-    fn run_traced(&mut self, rec: &mut Recorder, tracer: &Tracer) -> Value {
-        self.run_instrumented(rec, tracer, &Sampler::disabled())
-    }
-
-    fn run_instrumented(
-        &mut self,
-        rec: &mut Recorder,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> Value {
+    fn run(&mut self, ins: &Instruments) -> Value {
         let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run_instrumented(cfg, rec, tracer, sampler);
+        let r = run(cfg, ins);
         self.rendered = Some(crate::report::render_fig1(&r));
         r.to_json()
     }
@@ -367,7 +298,7 @@ mod tests {
 
     #[test]
     fn higher_churn_means_lower_sync_and_more_departures() {
-        let cmp = run(&SyncScenarioConfig::quick(3));
+        let cmp = run(&SyncScenarioConfig::quick(3), &Instruments::default());
         assert!(!cmp.y2019.sync_samples.is_empty());
         // Direction of both paper results.
         assert!(
@@ -386,7 +317,7 @@ mod tests {
 
     #[test]
     fn sync_fraction_is_a_probability() {
-        let cmp = run(&SyncScenarioConfig::quick(4));
+        let cmp = run(&SyncScenarioConfig::quick(4), &Instruments::default());
         for s in cmp.y2019.sync_samples.iter().chain(&cmp.y2020.sync_samples) {
             assert!((0.0..=1.0).contains(s), "sample {s}");
         }
@@ -394,7 +325,7 @@ mod tests {
 
     #[test]
     fn kde_fits() {
-        let cmp = run(&SyncScenarioConfig::quick(5));
+        let cmp = run(&SyncScenarioConfig::quick(5), &Instruments::default());
         assert!(cmp.y2019.kde().is_some());
         assert!(cmp.y2020.kde().is_some());
     }

@@ -22,8 +22,9 @@
 //!
 //! ```
 //! use bitsync_core::experiments::success_rate::{self, SuccessRateConfig};
+//! use bitsync_core::sim::Instruments;
 //!
-//! let result = success_rate::run(&SuccessRateConfig::quick(42));
+//! let result = success_rate::run(&SuccessRateConfig::quick(42), &Instruments::default());
 //! // The paper's §IV-B finding: most outgoing connection attempts fail.
 //! assert!(result.mean_rate() < 0.5);
 //! ```

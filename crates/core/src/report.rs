@@ -702,10 +702,12 @@ pub fn render_rootcause(name: &str, r: &RootCauseReport) -> String {
 mod tests {
     use super::*;
     use crate::experiments::{census, rounds, stability, success_rate};
+    use bitsync_sim::Instruments;
 
     #[test]
     fn census_renderers_produce_paper_anchored_text() {
-        let c = census::run(&census::CensusExperimentConfig::quick(1));
+        let ins = Instruments::default();
+        let c = census::run(&census::CensusExperimentConfig::quick(1), &ins);
         assert!(render_fig3(&c).contains("10,114"));
         assert!(render_fig4(&c).contains("694,696"));
         assert!(render_fig5(&c).contains("23.5%"));
@@ -719,15 +721,17 @@ mod tests {
 
     #[test]
     fn fig6_fig7_render() {
-        let s = stability::run(&stability::StabilityConfig::quick(2));
+        let ins = Instruments::default();
+        let s = stability::run(&stability::StabilityConfig::quick(2), &ins);
         assert!(render_fig6(&s).contains("6.67"));
-        let r = success_rate::run(&success_rate::SuccessRateConfig::quick(2));
+        let r = success_rate::run(&success_rate::SuccessRateConfig::quick(2), &ins);
         assert!(render_fig7(&r).contains("11.2%"));
     }
 
     #[test]
     fn rounds_render() {
-        let r = rounds::run(3, 15);
+        let ins = Instruments::default();
+        let r = rounds::run(3, 15, &ins);
         let text = render_rounds(&r);
         assert!(text.contains("8^5"));
         assert!(text.contains("14"));

@@ -6,11 +6,9 @@ use crate::census::CensusNetwork;
 use crate::crawl::{metric, probe_responsive, Crawler};
 use crate::feeds::{FeedConfig, Feeds};
 use bitsync_protocol::addr::NetAddr;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimTime;
-use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::Tracer;
+use bitsync_sim::Instruments;
 use std::collections::{HashMap, HashSet};
 
 /// One experiment's (day's) aggregated numbers.
@@ -99,36 +97,15 @@ impl Default for Campaign {
 }
 
 impl Campaign {
-    /// Executes one crawl per day over the census window.
-    pub fn run(&self, net: &CensusNetwork, rng: &mut SimRng) -> CampaignResult {
-        self.run_recorded(net, rng, None, &Tracer::disabled())
-    }
-
-    /// [`Campaign::run`] with crawl and probe metrics reported into `rec`
-    /// and per-node crawl events recorded into `tracer`.
-    pub fn run_recorded(
-        &self,
-        net: &CensusNetwork,
-        rng: &mut SimRng,
-        rec: Option<&Recorder>,
-        tracer: &Tracer,
-    ) -> CampaignResult {
-        self.run_instrumented(net, rng, rec, tracer, &Sampler::disabled())
-    }
-
-    /// [`Campaign::run_recorded`] plus one timeseries row per crawl day.
+    /// Executes one crawl per day over the census window: crawl and probe
+    /// metrics go to `ins.metrics`, per-node crawl events to `ins.tracer`,
+    /// and one timeseries row per crawl day to `ins.sampler`.
     ///
     /// The campaign has no event queue, so the sampler's cadence is ignored
     /// here: the natural sampling unit is the day (the paper's own window),
     /// stamped at each day's crawl midpoint in sim time.
-    pub fn run_instrumented(
-        &self,
-        net: &CensusNetwork,
-        rng: &mut SimRng,
-        rec: Option<&Recorder>,
-        tracer: &Tracer,
-        sampler: &Sampler,
-    ) -> CampaignResult {
+    pub fn run(&self, net: &CensusNetwork, rng: &mut SimRng, ins: &Instruments) -> CampaignResult {
+        let (rec, sampler) = (&ins.metrics, &ins.sampler);
         let feeds = Feeds::new(self.feeds, net, rng);
         let mut result = CampaignResult {
             probe_start_day: self.probe_start_day,
@@ -143,10 +120,10 @@ impl Campaign {
             let snap = feeds.pull(net, t, rng);
             let crawl = if net.cfg.sampled_crawl {
                 self.crawler
-                    .run_experiment_sampled(net, &snap.candidates, t, rng, rec, tracer)
+                    .run_experiment_sampled(net, &snap.candidates, t, rng, ins)
             } else {
                 self.crawler
-                    .run_experiment_recorded(net, &snap.candidates, t, rng, rec, tracer)
+                    .run_experiment(net, &snap.candidates, t, rng, ins)
             };
 
             // Figure 3d: connected nodes absent from Bitnodes.
@@ -180,14 +157,12 @@ impl Campaign {
             }
             let responsive_today = if day >= self.probe_start_day {
                 let resp = probe_responsive(net, &crawl.unreachable_found, t);
-                if let Some(rec) = rec {
-                    rec.inc(metric::PROBES_SENT, crawl.unreachable_found.len() as u64);
-                    rec.inc(metric::PROBES_REFUSED_FIN, resp.len() as u64);
-                    rec.inc(
-                        metric::PROBES_SILENT,
-                        (crawl.unreachable_found.len() - resp.len()) as u64,
-                    );
-                }
+                rec.inc(metric::PROBES_SENT, crawl.unreachable_found.len() as u64);
+                rec.inc(metric::PROBES_REFUSED_FIN, resp.len() as u64);
+                rec.inc(
+                    metric::PROBES_SILENT,
+                    (crawl.unreachable_found.len() - resp.len()) as u64,
+                );
                 for a in &resp {
                     result.all_responsive.insert(*a);
                 }
@@ -285,7 +260,7 @@ mod tests {
             probe_start_day: 2,
             ..Campaign::default()
         };
-        let result = campaign.run(&net, &mut rng);
+        let result = campaign.run(&net, &mut rng, &Instruments::default());
         (net, result)
     }
 
@@ -363,7 +338,7 @@ mod tests {
             probe_start_day: 2,
             ..Campaign::default()
         };
-        let result = campaign.run(&net, &mut rng);
+        let result = campaign.run(&net, &mut rng, &Instruments::default());
         assert_eq!(result.days.len(), net.cfg.days as usize);
         for w in result.days.windows(2) {
             assert!(w[1].unreachable_cumulative >= w[0].unreachable_cumulative);

@@ -7,7 +7,8 @@ use bitsync_net::population::ProbeOutcome;
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::metrics::Recorder;
 use bitsync_sim::rng::SimRng;
-use bitsync_sim::trace::{CrawlEvent, Tracer};
+use bitsync_sim::trace::CrawlEvent;
+use bitsync_sim::Instruments;
 use std::collections::HashSet;
 
 /// Addresses per `ADDR` response (the protocol's message cap).
@@ -145,27 +146,15 @@ impl Crawler {
     }
 
     /// One full experiment: connect to every candidate online at `day`,
-    /// run Algorithm 1 on each, and aggregate.
+    /// run Algorithm 1 on each, and aggregate. Crawl metrics go to
+    /// `ins.metrics`, one [`CrawlEvent`] per crawled node to `ins.tracer`.
     pub fn run_experiment(
         &self,
         net: &CensusNetwork,
         candidates: &[NetAddr],
         day: f64,
         rng: &mut SimRng,
-    ) -> CrawlResult {
-        self.run_experiment_recorded(net, candidates, day, rng, None, &Tracer::disabled())
-    }
-
-    /// [`Crawler::run_experiment`] with crawl metrics reported into `rec`
-    /// and one [`CrawlEvent`] per crawled node recorded into `tracer`.
-    pub fn run_experiment_recorded(
-        &self,
-        net: &CensusNetwork,
-        candidates: &[NetAddr],
-        day: f64,
-        rng: &mut SimRng,
-        rec: Option<&Recorder>,
-        tracer: &Tracer,
+        ins: &Instruments,
     ) -> CrawlResult {
         let mut result = CrawlResult {
             candidates: candidates.len(),
@@ -187,13 +176,13 @@ impl Crawler {
             }
             result.connected += 1;
             let crawl = self.crawl_node(net, idx, day, rng);
-            if let Some(rec) = rec {
-                rec.inc(metric::NODES_CRAWLED, 1);
-                rec.inc(metric::GETADDR_ROUNDS, crawl.getaddr_rounds as u64);
-                rec.inc(metric::ADDRS_REVEALED, crawl.revealed.len() as u64);
-            }
-            if tracer.is_enabled() {
-                tracer.crawl(CrawlEvent {
+            ins.metrics.inc(metric::NODES_CRAWLED, 1);
+            ins.metrics
+                .inc(metric::GETADDR_ROUNDS, crawl.getaddr_rounds as u64);
+            ins.metrics
+                .inc(metric::ADDRS_REVEALED, crawl.revealed.len() as u64);
+            if ins.tracer.is_enabled() {
+                ins.tracer.crawl(CrawlEvent {
                     day,
                     addr: addr.to_string(),
                     rounds: crawl.getaddr_rounds as u64,
@@ -215,7 +204,7 @@ impl Crawler {
         result
     }
 
-    /// Closed-form variant of [`Crawler::run_experiment_recorded`] for
+    /// Closed-form variant of [`Crawler::run_experiment`] for
     /// full-scale campaigns over compact books
     /// (`CensusConfig::sampled_crawl`).
     ///
@@ -235,8 +224,7 @@ impl Crawler {
         candidates: &[NetAddr],
         day: f64,
         rng: &mut SimRng,
-        rec: Option<&Recorder>,
-        tracer: &Tracer,
+        ins: &Instruments,
     ) -> CrawlResult {
         let mut result = CrawlResult {
             candidates: candidates.len(),
@@ -284,13 +272,11 @@ impl Crawler {
                 (k_book + k_reach + 1, k_reach + 1)
             };
             let rounds = expected_exhaustion_rounds(revealed);
-            if let Some(rec) = rec {
-                rec.inc(metric::NODES_CRAWLED, 1);
-                rec.inc(metric::GETADDR_ROUNDS, rounds);
-                rec.inc(metric::ADDRS_REVEALED, revealed);
-            }
-            if tracer.is_enabled() {
-                tracer.crawl(CrawlEvent {
+            ins.metrics.inc(metric::NODES_CRAWLED, 1);
+            ins.metrics.inc(metric::GETADDR_ROUNDS, rounds);
+            ins.metrics.inc(metric::ADDRS_REVEALED, revealed);
+            if ins.tracer.is_enabled() {
+                ins.tracer.crawl(CrawlEvent {
                     day,
                     addr: addr.to_string(),
                     rounds,
@@ -465,7 +451,8 @@ mod tests {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng);
+        let ins = Instruments::default();
+        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
         assert_eq!(result.candidates, candidates.len());
         assert!(result.connected > 0);
         assert!(
@@ -488,7 +475,8 @@ mod tests {
             .iter()
             .find(|n| n.online_at(0.1) && !n.online_at(9.5))
         {
-            let result = Crawler::default().run_experiment(&net, &[n.addr], 9.5, &mut rng);
+            let ins = Instruments::default();
+            let result = Crawler::default().run_experiment(&net, &[n.addr], 9.5, &mut rng, &ins);
             assert_eq!(result.connected, 0);
         }
     }
@@ -501,7 +489,8 @@ mod tests {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng);
+        let ins = Instruments::default();
+        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
         let responsive = probe_responsive(&net, &result.unreachable_found, 0.5);
         assert!(!responsive.is_empty());
         // Responsive ⊂ found, and each is genuinely responsive now.
@@ -543,15 +532,10 @@ mod tests {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let exact = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng);
-        let sampled = Crawler::default().run_experiment_sampled(
-            &net,
-            &candidates,
-            0.5,
-            &mut rng,
-            None,
-            &Tracer::disabled(),
-        );
+        let ins = Instruments::default();
+        let exact = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
+        let sampled =
+            Crawler::default().run_experiment_sampled(&net, &candidates, 0.5, &mut rng, &ins);
         assert_eq!(sampled.connected, exact.connected);
         assert_eq!(sampled.candidates, exact.candidates);
         // Exact union covers *almost* all live addresses; sampled covers all
@@ -594,8 +578,7 @@ mod tests {
             &candidates,
             0.5,
             &mut rng,
-            None,
-            &Tracer::disabled(),
+            &Instruments::default(),
         );
         assert!(result.connected > 0);
         assert!(result.unreachable_found.len() > 100);

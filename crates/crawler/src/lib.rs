@@ -20,10 +20,11 @@
 //! use bitsync_crawler::campaign::Campaign;
 //! use bitsync_crawler::census::{CensusConfig, CensusNetwork};
 //! use bitsync_sim::rng::SimRng;
+//! use bitsync_sim::Instruments;
 //!
 //! let mut rng = SimRng::seed_from(1);
 //! let net = CensusNetwork::generate(CensusConfig::tiny(), &mut rng);
-//! let result = Campaign::default().run(&net, &mut rng);
+//! let result = Campaign::default().run(&net, &mut rng, &Instruments::default());
 //! assert_eq!(result.days.len(), 10);
 //! ```
 

@@ -3,6 +3,7 @@
 use bitsync_crawler::census::{CensusConfig, CensusNetwork};
 use bitsync_crawler::crawl::{probe_responsive, Crawler};
 use bitsync_sim::rng::SimRng;
+use bitsync_sim::Instruments;
 use proptest::prelude::*;
 
 fn tiny(seed: u64, n_reach: usize, n_unreach: usize) -> CensusNetwork {
@@ -51,7 +52,7 @@ proptest! {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::default().run_experiment(&net, &candidates, day, &mut rng);
+        let result = Crawler::default().run_experiment(&net, &candidates, day, &mut rng, &Instruments::default());
         for a in &result.unreachable_found {
             prop_assert!(!net.reachable_addrs.contains(a));
         }

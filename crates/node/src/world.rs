@@ -24,6 +24,7 @@ use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::timeseries::Sampler;
 use bitsync_sim::trace::{self, Tracer};
+use bitsync_sim::Instruments;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -153,6 +154,15 @@ pub struct NodeMeta {
     /// Fault plane: the node accepts TCP connections but never processes
     /// messages, wedging its peers' handshakes (persists across rejoins).
     pub stalled: bool,
+}
+
+impl NodeMeta {
+    /// Whether the node counts toward the honest-population metrics (sync
+    /// fraction, outdegree, convergence): reachable, not spawned stalled,
+    /// not an ADDR flooder.
+    pub fn is_honest(&self) -> bool {
+        self.reachable && !self.stalled && !self.malicious
+    }
 }
 
 /// Sends later than this after first receipt are initial-block-download
@@ -733,6 +743,16 @@ impl World {
             .record_perf(self.now(), self.events_processed());
     }
 
+    /// Points the world at every handle of `ins` — the one line that
+    /// instruments a world. Attach before running (see the four
+    /// `attach_*` methods this is made of).
+    pub fn attach(&mut self, ins: &Instruments) {
+        self.attach_metrics(ins.metrics.clone());
+        self.attach_tracer(ins.tracer.clone());
+        self.attach_sampler(&ins.sampler);
+        self.attach_checker(ins.checker.clone());
+    }
+
     /// Arms a named [`Fault`]. The two bug injections rewire dispatch so
     /// the invariant layer provably catches them; the benign variants arm
     /// the fault plane with their canned preset (a no-op when the world
@@ -794,7 +814,7 @@ impl World {
             .into_iter()
             .filter(|id| {
                 let m = &self.meta[id.0 as usize];
-                m.reachable && !m.stalled && !m.malicious && m.ibd_until <= now
+                m.is_honest() && m.ibd_until <= now
             })
             .collect()
     }
@@ -903,10 +923,14 @@ impl World {
     /// Fraction of online *reachable* nodes that are synchronized (the
     /// quantity whose distribution is Figure 1).
     pub fn sync_fraction(&self) -> f64 {
+        self.sync_fraction_where(|m| m.reachable)
+    }
+
+    fn sync_fraction_where(&self, counts: impl Fn(&NodeMeta) -> bool) -> f64 {
         let mut online = 0usize;
         let mut synced = 0usize;
         for id in self.online_ids() {
-            if self.meta[id.0 as usize].reachable {
+            if counts(&self.meta[id.0 as usize]) {
                 online += 1;
                 if self.is_synchronized(id) {
                     synced += 1;
@@ -918,6 +942,13 @@ impl World {
         } else {
             synced as f64 / online as f64
         }
+    }
+
+    /// [`World::sync_fraction`] over the honest population only
+    /// ([`NodeMeta::is_honest`]): the fault-plane experiments' metric and
+    /// the sampler's `sync_frac` gauge.
+    pub fn honest_sync_fraction(&self) -> f64 {
+        self.sync_fraction_where(NodeMeta::is_honest)
     }
 
     /// Ground truth: is this address a (past or present) reachable node?
@@ -1003,7 +1034,7 @@ impl World {
         let mut total = 0u64;
         if self.sampler.is_enabled() {
             while let Some(tick) = self.next_sample_at.filter(|&t| t <= deadline) {
-                total += self.run_chunk(tick);
+                total += self.run_steps(u64::MAX, tick);
                 self.take_sample(tick);
                 let iv = self
                     .sampler
@@ -1012,28 +1043,7 @@ impl World {
                 self.next_sample_at = Some(tick + iv);
             }
         }
-        total + self.run_chunk(deadline)
-    }
-
-    /// One uninterrupted run segment (the pre-sampler `run_until` body).
-    fn run_chunk(&mut self, deadline: SimTime) -> u64 {
-        let start = self.queue.events_processed();
-        let mut depth_hwm = 0usize;
-        while let Some((now, ev)) = self.queue.pop_until(deadline) {
-            // +1: the popped event itself was still queued at this instant.
-            depth_hwm = depth_hwm.max(self.queue.len() + 1);
-            self.dispatch(now, ev);
-        }
-        if self.queue.now() < deadline {
-            self.queue.advance_to(deadline);
-        }
-        let processed = self.queue.events_processed() - start;
-        self.metrics.inc(metric::EVENTS_PROCESSED, processed);
-        if depth_hwm > 0 {
-            self.metrics
-                .gauge_max(metric::QUEUE_DEPTH_HWM, depth_hwm as f64);
-        }
-        processed
+        total + self.run_steps(u64::MAX, deadline)
     }
 
     /// Runs for `d` beyond the current time.
@@ -1045,23 +1055,24 @@ impl World {
     /// Runs until `deadline` or until `max_events` events have been
     /// processed, whichever comes first — the fuzzer's bounded runs, where
     /// a random scenario must terminate whatever feedback loops it
-    /// contains. Returns the number of events processed.
+    /// contains. Returns the number of events processed. This is the one
+    /// event-loop body ([`World::run_until`] runs it with no budget); it
+    /// never samples.
     pub fn run_steps(&mut self, max_events: u64, deadline: SimTime) -> u64 {
         let start = self.queue.events_processed();
         let mut depth_hwm = 0usize;
-        let mut exhausted = false;
-        while self.queue.events_processed() - start < max_events {
+        for _ in 0..max_events {
             let Some((now, ev)) = self.queue.pop_until(deadline) else {
-                exhausted = true;
+                // Only a drained queue advances the clock to the deadline; a
+                // run stopped by the step budget stays at its last event time.
+                if self.queue.now() < deadline {
+                    self.queue.advance_to(deadline);
+                }
                 break;
             };
+            // +1: the popped event itself was still queued at this instant.
             depth_hwm = depth_hwm.max(self.queue.len() + 1);
             self.dispatch(now, ev);
-        }
-        // Only a drained queue advances the clock to the deadline; a run
-        // stopped by the step budget stays at its last event time.
-        if exhausted && self.queue.now() < deadline {
-            self.queue.advance_to(deadline);
         }
         let processed = self.queue.events_processed() - start;
         self.metrics.inc(metric::EVENTS_PROCESSED, processed);
@@ -1083,10 +1094,7 @@ impl World {
         if !self.sampler.is_enabled() {
             return;
         }
-        // Honest population: online, reachable, unstalled, not malicious
-        // (the resilience experiments' eligibility filter).
         let mut honest = 0usize;
-        let mut synced = 0usize;
         let mut outdeg_sum = 0usize;
         let mut outdeg_min = usize::MAX;
         let mut new_total = 0u64;
@@ -1094,15 +1102,11 @@ impl World {
         let mut tried_total = 0u64;
         let mut tried_unreach = 0u64;
         for id in self.online_ids() {
-            let m = &self.meta[id.0 as usize];
-            if !m.reachable || m.stalled || m.malicious {
+            if !self.meta[id.0 as usize].is_honest() {
                 continue;
             }
             let Some(node) = self.node(id) else { continue };
             honest += 1;
-            if self.is_synchronized(id) {
-                synced += 1;
-            }
             let out = node.outbound_count();
             outdeg_sum += out;
             outdeg_min = outdeg_min.min(out);
@@ -1129,14 +1133,7 @@ impl World {
         };
         let events = self.queue.events_processed();
         let gauges = [
-            (
-                "sync_frac",
-                if honest == 0 {
-                    0.0
-                } else {
-                    synced as f64 / honest as f64
-                },
-            ),
+            ("sync_frac", self.honest_sync_fraction()),
             ("honest_online", honest as f64),
             (
                 "outdeg_mean",

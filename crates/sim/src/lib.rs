@@ -14,6 +14,8 @@
 //!   forkable per component so streams stay decoupled.
 //! - [`check`]: a [`check::Checker`] that records invariant violations
 //!   instead of panicking, for the scenario fuzzer's bounded runs.
+//! - [`Instruments`]: the one bundle of observer handles ([`metrics`],
+//!   [`trace`], [`timeseries`], [`check`]) every run is handed.
 //!
 //! # Examples
 //!
@@ -48,6 +50,27 @@ pub mod trace;
 pub use event::{run, EventId, EventQueue, Step};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
+
+/// The observer handles one run reports into, passed by reference from the
+/// caller down to whatever builds the worlds.
+///
+/// `Default` is a fresh [`metrics::Recorder`] with the tracer, sampler and
+/// checker disabled; enable one by replacing its field. Every handle is a
+/// cheap clone of shared state, so the caller reads the results back out of
+/// the same bundle after the run (`metrics`, `tracer.take()`,
+/// `sampler.take()`, `checker.violations()`). Handles only observe: a run's
+/// result must not depend on which of them are enabled.
+#[derive(Debug, Default)]
+pub struct Instruments {
+    /// Counters, gauges and histograms; always recording.
+    pub metrics: metrics::Recorder,
+    /// Per-event trace sink.
+    pub tracer: trace::Tracer,
+    /// Sim-time-cadence timeseries sampler.
+    pub sampler: timeseries::Sampler,
+    /// Invariant-violation recorder.
+    pub checker: check::Checker,
+}
 
 #[cfg(test)]
 mod proptests {

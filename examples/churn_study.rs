@@ -9,6 +9,7 @@
 use bitsync_core::analysis::Kde;
 use bitsync_core::experiments::sync_kde::{run_year, SyncScenarioConfig, Year};
 use bitsync_core::sim::time::SimDuration;
+use bitsync_core::sim::Instruments;
 
 fn main() {
     let cfg = SyncScenarioConfig {
@@ -24,7 +25,7 @@ fn main() {
     println!("the ONLY difference is the churn model (2019 vs doubled 2020 churn)\n");
 
     for year in [Year::Y2019, Year::Y2020] {
-        let result = run_year(&cfg, year);
+        let result = run_year(&cfg, year, &Instruments::default());
         println!(
             "{:?}: mean sync {:.1}% | median {:.1}% | min {:.1}% | {} departures ({:.2} synchronized per 10 min)",
             year,

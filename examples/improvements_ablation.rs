@@ -8,6 +8,7 @@
 
 use bitsync_core::experiments::ablation::{run_arm, AblationConfig, Arm};
 use bitsync_core::sim::time::SimDuration;
+use bitsync_core::sim::Instruments;
 
 fn main() {
     let cfg = AblationConfig {
@@ -20,7 +21,7 @@ fn main() {
         "arm", "success%", "outdegree", "blk-relay(s)", "sync%"
     );
     for arm in Arm::all() {
-        let r = run_arm(&cfg, arm);
+        let r = run_arm(&cfg, arm, &Instruments::default());
         println!(
             "{:<26} {:>8.1} {:>10.2} {:>13} {:>6.1}",
             arm.label(),

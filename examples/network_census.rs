@@ -14,6 +14,7 @@ use bitsync_core::crawler::campaign::Campaign;
 use bitsync_core::crawler::census::{CensusConfig, CensusNetwork};
 use bitsync_core::crawler::churn_matrix::ChurnMatrix;
 use bitsync_core::sim::rng::SimRng;
+use bitsync_core::sim::Instruments;
 
 fn main() {
     let mut rng = SimRng::seed_from(7);
@@ -42,7 +43,7 @@ fn main() {
         ..Campaign::default()
     };
     println!("running the daily crawl campaign...");
-    let result = campaign.run(&net, &mut rng);
+    let result = campaign.run(&net, &mut rng, &Instruments::default());
 
     println!("\nday | connected | unreachable today / cumulative | responsive today / cumulative");
     for r in result.days.iter().step_by(3) {

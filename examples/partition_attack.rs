@@ -9,6 +9,7 @@ use bitsync_core::analysis::{plan_hijack, target_shift, AsConcentration};
 use bitsync_core::experiments::partition::{run, PartitionConfig};
 use bitsync_core::net::{AsModel, NodeClass};
 use bitsync_core::sim::rng::SimRng;
+use bitsync_core::sim::Instruments;
 
 fn main() {
     // First, the planning view the paper argues about: the same 50% goal
@@ -34,7 +35,7 @@ fn main() {
 
     // Then the attack itself, end to end on a running network.
     println!("\nrunning the attack on a live 120-node network...");
-    let r = run(&PartitionConfig::scaled(7));
+    let r = run(&PartitionConfig::scaled(7), &Instruments::default());
     println!(
         "hijacked {} ASes → isolated {} nodes ({:.0}%)",
         r.hijacked_asns.len(),

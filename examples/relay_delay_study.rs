@@ -9,6 +9,7 @@
 use bitsync_core::experiments::relay::{run, RelayConfig};
 use bitsync_core::node::NodeConfig;
 use bitsync_core::sim::time::SimDuration;
+use bitsync_core::sim::Instruments;
 
 fn main() {
     let base = RelayConfig {
@@ -23,7 +24,7 @@ fn main() {
         base.block_interval.as_secs()
     );
 
-    let result = run(&base);
+    let result = run(&base, &Instruments::default());
     let blocks = result.block_summary().expect("blocks relayed");
     let txs = result.tx_summary().expect("txs relayed");
     println!("Bitcoin Core 0.20 round-robin relay:");
@@ -40,7 +41,7 @@ fn main() {
         node_cfg: NodeConfig::paper_proposal(),
         ..base
     };
-    let result = run(&proposal);
+    let result = run(&proposal, &Instruments::default());
     let blocks_p = result.block_summary().expect("blocks relayed");
     println!("\nwith the paper's §V prioritized block relay:");
     println!(

@@ -4,7 +4,9 @@
 //! serialized report — result *and* metrics — is byte-identical whatever
 //! the thread count, run count, or requested subset.
 
-use bitsync_core::experiments::{experiment_seed, ExperimentRunner, RunnerConfig, Scale};
+use bitsync_core::experiments::{
+    experiment_names, experiment_seed, ExperimentRunner, RunnerConfig, Scale,
+};
 use bitsync_core::sim::time::SimDuration;
 use bitsync_core::sim::timeseries::TimeseriesLog;
 use bitsync_json::Value;
@@ -114,20 +116,23 @@ fn full_scale_reports_are_thread_count_invariant() {
 }
 
 /// Tentpole acceptance: the time-series sampler's exports — JSONL and CSV —
-/// are byte-identical whatever the thread count, and the wall-clock perf
+/// are byte-identical whatever the thread count for every registered
+/// experiment, none of them comes back empty, and the wall-clock perf
 /// side-channel never leaks into them.
 #[test]
 fn timeseries_exports_byte_identical_across_thread_counts() {
+    let names = experiment_names();
     let run = |threads: usize| -> Vec<(String, TimeseriesLog)> {
         let runner = ExperimentRunner::new(RunnerConfig {
             scale: Scale::Quick,
             seed: 2021,
             threads,
             trace_cap: None,
-            sample_interval: Some(SimDuration::from_secs(600)),
+            // One minute: fig7's worlds live five sim-minutes, fig6's seven.
+            sample_interval: Some(SimDuration::from_secs(60)),
         });
         runner
-            .run(&["fig1".to_string(), "relay".to_string()])
+            .run(&names.iter().map(|t| t.to_string()).collect::<Vec<_>>())
             .expect("targets resolve")
             .into_iter()
             .map(|r| (r.name.to_string(), r.timeseries.expect("sampler captured")))
@@ -135,7 +140,7 @@ fn timeseries_exports_byte_identical_across_thread_counts() {
     };
     let serial = run(1);
     let parallel = run(4);
-    assert_eq!(serial.len(), 2);
+    assert_eq!(serial.len(), names.len());
     assert_eq!(serial.len(), parallel.len());
     for ((name_s, log_s), (name_p, log_p)) in serial.iter().zip(&parallel) {
         assert_eq!(name_s, name_p, "report order must be registry order");
@@ -155,23 +160,28 @@ fn timeseries_exports_byte_identical_across_thread_counts() {
             "{name_s}: perf side-channel leaked into the deterministic export"
         );
     }
-    // fig1 samples both year arms under distinct ctx labels, and every row
+    // Multi-world experiments label each world's rows, and every world row
     // carries the honest-sync gauge the root-cause decomposition needs.
-    let fig1 = &serial
-        .iter()
-        .find(|(n, _)| n == "fig1")
-        .expect("fig1 sampled")
-        .1;
-    for ctx in ["y2019", "y2020"] {
+    for (name, ctxs) in [
+        ("fig1", &["y2019", "y2020"][..]),
+        (
+            "ablation",
+            &["baseline (Core 0.20)", "all three refinements"],
+        ),
+        ("partition", &["before", "attack", "heal"]),
+    ] {
+        let log = &serial.iter().find(|(n, _)| n == name).expect(name).1;
+        for ctx in ctxs {
+            assert!(
+                log.rows.iter().any(|r| r.ctx.as_deref() == Some(ctx)),
+                "{name} rows missing ctx {ctx}"
+            );
+        }
         assert!(
-            fig1.rows.iter().any(|r| r.ctx.as_deref() == Some(ctx)),
-            "fig1 rows missing ctx {ctx}"
+            log.rows.iter().all(|r| r.value("sync_frac").is_some()),
+            "{name} rows missing sync_frac"
         );
     }
-    assert!(
-        fig1.rows.iter().all(|r| r.value("sync_frac").is_some()),
-        "fig1 rows missing sync_frac"
-    );
 }
 
 #[test]

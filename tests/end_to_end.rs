@@ -4,27 +4,30 @@
 use bitsync_core::experiments::{
     ablation, census, relay, resync, rounds, stability, success_rate, sync_kde,
 };
+use bitsync_core::sim::Instruments;
 
 #[test]
 fn paper_pipeline_end_to_end() {
+    let ins = Instruments::default();
     // §IV-B closed form.
-    let r = rounds::run(1, 15);
+    let r = rounds::run(1, 15, &ins);
     assert_eq!(r.rounds_at_8, 5);
     assert_eq!(r.rounds_at_2, 14);
 
     // Figure 7: most connection attempts fail.
-    let sr = success_rate::run(&success_rate::SuccessRateConfig::quick(1));
+    let sr = success_rate::run(&success_rate::SuccessRateConfig::quick(1), &ins);
     assert!(sr.mean_rate() < 0.5, "success rate {}", sr.mean_rate());
 
     // Figure 6: outgoing connections are unstable.
-    let st = stability::run(&stability::StabilityConfig::quick(1));
+    let st = stability::run(&stability::StabilityConfig::quick(1), &ins);
     assert!(st.below_eight_fraction > 0.0);
     assert!(st.summary.mean < 9.0);
 }
 
 #[test]
 fn census_pipeline_end_to_end() {
-    let c = census::run(&census::CensusExperimentConfig::quick(2));
+    let ins = Instruments::default();
+    let c = census::run(&census::CensusExperimentConfig::quick(2), &ins);
     // §IV-A: the unreachable network dwarfs the reachable one.
     assert!(c.unreachable_ratio() > 3.0);
     // §IV-B: ADDR gossip is dominated by unreachable addresses.
@@ -47,7 +50,8 @@ fn census_pipeline_end_to_end() {
 #[test]
 #[ignore = "slowest quick-scale run; exercised by the release CI job"]
 fn relay_experiment_end_to_end() {
-    let r = relay::run(&relay::RelayConfig::quick(3));
+    let ins = Instruments::default();
+    let r = relay::run(&relay::RelayConfig::quick(3), &ins);
     let blocks = r.block_summary().expect("blocks");
     let txs = r.tx_summary().expect("txs");
     // Figures 10/11 shape: delays are bounded, blocks at least as slow as
@@ -59,7 +63,8 @@ fn relay_experiment_end_to_end() {
 
 #[test]
 fn churn_comparison_end_to_end() {
-    let cmp = sync_kde::run(&sync_kde::SyncScenarioConfig::quick(4));
+    let ins = Instruments::default();
+    let cmp = sync_kde::run(&sync_kde::SyncScenarioConfig::quick(4), &ins);
     // Figure 1 direction: doubled churn does not improve synchronization.
     assert!(cmp.y2020.summary.mean <= cmp.y2019.summary.mean + 0.03);
     // §IV-D direction: more departures under the 2020 regime.
@@ -68,16 +73,18 @@ fn churn_comparison_end_to_end() {
 
 #[test]
 fn resync_experiment_end_to_end() {
-    let r = resync::run(&resync::ResyncConfig::quick(5));
+    let ins = Instruments::default();
+    let r = resync::run(&resync::ResyncConfig::quick(5), &ins);
     assert!(r.relay_ready_secs.is_some(), "node never recovered");
 }
 
 #[test]
 #[ignore = "slowest quick-scale run; exercised by the release CI job"]
 fn ablation_end_to_end() {
+    let ins = Instruments::default();
     let cfg = ablation::AblationConfig::quick(6);
-    let base = ablation::run_arm(&cfg, ablation::Arm::Baseline);
-    let all = ablation::run_arm(&cfg, ablation::Arm::AllProposals);
+    let base = ablation::run_arm(&cfg, ablation::Arm::Baseline, &ins);
+    let all = ablation::run_arm(&cfg, ablation::Arm::AllProposals, &ins);
     // §V direction: the combined refinements do not hurt synchronization
     // or connectivity.
     assert!(all.mean_sync_fraction >= base.mean_sync_fraction - 0.1);

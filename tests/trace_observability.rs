@@ -5,23 +5,13 @@
 
 use bitsync_core::analysis::propagation_tree::{build_trees, replay_relay_histogram};
 use bitsync_core::experiments::relay::{self, RelayConfig};
-use bitsync_core::experiments::{ExperimentRunner, RunnerConfig, Scale};
+use bitsync_core::experiments::{experiment_names, ExperimentRunner, RunnerConfig, Scale};
 use bitsync_core::node::world::{metric, FRESH_RELAY_WINDOW};
 use bitsync_core::sim::metrics::Recorder;
 use bitsync_core::sim::trace::{RelayEvent, RelayPhase, TraceLog, Tracer};
+use bitsync_core::sim::Instruments;
 
-/// Experiments with traced internals (world churn/dials, relay hops,
-/// census crawls).
-const TARGETS: &[&str] = &[
-    "fig1",
-    "fig6",
-    "fig7",
-    "relay",
-    "census",
-    "resilience",
-    "forkstress",
-];
-
+/// Every registered experiment, each traced at quick scale.
 fn traced_run(threads: usize) -> Vec<(String, Option<TraceLog>)> {
     let runner = ExperimentRunner::new(RunnerConfig {
         scale: Scale::Quick,
@@ -31,7 +21,12 @@ fn traced_run(threads: usize) -> Vec<(String, Option<TraceLog>)> {
         sample_interval: None,
     });
     runner
-        .run(&TARGETS.iter().map(|t| t.to_string()).collect::<Vec<_>>())
+        .run(
+            &experiment_names()
+                .iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>(),
+        )
         .expect("targets resolve")
         .into_iter()
         .map(|r| (r.name.to_string(), r.trace))
@@ -49,6 +44,9 @@ fn trace_jsonl_byte_identical_across_thread_counts() {
         assert_eq!(name_s, name_p);
         let log_s = log_s.as_ref().expect("trace captured");
         let log_p = log_p.as_ref().expect("trace captured");
+        // Every experiment instruments its worlds (or crawl) the same way,
+        // so none of them may come back with an empty trace.
+        assert!(log_s.total_events() > 0, "{name_s}: nothing traced");
         let files_s = log_s.to_jsonl();
         let files_p = log_p.to_jsonl();
         assert_eq!(
@@ -89,10 +87,12 @@ fn trace_jsonl_byte_identical_across_thread_counts() {
 fn tiny_trace_cap_drops_are_counted_exactly() {
     const TINY: usize = 64;
     let run_with_cap = |cap: usize| {
-        let rec = Recorder::new();
-        let tracer = Tracer::enabled(cap);
-        relay::run_traced(&RelayConfig::quick(2021), &rec, &tracer);
-        tracer.take().expect("enabled tracer drains")
+        let ins = Instruments {
+            tracer: Tracer::enabled(cap),
+            ..Instruments::default()
+        };
+        relay::run(&RelayConfig::quick(2021), &ins);
+        ins.tracer.take().expect("enabled tracer drains")
     };
     let full = run_with_cap(1 << 22);
     assert_eq!(
@@ -195,13 +195,15 @@ fn truncated_trace_jsonl_byte_identical_across_thread_counts() {
 }
 
 fn relay_events(seed: u64) -> (Recorder, Vec<RelayEvent>) {
-    let rec = Recorder::new();
-    // Large cap: the differential below requires a complete trace.
-    let tracer = Tracer::enabled(1 << 22);
-    relay::run_traced(&RelayConfig::quick(seed), &rec, &tracer);
-    let log = tracer.take().expect("enabled tracer drains");
+    let ins = Instruments {
+        // Large cap: the differential below requires a complete trace.
+        tracer: Tracer::enabled(1 << 22),
+        ..Instruments::default()
+    };
+    relay::run(&RelayConfig::quick(seed), &ins);
+    let log = ins.tracer.take().expect("enabled tracer drains");
     assert_eq!(log.total_dropped(), 0, "trace ring dropped events");
-    (rec, log.relay.iter().cloned().collect())
+    (ins.metrics, log.relay.iter().cloned().collect())
 }
 
 /// The differential check of the acceptance criteria: replaying the trace
