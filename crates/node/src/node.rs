@@ -16,7 +16,7 @@
 //! up to 17 s late, Figure 10).
 
 use crate::config::{NodeConfig, TxAnnounce};
-use crate::peer::{Direction, Handshake, NodeId, Peer};
+use crate::peer::{Direction, Handshake, NodeId, Peer, PeerTable};
 use bitsync_addrman::AddrMan;
 use bitsync_chain::{ChainError, ChainState, Mempool, ReorgInfo};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr, NODE_NETWORK};
@@ -30,7 +30,7 @@ use bitsync_protocol::tx::Transaction;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::trace::{self, Tracer};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// UNIX timestamp of simulation time zero (April 4, 2020 — the start of the
 /// paper's measurement window).
@@ -137,12 +137,9 @@ pub struct Node {
     pub chain: ChainState,
     /// Transaction pool.
     pub mempool: Mempool,
-    /// Connected peers (ordered map for deterministic iteration).
-    pub peers: BTreeMap<NodeId, Peer>,
-    /// Endpoint of each connected peer.
-    pub peer_addrs: BTreeMap<NodeId, NetAddr>,
-    /// Round-robin order (connection order, as in Core).
-    peer_order: Vec<NodeId>,
+    /// Connected peers: round-robin turns in connection order (as in
+    /// Core), lookup and iteration by ascending id.
+    pub peers: PeerTable,
     /// When the shared socket writer frees up.
     socket_free_at: SimTime,
     /// Outstanding dial, if any (Core opens one at a time).
@@ -196,9 +193,7 @@ impl Node {
             cfg,
             chain: ChainState::with_genesis(),
             mempool: Mempool::new(50_000),
-            peers: BTreeMap::new(),
-            peer_addrs: BTreeMap::new(),
-            peer_order: Vec::new(),
+            peers: PeerTable::default(),
             socket_free_at: SimTime::ZERO,
             in_flight_attempt: None,
             pending_compact: HashMap::new(),
@@ -226,7 +221,8 @@ impl Node {
     /// still handshaking.
     pub fn outbound_count(&self) -> usize {
         self.peers
-            .values()
+            .as_slice()
+            .iter()
             .filter(|p| p.dir == Direction::Outbound)
             .count()
     }
@@ -234,7 +230,8 @@ impl Node {
     /// Number of live inbound connections.
     pub fn inbound_count(&self) -> usize {
         self.peers
-            .values()
+            .as_slice()
+            .iter()
             .filter(|p| p.dir == Direction::Inbound)
             .count()
     }
@@ -249,7 +246,8 @@ impl Node {
     /// momentary total to 10.
     pub fn outgoing_count(&self) -> usize {
         self.peers
-            .values()
+            .as_slice()
+            .iter()
             .filter(|p| p.dir != Direction::Inbound)
             .count()
             + usize::from(self.in_flight_attempt.is_some())
@@ -280,7 +278,7 @@ impl Node {
             return None;
         }
         let target = self.addrman.select(&mut self.rng, unix_time(now))?;
-        if target == self.addr || self.peer_addrs.values().any(|a| *a == target) {
+        if target == self.addr || self.peers.as_slice().iter().any(|p| p.addr == target) {
             return None; // already connected or self; retry next tick
         }
         if self.dial_deferred(&target, now) {
@@ -300,7 +298,7 @@ impl Node {
             return None;
         }
         let target = self.addrman.select(&mut self.rng, unix_time(now))?;
-        if target == self.addr || self.peer_addrs.values().any(|a| *a == target) {
+        if target == self.addr || self.peers.as_slice().iter().any(|p| p.addr == target) {
             return None;
         }
         if self.dial_deferred(&target, now) {
@@ -373,7 +371,7 @@ impl Node {
         if dir != Direction::Inbound {
             self.in_flight_attempt = None;
         }
-        let mut p = Peer::new(peer, dir);
+        let mut p = Peer::new(peer, addr, dir);
         p.connected_at = now;
         if dir != Direction::Inbound {
             // The initiator speaks first.
@@ -382,16 +380,12 @@ impl Node {
             // The address answered; forget any dial backoff against it.
             self.dial_backoff.remove(&addr);
         }
-        self.peers.insert(peer, p);
-        self.peer_addrs.insert(peer, addr);
-        self.peer_order.push(peer);
+        self.peers.insert(p);
     }
 
     /// The world reports a dropped connection.
     pub fn on_disconnected(&mut self, peer: NodeId) {
         self.peers.remove(&peer);
-        self.peer_addrs.remove(&peer);
-        self.peer_order.retain(|p| *p != peer);
         self.getaddr_answered.retain(|p| *p != peer);
     }
 
@@ -416,52 +410,47 @@ impl Node {
     /// Delivers a message into the peer's `vProcessMsg` queue. Returns
     /// `false` if the peer is unknown (racing a disconnect).
     pub fn deliver(&mut self, from: NodeId, msg: Message) -> bool {
-        match self.peers.get_mut(&from) {
-            Some(p) => {
-                p.proc_q.push_back(msg);
-                true
-            }
-            None => false,
-        }
+        self.enqueue_recv(from, msg).is_some()
     }
 
-    /// Records message receipt time for the keepalive logic. Called by the
-    /// world alongside [`Node::deliver`].
-    pub fn note_recv(&mut self, from: NodeId, now: SimTime) {
-        if let Some(p) = self.peers.get_mut(&from) {
-            p.last_recv = now;
-        }
+    /// [`Node::deliver`] for a message arriving at `now`: also stamps the
+    /// receipt time the keepalive logic reads.
+    pub fn deliver_at(&mut self, from: NodeId, msg: Message, now: SimTime) -> bool {
+        self.enqueue_recv(from, msg)
+            .map(|p| p.last_recv = now)
+            .is_some()
+    }
+
+    fn enqueue_recv(&mut self, from: NodeId, msg: Message) -> Option<&mut Peer> {
+        let p = self.peers.get_mut(&from)?;
+        p.proc_q.push_back(msg);
+        Some(p)
     }
 
     /// Keepalive sweep: queue a `PING` for quiet ready peers and request
     /// disconnection of peers silent beyond the timeout (Core's
     /// `TIMEOUT_INTERVAL`). Runs once per pump round.
     fn keepalive(&mut self, now: SimTime, requests: &mut Vec<NodeRequest>) {
-        let ping_interval = self.cfg.ping_interval;
-        let timeout = self.cfg.peer_timeout;
-        let mut pings = Vec::new();
-        for (id, p) in self.peers.iter_mut() {
+        // Ascending id: the order of the timeout requests and of the
+        // nonce draws.
+        self.peers.for_each_by_id_mut(|_, p| {
             if !p.is_ready() {
-                continue;
+                return;
             }
-            if p.last_recv != SimTime::ZERO && now.saturating_since(p.last_recv) > timeout {
-                requests.push(NodeRequest::Disconnect(*id));
-                continue;
+            if p.last_recv != SimTime::ZERO
+                && now.saturating_since(p.last_recv) > self.cfg.peer_timeout
+            {
+                requests.push(NodeRequest::Disconnect(p.node));
+            } else if now >= p.next_ping_at {
+                p.next_ping_at = now + self.cfg.ping_interval;
+                p.send_q.push_back(Message::Ping(self.rng.next_u64()));
             }
-            if now >= p.next_ping_at {
-                p.next_ping_at = now + ping_interval;
-                pings.push(*id);
-            }
-        }
-        for id in pings {
-            let nonce = self.rng.next_u64();
-            self.send(id, Message::Ping(nonce));
-        }
+        });
     }
 
     /// Whether any queue holds work for the pump.
     pub fn has_pending_work(&self) -> bool {
-        self.peers.values().any(|p| p.queued() > 0)
+        self.peers.as_slice().iter().any(|p| p.queued() > 0)
     }
 
     // ------------------------------------------------------------------
@@ -476,29 +465,30 @@ impl Node {
         let mut requests = Vec::new();
         self.flush_trickle(now);
         self.keepalive(now, &mut requests);
-        let order = self.round_robin_order();
+        let sorted = self.sorted_order();
 
-        // ThreadMessageHandler: one message per peer per round.
-        for peer_id in &order {
-            let Some(peer) = self.peers.get_mut(peer_id) else {
-                continue;
-            };
+        // ThreadMessageHandler: one message per peer per round. Handlers
+        // never connect or disconnect (they only *request* it), so the
+        // turns stay valid across the loop.
+        for turn in 0..self.peers.order().len() {
+            let slot = sorted
+                .as_ref()
+                .map_or(self.peers.order()[turn], |o| o[turn]);
+            let peer = self.peers.slot_mut(slot);
             let Some(msg) = peer.proc_q.pop_front() else {
                 continue;
             };
+            let from = peer.node;
             self.stats.msgs_processed += 1;
-            self.handle_message(*peer_id, msg, now, &mut requests);
+            self.handle_message(from, msg, now, &mut requests);
         }
 
         // SocketHandler: one send per peer per round, serialized on the
         // shared upload link.
         let mut outgoing = Vec::new();
-        for peer_id in &order {
-            let Some(peer) = self.peers.get_mut(peer_id) else {
-                continue;
-            };
+        self.peers.for_each_turn(sorted.as_deref(), |_, peer| {
             let Some(msg) = peer.send_q.pop_front() else {
-                continue;
+                return;
             };
             let bytes = msg.wire_size();
             let start = if self.socket_free_at > now {
@@ -511,28 +501,38 @@ impl Node {
             self.socket_free_at = end;
             self.stats.msgs_sent += 1;
             outgoing.push(Outgoing {
-                to: *peer_id,
+                to: peer.node,
                 msg,
                 send_start: start,
                 send_end: end,
             });
-        }
+        });
         (outgoing, requests)
     }
 
-    /// The round-robin visit order: connection order, with outbound peers
-    /// first when the §V `outbound_first` refinement is on.
-    fn round_robin_order(&self) -> Vec<NodeId> {
-        let mut order = self.peer_order.clone();
-        if self.cfg.relay.outbound_first {
-            order.sort_by_key(|id| match self.peers.get(id).map(|p| p.dir) {
-                Some(Direction::Outbound) => 0u8,
-                Some(Direction::Feeler) => 1,
-                Some(Direction::Inbound) => 2,
-                None => 3,
+    /// The round-robin visit order when it is not the table's own
+    /// connection order: outbound peers first under the §V `outbound_first`
+    /// refinement.
+    fn sorted_order(&self) -> Option<Vec<u32>> {
+        self.cfg
+            .relay
+            .outbound_first
+            .then(|| self.peers.outbound_first_order())
+    }
+
+    /// One slot per turn, in visit order, of the ready data-relaying peers
+    /// that do not know `hash` yet. Chosen before anything is marked: after
+    /// a double connect (see [`PeerTable`]) a peer has two turns and is sent
+    /// the object on both.
+    fn relay_targets(&mut self, hash: &Hash256) -> Vec<u32> {
+        let mut targets = Vec::new();
+        self.peers
+            .for_each_turn(self.sorted_order().as_deref(), |slot, p| {
+                if p.is_ready() && p.dir.relays_data() && !p.knows(hash) {
+                    targets.push(slot);
+                }
             });
-        }
-        order
+        targets
     }
 
     // ------------------------------------------------------------------
@@ -616,21 +616,16 @@ impl Node {
             return;
         }
         p.handshake = Handshake::Ready;
-        let dir = p.dir;
-        let peer_addr = self.peer_addrs.get(&from).copied();
+        let (dir, addr) = (p.dir, p.addr);
         match dir {
             Direction::Feeler => {
                 // The feeler verified reachability; record and hang up.
-                if let Some(a) = peer_addr {
-                    self.addrman.good(&a, unix_time(now));
-                }
+                self.addrman.good(&addr, unix_time(now));
                 requests.push(NodeRequest::Disconnect(from));
             }
             Direction::Outbound => {
-                if let Some(a) = peer_addr {
-                    self.addrman.good(&a, unix_time(now));
-                    self.stats.successes += 1;
-                }
+                self.addrman.good(&addr, unix_time(now));
+                self.stats.successes += 1;
                 self.post_handshake(from, now);
             }
             Direction::Inbound => {
@@ -733,7 +728,7 @@ impl Node {
                 return; // banned: do not ingest the flood
             }
         }
-        let source = self.peer_addrs.get(&from).copied().unwrap_or(self.addr);
+        let source = self.peers.get(&from).map_or(self.addr, |p| p.addr);
         let mut fresh = Vec::new();
         for entry in &list {
             if entry.addr != self.addr && self.addrman.add(entry.addr, source, unix_time(now)) {
@@ -757,16 +752,20 @@ impl Node {
         // Flooders forward nothing honest.
         let list = fresh;
         if self.flooder.is_none() && !list.is_empty() && list.len() <= 10 {
-            let candidates: Vec<NodeId> = self
-                .peers
-                .iter()
-                .filter(|(id, p)| **id != from && p.is_ready() && p.dir.relays_data())
-                .map(|(id, _)| *id)
-                .collect();
+            // Candidates in ascending id order: what the draw indexes.
+            let mut candidates = Vec::new();
+            self.peers.for_each_by_id_mut(|slot, p| {
+                if p.node != from && p.is_ready() && p.dir.relays_data() {
+                    candidates.push(slot);
+                }
+            });
             let fanout = self.cfg.addr_relay_fanout.min(candidates.len());
             let picks = self.rng.sample_indices(candidates.len(), fanout);
+            let prioritize = self.cfg.relay.prioritize_blocks;
             for i in picks {
-                self.send(candidates[i], Message::Addr(list.clone()));
+                self.peers
+                    .slot_mut(candidates[i])
+                    .enqueue_send(Message::Addr(list.clone()), prioritize);
             }
         }
     }
@@ -791,9 +790,8 @@ impl Node {
         if already_banned || p.misbehavior < threshold {
             return false;
         }
-        if let Some(addr) = self.peer_addrs.get(&from) {
-            self.discouraged.insert(*addr, now);
-        }
+        let addr = p.addr;
+        self.discouraged.insert(addr, now);
         self.stats.peers_banned += 1;
         requests.push(NodeRequest::Ban(from));
         true
@@ -888,30 +886,15 @@ impl Node {
 
     fn relay_tx(&mut self, tx: &Transaction) {
         let txid = tx.txid();
-        let targets: Vec<NodeId> = self
-            .round_robin_order()
-            .into_iter()
-            .filter(|id| {
-                self.peers
-                    .get(id)
-                    .is_some_and(|p| p.is_ready() && p.dir.relays_data() && !p.knows(&txid))
-            })
-            .collect();
-        match self.cfg.tx_announce {
-            TxAnnounce::Flood => {
-                for id in targets {
-                    if let Some(p) = self.peers.get_mut(&id) {
-                        p.mark_known(txid);
-                    }
-                    self.send(id, Message::Tx(tx.clone()));
+        let prioritize = self.cfg.relay.prioritize_blocks;
+        for slot in self.relay_targets(&txid) {
+            let p = self.peers.slot_mut(slot);
+            match self.cfg.tx_announce {
+                TxAnnounce::Flood => {
+                    p.mark_known(txid);
+                    p.enqueue_send(Message::Tx(tx.clone()), prioritize);
                 }
-            }
-            TxAnnounce::Trickle => {
-                for id in targets {
-                    if let Some(p) = self.peers.get_mut(&id) {
-                        p.pending_inv.push(txid);
-                    }
-                }
+                TxAnnounce::Trickle => p.pending_inv.push(txid),
             }
         }
     }
@@ -922,36 +905,32 @@ impl Node {
         if self.cfg.tx_announce != TxAnnounce::Trickle {
             return;
         }
-        let order = self.round_robin_order();
-        for id in order {
-            let Some(p) = self.peers.get_mut(&id) else {
-                continue;
-            };
-            if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
-                continue;
-            }
-            let batch: Vec<InvVect> = p
-                .pending_inv
-                .drain(..)
-                .filter(|h| !p.known_invs.contains(h))
-                .take(1000)
-                .map(InvVect::tx)
-                .collect();
-            let mean = match p.dir {
-                Direction::Outbound | Direction::Feeler => self.cfg.inv_interval_outbound,
-                Direction::Inbound => self.cfg.inv_interval_inbound,
-            };
-            let delay = self.rng.exp_duration(mean);
-            if let Some(p) = self.peers.get_mut(&id) {
+        let prioritize = self.cfg.relay.prioritize_blocks;
+        self.peers
+            .for_each_turn(self.sorted_order().as_deref(), |_, p| {
+                if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
+                    return;
+                }
+                let batch: Vec<InvVect> = p
+                    .pending_inv
+                    .drain(..)
+                    .filter(|h| !p.known_invs.contains(h))
+                    .take(1000)
+                    .map(InvVect::tx)
+                    .collect();
+                let mean = match p.dir {
+                    Direction::Outbound | Direction::Feeler => self.cfg.inv_interval_outbound,
+                    Direction::Inbound => self.cfg.inv_interval_inbound,
+                };
+                let delay = self.rng.exp_duration(mean);
                 for iv in &batch {
                     p.mark_known(iv.hash);
                 }
                 p.next_inv_at = now + delay;
-            }
-            if !batch.is_empty() {
-                self.send(id, Message::Inv(batch));
-            }
-        }
+                if !batch.is_empty() {
+                    p.enqueue_send(Message::Inv(batch), prioritize);
+                }
+            });
     }
 
     fn on_block(
@@ -1109,29 +1088,17 @@ impl Node {
     }
 
     fn relay_block(&mut self, hash: &Hash256, block: &Block) {
-        let targets: Vec<(NodeId, bool)> = self
-            .round_robin_order()
-            .into_iter()
-            .filter_map(|id| {
-                let p = self.peers.get(&id)?;
-                if p.is_ready() && p.dir.relays_data() && !p.knows(hash) {
-                    Some((id, p.prefers_compact && self.cfg.compact_blocks))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (id, compact) in targets {
-            if let Some(p) = self.peers.get_mut(&id) {
-                p.mark_known(*hash);
-            }
-            let msg = if compact {
+        let prioritize = self.cfg.relay.prioritize_blocks;
+        for slot in self.relay_targets(hash) {
+            let p = self.peers.slot_mut(slot);
+            p.mark_known(*hash);
+            let msg = if p.prefers_compact && self.cfg.compact_blocks {
                 let nonce = self.rng.next_u64();
                 Message::CmpctBlock(Box::new(CompactBlock::from_block(block, nonce)))
             } else {
                 Message::Block(Box::new(block.clone()))
             };
-            self.send(id, msg);
+            p.enqueue_send(msg, prioritize);
         }
     }
 

@@ -1,7 +1,8 @@
 //! Per-connection state: direction, handshake progress, and the two
 //! message queues of the paper's Figure 9 (`vProcessMsg` inbound,
-//! `vSendMessage` outbound).
+//! `vSendMessage` outbound) — and the [`PeerTable`] a node keeps them in.
 
+use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::SimTime;
@@ -53,6 +54,8 @@ pub enum Handshake {
 pub struct Peer {
     /// The remote node.
     pub node: NodeId,
+    /// The remote endpoint.
+    pub addr: NetAddr,
     /// Connection direction.
     pub dir: Direction,
     /// Handshake progress.
@@ -87,9 +90,10 @@ pub struct Peer {
 
 impl Peer {
     /// Creates a fresh peer record.
-    pub fn new(node: NodeId, dir: Direction) -> Self {
+    pub fn new(node: NodeId, addr: NetAddr, dir: Direction) -> Self {
         Peer {
             node,
+            addr,
             dir,
             handshake: Handshake::AwaitVersion,
             proc_q: VecDeque::new(),
@@ -146,11 +150,184 @@ impl Peer {
     }
 }
 
+/// A node's connected peers: the records stored densely, the round-robin
+/// visit order, and an id-sorted index.
+///
+/// Two orders matter to the simulation and the table keeps both:
+/// *connection order* drives the pump and the relay fan-outs (Core walks
+/// `vNodes`), ascending [`NodeId`] drives everything that used to iterate
+/// the old `BTreeMap` ([`keys`](Self::keys), [`values`](Self::values),
+/// [`iter`](Self::iter)). Lookup by id is a binary search over the index.
+#[derive(Clone, Debug, Default)]
+pub struct PeerTable {
+    /// Peer records, oldest connection first; `order` and `by_id` hold
+    /// indices into it.
+    slots: Vec<Peer>,
+    /// One slot index per pump turn, in connection order. A slot appears
+    /// twice after a double connect (see [`PeerTable::insert`]).
+    order: Vec<u32>,
+    /// `(id, slot)` per connected peer, ascending by id.
+    by_id: Vec<(NodeId, u32)>,
+}
+
+impl PeerTable {
+    /// Number of connected peers.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether no peer is connected.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn slot_of(&self, id: &NodeId) -> Option<usize> {
+        let pos = self.by_id.binary_search_by_key(id, |e| e.0).ok()?;
+        Some(self.by_id[pos].1 as usize)
+    }
+
+    /// Whether `id` is connected.
+    pub fn contains_key(&self, id: &NodeId) -> bool {
+        self.slot_of(id).is_some()
+    }
+
+    /// The record of peer `id`.
+    pub fn get(&self, id: &NodeId) -> Option<&Peer> {
+        self.slot_of(id).map(|s| &self.slots[s])
+    }
+
+    /// The record of peer `id`, mutably.
+    pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut Peer> {
+        self.slot_of(id).map(|s| &mut self.slots[s])
+    }
+
+    /// Peers in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &Peer)> {
+        self.by_id
+            .iter()
+            .map(|(id, slot)| (id, &self.slots[*slot as usize]))
+    }
+
+    /// Connected ids, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &NodeId> {
+        self.by_id.iter().map(|(id, _)| id)
+    }
+
+    /// Peer records in ascending id order.
+    pub fn values(&self) -> impl Iterator<Item = &Peer> {
+        self.iter().map(|(_, p)| p)
+    }
+
+    /// Peer records in storage order, for walks whose result does not
+    /// depend on the order (counts, `any`).
+    pub fn as_slice(&self) -> &[Peer] {
+        &self.slots
+    }
+
+    /// Calls `f` with every peer and its slot, in ascending id order.
+    pub(crate) fn for_each_by_id_mut(&mut self, mut f: impl FnMut(u32, &mut Peer)) {
+        for (_, slot) in &self.by_id {
+            f(*slot, &mut self.slots[*slot as usize]);
+        }
+    }
+
+    /// Records a new connection; it is visited last.
+    ///
+    /// Known quirk, kept on purpose (DESIGN.md §6 "Double connect"): if
+    /// `peer.node` is already connected — two nodes dialed each other at
+    /// once — the old record is replaced in place (its queues are lost)
+    /// and the id gains a *second* turn at the end of the visit order.
+    pub(crate) fn insert(&mut self, peer: Peer) {
+        let slot = match self.by_id.binary_search_by_key(&peer.node, |e| e.0) {
+            Ok(pos) => {
+                let slot = self.by_id[pos].1;
+                self.slots[slot as usize] = peer;
+                slot
+            }
+            Err(pos) => {
+                let slot = self.slots.len() as u32;
+                self.by_id.insert(pos, (peer.node, slot));
+                self.slots.push(peer);
+                slot
+            }
+        };
+        self.order.push(slot);
+    }
+
+    /// Forgets peer `id` and every turn it had.
+    pub(crate) fn remove(&mut self, id: &NodeId) -> Option<Peer> {
+        let pos = self.by_id.binary_search_by_key(id, |e| e.0).ok()?;
+        let slot = self.by_id.remove(pos).1;
+        self.order.retain(|s| *s != slot);
+        // Later slots move down by one; storage stays in connection order.
+        let later = self
+            .order
+            .iter_mut()
+            .chain(self.by_id.iter_mut().map(|e| &mut e.1));
+        for s in later.filter(|s| **s > slot) {
+            *s -= 1;
+        }
+        Some(self.slots.remove(slot as usize))
+    }
+
+    /// The visit order of one pump round, as slot numbers for
+    /// [`slot_mut`](Self::slot_mut): connection order.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The visit order under the §V `outbound_first` refinement: outbound
+    /// peers, then feelers, then inbound, each in connection order.
+    pub(crate) fn outbound_first_order(&self) -> Vec<u32> {
+        let mut order = self.order.clone();
+        order.sort_by_key(|slot| match self.slots[*slot as usize].dir {
+            Direction::Outbound => 0u8,
+            Direction::Feeler => 1,
+            Direction::Inbound => 2,
+        });
+        order
+    }
+
+    /// The peer in `slot` (an entry of [`order`](Self::order)).
+    pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut Peer {
+        &mut self.slots[slot as usize]
+    }
+
+    /// Calls `f` with the peer and slot of each turn of `order` — the
+    /// table's own connection order when `None`.
+    pub(crate) fn for_each_turn(
+        &mut self,
+        order: Option<&[u32]>,
+        mut f: impl FnMut(u32, &mut Peer),
+    ) {
+        for slot in order.unwrap_or(&self.order) {
+            f(*slot, &mut self.slots[*slot as usize]);
+        }
+    }
+}
+
+impl std::ops::Index<&NodeId> for PeerTable {
+    type Output = Peer;
+
+    /// # Panics
+    ///
+    /// Panics if `id` is not connected.
+    fn index(&self, id: &NodeId) -> &Peer {
+        self.get(id).expect("peer is connected")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bitsync_protocol::block::Block;
     use bitsync_protocol::compact::CompactBlock;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    fn addr() -> NetAddr {
+        NetAddr::from_ipv4(std::net::Ipv4Addr::new(192, 0, 2, 1), 8333)
+    }
 
     fn block_msg() -> Message {
         let b = Block::assemble(2, Hash256::ZERO, 0, 0, vec![]);
@@ -159,7 +336,7 @@ mod tests {
 
     #[test]
     fn fifo_without_priority() {
-        let mut p = Peer::new(NodeId(1), Direction::Outbound);
+        let mut p = Peer::new(NodeId(1), addr(), Direction::Outbound);
         p.enqueue_send(Message::GetAddr, false);
         p.enqueue_send(block_msg(), false);
         p.enqueue_send(Message::Ping(1), false);
@@ -170,7 +347,7 @@ mod tests {
 
     #[test]
     fn blocks_jump_queue_with_priority() {
-        let mut p = Peer::new(NodeId(1), Direction::Outbound);
+        let mut p = Peer::new(NodeId(1), addr(), Direction::Outbound);
         p.enqueue_send(Message::GetAddr, true);
         p.enqueue_send(Message::Ping(1), true);
         p.enqueue_send(block_msg(), true);
@@ -180,7 +357,7 @@ mod tests {
 
     #[test]
     fn priority_preserves_block_order() {
-        let mut p = Peer::new(NodeId(1), Direction::Outbound);
+        let mut p = Peer::new(NodeId(1), addr(), Direction::Outbound);
         p.enqueue_send(Message::GetAddr, true);
         let b1 = block_msg();
         let b2 = Message::Block(Box::new(Block::assemble(
@@ -199,7 +376,7 @@ mod tests {
 
     #[test]
     fn known_inv_dedup() {
-        let mut p = Peer::new(NodeId(2), Direction::Inbound);
+        let mut p = Peer::new(NodeId(2), addr(), Direction::Inbound);
         let h = Hash256::hash_of(b"tx");
         assert!(p.mark_known(h));
         assert!(!p.mark_known(h));
@@ -211,5 +388,99 @@ mod tests {
         assert!(!Direction::Feeler.relays_data());
         assert!(Direction::Outbound.relays_data());
         assert!(Direction::Inbound.relays_data());
+    }
+
+    /// What tells two records of one id apart: `connected_at` is the
+    /// model test's step counter.
+    fn tag(p: &Peer) -> (NodeId, Direction, SimTime) {
+        (p.node, p.dir, p.connected_at)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `PeerTable` against the structures it replaced — a
+        /// `BTreeMap<NodeId, Peer>` plus a `Vec<NodeId>` visit order — over
+        /// random connects (a connect of a connected id is the double
+        /// connect) and disconnects (of an unknown id: a no-op).
+        #[test]
+        fn table_matches_the_map_and_order_it_replaced(
+            ops in proptest::collection::vec((0u8..3, 0u32..8, 0u8..3), 0..80),
+        ) {
+            let mut table = PeerTable::default();
+            let mut map: BTreeMap<NodeId, Peer> = BTreeMap::new();
+            let mut order: Vec<NodeId> = Vec::new();
+            for (step, (op, id, dir)) in ops.into_iter().enumerate() {
+                let id = NodeId(id);
+                if op < 2 {
+                    let dir = [Direction::Outbound, Direction::Inbound, Direction::Feeler][dir as usize];
+                    let mut peer = Peer::new(id, addr(), dir);
+                    peer.connected_at = SimTime::from_secs(step as u64);
+                    table.insert(peer.clone());
+                    map.insert(id, peer);
+                    order.push(id);
+                } else {
+                    let gone = table.remove(&id);
+                    prop_assert_eq!(gone.as_ref().map(tag), map.remove(&id).as_ref().map(tag));
+                    order.retain(|o| *o != id);
+                }
+
+                prop_assert_eq!(table.len(), map.len());
+                prop_assert_eq!(table.is_empty(), map.is_empty());
+                prop_assert_eq!(table.as_slice().len(), map.len());
+                for probe in (0..8).map(NodeId) {
+                    prop_assert_eq!(table.contains_key(&probe), map.contains_key(&probe));
+                    prop_assert_eq!(table.get(&probe).map(tag), map.get(&probe).map(tag));
+                    prop_assert_eq!(
+                        table.get_mut(&probe).map(|p| tag(p)),
+                        map.get(&probe).map(tag)
+                    );
+                    if map.contains_key(&probe) {
+                        prop_assert_eq!(tag(&table[&probe]), tag(&map[&probe]));
+                    }
+                }
+                // Ascending id, like the map.
+                prop_assert_eq!(
+                    table.keys().collect::<Vec<_>>(),
+                    map.keys().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    table.values().map(tag).collect::<Vec<_>>(),
+                    map.values().map(tag).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    table.iter().map(|(id, p)| (*id, tag(p))).collect::<Vec<_>>(),
+                    map.iter().map(|(id, p)| (*id, tag(p))).collect::<Vec<_>>()
+                );
+                let mut by_id = Vec::new();
+                table.for_each_by_id_mut(|_, p| by_id.push(p.node));
+                prop_assert_eq!(by_id, map.keys().copied().collect::<Vec<_>>());
+                // Connection order, double turns included, like the list.
+                let mut visited = Vec::new();
+                table.for_each_turn(None, |slot, p| {
+                    visited.push(p.node);
+                    assert_eq!(tag(p), tag(&map[&p.node]), "slot {slot}");
+                });
+                prop_assert_eq!(&visited, &order);
+                let via_slots: Vec<NodeId> = table
+                    .order()
+                    .to_vec()
+                    .into_iter()
+                    .map(|slot| table.slot_mut(slot).node)
+                    .collect();
+                prop_assert_eq!(&via_slots, &order);
+                // `outbound_first`: the same list, stably sorted.
+                let mut sorted = order.clone();
+                sorted.sort_by_key(|id| match map[id].dir {
+                    Direction::Outbound => 0u8,
+                    Direction::Feeler => 1,
+                    Direction::Inbound => 2,
+                });
+                let mut visited = Vec::new();
+                let first = table.outbound_first_order();
+                table.for_each_turn(Some(&first), |_, p| visited.push(p.node));
+                prop_assert_eq!(visited, sorted);
+            }
+        }
     }
 }

@@ -1935,8 +1935,7 @@ impl World {
         let Some(node) = self.nodes.get_mut(to.0 as usize).and_then(|n| n.as_mut()) else {
             return;
         };
-        if node.deliver(from, msg) {
-            node.note_recv(from, now);
+        if node.deliver_at(from, msg, now) {
             self.schedule_pump(to, now);
         }
     }

@@ -673,7 +673,7 @@ fn silent_peer_is_evicted_after_timeout() {
     let start = SimTime::from_secs(1);
     let mut n = node(0, 32);
     ready_inbound_peer(&mut n, 9, start);
-    n.note_recv(NodeId(9), start);
+    n.peers.get_mut(&NodeId(9)).unwrap().last_recv = start;
     // Quiet for 21 minutes: past Core's 20-minute timeout.
     let later = start + SimDuration::from_mins(21);
     let (_, reqs) = n.pump(later);
@@ -690,7 +690,7 @@ fn keepalive_pings_quiet_peers() {
     let start = SimTime::from_secs(1);
     let mut n = node(0, 33);
     ready_inbound_peer(&mut n, 9, start);
-    n.note_recv(NodeId(9), start);
+    n.peers.get_mut(&NodeId(9)).unwrap().last_recv = start;
     let later = start + SimDuration::from_mins(3);
     let mut pinged = false;
     for _ in 0..5 {

@@ -2,7 +2,7 @@
 //! message processed and one flushed per peer per pump round, and the §V
 //! ordering refinements.
 
-use bitsync_node::{Direction, Node, NodeConfig, NodeId, RelayPolicy};
+use bitsync_node::{Direction, Node, NodeConfig, NodeId, NodeRequest, RelayPolicy};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::InvVect;
 use bitsync_protocol::message::Message;
@@ -198,4 +198,195 @@ fn trickle_mode_delays_announcements_into_inv_batches() {
         }
     }
     assert!(served, "GETDATA after trickled INV must be served");
+}
+
+/// Delivers one ping per listed peer, pumps once, and returns who the pongs
+/// went to — the round's visit order.
+fn visit_order(n: &mut Node, peers: &[u32]) -> Vec<u32> {
+    for p in peers {
+        assert!(n.deliver(NodeId(*p), Message::Ping(*p as u64)));
+    }
+    let (out, _) = n.pump(SimTime::from_secs(1));
+    out.iter().map(|o| o.to.0).collect()
+}
+
+#[test]
+fn a_reconnect_after_a_mid_order_disconnect_goes_last() {
+    let now = SimTime::from_secs(1);
+    let mut n = node_with_peers(NodeConfig::bitcoin_core(), 4);
+    n.on_disconnected(NodeId(2));
+    assert_eq!(visit_order(&mut n, &[1, 3, 4]), vec![1, 3, 4]);
+    // A new connection — even one with a lower id, even a returning peer —
+    // is served after everyone already connected.
+    n.on_connected(NodeId(0), addr(100), Direction::Inbound, now);
+    n.on_connected(NodeId(2), addr(2), Direction::Inbound, now);
+    assert_eq!(visit_order(&mut n, &[0, 1, 2, 3, 4]), vec![1, 3, 4, 0, 2]);
+    assert_eq!(
+        n.peers.keys().map(|id| id.0).collect::<Vec<_>>(),
+        vec![0, 1, 2, 3, 4],
+        "id-ordered iteration is independent of connection order"
+    );
+}
+
+#[test]
+fn outbound_first_is_stable_across_disconnect_and_reconnect() {
+    let now = SimTime::from_secs(1);
+    let mut cfg = NodeConfig::bitcoin_core();
+    cfg.relay = RelayPolicy::paper_proposal();
+    let mut n = node_with_peers(cfg, 5);
+    n.peers.get_mut(&NodeId(4)).unwrap().dir = Direction::Outbound;
+    n.peers.get_mut(&NodeId(2)).unwrap().dir = Direction::Outbound;
+    n.peers.get_mut(&NodeId(3)).unwrap().dir = Direction::Feeler;
+    assert_eq!(
+        visit_order(&mut n, &[1, 2, 3, 4, 5]),
+        vec![2, 4, 3, 1, 5],
+        "outbound, then feeler, then inbound, each in connection order"
+    );
+    n.on_disconnected(NodeId(2));
+    n.on_connected(NodeId(6), addr(6), Direction::Inbound, now);
+    n.on_connected(NodeId(2), addr(2), Direction::Inbound, now);
+    n.peers.get_mut(&NodeId(2)).unwrap().dir = Direction::Outbound;
+    // Connection order is now 1 3 4 5 6 2: peer 2 is the newest outbound.
+    assert_eq!(
+        visit_order(&mut n, &[1, 2, 3, 4, 5, 6]),
+        vec![4, 2, 3, 1, 5, 6]
+    );
+}
+
+/// A node whose ready inbound peers connected in the given order.
+fn ready_node(seed: u64, connect_order: &[u32]) -> Node {
+    let now = SimTime::from_secs(1);
+    let mut n = Node::new(NodeId(0), addr(250), true, NodeConfig::bitcoin_core(), seed);
+    for p in connect_order {
+        n.on_connected(NodeId(*p), addr(*p as u8), Direction::Inbound, now);
+        n.peers.get_mut(&NodeId(*p)).unwrap().handshake = bitsync_node::Handshake::Ready;
+    }
+    n
+}
+
+#[test]
+fn keepalive_walks_peers_in_id_order_not_connection_order() {
+    let now = SimTime::from_secs(1);
+    // Ping nonces are drawn from the node RNG one per due peer. Drawing in
+    // ascending id order means two nodes with one seed give each peer the
+    // same nonce however the peers happened to connect.
+    let pings = |connect_order: &[u32]| {
+        let mut n = ready_node(7, connect_order);
+        let (out, reqs) = n.pump(now);
+        assert!(reqs.is_empty());
+        out.into_iter()
+            .map(|o| match o.msg {
+                Message::Ping(nonce) => (o.to.0, nonce),
+                other => panic!("expected a keepalive ping, got {other:?}"),
+            })
+            .collect::<Vec<_>>()
+    };
+    let shuffled = pings(&[3, 1, 4, 2]);
+    let mut sorted = pings(&[1, 2, 3, 4]);
+    assert_eq!(
+        shuffled.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+        vec![3, 1, 4, 2],
+        "the socket writer still serves connection order"
+    );
+    sorted.sort_by_key(|(to, _)| [3, 1, 4, 2].iter().position(|p| p == to));
+    assert_eq!(shuffled, sorted, "nonces must follow ascending NodeId");
+
+    // Timeouts: every peer silent past the limit, requests ascending by id.
+    let mut n = ready_node(7, &[3, 1, 4, 2]);
+    for p in 1..=4 {
+        n.peers.get_mut(&NodeId(p)).unwrap().last_recv = now;
+    }
+    let late = now + n.cfg.peer_timeout + bitsync_sim::time::SimDuration::from_secs(1);
+    let (_, reqs) = n.pump(late);
+    assert_eq!(
+        reqs,
+        (1..=4)
+            .map(|p| NodeRequest::Disconnect(NodeId(p)))
+            .collect::<Vec<_>>()
+    );
+}
+
+/// Known quirk (DESIGN.md §6, "Double connect"): when two nodes cross-dial,
+/// the world reports a second `on_connected` for an id that is already
+/// connected. The record is replaced and the id gets a *second* turn per
+/// pump round until the disconnect. Pinned because quick-scale `relay` hits
+/// it and the `relay_star` / `fault_sweep_observed` digests depend on it.
+#[test]
+fn double_connect_replaces_the_record_and_adds_a_second_turn() {
+    let now = SimTime::from_secs(1);
+    let mut n = ready_node(1, &[1, 2, 3]);
+    // Peer 1 is answered its one GETADDR and has traffic queued both ways.
+    n.deliver(NodeId(1), Message::GetAddr);
+    let mut answered = false;
+    while n.has_pending_work() {
+        let (out, _) = n.pump(now);
+        answered |= out
+            .iter()
+            .any(|o| o.to == NodeId(1) && matches!(o.msg, Message::Addr(_)));
+    }
+    assert!(answered);
+    n.deliver(NodeId(1), Message::Ping(1));
+    n.peers
+        .get_mut(&NodeId(1))
+        .unwrap()
+        .send_q
+        .push_back(Message::Pong(9));
+
+    // The crossing dial lands: same id, opposite direction.
+    n.on_connected(NodeId(1), addr(1), Direction::Outbound, now);
+    assert_eq!(n.connection_count(), 3, "still one record per id");
+    assert_eq!(n.peers.len(), 3);
+    let p = &n.peers[&NodeId(1)];
+    assert_eq!(p.dir, Direction::Outbound);
+    assert!(!p.is_ready(), "the handshake starts over");
+    assert_eq!(p.send_q.len(), 1, "old queues dropped; only our VERSION");
+    assert!(matches!(p.send_q[0], Message::Version(_)));
+    n.pump(now); // flush the VERSION
+    assert!(!n.has_pending_work());
+
+    // Two turns per round, at the old position and at the end.
+    for p in [1, 1, 1, 2, 3] {
+        n.deliver(NodeId(p), Message::Ping(p as u64));
+    }
+    let before = n.stats.msgs_processed;
+    let (out, _) = n.pump(now);
+    assert_eq!(n.stats.msgs_processed - before, 4);
+    let order: Vec<u32> = out.iter().map(|o| o.to.0).collect();
+    assert_eq!(order, vec![1, 2, 3, 1]);
+    let (out, _) = n.pump(now);
+    assert_eq!(out.len(), 1, "peer 1's third ping, alone");
+
+    // Relay fan-outs walk the same order, so the peer is sent the object
+    // twice (the second visit does not see the first one's `mark_known`).
+    n.peers.get_mut(&NodeId(1)).unwrap().handshake = bitsync_node::Handshake::Ready;
+    let mut rng = bitsync_sim::rng::SimRng::seed_from(1);
+    let tx = bitsync_chain::TxGenerator::new(1).next_tx(&mut rng);
+    assert!(n.accept_tx(tx, now));
+    let queued = |n: &Node, p: u32| {
+        n.peers[&NodeId(p)]
+            .send_q
+            .iter()
+            .filter(|m| matches!(m, Message::Tx(_)))
+            .count()
+    };
+    assert_eq!((queued(&n, 1), queued(&n, 2), queued(&n, 3)), (2, 1, 1));
+    while n.has_pending_work() {
+        n.pump(now);
+    }
+
+    // `getaddr_answered` survives the replacement: no second answer.
+    n.deliver(NodeId(1), Message::GetAddr);
+    let (out, _) = n.pump(now);
+    assert!(
+        out.is_empty(),
+        "GETADDR is answered once per id, got {out:?}"
+    );
+
+    // One disconnect clears both turns (and the GETADDR memory).
+    n.on_disconnected(NodeId(1));
+    assert_eq!(n.connection_count(), 2);
+    assert!(!n.deliver(NodeId(1), Message::Ping(1)));
+    assert_eq!(visit_order(&mut n, &[2, 3]), vec![2, 3]);
+    n.on_connected(NodeId(1), addr(1), Direction::Inbound, now);
+    assert_eq!(visit_order(&mut n, &[1, 2, 3]), vec![2, 3, 1]);
 }
