@@ -2,7 +2,7 @@
 //! experiment registry.
 //!
 //! ```text
-//! repro [--list] [--seed N] [--scale quick|scaled|paper|full] [--threads N]
+//! repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N]
 //!       [--json DIR] [--metrics] [--trace DIR] [--trace-cap N]
 //!       [--timeseries DIR] [--sample-interval S]
 //!       [--profile PATH] [--only NAME[,NAME...]] <target>...
@@ -64,9 +64,8 @@ const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(600);
 
 fn list() {
     println!("available experiments (run with `repro <name>...` or `repro all`):\n");
-    for ctor in REGISTRY {
-        let exp = ctor();
-        println!("  {:<10} {}", exp.name(), exp.paper_targets().join("; "));
+    for exp in REGISTRY {
+        println!("  {:<10} {}", exp.name, exp.paper_targets.join("; "));
     }
 }
 
@@ -360,7 +359,10 @@ fn main() {
                 cfg.scale = args
                     .get(i)
                     .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| usage("--scale must be quick|scaled|paper|full"));
+                    .unwrap_or_else(|| {
+                        let names = Scale::ALL.map(Scale::name);
+                        usage(&format!("--scale must be one of: {}", names.join(", ")))
+                    });
             }
             "--only" => {
                 i += 1;
@@ -410,9 +412,7 @@ fn main() {
 
     for report in &reports {
         debug_assert_eq!(report.seed, experiment_seed(cfg.seed, report.name));
-        if let Some(text) = &report.rendered {
-            print!("{text}");
-        }
+        print!("{}", report.rendered);
         if show_metrics {
             if let Some(metrics) = report.json.get("metrics") {
                 println!("metrics [{}]:", report.name);
@@ -522,7 +522,7 @@ fn main() {
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
-        "usage: repro [--list] [--seed N] [--scale quick|scaled|paper|full] [--threads N] \
+        "usage: repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N] \
          [--json DIR] [--metrics] [--trace DIR] [--trace-cap N] \
          [--timeseries DIR] [--sample-interval S] [--profile PATH] \
          [--only NAME[,NAME...]] \

@@ -29,9 +29,6 @@ mod tests {
             sample_interval: None,
         });
         let reports = runner.run(&["rounds".to_string()]).unwrap();
-        assert!(reports[0]
-            .rendered
-            .as_deref()
-            .is_some_and(|t| t.contains("Propagation rounds")));
+        assert!(reports[0].rendered.contains("Propagation rounds"));
     }
 }

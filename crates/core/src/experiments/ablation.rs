@@ -13,13 +13,13 @@
 //! outdegree, mean block relay delay, and mean synchronization fraction.
 
 use crate::experiments::registry::{Experiment, Scale};
+use crate::experiments::sweep;
 use bitsync_addrman::AddrManConfig;
-use bitsync_analysis::Summary;
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
 use bitsync_node::config::{NodeConfig, RelayPolicy};
 use bitsync_node::world::{World, WorldConfig};
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// One ablation arm.
@@ -169,16 +169,6 @@ impl ToJson for AblationResult {
     }
 }
 
-impl AblationResult {
-    /// Looks up one arm.
-    pub fn arm(&self, arm: Arm) -> &ArmResult {
-        self.arms
-            .iter()
-            .find(|a| a.arm == arm)
-            .expect("arm present")
-    }
-}
-
 /// Runs one arm with its world reporting into `ins`; timeseries rows are
 /// labelled with [`Arm::label`].
 pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
@@ -200,16 +190,14 @@ pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
     });
     world.attach(ins);
 
-    let warmup = cfg.warmup;
-    world.run_until(SimTime::ZERO + warmup);
-    let mut sync_samples = Vec::new();
-    let mut t = SimTime::ZERO + warmup;
-    let end = t + cfg.duration;
-    while t < end {
-        t += SimDuration::from_mins(10);
-        world.run_until(t);
-        sync_samples.push(world.sync_fraction());
-    }
+    let every = SimDuration::from_mins(10);
+    let sync_samples = sweep::sample_run(
+        &mut world,
+        cfg.warmup,
+        cfg.duration,
+        every,
+        World::sync_fraction,
+    );
 
     let mut attempts = 0u64;
     let mut successes = 0u64;
@@ -224,12 +212,6 @@ pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
             reachable_online += 1;
         }
     }
-    let block_delays: Vec<f64> = world
-        .relay_delays()
-        .into_iter()
-        .filter(|(is_block, _)| *is_block)
-        .map(|(_, d)| d as f64)
-        .collect();
     ArmResult {
         arm,
         connection_success_rate: if attempts == 0 {
@@ -242,8 +224,8 @@ pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
         } else {
             outdegree as f64 / reachable_online as f64
         },
-        mean_block_relay_secs: Summary::of(&block_delays).map(|s| s.mean),
-        mean_sync_fraction: Summary::of(&sync_samples).map(|s| s.mean).unwrap_or(0.0),
+        mean_block_relay_secs: sweep::mean_block_relay_secs(&world),
+        mean_sync_fraction: sweep::mean_min(&sync_samples).0,
     }
 }
 
@@ -254,40 +236,20 @@ pub fn run(cfg: &AblationConfig, ins: &Instruments) -> AblationResult {
     }
 }
 
-/// Registry entry for the §V refinement ablation.
-#[derive(Default)]
-pub struct AblationExperiment {
-    cfg: Option<AblationConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for AblationExperiment {
-    fn name(&self) -> &'static str {
-        "ablation"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§V proposed refinements"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the §V refinement ablation.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "ablation",
+    artifact: "ablation",
+    paper_targets: &["§V proposed refinements"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => AblationConfig::quick(seed),
             _ => AblationConfig::scaled(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_ablation(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_ablation(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -25,15 +25,6 @@ pub struct CensusExperimentConfig {
 }
 
 impl CensusExperimentConfig {
-    /// Full paper scale (10K reachable / 195K live unreachable, 60 days).
-    pub fn paper(seed: u64) -> Self {
-        CensusExperimentConfig {
-            seed,
-            census: CensusConfig::paper_scale(),
-            campaign: Campaign::default(),
-        }
-    }
-
     /// Full paper scale through the sampled crawl and compact books — the
     /// `--scale full` configuration, sized to finish in minutes on one
     /// core (see EXPERIMENTS.md).
@@ -227,50 +218,29 @@ pub fn run(cfg: &CensusExperimentConfig, ins: &Instruments) -> CensusExperimentR
     }
 }
 
-/// Registry entry for the 60-day measurement campaign.
-#[derive(Default)]
-pub struct CensusExperiment {
-    cfg: Option<CensusExperimentConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for CensusExperiment {
-    fn name(&self) -> &'static str {
-        "census"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &[
-            "Fig. 3 feed composition",
-            "Fig. 4 unreachable census",
-            "Fig. 5 responsive census",
-            "Fig. 8 ADDR flooders",
-            "Figs. 12/13 churn matrix",
-            "Table I AS concentration",
-            "§IV-B ADDR mix",
-        ]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the 60-day measurement campaign.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "census",
+    artifact: "census",
+    paper_targets: &[
+        "Fig. 3 feed composition",
+        "Fig. 4 unreachable census",
+        "Fig. 5 responsive census",
+        "Fig. 8 ADDR flooders",
+        "Figs. 12/13 churn matrix",
+        "Table I AS concentration",
+        "§IV-B ADDR mix",
+    ],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => CensusExperimentConfig::quick(seed),
             Scale::Scaled => CensusExperimentConfig::one_tenth(seed),
-            Scale::Paper => CensusExperimentConfig::paper(seed),
             Scale::Full => CensusExperimentConfig::full(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_census(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_census(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

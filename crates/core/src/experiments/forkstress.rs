@@ -15,12 +15,11 @@
 //! taken against.
 
 use crate::experiments::registry::{Experiment, Scale};
-use bitsync_analysis::Summary;
+use crate::experiments::sweep;
 use bitsync_json::{ToJson, Value};
-use bitsync_node::config::{NodeConfig, ResilienceConfig};
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::{Fault, FaultConfig};
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// Sweep parameters.
@@ -148,14 +147,6 @@ impl ToJson for ForkStressResult {
 }
 
 impl ForkStressResult {
-    /// Looks up one cell.
-    pub fn cell(&self, intensity: f64, resilience: bool) -> &CellResult {
-        self.cells
-            .iter()
-            .find(|c| c.intensity == intensity && c.resilience == resilience)
-            .expect("cell present")
-    }
-
     /// The §IV reference cell: zero intensity, resilience off.
     pub fn baseline(&self) -> &CellResult {
         &self.cells[0]
@@ -174,17 +165,9 @@ pub fn run_cell(
         "i{intensity}/res_{}",
         if resilience { "on" } else { "off" }
     )));
-    let node_cfg = NodeConfig {
-        resilience: if resilience {
-            ResilienceConfig::bitcoin_core()
-        } else {
-            ResilienceConfig::off()
-        },
-        ..NodeConfig::bitcoin_core()
-    };
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
-        node_cfg,
+        node_cfg: sweep::node_config(resilience),
         n_reachable: cfg.n_reachable,
         n_malicious: 0,
         n_unreachable_full: cfg.n_unreachable_full,
@@ -201,107 +184,70 @@ pub fn run_cell(
     });
     world.attach(ins);
 
-    // Counter deltas: cells share the experiment recorder, so each cell's
-    // contribution is the difference across its run.
-    let count0 = |name: &str| ins.metrics.counter(name);
-    let before = [
-        count0(metric::REORGS),
-        count0(metric::FAULT_COMPETING_BLOCKS),
-        count0(metric::FAULT_SOLO_BLOCKS),
-        count0(metric::PEER_BANNED),
-        count0(metric::FAULT_CONN_FLAPS),
-    ];
-
-    world.run_until(SimTime::ZERO + cfg.warmup);
-    let mut sync_samples = Vec::new();
-    let mut t = SimTime::ZERO + cfg.warmup;
-    let end = t + cfg.duration;
-    while t < end {
-        t += cfg.sample_every;
-        world.run_until(t);
-        sync_samples.push(world.honest_sync_fraction());
-    }
-
+    let deltas = sweep::counter_deltas(
+        &ins.metrics,
+        [
+            metric::REORGS,
+            metric::FAULT_COMPETING_BLOCKS,
+            metric::FAULT_SOLO_BLOCKS,
+            metric::PEER_BANNED,
+            metric::FAULT_CONN_FLAPS,
+        ],
+    );
+    let sync_samples = sweep::sample_run(
+        &mut world,
+        cfg.warmup,
+        cfg.duration,
+        cfg.sample_every,
+        World::honest_sync_fraction,
+    );
     // Storm over: stop the weather and clock the recovery.
     world.end_faults();
     let convergence = world.check_convergence(cfg.convergence_grace);
+    let [reorgs, competing_blocks, solo_blocks, peers_banned, connection_flaps] = deltas();
 
-    let after = [
-        count0(metric::REORGS),
-        count0(metric::FAULT_COMPETING_BLOCKS),
-        count0(metric::FAULT_SOLO_BLOCKS),
-        count0(metric::PEER_BANNED),
-        count0(metric::FAULT_CONN_FLAPS),
-    ];
-    let delta = |i: usize| after[i] - before[i];
-
-    let sync = Summary::of(&sync_samples);
+    let (mean_sync_fraction, min_sync_fraction) = sweep::mean_min(&sync_samples);
     CellResult {
         intensity,
         resilience,
-        mean_sync_fraction: sync.as_ref().map(|s| s.mean).unwrap_or(0.0),
-        min_sync_fraction: sync_samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0),
+        mean_sync_fraction,
+        min_sync_fraction: min_sync_fraction.min(1.0),
         converged: convergence.is_some(),
         convergence_secs: convergence.map(|d| d.as_secs_f64()),
         max_fork_depth: world.max_reorg_depth(),
-        reorgs: delta(0),
-        competing_blocks: delta(1),
-        solo_blocks: delta(2),
-        peers_banned: delta(3),
-        connection_flaps: delta(4),
+        reorgs,
+        competing_blocks,
+        solo_blocks,
+        peers_banned,
+        connection_flaps,
     }
 }
 
 /// Runs the full sweep with the same seed in every cell, all reporting
-/// into the one `ins`, cells in sweep order.
+/// into the one `ins`, cells in sweep order: each intensity in turn, off
+/// before on.
 pub fn run(cfg: &ForkStressConfig, ins: &Instruments) -> ForkStressResult {
-    let mut cells = Vec::new();
-    for &intensity in &cfg.intensities {
-        for resilience in [false, true] {
-            cells.push(run_cell(cfg, intensity, resilience, ins));
-        }
+    ForkStressResult {
+        cells: sweep::grid(&cfg.intensities, |intensity, resilience| {
+            run_cell(cfg, intensity, resilience, ins)
+        }),
     }
-    ForkStressResult { cells }
 }
 
-/// Registry entry for the fork-stress sweep.
-#[derive(Default)]
-pub struct ForkStressExperiment {
-    cfg: Option<ForkStressConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for ForkStressExperiment {
-    fn name(&self) -> &'static str {
-        "forkstress"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§IV sync degradation under chain-layer fork/reorg storms"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the fork-stress sweep.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "forkstress",
+    artifact: "forkstress",
+    paper_targets: &["§IV sync degradation under chain-layer fork/reorg storms"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => ForkStressConfig::quick(seed),
             _ => ForkStressConfig::scaled(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_forkstress(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_forkstress(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -317,6 +263,37 @@ mod tests {
         for c in &r.cells {
             assert!(c.mean_sync_fraction >= 0.0 && c.mean_sync_fraction <= 1.0);
         }
+    }
+
+    /// Cells share one recorder, so each must report its own contribution:
+    /// the per-cell counters add up to the recorder's totals, and a cell's
+    /// numbers do not depend on what ran before it.
+    #[test]
+    fn counters_are_per_cell_deltas_of_the_shared_recorder() {
+        let cfg = ForkStressConfig::quick(81);
+        let ins = Instruments::default();
+        let swept = run(&cfg, &ins);
+        let total = |field: fn(&CellResult) -> u64| swept.cells.iter().map(field).sum::<u64>();
+        let recorded = |name| ins.metrics.counter(name);
+        assert!(recorded(metric::REORGS) > 0, "storm produced no reorgs");
+        assert_eq!(total(|c| c.reorgs), recorded(metric::REORGS));
+        assert_eq!(
+            total(|c| c.competing_blocks),
+            recorded(metric::FAULT_COMPETING_BLOCKS)
+        );
+        assert_eq!(
+            total(|c| c.solo_blocks),
+            recorded(metric::FAULT_SOLO_BLOCKS)
+        );
+
+        let last = swept.cells.last().expect("cells");
+        let alone = run_cell(
+            &cfg,
+            last.intensity,
+            last.resilience,
+            &Instruments::default(),
+        );
+        assert_eq!(alone.to_json().to_string(), last.to_json().to_string());
     }
 
     #[test]

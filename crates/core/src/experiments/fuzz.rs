@@ -42,8 +42,8 @@ use bitsync_addrman::AddrManConfig;
 use bitsync_analysis::replay_relay_histogram;
 use bitsync_json::Value;
 use bitsync_net::churn::ChurnConfig;
+use bitsync_node::config::{NodeConfig, ResilienceConfig};
 use bitsync_node::world::{metric, Fault, World, WorldConfig, FRESH_RELAY_WINDOW};
-use bitsync_node::NodeConfig;
 use bitsync_sim::check::Checker;
 use bitsync_sim::event::Backend;
 use bitsync_sim::metrics::DEFAULT_BUCKETS;
@@ -187,12 +187,19 @@ impl Scenario {
     /// consistency checks stay affordable, and small tables reach the
     /// collision/eviction paths that big ones never touch in a bounded run.
     pub fn world_config(&self, backend: Backend) -> WorldConfig {
+        // The ban-reorg-peers bug is a node misconfiguration that needs
+        // forks to misfire on, so it runs under the reorg-storm plane.
+        let ban_on_reorg = self.fault == Some(Fault::BanReorgPeers);
         let node_cfg = NodeConfig {
             addrman: AddrManConfig {
                 new_bucket_count: 32,
                 tried_bucket_count: 8,
                 bucket_size: 8,
                 ..AddrManConfig::bitcoin_core()
+            },
+            resilience: ResilienceConfig {
+                ban_on_reorg,
+                ..ResilienceConfig::off()
             },
             ..NodeConfig::bitcoin_core()
         };
@@ -221,10 +228,11 @@ impl Scenario {
                 .then(|| SimDuration::from_secs(self.connection_mean_secs)),
             instrument: Some(0),
             backend: Some(backend),
-            fault: self
-                .fault
-                .and_then(|f| f.plane_config())
-                .unwrap_or_default(),
+            fault: if ban_on_reorg {
+                Fault::reorg_storm_config()
+            } else {
+                self.fault.and_then(Fault::plane_config).unwrap_or_default()
+            },
             ..WorldConfig::default()
         }
     }

@@ -1,7 +1,8 @@
 //! One module per paper artifact. Each experiment has a `*Config` with
-//! `paper`/`scaled` and `quick` constructors, a `run` function, and a
-//! serializable result; the `bitsync-bench` crate renders them as the
-//! paper's tables and figures.
+//! `paper`/`scaled` and `quick` constructors, a `run` function, a
+//! serializable result, and one `EXPERIMENT` row that enters it in the
+//! [`REGISTRY`]; the `bitsync-bench` crate renders them as the paper's
+//! tables and figures.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -34,6 +35,7 @@ pub mod rounds;
 pub mod runner;
 pub mod stability;
 pub mod success_rate;
+mod sweep;
 pub mod sync_kde;
 
 pub use registry::{experiment_names, experiment_seed, Experiment, Scale, REGISTRY};

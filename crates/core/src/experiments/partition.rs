@@ -152,40 +152,20 @@ pub fn run(cfg: &PartitionConfig, ins: &Instruments) -> PartitionResult {
     }
 }
 
-/// Registry entry for the §IV-A1 routing-attack experiment.
-#[derive(Default)]
-pub struct PartitionExperiment {
-    cfg: Option<PartitionConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for PartitionExperiment {
-    fn name(&self) -> &'static str {
-        "partition"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§IV-A1 routing attack on the live topology"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the §IV-A1 routing-attack experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "partition",
+    artifact: "partition",
+    paper_targets: &["§IV-A1 routing attack on the live topology"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => PartitionConfig::quick(seed),
             _ => PartitionConfig::scaled(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_partition(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_partition(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
-//! The unified experiment registry: every paper artifact implements one
-//! trait, and the parallel runner executes any subset of them with
-//! deterministic, thread-count-independent output.
+//! The experiment registry: every paper artifact is one [`Experiment`]
+//! row of the static [`REGISTRY`] table, and the parallel runner executes
+//! any subset of the rows with deterministic, thread-count-independent
+//! output.
 //!
 //! Determinism is layered:
 //!
@@ -22,8 +23,6 @@ pub enum Scale {
     Quick,
     /// The default scaled-down reproduction (see EXPERIMENTS.md).
     Scaled,
-    /// Full paper scale where a paper-sized variant exists.
-    Paper,
     /// Full paper scale through the closed-form fast paths: the census runs
     /// its entire 10K-reachable / ~700K-unreachable campaign via the
     /// sampled crawl, and the per-node experiments pollute their address
@@ -33,15 +32,12 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, in size order.
+    pub const ALL: [Scale; 3] = [Scale::Quick, Scale::Scaled, Scale::Full];
+
     /// Parses the `--scale` flag value.
     pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "quick" => Some(Scale::Quick),
-            "scaled" => Some(Scale::Scaled),
-            "paper" => Some(Scale::Paper),
-            "full" => Some(Scale::Full),
-            _ => None,
-        }
+        Scale::ALL.into_iter().find(|scale| scale.name() == s)
     }
 
     /// The flag spelling of this scale.
@@ -49,68 +45,48 @@ impl Scale {
         match self {
             Scale::Quick => "quick",
             Scale::Scaled => "scaled",
-            Scale::Paper => "paper",
             Scale::Full => "full",
         }
     }
 }
 
-/// One paper artifact: a named, seedable, independently runnable
-/// experiment producing an erased JSON result.
-///
-/// The lifecycle is `configure(scale, seed)` once, then `run(instruments)`
-/// once; [`Experiment::rendered`] returns the human-readable figure/table
-/// text of the last run.
-pub trait Experiment: Send {
+/// One paper artifact: a named, seedable, independently runnable row of
+/// the [`REGISTRY`]. Plain data — reading a name costs nothing and there
+/// is no lifecycle to get wrong.
+pub struct Experiment {
     /// Stable name — the CLI target and registry key.
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// Basename (without `.json`) of the artifact file `repro --json`
-    /// writes; defaults to [`Experiment::name`].
-    fn artifact(&self) -> &'static str {
-        self.name()
-    }
-
+    /// writes.
+    pub artifact: &'static str,
     /// The paper figures/tables/sections this experiment reproduces.
-    fn paper_targets(&self) -> &'static [&'static str];
-
-    /// Prepares the experiment's config for `scale`, seeded with `seed`.
-    fn configure(&mut self, scale: Scale, seed: u64);
-
-    /// Executes the experiment and returns the erased result. Every world
-    /// (or crawl) it builds reports into `ins` — metrics always, trace
-    /// events and timeseries rows when the caller enabled them. The
+    pub paper_targets: &'static [&'static str],
+    /// Runs the experiment at `scale` with its derived `seed` and returns
+    /// the erased result plus its paper-style text report. Every world (or
+    /// crawl) it builds reports into the [`Instruments`] — metrics always,
+    /// trace events and timeseries rows when the caller enabled them. The
     /// handles only observe: the result must not depend on which are on.
-    fn run(&mut self, ins: &Instruments) -> Value;
-
-    /// The paper-style text report of the last [`Experiment::run`].
-    fn rendered(&self) -> Option<String> {
-        None
-    }
+    pub run: fn(Scale, u64, &Instruments) -> (Value, String),
 }
 
-/// A fresh-experiment constructor, the registry's unit of registration.
-pub type Constructor = fn() -> Box<dyn Experiment>;
-
-/// Every experiment, in report order. Each entry constructs a fresh,
-/// unconfigured instance so concurrent runs never share state.
-pub static REGISTRY: &[Constructor] = &[
-    || Box::<super::rounds::RoundsExperiment>::default(),
-    || Box::<super::stability::StabilityExperiment>::default(),
-    || Box::<super::success_rate::SuccessRateExperiment>::default(),
-    || Box::<super::relay::RelayExperiment>::default(),
-    || Box::<super::census::CensusExperiment>::default(),
-    || Box::<super::sync_kde::SyncExperiment>::default(),
-    || Box::<super::resync::ResyncExperiment>::default(),
-    || Box::<super::partition::PartitionExperiment>::default(),
-    || Box::<super::ablation::AblationExperiment>::default(),
-    || Box::<super::resilience::ResilienceExperiment>::default(),
-    || Box::<super::forkstress::ForkStressExperiment>::default(),
+/// Every experiment, in report order.
+pub static REGISTRY: &[Experiment] = &[
+    super::rounds::EXPERIMENT,
+    super::stability::EXPERIMENT,
+    super::success_rate::EXPERIMENT,
+    super::relay::EXPERIMENT,
+    super::census::EXPERIMENT,
+    super::sync_kde::EXPERIMENT,
+    super::resync::EXPERIMENT,
+    super::partition::EXPERIMENT,
+    super::ablation::EXPERIMENT,
+    super::resilience::EXPERIMENT,
+    super::forkstress::EXPERIMENT,
 ];
 
 /// The registered experiment names, in registry order.
 pub fn experiment_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|ctor| ctor().name()).collect()
+    REGISTRY.iter().map(|exp| exp.name).collect()
 }
 
 /// Derives an experiment's private seed from the global seed and its name.
@@ -157,12 +133,19 @@ mod tests {
     }
 
     #[test]
-    fn constructors_build_unconfigured_fresh_instances() {
-        for ctor in REGISTRY {
-            let exp = ctor();
-            assert!(!exp.name().is_empty());
-            assert!(!exp.paper_targets().is_empty());
-            assert!(exp.rendered().is_none(), "{} pre-rendered", exp.name());
+    fn rows_name_their_artifact_and_targets() {
+        for exp in REGISTRY {
+            assert!(!exp.name.is_empty());
+            assert!(!exp.artifact.is_empty(), "{}", exp.name);
+            assert!(!exp.paper_targets.is_empty(), "{}", exp.name);
         }
+    }
+
+    #[test]
+    fn retired_paper_scale_no_longer_parses() {
+        for scale in Scale::ALL {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::parse("paper"), None);
     }
 }

@@ -163,44 +163,20 @@ pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
     }
 }
 
-/// Registry entry for the Figures 10/11 relay-delay experiment.
-#[derive(Default)]
-pub struct RelayExperiment {
-    cfg: Option<RelayConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for RelayExperiment {
-    fn name(&self) -> &'static str {
-        "relay"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "fig10_11_relay"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["Fig. 10 block relay delay", "Fig. 11 tx relay delay"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the Figures 10/11 relay-delay experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "relay",
+    artifact: "fig10_11_relay",
+    paper_targets: &["Fig. 10 block relay delay", "Fig. 11 tx relay delay"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => RelayConfig::quick(seed),
             _ => RelayConfig::paper(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_fig10_11(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_fig10_11(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -20,13 +20,12 @@
 //! §IV baseline the report's relay-delay deltas are taken against.
 
 use crate::experiments::registry::{Experiment, Scale};
-use bitsync_analysis::Summary;
+use crate::experiments::sweep;
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
-use bitsync_node::config::{NodeConfig, ResilienceConfig as Countermeasures};
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::FaultConfig;
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// Sweep parameters.
@@ -178,14 +177,6 @@ impl ToJson for ResilienceResult {
 }
 
 impl ResilienceResult {
-    /// Looks up one cell.
-    pub fn cell(&self, intensity: f64, countermeasures: bool) -> &CellResult {
-        self.cells
-            .iter()
-            .find(|c| c.intensity == intensity && c.countermeasures == countermeasures)
-            .expect("cell present")
-    }
-
     /// The §IV reference cell: zero intensity, countermeasures off.
     pub fn baseline(&self) -> &CellResult {
         &self.cells[0]
@@ -221,17 +212,9 @@ pub fn run_cell(
         "i{intensity}/cm_{}",
         if countermeasures { "on" } else { "off" }
     )));
-    let node_cfg = NodeConfig {
-        resilience: if countermeasures {
-            Countermeasures::bitcoin_core()
-        } else {
-            Countermeasures::off()
-        },
-        ..NodeConfig::bitcoin_core()
-    };
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
-        node_cfg,
+        node_cfg: sweep::node_config(countermeasures),
         n_reachable: cfg.n_reachable,
         n_malicious: cfg.n_malicious,
         n_unreachable_full: cfg.n_unreachable_full,
@@ -248,124 +231,77 @@ pub fn run_cell(
     });
     world.attach(ins);
 
-    // Counter deltas: cells share the experiment recorder, so each cell's
-    // contribution is the difference across its run.
-    let count0 = |name: &str| ins.metrics.counter(name);
-    let before = [
-        count0(metric::DIAL_RETRIES),
-        count0(metric::PEER_BANNED),
-        count0(metric::STALETIP_RESCUES),
-        count0(metric::HANDSHAKE_TIMEOUTS),
-        count0(metric::FAULT_DROPPED),
-        count0(metric::FAULT_CONN_FLAPS),
-    ];
+    let deltas = sweep::counter_deltas(
+        &ins.metrics,
+        [
+            metric::DIAL_RETRIES,
+            metric::PEER_BANNED,
+            metric::STALETIP_RESCUES,
+            metric::HANDSHAKE_TIMEOUTS,
+            metric::FAULT_DROPPED,
+            metric::FAULT_CONN_FLAPS,
+        ],
+    );
+    let (sync_samples, outdegree_samples): (Vec<f64>, Vec<f64>) = sweep::sample_run(
+        &mut world,
+        cfg.warmup,
+        cfg.duration,
+        cfg.sample_every,
+        |w| (w.honest_sync_fraction(), honest_outdegree(w)),
+    )
+    .into_iter()
+    .unzip();
+    let [dial_retries, peers_banned, stale_rescues, handshake_timeouts, faults_dropped, connection_flaps] =
+        deltas();
 
-    world.run_until(SimTime::ZERO + cfg.warmup);
-    let mut sync_samples = Vec::new();
-    let mut outdegree_samples = Vec::new();
-    let mut t = SimTime::ZERO + cfg.warmup;
-    let end = t + cfg.duration;
-    while t < end {
-        t += cfg.sample_every;
-        world.run_until(t);
-        sync_samples.push(world.honest_sync_fraction());
-        outdegree_samples.push(honest_outdegree(&world));
-    }
-
-    let after = [
-        count0(metric::DIAL_RETRIES),
-        count0(metric::PEER_BANNED),
-        count0(metric::STALETIP_RESCUES),
-        count0(metric::HANDSHAKE_TIMEOUTS),
-        count0(metric::FAULT_DROPPED),
-        count0(metric::FAULT_CONN_FLAPS),
-    ];
-    let delta = |i: usize| after[i] - before[i];
-
-    let block_delays: Vec<f64> = world
-        .relay_delays()
-        .into_iter()
-        .filter(|(is_block, _)| *is_block)
-        .map(|(_, d)| d as f64)
-        .collect();
-    let sync = Summary::of(&sync_samples);
-    let outdeg = Summary::of(&outdegree_samples);
-    let mean_outdegree = outdeg.as_ref().map(|s| s.mean).unwrap_or(0.0);
-    let min_outdegree = outdegree_samples
-        .iter()
-        .copied()
-        .fold(f64::INFINITY, f64::min);
+    let (mean_sync_fraction, min_sync_fraction) = sweep::mean_min(&sync_samples);
+    let (mean_outdegree, min_outdegree) = sweep::mean_min(&outdegree_samples);
     CellResult {
         intensity,
         countermeasures,
-        mean_sync_fraction: sync.as_ref().map(|s| s.mean).unwrap_or(0.0),
-        min_sync_fraction: sync_samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0),
+        mean_sync_fraction,
+        min_sync_fraction: min_sync_fraction.min(1.0),
         mean_outdegree,
         outdegree_stability: if mean_outdegree > 0.0 {
             (min_outdegree / mean_outdegree).min(1.0)
         } else {
             0.0
         },
-        mean_block_relay_secs: Summary::of(&block_delays).map(|s| s.mean),
-        dial_retries: delta(0),
-        peers_banned: delta(1),
-        stale_rescues: delta(2),
-        handshake_timeouts: delta(3),
-        faults_dropped: delta(4),
-        connection_flaps: delta(5),
+        mean_block_relay_secs: sweep::mean_block_relay_secs(&world),
+        dial_retries,
+        peers_banned,
+        stale_rescues,
+        handshake_timeouts,
+        faults_dropped,
+        connection_flaps,
     }
 }
 
 /// Runs the full sweep with the same seed in every cell, all reporting
-/// into the one `ins`, cells in sweep order.
+/// into the one `ins`, cells in sweep order: each intensity in turn, off
+/// before on.
 pub fn run(cfg: &ResilienceConfig, ins: &Instruments) -> ResilienceResult {
-    let mut cells = Vec::new();
-    for &intensity in &cfg.intensities {
-        for countermeasures in [false, true] {
-            cells.push(run_cell(cfg, intensity, countermeasures, ins));
-        }
+    ResilienceResult {
+        cells: sweep::grid(&cfg.intensities, |intensity, countermeasures| {
+            run_cell(cfg, intensity, countermeasures, ins)
+        }),
     }
-    ResilienceResult { cells }
 }
 
-/// Registry entry for the resilience sweep.
-#[derive(Default)]
-pub struct ResilienceExperiment {
-    cfg: Option<ResilienceConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for ResilienceExperiment {
-    fn name(&self) -> &'static str {
-        "resilience"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§IV root causes as a fault plane × Core countermeasures"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the resilience sweep.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "resilience",
+    artifact: "resilience",
+    paper_targets: &["§IV root causes as a fault plane × Core countermeasures"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => ResilienceConfig::quick(seed),
             _ => ResilienceConfig::scaled(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_resilience(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_resilience(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {
@@ -382,6 +318,34 @@ mod tests {
             assert!(c.mean_sync_fraction >= 0.0 && c.mean_sync_fraction <= 1.0);
             assert!(c.outdegree_stability >= 0.0 && c.outdegree_stability <= 1.0);
         }
+    }
+
+    /// Cells share one recorder, so each must report its own contribution:
+    /// the per-cell counters add up to the recorder's totals, and a cell's
+    /// numbers do not depend on what ran before it.
+    #[test]
+    fn counters_are_per_cell_deltas_of_the_shared_recorder() {
+        let cfg = ResilienceConfig::quick(77);
+        let ins = Instruments::default();
+        let swept = run(&cfg, &ins);
+        let total = |field: fn(&CellResult) -> u64| swept.cells.iter().map(field).sum::<u64>();
+        let recorded = |name| ins.metrics.counter(name);
+        assert!(recorded(metric::FAULT_DROPPED) > 0, "fault plane inactive");
+        assert_eq!(total(|c| c.peers_banned), recorded(metric::PEER_BANNED));
+        assert_eq!(
+            total(|c| c.connection_flaps),
+            recorded(metric::FAULT_CONN_FLAPS)
+        );
+        assert_eq!(total(|c| c.faults_dropped), recorded(metric::FAULT_DROPPED));
+
+        let last = swept.cells.last().expect("cells");
+        let alone = run_cell(
+            &cfg,
+            last.intensity,
+            last.countermeasures,
+            &Instruments::default(),
+        );
+        assert_eq!(alone.to_json().to_string(), last.to_json().to_string());
     }
 
     #[test]

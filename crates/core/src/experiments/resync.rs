@@ -151,40 +151,20 @@ pub fn run(cfg: &ResyncConfig, ins: &Instruments) -> ResyncResult {
     }
 }
 
-/// Registry entry for the §IV-D restart experiment.
-#[derive(Default)]
-pub struct ResyncExperiment {
-    cfg: Option<ResyncConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for ResyncExperiment {
-    fn name(&self) -> &'static str {
-        "resync"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§IV-D restart (11 min 14 s)"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the §IV-D restart experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "resync",
+    artifact: "resync",
+    paper_targets: &["§IV-D restart (11 min 14 s)"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => ResyncConfig::quick(seed),
             _ => ResyncConfig::paper(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_resync(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_resync(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

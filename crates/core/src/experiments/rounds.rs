@@ -91,38 +91,17 @@ pub fn run(seed: u64, sim_nodes: usize, ins: &Instruments) -> RoundsResult {
     result
 }
 
-/// Registry entry for the §IV-B propagation-rounds analysis.
-#[derive(Default)]
-pub struct RoundsExperiment {
-    cfg: Option<(u64, usize)>,
-    rendered: Option<String>,
-}
-
-impl Experiment for RoundsExperiment {
-    fn name(&self) -> &'static str {
-        "rounds"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["§IV-B propagation rounds (8^5 vs 2^14)"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
+/// Registry row for the §IV-B propagation-rounds analysis.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "rounds",
+    artifact: "rounds",
+    paper_targets: &["§IV-B propagation rounds (8^5 vs 2^14)"],
+    run: |scale, seed, ins| {
         let sim_nodes = if scale == Scale::Quick { 20 } else { 60 };
-        self.cfg = Some((seed, sim_nodes));
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let (seed, sim_nodes) = self.cfg.expect("configure() before run()");
         let r = run(seed, sim_nodes, ins);
-        self.rendered = Some(crate::report::render_rounds(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        (r.to_json(), crate::report::render_rounds(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,7 @@
 //! kept out of the envelope and surfaced separately via
 //! [`crate::profile::Profile`].
 
-use super::registry::{experiment_seed, Scale, REGISTRY};
+use super::registry::{experiment_names, experiment_seed, Scale, REGISTRY};
 use crate::profile::PhaseSpan;
 use bitsync_json::Value;
 use bitsync_sim::time::SimDuration;
@@ -67,14 +67,14 @@ pub struct ExperimentReport {
     /// result, metrics.
     pub json: Value,
     /// Paper-style text report.
-    pub rendered: Option<String>,
+    pub rendered: String,
     /// The drained trace log when [`RunnerConfig::trace_cap`] was set.
     pub trace: Option<TraceLog>,
     /// The drained timeseries log when [`RunnerConfig::sample_interval`]
     /// was set. Deterministic rows only; the wall-clock perf side-channel
     /// rides along in [`TimeseriesLog::perf`].
     pub timeseries: Option<TimeseriesLog>,
-    /// Wall-clock phase spans (configure/run/render), relative to the
+    /// Wall-clock phase spans (run/render), relative to the
     /// runner invocation's start. Side-channel only — never serialized
     /// into [`ExperimentReport::json`].
     pub spans: Vec<PhaseSpan>,
@@ -95,28 +95,25 @@ impl ExperimentRunner {
     /// registry, duplicates collapse to the first occurrence, unknown names
     /// produce an error listing the valid targets.
     pub fn resolve(targets: &[String]) -> Result<Vec<usize>, String> {
-        let names: Vec<&'static str> = REGISTRY.iter().map(|ctor| ctor().name()).collect();
+        let names = experiment_names();
         let mut indices = Vec::new();
         for t in targets {
-            if t == "all" {
-                for i in 0..names.len() {
-                    if !indices.contains(&i) {
-                        indices.push(i);
+            let wanted = if t == "all" {
+                0..names.len()
+            } else {
+                match names.iter().position(|n| n == t) {
+                    Some(i) => i..i + 1,
+                    None => {
+                        return Err(format!(
+                            "unknown target '{t}' (valid: all, {})",
+                            names.join(", ")
+                        ))
                     }
                 }
-                continue;
-            }
-            match names.iter().position(|n| n == t) {
-                Some(i) => {
-                    if !indices.contains(&i) {
-                        indices.push(i);
-                    }
-                }
-                None => {
-                    return Err(format!(
-                        "unknown target '{t}' (valid: all, {})",
-                        names.join(", ")
-                    ))
+            };
+            for i in wanted {
+                if !indices.contains(&i) {
+                    indices.push(i);
                 }
             }
         }
@@ -169,28 +166,18 @@ impl ExperimentRunner {
     }
 
     fn run_one(&self, idx: usize, lane: usize, epoch: Instant) -> ExperimentReport {
-        let mut exp = REGISTRY[idx]();
-        let seed = experiment_seed(self.cfg.seed, exp.name());
-        let name = exp.name();
-        let mut spans = Vec::with_capacity(3);
-        let timed = |phase: &'static str| {
-            let start = Instant::now();
-            (start, start.duration_since(epoch).as_micros() as u64, phase)
-        };
-        let close = |spans: &mut Vec<PhaseSpan>,
-                     (start, start_us, phase): (Instant, u64, &'static str)| {
+        let exp = &REGISTRY[idx];
+        let seed = experiment_seed(self.cfg.seed, exp.name);
+        let mut spans = Vec::with_capacity(2);
+        let mut timed = |phase: &'static str, start: Instant| {
             spans.push(PhaseSpan {
-                experiment: name,
+                experiment: exp.name,
                 phase,
-                start_us,
+                start_us: start.duration_since(epoch).as_micros() as u64,
                 dur_us: start.elapsed().as_micros() as u64,
                 lane,
             });
         };
-
-        let t = timed("configure");
-        exp.configure(self.cfg.scale, seed);
-        close(&mut spans, t);
 
         let ins = Instruments {
             tracer: self.cfg.trace_cap.map(Tracer::enabled).unwrap_or_default(),
@@ -201,25 +188,24 @@ impl ExperimentRunner {
                 .unwrap_or_default(),
             ..Instruments::default()
         };
-        let t = timed("run");
-        let result = exp.run(&ins);
-        close(&mut spans, t);
+        let start = Instant::now();
+        let (result, rendered) = (exp.run)(self.cfg.scale, seed, &ins);
+        timed("run", start);
 
-        let t = timed("render");
+        let start = Instant::now();
         let json = Value::object()
-            .with("experiment", exp.name())
-            .with("paper_targets", exp.paper_targets().to_vec())
+            .with("experiment", exp.name)
+            .with("paper_targets", exp.paper_targets.to_vec())
             .with("scale", self.cfg.scale.name())
             .with("seed", seed)
             .with("result", result)
             .with("metrics", ins.metrics.to_json());
-        let rendered = exp.rendered();
-        close(&mut spans, t);
+        timed("render", start);
 
         ExperimentReport {
-            name: exp.name(),
-            artifact: exp.artifact(),
-            paper_targets: exp.paper_targets(),
+            name: exp.name,
+            artifact: exp.artifact,
+            paper_targets: exp.paper_targets,
             seed,
             json,
             rendered,
@@ -286,7 +272,7 @@ mod tests {
         let reports = quick(1).run(&["rounds".to_string()]).unwrap();
         assert!(reports[0].trace.is_none());
         let phases: Vec<&str> = reports[0].spans.iter().map(|s| s.phase).collect();
-        assert_eq!(phases, ["configure", "run", "render"]);
+        assert_eq!(phases, ["run", "render"]);
     }
 
     /// One single-world experiment (`relay`) and one multi-world one

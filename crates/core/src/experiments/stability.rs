@@ -133,45 +133,21 @@ pub fn run(cfg: &StabilityConfig, ins: &Instruments) -> StabilityResult {
     }
 }
 
-/// Registry entry for the Figure 6 connection-stability experiment.
-#[derive(Default)]
-pub struct StabilityExperiment {
-    cfg: Option<StabilityConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for StabilityExperiment {
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "fig6_stability"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["Fig. 6 connection stability"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the Figure 6 connection-stability experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "fig6",
+    artifact: "fig6_stability",
+    paper_targets: &["Fig. 6 connection stability"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => StabilityConfig::quick(seed),
+            Scale::Scaled => StabilityConfig::paper(seed),
             Scale::Full => StabilityConfig::full(seed),
-            _ => StabilityConfig::paper(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_fig6(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_fig6(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

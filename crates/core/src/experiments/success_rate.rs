@@ -166,45 +166,21 @@ pub fn run(cfg: &SuccessRateConfig, ins: &Instruments) -> SuccessRateResult {
     SuccessRateResult { runs }
 }
 
-/// Registry entry for the Figure 7 success-rate experiment.
-#[derive(Default)]
-pub struct SuccessRateExperiment {
-    cfg: Option<SuccessRateConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for SuccessRateExperiment {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "fig7_success_rate"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &["Fig. 7 connection success rate (11.2%)"]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the Figure 7 success-rate experiment.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "fig7",
+    artifact: "fig7_success_rate",
+    paper_targets: &["Fig. 7 connection success rate (11.2%)"],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => SuccessRateConfig::quick(seed),
+            Scale::Scaled => SuccessRateConfig::paper(seed),
             Scale::Full => SuccessRateConfig::full(seed),
-            _ => SuccessRateConfig::paper(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_fig7(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_fig7(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

@@ -250,47 +250,23 @@ pub fn run(cfg: &SyncScenarioConfig, ins: &Instruments) -> SyncComparison {
     }
 }
 
-/// Registry entry for the Figure 1 synchronization comparison.
-#[derive(Default)]
-pub struct SyncExperiment {
-    cfg: Option<SyncScenarioConfig>,
-    rendered: Option<String>,
-}
-
-impl Experiment for SyncExperiment {
-    fn name(&self) -> &'static str {
-        "fig1"
-    }
-
-    fn artifact(&self) -> &'static str {
-        "fig1_sync"
-    }
-
-    fn paper_targets(&self) -> &'static [&'static str] {
-        &[
-            "Fig. 1 synchronization KDE 2019 vs 2020",
-            "§IV-D synchronized departures (3.9 vs 7.6 per 10 min)",
-        ]
-    }
-
-    fn configure(&mut self, scale: Scale, seed: u64) {
-        self.cfg = Some(match scale {
+/// Registry row for the Figure 1 synchronization comparison.
+pub const EXPERIMENT: Experiment = Experiment {
+    name: "fig1",
+    artifact: "fig1_sync",
+    paper_targets: &[
+        "Fig. 1 synchronization KDE 2019 vs 2020",
+        "§IV-D synchronized departures (3.9 vs 7.6 per 10 min)",
+    ],
+    run: |scale, seed, ins| {
+        let cfg = match scale {
             Scale::Quick => SyncScenarioConfig::quick(seed),
             _ => SyncScenarioConfig::scaled(seed),
-        });
-    }
-
-    fn run(&mut self, ins: &Instruments) -> Value {
-        let cfg = self.cfg.as_ref().expect("configure() before run()");
-        let r = run(cfg, ins);
-        self.rendered = Some(crate::report::render_fig1(&r));
-        r.to_json()
-    }
-
-    fn rendered(&self) -> Option<String> {
-        self.rendered.clone()
-    }
-}
+        };
+        let r = run(&cfg, ins);
+        (r.to_json(), crate::report::render_fig1(&r))
+    },
+};
 
 #[cfg(test)]
 mod tests {

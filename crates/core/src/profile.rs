@@ -1,12 +1,14 @@
 //! Wall-clock phase profiling for the experiment runner.
 //!
-//! The runner stamps a [`PhaseSpan`] around each lifecycle phase of every
-//! experiment (`configure` → `run` → `render`). Spans are *side-channel*
-//! observability, like [`bitsync_sim::metrics::peak_rss_bytes`]: wall-clock
-//! numbers vary per machine and per thread placement, so they are never
-//! written into the deterministic report JSON — only exported separately as
-//! a Chrome trace-event file (loadable in `chrome://tracing` or Perfetto)
-//! and a stderr summary.
+//! The runner stamps a [`PhaseSpan`] around the two phases of every
+//! experiment: `run` (the registry row's function — worlds, reduction and
+//! the text report) and `render` (assembling the JSON envelope with the
+//! metrics section). Spans are *side-channel* observability, like
+//! [`bitsync_sim::metrics::peak_rss_bytes`]: wall-clock numbers vary per
+//! machine and per thread placement, so they are never written into the
+//! deterministic report JSON — only exported separately as a Chrome
+//! trace-event file (loadable in `chrome://tracing` or Perfetto) and a
+//! stderr summary.
 
 use bitsync_json::Value;
 use std::fmt::Write as _;
@@ -16,7 +18,7 @@ use std::fmt::Write as _;
 pub struct PhaseSpan {
     /// Experiment name.
     pub experiment: &'static str,
-    /// Lifecycle phase: `configure`, `run`, or `render`.
+    /// Phase: `run` or `render`.
     pub phase: &'static str,
     /// Microseconds from runner start to phase start.
     pub start_us: u64,
@@ -89,8 +91,7 @@ impl Profile {
             };
             let _ = writeln!(
                 out,
-                "[profile]   {name:<14} configure {c:>9.1}ms  run {r:>10.1}ms  render {d:>8.1}ms",
-                c = ms("configure"),
+                "[profile]   {name:<14} run {r:>10.1}ms  render {d:>8.1}ms",
                 r = ms("run"),
                 d = ms("render"),
             );
@@ -106,13 +107,6 @@ mod tests {
     fn sample() -> Profile {
         Profile::new(
             vec![
-                PhaseSpan {
-                    experiment: "relay",
-                    phase: "configure",
-                    start_us: 0,
-                    dur_us: 150,
-                    lane: 0,
-                },
                 PhaseSpan {
                     experiment: "relay",
                     phase: "run",
@@ -143,7 +137,7 @@ mod tests {
     fn chrome_trace_has_complete_events() {
         let json = sample().to_chrome_trace();
         let events = json.get("traceEvents").and_then(Value::as_array).unwrap();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 3);
         for ev in events {
             assert_eq!(ev.get("ph").map(|v| v.to_string()), Some("\"X\"".into()));
             assert!(ev.get("ts").and_then(Value::as_u64).is_some());

@@ -243,7 +243,9 @@ impl CampaignResult {
             .filter(|(_, s)| s.total > min_total && s.reachable == 0)
             .map(|(a, s)| (*a, s.total))
             .collect();
-        out.sort_by_key(|(_, total)| std::cmp::Reverse(*total));
+        // Ties break by address: `senders` is a hash map, and the rendered
+        // report must not depend on its iteration order.
+        out.sort_by_key(|&(addr, total)| (std::cmp::Reverse(total), addr));
         out
     }
 }
@@ -322,6 +324,10 @@ mod tests {
             assert!(flooder_addrs.contains(addr));
             assert!(*total > 1000);
         }
+        // Biggest sender first, equal totals in address order (the tiny
+        // scale's flooders tie, and the rendered list must be stable).
+        let order = |&(addr, total): &(NetAddr, u64)| (std::cmp::Reverse(total), addr);
+        assert!(detected.windows(2).all(|w| order(&w[0]) < order(&w[1])));
     }
 
     #[test]

@@ -753,44 +753,16 @@ impl World {
         self.attach_checker(ins.checker.clone());
     }
 
-    /// Arms a named [`Fault`]. The two bug injections rewire dispatch so
-    /// the invariant layer provably catches them; the benign variants arm
-    /// the fault plane with their canned preset (a no-op when the world
-    /// was already built with an active `cfg.fault` — construction-time
-    /// wiring such as stall assignment cannot be applied retroactively).
+    /// Arms one of the two dispatch-rewiring bug injections
+    /// ([`Fault::DuplicateDeliveries`], [`Fault::TimeWarpDeliveries`]) so
+    /// the invariant layer provably catches it. Every other variant is
+    /// configuration, not injection: a fault plane exists only when the
+    /// world was built with an active [`WorldConfig::fault`] (stall
+    /// assignment and flooder amplification happen at spawn), and
+    /// [`Fault::BanReorgPeers`] is `resilience.ban_on_reorg` in the node
+    /// config over a reorg-storm plane.
     pub fn inject_fault(&mut self, fault: Fault) {
-        match fault.plane_config() {
-            Some(preset) => self.arm_plane(preset),
-            None => {
-                self.fault = Some(fault);
-                if fault == Fault::BanReorgPeers {
-                    // The broken fork policy needs forks to mishandle:
-                    // arm the reorg-storm plane, then flip the
-                    // misconfiguration on at every node (current and
-                    // future spawns).
-                    self.arm_plane(bitsync_sim::fault::Fault::reorg_storm_config());
-                    self.cfg.node_cfg.resilience.ban_on_reorg = true;
-                    for node in self.nodes.iter_mut().flatten() {
-                        node.cfg.resilience.ban_on_reorg = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Installs a fault plane from `preset` (a no-op when one is already
-    /// live) and schedules its flap timers.
-    fn arm_plane(&mut self, preset: FaultConfig) {
-        if self.fault_plane.is_some() {
-            return;
-        }
-        self.cfg.fault = preset.clone();
-        self.fault_plane = Some(FaultPlane::new(preset, self.cfg.seed));
-        self.schedule_conn_flap(self.now());
-        if let Some(pf) = self.fault_plane.as_ref().and_then(|p| p.cfg.partition_flap) {
-            self.queue
-                .schedule(self.now() + pf.period, Ev::PartitionFlap(true));
-        }
+        self.fault = Some(fault);
     }
 
     /// Stops every injected *network* fault: the plane is dismantled (no

@@ -229,8 +229,10 @@ impl FaultPlane {
 }
 
 /// One named injectable fault, the vocabulary shared by the fuzz harness
-/// (`repro fuzz --fault <name>`), scenario JSON (stable numeric codes),
-/// and `World::inject_fault`.
+/// (`repro fuzz --fault <name>`) and scenario JSON (stable numeric codes).
+/// The plane presets and the ban-reorg-peers misconfiguration reach a
+/// world through its config; only the two dispatch-rewiring bugs are armed
+/// afterwards, with `World::inject_fault`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Bug injection: relayable deliveries are dispatched twice, so
@@ -279,69 +281,65 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Every variant, in code order.
-    pub const ALL: [Fault; 13] = [
-        Fault::DuplicateDeliveries,
-        Fault::TimeWarpDeliveries,
-        Fault::DropMessages,
-        Fault::DelayMessages,
-        Fault::ReorderMessages,
-        Fault::StallPeers,
-        Fault::AddrFlood,
-        Fault::ConnectionFlaps,
-        Fault::PartitionFlaps,
-        Fault::CompetingMiners,
-        Fault::SoloMiners,
-        Fault::ReorgStorms,
-        Fault::BanReorgPeers,
+    /// Every variant with its CLI spelling and its stable numeric code, in
+    /// code order. Codes are an on-disk format (fuzz repro files): append,
+    /// never renumber.
+    const TABLE: [(Fault, &'static str, u64); 13] = [
+        (Fault::DuplicateDeliveries, "duplicate-deliveries", 1),
+        (Fault::TimeWarpDeliveries, "time-warp-deliveries", 2),
+        (Fault::DropMessages, "drop-messages", 3),
+        (Fault::DelayMessages, "delay-messages", 4),
+        (Fault::ReorderMessages, "reorder-messages", 5),
+        (Fault::StallPeers, "stall-peers", 6),
+        (Fault::AddrFlood, "addr-flood", 7),
+        (Fault::ConnectionFlaps, "connection-flaps", 8),
+        (Fault::PartitionFlaps, "partition-flaps", 9),
+        (Fault::CompetingMiners, "competing-miners", 10),
+        (Fault::SoloMiners, "solo-miners", 11),
+        (Fault::ReorgStorms, "reorg-storms", 12),
+        (Fault::BanReorgPeers, "ban-reorg-peers", 13),
     ];
+
+    /// Every variant, in code order.
+    pub const ALL: [Fault; 13] = {
+        let mut all = [Fault::DuplicateDeliveries; 13];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = Fault::TABLE[i].0;
+            i += 1;
+        }
+        all
+    };
+
+    fn row(self) -> &'static (Fault, &'static str, u64) {
+        let row = Fault::TABLE.iter().find(|row| row.0 == self);
+        row.expect("every variant has a table row")
+    }
 
     /// CLI spelling, also used in failure reports.
     pub fn name(self) -> &'static str {
-        match self {
-            Fault::DuplicateDeliveries => "duplicate-deliveries",
-            Fault::TimeWarpDeliveries => "time-warp-deliveries",
-            Fault::DropMessages => "drop-messages",
-            Fault::DelayMessages => "delay-messages",
-            Fault::ReorderMessages => "reorder-messages",
-            Fault::StallPeers => "stall-peers",
-            Fault::AddrFlood => "addr-flood",
-            Fault::ConnectionFlaps => "connection-flaps",
-            Fault::PartitionFlaps => "partition-flaps",
-            Fault::CompetingMiners => "competing-miners",
-            Fault::SoloMiners => "solo-miners",
-            Fault::ReorgStorms => "reorg-storms",
-            Fault::BanReorgPeers => "ban-reorg-peers",
-        }
+        self.row().1
     }
 
     /// Inverse of [`Fault::name`].
     pub fn parse(name: &str) -> Option<Fault> {
-        Fault::ALL.iter().copied().find(|f| f.name() == name)
+        Fault::TABLE
+            .iter()
+            .find(|row| row.1 == name)
+            .map(|row| row.0)
     }
 
     /// Stable numeric code used in scenario JSON.
     pub fn code(self) -> u64 {
-        match self {
-            Fault::DuplicateDeliveries => 1,
-            Fault::TimeWarpDeliveries => 2,
-            Fault::DropMessages => 3,
-            Fault::DelayMessages => 4,
-            Fault::ReorderMessages => 5,
-            Fault::StallPeers => 6,
-            Fault::AddrFlood => 7,
-            Fault::ConnectionFlaps => 8,
-            Fault::PartitionFlaps => 9,
-            Fault::CompetingMiners => 10,
-            Fault::SoloMiners => 11,
-            Fault::ReorgStorms => 12,
-            Fault::BanReorgPeers => 13,
-        }
+        self.row().2
     }
 
     /// Inverse of [`Fault::code`].
     pub fn from_code(code: u64) -> Option<Fault> {
-        Fault::ALL.iter().copied().find(|f| f.code() == code)
+        Fault::TABLE
+            .iter()
+            .find(|row| row.2 == code)
+            .map(|row| row.0)
     }
 
     /// True for the bug injections that must trip the invariant checker;
@@ -452,6 +450,32 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), Fault::ALL.len());
+    }
+
+    /// Names are the CLI vocabulary and codes are written into fuzz repro
+    /// files, so both are pinned literally: a renumbering or respelling
+    /// that still round-trips must fail here.
+    #[test]
+    fn names_and_codes_are_pinned() {
+        let pinned = [
+            ("duplicate-deliveries", 1),
+            ("time-warp-deliveries", 2),
+            ("drop-messages", 3),
+            ("delay-messages", 4),
+            ("reorder-messages", 5),
+            ("stall-peers", 6),
+            ("addr-flood", 7),
+            ("connection-flaps", 8),
+            ("partition-flaps", 9),
+            ("competing-miners", 10),
+            ("solo-miners", 11),
+            ("reorg-storms", 12),
+            ("ban-reorg-peers", 13),
+        ];
+        let actual = Fault::ALL.map(|f| (f.name(), f.code()));
+        assert_eq!(actual, pinned);
+        assert_eq!(Fault::from_code(13), Some(Fault::BanReorgPeers));
+        assert_eq!(Fault::parse("drop-messages"), Some(Fault::DropMessages));
     }
 
     #[test]

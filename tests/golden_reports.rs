@@ -132,7 +132,7 @@ fn golden_fig1_attribution() {
 /// The golden! list above must cover exactly the registry.
 #[test]
 fn golden_test_list_covers_registry() {
-    let mut expected: Vec<&str> = REGISTRY.iter().map(|ctor| ctor().name()).collect();
+    let mut expected: Vec<&str> = REGISTRY.iter().map(|exp| exp.name).collect();
     expected.sort_unstable();
     let mut listed = vec![
         "rounds",
@@ -158,7 +158,7 @@ fn golden_directory_matches_registry() {
     let dir = golden_dir();
     let mut expected: Vec<String> = REGISTRY
         .iter()
-        .map(|ctor| format!("{}.json", ctor().artifact()))
+        .map(|exp| format!("{}.json", exp.artifact))
         .collect();
     expected.sort();
     let mut present: Vec<String> = std::fs::read_dir(&dir)
