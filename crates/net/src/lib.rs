@@ -2,9 +2,8 @@
 
 //! `bitsync-net` — the simulated network substrate:
 //!
-//! - [`population`]: the ground-truth node census (reachable / responsive /
-//!   silent classes, ports, firewall behaviour) the measurement pipeline
-//!   runs against.
+//! - [`population`]: the ground-truth node classes (reachable / responsive /
+//!   silent) and what a probe of each one sees.
 //! - [`as_model`]: Autonomous-System assignment calibrated to the paper's
 //!   Table I.
 //! - [`latency`]: deterministic pairwise AS-level delays, bandwidth, and
@@ -14,12 +13,15 @@
 //! # Examples
 //!
 //! ```
-//! use bitsync_net::population::{Population, PopulationConfig};
+//! use bitsync_net::{AsModel, LatencyConfig, LatencyModel, NodeClass};
 //! use bitsync_sim::rng::SimRng;
 //!
 //! let mut rng = SimRng::seed_from(1);
-//! let pop = Population::generate(&PopulationConfig::tiny(), &mut rng);
-//! assert!(pop.unreachable_len() > pop.reachable_len());
+//! let ases = AsModel::from_paper();
+//! let a = ases.sample(NodeClass::Reachable, &mut rng);
+//! let b = ases.sample(NodeClass::UnreachableSilent, &mut rng);
+//! let latency = LatencyModel::new(LatencyConfig::internet_2020(), 1);
+//! assert_eq!(latency.base_delay(a, b), latency.base_delay(b, a));
 //! ```
 
 pub mod as_model;
@@ -30,42 +32,15 @@ pub mod population;
 pub use as_model::AsModel;
 pub use churn::{ChurnConfig, ChurnModel, Rejoin};
 pub use latency::{LatencyConfig, LatencyModel};
-pub use population::{
-    AddrId, AddrTable, NodeClass, NodeSpec, Population, PopulationConfig, ProbeOutcome,
-};
+pub use population::{NodeClass, ProbeOutcome};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bitsync_sim::rng::SimRng;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// Populations always honor their configured sizes, keep addresses
-        /// unique, and classify probe outcomes consistently.
-        #[test]
-        fn population_invariants(n_reach in 1usize..80, n_unreach in 0usize..400, seed in any::<u64>()) {
-            let cfg = PopulationConfig {
-                n_reachable: n_reach,
-                n_unreachable: n_unreach,
-                ..PopulationConfig::paper_scale()
-            };
-            let mut rng = SimRng::seed_from(seed);
-            let pop = Population::generate(&cfg, &mut rng);
-            prop_assert_eq!(pop.reachable_len(), n_reach);
-            prop_assert_eq!(pop.unreachable_len(), n_unreach);
-            let addrs: std::collections::HashSet<_> = pop.iter().map(|n| n.addr).collect();
-            prop_assert_eq!(addrs.len(), pop.len());
-            prop_assert_eq!(pop.addr_table().len(), pop.len());
-            for node in pop.reachable() {
-                prop_assert_eq!(node.probe(), ProbeOutcome::Accepted);
-            }
-            for node in pop.unreachable() {
-                prop_assert!(node.probe() != ProbeOutcome::Accepted);
-            }
-        }
 
         /// Latency is always positive, symmetric, and within the clamp.
         #[test]

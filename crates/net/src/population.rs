@@ -1,29 +1,11 @@
-//! The ground-truth node population the measurement pipeline runs against.
+//! Ground-truth node classes and what a probe of each one sees.
 //!
 //! The paper's census (§IV-A): ~10K reachable nodes online at a time (28,781
 //! unique over 60 days), 694,696 unique unreachable addresses of which
 //! 163,496 (23.5%) are *responsive* (drop inbound connections by answering a
-//! VER probe with FIN). 95.78% of reachable and 88.54% of unreachable nodes
-//! use port 8333.
-//!
-//! [`Population::generate`] produces a synthetic population with these
-//! statistics (scalable via [`PopulationConfig`]); every node gets a unique
-//! IPv4 address, an AS from the Table I model, a port, and a firewall
-//! policy.
-//!
-//! # Memory layout
-//!
-//! At full paper scale the population holds ~700K endpoints, so the hot
-//! per-node state is struct-of-arrays: every `NetAddr` is interned once into
-//! an [`AddrTable`] and everything else references nodes by dense `u32` id.
-//! [`NodeSpec`] remains as a cheap materialized view for callers that want
-//! one node's fields together.
-
-use crate::as_model::AsModel;
-use bitsync_protocol::addr::{NetAddr, DEFAULT_PORT};
-use bitsync_sim::rng::SimRng;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
+//! VER probe with FIN). The populations themselves are generated where they
+//! are used — the census network in `bitsync-crawler`, the node world in
+//! `bitsync-node` — and share this vocabulary.
 
 /// Ground-truth classification of a node (what the crawler tries to infer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -68,476 +50,19 @@ impl ProbeOutcome {
     }
 }
 
-/// Dense handle into an [`AddrTable`]: 4 bytes instead of a 18-byte
-/// `NetAddr`, and usable as a direct array index in per-node columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AddrId(u32);
-
-impl AddrId {
-    /// The id as a `usize` array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The raw `u32` value.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-/// Interning table mapping each distinct `NetAddr` to a dense [`AddrId`].
-///
-/// # Examples
-///
-/// ```
-/// use bitsync_net::population::AddrTable;
-/// use bitsync_protocol::addr::NetAddr;
-/// use std::net::Ipv4Addr;
-///
-/// let mut table = AddrTable::new();
-/// let a = NetAddr::from_ipv4(Ipv4Addr::new(1, 2, 3, 4), 8333);
-/// let id = table.intern(a);
-/// assert_eq!(table.intern(a), id); // stable on re-intern
-/// assert_eq!(table.get(id), a);
-/// assert_eq!(table.lookup(&a), Some(id));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct AddrTable {
-    addrs: Vec<NetAddr>,
-    index: HashMap<NetAddr, u32>,
-}
-
-impl AddrTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty table pre-sized for `n` addresses.
-    pub fn with_capacity(n: usize) -> Self {
-        AddrTable {
-            addrs: Vec::with_capacity(n),
-            index: HashMap::with_capacity(n),
-        }
-    }
-
-    /// Returns the id for `addr`, inserting it if new.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table would exceed `u32::MAX` entries.
-    pub fn intern(&mut self, addr: NetAddr) -> AddrId {
-        if let Some(&id) = self.index.get(&addr) {
-            return AddrId(id);
-        }
-        let id = u32::try_from(self.addrs.len()).expect("address table overflow");
-        self.addrs.push(addr);
-        self.index.insert(addr, id);
-        AddrId(id)
-    }
-
-    /// The address behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this table.
-    pub fn get(&self, id: AddrId) -> NetAddr {
-        self.addrs[id.index()]
-    }
-
-    /// The id of `addr`, if interned.
-    pub fn lookup(&self, addr: &NetAddr) -> Option<AddrId> {
-        self.index.get(addr).copied().map(AddrId)
-    }
-
-    /// Number of interned addresses.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// Iterates `(id, addr)` in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (AddrId, NetAddr)> + '_ {
-        self.addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (AddrId(i as u32), a))
-    }
-}
-
-/// A ground-truth node: the materialized (array-of-structs) view of one
-/// population row, for callers that want the fields together.
-#[derive(Clone, Debug)]
-pub struct NodeSpec {
-    /// Unique endpoint.
-    pub addr: NetAddr,
-    /// Ground-truth class.
-    pub class: NodeClass,
-    /// Hosting AS.
-    pub asn: u32,
-    /// Whether this node never leaves the network (the paper found 3,034
-    /// such always-on reachable nodes).
-    pub permanent: bool,
-}
-
-impl NodeSpec {
-    /// The outcome of probing this node from outside (Algorithm 2).
-    pub fn probe(&self) -> ProbeOutcome {
-        ProbeOutcome::for_class(self.class)
-    }
-}
-
-/// Parameters for synthetic population generation.
-#[derive(Clone, Debug)]
-pub struct PopulationConfig {
-    /// Reachable nodes online at generation time (paper: ~10,114 in the
-    /// Bitnodes view; 8,270 connectable on average).
-    pub n_reachable: usize,
-    /// Unreachable addresses in existence (paper: ~195K live per snapshot).
-    pub n_unreachable: usize,
-    /// Fraction of unreachable nodes that answer a VER probe (paper:
-    /// 163,496 / 694,696 ≈ 23.5% cumulative; ≈27.7% per snapshot).
-    pub responsive_fraction: f64,
-    /// Fraction of reachable nodes on port 8333 (paper: 95.78%).
-    pub reachable_default_port_fraction: f64,
-    /// Fraction of unreachable nodes on port 8333 (paper: 88.54%).
-    pub unreachable_default_port_fraction: f64,
-    /// Fraction of reachable nodes that never churn (paper: 3,034 of 28,781
-    /// unique ≈ 10.5%; of a ~8.2K snapshot ≈ 37%. We parameterize on the
-    /// snapshot view).
-    pub permanent_fraction: f64,
-}
-
-impl PopulationConfig {
-    /// Full paper-scale population (hundreds of thousands of addresses —
-    /// cheap, since nodes are specs, not running protocol machines).
-    pub fn paper_scale() -> Self {
-        PopulationConfig {
-            n_reachable: 10_114,
-            n_unreachable: 195_000,
-            responsive_fraction: 0.277,
-            reachable_default_port_fraction: 0.9578,
-            unreachable_default_port_fraction: 0.8854,
-            permanent_fraction: 0.37,
-        }
-    }
-
-    /// A 1:10 scale for faster experiments; all fractions unchanged.
-    pub fn small_scale() -> Self {
-        PopulationConfig {
-            n_reachable: 1_000,
-            n_unreachable: 19_500,
-            ..Self::paper_scale()
-        }
-    }
-
-    /// A tiny population for unit tests.
-    pub fn tiny() -> Self {
-        PopulationConfig {
-            n_reachable: 50,
-            n_unreachable: 500,
-            ..Self::paper_scale()
-        }
-    }
-}
-
-/// The generated ground-truth population, struct-of-arrays: node `i`'s
-/// address is [`AddrId`] `i` in the table, its class/ASN/permanence live in
-/// parallel columns. Reachable nodes occupy indices
-/// `0..first_unreachable()`, unreachable nodes the rest.
-#[derive(Clone, Debug)]
-pub struct Population {
-    addrs: AddrTable,
-    classes: Vec<NodeClass>,
-    asns: Vec<u32>,
-    permanent: Vec<bool>,
-    first_unreachable: usize,
-}
-
-impl Population {
-    /// Generates a population per `cfg`, with unique addresses, Table I AS
-    /// assignment, and the configured port/firewall mix.
-    pub fn generate(cfg: &PopulationConfig, rng: &mut SimRng) -> Self {
-        let as_model = AsModel::from_paper();
-        let mut used: std::collections::HashSet<u32> =
-            std::collections::HashSet::with_capacity(cfg.n_reachable + cfg.n_unreachable);
-        let total = cfg.n_reachable + cfg.n_unreachable;
-        let mut addrs = AddrTable::with_capacity(total);
-        let mut classes = Vec::with_capacity(total);
-        let mut asns = Vec::with_capacity(total);
-        let mut permanent = Vec::with_capacity(total);
-        for i in 0..total {
-            let reachable = i < cfg.n_reachable;
-            let class = if reachable {
-                NodeClass::Reachable
-            } else if rng.chance(cfg.responsive_fraction) {
-                NodeClass::UnreachableResponsive
-            } else {
-                NodeClass::UnreachableSilent
-            };
-            let ip = loop {
-                // Public-ish space: avoid 0.x, 10.x, 127.x, 192.168, 224+.
-                let candidate = rng.below(0xdfff_ffff) as u32 + 0x0100_0000;
-                let first = (candidate >> 24) as u8;
-                if first == 10 || first == 127 || first >= 224 {
-                    continue;
-                }
-                if used.insert(candidate) {
-                    break candidate;
-                }
-            };
-            let default_port_frac = if reachable {
-                cfg.reachable_default_port_fraction
-            } else {
-                cfg.unreachable_default_port_fraction
-            };
-            let port = if rng.chance(default_port_frac) {
-                DEFAULT_PORT
-            } else {
-                1024 + rng.below(60_000) as u16
-            };
-            let addr = NetAddr::from_ipv4(Ipv4Addr::from(ip), port);
-            let id = addrs.intern(addr);
-            debug_assert_eq!(id.index(), i, "population rows must be dense");
-            classes.push(class);
-            asns.push(as_model.sample(class, rng));
-            permanent.push(reachable && rng.chance(cfg.permanent_fraction));
-        }
-        Population {
-            addrs,
-            classes,
-            asns,
-            permanent,
-            first_unreachable: cfg.n_reachable,
-        }
-    }
-
-    /// The address interning table (node `i` ⇔ [`AddrId`] `i`).
-    pub fn addr_table(&self) -> &AddrTable {
-        &self.addrs
-    }
-
-    /// Index of the first unreachable node.
-    pub fn first_unreachable(&self) -> usize {
-        self.first_unreachable
-    }
-
-    /// Node `i`'s endpoint.
-    pub fn addr(&self, i: usize) -> NetAddr {
-        self.addrs.addrs[i]
-    }
-
-    /// Node `i`'s ground-truth class.
-    pub fn class(&self, i: usize) -> NodeClass {
-        self.classes[i]
-    }
-
-    /// Node `i`'s hosting AS.
-    pub fn asn(&self, i: usize) -> u32 {
-        self.asns[i]
-    }
-
-    /// Whether node `i` never leaves the network.
-    pub fn is_permanent(&self, i: usize) -> bool {
-        self.permanent[i]
-    }
-
-    /// The outcome of probing node `i` from outside (Algorithm 2).
-    pub fn probe(&self, i: usize) -> ProbeOutcome {
-        ProbeOutcome::for_class(self.classes[i])
-    }
-
-    /// Materializes node `i` as a [`NodeSpec`].
-    pub fn spec(&self, i: usize) -> NodeSpec {
-        NodeSpec {
-            addr: self.addr(i),
-            class: self.classes[i],
-            asn: self.asns[i],
-            permanent: self.permanent[i],
-        }
-    }
-
-    /// Iterates all nodes as materialized specs.
-    pub fn iter(&self) -> impl Iterator<Item = NodeSpec> + '_ {
-        (0..self.len()).map(|i| self.spec(i))
-    }
-
-    /// Iterates reachable nodes as materialized specs.
-    pub fn reachable(&self) -> impl Iterator<Item = NodeSpec> + '_ {
-        (0..self.first_unreachable).map(|i| self.spec(i))
-    }
-
-    /// Iterates unreachable nodes (responsive and silent) as specs.
-    pub fn unreachable(&self) -> impl Iterator<Item = NodeSpec> + '_ {
-        (self.first_unreachable..self.len()).map(|i| self.spec(i))
-    }
-
-    /// Count of reachable nodes.
-    pub fn reachable_len(&self) -> usize {
-        self.first_unreachable
-    }
-
-    /// Count of unreachable nodes.
-    pub fn unreachable_len(&self) -> usize {
-        self.len() - self.first_unreachable
-    }
-
-    /// Looks up a node index by address — O(1) via the interning table.
-    pub fn find(&self, addr: &NetAddr) -> Option<usize> {
-        self.addrs.lookup(addr).map(AddrId::index)
-    }
-
-    /// Count of responsive unreachable nodes.
-    pub fn responsive_count(&self) -> usize {
-        self.classes[self.first_unreachable..]
-            .iter()
-            .filter(|&&c| c == NodeClass::UnreachableResponsive)
-            .count()
-    }
-
-    /// Total node count.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-
-    fn tiny_pop() -> Population {
-        let mut rng = SimRng::seed_from(42);
-        Population::generate(&PopulationConfig::tiny(), &mut rng)
-    }
-
-    #[test]
-    fn counts_match_config() {
-        let p = tiny_pop();
-        assert_eq!(p.reachable_len(), 50);
-        assert_eq!(p.unreachable_len(), 500);
-        assert_eq!(p.len(), 550);
-    }
-
-    #[test]
-    fn addresses_are_unique_and_interned_densely() {
-        let p = tiny_pop();
-        let set: HashSet<NetAddr> = p.iter().map(|n| n.addr).collect();
-        assert_eq!(set.len(), p.len());
-        assert_eq!(p.addr_table().len(), p.len());
-        for i in 0..p.len() {
-            let addr = p.addr(i);
-            assert_eq!(p.addr_table().lookup(&addr).unwrap().index(), i);
-            assert_eq!(p.find(&addr), Some(i));
-        }
-    }
-
-    #[test]
-    fn addr_table_intern_is_stable() {
-        let mut table = AddrTable::new();
-        let a = NetAddr::from_ipv4(Ipv4Addr::new(9, 9, 9, 9), 1234);
-        let b = NetAddr::from_ipv4(Ipv4Addr::new(9, 9, 9, 10), 1234);
-        let ia = table.intern(a);
-        let ib = table.intern(b);
-        assert_ne!(ia, ib);
-        assert_eq!(table.intern(a), ia);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get(ia), a);
-        assert_eq!(table.lookup(&b), Some(ib));
-        let collected: Vec<_> = table.iter().collect();
-        assert_eq!(collected, vec![(ia, a), (ib, b)]);
-    }
-
-    #[test]
-    fn responsive_fraction_approximate() {
-        let mut rng = SimRng::seed_from(7);
-        let cfg = PopulationConfig {
-            n_reachable: 100,
-            n_unreachable: 20_000,
-            ..PopulationConfig::paper_scale()
-        };
-        let p = Population::generate(&cfg, &mut rng);
-        let frac = p.responsive_count() as f64 / p.unreachable_len() as f64;
-        assert!((frac - 0.277).abs() < 0.02, "responsive fraction {frac}");
-    }
-
-    #[test]
-    fn port_distribution_matches_paper() {
-        let mut rng = SimRng::seed_from(8);
-        let cfg = PopulationConfig {
-            n_reachable: 5_000,
-            n_unreachable: 20_000,
-            ..PopulationConfig::paper_scale()
-        };
-        let p = Population::generate(&cfg, &mut rng);
-        let r_frac = p.reachable().filter(|n| n.addr.is_default_port()).count() as f64
-            / p.reachable_len() as f64;
-        let u_frac = p.unreachable().filter(|n| n.addr.is_default_port()).count() as f64
-            / p.unreachable_len() as f64;
-        assert!((r_frac - 0.9578).abs() < 0.02, "reachable 8333 {r_frac}");
-        assert!((u_frac - 0.8854).abs() < 0.02, "unreachable 8333 {u_frac}");
-    }
 
     #[test]
     fn probe_outcomes_follow_class() {
-        let p = tiny_pop();
-        for i in 0..p.len() {
-            let expected = match p.class(i) {
-                NodeClass::Reachable => ProbeOutcome::Accepted,
-                NodeClass::UnreachableResponsive => ProbeOutcome::RefusedFin,
-                NodeClass::UnreachableSilent => ProbeOutcome::Silent,
-            };
-            assert_eq!(p.probe(i), expected);
-            assert_eq!(p.spec(i).probe(), expected);
+        for (class, expected) in [
+            (NodeClass::Reachable, ProbeOutcome::Accepted),
+            (NodeClass::UnreachableResponsive, ProbeOutcome::RefusedFin),
+            (NodeClass::UnreachableSilent, ProbeOutcome::Silent),
+        ] {
+            assert_eq!(ProbeOutcome::for_class(class), expected);
+            assert_eq!(class.is_unreachable(), class != NodeClass::Reachable);
         }
-    }
-
-    #[test]
-    fn only_reachable_nodes_are_permanent() {
-        let p = tiny_pop();
-        for n in p.unreachable() {
-            assert!(!n.permanent);
-        }
-        assert!(p.reachable().any(|n| n.permanent));
-    }
-
-    #[test]
-    fn reserved_space_avoided() {
-        let p = tiny_pop();
-        for n in p.iter() {
-            let v4 = n.addr.as_ipv4().unwrap();
-            let first = v4.octets()[0];
-            assert!(first != 0 && first != 10 && first != 127 && first < 224);
-        }
-    }
-
-    #[test]
-    fn deterministic_generation() {
-        let mut a = SimRng::seed_from(3);
-        let mut b = SimRng::seed_from(3);
-        let pa = Population::generate(&PopulationConfig::tiny(), &mut a);
-        let pb = Population::generate(&PopulationConfig::tiny(), &mut b);
-        assert_eq!(pa.len(), pb.len());
-        for (x, y) in pa.iter().zip(pb.iter()) {
-            assert_eq!(x.addr, y.addr);
-            assert_eq!(x.class, y.class);
-            assert_eq!(x.asn, y.asn);
-        }
-    }
-
-    #[test]
-    fn unreachable_is_24x_reachable_at_paper_scale() {
-        let cfg = PopulationConfig::paper_scale();
-        let ratio = cfg.n_unreachable as f64 / cfg.n_reachable as f64;
-        assert!(ratio > 15.0, "snapshot ratio {ratio}");
     }
 }

@@ -9,9 +9,14 @@
 //! - [`peer`]: per-connection state (`vProcessMsg` / `vSendMessage`).
 //! - [`config`]: Core-0.20 defaults plus the §V refinement knobs.
 //! - [`malicious`]: the ADDR-flooding adversary of §IV-B / Figure 8.
-//! - [`world`]: the substitute for the live network — population, dial
-//!   resolution against ground truth, latency, churn, mining, and the
-//!   instrumentation hooks every experiment reads.
+//! - [`world`]: the substitute for the live network — config, the `World`
+//!   struct and its one event loop, with one private submodule per
+//!   mechanism: `population` (addresses, the per-node record, churn),
+//!   `dial` (dial resolution against ground truth), `delivery` (pump →
+//!   link → deliver, relay log, ADDR census), `chain` (mining, tx
+//!   injection, reorgs, convergence), `faults` (flaps, partitions, the
+//!   resilience sweep) and `sampling` (metric names, sync fractions, the
+//!   sampler row).
 //!
 //! # Examples
 //!

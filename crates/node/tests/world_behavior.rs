@@ -2,9 +2,14 @@
 //! propagation, connection dynamics, ADDR gossip, and churn.
 
 use bitsync_net::churn::ChurnConfig;
+use bitsync_node::config::ResilienceConfig;
 use bitsync_node::world::{World, WorldConfig};
-use bitsync_node::ChurnEvent;
+use bitsync_node::{ChurnEvent, NodeId};
+use bitsync_protocol::hash::Hash256;
+use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::timeseries::Sampler;
+use bitsync_sim::trace::{RelayPhase, Tracer};
 
 fn base_cfg(seed: u64) -> WorldConfig {
     WorldConfig {
@@ -272,45 +277,70 @@ fn partition_severs_and_blocks_cross_traffic() {
 
 #[test]
 fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
-    use bitsync_node::NodeId;
+    // Regression guard for the per-node scheduling flags: a departure can
+    // race a Pump, ConnectTick or ResilienceTick already in the queue. The
+    // handler must clear the flag BEFORE noticing the node is gone —
+    // otherwise it stays latched and the node never pumps, dials or sweeps
+    // again after a rejoin. This pins the asymmetry as correct-by-test.
+    //
+    // Inputs: (mining, resilience sweep, seconds offline). With the sweep
+    // on and no blocks, the stale-tip detector fires exactly once per
+    // boot, so a fresh node's `stale_rescues` reads whether its tick chain
+    // is live. Ticks fire every 30 s from boot: a 10 s gap leaves the old
+    // chain (and its flag) in place across the rejoin, a 45 s gap lets it
+    // die on the empty slot so the reboot has to re-arm it.
+    let sweep = ResilienceConfig {
+        stale_tip_timeout: Some(SimDuration::from_secs(60)),
+        ..ResilienceConfig::off()
+    };
+    for (mining, resilience, offline_secs) in [
+        (true, ResilienceConfig::off(), 30),
+        (false, sweep.clone(), 10),
+        (false, sweep, 45),
+    ] {
+        let label = format!("mining {mining}, offline {offline_secs} s");
+        let mut cfg = base_cfg(14);
+        cfg.block_interval = mining.then(|| SimDuration::from_secs(120));
+        let sweeping = resilience.needs_tick();
+        cfg.node_cfg.resilience = resilience;
+        let mut world = World::new(cfg);
+        world.run_until(SimTime::from_secs(600));
+        let id = NodeId(0);
+        assert!(world.node(id).unwrap().outbound_count() > 0, "{label}");
+        if sweeping {
+            assert_eq!(world.node(id).unwrap().stats.stale_rescues, 1, "{label}");
+        }
 
-    // Regression guard for the Pump/DropConn scheduling handshake: a
-    // churn departure can race a Pump event already in the queue. The
-    // handler must clear `pump_scheduled` BEFORE noticing the node is
-    // gone — otherwise the slot's flag stays latched and the node never
-    // pumps again after a rejoin (same contract for ConnectTick). This
-    // pins the asymmetry as correct-by-test.
-    let mut cfg = base_cfg(14);
-    cfg.block_interval = Some(SimDuration::from_secs(120));
-    let mut world = World::new(cfg);
-    world.run_until(SimTime::from_secs(600));
-    let id = NodeId(0);
-    assert!(world.node(id).unwrap().outbound_count() > 0);
+        // Depart mid-activity (pumps and connect ticks are in flight), stay
+        // down while the stale events fire on the empty slot.
+        world.force_depart(id);
+        world.run_for(SimDuration::from_secs(offline_secs));
+        world.force_rejoin(id);
+        world.run_for(SimDuration::from_secs(300));
 
-    // Depart mid-activity (pumps and connect ticks are in flight), stay
-    // down long enough for the stale events to fire on the empty slot.
-    world.force_depart(id);
-    world.run_for(SimDuration::from_secs(30));
-    world.force_rejoin(id);
-    world.run_for(SimDuration::from_secs(300));
-
-    // A wedged pump chain would leave the node unable to complete any
-    // handshake (VERSION never flushes) or relay anything.
-    let n = world.node(id).unwrap();
-    assert!(
-        n.outbound_count() > 0,
-        "no outbound connections after rejoin: scheduling wedged"
-    );
-    assert!(
-        n.peers.values().any(|p| p.is_ready()),
-        "no completed handshakes after rejoin: pump chain dead"
-    );
+        // A wedged pump chain would leave the node unable to complete any
+        // handshake (VERSION never flushes) or relay anything; a wedged
+        // connect chain would leave it peerless.
+        let n = world.node(id).unwrap();
+        assert!(
+            n.outbound_count() > 0,
+            "{label}: no outbound connections after rejoin: scheduling wedged"
+        );
+        assert!(
+            n.peers.values().any(|p| p.is_ready()),
+            "{label}: no completed handshakes after rejoin: pump chain dead"
+        );
+        if sweeping {
+            assert_eq!(
+                n.stats.stale_rescues, 1,
+                "{label}: resilience sweep dead after rejoin"
+            );
+        }
+    }
 }
 
 #[test]
 fn rejoining_node_restores_its_addrman() {
-    use bitsync_node::NodeId;
-
     let mut world = World::new(base_cfg(13));
     world.run_until(SimTime::from_secs(600));
     let id = NodeId(0);
@@ -322,4 +352,105 @@ fn rejoining_node_restores_its_addrman() {
     let after = world.node(id).unwrap().addrman.len();
     // peers.dat persisted: the table is back, not re-seeded from scratch.
     assert_eq!(after, before, "addrman not restored across restart");
+}
+
+/// Two reachable nodes that never learn of each other: whatever a node's
+/// chain holds, it mined itself.
+fn isolated_pair(seed: u64) -> WorldConfig {
+    WorldConfig {
+        seed,
+        n_reachable: 2,
+        n_unreachable_full: 0,
+        n_phantoms: 0,
+        seed_reachable: 0,
+        seed_phantoms: 0,
+        ..WorldConfig::default()
+    }
+}
+
+#[test]
+fn honest_mine_seeds_the_relay_log_but_a_chain_fault_producer_does_not() {
+    // Characterizes an asymmetry the goldens depend on: a block the
+    // instrumented node mines on the honest `Mine` path starts its relay
+    // clock at creation, one it mints as a fault-plane solo miner does not
+    // (its clock would start at first flush). Every `Mine` event here has
+    // the honest producer extend the tip and the node left behind mint a
+    // sibling, in that order.
+    let mut cfg = isolated_pair(15);
+    cfg.block_interval = Some(SimDuration::from_secs(60));
+    cfg.instrument = Some(0);
+    cfg.fault = FaultConfig {
+        solo_miner_probability: 1.0,
+        ..FaultConfig::off()
+    };
+    let mut world = World::new(cfg);
+    let tracer = Tracer::enabled(1 << 12);
+    world.attach_tracer(tracer.clone());
+    world.run_until(SimTime::from_secs(1800));
+    assert!(world.node(NodeId(0)).unwrap().peers.is_empty());
+
+    let log = tracer.take().unwrap();
+    let origins: Vec<_> = log
+        .relay
+        .iter()
+        .filter(|e| e.phase == RelayPhase::Origin && e.is_block)
+        .collect();
+    let (mut honest_here, mut fault_here) = (0, 0);
+    for pair in origins.chunks(2) {
+        let [honest, fault] = pair else {
+            panic!("a Mine event without its solo sibling: {pair:?}")
+        };
+        assert_eq!(honest.at, fault.at);
+        assert_ne!(honest.to, fault.to);
+        if honest.to == 0 {
+            honest_here += 1;
+            let rec = world.relay_log[&Hash256(honest.object)];
+            assert_eq!(rec.received, honest.at);
+        } else {
+            fault_here += 1;
+            assert!(!world.relay_log.contains_key(&Hash256(fault.object)));
+        }
+    }
+    assert!(
+        honest_here > 0 && fault_here > 0,
+        "{honest_here}/{fault_here}"
+    );
+    assert_eq!(world.relay_log.len(), honest_here);
+}
+
+#[test]
+fn sampler_counts_a_dial_ok_before_the_target_is_rechecked() {
+    // Characterizes the order inside the dial-result handler: the
+    // sampler's `dial_ok` / `dial_fail` split is the outcome decided when
+    // the dial was resolved, counted before the handler notices that the
+    // target went away during the handshake.
+    let mut cfg = isolated_pair(16);
+    cfg.seed_reachable = 2;
+    let mut world = World::new(cfg);
+    let tracer = Tracer::enabled(1 << 12);
+    let sampler = Sampler::enabled(SimDuration::from_secs(60));
+    world.attach_tracer(tracer.clone());
+    world.attach_sampler(&sampler);
+
+    // Step to the first resolved dial, then take its target offline while
+    // the handshake is still in flight.
+    let deadline = SimTime::from_secs(60);
+    let initiator = loop {
+        assert_eq!(world.run_steps(1, deadline), 1, "nobody dialed");
+        if let Some(dial) = tracer.snapshot().unwrap().dial.iter().next() {
+            assert!(dial.ok);
+            break NodeId(dial.initiator);
+        }
+    };
+    let target = NodeId(1 - initiator.0);
+    world.force_depart(target);
+    world.run_until(deadline);
+
+    let rows = sampler.take().unwrap().rows;
+    assert_eq!(rows[0].value("w_dial_ok"), Some(1.0));
+    let n = world.node(initiator).unwrap();
+    assert!(n.peers.is_empty(), "the dead target was connected anyway");
+    assert_eq!(n.stats.successes, 0);
+    let ok_dials = tracer.take().unwrap().dial.iter().filter(|d| d.ok).count();
+    assert_eq!(ok_dials, 1);
 }

@@ -1,5 +1,5 @@
 //! The discrete-event core: a time-ordered event queue with deterministic
-//! tie-breaking and lazy cancellation.
+//! tie-breaking.
 //!
 //! Components schedule events (`E` is the caller's event type) at absolute
 //! instants; the driver pops them in `(time, sequence)` order. Two events at
@@ -18,20 +18,15 @@
 //!   workloads the simulator generates, which is what makes full paper-scale
 //!   populations practical on one core.
 //! - [`Backend::Heap`]: the original `BinaryHeap` implementation, kept as a
-//!   differential-test oracle and selectable at build time with the
-//!   `heap-queue` cargo feature.
+//!   differential-test oracle.
 //!
 //! Both backends produce byte-identical experiment output; the differential
 //! tests in `tests/` hold them to that.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-
-/// Opaque handle to a scheduled event, usable with [`EventQueue::cancel`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 struct Scheduled<E> {
     at: SimTime,
@@ -75,9 +70,8 @@ pub enum Backend {
     Heap,
 }
 
-/// 0 = wheel, 1 = heap. The `heap-queue` feature flips the compiled-in
-/// default so the whole workspace can be exercised against the oracle.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(if cfg!(feature = "heap-queue") { 1 } else { 0 });
+/// 0 = wheel, 1 = heap.
+static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
 
 /// The backend new queues are created with (see [`set_default_backend`]).
 pub fn default_backend() -> Backend {
@@ -380,7 +374,6 @@ impl<E> Core<E> {
 pub struct EventQueue<E> {
     core: Core<E>,
     backend: Backend,
-    cancelled: HashSet<u64>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -407,7 +400,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             core,
             backend,
-            cancelled: HashSet::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -430,7 +422,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of events still pending (including lazily cancelled ones).
+    /// Number of events still pending.
     pub fn len(&self) -> usize {
         self.core.len()
     }
@@ -445,7 +437,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (before [`EventQueue::now`]).
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at}, now={}",
@@ -454,67 +446,36 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.core.push(Scheduled { at, seq, event });
-        EventId(seq)
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let at = self.now.saturating_add(delay);
-        self.schedule(at, event)
-    }
-
-    /// Cancels a scheduled event. Cancellation is lazy: the entry stays in
-    /// the queue but is skipped when popped. Cancelling an already-fired or
-    /// unknown id is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
+        self.schedule(at, event);
     }
 
     /// Pops the earliest pending event, advancing [`EventQueue::now`] to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.core.pop_min() {
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            debug_assert!(s.at >= self.now, "event queue time went backwards");
-            self.now = s.at;
-            self.popped += 1;
-            return Some((s.at, s.event));
-        }
-        None
+        let s = self.core.pop_min()?;
+        debug_assert!(s.at >= self.now, "event queue time went backwards");
+        self.now = s.at;
+        self.popped += 1;
+        Some((s.at, s.event))
     }
 
     /// Pops the earliest event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let (at, _) = self.core.peek_min()?;
-            if at > deadline {
-                return None;
-            }
-            let s = self.core.pop_min().expect("peeked entry vanished");
-            if self.cancelled.remove(&s.seq) {
-                continue;
-            }
-            self.now = s.at;
-            self.popped += 1;
-            return Some((s.at, s.event));
+        let (at, _) = self.core.peek_min()?;
+        if at > deadline {
+            return None;
         }
+        self.pop()
     }
 
-    /// Timestamp of the next pending (non-cancelled) event, if any.
-    ///
-    /// This compacts lazily-cancelled entries at the head of the queue.
+    /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some((at, seq)) = self.core.peek_min() {
-            if self.cancelled.contains(&seq) {
-                self.core.pop_min();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(at);
-        }
-        None
+        self.core.peek_min().map(|(at, _)| at)
     }
 
     /// Advances the clock to `at` without popping an event.
@@ -593,25 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_secs(1), "cancelled");
-        q.schedule(SimTime::from_secs(2), "kept");
-        q.cancel(id);
-        assert_eq!(q.pop().unwrap().1, "kept");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let id = q.schedule(SimTime::from_secs(1), ());
-        q.pop();
-        q.cancel(id); // already fired
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn pop_until_respects_deadline() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), 1);
@@ -639,15 +581,6 @@ mod tests {
         q.schedule_after(SimDuration::from_secs(5), 1);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(15));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        q.cancel(id);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
     }
 
     #[test]
@@ -731,14 +664,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_with_interleaved_pops_and_cancels() {
+    fn backends_agree_with_interleaved_pops() {
         assert_backends_agree(|q| {
-            let mut ids = Vec::new();
             for i in 0..50u64 {
-                ids.push(q.schedule(SimTime::from_nanos(i * 37 % 1000), i));
-            }
-            for id in ids.iter().step_by(3) {
-                q.cancel(*id);
+                q.schedule(SimTime::from_nanos(i * 37 % 1000), i);
             }
             // Interleave: pop a few, then schedule relative to the new now.
             for i in 0..10u64 {

@@ -8,7 +8,7 @@
 //! - [`time`]: integer-nanosecond [`time::SimTime`] / [`time::SimDuration`]
 //!   (no floating-point clock drift, total ordering for the event queue).
 //! - [`event`]: a time-ordered [`event::EventQueue`] with deterministic
-//!   tie-breaking (same instant ⇒ scheduling order) and lazy cancellation.
+//!   tie-breaking (same instant ⇒ scheduling order).
 //! - [`rng`]: seeded [`rng::SimRng`] with the distribution helpers the
 //!   network model needs (exponential, Poisson, Zipf, weighted choice),
 //!   forkable per component so streams stay decoupled.
@@ -47,7 +47,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use event::{run, EventId, EventQueue, Step};
+pub use event::{run, EventQueue, Step};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 
@@ -103,23 +103,6 @@ mod proptests {
             let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             seen.sort_unstable();
             prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
-        }
-
-        /// Cancelling a subset removes exactly that subset.
-        #[test]
-        fn cancellation_is_exact(n in 1usize..100, cancel_mask in any::<u64>()) {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from_nanos(i as u64), i)).collect();
-            let mut expected: Vec<usize> = Vec::new();
-            for (i, id) in ids.iter().enumerate() {
-                if cancel_mask >> (i % 64) & 1 == 1 {
-                    q.cancel(*id);
-                } else {
-                    expected.push(i);
-                }
-            }
-            let seen: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            prop_assert_eq!(seen, expected);
         }
     }
 }
