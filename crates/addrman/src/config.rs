@@ -2,7 +2,9 @@
 //!
 //! Defaults mirror Bitcoin Core 0.20 (`addrman.h`). The fields marked
 //! *§V refinement* expose the changes the paper proposes to improve network
-//! synchronization; the ablation benchmarks toggle them.
+//! synchronization; the ablation benchmarks toggle them. `addrman.h`
+//! parameters that nothing varies are constants next to the code that
+//! reads them ([`crate::MAX_RETRIES_NEW`], [`crate::GETADDR_MAX`], …).
 
 /// Parameters of the address manager.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,20 +21,9 @@ pub struct AddrManConfig {
     /// *§V refinement*: the paper measures a mean node lifetime of 16.6 days
     /// and proposes reducing this to 17.
     pub horizon_days: i64,
-    /// Failed attempts tolerated for a never-successful address
-    /// (`ADDRMAN_RETRIES`; Core: 3).
-    pub max_retries_new: u32,
-    /// Failed attempts tolerated in `max_failure_days` for a previously
-    /// successful address (`ADDRMAN_MAX_FAILURES`; Core: 10).
-    pub max_failures: u32,
-    /// Window for `max_failures` (`ADDRMAN_MIN_FAIL_DAYS`; Core: 7).
-    pub max_failure_days: i64,
     /// Fraction of table size returned by `GETADDR`
     /// (`ADDRMAN_GETADDR_MAX_PCT`; Core: 23).
     pub getaddr_max_pct: u32,
-    /// Absolute cap on `GETADDR` responses (Core: 1000, the `ADDR` message
-    /// limit the paper describes in §III-A).
-    pub getaddr_max: usize,
     /// *§V refinement (a)*: serve `GETADDR` only from the `tried` table, so
     /// ADDR messages carry only addresses that were actually reachable.
     pub getaddr_from_tried_only: bool,
@@ -46,11 +37,7 @@ impl AddrManConfig {
             tried_bucket_count: 256,
             bucket_size: 64,
             horizon_days: 30,
-            max_retries_new: 3,
-            max_failures: 10,
-            max_failure_days: 7,
             getaddr_max_pct: 23,
-            getaddr_max: 1000,
             getaddr_from_tried_only: false,
         }
     }
@@ -92,11 +79,11 @@ mod tests {
         assert_eq!(c.tried_bucket_count, 256);
         assert_eq!(c.bucket_size, 64);
         assert_eq!(c.horizon_days, 30);
-        assert_eq!(c.max_retries_new, 3);
-        assert_eq!(c.max_failures, 10);
-        assert_eq!(c.max_failure_days, 7);
+        assert_eq!(crate::MAX_RETRIES_NEW, 3);
+        assert_eq!(crate::MAX_FAILURES, 10);
+        assert_eq!(crate::MAX_FAILURE_DAYS, 7);
         assert_eq!(c.getaddr_max_pct, 23);
-        assert_eq!(c.getaddr_max, 1000);
+        assert_eq!(crate::GETADDR_MAX, 1000);
         assert!(!c.getaddr_from_tried_only);
     }
 
@@ -107,6 +94,6 @@ mod tests {
         assert_eq!(prop.horizon_days, 17);
         assert!(prop.getaddr_from_tried_only);
         assert_eq!(prop.new_bucket_count, core.new_bucket_count);
-        assert_eq!(prop.getaddr_max, core.getaddr_max);
+        assert_eq!(prop.getaddr_max_pct, core.getaddr_max_pct);
     }
 }

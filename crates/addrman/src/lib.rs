@@ -50,6 +50,22 @@ use bitsync_sim::rng::SimRng;
 use std::collections::HashMap;
 
 const SECS_PER_DAY: i64 = 86_400;
+
+/// Failed attempts tolerated for a never-successful address
+/// (`ADDRMAN_RETRIES`: 3).
+pub const MAX_RETRIES_NEW: u32 = 3;
+
+/// Failed attempts tolerated within [`MAX_FAILURE_DAYS`] for a previously
+/// successful address (`ADDRMAN_MAX_FAILURES`: 10).
+pub const MAX_FAILURES: u32 = 10;
+
+/// Window for [`MAX_FAILURES`] (`ADDRMAN_MIN_FAIL_DAYS`: 7).
+pub const MAX_FAILURE_DAYS: i64 = 7;
+
+/// Absolute cap on a `GETADDR` response (Core's `MAX_ADDR_TO_SEND`: 1000,
+/// the `ADDR` message limit the paper describes in §III-A).
+pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
+
 /// Vacant bucket-slot sentinel.
 const EMPTY_SLOT: u32 = u32::MAX;
 
@@ -94,11 +110,11 @@ impl AddrInfo {
         if self.time == 0 || now - self.time > cfg.horizon_days * SECS_PER_DAY {
             return true; // not seen within the horizon
         }
-        if self.last_success == 0 && self.attempts >= cfg.max_retries_new {
+        if self.last_success == 0 && self.attempts >= MAX_RETRIES_NEW {
             return true; // never connected despite retries
         }
-        if now - self.last_success > cfg.max_failure_days * SECS_PER_DAY
-            && self.attempts >= cfg.max_failures
+        if now - self.last_success > MAX_FAILURE_DAYS * SECS_PER_DAY
+            && self.attempts >= MAX_FAILURES
         {
             return true; // too many recent failures
         }
@@ -429,7 +445,7 @@ impl AddrMan {
     }
 
     /// Builds a `GETADDR` response (Core's `GetAddr`): a random sample of
-    /// `getaddr_max_pct`% of the table (capped at `getaddr_max`), skipping
+    /// `getaddr_max_pct`% of the table (capped at [`GETADDR_MAX`]), skipping
     /// terrible addresses. With the §V refinement enabled, only `tried`
     /// addresses are eligible.
     pub fn get_addr(&self, rng: &mut SimRng, now: i64) -> Vec<TimestampedAddr> {
@@ -441,8 +457,7 @@ impl AddrMan {
         } else {
             self.infos.iter().flatten().collect()
         };
-        let want =
-            ((eligible.len() * self.cfg.getaddr_max_pct as usize) / 100).min(self.cfg.getaddr_max);
+        let want = ((eligible.len() * self.cfg.getaddr_max_pct as usize) / 100).min(GETADDR_MAX);
         let picks = if eligible.is_empty() {
             Vec::new()
         } else {

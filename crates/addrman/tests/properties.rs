@@ -199,7 +199,7 @@ proptest! {
         }
         let mut rng = SimRng::seed_from(seed);
         let resp = am.get_addr(&mut rng, NOW);
-        prop_assert!(resp.len() <= cfg.getaddr_max);
+        prop_assert!(resp.len() <= bitsync_addrman::GETADDR_MAX);
         let eligible = if cfg.getaddr_from_tried_only {
             am.tried_count()
         } else {

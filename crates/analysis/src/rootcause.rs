@@ -76,19 +76,6 @@ impl RootCauseReport {
             Some(self.drop_by_cause[cause] / self.total_drop)
         }
     }
-
-    /// The per-interval sync series, for sparklines.
-    pub fn sync_series(&self) -> Vec<f64> {
-        self.intervals.iter().map(|iv| iv.sync).collect()
-    }
-
-    /// The per-interval pressure series of one cause, for sparklines.
-    pub fn pressure_series(&self, cause: usize) -> Vec<f64> {
-        self.intervals
-            .iter()
-            .map(|iv| iv.pressures[cause])
-            .collect()
-    }
 }
 
 impl ToJson for Interval {

@@ -31,7 +31,9 @@ fn record_artifact(_c: &mut Criterion) {
         sample_interval: None,
     });
     let started = Instant::now();
-    let reports = runner.run_all();
+    let reports = runner
+        .run(&["all".to_string()])
+        .expect("`all` is a valid target");
     let wall_secs = started.elapsed().as_secs_f64();
 
     let mut experiments = Value::object();

@@ -5,12 +5,11 @@
 //! repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N]
 //!       [--json DIR] [--metrics] [--trace DIR] [--trace-cap N]
 //!       [--timeseries DIR] [--sample-interval S]
-//!       [--profile PATH] [--only NAME[,NAME...]] <target>...
+//!       [--profile PATH] <target>...
 //!
 //! targets: all, or any experiment name from `repro --list`
 //!   (rounds, fig6, fig7, relay, census, fig1, resync, partition, ablation,
-//!   resilience, forkstress);
-//!   `--only census,relay` is equivalent to listing those targets
+//!   resilience, forkstress)
 //! ```
 //!
 //! Experiments run independently — `--threads 4` distributes them over
@@ -53,9 +52,8 @@
 use bitsync_core::experiments::fuzz::{self, FuzzConfig};
 use bitsync_core::experiments::{experiment_seed, ExperimentRunner, RunnerConfig, Scale, REGISTRY};
 use bitsync_core::profile::Profile;
-use bitsync_json::Value;
 use bitsync_node::world::Fault;
-use bitsync_sim::metrics::{peak_rss_bytes, Histogram, Throughput};
+use bitsync_sim::metrics::{peak_rss_bytes, Throughput};
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::trace::DEFAULT_TRACE_CAP;
 
@@ -67,33 +65,6 @@ fn list() {
     for exp in REGISTRY {
         println!("  {:<10} {}", exp.name, exp.paper_targets.join("; "));
     }
-}
-
-/// Rebuilds a [`Histogram`] from its report-JSON serialization and formats
-/// interpolated quantiles; `None` when the entry isn't a histogram object.
-fn quantile_line(json: &Value) -> Option<String> {
-    let bounds: Vec<f64> = json
-        .get("bounds")?
-        .as_array()?
-        .iter()
-        .filter_map(Value::as_f64)
-        .collect();
-    let counts: Vec<u64> = json
-        .get("counts")?
-        .as_array()?
-        .iter()
-        .filter_map(Value::as_u64)
-        .collect();
-    let sum = json.get("sum")?.as_f64()?;
-    let min = json.get("min").and_then(Value::as_f64);
-    let max = json.get("max").and_then(Value::as_f64);
-    let h = Histogram::from_parts(bounds, counts, sum, min, max)?;
-    Some(format!(
-        "p50={} p90={} p99={}",
-        fmt_q(h.quantile(0.5)),
-        fmt_q(h.quantile(0.9)),
-        fmt_q(h.quantile(0.99)),
-    ))
 }
 
 fn fmt_q(q: Option<f64>) -> String {
@@ -174,8 +145,8 @@ fn fuzz_main(args: &[String]) -> ! {
             }
         };
         println!(
-            "replayed {path}: {} events, {} invariant checks",
-            verdict.events_processed, verdict.checks
+            "replayed {path} (seed {}): {} events, {} invariant checks",
+            verdict.scenario.seed, verdict.events_processed, verdict.checks
         );
         if verdict.passed() {
             println!("PASS: scenario satisfies every invariant");
@@ -364,18 +335,6 @@ fn main() {
                         usage(&format!("--scale must be one of: {}", names.join(", ")))
                     });
             }
-            "--only" => {
-                i += 1;
-                let names = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--only needs a comma-separated experiment list"));
-                targets.extend(
-                    names
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string),
-                );
-            }
             t if t.starts_with("--") => usage(&format!("unknown flag '{t}'")),
             t => targets.push(t.to_string()),
         }
@@ -417,12 +376,14 @@ fn main() {
             if let Some(metrics) = report.json.get("metrics") {
                 println!("metrics [{}]:", report.name);
                 println!("{}", metrics.to_string_pretty());
-                if let Some(Value::Object(hists)) = metrics.get("histograms") {
-                    for (name, h) in hists {
-                        if let Some(line) = quantile_line(h) {
-                            println!("quantiles [{}] {name}: {line}", report.name);
-                        }
-                    }
+                for (name, h) in &report.histograms {
+                    println!(
+                        "quantiles [{}] {name}: p50={} p90={} p99={}",
+                        report.name,
+                        fmt_q(h.quantile(0.5)),
+                        fmt_q(h.quantile(0.9)),
+                        fmt_q(h.quantile(0.99)),
+                    );
                 }
             }
         }
@@ -525,7 +486,6 @@ fn usage(err: &str) -> ! {
         "usage: repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N] \
          [--json DIR] [--metrics] [--trace DIR] [--trace-cap N] \
          [--timeseries DIR] [--sample-interval S] [--profile PATH] \
-         [--only NAME[,NAME...]] \
          <all|fig1|census|fig6|fig7|relay|resync|rounds|ablation|partition|resilience|forkstress>...\n\
    or: repro fuzz [--seed N] [--runs K] [--max-steps M] [--out PATH] \
          [--fault NAME] [--replay FILE]"

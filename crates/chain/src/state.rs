@@ -133,11 +133,6 @@ impl ChainState {
         self.tip
     }
 
-    /// The best tip header.
-    pub fn tip_header(&self) -> BlockHeader {
-        self.entries[&self.tip].header
-    }
-
     /// Height of the best tip (genesis is 0).
     pub fn height(&self) -> u64 {
         self.entries[&self.tip].height
@@ -320,16 +315,6 @@ impl ChainState {
     /// "synchronized" predicate used throughout the paper.
     pub fn is_synced_to(&self, other_height: u64) -> bool {
         self.height() >= other_height
-    }
-
-    /// Number of known headers (including genesis).
-    pub fn header_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of stored full blocks (including genesis).
-    pub fn body_count(&self) -> usize {
-        self.bodies.len()
     }
 }
 

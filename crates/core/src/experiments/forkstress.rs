@@ -2,7 +2,7 @@
 //!
 //! Where [`resilience`](super::resilience) stresses the network layer
 //! (drops, delays, floods), this sweep stresses the *chain* layer with the
-//! reorg-storm preset ([`Fault::reorg_storm_config`]): competing miners
+//! reorg-storm preset (the plane of [`Fault::ReorgStorms`]): competing miners
 //! producing sibling blocks, stale solo producers extending private
 //! chains, and partition-then-heal schedules timed to force reorg storms
 //! when the halves reunite. Per `(intensity, resilience)` cell it measures
@@ -57,7 +57,7 @@ impl ForkStressConfig {
             n_reachable: 60,
             n_unreachable_full: 12,
             n_phantoms: 800,
-            base_fault: Fault::reorg_storm_config(),
+            base_fault: Fault::ReorgStorms.plane_config(),
             intensities: vec![0.0, 0.5, 1.0],
             warmup: SimDuration::from_mins(30),
             duration: SimDuration::from_hours(4),

@@ -133,30 +133,29 @@ impl Scenario {
     ///
     /// The accepted grammar is exactly what [`Scenario::to_json`] emits: a
     /// flat object of numeric members (`bitsync_json` has a printer but no
-    /// parser, so this minimal one lives with its only consumer).
+    /// parser, so this minimal one lives with its only consumer). Integer
+    /// members are parsed from their text, never through `f64`: a world
+    /// seed uses all 64 bits.
     pub fn from_json_str(text: &str) -> Result<Scenario, String> {
         let fields = parse_flat_object(text)?;
+        let find = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let need = |key: &str| find(key).ok_or_else(|| format!("missing field '{key}'"));
         let get = |key: &str| -> Result<f64, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("missing field '{key}'"))
+            let v = need(key)?;
+            Ok(v.parse().expect("parse_flat_object keeps only numbers"))
         };
         let get_u64 = |key: &str| -> Result<u64, String> {
-            let v = get(key)?;
-            if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
-                return Err(format!("field '{key}' must be a non-negative integer"));
-            }
-            Ok(v as u64)
+            let v = need(key)?;
+            v.parse()
+                .map_err(|_| format!("field '{key}' must be a non-negative integer, got {v}"))
         };
-        let fault = match fields.iter().find(|(k, _)| k == "fault") {
-            Some((_, v)) if *v == 0.0 => None,
-            Some((_, v)) => match Fault::from_code(*v as u64) {
-                Some(f) if *v == f.code() as f64 => Some(f),
-                _ => return Err(format!("unknown fault code {v}")),
-            },
+        let fault = match find("fault") {
             None => None,
+            Some(v) if v == "0" => None,
+            Some(v) => {
+                let fault = v.parse().ok().and_then(Fault::from_code);
+                Some(fault.ok_or_else(|| format!("unknown fault code {v}"))?)
+            }
         };
         Ok(Scenario {
             seed: get_u64("seed")?,
@@ -187,9 +186,6 @@ impl Scenario {
     /// consistency checks stay affordable, and small tables reach the
     /// collision/eviction paths that big ones never touch in a bounded run.
     pub fn world_config(&self, backend: Backend) -> WorldConfig {
-        // The ban-reorg-peers bug is a node misconfiguration that needs
-        // forks to misfire on, so it runs under the reorg-storm plane.
-        let ban_on_reorg = self.fault == Some(Fault::BanReorgPeers);
         let node_cfg = NodeConfig {
             addrman: AddrManConfig {
                 new_bucket_count: 32,
@@ -198,7 +194,7 @@ impl Scenario {
                 ..AddrManConfig::bitcoin_core()
             },
             resilience: ResilienceConfig {
-                ban_on_reorg,
+                ban_on_reorg: self.fault == Some(Fault::BanReorgPeers),
                 ..ResilienceConfig::off()
             },
             ..NodeConfig::bitcoin_core()
@@ -228,21 +224,19 @@ impl Scenario {
                 .then(|| SimDuration::from_secs(self.connection_mean_secs)),
             instrument: Some(0),
             backend: Some(backend),
-            fault: if ban_on_reorg {
-                Fault::reorg_storm_config()
-            } else {
-                self.fault.and_then(Fault::plane_config).unwrap_or_default()
-            },
+            fault: self.fault.map(Fault::plane_config).unwrap_or_default(),
             ..WorldConfig::default()
         }
     }
 }
 
-/// Parses a flat JSON object of numeric members into `(key, value)` pairs
-/// in document order. Rejects nesting, strings, booleans, and duplicates.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, f64)>, String> {
+/// Parses a flat JSON object of numeric members into `(key, number text)`
+/// pairs in document order; every value is checked to be a number but kept
+/// as written, so the caller chooses its type. Rejects nesting, strings,
+/// booleans, and duplicates.
+fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
     let mut chars = text.chars().peekable();
-    let mut fields: Vec<(String, f64)> = Vec::new();
+    let mut fields: Vec<(String, String)> = Vec::new();
     let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
         while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
             chars.next();
@@ -284,13 +278,13 @@ fn parse_flat_object(text: &str) -> Result<Vec<(String, f64)>, String> {
         {
             num.push(chars.next().expect("peeked"));
         }
-        let value: f64 = num
-            .parse()
-            .map_err(|_| format!("invalid number '{num}' for key '{key}'"))?;
+        if num.parse::<f64>().is_err() {
+            return Err(format!("invalid number '{num}' for key '{key}'"));
+        }
         if fields.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate key '{key}'"));
         }
-        fields.push((key, value));
+        fields.push((key, num));
         skip_ws(&mut chars);
         match chars.next() {
             Some(',') => continue,
@@ -811,6 +805,18 @@ mod tests {
         assert_eq!(parsed, s);
     }
 
+    /// Sampled seeds use all 64 bits; a parser that goes through `f64`
+    /// rounds nearly every one of them to a different world.
+    #[test]
+    fn generated_scenarios_round_trip() {
+        for s in [1, 2, 3, 42, u64::MAX] {
+            let scenario = ScenarioGen::new(s).sample(20_000);
+            let text = scenario.to_json().to_string_pretty();
+            let parsed = Scenario::from_json_str(&text).expect("round trip");
+            assert_eq!(parsed, scenario, "generator seed {s}");
+        }
+    }
+
     #[test]
     fn every_fault_code_round_trips() {
         for f in Fault::ALL {
@@ -846,7 +852,17 @@ mod tests {
         assert!(parse_flat_object("{\"a\": {\"b\": 1}}").is_err());
         assert!(parse_flat_object("{\"a\": 1} trailing").is_err());
         let ok = parse_flat_object("{ \"a\": 1.5 ,\n \"b\": -2e3 }").expect("parses");
-        assert_eq!(ok, vec![("a".into(), 1.5), ("b".into(), -2e3)]);
+        assert_eq!(
+            ok,
+            [("a".into(), "1.5".into()), ("b".into(), "-2e3".into())]
+        );
+        // Integer members stay integers: no fraction, exponent or sign.
+        let text = tiny().to_json().to_string_pretty();
+        for bad in ["7.0", "7e0", "-7", "18446744073709551616"] {
+            let edited = text.replacen("\"seed\": 7", &format!("\"seed\": {bad}"), 1);
+            assert_ne!(edited, text);
+            assert!(Scenario::from_json_str(&edited).is_err(), "seed {bad}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use super::registry::{experiment_names, experiment_seed, Scale, REGISTRY};
 use crate::profile::PhaseSpan;
 use bitsync_json::Value;
+use bitsync_sim::metrics::Histogram;
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::timeseries::{Sampler, TimeseriesLog};
 use bitsync_sim::trace::{TraceLog, Tracer};
@@ -66,6 +67,9 @@ pub struct ExperimentReport {
     /// The full JSON envelope: experiment, paper_targets, scale, seed,
     /// result, metrics.
     pub json: Value,
+    /// The typed histograms behind the envelope's `metrics.histograms`
+    /// section, in the same (name) order.
+    pub histograms: Vec<(String, Histogram)>,
     /// Paper-style text report.
     pub rendered: String,
     /// The drained trace log when [`RunnerConfig::trace_cap`] was set.
@@ -118,11 +122,6 @@ impl ExperimentRunner {
             }
         }
         Ok(indices)
-    }
-
-    /// Runs every registered experiment.
-    pub fn run_all(&self) -> Vec<ExperimentReport> {
-        self.run_indices(&(0..REGISTRY.len()).collect::<Vec<_>>())
     }
 
     /// Runs the given targets (see [`ExperimentRunner::resolve`]).
@@ -208,6 +207,7 @@ impl ExperimentRunner {
             paper_targets: exp.paper_targets,
             seed,
             json,
+            histograms: ins.metrics.histograms(),
             rendered,
             trace: ins.tracer.take(),
             timeseries: ins.sampler.take(),

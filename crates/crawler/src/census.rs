@@ -19,12 +19,10 @@
 //! - ADDR-flooding malicious nodes with fabricated pools (Figure 8).
 
 use bitsync_net::as_model::AsModel;
-use bitsync_net::population::NodeClass;
-use bitsync_protocol::addr::{NetAddr, DEFAULT_PORT};
+use bitsync_net::population::{fresh_addr, NodeClass};
+use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
-use bitsync_sim::time::SimDuration;
 use std::collections::HashSet;
-use std::net::Ipv4Addr;
 
 /// Seconds in a simulated day.
 pub const DAY_SECS: f64 = 86_400.0;
@@ -233,29 +231,6 @@ pub struct CensusNetwork {
     /// Set of all reachable endpoints ever (ground truth for classifying
     /// ADDR entries).
     pub reachable_addrs: HashSet<NetAddr>,
-}
-
-fn fresh_ip(used: &mut HashSet<u32>, rng: &mut SimRng) -> Ipv4Addr {
-    loop {
-        let candidate = rng.below(0xdfff_ffff) as u32 + 0x0100_0000;
-        let first = (candidate >> 24) as u8;
-        if first == 10 || first == 127 || first >= 224 {
-            continue;
-        }
-        if used.insert(candidate) {
-            return Ipv4Addr::from(candidate);
-        }
-    }
-}
-
-fn fresh_addr(used: &mut HashSet<u32>, default_port_frac: f64, rng: &mut SimRng) -> NetAddr {
-    let ip = fresh_ip(used, rng);
-    let port = if rng.chance(default_port_frac) {
-        DEFAULT_PORT
-    } else {
-        1024 + rng.below(60_000) as u16
-    };
-    NetAddr::from_ipv4(ip, port)
 }
 
 impl CensusNetwork {
@@ -540,12 +515,6 @@ impl CensusNetwork {
             }
         }
         bitsync_net::ProbeOutcome::Silent
-    }
-
-    /// Simulated wall-clock duration of one full crawl experiment (used
-    /// only for reporting; the census itself is day-indexed).
-    pub fn crawl_duration(&self) -> SimDuration {
-        SimDuration::from_hours(8)
     }
 }
 

@@ -1,7 +1,17 @@
-//! Node behaviour configuration.
+//! Node behaviour configuration: what can differ between two simulated
+//! nodes. Bitcoin Core's fixed parameters are `pub const`s next to the
+//! mechanism that reads them ([`crate::node`], [`crate::world`]); the two
+//! read from more than one module live here.
 
 use bitsync_addrman::AddrManConfig;
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
+
+/// Maximum full outbound connections (Core's `MAX_OUTBOUND_FULL_RELAY_CONNECTIONS`: 8).
+pub const MAX_OUTBOUND: usize = 8;
+
+/// World-side sweep interval of the handshake-timeout / stale-tip checks
+/// (stands in for Core's `CheckForStaleTipAndEvictPeers` scheduler tick).
+pub const RESILIENCE_TICK_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// How transactions are announced to peers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,28 +60,13 @@ impl RelayPolicy {
 /// Everything defaults to [`ResilienceConfig::off`] so existing worlds
 /// (and their golden snapshots) are untouched; the `resilience`
 /// experiment flips the switches via [`ResilienceConfig::bitcoin_core`].
-/// Thresholds stay populated even when a mechanism is off, so the pure
-/// helpers (e.g. [`backoff_delay`]) are always well-defined.
+/// The backoff schedule stays populated even when the mechanism is off,
+/// so [`backoff_delay`] is always well-defined.
 #[derive(Clone, Debug)]
 pub struct ResilienceConfig {
     /// Score protocol misbehavior (oversized/over-budget ADDR) and ban
-    /// peers crossing [`ResilienceConfig::ban_threshold`].
+    /// peers crossing [`crate::node::BAN_THRESHOLD`].
     pub misbehavior: bool,
-    /// Score at which a peer is disconnected and its address discouraged
-    /// (Core: 100).
-    pub ban_threshold: u32,
-    /// How long a discouraged address is neither dialed nor accepted
-    /// (Core: 24 h).
-    pub discouragement_window: SimDuration,
-    /// Penalty for an ADDR message over the 1000-entry protocol cap.
-    /// Core scores oversized messages as instant discouragement.
-    pub oversize_addr_penalty: u32,
-    /// Per-connection budget of total ADDR entries accepted before
-    /// further messages start scoring (a coarse stand-in for Core 0.21's
-    /// addr rate limiter).
-    pub addr_entry_budget: u64,
-    /// Penalty per ADDR message received past the entry budget.
-    pub addr_flood_penalty: u32,
     /// Apply exponential per-address backoff to failed dials.
     pub dial_backoff: bool,
     /// Backoff base after a fast refusal (RST): the host is up, retry
@@ -89,8 +84,6 @@ pub struct ResilienceConfig {
     /// With no tip advance for this long, open one extra outbound
     /// connection (Core: 30 min), or `None` to disable.
     pub stale_tip_timeout: Option<SimDuration>,
-    /// World-side sweep interval for the timeout/stale-tip checks.
-    pub tick_interval: SimDuration,
     /// Misconfiguration, never part of a sane preset: treat any peer that
     /// announces a competing fork (a block whose parent is off our active
     /// chain) as a hostile miner and discourage it outright. After a
@@ -105,18 +98,12 @@ impl ResilienceConfig {
     pub fn off() -> Self {
         ResilienceConfig {
             misbehavior: false,
-            ban_threshold: 100,
-            discouragement_window: SimDuration::from_hours(24),
-            oversize_addr_penalty: 100,
-            addr_entry_budget: 5_000,
-            addr_flood_penalty: 25,
             dial_backoff: false,
             backoff_base_refused: SimDuration::from_secs(10),
             backoff_base_timeout: SimDuration::from_secs(60),
             backoff_cap: SimDuration::from_hours(1),
             handshake_timeout: None,
             stale_tip_timeout: None,
-            tick_interval: SimDuration::from_secs(30),
             ban_on_reorg: false,
         }
     }
@@ -136,11 +123,6 @@ impl ResilienceConfig {
     /// sweep (handshake timeouts, stale-tip detection).
     pub fn needs_tick(&self) -> bool {
         self.handshake_timeout.is_some() || self.stale_tip_timeout.is_some()
-    }
-
-    /// True when a discouragement recorded at `since` still covers `now`.
-    pub fn discouraged_at(&self, since: SimTime, now: SimTime) -> bool {
-        now.saturating_since(since) < self.discouragement_window
     }
 }
 
@@ -171,18 +153,6 @@ pub fn backoff_delay(cfg: &ResilienceConfig, refused: bool, failures: u32) -> Si
 /// Full configuration of a simulated node.
 #[derive(Clone, Debug)]
 pub struct NodeConfig {
-    /// Maximum full outbound connections (Core: 8).
-    pub max_outbound: usize,
-    /// Maximum inbound connections (Core: 117).
-    pub max_inbound: usize,
-    /// Interval between feeler-connection attempts (Core: one every 2 min).
-    pub feeler_interval: SimDuration,
-    /// Message-pump cycle time: how often the `ThreadMessageHandler` loop
-    /// runs one round over all peers (Core: wakes at 100 ms granularity).
-    pub pump_interval: SimDuration,
-    /// Interval of the outbound-connection maintenance loop (Core's
-    /// `ThreadOpenConnections` paces roughly every 500 ms).
-    pub connect_loop_interval: SimDuration,
     /// Upload bandwidth, bytes/second — the shared socket-writer budget
     /// that makes round-robin relay serialize (§IV-C).
     pub upload_bandwidth: f64,
@@ -194,22 +164,10 @@ pub struct NodeConfig {
     pub compact_blocks: bool,
     /// Transaction announcement mode.
     pub tx_announce: TxAnnounce,
-    /// Mean `INV` trickle interval for outbound peers (Core: 2 s Poisson).
-    pub inv_interval_outbound: SimDuration,
-    /// Mean `INV` trickle interval for inbound peers (Core: 5 s Poisson).
-    pub inv_interval_inbound: SimDuration,
-    /// How many peers an unsolicited small `ADDR` is forwarded to (Core: 2).
-    pub addr_relay_fanout: usize,
     /// Cache `GETADDR` responses for this long (Bitcoin Core 0.21 added a
     /// ~24 h cache precisely to blunt the iterative crawling this paper's
     /// Algorithm 1 performs). `None` reproduces 0.20 (no cache).
     pub getaddr_cache: Option<SimDuration>,
-    /// Keepalive ping interval (Core: ~2 minutes).
-    pub ping_interval: SimDuration,
-    /// Disconnect a peer silent for this long (Core: 20 minutes).
-    pub peer_timeout: SimDuration,
-    /// Mempool capacity, transactions.
-    pub mempool_capacity: usize,
     /// Countermeasure layer (misbehavior scoring, dial backoff,
     /// handshake/stale-tip timeouts). Off by default.
     pub resilience: ResilienceConfig,
@@ -219,23 +177,12 @@ impl NodeConfig {
     /// Bitcoin Core 0.20 defaults.
     pub fn bitcoin_core() -> Self {
         NodeConfig {
-            max_outbound: 8,
-            max_inbound: 117,
-            feeler_interval: SimDuration::from_secs(120),
-            pump_interval: SimDuration::from_millis(100),
-            connect_loop_interval: SimDuration::from_millis(500),
             upload_bandwidth: 2_000_000.0,
             addrman: AddrManConfig::bitcoin_core(),
             relay: RelayPolicy::bitcoin_core(),
             compact_blocks: true,
             tx_announce: TxAnnounce::Flood,
-            inv_interval_outbound: SimDuration::from_secs(2),
-            inv_interval_inbound: SimDuration::from_secs(5),
-            addr_relay_fanout: 2,
             getaddr_cache: None,
-            ping_interval: SimDuration::from_secs(120),
-            peer_timeout: SimDuration::from_mins(20),
-            mempool_capacity: 50_000,
             resilience: ResilienceConfig::off(),
         }
     }
@@ -268,13 +215,22 @@ impl Default for NodeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{node, world};
 
     #[test]
     fn core_defaults() {
+        assert_eq!(MAX_OUTBOUND, 8);
+        assert_eq!(node::MAX_INBOUND, 117);
+        assert_eq!(world::FEELER_INTERVAL, SimDuration::from_secs(120));
+        assert_eq!(world::PUMP_INTERVAL, SimDuration::from_millis(100));
+        assert_eq!(world::CONNECT_LOOP_INTERVAL, SimDuration::from_millis(500));
+        assert_eq!(node::INV_INTERVAL_OUTBOUND, SimDuration::from_secs(2));
+        assert_eq!(node::INV_INTERVAL_INBOUND, SimDuration::from_secs(5));
+        assert_eq!(node::ADDR_RELAY_FANOUT, 2);
+        assert_eq!(node::PING_INTERVAL, SimDuration::from_secs(120));
+        assert_eq!(node::PEER_TIMEOUT, SimDuration::from_mins(20));
+        assert_eq!(node::MEMPOOL_CAPACITY, 50_000);
         let c = NodeConfig::bitcoin_core();
-        assert_eq!(c.max_outbound, 8);
-        assert_eq!(c.max_inbound, 117);
-        assert_eq!(c.feeler_interval, SimDuration::from_secs(120));
         assert!(!c.relay.prioritize_blocks);
         assert!(!c.relay.outbound_first);
     }
@@ -286,11 +242,16 @@ mod tests {
         assert!(c.relay.outbound_first);
         assert!(c.addrman.getaddr_from_tried_only);
         assert_eq!(c.addrman.horizon_days, 17);
-        assert_eq!(c.max_outbound, 8); // unchanged
     }
 
     #[test]
     fn resilience_defaults_off() {
+        assert_eq!(node::BAN_THRESHOLD, 100);
+        assert_eq!(node::DISCOURAGEMENT_WINDOW, SimDuration::from_hours(24));
+        assert_eq!(node::OVERSIZE_ADDR_PENALTY, 100);
+        assert_eq!(node::ADDR_ENTRY_BUDGET, 5_000);
+        assert_eq!(node::ADDR_FLOOD_PENALTY, 25);
+        assert_eq!(RESILIENCE_TICK_INTERVAL, SimDuration::from_secs(30));
         let c = NodeConfig::bitcoin_core();
         assert!(!c.resilience.misbehavior);
         assert!(!c.resilience.dial_backoff);

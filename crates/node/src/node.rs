@@ -15,7 +15,7 @@
 //! what produces the paper's relay tail (blocks reaching the last connection
 //! up to 17 s late, Figure 10).
 
-use crate::config::{NodeConfig, TxAnnounce};
+use crate::config::{NodeConfig, TxAnnounce, MAX_OUTBOUND};
 use crate::peer::{Direction, Handshake, NodeId, Peer, PeerTable};
 use bitsync_addrman::AddrMan;
 use bitsync_chain::{ChainError, ChainState, Mempool, ReorgInfo};
@@ -45,6 +45,53 @@ pub fn unix_time(now: SimTime) -> i64 {
 /// the oldest orphan is evicted first (Core bounds its orphan set the same
 /// way, by memory).
 pub const MAX_ORPHAN_BLOCKS: usize = 32;
+
+/// Maximum inbound connections (Core's `DEFAULT_MAX_PEER_CONNECTIONS` 125
+/// minus the 8 outbound slots: 117).
+pub const MAX_INBOUND: usize = 117;
+
+/// Mean `INV` trickle interval for outbound peers (Core's
+/// `INVENTORY_BROADCAST_INTERVAL >> 1`: 2 s Poisson).
+pub const INV_INTERVAL_OUTBOUND: SimDuration = SimDuration::from_secs(2);
+
+/// Mean `INV` trickle interval for inbound peers (Core's
+/// `INVENTORY_BROADCAST_INTERVAL`: 5 s Poisson).
+pub const INV_INTERVAL_INBOUND: SimDuration = SimDuration::from_secs(5);
+
+/// How many peers an unsolicited small `ADDR` is forwarded to (Core's
+/// `RelayAddress`: 2 for reachable networks).
+pub const ADDR_RELAY_FANOUT: usize = 2;
+
+/// Keepalive ping interval (Core's `PING_INTERVAL`: 2 minutes).
+pub const PING_INTERVAL: SimDuration = SimDuration::from_secs(120);
+
+/// Disconnect a peer silent for this long (Core's `TIMEOUT_INTERVAL`:
+/// 20 minutes).
+pub const PEER_TIMEOUT: SimDuration = SimDuration::from_mins(20);
+
+/// Mempool capacity in transactions (stands in for Core's
+/// `DEFAULT_MAX_MEMPOOL_SIZE`, which is in megabytes).
+pub const MEMPOOL_CAPACITY: usize = 50_000;
+
+/// Misbehavior score at which a peer is disconnected and its address
+/// discouraged (Core's `DEFAULT_BANSCORE_THRESHOLD`: 100).
+pub const BAN_THRESHOLD: u32 = 100;
+
+/// How long a discouraged address is neither dialed nor accepted (Core's
+/// `DEFAULT_MISBEHAVING_BANTIME`: 24 h).
+pub const DISCOURAGEMENT_WINDOW: SimDuration = SimDuration::from_hours(24);
+
+/// Penalty for an `ADDR` message over the 1000-entry protocol cap (Core's
+/// `Misbehaving` on "oversized-addr"), scored as instant discouragement.
+pub const OVERSIZE_ADDR_PENALTY: u32 = 100;
+
+/// Per-connection budget of total `ADDR` entries accepted before further
+/// messages start scoring (a coarse stand-in for Core 0.21's addr rate
+/// limiter).
+pub const ADDR_ENTRY_BUDGET: u64 = 5_000;
+
+/// Penalty per `ADDR` message received past [`ADDR_ENTRY_BUDGET`].
+pub const ADDR_FLOOD_PENALTY: u32 = 25;
 
 /// A request from the node to the hosting world.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,7 +239,7 @@ impl Node {
             addrman: AddrMan::new(addrman_key, cfg.addrman),
             cfg,
             chain: ChainState::with_genesis(),
-            mempool: Mempool::new(50_000),
+            mempool: Mempool::new(MEMPOOL_CAPACITY),
             peers: PeerTable::default(),
             socket_free_at: SimTime::ZERO,
             in_flight_attempt: None,
@@ -255,14 +302,14 @@ impl Node {
 
     /// Whether a new inbound connection would be accepted.
     pub fn accepts_inbound(&self) -> bool {
-        self.reachable && self.inbound_count() < self.cfg.max_inbound
+        self.reachable && self.inbound_count() < MAX_INBOUND
     }
 
-    /// Current outbound slot budget: the configured maximum, plus one
+    /// Current outbound slot budget: [`MAX_OUTBOUND`], plus one
     /// while the stale-tip countermeasure is active (Core's extra
     /// block-relay-only connection).
     pub fn outbound_target(&self) -> usize {
-        self.cfg.max_outbound + usize::from(self.stale_tip_extra)
+        MAX_OUTBOUND + usize::from(self.stale_tip_extra)
     }
 
     /// Whether the node wants to dial a new outbound connection now.
@@ -337,7 +384,7 @@ impl Node {
     pub fn is_discouraged(&self, addr: &NetAddr, now: SimTime) -> bool {
         self.discouraged
             .get(addr)
-            .is_some_and(|since| self.cfg.resilience.discouraged_at(*since, now))
+            .is_some_and(|since| now.saturating_since(*since) < DISCOURAGEMENT_WINDOW)
     }
 
     /// Consecutive dial failures currently recorded against `addr`.
@@ -437,12 +484,10 @@ impl Node {
             if !p.is_ready() {
                 return;
             }
-            if p.last_recv != SimTime::ZERO
-                && now.saturating_since(p.last_recv) > self.cfg.peer_timeout
-            {
+            if p.last_recv != SimTime::ZERO && now.saturating_since(p.last_recv) > PEER_TIMEOUT {
                 requests.push(NodeRequest::Disconnect(p.node));
             } else if now >= p.next_ping_at {
-                p.next_ping_at = now + self.cfg.ping_interval;
+                p.next_ping_at = now + PING_INTERVAL;
                 p.send_q.push_back(Message::Ping(self.rng.next_u64()));
             }
         });
@@ -711,17 +756,16 @@ impl Node {
         self.stats.addr_msgs_received += 1;
         self.stats.addrs_received += list.len() as u64;
         if self.cfg.resilience.misbehavior {
-            let res = &self.cfg.resilience;
             let mut penalty = 0u32;
             if list.len() > bitsync_sim::fault::MAX_ADDR_PER_MSG {
                 // Protocol violation: Core never sends more than 1000
                 // entries per ADDR.
-                penalty += res.oversize_addr_penalty;
+                penalty += OVERSIZE_ADDR_PENALTY;
             }
             if let Some(p) = self.peers.get_mut(&from) {
                 p.addr_entries += list.len() as u64;
-                if p.addr_entries > res.addr_entry_budget {
-                    penalty += res.addr_flood_penalty;
+                if p.addr_entries > ADDR_ENTRY_BUDGET {
+                    penalty += ADDR_FLOOD_PENALTY;
                 }
             }
             if penalty > 0 && self.misbehave(from, penalty, now, requests) {
@@ -759,7 +803,7 @@ impl Node {
                     candidates.push(slot);
                 }
             });
-            let fanout = self.cfg.addr_relay_fanout.min(candidates.len());
+            let fanout = ADDR_RELAY_FANOUT.min(candidates.len());
             let picks = self.rng.sample_indices(candidates.len(), fanout);
             let prioritize = self.cfg.relay.prioritize_blocks;
             for i in picks {
@@ -781,13 +825,12 @@ impl Node {
         now: SimTime,
         requests: &mut Vec<NodeRequest>,
     ) -> bool {
-        let threshold = self.cfg.resilience.ban_threshold;
         let Some(p) = self.peers.get_mut(&from) else {
             return false;
         };
-        let already_banned = p.misbehavior >= threshold;
+        let already_banned = p.misbehavior >= BAN_THRESHOLD;
         p.misbehavior = p.misbehavior.saturating_add(penalty);
-        if already_banned || p.misbehavior < threshold {
+        if already_banned || p.misbehavior < BAN_THRESHOLD {
             return false;
         }
         let addr = p.addr;
@@ -919,8 +962,8 @@ impl Node {
                     .map(InvVect::tx)
                     .collect();
                 let mean = match p.dir {
-                    Direction::Outbound | Direction::Feeler => self.cfg.inv_interval_outbound,
-                    Direction::Inbound => self.cfg.inv_interval_inbound,
+                    Direction::Outbound | Direction::Feeler => INV_INTERVAL_OUTBOUND,
+                    Direction::Inbound => INV_INTERVAL_INBOUND,
                 };
                 let delay = self.rng.exp_duration(mean);
                 for iv in &batch {
@@ -971,8 +1014,7 @@ impl Node {
         if !self.cfg.resilience.ban_on_reorg {
             return false;
         }
-        let threshold = self.cfg.resilience.ban_threshold;
-        self.misbehave(from, threshold, now, requests);
+        self.misbehave(from, BAN_THRESHOLD, now, requests);
         true
     }
 

@@ -21,6 +21,10 @@ use bitsync_sim::trace;
 /// inventory, and are excluded from the Figures 10/11 accounting.
 pub const FRESH_RELAY_WINDOW: SimDuration = SimDuration::from_secs(120);
 
+/// Message-pump cycle time: how often the `ThreadMessageHandler` loop runs
+/// one round over all peers (Core wakes it at 100 ms granularity).
+pub const PUMP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// One relayed object's timing at the instrumented node (Figures 10/11).
 #[derive(Clone, Copy, Debug)]
 pub struct RelayRecord {
@@ -135,7 +139,6 @@ impl World {
         };
         let (outgoing, requests) = node.pump(now);
         let more_work = node.has_pending_work();
-        let interval = node.cfg.pump_interval;
 
         self.metrics.inc(metric::PUMP_ROUNDS, 1);
         self.metrics
@@ -169,7 +172,7 @@ impl World {
         }
         if more_work {
             self.meta[id.0 as usize].pump_scheduled = true;
-            self.queue.schedule(now + interval, Ev::Pump(id));
+            self.queue.schedule(now + PUMP_INTERVAL, Ev::Pump(id));
         }
     }
 

@@ -11,6 +11,14 @@ use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::trace::{self, DialTargetKind};
 
+/// Interval of the outbound-connection maintenance loop (Core's
+/// `ThreadOpenConnections` sleeps 500 ms between passes).
+pub const CONNECT_LOOP_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
+/// Interval between feeler-connection attempts (Core's `FEELER_INTERVAL`:
+/// one every 2 min).
+pub const FEELER_INTERVAL: SimDuration = SimDuration::from_secs(120);
+
 /// One dial in flight, from its resolution to its `DialResult` event.
 #[derive(Clone, Debug)]
 pub(super) struct Dial {
@@ -40,7 +48,6 @@ impl World {
         let Some(node) = self.running_node(id) else {
             return;
         };
-        let interval = node.cfg.connect_loop_interval;
         let target = node.begin_outbound_attempt(now);
         self.dial_or_defer(id, target, Direction::Outbound, now);
         // Re-tick only when the node is idle with unfilled slots: while a
@@ -48,7 +55,8 @@ impl World {
         // would just burn events.
         if self.node(id).is_some_and(|n| n.wants_outbound()) {
             self.meta[slot].connect_scheduled = true;
-            self.queue.schedule(now + interval, Ev::ConnectTick(id));
+            self.queue
+                .schedule(now + CONNECT_LOOP_INTERVAL, Ev::ConnectTick(id));
         }
     }
 
@@ -56,10 +64,9 @@ impl World {
         let Some(node) = self.running_node(id) else {
             return;
         };
-        let interval = node.cfg.feeler_interval;
         let target = node.begin_feeler_attempt(now);
         self.dial_or_defer(id, target, Direction::Feeler, now);
-        self.queue.schedule(now + interval, Ev::Feeler(id));
+        self.queue.schedule(now + FEELER_INTERVAL, Ev::Feeler(id));
     }
 
     /// Dials the address the node picked this tick; with none picked,

@@ -6,6 +6,7 @@
 //! inside `chain`; stalls and flood amplification are assigned at spawn.
 
 use super::{metric, Ev, World};
+use crate::config::RESILIENCE_TICK_INTERVAL;
 use crate::peer::NodeId;
 use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -162,7 +163,7 @@ impl World {
             return; // offline; a rejoin reschedules via boot_node
         };
         let res = &node.cfg.resilience;
-        let (tick_interval, stale_tip_timeout) = (res.tick_interval, res.stale_tip_timeout);
+        let stale_tip_timeout = res.stale_tip_timeout;
         if let Some(timeout) = res.handshake_timeout {
             let stuck: Vec<NodeId> = node
                 .peers
@@ -190,6 +191,6 @@ impl World {
             }
         }
         self.queue
-            .schedule(now + tick_interval, Ev::ResilienceTick(id));
+            .schedule(now + RESILIENCE_TICK_INTERVAL, Ev::ResilienceTick(id));
     }
 }

@@ -18,11 +18,12 @@ mod population;
 mod sampling;
 
 pub use bitsync_sim::fault::Fault;
-pub use delivery::{AddrSenderStats, RelayRecord, FRESH_RELAY_WINDOW};
+pub use delivery::{AddrSenderStats, RelayRecord, FRESH_RELAY_WINDOW, PUMP_INTERVAL};
+pub use dial::{CONNECT_LOOP_INTERVAL, FEELER_INTERVAL};
 pub use population::{ChurnEvent, NodeMeta};
 pub use sampling::{metric, register_world_histograms};
 
-use crate::config::NodeConfig;
+use crate::config::{NodeConfig, MAX_OUTBOUND};
 use crate::node::Node;
 use crate::peer::NodeId;
 use bitsync_chain::{Miner, TxGenerator};
@@ -565,9 +566,8 @@ impl World {
         let Some(node) = self.node(id) else { return };
         let out = node.outbound_count();
         // The stale-tip countermeasure legitimately grants one slot above
-        // the configured maximum while active.
-        let cap =
-            node.cfg.max_outbound + usize::from(node.cfg.resilience.stale_tip_timeout.is_some());
+        // the maximum while active.
+        let cap = MAX_OUTBOUND + usize::from(node.cfg.resilience.stale_tip_timeout.is_some());
         self.checker.check(out <= cap, now, "outdegree_cap", || {
             format!("node {} holds {out} outbound connections > cap {cap}", id.0)
         });

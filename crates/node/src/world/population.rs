@@ -5,17 +5,17 @@
 //! that start days behind).
 
 use super::{Ev, World};
+use crate::config::RESILIENCE_TICK_INTERVAL;
 use crate::malicious::{AddrFlooder, FloodScale};
 use crate::node::{unix_time, Node};
 use crate::peer::NodeId;
 use bitsync_addrman::AddrMan;
 use bitsync_net::churn::Rejoin;
-use bitsync_net::NodeClass;
-use bitsync_protocol::addr::{NetAddr, DEFAULT_PORT};
+use bitsync_net::population::{fresh_addr, NodeClass};
+use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::trace;
-use std::net::Ipv4Addr;
 
 /// Fraction of phantoms that are [`PhantomKind::Responsive`]: the paper's
 /// per-snapshot share of unreachable addresses that answered a VER probe
@@ -102,30 +102,14 @@ pub enum ChurnEvent {
     },
 }
 
-impl World {
-    fn fresh_address(&mut self, rng: &mut SimRng) -> NetAddr {
-        let ip = loop {
-            let candidate = rng.below(0xdfff_ffff) as u32 + 0x0100_0000;
-            let first = (candidate >> 24) as u8;
-            if first == 10 || first == 127 || first >= 224 {
-                continue;
-            }
-            if self.used_ips.insert(candidate) {
-                break candidate;
-            }
-        };
-        let port = if rng.chance(0.95) {
-            DEFAULT_PORT
-        } else {
-            1024 + rng.below(60_000) as u16
-        };
-        NetAddr::from_ipv4(Ipv4Addr::from(ip), port)
-    }
+/// Share of simulated endpoints listening on port 8333.
+const DEFAULT_PORT_FRACTION: f64 = 0.95;
 
+impl World {
     /// Generates the phantom gossip addresses.
     pub(super) fn spawn_phantoms(&mut self, rng: &mut SimRng) {
         for _ in 0..self.cfg.n_phantoms {
-            let addr = self.fresh_address(rng);
+            let addr = fresh_addr(&mut self.used_ips, DEFAULT_PORT_FRACTION, rng);
             let (kind, class) = if rng.chance(PHANTOM_RESPONSIVE_FRACTION) {
                 (PhantomKind::Responsive, NodeClass::UnreachableResponsive)
             } else {
@@ -158,7 +142,7 @@ impl World {
         rng: &mut SimRng,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let addr = self.fresh_address(rng);
+        let addr = fresh_addr(&mut self.used_ips, DEFAULT_PORT_FRACTION, rng);
         let class = if reachable {
             NodeClass::Reachable
         } else {
@@ -241,12 +225,11 @@ impl World {
         self.meta[slot].connect_scheduled = true;
         // Resilience sweep (handshake timeouts, stale-tip detection). The
         // stale-tip clock starts at boot, not at sim epoch.
-        let resilience = &self.cfg.node_cfg.resilience;
-        if resilience.needs_tick() {
+        if self.cfg.node_cfg.resilience.needs_tick() {
             if !self.meta[slot].resilience_scheduled {
                 self.meta[slot].resilience_scheduled = true;
                 self.queue
-                    .schedule(now + resilience.tick_interval, Ev::ResilienceTick(id));
+                    .schedule(now + RESILIENCE_TICK_INTERVAL, Ev::ResilienceTick(id));
             }
             if let Some(n) = self.nodes[slot].as_mut() {
                 n.last_tip_change = now;

@@ -102,7 +102,7 @@ fn score_never_crosses_threshold_without_ban_request() {
         let now = SimTime::from_secs(1);
         ready_inbound_peer(&mut n, 9, now);
         let pid = NodeId(9);
-        let threshold = n.cfg.resilience.ban_threshold;
+        let threshold = bitsync_node::node::BAN_THRESHOLD;
         let mut banned_seen = false;
         for _ in 0..30 {
             let size = if rng.chance(0.3) { 1_400 } else { 400 };
@@ -149,7 +149,7 @@ fn discouraged_address_is_never_redialed_within_window() {
 
     // Sweep the whole discouragement window: the address must never be
     // selected for an outbound dial, and every refusal is recorded.
-    let window = n.cfg.resilience.discouragement_window;
+    let window = bitsync_node::node::DISCOURAGEMENT_WINDOW;
     let mut t = now;
     let mut deferred = 0u64;
     while t < now + window {

@@ -296,7 +296,8 @@ fn keepalive_walks_peers_in_id_order_not_connection_order() {
     for p in 1..=4 {
         n.peers.get_mut(&NodeId(p)).unwrap().last_recv = now;
     }
-    let late = now + n.cfg.peer_timeout + bitsync_sim::time::SimDuration::from_secs(1);
+    let late =
+        now + bitsync_node::node::PEER_TIMEOUT + bitsync_sim::time::SimDuration::from_secs(1);
     let (_, reqs) = n.pump(late);
     assert_eq!(
         reqs,

@@ -4,7 +4,7 @@
 
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
 use std::fmt;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Service flag: node can serve the full block chain (`NODE_NETWORK`).
 pub const NODE_NETWORK: u64 = 1;
@@ -48,19 +48,6 @@ impl NetAddr {
             services: NODE_NETWORK,
             ip: ip.to_ipv6_mapped(),
             port,
-        }
-    }
-
-    /// Creates an address from any socket address.
-    pub fn from_socket(sock: SocketAddr) -> Self {
-        let ip = match sock.ip() {
-            IpAddr::V4(v4) => v4.to_ipv6_mapped(),
-            IpAddr::V6(v6) => v6,
-        };
-        NetAddr {
-            services: NODE_NETWORK,
-            ip,
-            port: sock.port(),
         }
     }
 

@@ -29,12 +29,13 @@
 //!
 //! [`Fault`] is the harness-facing vocabulary: one named variant per
 //! injectable fault, with a stable JSON code and a CLI spelling, used by
-//! the scenario fuzzer (`repro fuzz --fault <name>`). Two variants —
-//! [`Fault::DuplicateDeliveries`] and [`Fault::TimeWarpDeliveries`] —
-//! are *bug injections* that deliberately violate the checker's
-//! conservation/monotonicity invariants; the rest map to benign
-//! [`FaultConfig`] presets via [`Fault::plane_config`] and must pass the
-//! full invariant battery.
+//! the scenario fuzzer (`repro fuzz --fault <name>`). Each is one table
+//! row: a name, a code, the [`FaultConfig`] it runs under
+//! ([`Fault::plane_config`]) and whether it plants a bug. The planted
+//! bugs — [`Fault::DuplicateDeliveries`], [`Fault::TimeWarpDeliveries`]
+//! and [`Fault::BanReorgPeers`] — deliberately violate the checker's
+//! conservation / monotonicity / convergence invariants; the rest are
+//! benign presets and must pass the full invariant battery.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -98,7 +99,7 @@ pub struct FaultConfig {
 
 impl FaultConfig {
     /// Every channel disabled.
-    pub fn off() -> FaultConfig {
+    pub const fn off() -> FaultConfig {
         FaultConfig {
             drop_probability: 0.0,
             extra_delay_probability: 0.0,
@@ -280,24 +281,86 @@ pub enum Fault {
     BanReorgPeers,
 }
 
+// The plane presets of [`Fault::TABLE`].
+const OFF: FaultConfig = FaultConfig::off();
+const DROP: FaultConfig = FaultConfig {
+    drop_probability: 0.2,
+    ..OFF
+};
+const DELAY: FaultConfig = FaultConfig {
+    extra_delay_probability: 0.3,
+    extra_delay_max: SimDuration::from_secs(10),
+    ..OFF
+};
+const REORDER: FaultConfig = FaultConfig {
+    reorder_probability: 0.5,
+    reorder_window: SimDuration::from_secs(2),
+    ..OFF
+};
+const STALL: FaultConfig = FaultConfig {
+    stall_fraction: 0.3,
+    ..OFF
+};
+const ADDR_FLOOD: FaultConfig = FaultConfig {
+    addr_flood_factor: 4.0,
+    ..OFF
+};
+const CONNECTION_FLAPS: FaultConfig = FaultConfig {
+    connection_flap_interval: Some(SimDuration::from_secs(30)),
+    ..OFF
+};
+const PARTITION_FLAPS: FaultConfig = FaultConfig {
+    partition_flap: Some(PartitionFlapConfig {
+        period: SimDuration::from_secs(120),
+        duration: SimDuration::from_secs(30),
+        fraction: 0.4,
+    }),
+    ..OFF
+};
+const COMPETING_MINERS: FaultConfig = FaultConfig {
+    competing_miner_probability: 0.5,
+    ..OFF
+};
+const SOLO_MINERS: FaultConfig = FaultConfig {
+    solo_miner_probability: 0.5,
+    ..OFF
+};
+/// Periodic partitions with both sides mining.
+const REORG_STORM: FaultConfig = FaultConfig {
+    partition_flap: Some(PartitionFlapConfig {
+        period: SimDuration::from_secs(180),
+        duration: SimDuration::from_secs(60),
+        fraction: 0.5,
+    }),
+    competing_miner_probability: 0.25,
+    solo_miner_probability: 0.5,
+    ..OFF
+};
+
+/// A variant with its CLI spelling, its stable numeric code, the plane it
+/// runs under (off for the two dispatch bugs; the reorg storm for
+/// `ban-reorg-peers`, which needs forks to misfire on) and whether it
+/// plants a bug the checker must catch.
+type FaultRow = (Fault, &'static str, u64, FaultConfig, bool);
+
 impl Fault {
-    /// Every variant with its CLI spelling and its stable numeric code, in
-    /// code order. Codes are an on-disk format (fuzz repro files): append,
-    /// never renumber.
-    const TABLE: [(Fault, &'static str, u64); 13] = [
-        (Fault::DuplicateDeliveries, "duplicate-deliveries", 1),
-        (Fault::TimeWarpDeliveries, "time-warp-deliveries", 2),
-        (Fault::DropMessages, "drop-messages", 3),
-        (Fault::DelayMessages, "delay-messages", 4),
-        (Fault::ReorderMessages, "reorder-messages", 5),
-        (Fault::StallPeers, "stall-peers", 6),
-        (Fault::AddrFlood, "addr-flood", 7),
-        (Fault::ConnectionFlaps, "connection-flaps", 8),
-        (Fault::PartitionFlaps, "partition-flaps", 9),
-        (Fault::CompetingMiners, "competing-miners", 10),
-        (Fault::SoloMiners, "solo-miners", 11),
-        (Fault::ReorgStorms, "reorg-storms", 12),
-        (Fault::BanReorgPeers, "ban-reorg-peers", 13),
+    /// Every variant, in code order. Codes are an on-disk format (fuzz
+    /// repro files): append, never renumber.
+    #[rustfmt::skip]
+    const TABLE: [FaultRow; 13] = [
+        (Fault::DuplicateDeliveries, "duplicate-deliveries", 1, OFF, true),
+        (Fault::TimeWarpDeliveries, "time-warp-deliveries", 2, OFF, true),
+        (Fault::DropMessages, "drop-messages", 3, DROP, false),
+        (Fault::DelayMessages, "delay-messages", 4, DELAY, false),
+        (Fault::ReorderMessages, "reorder-messages", 5, REORDER, false),
+        (Fault::StallPeers, "stall-peers", 6, STALL, false),
+        (Fault::AddrFlood, "addr-flood", 7, ADDR_FLOOD, false),
+        (Fault::ConnectionFlaps, "connection-flaps", 8, CONNECTION_FLAPS, false),
+        (Fault::PartitionFlaps, "partition-flaps", 9, PARTITION_FLAPS, false),
+        (Fault::CompetingMiners, "competing-miners", 10, COMPETING_MINERS, false),
+        (Fault::SoloMiners, "solo-miners", 11, SOLO_MINERS, false),
+        (Fault::ReorgStorms, "reorg-storms", 12, REORG_STORM, false),
+        (Fault::BanReorgPeers, "ban-reorg-peers", 13, REORG_STORM, true),
     ];
 
     /// Every variant, in code order.
@@ -311,7 +374,7 @@ impl Fault {
         all
     };
 
-    fn row(self) -> &'static (Fault, &'static str, u64) {
+    fn row(self) -> &'static FaultRow {
         let row = Fault::TABLE.iter().find(|row| row.0 == self);
         row.expect("every variant has a table row")
     }
@@ -323,10 +386,8 @@ impl Fault {
 
     /// Inverse of [`Fault::name`].
     pub fn parse(name: &str) -> Option<Fault> {
-        Fault::TABLE
-            .iter()
-            .find(|row| row.1 == name)
-            .map(|row| row.0)
+        let row = Fault::TABLE.iter().find(|row| row.1 == name);
+        row.map(|row| row.0)
     }
 
     /// Stable numeric code used in scenario JSON.
@@ -336,90 +397,22 @@ impl Fault {
 
     /// Inverse of [`Fault::code`].
     pub fn from_code(code: u64) -> Option<Fault> {
-        Fault::TABLE
-            .iter()
-            .find(|row| row.2 == code)
-            .map(|row| row.0)
+        let row = Fault::TABLE.iter().find(|row| row.2 == code);
+        row.map(|row| row.0)
     }
 
     /// True for the bug injections that must trip the invariant checker;
     /// false for the benign plane presets that must pass the full battery.
     pub fn violates_invariants(self) -> bool {
-        matches!(
-            self,
-            Fault::DuplicateDeliveries | Fault::TimeWarpDeliveries | Fault::BanReorgPeers
-        )
+        self.row().4
     }
 
-    /// The benign variants' canned [`FaultConfig`] preset; `None` for the
-    /// bug injections (they rewire dispatch or node behavior instead of
-    /// the link layer).
-    pub fn plane_config(self) -> Option<FaultConfig> {
-        let cfg = match self {
-            Fault::DuplicateDeliveries | Fault::TimeWarpDeliveries | Fault::BanReorgPeers => {
-                return None
-            }
-            Fault::DropMessages => FaultConfig {
-                drop_probability: 0.2,
-                ..FaultConfig::off()
-            },
-            Fault::DelayMessages => FaultConfig {
-                extra_delay_probability: 0.3,
-                extra_delay_max: SimDuration::from_secs(10),
-                ..FaultConfig::off()
-            },
-            Fault::ReorderMessages => FaultConfig {
-                reorder_probability: 0.5,
-                reorder_window: SimDuration::from_secs(2),
-                ..FaultConfig::off()
-            },
-            Fault::StallPeers => FaultConfig {
-                stall_fraction: 0.3,
-                ..FaultConfig::off()
-            },
-            Fault::AddrFlood => FaultConfig {
-                addr_flood_factor: 4.0,
-                ..FaultConfig::off()
-            },
-            Fault::ConnectionFlaps => FaultConfig {
-                connection_flap_interval: Some(SimDuration::from_secs(30)),
-                ..FaultConfig::off()
-            },
-            Fault::PartitionFlaps => FaultConfig {
-                partition_flap: Some(PartitionFlapConfig {
-                    period: SimDuration::from_secs(120),
-                    duration: SimDuration::from_secs(30),
-                    fraction: 0.4,
-                }),
-                ..FaultConfig::off()
-            },
-            Fault::CompetingMiners => FaultConfig {
-                competing_miner_probability: 0.5,
-                ..FaultConfig::off()
-            },
-            Fault::SoloMiners => FaultConfig {
-                solo_miner_probability: 0.5,
-                ..FaultConfig::off()
-            },
-            Fault::ReorgStorms => Fault::reorg_storm_config(),
-        };
-        Some(cfg)
-    }
-
-    /// The reorg-storm mix: periodic partitions with both sides mining.
-    /// Also the plane [`Fault::BanReorgPeers`] runs under (the bug needs
-    /// reorgs to misfire on).
-    pub fn reorg_storm_config() -> FaultConfig {
-        FaultConfig {
-            partition_flap: Some(PartitionFlapConfig {
-                period: SimDuration::from_secs(180),
-                duration: SimDuration::from_secs(60),
-                fraction: 0.5,
-            }),
-            competing_miner_probability: 0.25,
-            solo_miner_probability: 0.5,
-            ..FaultConfig::off()
-        }
+    /// The [`FaultConfig`] the fault runs under: a benign variant's canned
+    /// preset, the reorg storm for [`Fault::BanReorgPeers`], and
+    /// [`FaultConfig::off`] for the two dispatch bugs (they rewire dispatch
+    /// instead of the link layer).
+    pub fn plane_config(self) -> FaultConfig {
+        self.row().3.clone()
     }
 }
 
@@ -478,14 +471,21 @@ mod tests {
         assert_eq!(Fault::parse("drop-messages"), Some(Fault::DropMessages));
     }
 
+    /// Only the two dispatch bugs run without a plane; `ban-reorg-peers`
+    /// is the one bug that borrows a preset (the storm it misfires on).
     #[test]
     fn bug_variants_have_no_plane_preset_and_vice_versa() {
+        use Fault::*;
         for f in Fault::ALL {
-            assert_eq!(f.plane_config().is_none(), f.violates_invariants(), "{f}");
-            if let Some(cfg) = f.plane_config() {
-                assert!(cfg.is_active(), "{f} preset must be active");
-            }
+            let dispatch_bug = matches!(f, DuplicateDeliveries | TimeWarpDeliveries);
+            assert_eq!(f.plane_config().is_active(), !dispatch_bug, "{f}");
+            assert_eq!(
+                f.violates_invariants(),
+                dispatch_bug || f == BanReorgPeers,
+                "{f}"
+            );
         }
+        assert_eq!(BanReorgPeers.plane_config(), ReorgStorms.plane_config());
     }
 
     #[test]
@@ -497,9 +497,10 @@ mod tests {
     #[test]
     fn scaling_to_zero_disables_and_full_is_identity() {
         for f in Fault::ALL {
-            let Some(cfg) = f.plane_config() else {
+            let cfg = f.plane_config();
+            if !cfg.is_active() {
                 continue;
-            };
+            }
             assert!(!cfg.scaled(0.0).is_active(), "{f}");
             assert_eq!(cfg.scaled(1.0), cfg, "{f}");
             assert!(cfg.scaled(0.5).is_active(), "{f}");
@@ -508,7 +509,7 @@ mod tests {
 
     #[test]
     fn plane_is_deterministic_per_seed() {
-        let cfg = Fault::DropMessages.plane_config().unwrap();
+        let cfg = Fault::DropMessages.plane_config();
         let mut a = FaultPlane::new(cfg.clone(), 7);
         let mut b = FaultPlane::new(cfg.clone(), 7);
         let mut c = FaultPlane::new(cfg, 8);

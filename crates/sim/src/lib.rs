@@ -10,7 +10,8 @@
 //! - [`event`]: a time-ordered [`event::EventQueue`] with deterministic
 //!   tie-breaking (same instant ⇒ scheduling order).
 //! - [`rng`]: seeded [`rng::SimRng`] with the distribution helpers the
-//!   network model needs (exponential, Poisson, Zipf, weighted choice),
+//!   network model needs (exponential, normal / log-normal, uniform choice
+//!   and sampling; [`rng::AliasTable`] for weighted choice),
 //!   forkable per component so streams stay decoupled.
 //! - [`check`]: a [`check::Checker`] that records invariant violations
 //!   instead of panicking, for the scenario fuzzer's bounded runs.

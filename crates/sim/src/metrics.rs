@@ -158,51 +158,6 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Rebuilds a histogram from its serialized parts (the inverse of the
-    /// JSON projection), for consumers that only have the report JSON.
-    /// Returns `None` when the parts are inconsistent: bad bounds, a counts
-    /// length other than `bounds.len() + 1`, or a bucket total ≠ `count`.
-    pub fn from_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
-        sum: f64,
-        min: Option<f64>,
-        max: Option<f64>,
-    ) -> Option<Histogram> {
-        if bounds.is_empty() || counts.len() != bounds.len() + 1 {
-            return None;
-        }
-        // Non-finite bounds (NaN, ±inf — e.g. mangled report JSON) would
-        // make quantile interpolation produce NaN; reject them up front.
-        if bounds.iter().any(|b| !b.is_finite()) {
-            return None;
-        }
-        if !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        let count: u64 = counts.iter().sum();
-        if (count > 0) != (min.is_some() && max.is_some()) {
-            return None;
-        }
-        // A populated histogram needs a coherent observed range: finite,
-        // ordered, and a finite sum (observations are finite by the same
-        // argument as the bounds).
-        if count > 0 {
-            let (lo, hi) = (min.unwrap_or(f64::NAN), max.unwrap_or(f64::NAN));
-            if !lo.is_finite() || !hi.is_finite() || lo > hi || !sum.is_finite() {
-                return None;
-            }
-        }
-        Some(Histogram {
-            bounds,
-            counts,
-            count,
-            sum,
-            min: min.unwrap_or(f64::INFINITY),
-            max: max.unwrap_or(f64::NEG_INFINITY),
-        })
-    }
-
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
     /// within the containing bucket, Prometheus-style: the first bucket
     /// interpolates up from the observed minimum and the overflow bucket up
@@ -210,9 +165,8 @@ impl Histogram {
     ///
     /// # The empty contract
     ///
-    /// An empty histogram — never observed into, freshly [`reset`], or
-    /// rebuilt via [`from_parts`] with all-zero counts — has **no**
-    /// quantiles: every `q`, including `0.0` and `1.0`, returns `None`,
+    /// An empty histogram — never observed into or freshly [`reset`] — has
+    /// **no** quantiles: every `q`, including `0.0` and `1.0`, returns `None`,
     /// never a fabricated `0`. Consumers that want a number must make
     /// the default explicit (`quantile(q).unwrap_or(0.0)`) rather than
     /// have this type invent one; a windowed snapshot with no traffic is
@@ -221,7 +175,6 @@ impl Histogram {
     /// `[0.0, 1.0]` (including NaN).
     ///
     /// [`reset`]: Histogram::reset
-    /// [`from_parts`]: Histogram::from_parts
     pub fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
@@ -352,6 +305,16 @@ impl Recorder {
     /// Snapshot of a histogram.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.inner.borrow().histograms.get(name).cloned()
+    }
+
+    /// Snapshot of every histogram, in name order (the order of the
+    /// [`Recorder::to_json`] `histograms` section).
+    pub fn histograms(&self) -> Vec<(String, Histogram)> {
+        let reg = self.inner.borrow();
+        reg.histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), h.clone()))
+            .collect()
     }
 
     /// Folds every metric of `other` into this recorder: counters add,
@@ -605,62 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_junk() {
-        let mut h = Histogram::with_buckets(&DEFAULT_BUCKETS);
-        for v in [0.01, 0.3, 4.0, 9.9, 2000.0] {
-            h.observe(v);
-        }
-        let rebuilt = Histogram::from_parts(
-            h.bounds().to_vec(),
-            h.bucket_counts().to_vec(),
-            h.sum(),
-            h.min(),
-            h.max(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, h);
-        assert_eq!(rebuilt.quantile(0.5), h.quantile(0.5));
-        // counts length must be bounds + 1.
-        assert!(Histogram::from_parts(vec![1.0], vec![1], 1.0, Some(1.0), Some(1.0)).is_none());
-        // non-increasing bounds rejected.
-        assert!(Histogram::from_parts(vec![2.0, 1.0], vec![0, 0, 0], 0.0, None, None).is_none());
-        // min/max presence must match emptiness.
-        assert!(Histogram::from_parts(vec![1.0], vec![1, 0], 1.0, None, None).is_none());
-        let empty = Histogram::from_parts(vec![1.0], vec![0, 0], 0.0, None, None).unwrap();
-        assert!(empty.is_empty());
-        assert!(empty.quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn from_parts_rejects_non_finite_parts() {
-        // Non-finite bounds previously passed validation and made
-        // quantile() interpolate with infinities / NaN.
-        let inf = f64::INFINITY;
-        assert!(Histogram::from_parts(vec![inf], vec![1, 0], 1.0, Some(1.0), Some(1.0)).is_none());
-        assert!(
-            Histogram::from_parts(vec![f64::NAN], vec![1, 0], 1.0, Some(1.0), Some(1.0)).is_none()
-        );
-        assert!(
-            Histogram::from_parts(vec![1.0, inf], vec![0, 1, 0], 2.0, Some(2.0), Some(2.0))
-                .is_none()
-        );
-        // Non-finite or inverted min/max on a populated histogram.
-        assert!(Histogram::from_parts(vec![1.0], vec![1, 0], 1.0, Some(-inf), Some(1.0)).is_none());
-        assert!(
-            Histogram::from_parts(vec![1.0], vec![1, 0], 1.0, Some(f64::NAN), Some(1.0)).is_none()
-        );
-        assert!(Histogram::from_parts(vec![1.0], vec![1, 0], 1.0, Some(2.0), Some(1.0)).is_none());
-        // Non-finite sum.
-        assert!(Histogram::from_parts(vec![1.0], vec![1, 0], inf, Some(0.5), Some(0.5)).is_none());
-        // NaN min/max on an *empty* histogram are absent, not NaN: fine.
-        let empty = Histogram::from_parts(vec![1.0], vec![0, 0], 0.0, None, None).unwrap();
-        assert_eq!(empty.quantile(0.5), None);
-    }
-
-    #[test]
     fn empty_histogram_has_no_quantiles_at_any_q() {
         // The documented contract: empty means None, never a made-up 0 —
-        // whether empty by construction, by reset, or via from_parts.
+        // whether empty by construction or by reset.
         let fresh = Histogram::with_buckets(&DEFAULT_BUCKETS);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(fresh.quantile(q), None, "fresh, q={q}");
@@ -699,33 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_windowed_snapshots() {
-        // A windowed histogram cycles observe → snapshot → reset; every
-        // snapshot (including the empty post-reset state) must round-trip
-        // through from_parts with identical quantiles.
-        let mut window = Histogram::with_buckets(&DEFAULT_BUCKETS);
-        for batch in [&[0.2, 0.9, 45.0][..], &[][..], &[700.0][..]] {
-            for &v in batch {
-                window.observe(v);
-            }
-            let snap = window.clone();
-            let rebuilt = Histogram::from_parts(
-                snap.bounds().to_vec(),
-                snap.bucket_counts().to_vec(),
-                snap.sum(),
-                snap.min(),
-                snap.max(),
-            )
-            .expect("snapshot parts are consistent");
-            assert_eq!(rebuilt, snap);
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(rebuilt.quantile(q), snap.quantile(q), "q={q}");
-            }
-            window.reset();
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "finite")]
     fn with_buckets_rejects_non_finite_bounds() {
         Histogram::with_buckets(&[1.0, f64::INFINITY]);
@@ -752,13 +635,6 @@ mod tests {
             assert!(v.is_finite(), "q={q} gave {v}");
             assert!((5.0..=9.0).contains(&v), "q={q} gave {v}");
         }
-        // The same shape arriving via from_parts with an out-of-range max
-        // (inconsistent but accepted: bucket placement is not re-derivable
-        // from count/min/max alone) still yields finite, clamped values.
-        let h = Histogram::from_parts(vec![100.0], vec![0, 5], 10.0, Some(1.0), Some(2.0)).unwrap();
-        let v = h.quantile(0.5).unwrap();
-        assert!(v.is_finite());
-        assert!((1.0..=2.0).contains(&v));
     }
 
     #[test]

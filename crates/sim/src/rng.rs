@@ -2,7 +2,8 @@
 //!
 //! All stochastic choices in `bitsync` flow through [`SimRng`], a seeded
 //! xoshiro256++ generator with the distribution helpers the simulation
-//! needs (exponential inter-arrival times, Poisson counts, Zipf tails,
+//! needs (exponential inter-arrival times, normal and log-normal draws,
+//! uniform choice and distinct-index sampling, and an [`AliasTable`] for
 //! weighted choice). The generator is fully self-contained — no external
 //! crates, no OS entropy — so the same seed always yields the same event
 //! trace on every platform.
@@ -133,30 +134,6 @@ impl SimRng {
         SimDuration::from_secs_f64(-u.ln() * mean.as_secs_f64())
     }
 
-    /// Poisson-distributed count with the given mean, via inversion for small
-    /// means and a normal approximation above 64.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0 && mean.is_finite(), "poisson mean must be >= 0");
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            // Normal approximation with continuity correction.
-            let z = self.standard_normal();
-            return (mean + z * mean.sqrt() + 0.5).max(0.0) as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.unit();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// A standard normal draw (Box–Muller).
     pub fn standard_normal(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.unit();
@@ -174,52 +151,6 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Zipf-like rank draw over `n` items with exponent `s`: returns a rank
-    /// in `[0, n)` where low ranks are heavily favored.
-    ///
-    /// Used for the long tail of the AS hosting distribution (Table I).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        assert!(n > 0, "zipf over empty domain");
-        // Closed-form approximation, O(1) per draw at any domain size:
-        // X = floor(u^(-1/(s-1))) for s > 1, clamped, which preserves the
-        // heavy-tail shape. Callers that need exact arbitrary weights at
-        // scale (the full 8,494-AS hosting distribution, for one) should
-        // build an [`AliasTable`] instead — also O(1) per draw, with O(n)
-        // one-time setup.
-        if s > 1.0 {
-            let u = 1.0 - self.unit();
-            let x = u.powf(-1.0 / (s - 1.0));
-            ((x as usize).saturating_sub(1)).min(n - 1)
-        } else {
-            // s <= 1: fall back to a power-law-ish draw over ranks.
-            let u = self.unit();
-            ((u.powf(2.0) * n as f64) as usize).min(n - 1)
-        }
-    }
-
-    /// Chooses an index according to non-negative `weights`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index over empty weights");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut target = self.unit() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
-                return i;
-            }
-            target -= w;
-        }
-        weights.len() - 1
-    }
-
     /// Picks a uniformly random element of `slice`, or `None` if empty.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
@@ -227,14 +158,6 @@ impl SimRng {
         } else {
             let i = self.index(slice.len());
             Some(&slice[i])
-        }
-    }
-
-    /// Shuffles `slice` in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.index(i + 1);
-            slice.swap(i, j);
         }
     }
 
@@ -426,75 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_mean() {
-        let mut rng = SimRng::seed_from(12);
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| rng.poisson(3.0)).sum();
-        let observed = total as f64 / n as f64;
-        assert!((observed - 3.0).abs() < 0.1, "observed {observed}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_branch() {
-        let mut rng = SimRng::seed_from(13);
-        let n = 5_000;
-        let total: u64 = (0..n).map(|_| rng.poisson(200.0)).sum();
-        let observed = total as f64 / n as f64;
-        assert!((observed - 200.0).abs() < 2.0, "observed {observed}");
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut rng = SimRng::seed_from(14);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-5.0));
         assert!(rng.chance(2.0));
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = SimRng::seed_from(15);
-        let weights = [0.0, 10.0, 0.0];
-        for _ in 0..100 {
-            assert_eq!(rng.weighted_index(&weights), 1);
-        }
-    }
-
-    #[test]
-    fn weighted_index_rough_proportions() {
-        let mut rng = SimRng::seed_from(16);
-        let weights = [1.0, 3.0];
-        let mut hits = [0u32; 2];
-        for _ in 0..10_000 {
-            hits[rng.weighted_index(&weights)] += 1;
-        }
-        let frac = hits[1] as f64 / 10_000.0;
-        assert!((frac - 0.75).abs() < 0.03, "frac {frac}");
-    }
-
-    #[test]
-    fn zipf_favors_low_ranks() {
-        let mut rng = SimRng::seed_from(17);
-        let mut low = 0;
-        let n = 10_000;
-        for _ in 0..n {
-            if rng.zipf(1000, 1.5) < 10 {
-                low += 1;
-            }
-        }
-        // A heavy-tailed draw should put the bulk of mass in the head.
-        assert!(low as f64 / n as f64 > 0.5, "head mass {low}/{n}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(21);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
