@@ -1,6 +1,6 @@
 //! Minimal ASCII plotting for terminal figure output: sparklines for dense
-//! series and block charts for per-category comparisons. Used by the
-//! `repro` harness so regenerated figures are *visible*, not just tabular.
+//! series. Used by the `repro` harness so regenerated figures are
+//! *visible*, not just tabular.
 
 /// Eight-level sparkline characters.
 const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -58,30 +58,6 @@ pub fn sparkline_fit(values: &[f64], width: usize) -> String {
     sparkline(&compact)
 }
 
-/// Renders a horizontal bar chart: one `label: ████ value` row per entry,
-/// bars scaled to `width` characters at the maximum value.
-pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
-    let max = rows.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
-    let label_w = rows
-        .iter()
-        .map(|(l, _)| l.chars().count())
-        .max()
-        .unwrap_or(0);
-    let mut out = String::new();
-    for (label, value) in rows {
-        let bar_len = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "  {label:<label_w$} {} {value:.2}\n",
-            "█".repeat(bar_len)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,23 +102,5 @@ mod tests {
     fn fit_passes_short_series_through() {
         let s = sparkline_fit(&[1.0, 2.0], 60);
         assert_eq!(s.chars().count(), 2);
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let rows = vec![("a".to_string(), 10.0), ("bb".to_string(), 5.0)];
-        let chart = bar_chart(&rows, 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].matches('█').count(), 10);
-        assert_eq!(lines[1].matches('█').count(), 5);
-        assert!(lines[1].starts_with("  bb"));
-    }
-
-    #[test]
-    fn bar_chart_zero_values() {
-        let rows = vec![("x".to_string(), 0.0)];
-        let chart = bar_chart(&rows, 10);
-        assert_eq!(chart.matches('█').count(), 0);
     }
 }

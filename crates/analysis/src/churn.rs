@@ -1,80 +1,6 @@
-//! Churn-series analysis (§IV-D): daily arrival/departure accounting from
-//! snapshot diffs, and synchronized-departure counting per 10-minute window
-//! (the paper's 3.9 → 7.6 result separating 2019 from 2020).
-
-/// Daily join/leave series derived from consecutive membership snapshots
-/// (Figure 13).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ChurnSeries {
-    /// Departures per interval.
-    pub departures: Vec<usize>,
-    /// Arrivals per interval.
-    pub arrivals: Vec<usize>,
-    /// Mean snapshot size.
-    pub mean_population: f64,
-}
-
-impl ChurnSeries {
-    /// Builds the series by diffing consecutive snapshots of member ids.
-    pub fn from_snapshots<T: std::hash::Hash + Eq + Clone>(snapshots: &[Vec<T>]) -> ChurnSeries {
-        use std::collections::HashSet;
-        let mut departures = Vec::new();
-        let mut arrivals = Vec::new();
-        let mut total = 0usize;
-        for w in snapshots.windows(2) {
-            let prev: HashSet<&T> = w[0].iter().collect();
-            let next: HashSet<&T> = w[1].iter().collect();
-            departures.push(prev.difference(&next).count());
-            arrivals.push(next.difference(&prev).count());
-        }
-        for s in snapshots {
-            total += s.len();
-        }
-        ChurnSeries {
-            departures,
-            arrivals,
-            mean_population: if snapshots.is_empty() {
-                0.0
-            } else {
-                total as f64 / snapshots.len() as f64
-            },
-        }
-    }
-
-    /// Mean departures per interval.
-    pub fn mean_departures(&self) -> f64 {
-        if self.departures.is_empty() {
-            0.0
-        } else {
-            self.departures.iter().sum::<usize>() as f64 / self.departures.len() as f64
-        }
-    }
-
-    /// Mean arrivals per interval.
-    pub fn mean_arrivals(&self) -> f64 {
-        if self.arrivals.is_empty() {
-            0.0
-        } else {
-            self.arrivals.iter().sum::<usize>() as f64 / self.arrivals.len() as f64
-        }
-    }
-
-    /// Mean departures as a fraction of the mean population (the paper's
-    /// 8.6%/day headline when intervals are daily).
-    pub fn departure_fraction(&self) -> f64 {
-        if self.mean_population == 0.0 {
-            0.0
-        } else {
-            self.mean_departures() / self.mean_population
-        }
-    }
-
-    /// Net population drift per interval (Figure 13 shows this is small:
-    /// arrivals track departures).
-    pub fn net_drift(&self) -> f64 {
-        self.mean_arrivals() - self.mean_departures()
-    }
-}
+//! Churn-series analysis (§IV-D): synchronized-departure counting per
+//! 10-minute window (the paper's 3.9 → 7.6 result separating 2019 from
+//! 2020).
 
 /// A departure event with its synchronization state, timestamped in
 /// seconds — the input for the synchronized-churn comparison.
@@ -124,38 +50,6 @@ pub fn mean_synchronized_departures(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_diffs_count_flows() {
-        let snaps = vec![
-            vec![1, 2, 3, 4],
-            vec![2, 3, 4, 5], // 1 left, 5 joined
-            vec![2, 3],       // 4 and 5 left
-        ];
-        let s = ChurnSeries::from_snapshots(&snaps);
-        assert_eq!(s.departures, vec![1, 2]);
-        assert_eq!(s.arrivals, vec![1, 0]);
-        assert!((s.mean_population - 10.0 / 3.0).abs() < 1e-9);
-        assert!((s.mean_departures() - 1.5).abs() < 1e-9);
-        assert!((s.net_drift() + 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn departure_fraction() {
-        let snaps = vec![
-            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-            vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-        ];
-        let s = ChurnSeries::from_snapshots(&snaps);
-        assert!((s.departure_fraction() - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_snapshots() {
-        let s = ChurnSeries::from_snapshots::<u32>(&[]);
-        assert_eq!(s.mean_departures(), 0.0);
-        assert_eq!(s.departure_fraction(), 0.0);
-    }
 
     #[test]
     fn windowed_sync_departures() {

@@ -43,20 +43,6 @@ impl Kde {
         })
     }
 
-    /// Fits with an explicit bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth` is not positive or `samples` is empty.
-    pub fn fit_with_bandwidth(samples: &[f64], bandwidth: f64) -> Kde {
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        assert!(!samples.is_empty(), "KDE over empty sample set");
-        Kde {
-            samples: samples.to_vec(),
-            bandwidth,
-        }
-    }
-
     /// The bandwidth in use.
     pub fn bandwidth(&self) -> f64 {
         self.bandwidth
@@ -144,11 +130,5 @@ mod tests {
         let k19 = Kde::fit(&y2019).unwrap();
         let k20 = Kde::fit(&y2020).unwrap();
         assert!(k19.mode(0.0, 1.0, 1000) > k20.mode(0.0, 1.0, 1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth")]
-    fn zero_bandwidth_panics() {
-        Kde::fit_with_bandwidth(&[1.0], 0.0);
     }
 }

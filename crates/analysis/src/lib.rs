@@ -5,8 +5,7 @@
 //! - [`stats`]: summaries, percentiles, histograms.
 //! - [`kde`]: Gaussian kernel density estimation (Figure 1).
 //! - [`as_concentration`]: Table I shares and the hijack-k-ASes metric.
-//! - [`churn`]: snapshot-diff churn series (Figure 13) and synchronized
-//!   departures per 10-minute window (§IV-D).
+//! - [`churn`]: synchronized departures per 10-minute window (§IV-D).
 //! - [`propagation`]: the `ceil(log_d N)` gossip-rounds model and the
 //!   effective-outdegree renewal argument (§IV-B).
 //!
@@ -29,14 +28,14 @@ pub mod routing;
 pub mod stats;
 
 pub use as_concentration::{AsConcentration, AsShare};
-pub use ascii_plot::{bar_chart, sparkline, sparkline_fit};
-pub use churn::{mean_synchronized_departures, ChurnSeries, Departure};
+pub use ascii_plot::{sparkline, sparkline_fit};
+pub use churn::{mean_synchronized_departures, Departure};
 pub use eclipse::TableExposure;
 pub use kde::Kde;
 pub use propagation::{effective_outdegree, rounds_to_cover};
 pub use propagation_tree::{build_trees, replay_relay_histogram, PropagationTree, TreeNode};
 pub use rootcause::{attribute, RootCauseReport};
-pub use routing::{plan_hijack, target_shift, HijackPlan, TargetShift};
+pub use routing::{plan_hijack, HijackPlan};
 pub use stats::{percentile, Histogram, Summary};
 
 #[cfg(test)]

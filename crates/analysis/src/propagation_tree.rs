@@ -52,11 +52,6 @@ impl PropagationTree {
         self.nodes.len()
     }
 
-    /// The deepest hop count in the tree.
-    pub fn max_depth(&self) -> u32 {
-        self.nodes.values().map(|n| n.depth).max().unwrap_or(0)
-    }
-
     /// When the last covered node first received the object.
     pub fn last_delivery(&self) -> SimTime {
         self.nodes
@@ -64,28 +59,6 @@ impl PropagationTree {
             .map(|n| n.received)
             .max()
             .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Cumulative coverage sampled every `step` from the origin's creation
-    /// time through [`PropagationTree::last_delivery`]: `(time, nodes
-    /// covered by then)` per sample, always ending at full coverage.
-    pub fn coverage_curve(&self, step: SimDuration) -> Vec<(SimTime, usize)> {
-        let mut times: Vec<SimTime> = self.nodes.values().map(|n| n.received).collect();
-        times.sort_unstable();
-        let Some((&first, &last)) = times.first().zip(times.last()) else {
-            return Vec::new();
-        };
-        let mut curve = Vec::new();
-        let mut at = first;
-        loop {
-            let covered = times.partition_point(|&t| t <= at);
-            curve.push((at, covered));
-            if at >= last {
-                break;
-            }
-            at = last.min(at + step);
-        }
-        curve
     }
 }
 
@@ -262,18 +235,7 @@ mod tests {
         assert_eq!(t.nodes[&1].parent, Some(0));
         assert_eq!(t.nodes[&3].parent, Some(1), "first recv wins");
         assert_eq!(t.nodes[&3].depth, 2);
-        assert_eq!(t.max_depth(), 2);
         assert_eq!(t.last_delivery(), SimTime::ZERO + SimDuration::from_secs(6));
-    }
-
-    #[test]
-    fn coverage_curve_is_monotone_and_complete() {
-        let trees = build_trees(&sample_events());
-        let curve = trees[0].coverage_curve(SimDuration::from_secs(2));
-        assert_eq!(curve.first().map(|&(_, c)| c), Some(1));
-        assert_eq!(curve.last().map(|&(_, c)| c), Some(4));
-        assert!(curve.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert!(curve.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

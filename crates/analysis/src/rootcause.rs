@@ -66,18 +66,6 @@ pub struct RootCauseReport {
     pub total_gain: f64,
 }
 
-impl RootCauseReport {
-    /// Fraction of the total drop attributed to `cause` (index into
-    /// [`CAUSES`]). `None` when no drop was observed at all.
-    pub fn drop_share(&self, cause: usize) -> Option<f64> {
-        if self.total_drop == 0.0 {
-            None
-        } else {
-            Some(self.drop_by_cause[cause] / self.total_drop)
-        }
-    }
-}
-
 impl ToJson for Interval {
     fn to_json(&self) -> Value {
         let mut v = Value::object()
@@ -277,7 +265,6 @@ mod tests {
         ];
         let r = attribute(&rows);
         assert!(r.intervals.is_empty());
-        assert!(r.drop_share(0).is_none());
     }
 
     #[test]

@@ -53,37 +53,6 @@ pub fn plan_hijack(conc: &AsConcentration, fraction: f64) -> HijackPlan {
     }
 }
 
-/// How a single AS's attractiveness changes between two population views —
-/// the paper's AS4134 example (0.76% of reachable but 6.18% of responsive).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TargetShift {
-    /// The AS in question.
-    pub asn: u32,
-    /// Rank (1-based) in the reachable-only view, if hosted there.
-    pub rank_reachable: Option<usize>,
-    /// Rank in the responsive view.
-    pub rank_responsive: Option<usize>,
-    /// Share of reachable nodes, percent.
-    pub pct_reachable: f64,
-    /// Share of responsive nodes, percent.
-    pub pct_responsive: f64,
-}
-
-/// Compares an AS's standing across the two views.
-pub fn target_shift(
-    asn: u32,
-    reachable: &AsConcentration,
-    responsive: &AsConcentration,
-) -> TargetShift {
-    TargetShift {
-        asn,
-        rank_reachable: reachable.rank_of(asn),
-        rank_responsive: responsive.rank_of(asn),
-        pct_reachable: reachable.percent_of(asn),
-        pct_responsive: responsive.percent_of(asn),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,25 +82,5 @@ mod tests {
         let plan = plan_hijack(&c, 1.0);
         assert_eq!(plan.targets.len(), 3);
         assert_eq!(plan.isolated, 15);
-    }
-
-    #[test]
-    fn as4134_style_shift_detected() {
-        // AS 4134 hosts little of "reachable" but a lot of "responsive".
-        let reachable = conc(&[(3320, 80), (24940, 50), (4134, 8), (99, 862)]);
-        let responsive = conc(&[(4134, 62), (3320, 59), (99, 879)]);
-        let shift = target_shift(4134, &reachable, &responsive);
-        assert!(shift.rank_responsive.unwrap() < shift.rank_reachable.unwrap());
-        assert!(shift.pct_responsive > shift.pct_reachable);
-    }
-
-    #[test]
-    fn absent_as_has_no_rank() {
-        let reachable = conc(&[(1, 10)]);
-        let responsive = conc(&[(2, 10)]);
-        let shift = target_shift(2, &reachable, &responsive);
-        assert_eq!(shift.rank_reachable, None);
-        assert_eq!(shift.rank_responsive, Some(1));
-        assert_eq!(shift.pct_reachable, 0.0);
     }
 }

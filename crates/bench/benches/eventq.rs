@@ -10,16 +10,16 @@
 //!   earliest and scheduling a replacement 1M times — the shape of a
 //!   running simulation.
 //!
-//! Besides the usual console lines, the bench writes `BENCH_eventq.json`
-//! at the repository root with the measured throughputs (ops/s, best of
-//! three) and the wheel-over-heap speedup per workload, so CI and
-//! EXPERIMENTS.md can reference a machine-readable artifact.
+//! The bench writes `BENCH_eventq.json` at the repository root with the
+//! measured throughputs (ops/s, best of three) and the wheel-over-heap
+//! speedup per workload, so CI and EXPERIMENTS.md can reference a
+//! machine-readable artifact.
 
 use bitsync_json::Value;
 use bitsync_sim::event::{Backend, EventQueue};
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
 
 const SEED: u64 = 0x0E0E_0E0E;
@@ -70,16 +70,9 @@ fn best_of_three(workload: fn(Backend) -> f64, backend: Backend) -> f64 {
     (0..3).map(|_| workload(backend)).fold(0.0f64, f64::max)
 }
 
-fn bench(c: &mut Criterion) {
-    c.bench_function("eventq_bulk_wheel", |b| b.iter(|| bulk(Backend::Wheel)));
-    c.bench_function("eventq_bulk_heap", |b| b.iter(|| bulk(Backend::Heap)));
-    c.bench_function("eventq_churn_wheel", |b| b.iter(|| churn(Backend::Wheel)));
-    c.bench_function("eventq_churn_heap", |b| b.iter(|| churn(Backend::Heap)));
-}
-
-/// Re-measures both workloads on both backends and writes the comparison
+/// Measures both workloads on both backends and writes the comparison
 /// artifact `BENCH_eventq.json` at the repository root.
-fn record_artifact(_c: &mut Criterion) {
+fn main() {
     let bulk_wheel = best_of_three(bulk, Backend::Wheel);
     let bulk_heap = best_of_three(bulk, Backend::Heap);
     let churn_wheel = best_of_three(churn, Backend::Wheel);
@@ -104,20 +97,12 @@ fn record_artifact(_c: &mut Criterion) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_eventq.json");
-    match std::fs::write(&path, json.to_string_pretty()) {
-        Ok(()) => println!(
-            "eventq: bulk {:.2}x, churn {:.2}x wheel-over-heap -> {}",
-            bulk_wheel / bulk_heap,
-            churn_wheel / churn_heap,
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    std::fs::write(&path, json.to_string_pretty())
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!(
+        "eventq: bulk {:.2}x, churn {:.2}x wheel-over-heap -> {}",
+        bulk_wheel / bulk_heap,
+        churn_wheel / churn_heap,
+        path.display()
+    );
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(3);
-    targets = bench, record_artifact
-}
-criterion_main!(benches);

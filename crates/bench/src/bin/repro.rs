@@ -3,34 +3,26 @@
 //!
 //! ```text
 //! repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N]
-//!       [--json DIR] [--metrics] [--trace DIR] [--trace-cap N]
-//!       [--timeseries DIR] [--sample-interval S]
-//!       [--profile PATH] <target>...
+//!       [--out DIR [--trace] [--sample-interval S]] <target>...
 //!
 //! targets: all, or any experiment name from `repro --list`
 //!   (rounds, fig6, fig7, relay, census, fig1, resync, partition, ablation,
 //!   resilience, forkstress)
 //! ```
 //!
-//! Experiments run independently — `--threads 4` distributes them over
-//! worker threads; the output (text, JSON, metrics, JSONL traces) is
-//! byte-identical to a serial run with the same seed. Wall time, event
-//! throughput, peak RSS, and the `--profile` phase spans go to stderr /
-//! side files only, never into the deterministic report JSON.
-//!
-//! `--trace DIR` writes per-experiment JSONL event logs under
-//! `DIR/<experiment>/<category>.jsonl` (see EXPERIMENTS.md
-//! §"Observability"); `--trace-cap N` bounds each category's ring buffer
-//! (default 262144 events). `--profile PATH` writes a Chrome trace-event
-//! JSON file loadable in `chrome://tracing` or Perfetto.
-//!
-//! `--timeseries DIR` samples world gauges on a sim-time cadence
-//! (`--sample-interval S` seconds, default 600 — the paper's 10-minute
-//! Bitnodes snapshot window) and writes per-experiment
-//! `DIR/<experiment>/timeseries.{jsonl,csv}` plus the wall-clock
-//! `perf.jsonl` side-channel, then prints and writes the root-cause
-//! attribution table (`attribution.txt`/`.json`). The deterministic rows
-//! are byte-identical across `--threads`; only `perf.jsonl` is not.
+//! The text reports go to stdout. `--out DIR` additionally files the run as
+//! one directory — `manifest.json`, `perf.json` and per experiment
+//! `report.{json,txt}` and `metrics.txt`; with `--trace` the per-event
+//! JSONL logs under `trace/`; with `--sample-interval S` (600 is the
+//! paper's 10-minute Bitnodes snapshot window) the `timeseries.*` /
+//! `attribution.*` group — written by
+//! [`bitsync_core::experiments::write_bundle`]; EXPERIMENTS.md
+//! §"Observability" has the layout. Experiments run independently:
+//! `--threads 4` distributes them over worker threads, and stdout and every
+//! file not named `perf.*` are byte-identical to a serial run with the same
+//! seed. Wall time, event throughput and peak RSS go to `perf.*` and one
+//! `[perf]` stderr line only. A directory that cannot be created, or a file
+//! that cannot be written, is an error (exit 2), not a warning.
 //!
 //! The separate `fuzz` subcommand runs the deterministic scenario fuzzer
 //! (EXPERIMENTS.md §"Fuzzing & invariants"):
@@ -50,15 +42,15 @@
 //! harnesses and reconverge onto a single chain once faults end.
 
 use bitsync_core::experiments::fuzz::{self, FuzzConfig};
-use bitsync_core::experiments::{experiment_seed, ExperimentRunner, RunnerConfig, Scale, REGISTRY};
-use bitsync_core::profile::Profile;
+use bitsync_core::experiments::{
+    experiment_seed, write_bundle, ExperimentRunner, RunnerConfig, Scale, REGISTRY,
+};
 use bitsync_node::world::Fault;
 use bitsync_sim::metrics::{peak_rss_bytes, Throughput};
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::trace::DEFAULT_TRACE_CAP;
-
-/// Default `--timeseries` cadence: the paper's 10-minute snapshot window.
-const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(600);
+use std::path::PathBuf;
+use std::str::FromStr;
 
 fn list() {
     println!("available experiments (run with `repro <name>...` or `repro all`):\n");
@@ -67,11 +59,28 @@ fn list() {
     }
 }
 
-fn fmt_q(q: Option<f64>) -> String {
-    match q {
-        Some(v) => format!("{v:.3}"),
-        None => "-".to_string(),
-    }
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The value of the flag just taken from `args`: `parse` applied to the next
+/// argument, or `fail()` — usage text, exit 2 — when that is missing or
+/// rejected.
+fn flag_value<T>(
+    args: &mut std::slice::Iter<String>,
+    parse: impl Fn(&str) -> Option<T>,
+    fail: impl FnOnce() -> T,
+) -> T {
+    args.next().and_then(|s| parse(s)).unwrap_or_else(fail)
+}
+
+fn parsed<T: FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+fn positive<T: FromStr + PartialOrd + From<u8>>(s: &str) -> Option<T> {
+    parsed(s).filter(|n| *n >= T::from(1))
 }
 
 /// Runs `repro fuzz ...` and exits: 0 when every scenario passed, 1 when a
@@ -80,69 +89,42 @@ fn fmt_q(q: Option<f64>) -> String {
 fn fuzz_main(args: &[String]) -> ! {
     let mut cfg = FuzzConfig::default();
     let mut replay: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let args = &mut args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--seed" => {
-                i += 1;
-                cfg.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| fuzz_usage("--seed needs a number"));
+                cfg.seed = flag_value(args, parsed, || fuzz_usage("--seed needs a number"));
             }
             "--runs" => {
-                i += 1;
-                cfg.runs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fuzz_usage("--runs needs a positive number"));
+                let fail = || fuzz_usage("--runs needs a positive number");
+                cfg.runs = flag_value(args, positive, fail);
             }
             "--max-steps" => {
-                i += 1;
-                cfg.max_steps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| fuzz_usage("--max-steps needs a positive number"));
+                let fail = || fuzz_usage("--max-steps needs a positive number");
+                cfg.max_steps = flag_value(args, positive, fail);
             }
             "--out" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .unwrap_or_else(|| fuzz_usage("--out needs a file path"));
-                cfg.out = Some(std::path::PathBuf::from(path));
+                let fail = || fuzz_usage("--out needs a file path");
+                cfg.out = Some(flag_value(args, parsed, fail));
             }
             "--fault" => {
-                i += 1;
-                cfg.fault = match args.get(i).and_then(|s| Fault::parse(s)) {
-                    Some(f) => Some(f),
-                    None => {
-                        let names: Vec<&str> = Fault::ALL.iter().map(|f| f.name()).collect();
-                        fuzz_usage(&format!("--fault must be one of: {}", names.join(", ")))
-                    }
-                };
+                cfg.fault = Some(flag_value(args, Fault::parse, || {
+                    let names: Vec<&str> = Fault::ALL.iter().map(|f| f.name()).collect();
+                    fuzz_usage(&format!("--fault must be one of: {}", names.join(", ")))
+                }));
             }
             "--replay" => {
-                i += 1;
-                replay = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| fuzz_usage("--replay needs a file path"))
-                        .clone(),
-                );
+                let fail = || fuzz_usage("--replay needs a file path");
+                replay = Some(flag_value(args, parsed, fail));
             }
             t => fuzz_usage(&format!("unknown fuzz argument '{t}'")),
         }
-        i += 1;
     }
 
     if let Some(path) = replay {
         let verdict = match fuzz::replay_file(std::path::Path::new(&path)) {
             Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => die(&e.to_string()),
         };
         println!(
             "replayed {path} (seed {}): {} events, {} invariant checks",
@@ -223,142 +205,59 @@ fn main() {
     if args.first().map(String::as_str) == Some("fuzz") {
         fuzz_main(&args[1..]);
     }
-    let mut cfg = RunnerConfig {
-        scale: Scale::Scaled,
-        seed: 2021,
-        threads: 1,
-        trace_cap: None,
-        sample_interval: None,
-    };
-    let mut json_dir: Option<String> = None;
-    let mut trace_dir: Option<String> = None;
-    let mut timeseries_dir: Option<String> = None;
-    let mut profile_path: Option<String> = None;
-    let mut show_metrics = false;
+    let mut cfg = RunnerConfig::default();
+    let mut out: Option<PathBuf> = None;
     let mut targets: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let args = &mut args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--list" => {
                 list();
                 return;
             }
-            "--metrics" => show_metrics = true,
-            "--json" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--json needs a directory"))
-                    .clone();
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("error: cannot create {dir}: {e}");
-                    std::process::exit(2);
-                }
-                json_dir = Some(dir);
-            }
-            "--trace" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--trace needs a directory"))
-                    .clone();
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("error: cannot create {dir}: {e}");
-                    std::process::exit(2);
-                }
-                trace_dir = Some(dir);
-                cfg.trace_cap.get_or_insert(DEFAULT_TRACE_CAP);
-            }
-            "--trace-cap" => {
-                i += 1;
-                cfg.trace_cap = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage("--trace-cap needs a positive event count")),
-                );
-            }
-            "--timeseries" => {
-                i += 1;
-                let dir = args
-                    .get(i)
-                    .unwrap_or_else(|| usage("--timeseries needs a directory"))
-                    .clone();
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("error: cannot create {dir}: {e}");
-                    std::process::exit(2);
-                }
-                timeseries_dir = Some(dir);
-                cfg.sample_interval.get_or_insert(DEFAULT_SAMPLE_INTERVAL);
+            "--trace" => cfg.trace_cap = Some(DEFAULT_TRACE_CAP),
+            "--out" => {
+                out = Some(flag_value(args, parsed, || {
+                    usage("--out needs a directory")
+                }));
             }
             "--sample-interval" => {
-                i += 1;
-                cfg.sample_interval = Some(SimDuration::from_secs(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n: &u64| n >= 1)
-                        .unwrap_or_else(|| {
-                            usage("--sample-interval needs a positive second count")
-                        }),
-                ));
+                let fail = || usage("--sample-interval needs a positive second count");
+                cfg.sample_interval =
+                    Some(SimDuration::from_secs(flag_value(args, positive, fail)));
             }
-            "--profile" => {
-                i += 1;
-                profile_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage("--profile needs a file path"))
-                        .clone(),
-                );
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
+            "--seed" => cfg.seed = flag_value(args, parsed, || usage("--seed needs a number")),
             "--threads" => {
-                i += 1;
-                cfg.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--threads needs a positive number"));
+                let fail = || usage("--threads needs a positive number");
+                cfg.threads = flag_value(args, positive, fail);
             }
             "--scale" => {
-                i += 1;
-                cfg.scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| {
-                        let names = Scale::ALL.map(Scale::name);
-                        usage(&format!("--scale must be one of: {}", names.join(", ")))
-                    });
+                cfg.scale = flag_value(args, Scale::parse, || {
+                    let names = Scale::ALL.map(Scale::name).join(", ");
+                    usage(&format!("--scale must be one of: {names}"))
+                });
             }
             t if t.starts_with("--") => usage(&format!("unknown flag '{t}'")),
             t => targets.push(t.to_string()),
         }
-        i += 1;
     }
     if targets.is_empty() {
         usage("no target given");
     }
-    if trace_dir.is_none() && cfg.trace_cap.is_some() {
-        usage("--trace-cap requires --trace DIR");
+    if out.is_none() && (cfg.trace_cap.is_some() || cfg.sample_interval.is_some()) {
+        usage("--trace and --sample-interval require --out DIR");
     }
-    if timeseries_dir.is_none() && cfg.sample_interval.is_some() {
-        usage("--sample-interval requires --timeseries DIR");
+    // Before anything runs: an unusable path must not cost a simulation.
+    if let Some(dir) = &out {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            die(&format!("cannot create {}: {e}", dir.display()));
+        }
     }
 
-    let runner = ExperimentRunner::new(cfg);
     let started = std::time::Instant::now();
-    let reports = match runner.run(&targets) {
-        Ok(reports) => reports,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    };
+    let reports = ExperimentRunner::new(cfg)
+        .run(&targets)
+        .unwrap_or_else(|msg| die(&msg));
     let wall_secs = started.elapsed().as_secs_f64();
 
     println!(
@@ -368,84 +267,20 @@ fn main() {
         cfg.threads,
         if cfg.threads == 1 { "" } else { "s" }
     );
-
     for report in &reports {
         debug_assert_eq!(report.seed, experiment_seed(cfg.seed, report.name));
         print!("{}", report.rendered);
-        if show_metrics {
-            if let Some(metrics) = report.json.get("metrics") {
-                println!("metrics [{}]:", report.name);
-                println!("{}", metrics.to_string_pretty());
-                for (name, h) in &report.histograms {
-                    println!(
-                        "quantiles [{}] {name}: p50={} p90={} p99={}",
-                        report.name,
-                        fmt_q(h.quantile(0.5)),
-                        fmt_q(h.quantile(0.9)),
-                        fmt_q(h.quantile(0.99)),
-                    );
-                }
-            }
-        }
         println!();
-        if let Some(dir) = &json_dir {
-            let path = std::path::Path::new(dir).join(format!("{}.json", report.artifact));
-            if let Err(e) = std::fs::write(&path, report.json.to_string_pretty()) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        if let (Some(dir), Some(log)) = (&trace_dir, &report.trace) {
-            let sub = std::path::Path::new(dir).join(report.name);
-            match std::fs::create_dir_all(&sub).and_then(|()| log.write_dir(&sub)) {
-                Ok(files) => {
-                    eprintln!(
-                        "[trace] {}: {} events ({} dropped) in {} file{}",
-                        report.name,
-                        log.total_events(),
-                        log.total_dropped(),
-                        files.len(),
-                        if files.len() == 1 { "" } else { "s" }
-                    );
-                }
-                Err(e) => eprintln!("warning: could not write trace for {}: {e}", report.name),
-            }
-        }
-        if let (Some(dir), Some(log)) = (&timeseries_dir, &report.timeseries) {
-            let sub = std::path::Path::new(dir).join(report.name);
-            match std::fs::create_dir_all(&sub).and_then(|()| log.write_dir(&sub)) {
-                Ok(files) => eprintln!(
-                    "[timeseries] {}: {} rows in {} file{}",
-                    report.name,
-                    log.len(),
-                    files.len(),
-                    if files.len() == 1 { "" } else { "s" }
-                ),
-                Err(e) => eprintln!(
-                    "warning: could not write timeseries for {}: {e}",
-                    report.name
-                ),
-            }
-            let attribution = bitsync_core::analysis::attribute(&log.rows);
-            if !attribution.intervals.is_empty() {
-                let text = bitsync_core::report::render_rootcause(report.name, &attribution);
-                print!("{text}");
-                println!();
-                let txt_path = sub.join("attribution.txt");
-                if let Err(e) = std::fs::write(&txt_path, &text) {
-                    eprintln!("warning: could not write {}: {e}", txt_path.display());
-                }
-                let json_path = sub.join("attribution.json");
-                use bitsync_json::ToJson as _;
-                if let Err(e) = std::fs::write(&json_path, attribution.to_json().to_string_pretty())
-                {
-                    eprintln!("warning: could not write {}: {e}", json_path.display());
-                }
-            }
+    }
+    if let Some(dir) = &out {
+        match write_bundle(dir, &cfg, &targets, &reports, wall_secs) {
+            Ok(warnings) => warnings.iter().for_each(|w| eprintln!("warning: {w}")),
+            Err(msg) => die(&msg),
         }
     }
 
-    // Perf side-channel: stderr only — report JSON must stay byte-identical
-    // across machines and thread counts.
+    // Wall clock goes to stderr and `perf.*` only: stdout and every other
+    // file must stay byte-identical across machines and thread counts.
     let events: u64 = reports
         .iter()
         .filter_map(|r| {
@@ -464,28 +299,13 @@ fn main() {
         ),
         None => eprintln!("[perf] {throughput}"),
     }
-
-    if let Some(path) = &profile_path {
-        let spans = reports
-            .iter()
-            .flat_map(|r| r.spans.iter().copied())
-            .collect();
-        let profile = Profile::new(spans, wall_secs);
-        eprint!("{}", profile.summary());
-        if let Err(e) = std::fs::write(path, profile.to_chrome_trace().to_string()) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            eprintln!("[profile] chrome trace written to {path}");
-        }
-    }
 }
 
 fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: repro [--list] [--seed N] [--scale quick|scaled|full] [--threads N] \
-         [--json DIR] [--metrics] [--trace DIR] [--trace-cap N] \
-         [--timeseries DIR] [--sample-interval S] [--profile PATH] \
+         [--out DIR [--trace] [--sample-interval S]] \
          <all|fig1|census|fig6|fig7|relay|resync|rounds|ablation|partition|resilience|forkstress>...\n\
    or: repro fuzz [--seed N] [--runs K] [--max-steps M] [--out PATH] \
          [--fault NAME] [--replay FILE]"

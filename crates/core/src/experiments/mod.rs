@@ -2,7 +2,8 @@
 //! `paper`/`scaled` and `quick` constructors, a `run` function, a
 //! serializable result, and one `EXPERIMENT` row that enters it in the
 //! [`REGISTRY`]; the `bitsync-bench` crate renders them as the paper's
-//! tables and figures.
+//! tables and figures, and [`write_bundle`] files a finished run as one
+//! directory.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -23,6 +24,7 @@
 //! §"Fuzzing & invariants").
 
 pub mod ablation;
+mod bundle;
 pub mod census;
 pub mod forkstress;
 pub mod fuzz;
@@ -38,5 +40,6 @@ pub mod success_rate;
 mod sweep;
 pub mod sync_kde;
 
+pub use bundle::write_bundle;
 pub use registry::{experiment_names, experiment_seed, Experiment, Scale, REGISTRY};
 pub use runner::{ExperimentReport, ExperimentRunner, RunnerConfig};

@@ -56,8 +56,8 @@ impl Scale {
 pub struct Experiment {
     /// Stable name — the CLI target and registry key.
     pub name: &'static str,
-    /// Basename (without `.json`) of the artifact file `repro --json`
-    /// writes.
+    /// The paper-artifact name: the basename (without `.json`) of the golden
+    /// snapshot under `tests/golden/`, recorded in the bundle manifest.
     pub artifact: &'static str,
     /// The paper figures/tables/sections this experiment reproduces.
     pub paper_targets: &'static [&'static str],

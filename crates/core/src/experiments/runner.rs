@@ -5,12 +5,11 @@
 //! distributes them over plain worker threads pulling from a shared index.
 //! Reports come back in registry order and are byte-identical whatever the
 //! thread count: the JSON envelope and the trace log depend only on the
-//! scale and the derived seed. Wall-clock observations (phase spans) are
-//! kept out of the envelope and surfaced separately via
-//! [`crate::profile::Profile`].
+//! scale and the derived seed. The one wall-clock observation, each
+//! experiment's [`ExperimentReport::run_secs`], is kept out of the envelope;
+//! [`super::write_bundle`] files it under `perf.json`.
 
 use super::registry::{experiment_names, experiment_seed, Scale, REGISTRY};
-use crate::profile::PhaseSpan;
 use bitsync_json::Value;
 use bitsync_sim::metrics::Histogram;
 use bitsync_sim::time::SimDuration;
@@ -58,7 +57,7 @@ impl Default for RunnerConfig {
 pub struct ExperimentReport {
     /// Experiment name (CLI target).
     pub name: &'static str,
-    /// Artifact basename for `--json` output.
+    /// Artifact basename: the golden snapshot is `<artifact>.json`.
     pub artifact: &'static str,
     /// Paper figures/tables reproduced.
     pub paper_targets: &'static [&'static str],
@@ -78,10 +77,9 @@ pub struct ExperimentReport {
     /// was set. Deterministic rows only; the wall-clock perf side-channel
     /// rides along in [`TimeseriesLog::perf`].
     pub timeseries: Option<TimeseriesLog>,
-    /// Wall-clock phase spans (run/render), relative to the
-    /// runner invocation's start. Side-channel only — never serialized
-    /// into [`ExperimentReport::json`].
-    pub spans: Vec<PhaseSpan>,
+    /// Wall-clock seconds the registry row's `run` took. Side-channel
+    /// only — never serialized into [`ExperimentReport::json`].
+    pub run_secs: f64,
 }
 
 /// Executes registry experiments across worker threads.
@@ -130,14 +128,9 @@ impl ExperimentRunner {
     }
 
     fn run_indices(&self, indices: &[usize]) -> Vec<ExperimentReport> {
-        let epoch = Instant::now();
         let threads = self.cfg.threads.max(1).min(indices.len().max(1));
         if threads <= 1 {
-            return indices
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| self.run_one(i, k, epoch))
-                .collect();
+            return indices.iter().map(|&i| self.run_one(i)).collect();
         }
         // Work-stealing over a shared cursor; each slot collects its own
         // report so output order stays registry order.
@@ -149,7 +142,7 @@ impl ExperimentRunner {
                 scope.spawn(|| loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&idx) = indices.get(k) else { break };
-                    let report = self.run_one(idx, k, epoch);
+                    let report = self.run_one(idx);
                     *slots[k].lock().expect("slot poisoned") = Some(report);
                 });
             }
@@ -164,20 +157,9 @@ impl ExperimentRunner {
             .collect()
     }
 
-    fn run_one(&self, idx: usize, lane: usize, epoch: Instant) -> ExperimentReport {
+    fn run_one(&self, idx: usize) -> ExperimentReport {
         let exp = &REGISTRY[idx];
         let seed = experiment_seed(self.cfg.seed, exp.name);
-        let mut spans = Vec::with_capacity(2);
-        let mut timed = |phase: &'static str, start: Instant| {
-            spans.push(PhaseSpan {
-                experiment: exp.name,
-                phase,
-                start_us: start.duration_since(epoch).as_micros() as u64,
-                dur_us: start.elapsed().as_micros() as u64,
-                lane,
-            });
-        };
-
         let ins = Instruments {
             tracer: self.cfg.trace_cap.map(Tracer::enabled).unwrap_or_default(),
             sampler: self
@@ -189,9 +171,8 @@ impl ExperimentRunner {
         };
         let start = Instant::now();
         let (result, rendered) = (exp.run)(self.cfg.scale, seed, &ins);
-        timed("run", start);
+        let run_secs = start.elapsed().as_secs_f64();
 
-        let start = Instant::now();
         let json = Value::object()
             .with("experiment", exp.name)
             .with("paper_targets", exp.paper_targets.to_vec())
@@ -199,7 +180,6 @@ impl ExperimentRunner {
             .with("seed", seed)
             .with("result", result)
             .with("metrics", ins.metrics.to_json());
-        timed("render", start);
 
         ExperimentReport {
             name: exp.name,
@@ -211,7 +191,7 @@ impl ExperimentRunner {
             rendered,
             trace: ins.tracer.take(),
             timeseries: ins.sampler.take(),
-            spans,
+            run_secs,
         }
     }
 }
@@ -268,11 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn untraced_reports_have_no_trace_but_do_have_spans() {
+    fn untraced_reports_have_no_trace_but_do_have_run_secs() {
         let reports = quick(1).run(&["rounds".to_string()]).unwrap();
         assert!(reports[0].trace.is_none());
-        let phases: Vec<&str> = reports[0].spans.iter().map(|s| s.phase).collect();
-        assert_eq!(phases, ["run", "render"]);
+        assert!(reports[0].run_secs > 0.0);
     }
 
     /// One single-world experiment (`relay`) and one multi-world one

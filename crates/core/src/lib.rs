@@ -30,7 +30,6 @@
 //! ```
 
 pub mod experiments;
-pub mod profile;
 pub mod report;
 
 pub use bitsync_addrman as addrman;

@@ -489,36 +489,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Outcome of a [`run`] handler invocation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// Keep processing events.
-    Continue,
-    /// Stop the run immediately.
-    Halt,
-}
-
-/// Drives `queue` until `deadline`, passing each event to `handler` together
-/// with mutable access to shared `state` and the queue (so handlers can
-/// schedule follow-up events). Returns the number of events processed.
-pub fn run<E, S>(
-    queue: &mut EventQueue<E>,
-    state: &mut S,
-    deadline: SimTime,
-    mut handler: impl FnMut(&mut EventQueue<E>, &mut S, SimTime, E) -> Step,
-) -> u64 {
-    let start = queue.events_processed();
-    while let Some((at, ev)) = queue.pop_until(deadline) {
-        if handler(queue, state, at, ev) == Step::Halt {
-            break;
-        }
-    }
-    if queue.now() < deadline && queue.peek_time().is_none() {
-        queue.advance_to(deadline);
-    }
-    queue.events_processed() - start
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,45 +551,6 @@ mod tests {
         q.schedule_after(SimDuration::from_secs(5), 1);
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_secs(15));
-    }
-
-    #[test]
-    fn run_drives_handler_and_allows_rescheduling() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        let mut count = 0u32;
-        run(
-            &mut q,
-            &mut count,
-            SimTime::from_secs(10),
-            |q, count, at, ()| {
-                *count += 1;
-                if *count < 5 {
-                    q.schedule(at + SimDuration::from_secs(1), ());
-                }
-                Step::Continue
-            },
-        );
-        assert_eq!(count, 5);
-        assert_eq!(q.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn run_halts_on_request() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(SimTime::from_secs(i), i);
-        }
-        let mut seen = 0;
-        let n = run(&mut q, &mut seen, SimTime::MAX, |_, seen, _, _| {
-            *seen += 1;
-            if *seen == 3 {
-                Step::Halt
-            } else {
-                Step::Continue
-            }
-        });
-        assert_eq!(n, 3);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! A minimal M/D/1-style arrival loop:
 //!
 //! ```
-//! use bitsync_sim::event::{run, EventQueue, Step};
+//! use bitsync_sim::event::EventQueue;
 //! use bitsync_sim::rng::SimRng;
 //! use bitsync_sim::time::{SimDuration, SimTime};
 //!
@@ -31,11 +31,10 @@
 //! let mut rng = SimRng::seed_from(1);
 //! q.schedule(SimTime::ZERO, "arrival");
 //! let mut arrivals = 0u32;
-//! run(&mut q, &mut arrivals, SimTime::from_secs(3600), |q, arrivals, _at, _ev| {
-//!     *arrivals += 1;
+//! while let Some((_at, _ev)) = q.pop_until(SimTime::from_secs(3600)) {
+//!     arrivals += 1;
 //!     q.schedule_after(rng.exp_duration(SimDuration::from_secs(600)), "arrival");
-//!     Step::Continue
-//! });
+//! }
 //! assert!(arrivals > 0);
 //! ```
 
@@ -48,7 +47,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use event::{run, EventQueue, Step};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 

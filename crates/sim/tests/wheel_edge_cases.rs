@@ -3,9 +3,9 @@
 //! for any schedule, including the regimes the wheel handles specially —
 //! far-future timers parked past the top level, cascades at exact
 //! `64^k` digit boundaries, and zero-delay self-schedules from inside a
-//! running handler.
+//! `pop_until` drain.
 
-use bitsync_sim::event::{run, Backend, EventQueue, Step};
+use bitsync_sim::event::{Backend, EventQueue};
 use bitsync_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -114,7 +114,7 @@ fn cascade_boundary_reached_after_partial_drain() {
 
 #[test]
 fn zero_delay_self_schedules_during_run() {
-    // A handler that reschedules itself with zero delay: the new event
+    // An event that reschedules itself with zero delay: the new event
     // lands at the current instant and must run in the same drain, after
     // already-queued same-instant events (FIFO), identically on both
     // backends — and terminate.
@@ -123,19 +123,13 @@ fn zero_delay_self_schedules_during_run() {
         q.schedule(SimTime::from_nanos(10), 0);
         q.schedule(SimTime::from_nanos(10), 100);
         let mut seen: Vec<(u64, u32)> = Vec::new();
-        run(
-            &mut q,
-            &mut seen,
-            SimTime::from_nanos(1_000),
-            |q, seen, at, ev| {
-                seen.push((at.as_nanos(), ev));
-                if ev < 5 {
-                    // Zero-delay self-schedule: same instant, new seq.
-                    q.schedule_after(SimDuration::ZERO, ev + 1);
-                }
-                Step::Continue
-            },
-        );
+        while let Some((at, ev)) = q.pop_until(SimTime::from_nanos(1_000)) {
+            seen.push((at.as_nanos(), ev));
+            if ev < 5 {
+                // Zero-delay self-schedule: same instant, new seq.
+                q.schedule_after(SimDuration::ZERO, ev + 1);
+            }
+        }
         seen
     }
     let wheel = sequence(Backend::Wheel);
