@@ -85,19 +85,6 @@ impl AsConcentration {
         }
         self.ranked.len()
     }
-
-    /// The share hosted by a specific AS, in percent.
-    pub fn percent_of(&self, asn: u32) -> f64 {
-        self.ranked
-            .iter()
-            .find(|s| s.asn == asn)
-            .map_or(0.0, |s| s.percent)
-    }
-
-    /// The rank (1-based) of an AS, if present.
-    pub fn rank_of(&self, asn: u32) -> Option<usize> {
-        self.ranked.iter().position(|s| s.asn == asn).map(|i| i + 1)
-    }
 }
 
 #[cfg(test)]
@@ -140,15 +127,6 @@ mod tests {
         let c = sample();
         assert_eq!(c.top(20).len(), 3);
         assert_eq!(c.top(2).len(), 2);
-    }
-
-    #[test]
-    fn percent_and_rank_lookup() {
-        let c = sample();
-        assert_eq!(c.percent_of(2), 30.0);
-        assert_eq!(c.percent_of(99), 0.0);
-        assert_eq!(c.rank_of(2), Some(2));
-        assert_eq!(c.rank_of(99), None);
     }
 
     #[test]

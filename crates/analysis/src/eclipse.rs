@@ -49,32 +49,6 @@ impl TableExposure {
     pub fn eclipse_probability(&self, slots: u32) -> f64 {
         self.per_draw_probability().powi(slots as i32)
     }
-
-    /// Attacker addresses needed in the `new` table for an eclipse
-    /// probability of at least `target`, holding everything else fixed.
-    /// Returns `None` if even complete `new`-table domination is not
-    /// enough (the honest `tried` table protects the victim).
-    pub fn new_entries_needed(&self, slots: u32, target: f64) -> Option<usize> {
-        assert!((0.0..1.0).contains(&target), "target must be in [0,1)");
-        let mut probe = *self;
-        // Binary search over attacker_new up to a large cap.
-        let cap = 1 << 20;
-        probe.attacker_new = cap;
-        if probe.eclipse_probability(slots) < target {
-            return None;
-        }
-        let (mut lo, mut hi) = (0usize, cap);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            probe.attacker_new = mid;
-            if probe.eclipse_probability(slots) >= target {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(lo)
-    }
 }
 
 #[cfg(test)]
@@ -118,25 +92,6 @@ mod tests {
         };
         assert!((e.per_draw_probability() - 0.5).abs() < 1e-12);
         assert!((e.eclipse_probability(8) - 0.5f64.powi(8)).abs() < 1e-12);
-        // No amount of new-table flooding reaches 1% eclipse probability.
-        assert_eq!(e.new_entries_needed(8, 0.01), None);
-    }
-
-    #[test]
-    fn flooding_requirement_grows_with_honest_entries() {
-        let base = TableExposure {
-            attacker_new: 0,
-            honest_new: 100,
-            attacker_tried: 30,
-            honest_tried: 30,
-        };
-        let n_small = base.new_entries_needed(8, 0.001).expect("reachable");
-        let more_honest = TableExposure {
-            honest_new: 1000,
-            ..base
-        };
-        let n_large = more_honest.new_entries_needed(8, 0.001).expect("reachable");
-        assert!(n_large > n_small, "{n_large} <= {n_small}");
     }
 
     #[test]

@@ -127,14 +127,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()
     }
-
-    /// Bin centers, for plotting.
-    pub fn centers(&self) -> Vec<f64> {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        (0..self.bins.len())
-            .map(|i| self.lo + (i as f64 + 0.5) * width)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -194,12 +186,6 @@ mod tests {
         assert_eq!(h.bins[9], 1);
         assert_eq!(h.outliers, 2);
         assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn histogram_centers() {
-        let h = Histogram::build(&[], 0.0, 10.0, 5);
-        assert_eq!(h.centers(), vec![1.0, 3.0, 5.0, 7.0, 9.0]);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl TxGenerator {
             .collect();
         Transaction::new(inputs, outputs)
     }
-
-    /// Number of transactions generated so far.
-    pub fn generated(&self) -> u64 {
-        self.counter
-    }
 }
 
 /// Assembles blocks from a mempool on top of a given tip.
@@ -110,11 +105,6 @@ impl Miner {
         Block::assemble(0x2000_0000, prev, time, rng.next_u64() as u32, txs)
     }
 
-    /// Blocks mined so far.
-    pub fn blocks_mined(&self) -> u64 {
-        self.mined
-    }
-
     /// Samples the next block inter-arrival time (exponential around the
     /// target interval scaled by this miner's hash-rate `share` of the
     /// network, 0 < share <= 1).
@@ -144,7 +134,6 @@ mod tests {
         let c = g2.next_tx(&mut rng2);
         assert_ne!(a.txid(), b.txid());
         assert_ne!(a.txid(), c.txid());
-        assert_eq!(g1.generated(), 2);
     }
 
     #[test]
@@ -196,7 +185,6 @@ mod tests {
         let c = m2.mine(Hash256::ZERO, 1, &pool, &mut rng);
         assert_ne!(a.txs[0].txid(), b.txs[0].txid());
         assert_ne!(a.txs[0].txid(), c.txs[0].txid());
-        assert_eq!(m1.blocks_mined(), 2);
     }
 
     #[test]

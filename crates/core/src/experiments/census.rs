@@ -51,10 +51,7 @@ impl CensusExperimentConfig {
         CensusExperimentConfig {
             seed,
             census: CensusConfig::tiny(),
-            campaign: Campaign {
-                probe_start_day: 2,
-                ..Campaign::default()
-            },
+            campaign: Campaign { probe_start_day: 2 },
         }
     }
 }

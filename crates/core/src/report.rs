@@ -1,7 +1,8 @@
 //! Rendering helpers that turn experiment results into the paper's tables
-//! and figures. The [`experiments::registry`](crate::experiments::registry)
-//! wrappers call these after each run, and `bitsync-bench` re-exports them
-//! for the `repro` binary and the Criterion benches.
+//! and figures. Each experiment's
+//! [`registry`](crate::experiments::registry) row calls its renderer after
+//! the run; the text lands on `repro`'s stdout and in the bundle's
+//! `report.txt`.
 
 use crate::experiments::ablation::AblationResult;
 use crate::experiments::census::CensusExperimentResult;

@@ -4,7 +4,7 @@
 
 use crate::census::CensusNetwork;
 use crate::crawl::{metric, probe_responsive, Crawler};
-use crate::feeds::{FeedConfig, Feeds};
+use crate::feeds::Feeds;
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimTime;
@@ -78,10 +78,6 @@ pub struct CampaignResult {
 /// Runs the full campaign.
 #[derive(Clone, Debug)]
 pub struct Campaign {
-    /// Feed model.
-    pub feeds: FeedConfig,
-    /// Crawler settings.
-    pub crawler: Crawler,
     /// First day the VER prober ran (paper: day 14 due to a setup error).
     pub probe_start_day: u32,
 }
@@ -89,8 +85,6 @@ pub struct Campaign {
 impl Default for Campaign {
     fn default() -> Self {
         Campaign {
-            feeds: FeedConfig::paper(),
-            crawler: Crawler::default(),
             probe_start_day: 14,
         }
     }
@@ -106,7 +100,7 @@ impl Campaign {
     /// stamped at each day's crawl midpoint in sim time.
     pub fn run(&self, net: &CensusNetwork, rng: &mut SimRng, ins: &Instruments) -> CampaignResult {
         let (rec, sampler) = (&ins.metrics, &ins.sampler);
-        let feeds = Feeds::new(self.feeds, net, rng);
+        let feeds = Feeds::new(net, rng);
         let mut result = CampaignResult {
             probe_start_day: self.probe_start_day,
             ..CampaignResult::default()
@@ -119,11 +113,9 @@ impl Campaign {
             let t = day as f64 + 0.5;
             let snap = feeds.pull(net, t, rng);
             let crawl = if net.cfg.sampled_crawl {
-                self.crawler
-                    .run_experiment_sampled(net, &snap.candidates, t, rng, ins)
+                Crawler::run_experiment_sampled(net, &node_index, &snap.candidates, t, rng, ins)
             } else {
-                self.crawler
-                    .run_experiment(net, &snap.candidates, t, rng, ins)
+                Crawler::run_experiment(net, &node_index, &snap.candidates, t, rng, ins)
             };
 
             // Figure 3d: connected nodes absent from Bitnodes.
@@ -258,10 +250,7 @@ mod tests {
     fn run_tiny() -> (CensusNetwork, CampaignResult) {
         let mut rng = SimRng::seed_from(31);
         let net = CensusNetwork::generate(CensusConfig::tiny(), &mut rng);
-        let campaign = Campaign {
-            probe_start_day: 2,
-            ..Campaign::default()
-        };
+        let campaign = Campaign { probe_start_day: 2 };
         let result = campaign.run(&net, &mut rng, &Instruments::default());
         (net, result)
     }
@@ -340,10 +329,7 @@ mod tests {
             },
             &mut rng,
         );
-        let campaign = Campaign {
-            probe_start_day: 2,
-            ..Campaign::default()
-        };
+        let campaign = Campaign { probe_start_day: 2 };
         let result = campaign.run(&net, &mut rng, &Instruments::default());
         assert_eq!(result.days.len(), net.cfg.days as usize);
         for w in result.days.windows(2) {

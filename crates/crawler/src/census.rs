@@ -35,41 +35,16 @@ pub struct CensusConfig {
     /// Reachable nodes online at any time (paper: ~10,114 in feeds, 8,270
     /// connectable).
     pub reachable_online: usize,
-    /// Fraction of reachable nodes that never leave (paper: 3,034 of
-    /// 28,781 unique ≈ stable core of the ~10K snapshot).
-    pub permanent_fraction: f64,
-    /// Mean online-session length for non-permanent nodes, days.
-    /// Calibrated so ~8.6% of the snapshot departs daily (paper Fig. 13).
-    pub session_mean_days: f64,
-    /// Probability a departed node rejoins later with the same address.
-    pub rejoin_probability: f64,
-    /// Mean offline gap before a rejoin, days.
-    pub offline_gap_days: f64,
     /// Live unreachable addresses at any time (paper: ~195K per
     /// experiment).
     pub unreachable_live: usize,
     /// New unreachable addresses appearing per day (paper: cumulative
     /// 694,696 over 60 days from ~195K live ⇒ ~8.5K/day turnover).
     pub unreachable_daily_new: usize,
-    /// Fraction of unreachable addresses generated responsive. Set above
-    /// the paper's 23.5% *measured* cumulative fraction because flooder
-    /// addresses and already-expired entries dilute the measured value;
-    /// 0.28 generation lands the campaign at ≈23% measured.
-    pub responsive_fraction: f64,
     /// Mean honest per-node address-book size (entries).
     pub book_mean: usize,
-    /// Fraction of an honest node's ADDR gossip that references
-    /// reachable-class addresses (paper: 14.9% of ADDR entries).
-    pub book_reachable_fraction: f64,
-    /// Replacement arrivals churn faster than the initial population:
-    /// session-length multiplier for them.
-    pub arrival_session_factor: f64,
-    /// Rejoin-probability multiplier for replacement arrivals.
-    pub arrival_rejoin_factor: f64,
     /// Number of ADDR-flooding malicious reachable nodes (paper: 73).
     pub n_malicious: usize,
-    /// Fraction of flooders hosted in AS3320 (paper: 59%).
-    pub malicious_as3320_fraction: f64,
     /// Store honest address books compactly (sizes only, no index vectors)
     /// and drive the campaign through the closed-form crawl
     /// (`Crawler::run_experiment_sampled`). Required at full paper scale:
@@ -86,19 +61,10 @@ impl CensusConfig {
         CensusConfig {
             days: 60,
             reachable_online: 10_114,
-            permanent_fraction: 0.30,
-            session_mean_days: 7.0,
-            rejoin_probability: 0.5,
-            offline_gap_days: 1.5,
             unreachable_live: 195_000,
             unreachable_daily_new: 8_470,
-            responsive_fraction: 0.28,
             book_mean: 8_000,
-            book_reachable_fraction: 0.13,
-            arrival_session_factor: 1.0,
-            arrival_rejoin_factor: 1.0,
             n_malicious: 73,
-            malicious_as3320_fraction: 0.59,
             sampled_crawl: false,
         }
     }
@@ -214,6 +180,33 @@ pub struct UnreachableAddr {
     pub responsive: bool,
 }
 
+/// Fraction of reachable nodes that never leave (paper: 3,034 of 28,781
+/// unique ≈ stable core of the ~10K snapshot).
+const PERMANENT_FRACTION: f64 = 0.30;
+
+/// Mean online-session length for non-permanent nodes, days. Calibrated so
+/// ~8.6% of the snapshot departs daily (paper Fig. 13).
+const SESSION_MEAN_DAYS: f64 = 7.0;
+
+/// Probability a departed node rejoins later with the same address.
+const REJOIN_PROBABILITY: f64 = 0.5;
+
+/// Mean offline gap before a rejoin, days.
+const OFFLINE_GAP_DAYS: f64 = 1.5;
+
+/// Fraction of unreachable addresses generated responsive. Set above the
+/// paper's 23.5% *measured* cumulative fraction because flooder addresses
+/// and already-expired entries dilute the measured value; 0.28 generation
+/// lands the campaign at ≈23% measured.
+const RESPONSIVE_FRACTION: f64 = 0.28;
+
+/// Fraction of an honest node's ADDR gossip that references
+/// reachable-class addresses (paper: 14.9% of ADDR entries).
+const BOOK_REACHABLE_FRACTION: f64 = 0.13;
+
+/// Fraction of flooders hosted in AS3320 (paper: 59%).
+const MALICIOUS_AS3320_FRACTION: f64 = 0.59;
+
 /// The materialized census network.
 #[derive(Clone, Debug)]
 pub struct CensusNetwork {
@@ -246,7 +239,7 @@ impl CensusNetwork {
                                 used: &mut HashSet<u32>,
                                 rng: &mut SimRng,
                                 out: &mut Vec<UnreachableAddr>| {
-            let responsive = rng.chance(cfg.responsive_fraction);
+            let responsive = rng.chance(RESPONSIVE_FRACTION);
             let class = if responsive {
                 NodeClass::UnreachableResponsive
             } else {
@@ -284,12 +277,7 @@ impl CensusNetwork {
         let mut reachable: Vec<CensusNode> = Vec::new();
         let mut reachable_addrs = HashSet::new();
         let mut departures_to_replace: Vec<f64> = Vec::new();
-        let make_sessions = |start: f64,
-                             permanent: bool,
-                             session_mean: f64,
-                             rejoin_p: f64,
-                             rng: &mut SimRng|
-         -> Vec<Session> {
+        let make_sessions = |start: f64, permanent: bool, rng: &mut SimRng| -> Vec<Session> {
             if permanent {
                 return vec![Session {
                     start: 0.0,
@@ -299,16 +287,16 @@ impl CensusNetwork {
             let mut sessions = Vec::new();
             let mut t = start;
             loop {
-                let dur = -rng.unit().max(1e-12).ln() * session_mean;
+                let dur = -rng.unit().max(1e-12).ln() * SESSION_MEAN_DAYS;
                 let end = (t + dur).min(horizon);
                 sessions.push(Session { start: t, end });
                 if end >= horizon {
                     break;
                 }
-                if !rng.chance(rejoin_p) {
+                if !rng.chance(REJOIN_PROBABILITY) {
                     break;
                 }
-                let gap = -rng.unit().max(1e-12).ln() * cfg.offline_gap_days;
+                let gap = -rng.unit().max(1e-12).ln() * OFFLINE_GAP_DAYS;
                 t = end + gap;
                 if t >= horizon {
                     break;
@@ -318,21 +306,15 @@ impl CensusNetwork {
         };
 
         for i in 0..cfg.reachable_online {
-            let permanent = rng.chance(cfg.permanent_fraction);
+            let permanent = rng.chance(PERMANENT_FRACTION);
             let malicious = i < cfg.n_malicious;
             let addr = fresh_addr(&mut used, 0.9578, rng);
-            let asn = if malicious && rng.chance(cfg.malicious_as3320_fraction) {
+            let asn = if malicious && rng.chance(MALICIOUS_AS3320_FRACTION) {
                 3320
             } else {
                 as_model.sample(NodeClass::Reachable, rng)
             };
-            let sessions = make_sessions(
-                0.0,
-                permanent || malicious,
-                cfg.session_mean_days,
-                cfg.rejoin_probability,
-                rng,
-            );
+            let sessions = make_sessions(0.0, permanent || malicious, rng);
             if let Some(last) = sessions.last() {
                 if last.end < horizon {
                     departures_to_replace.push(last.end);
@@ -362,16 +344,9 @@ impl CensusNetwork {
             }
             let addr = fresh_addr(&mut used, 0.9578, rng);
             let asn = as_model.sample(NodeClass::Reachable, rng);
-            // Replacement arrivals are transient: shorter sessions and
-            // fewer rejoins, which is what keeps the unique-address mean
-            // lifetime near the paper's 16.6 days despite rejoin cycling.
-            let sessions = make_sessions(
-                start,
-                false,
-                cfg.session_mean_days * cfg.arrival_session_factor,
-                cfg.rejoin_probability * cfg.arrival_rejoin_factor,
-                rng,
-            );
+            // Replacement arrivals are never permanent; otherwise they draw
+            // sessions and rejoins like the initial population.
+            let sessions = make_sessions(start, false, rng);
             if let Some(last) = sessions.last() {
                 if last.end < horizon {
                     queue.push(last.end);
@@ -396,7 +371,6 @@ impl CensusNetwork {
         let flood_base = unreachable.len() as u32;
         let n_unreach = unreachable.len();
         let n_reach_total = reachable.len();
-        let flood_scale = bitsync_node::FloodScale::paper();
         // Figure 8 plots *cumulative* addresses sent over the campaign; a
         // flooder reveals its whole pool each day, so its unique pool is
         // the target total divided by the window length, scaled with the
@@ -404,7 +378,7 @@ impl CensusNetwork {
         let scale = cfg.unreachable_live as f64 / 195_000.0;
         for node in reachable.iter_mut() {
             if node.malicious {
-                let total_target = flood_scale.sample(rng) as f64 * scale.max(0.01);
+                let total_target = bitsync_node::FloodScale::sample(rng) as f64 * scale.max(0.01);
                 let size = ((total_target / cfg.days as f64).ceil() as usize).max(150);
                 let start = flood_pool.len() as u32;
                 for _ in 0..size {
@@ -420,8 +394,8 @@ impl CensusNetwork {
                     .max(50.0)
                     .min(n_unreach as f64) as usize;
                 // Reachable share r of the total book: r/(1-r) × unreachable.
-                let reach_size = (size as f64 * cfg.book_reachable_fraction
-                    / (1.0 - cfg.book_reachable_fraction))
+                let reach_size = (size as f64 * BOOK_REACHABLE_FRACTION
+                    / (1.0 - BOOK_REACHABLE_FRACTION))
                     .round() as usize;
                 node.book_size = size as u32;
                 node.book_reachable_size = reach_size as u32;
@@ -488,33 +462,6 @@ impl CensusNetwork {
         }
         let u = &self.unreachable[idx as usize];
         u.appears <= day && day < u.disappears
-    }
-
-    /// Ground-truth probe of an arbitrary address at `day` (the paper's
-    /// Algorithm 2 mechanics).
-    pub fn probe(&self, addr: &NetAddr, day: f64) -> bitsync_net::ProbeOutcome {
-        if self.reachable_addrs.contains(addr) {
-            // Reachable node: accepted while online; silent otherwise.
-            let online = self
-                .reachable
-                .iter()
-                .any(|n| n.addr == *addr && n.online_at(day));
-            return if online {
-                bitsync_net::ProbeOutcome::Accepted
-            } else {
-                bitsync_net::ProbeOutcome::Silent
-            };
-        }
-        for u in &self.unreachable {
-            if u.addr == *addr {
-                return if u.responsive && u.appears <= day && day < u.disappears {
-                    bitsync_net::ProbeOutcome::RefusedFin
-                } else {
-                    bitsync_net::ProbeOutcome::Silent
-                };
-            }
-        }
-        bitsync_net::ProbeOutcome::Silent
     }
 }
 
@@ -617,30 +564,6 @@ mod tests {
             let a = net.book_addr(idx);
             assert!(!net.reachable_addrs.contains(&a));
         }
-    }
-
-    #[test]
-    fn probe_classifies_all_three_outcomes() {
-        let net = tiny();
-        let online = &net.reachable[net.online_at(0.5)[0]];
-        assert_eq!(
-            net.probe(&online.addr, 0.5),
-            bitsync_net::ProbeOutcome::Accepted
-        );
-        let resp = net
-            .unreachable
-            .iter()
-            .find(|u| u.responsive && u.appears == 0.0)
-            .unwrap();
-        assert_eq!(
-            net.probe(&resp.addr, 0.1),
-            bitsync_net::ProbeOutcome::RefusedFin
-        );
-        let silent = net.unreachable.iter().find(|u| !u.responsive).unwrap();
-        assert_eq!(
-            net.probe(&silent.addr, 0.1),
-            bitsync_net::ProbeOutcome::Silent
-        );
     }
 
     #[test]

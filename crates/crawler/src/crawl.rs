@@ -3,18 +3,17 @@
 //! probing for responsive nodes).
 
 use crate::census::CensusNetwork;
-use bitsync_net::population::ProbeOutcome;
 use bitsync_protocol::addr::NetAddr;
-use bitsync_sim::metrics::Recorder;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::trace::CrawlEvent;
 use bitsync_sim::Instruments;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Addresses per `ADDR` response (the protocol's message cap).
 const ADDRS_PER_RESPONSE: usize = 1000;
 
-/// Canonical metric names the crawler reports into a [`Recorder`].
+/// Canonical metric names the crawler reports into a
+/// [`Recorder`](bitsync_sim::metrics::Recorder).
 pub mod metric {
     /// `GETADDR` round-trips issued by Algorithm 1 (counter).
     pub const GETADDR_ROUNDS: &str = "crawler.getaddr_rounds";
@@ -24,8 +23,6 @@ pub mod metric {
     pub const ADDRS_REVEALED: &str = "crawler.addrs_revealed";
     /// VER probes sent by Algorithm 2 (counter).
     pub const PROBES_SENT: &str = "crawler.probes_sent";
-    /// Probes answered with an accepted connection (counter).
-    pub const PROBES_ACCEPTED: &str = "crawler.probes_accepted";
     /// Probes refused with FIN — responsive unreachable nodes (counter).
     pub const PROBES_REFUSED_FIN: &str = "crawler.probes_refused_fin";
     /// Probes that went unanswered (counter).
@@ -57,32 +54,33 @@ pub struct CrawlResult {
     pub sender_stats: Vec<(NetAddr, u64, u64)>,
 }
 
+/// Upper bound on `GETADDR` rounds per node (the real crawler is similarly
+/// bounded by politeness/time).
+const MAX_ROUNDS_PER_NODE: u32 = 2_000;
+
 /// The crawler: connects to every candidate and exhausts its address
 /// tables per Algorithm 1.
-#[derive(Clone, Debug)]
-pub struct Crawler {
-    /// Upper bound on `GETADDR` rounds per node (the real crawler is
-    /// similarly bounded by politeness/time).
-    pub max_rounds_per_node: u32,
-}
-
-impl Default for Crawler {
-    fn default() -> Self {
-        Crawler {
-            max_rounds_per_node: 2_000,
-        }
-    }
-}
+pub struct Crawler;
 
 impl Crawler {
     /// Algorithm 1 against one node: send `GETADDR` repeatedly; each
     /// response is a ≤1000-address sample of the node's tables plus the
     /// node's own address; stop when a response contains no new address.
     pub fn crawl_node(
-        &self,
         net: &CensusNetwork,
         node_idx: usize,
         day: f64,
+        rng: &mut SimRng,
+    ) -> NodeCrawl {
+        Self::crawl_node_bounded(net, node_idx, day, MAX_ROUNDS_PER_NODE, rng)
+    }
+
+    /// [`Crawler::crawl_node`] giving up after `max_rounds` round-trips.
+    fn crawl_node_bounded(
+        net: &CensusNetwork,
+        node_idx: usize,
+        day: f64,
+        max_rounds: u32,
         rng: &mut SimRng,
     ) -> NodeCrawl {
         let node = &net.reachable[node_idx];
@@ -110,7 +108,7 @@ impl Crawler {
 
         loop {
             rounds += 1;
-            if rounds > self.max_rounds_per_node {
+            if rounds > max_rounds {
                 break;
             }
             // One ADDR response: up to 1000 sampled entries + self address
@@ -146,11 +144,13 @@ impl Crawler {
     }
 
     /// One full experiment: connect to every candidate online at `day`,
-    /// run Algorithm 1 on each, and aggregate. Crawl metrics go to
-    /// `ins.metrics`, one [`CrawlEvent`] per crawled node to `ins.tracer`.
+    /// run Algorithm 1 on each, and aggregate. `index` is
+    /// [`CensusNetwork::reachable_index`], built once per campaign. Crawl
+    /// metrics go to `ins.metrics`, one [`CrawlEvent`] per crawled node to
+    /// `ins.tracer`.
     pub fn run_experiment(
-        &self,
         net: &CensusNetwork,
+        index: &HashMap<NetAddr, usize>,
         candidates: &[NetAddr],
         day: f64,
         rng: &mut SimRng,
@@ -160,13 +160,6 @@ impl Crawler {
             candidates: candidates.len(),
             ..CrawlResult::default()
         };
-        // Index census nodes by address once.
-        let index: std::collections::HashMap<NetAddr, usize> = net
-            .reachable
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.addr, i))
-            .collect();
         for addr in candidates {
             let Some(&idx) = index.get(addr) else {
                 continue;
@@ -175,7 +168,7 @@ impl Crawler {
                 continue; // feed staleness: listed but gone
             }
             result.connected += 1;
-            let crawl = self.crawl_node(net, idx, day, rng);
+            let crawl = Self::crawl_node(net, idx, day, rng);
             ins.metrics.inc(metric::NODES_CRAWLED, 1);
             ins.metrics
                 .inc(metric::GETADDR_ROUNDS, crawl.getaddr_rounds as u64);
@@ -219,8 +212,8 @@ impl Crawler {
     /// so the day's discovered set is the live pool itself plus the pools
     /// of online flooders.
     pub fn run_experiment_sampled(
-        &self,
         net: &CensusNetwork,
+        index: &HashMap<NetAddr, usize>,
         candidates: &[NetAddr],
         day: f64,
         rng: &mut SimRng,
@@ -230,7 +223,6 @@ impl Crawler {
             candidates: candidates.len(),
             ..CrawlResult::default()
         };
-        let index = net.reachable_index();
         // Today's live unreachable pool and the live fraction of the
         // all-time pool honest books were sampled from.
         let live: Vec<NetAddr> = net
@@ -330,8 +322,8 @@ pub fn probe_responsive(
     targets: &HashSet<NetAddr>,
     day: f64,
 ) -> HashSet<NetAddr> {
-    // Build a lookup for unreachable records (linear probe() would be
-    // quadratic over hundreds of thousands of targets).
+    // One pass over the unreachable records, then set lookups: a scan per
+    // target would be quadratic over hundreds of thousands of targets.
     let mut responsive = HashSet::new();
     let live_responsive: HashSet<NetAddr> = net
         .unreachable
@@ -345,46 +337,6 @@ pub fn probe_responsive(
         }
     }
     responsive
-}
-
-/// Classification counts from a set of probes (sanity harness mirroring
-/// the paper's three-node validation deployment).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProbeStats {
-    /// Probes answered with an accepted connection.
-    pub accepted: usize,
-    /// Probes refused with FIN (responsive unreachable).
-    pub refused_fin: usize,
-    /// Probes with no answer.
-    pub silent: usize,
-}
-
-/// Probes a list of arbitrary addresses and tallies outcomes.
-pub fn probe_all(net: &CensusNetwork, targets: &[NetAddr], day: f64) -> ProbeStats {
-    let mut stats = ProbeStats::default();
-    for t in targets {
-        match net.probe(t, day) {
-            ProbeOutcome::Accepted => stats.accepted += 1,
-            ProbeOutcome::RefusedFin => stats.refused_fin += 1,
-            ProbeOutcome::Silent => stats.silent += 1,
-        }
-    }
-    stats
-}
-
-impl ProbeStats {
-    /// Total probes tallied.
-    pub fn total(&self) -> usize {
-        self.accepted + self.refused_fin + self.silent
-    }
-
-    /// Reports these outcomes as crawler probe counters on `rec`.
-    pub fn record(&self, rec: &Recorder) {
-        rec.inc(metric::PROBES_SENT, self.total() as u64);
-        rec.inc(metric::PROBES_ACCEPTED, self.accepted as u64);
-        rec.inc(metric::PROBES_REFUSED_FIN, self.refused_fin as u64);
-        rec.inc(metric::PROBES_SILENT, self.silent as u64);
-    }
 }
 
 #[cfg(test)]
@@ -406,7 +358,7 @@ mod tests {
             .iter()
             .position(|n| !n.malicious && n.online_at(0.5))
             .unwrap();
-        let crawl = Crawler::default().crawl_node(&net, idx, 0.5, &mut rng);
+        let crawl = Crawler::crawl_node(&net, idx, 0.5, &mut rng);
         let live = net.reachable[idx]
             .book
             .iter()
@@ -429,7 +381,7 @@ mod tests {
             .iter()
             .position(|n| !n.malicious && n.online_at(0.5))
             .unwrap();
-        let crawl = Crawler::default().crawl_node(&net, idx, 0.5, &mut rng);
+        let crawl = Crawler::crawl_node(&net, idx, 0.5, &mut rng);
         assert!(crawl.revealed.contains(&net.reachable[idx].addr));
         assert!(crawl.reachable_revealed >= 1);
     }
@@ -438,7 +390,7 @@ mod tests {
     fn flooder_crawl_reveals_zero_reachable() {
         let (net, mut rng) = setup();
         let idx = net.reachable.iter().position(|n| n.malicious).unwrap();
-        let crawl = Crawler::default().crawl_node(&net, idx, 0.5, &mut rng);
+        let crawl = Crawler::crawl_node(&net, idx, 0.5, &mut rng);
         assert_eq!(crawl.reachable_revealed, 0);
         assert!(crawl.revealed.len() >= 150);
     }
@@ -452,7 +404,14 @@ mod tests {
             .map(|i| net.reachable[i].addr)
             .collect();
         let ins = Instruments::default();
-        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
+        let result = Crawler::run_experiment(
+            &net,
+            &net.reachable_index(),
+            &candidates,
+            0.5,
+            &mut rng,
+            &ins,
+        );
         assert_eq!(result.candidates, candidates.len());
         assert!(result.connected > 0);
         assert!(
@@ -476,7 +435,14 @@ mod tests {
             .find(|n| n.online_at(0.1) && !n.online_at(9.5))
         {
             let ins = Instruments::default();
-            let result = Crawler::default().run_experiment(&net, &[n.addr], 9.5, &mut rng, &ins);
+            let result = Crawler::run_experiment(
+                &net,
+                &net.reachable_index(),
+                &[n.addr],
+                9.5,
+                &mut rng,
+                &ins,
+            );
             assert_eq!(result.connected, 0);
         }
     }
@@ -490,36 +456,26 @@ mod tests {
             .map(|i| net.reachable[i].addr)
             .collect();
         let ins = Instruments::default();
-        let result = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
+        let result = Crawler::run_experiment(
+            &net,
+            &net.reachable_index(),
+            &candidates,
+            0.5,
+            &mut rng,
+            &ins,
+        );
         let responsive = probe_responsive(&net, &result.unreachable_found, 0.5);
         assert!(!responsive.is_empty());
         // Responsive ⊂ found, and each is genuinely responsive now.
         for r in &responsive {
             assert!(result.unreachable_found.contains(r));
-            assert_eq!(net.probe(r, 0.5), ProbeOutcome::RefusedFin);
+            let truth = net.unreachable.iter().find(|u| u.addr == *r).unwrap();
+            assert!(truth.responsive && truth.appears <= 0.5 && 0.5 < truth.disappears);
         }
         // Fraction should be near the configured 23.5% (flood addresses
         // dilute it downward).
         let frac = responsive.len() as f64 / result.unreachable_found.len() as f64;
         assert!(frac > 0.05 && frac < 0.40, "responsive fraction {frac}");
-    }
-
-    #[test]
-    fn probe_all_tallies_every_outcome() {
-        let (net, _rng) = setup();
-        let targets: Vec<NetAddr> = vec![
-            net.reachable[net.online_at(0.5)[0]].addr,
-            net.unreachable
-                .iter()
-                .find(|u| u.responsive && u.appears == 0.0)
-                .unwrap()
-                .addr,
-            net.unreachable.iter().find(|u| !u.responsive).unwrap().addr,
-        ];
-        let stats = probe_all(&net, &targets, 0.3);
-        assert_eq!(stats.accepted, 1);
-        assert_eq!(stats.refused_fin, 1);
-        assert_eq!(stats.silent, 1);
     }
 
     #[test]
@@ -533,9 +489,22 @@ mod tests {
             .map(|i| net.reachable[i].addr)
             .collect();
         let ins = Instruments::default();
-        let exact = Crawler::default().run_experiment(&net, &candidates, 0.5, &mut rng, &ins);
-        let sampled =
-            Crawler::default().run_experiment_sampled(&net, &candidates, 0.5, &mut rng, &ins);
+        let exact = Crawler::run_experiment(
+            &net,
+            &net.reachable_index(),
+            &candidates,
+            0.5,
+            &mut rng,
+            &ins,
+        );
+        let sampled = Crawler::run_experiment_sampled(
+            &net,
+            &net.reachable_index(),
+            &candidates,
+            0.5,
+            &mut rng,
+            &ins,
+        );
         assert_eq!(sampled.connected, exact.connected);
         assert_eq!(sampled.candidates, exact.candidates);
         // Exact union covers *almost* all live addresses; sampled covers all
@@ -573,8 +542,9 @@ mod tests {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::default().run_experiment_sampled(
+        let result = Crawler::run_experiment_sampled(
             &net,
+            &net.reachable_index(),
             &candidates,
             0.5,
             &mut rng,
@@ -636,11 +606,8 @@ mod tests {
     #[test]
     fn rounds_bounded() {
         let (net, mut rng) = setup();
-        let crawler = Crawler {
-            max_rounds_per_node: 3,
-        };
         let idx = net.reachable.iter().position(|n| n.online_at(0.5)).unwrap();
-        let crawl = crawler.crawl_node(&net, idx, 0.5, &mut rng);
+        let crawl = Crawler::crawl_node_bounded(&net, idx, 0.5, 3, &mut rng);
         assert!(crawl.getaddr_rounds <= 4);
     }
 }

@@ -12,39 +12,21 @@ use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use std::collections::HashSet;
 
-/// Feed coverage parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct FeedConfig {
-    /// Probability an online reachable node appears in Bitnodes.
-    pub bitnodes_coverage: f64,
-    /// Probability a node recently online appears in the Bitnodes list
-    /// even after departing (feed staleness).
-    pub bitnodes_stale: f64,
-    /// Probability an online reachable node appears in the DNS database.
-    pub dns_coverage: f64,
-    /// Probability a node is on the critical-infrastructure blacklist.
-    pub critical_fraction: f64,
-}
+/// Probability an online reachable node appears in Bitnodes. With the
+/// three constants below, calibrated to Figure 3: Bitnodes 10,114 of ~10.1K
+/// online (full coverage plus staleness), DNS 6,637 with ~6,078 overlap,
+/// 439/342 excluded (~4.3%/5.2%).
+const BITNODES_COVERAGE: f64 = 0.96;
 
-impl FeedConfig {
-    /// Calibrated to Figure 3: Bitnodes 10,114 of ~10.1K online (full
-    /// coverage plus staleness), DNS 6,637 with ~6,078 overlap, 439/342
-    /// excluded (~4.3%/5.2%).
-    pub fn paper() -> Self {
-        FeedConfig {
-            bitnodes_coverage: 0.96,
-            bitnodes_stale: 0.04,
-            dns_coverage: 0.64,
-            critical_fraction: 0.045,
-        }
-    }
-}
+/// Probability a node recently online appears in the Bitnodes list even
+/// after departing (feed staleness).
+const BITNODES_STALE: f64 = 0.04;
 
-impl Default for FeedConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
+/// Probability an online reachable node appears in the DNS database.
+const DNS_COVERAGE: f64 = 0.64;
+
+/// Probability a node is on the critical-infrastructure blacklist.
+const CRITICAL_FRACTION: f64 = 0.045;
 
 /// One day's feed pull.
 #[derive(Clone, Debug)]
@@ -81,20 +63,19 @@ impl FeedSnapshot {
 /// Simulates both feeds over a census network.
 #[derive(Clone, Debug)]
 pub struct Feeds {
-    cfg: FeedConfig,
     /// Deterministic blacklist membership per node index.
     critical: Vec<bool>,
 }
 
 impl Feeds {
     /// Builds feed state for `net`, fixing blacklist membership.
-    pub fn new(cfg: FeedConfig, net: &CensusNetwork, rng: &mut SimRng) -> Self {
+    pub fn new(net: &CensusNetwork, rng: &mut SimRng) -> Self {
         let critical = net
             .reachable
             .iter()
-            .map(|_| rng.chance(cfg.critical_fraction))
+            .map(|_| rng.chance(CRITICAL_FRACTION))
             .collect();
-        Feeds { cfg, critical }
+        Feeds { critical }
     }
 
     /// Whether a node (by census index) is on the blacklist.
@@ -118,9 +99,9 @@ impl Feeds {
                     .sessions
                     .iter()
                     .any(|s| s.end <= day && day - s.end < 1.0);
-            let in_bitnodes = (online && rng.chance(self.cfg.bitnodes_coverage))
-                || (recently && rng.chance(self.cfg.bitnodes_stale / 0.1 * 1.0));
-            let in_dns = online && rng.chance(self.cfg.dns_coverage);
+            let in_bitnodes = (online && rng.chance(BITNODES_COVERAGE))
+                || (recently && rng.chance(BITNODES_STALE / 0.1));
+            let in_dns = online && rng.chance(DNS_COVERAGE);
             if !in_bitnodes && !in_dns {
                 continue;
             }
@@ -163,7 +144,7 @@ mod tests {
     fn setup() -> (CensusNetwork, Feeds, SimRng) {
         let mut rng = SimRng::seed_from(5);
         let net = CensusNetwork::generate(CensusConfig::tiny(), &mut rng);
-        let feeds = Feeds::new(FeedConfig::paper(), &net, &mut rng);
+        let feeds = Feeds::new(&net, &mut rng);
         (net, feeds, rng)
     }
 
@@ -201,7 +182,7 @@ mod tests {
             },
             &mut rng,
         );
-        let feeds = Feeds::new(FeedConfig::paper(), &net, &mut rng);
+        let feeds = Feeds::new(&net, &mut rng);
         let snap = feeds.pull(&net, 0.5, &mut rng);
         let frac = snap.bitnodes_excluded as f64 / snap.bitnodes.len() as f64;
         assert!((frac - 0.045).abs() < 0.02, "excluded fraction {frac}");

@@ -37,5 +37,5 @@ pub mod feeds;
 pub use campaign::{Campaign, CampaignResult, DailyRecord};
 pub use census::{CensusConfig, CensusNetwork, CensusNode, UnreachableAddr};
 pub use churn_matrix::ChurnMatrix;
-pub use crawl::{probe_all, probe_responsive, CrawlResult, Crawler, ProbeStats};
-pub use feeds::{FeedConfig, FeedSnapshot, Feeds};
+pub use crawl::{probe_responsive, CrawlResult, Crawler};
+pub use feeds::{FeedSnapshot, Feeds};

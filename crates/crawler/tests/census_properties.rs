@@ -52,7 +52,7 @@ proptest! {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::default().run_experiment(&net, &candidates, day, &mut rng, &Instruments::default());
+        let result = Crawler::run_experiment(&net, &net.reachable_index(), &candidates, day, &mut rng, &Instruments::default());
         for a in &result.unreachable_found {
             prop_assert!(!net.reachable_addrs.contains(a));
         }

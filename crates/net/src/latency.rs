@@ -60,11 +60,12 @@ impl Default for LatencyConfig {
 /// ```
 /// use bitsync_net::latency::{LatencyConfig, LatencyModel};
 /// use bitsync_sim::rng::SimRng;
+/// use bitsync_sim::time::SimDuration;
 ///
 /// let model = LatencyModel::new(LatencyConfig::internet_2020(), 99);
 /// let mut rng = SimRng::seed_from(1);
 /// let d = model.message_delay(3320, 24940, 300, &mut rng);
-/// assert!(d.as_millis() >= 1);
+/// assert!(d >= SimDuration::from_millis(1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct LatencyModel {

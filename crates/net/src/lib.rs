@@ -3,7 +3,7 @@
 //! `bitsync-net` — the simulated network substrate:
 //!
 //! - [`population`]: the ground-truth node classes (reachable / responsive /
-//!   silent) and what a probe of each one sees.
+//!   silent).
 //! - [`as_model`]: Autonomous-System assignment calibrated to the paper's
 //!   Table I.
 //! - [`latency`]: deterministic pairwise AS-level delays, bandwidth, and
@@ -32,7 +32,7 @@ pub mod population;
 pub use as_model::AsModel;
 pub use churn::{ChurnConfig, ChurnModel, Rejoin};
 pub use latency::{LatencyConfig, LatencyModel};
-pub use population::{NodeClass, ProbeOutcome};
+pub use population::NodeClass;
 
 #[cfg(test)]
 mod proptests {

@@ -1,4 +1,4 @@
-//! Ground-truth node classes and what a probe of each one sees.
+//! Ground-truth node classes.
 //!
 //! The paper's census (§IV-A): ~10K reachable nodes online at a time (28,781
 //! unique over 60 days), 694,696 unique unreachable addresses of which
@@ -32,29 +32,6 @@ impl NodeClass {
     }
 }
 
-/// What happens when a remote endpoint sends this node a TCP SYN / VER
-/// probe (the paper's Algorithm 2 mechanics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProbeOutcome {
-    /// Connection accepted: the node is reachable.
-    Accepted,
-    /// Connection refused with FIN: the node is unreachable but responsive.
-    RefusedFin,
-    /// No answer at all: silent.
-    Silent,
-}
-
-impl ProbeOutcome {
-    /// The outcome a node of `class` produces.
-    pub fn for_class(class: NodeClass) -> ProbeOutcome {
-        match class {
-            NodeClass::Reachable => ProbeOutcome::Accepted,
-            NodeClass::UnreachableResponsive => ProbeOutcome::RefusedFin,
-            NodeClass::UnreachableSilent => ProbeOutcome::Silent,
-        }
-    }
-}
-
 /// Draws a routable IPv4 endpoint not yet in `used` (skipping 0/8, 10/8,
 /// 127/8 and multicast and above) and records it there. The port is 8333
 /// with probability `default_port_frac`, otherwise an unprivileged one.
@@ -82,14 +59,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_outcomes_follow_class() {
-        for (class, expected) in [
-            (NodeClass::Reachable, ProbeOutcome::Accepted),
-            (NodeClass::UnreachableResponsive, ProbeOutcome::RefusedFin),
-            (NodeClass::UnreachableSilent, ProbeOutcome::Silent),
-        ] {
-            assert_eq!(ProbeOutcome::for_class(class), expected);
-            assert_eq!(class.is_unreachable(), class != NodeClass::Reachable);
-        }
+    fn every_class_but_reachable_is_unreachable() {
+        assert!(!NodeClass::Reachable.is_unreachable());
+        assert!(NodeClass::UnreachableResponsive.is_unreachable());
+        assert!(NodeClass::UnreachableSilent.is_unreachable());
     }
 }

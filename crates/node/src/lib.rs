@@ -3,9 +3,14 @@
 //! `bitsync-node` — the Bitcoin Core node behaviour model and the
 //! event-driven world that hosts a population of them.
 //!
-//! - [`node`]: the per-node state machine — handshake, `ADDR` gossip,
-//!   block/transaction relay, and the round-robin message pump that
-//!   reproduces the paper's Figure 9 / Algorithm 3 semantics.
+//! - [`node`]: the per-node state machine — the `Node` record and its
+//!   message dispatch, with one private submodule per mechanism: `dial`
+//!   (attempt pick, backoff, discouragement, connect / disconnect),
+//!   `handshake` (`VERSION` / `VERACK`, keepalive), `addr` (`GETADDR`,
+//!   `ADDR` ingest and forwarding, misbehaviour), `pump` (the round-robin
+//!   message pump of the paper's Figure 9 / Algorithm 3 and its visit
+//!   order), `inventory` (`INV` / `GETDATA` / `TX`, flood and trickle) and
+//!   `blocks` (blocks, headers, compact blocks, orphans, reorgs, mining).
 //! - [`peer`]: per-connection state (`vProcessMsg` / `vSendMessage`).
 //! - [`config`]: Core-0.20 defaults plus the §V refinement knobs.
 //! - [`malicious`]: the ADDR-flooding adversary of §IV-B / Figure 8.

@@ -16,35 +16,25 @@ use bitsync_protocol::addr::{NetAddr, TimestampedAddr, DEFAULT_PORT};
 use bitsync_sim::rng::SimRng;
 use std::net::Ipv4Addr;
 
+/// Smallest flooder pool (the paper's threshold for flagging: >1,000).
+const MIN_POOL: f64 = 1_100.0;
+
+/// Largest flooder pool (the paper's outlier: >400,000).
+const MAX_POOL: f64 = 420_000.0;
+
+/// Pareto-ish shape exponent for the spread between them.
+const POOL_SHAPE: f64 = 0.5;
+
 /// Pool-size distribution for a population of flooders, matching Figure 8's
 /// shape: most flooders carry tens of thousands of addresses, a handful
 /// carry >100K, one carries >400K.
-#[derive(Clone, Copy, Debug)]
-pub struct FloodScale {
-    /// Smallest pool (the paper's threshold for flagging: >1,000).
-    pub min_pool: usize,
-    /// Largest pool (the paper's outlier: >400,000).
-    pub max_pool: usize,
-    /// Pareto-ish shape exponent for the spread.
-    pub shape: f64,
-}
+pub struct FloodScale;
 
 impl FloodScale {
-    /// Figure 8 calibration.
-    pub fn paper() -> Self {
-        FloodScale {
-            min_pool: 1_100,
-            max_pool: 420_000,
-            shape: 0.5,
-        }
-    }
-
     /// Samples one flooder's pool size.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
+    pub fn sample(rng: &mut SimRng) -> usize {
         // Bounded Pareto via inverse transform.
-        let a = self.shape;
-        let l = self.min_pool as f64;
-        let h = self.max_pool as f64;
+        let (a, l, h) = (POOL_SHAPE, MIN_POOL, MAX_POOL);
         let u = rng.unit();
         let x = (l.powf(a) / (1.0 - u * (1.0 - (l / h).powf(a)))).powf(1.0 / a);
         x.min(h) as usize
@@ -150,9 +140,8 @@ mod tests {
 
     #[test]
     fn flood_scale_matches_figure8_shape() {
-        let scale = FloodScale::paper();
         let mut rng = SimRng::seed_from(5);
-        let sizes: Vec<usize> = (0..73).map(|_| scale.sample(&mut rng)).collect();
+        let sizes: Vec<usize> = (0..73).map(|_| FloodScale::sample(&mut rng)).collect();
         assert!(sizes.iter().all(|&s| s > 1000));
         assert!(sizes.iter().all(|&s| s <= 420_000));
         let over_100k = sizes.iter().filter(|&&s| s > 100_000).count();

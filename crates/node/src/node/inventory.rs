@@ -1,0 +1,142 @@
+//! Inventory and transaction relay (§IV-C; the benchmark's
+//! `node.node.accept_tx_ns`): `INV` / `GETDATA` / `TX` handling, what each
+//! peer is known to have, and the two announcement modes — flooding the
+//! transaction itself or trickling batched `INV`s on Core's Poisson
+//! schedule.
+
+use super::Node;
+use crate::config::TxAnnounce;
+use crate::peer::{Direction, NodeId};
+use bitsync_protocol::hash::{Hash256, InvType, InvVect};
+use bitsync_protocol::message::Message;
+use bitsync_protocol::tx::Transaction;
+use bitsync_sim::time::{SimDuration, SimTime};
+
+/// Mean `INV` trickle interval for outbound peers (Core's
+/// `INVENTORY_BROADCAST_INTERVAL >> 1`: 2 s Poisson).
+pub const INV_INTERVAL_OUTBOUND: SimDuration = SimDuration::from_secs(2);
+
+/// Mean `INV` trickle interval for inbound peers (Core's
+/// `INVENTORY_BROADCAST_INTERVAL`: 5 s Poisson).
+pub const INV_INTERVAL_INBOUND: SimDuration = SimDuration::from_secs(5);
+
+impl Node {
+    /// Records that peer `from` has object `hash` — it announced or sent
+    /// it — so the object is never relayed back to it.
+    pub(super) fn sender_knows(&mut self, from: NodeId, hash: Hash256) {
+        if let Some(p) = self.peers.get_mut(&from) {
+            p.mark_known(hash);
+        }
+    }
+
+    pub(super) fn on_inv(&mut self, from: NodeId, items: Vec<InvVect>) {
+        let mut wanted = Vec::new();
+        for iv in items {
+            self.sender_knows(from, iv.hash);
+            match iv.kind {
+                InvType::Tx => {
+                    if !self.mempool.contains(&iv.hash) {
+                        wanted.push(iv);
+                    }
+                }
+                InvType::Block | InvType::CompactBlock => {
+                    if !self.chain.contains(&iv.hash) {
+                        wanted.push(InvVect::block(iv.hash));
+                    }
+                }
+            }
+        }
+        if !wanted.is_empty() {
+            self.send(from, Message::GetData(wanted));
+        }
+    }
+
+    pub(super) fn on_getdata(&mut self, from: NodeId, items: Vec<InvVect>) {
+        let mut missing = Vec::new();
+        for iv in items {
+            let found = match iv.kind {
+                InvType::Tx => self.mempool.get(&iv.hash).cloned().map(Message::Tx),
+                InvType::Block | InvType::CompactBlock => {
+                    let compact = iv.kind == InvType::CompactBlock;
+                    self.chain
+                        .block(&iv.hash)
+                        .map(|b| Self::block_message(b, compact, &mut self.rng))
+                }
+            };
+            match found {
+                Some(msg) => self.send(from, msg),
+                None => missing.push(iv),
+            }
+        }
+        if !missing.is_empty() {
+            self.send(from, Message::NotFound(missing));
+        }
+    }
+
+    pub(super) fn on_tx(&mut self, from: NodeId, tx: Transaction, now: SimTime) {
+        self.sender_knows(from, tx.txid());
+        self.accept_tx(tx, now);
+    }
+
+    /// Accepts a transaction (from the network or injected locally) and
+    /// relays it to peers that do not know it yet. Returns `true` if new.
+    pub fn accept_tx(&mut self, tx: Transaction, _now: SimTime) -> bool {
+        let txid = tx.txid();
+        if self.mempool.contains(&txid) {
+            return false;
+        }
+        self.mempool.insert(tx.clone());
+        self.stats.txs_accepted += 1;
+        self.relay_tx(&tx);
+        true
+    }
+
+    fn relay_tx(&mut self, tx: &Transaction) {
+        let txid = tx.txid();
+        let prioritize = self.cfg.relay.prioritize_blocks;
+        for slot in self.relay_targets(&txid) {
+            let p = self.peers.slot_mut(slot);
+            match self.cfg.tx_announce {
+                TxAnnounce::Flood => {
+                    p.mark_known(txid);
+                    p.enqueue_send(Message::Tx(tx.clone()), prioritize);
+                }
+                TxAnnounce::Trickle => p.pending_inv.push(txid),
+            }
+        }
+    }
+
+    /// Flushes due trickled `INV` batches (Core's Poisson announcement
+    /// schedule). Called once per pump round.
+    pub(super) fn flush_trickle(&mut self, now: SimTime) {
+        if self.cfg.tx_announce != TxAnnounce::Trickle {
+            return;
+        }
+        let prioritize = self.cfg.relay.prioritize_blocks;
+        self.for_each_turn(|node, slot| {
+            let p = node.peers.slot_mut(slot);
+            if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
+                return;
+            }
+            let batch: Vec<InvVect> = p
+                .pending_inv
+                .drain(..)
+                .filter(|h| !p.known_invs.contains(h))
+                .take(1000)
+                .map(InvVect::tx)
+                .collect();
+            let mean = match p.dir {
+                Direction::Outbound | Direction::Feeler => INV_INTERVAL_OUTBOUND,
+                Direction::Inbound => INV_INTERVAL_INBOUND,
+            };
+            let delay = node.rng.exp_duration(mean);
+            for iv in &batch {
+                p.mark_known(iv.hash);
+            }
+            p.next_inv_at = now + delay;
+            if !batch.is_empty() {
+                p.enqueue_send(Message::Inv(batch), prioritize);
+            }
+        });
+    }
+}

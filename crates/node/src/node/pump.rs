@@ -1,0 +1,138 @@
+//! The round-robin pump (§IV-C, Figure 9 / Algorithm 3; the benchmark's
+//! `node.node.pump_round_ns`): delivery into `vProcessMsg`, one round of
+//! one-message-per-peer processing and flushing, and the order peers are
+//! visited in — by the round and by every relay fan-out alike.
+
+use super::{Node, NodeRequest};
+use crate::peer::{Direction, NodeId, Peer};
+use bitsync_protocol::hash::Hash256;
+use bitsync_protocol::message::Message;
+use bitsync_sim::time::{SimDuration, SimTime};
+
+/// A message handed to the socket writer, with its computed transmission
+/// window on the shared upload link.
+#[derive(Clone, Debug)]
+pub struct Outgoing {
+    /// Destination peer.
+    pub to: NodeId,
+    /// The message.
+    pub msg: Message,
+    /// When the socket writer started transmitting it.
+    pub send_start: SimTime,
+    /// When transmission finished (delivery latency is added by the world).
+    pub send_end: SimTime,
+}
+
+impl Node {
+    /// Delivers a message into the peer's `vProcessMsg` queue. Returns
+    /// `false` if the peer is unknown (racing a disconnect).
+    pub fn deliver(&mut self, from: NodeId, msg: Message) -> bool {
+        self.enqueue_recv(from, msg).is_some()
+    }
+
+    /// [`Node::deliver`] for a message arriving at `now`: also stamps the
+    /// receipt time the keepalive logic reads.
+    pub fn deliver_at(&mut self, from: NodeId, msg: Message, now: SimTime) -> bool {
+        self.enqueue_recv(from, msg)
+            .map(|p| p.last_recv = now)
+            .is_some()
+    }
+
+    fn enqueue_recv(&mut self, from: NodeId, msg: Message) -> Option<&mut Peer> {
+        let p = self.peers.get_mut(&from)?;
+        p.proc_q.push_back(msg);
+        Some(p)
+    }
+
+    /// Whether any queue holds work for the pump.
+    pub fn has_pending_work(&self) -> bool {
+        self.peers.as_slice().iter().any(|p| p.queued() > 0)
+    }
+
+    /// Runs one pump round: processes one inbound message per peer, then
+    /// flushes one outbound message per peer through the serialized socket
+    /// writer. Returns the flushed messages (with transmission windows) and
+    /// any world requests.
+    pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>) {
+        let mut requests = Vec::new();
+        self.flush_trickle(now);
+        self.keepalive(now, &mut requests);
+
+        // ThreadMessageHandler: one message per peer per round.
+        self.for_each_turn(|node, slot| {
+            let peer = node.peers.slot_mut(slot);
+            let Some(msg) = peer.proc_q.pop_front() else {
+                return;
+            };
+            let from = peer.node;
+            node.stats.msgs_processed += 1;
+            node.handle_message(from, msg, now, &mut requests);
+        });
+
+        // SocketHandler: one send per peer per round, serialized on the
+        // shared upload link.
+        let mut outgoing = Vec::new();
+        self.for_each_turn(|node, slot| {
+            let peer = node.peers.slot_mut(slot);
+            let Some(msg) = peer.send_q.pop_front() else {
+                return;
+            };
+            let to = peer.node;
+            let send_start = node.socket_free_at.max(now);
+            let tx_time =
+                SimDuration::from_secs_f64(msg.wire_size() as f64 / node.cfg.upload_bandwidth);
+            let send_end = send_start + tx_time;
+            node.socket_free_at = send_end;
+            node.stats.msgs_sent += 1;
+            outgoing.push(Outgoing {
+                to,
+                msg,
+                send_start,
+                send_end,
+            });
+        });
+        (outgoing, requests)
+    }
+
+    /// Calls `f` with the slot of every turn of one round, in visit order:
+    /// the table's connection order (Core walks `vNodes`) or, under the §V
+    /// `outbound_first` refinement, outbound peers, then feelers, then
+    /// inbound ones, each class in connection order. `f` gets the node
+    /// back, so a turn can run a message handler; handlers never connect,
+    /// disconnect or change a direction (they only *request* it), so the
+    /// turns stay valid across the walk.
+    pub(super) fn for_each_turn(&mut self, mut f: impl FnMut(&mut Self, u32)) {
+        let classes: &[Option<Direction>] = if self.cfg.relay.outbound_first {
+            &[
+                Some(Direction::Outbound),
+                Some(Direction::Feeler),
+                Some(Direction::Inbound),
+            ]
+        } else {
+            &[None]
+        };
+        for class in classes {
+            for turn in 0..self.peers.order().len() {
+                let slot = self.peers.order()[turn];
+                if class.is_none_or(|dir| self.peers.as_slice()[slot as usize].dir == dir) {
+                    f(self, slot);
+                }
+            }
+        }
+    }
+
+    /// One slot per turn, in visit order, of the ready data-relaying peers
+    /// that do not know `hash` yet. Chosen before anything is marked: after
+    /// a double connect (see [`crate::peer::PeerTable`]) a peer has two
+    /// turns and is sent the object on both.
+    pub(super) fn relay_targets(&mut self, hash: &Hash256) -> Vec<u32> {
+        let mut targets = Vec::new();
+        self.for_each_turn(|node, slot| {
+            let p = &node.peers.as_slice()[slot as usize];
+            if p.is_ready() && p.dir.relays_data() && !p.knows(hash) {
+                targets.push(slot);
+            }
+        });
+        targets
+    }
+}

@@ -270,39 +270,16 @@ impl PeerTable {
         Some(self.slots.remove(slot as usize))
     }
 
-    /// The visit order of one pump round, as slot numbers for
-    /// [`slot_mut`](Self::slot_mut): connection order.
+    /// One slot number (for [`slot_mut`](Self::slot_mut)) per pump turn, in
+    /// connection order; the node's `for_each_turn` walks it as is or, under
+    /// the §V `outbound_first` refinement, class by class.
     pub(crate) fn order(&self) -> &[u32] {
         &self.order
-    }
-
-    /// The visit order under the §V `outbound_first` refinement: outbound
-    /// peers, then feelers, then inbound, each in connection order.
-    pub(crate) fn outbound_first_order(&self) -> Vec<u32> {
-        let mut order = self.order.clone();
-        order.sort_by_key(|slot| match self.slots[*slot as usize].dir {
-            Direction::Outbound => 0u8,
-            Direction::Feeler => 1,
-            Direction::Inbound => 2,
-        });
-        order
     }
 
     /// The peer in `slot` (an entry of [`order`](Self::order)).
     pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut Peer {
         &mut self.slots[slot as usize]
-    }
-
-    /// Calls `f` with the peer and slot of each turn of `order` — the
-    /// table's own connection order when `None`.
-    pub(crate) fn for_each_turn(
-        &mut self,
-        order: Option<&[u32]>,
-        mut f: impl FnMut(u32, &mut Peer),
-    ) {
-        for slot in order.unwrap_or(&self.order) {
-            f(*slot, &mut self.slots[*slot as usize]);
-        }
     }
 }
 
@@ -456,30 +433,17 @@ mod tests {
                 table.for_each_by_id_mut(|_, p| by_id.push(p.node));
                 prop_assert_eq!(by_id, map.keys().copied().collect::<Vec<_>>());
                 // Connection order, double turns included, like the list.
-                let mut visited = Vec::new();
-                table.for_each_turn(None, |slot, p| {
-                    visited.push(p.node);
-                    assert_eq!(tag(p), tag(&map[&p.node]), "slot {slot}");
-                });
-                prop_assert_eq!(&visited, &order);
                 let via_slots: Vec<NodeId> = table
                     .order()
                     .to_vec()
                     .into_iter()
-                    .map(|slot| table.slot_mut(slot).node)
+                    .map(|slot| {
+                        let p = table.slot_mut(slot);
+                        assert_eq!(tag(p), tag(&map[&p.node]), "slot {slot}");
+                        p.node
+                    })
                     .collect();
                 prop_assert_eq!(&via_slots, &order);
-                // `outbound_first`: the same list, stably sorted.
-                let mut sorted = order.clone();
-                sorted.sort_by_key(|id| match map[id].dir {
-                    Direction::Outbound => 0u8,
-                    Direction::Feeler => 1,
-                    Direction::Inbound => 2,
-                });
-                let mut visited = Vec::new();
-                let first = table.outbound_first_order();
-                table.for_each_turn(Some(&first), |_, p| visited.push(p.node));
-                prop_assert_eq!(visited, sorted);
             }
         }
     }

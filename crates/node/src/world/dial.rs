@@ -6,6 +6,7 @@
 //! connect timeout before the next attempt.
 
 use super::{Ev, PhantomKind, World};
+use crate::node::Attempt;
 use crate::peer::{Direction, NodeId};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -48,8 +49,8 @@ impl World {
         let Some(node) = self.running_node(id) else {
             return;
         };
-        let target = node.begin_outbound_attempt(now);
-        self.dial_or_defer(id, target, Direction::Outbound, now);
+        let attempt = node.begin_attempt(Direction::Outbound, now);
+        self.dial_or_defer(id, attempt, Direction::Outbound, now);
         // Re-tick only when the node is idle with unfilled slots: while a
         // dial is in flight its DialResult handler reschedules, so polling
         // would just burn events.
@@ -64,21 +65,23 @@ impl World {
         let Some(node) = self.running_node(id) else {
             return;
         };
-        let target = node.begin_feeler_attempt(now);
-        self.dial_or_defer(id, target, Direction::Feeler, now);
+        let attempt = node.begin_attempt(Direction::Feeler, now);
+        self.dial_or_defer(id, attempt, Direction::Feeler, now);
         self.queue.schedule(now + FEELER_INTERVAL, Ev::Feeler(id));
     }
 
-    /// Dials the address the node picked this tick; with none picked,
-    /// counts and traces the dial the node deferred because its selected
-    /// address was backed off or discouraged (if that is why).
-    fn dial_or_defer(&mut self, id: NodeId, target: Option<NetAddr>, dir: Direction, now: SimTime) {
-        if let Some(target) = target {
-            self.resolve_dial(id, target, dir, now);
-        } else if let Some(addr) = self.node_mut(id).and_then(|n| n.take_deferred_dial()) {
-            self.metrics.inc(super::metric::DIAL_RETRIES, 1);
-            self.sampler.count("dial_deferred", 1);
-            self.trace_dial(id, addr, dir, DialTargetKind::BackedOff, false, now);
+    /// Dials the address the node picked this tick, or counts and traces
+    /// the pick it deferred because the address was backed off or
+    /// discouraged.
+    fn dial_or_defer(&mut self, id: NodeId, attempt: Attempt, dir: Direction, now: SimTime) {
+        match attempt {
+            Attempt::Dial(target) => self.resolve_dial(id, target, dir, now),
+            Attempt::Deferred(addr) => {
+                self.metrics.inc(super::metric::DIAL_RETRIES, 1);
+                self.sampler.count("dial_deferred", 1);
+                self.trace_dial(id, addr, dir, DialTargetKind::BackedOff, false, now);
+            }
+            Attempt::Idle => {}
         }
     }
 

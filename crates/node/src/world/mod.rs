@@ -92,10 +92,10 @@ pub struct WorldConfig {
     /// relay but never count as synchronized — the base unsynchronized
     /// level visible in Bitnodes data on top of the churn-driven part.
     pub laggard_fraction: f64,
-    /// Event-queue backend for this world, or `None` for the process
-    /// default. Differential harnesses (the scenario fuzzer) run the same
-    /// config on [`Backend::Wheel`] and [`Backend::Heap`] without touching
-    /// the process-wide default.
+    /// Event-queue backend for this world, or `None` for
+    /// [`default_backend`]. Differential harnesses (the scenario fuzzer,
+    /// `tests/queue_differential.rs`) run the same config on
+    /// [`Backend::Wheel`] and [`Backend::Heap`].
     pub backend: Option<Backend>,
     /// Fault-plane intensities ([`FaultConfig::off`] by default). The
     /// plane draws from its own salted random stream, so an inactive

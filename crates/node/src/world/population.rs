@@ -154,7 +154,7 @@ impl World {
         let mut node = self.build_node(id, addr, reachable, rng);
         if malicious {
             let factor = self.cfg.fault.addr_flood_factor.max(1.0);
-            let size = ((FloodScale::paper().sample(rng) as f64 * factor) as usize).min(2_000_000);
+            let size = ((FloodScale::sample(rng) as f64 * factor) as usize).min(2_000_000);
             let mut flooder = AddrFlooder::generate(size, rng);
             // Amplified flooders violate the 1000-entry ADDR protocol cap,
             // which misbehavior scoring (when enabled) punishes.

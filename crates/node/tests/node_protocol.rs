@@ -2,6 +2,7 @@
 //! through `deliver`/`pump` without a world.
 
 use bitsync_chain::{Miner, TxGenerator};
+use bitsync_node::node::Attempt;
 use bitsync_node::{unix_time, Direction, Node, NodeConfig, NodeId};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
 use bitsync_protocol::hash::{Hash256, InvVect};
@@ -735,4 +736,257 @@ fn sendaddrv2_is_accepted_quietly() {
     let msgs = drain_to(&mut n, NodeId(9), now);
     // No error, no reply required.
     assert!(msgs.iter().all(|m| !matches!(m, Message::NotFound(_))));
+}
+
+#[test]
+fn missing_compact_transactions_round_trip_through_getblocktxn() {
+    let now = SimTime::from_secs(1);
+    let mut rng = SimRng::seed_from(70);
+    let mut gen = TxGenerator::new(1);
+    // a mines; b receives the compact announcement and relays on to c.
+    let mut a = node(0, 70);
+    let mut b = node(1, 71);
+    ready_inbound_peer(&mut a, 1, now);
+    ready_inbound_peer(&mut b, 0, now);
+    ready_inbound_peer(&mut b, 2, now);
+    a.deliver(
+        NodeId(1),
+        Message::SendCmpct(SendCmpct {
+            announce: true,
+            version: 1,
+        }),
+    );
+    a.pump(now);
+    drain_to(&mut a, NodeId(1), now);
+
+    // a pools five transactions; b has seen only the second and fourth.
+    let txs: Vec<Transaction> = (0..5).map(|_| gen.next_tx(&mut rng)).collect();
+    for (i, tx) in txs.iter().enumerate() {
+        a.mempool.insert(tx.clone());
+        if i == 1 || i == 3 {
+            b.mempool.insert(tx.clone());
+        }
+    }
+    let mut miner = Miner::new(3, 10);
+    let hash = a.mine_and_relay(&mut miner, now).expect("mined");
+    let mined = a.chain.block(&hash).unwrap().clone();
+    // Block positions (coinbase is 0) of what b lacks.
+    let lacking: Vec<u32> = (1u32..)
+        .zip(&mined.txs[1..])
+        .filter(|(_, tx)| !b.mempool.contains(&tx.txid()))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(lacking.len(), 3);
+
+    for msg in drain_to(&mut a, NodeId(1), now) {
+        assert!(matches!(msg, Message::CmpctBlock(_)), "{msg:?}");
+        b.deliver(NodeId(0), msg);
+    }
+    let requests = drain_to(&mut b, NodeId(0), now);
+    let [Message::GetBlockTxn(req)] = &requests[..] else {
+        panic!("expected exactly one GETBLOCKTXN: {requests:?}");
+    };
+    assert_eq!(req.block_hash, hash);
+    assert_eq!(req.indexes, lacking);
+    assert!(!b.chain.has_body(&hash), "connected before BLOCKTXN");
+
+    // A BLOCKTXN nobody asked for is ignored.
+    b.deliver(
+        NodeId(0),
+        Message::BlockTxn(bitsync_protocol::compact::BlockTxn {
+            block_hash: Hash256::hash_of(b"unknown"),
+            txs: vec![txs[0].clone()],
+        }),
+    );
+    let (sent, reqs) = b.pump(now);
+    assert!(sent.is_empty() && reqs.is_empty(), "{sent:?} {reqs:?}");
+    assert_eq!(b.stats.blocks_accepted, 0);
+
+    // a answers with exactly the requested transactions; b connects the
+    // block and relays it on.
+    a.deliver(NodeId(1), requests[0].clone());
+    let answers = drain_to(&mut a, NodeId(1), now);
+    let [Message::BlockTxn(bt)] = &answers[..] else {
+        panic!("expected exactly one BLOCKTXN: {answers:?}");
+    };
+    let answered: Vec<Hash256> = bt.txs.iter().map(Transaction::txid).collect();
+    let wanted: Vec<Hash256> = lacking
+        .iter()
+        .map(|&i| mined.txs[i as usize].txid())
+        .collect();
+    assert_eq!(answered, wanted);
+    b.deliver(NodeId(0), answers[0].clone());
+    let (relayed, _) = b.pump(now);
+    assert_eq!(b.chain.block(&hash), Some(&mined));
+    assert_eq!(b.stats.blocks_accepted, 1);
+    for tx in &txs {
+        assert!(!b.mempool.contains(&tx.txid()), "confirmed tx still pooled");
+    }
+    // Relayed to c only: the announcer already knows the block.
+    let [only] = &relayed[..] else {
+        panic!("expected one relay: {relayed:?}");
+    };
+    assert_eq!(only.to, NodeId(2));
+    assert!(matches!(&only.msg, Message::Block(blk) if blk.block_hash() == hash));
+    assert!(!b.has_pending_work());
+}
+
+#[test]
+fn a_feeler_marks_promotes_and_hangs_up_and_deferrals_are_reported_once() {
+    use bitsync_addrman::Table;
+    use bitsync_sim::time::SimDuration;
+
+    // A feeler's life: pick, mark attempted, handshake, promote, hang up.
+    let now = SimTime::from_secs(1);
+    let target = addr(42);
+    let mut n = node(0, 72);
+    n.addrman.add(target, addr(99), unix_time(now));
+    assert_eq!(
+        n.begin_attempt(Direction::Feeler, now),
+        Attempt::Dial(target)
+    );
+    let info = n.addrman.info(&target).unwrap();
+    assert_eq!((info.attempts, info.last_try), (1, unix_time(now)));
+    assert_eq!((n.stats.feeler_attempts, n.stats.attempts), (1, 0));
+    // One dial at a time, whichever kind.
+    assert_eq!(n.begin_attempt(Direction::Feeler, now), Attempt::Idle);
+    assert_eq!(n.begin_attempt(Direction::Outbound, now), Attempt::Idle);
+    assert_eq!(n.outgoing_count(), 1, "the in-flight feeler counts");
+
+    let pid = NodeId(3);
+    n.on_connected(pid, target, Direction::Feeler, now);
+    n.deliver(
+        pid,
+        Message::Version(bitsync_protocol::message::VersionMsg {
+            version: bitsync_protocol::PROTOCOL_VERSION,
+            services: 1,
+            timestamp: unix_time(now),
+            addr_recv: n.addr,
+            addr_from: target,
+            nonce: 3,
+            user_agent: "/test/".into(),
+            start_height: 0,
+            relay: true,
+        }),
+    );
+    n.deliver(pid, Message::Verack);
+    let (sent, reqs) = n.pump(now);
+    assert!(matches!(sent[..], [ref o] if matches!(o.msg, Message::Version(_))));
+    assert!(reqs.is_empty());
+    assert_eq!(n.addrman.info(&target).unwrap().table, Table::New);
+    let (_, reqs) = n.pump(now);
+    assert_eq!(reqs, vec![bitsync_node::NodeRequest::Disconnect(pid)]);
+    assert_eq!(n.addrman.info(&target).unwrap().table, Table::Tried);
+    assert_eq!(n.stats.successes, 0, "a feeler is not an outbound success");
+    n.on_disconnected(pid);
+    assert_eq!(n.outgoing_count(), 0);
+
+    // A backed-off pick is deferred, once per pick, in both directions.
+    let mut n = Node::new(NodeId(0), addr(1), true, NodeConfig::resilient(), 73);
+    n.addrman.add(target, addr(99), unix_time(now));
+    assert_eq!(
+        n.begin_attempt(Direction::Outbound, now),
+        Attempt::Dial(target)
+    );
+    n.on_attempt_failed(target, false, now);
+    let soon = now + SimDuration::from_secs(1);
+    for (k, dir) in [Direction::Feeler, Direction::Outbound]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(n.begin_attempt(dir, soon), Attempt::Deferred(target));
+        assert_eq!(n.stats.dial_retries_deferred, k as u64 + 1);
+    }
+    assert_eq!((n.stats.attempts, n.stats.feeler_attempts), (1, 0));
+    assert_eq!(n.addrman.info(&target).unwrap().attempts, 1);
+    assert_eq!(n.outgoing_count(), 0, "a deferred pick is not in flight");
+
+    // So is a discouraged one (here: banned for an oversized ADDR).
+    let mut n = Node::new(NodeId(0), addr(1), true, NodeConfig::resilient(), 74);
+    let banned = addr(10);
+    n.addrman.add(banned, addr(99), unix_time(now));
+    ready_inbound_peer(&mut n, 9, now);
+    let flood = (0..1_400u32)
+        .map(|i| {
+            let ip = Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8);
+            TimestampedAddr::new(unix_time(now) as u32, NetAddr::from_ipv4(ip, 8333))
+        })
+        .collect();
+    n.deliver(NodeId(9), Message::Addr(flood));
+    let (_, reqs) = n.pump(now);
+    assert_eq!(reqs, vec![bitsync_node::NodeRequest::Ban(NodeId(9))]);
+    n.on_disconnected(NodeId(9));
+    for (k, dir) in [Direction::Feeler, Direction::Outbound]
+        .into_iter()
+        .enumerate()
+    {
+        assert_eq!(n.begin_attempt(dir, soon), Attempt::Deferred(banned));
+        assert_eq!(n.stats.dial_retries_deferred, k as u64 + 1);
+    }
+    assert_eq!(n.addrman.info(&banned).unwrap().attempts, 0);
+}
+
+#[test]
+fn proposal_relay_draws_compact_nonces_in_outbound_first_order() {
+    use bitsync_node::{Handshake, RelayPolicy};
+
+    let now = SimTime::from_secs(1);
+    let mut donor = node(9, 75);
+    let mut miner = Miner::new(5, 10);
+    let hash = donor.mine_and_relay(&mut miner, now).expect("mined");
+    let block = donor.chain.block(&hash).unwrap().clone();
+
+    let seed = 76;
+    let mut cfg = NodeConfig::bitcoin_core();
+    cfg.relay = RelayPolicy::paper_proposal();
+    let mut n = Node::new(NodeId(0), addr(1), true, cfg, seed);
+    let table = [
+        (1, Direction::Inbound),
+        (2, Direction::Outbound),
+        (3, Direction::Feeler),
+        (4, Direction::Inbound),
+        (5, Direction::Outbound),
+    ];
+    for (id, dir) in table {
+        n.on_connected(NodeId(id), addr(id as u8 + 1), dir, now);
+        let p = n.peers.get_mut(&NodeId(id)).unwrap();
+        p.handshake = Handshake::Ready;
+        p.prefers_compact = true;
+    }
+    // The node's draws so far: the addrman key, then one VERSION nonce
+    // per dialed connection (2, 3, 5).
+    let mut twin = SimRng::seed_from(seed);
+    for _ in 0..4 {
+        twin.next_u64();
+    }
+
+    let mut reqs = Vec::new();
+    assert!(n.accept_block(block, None, now, &mut reqs));
+    assert!(reqs.is_empty());
+    // One nonce per data-relaying peer, outbound first, each class in
+    // connection order; the feeler is skipped without a draw.
+    for id in [2, 5, 1, 4] {
+        let nonce = twin.next_u64();
+        let q = &n.peers[&NodeId(id)].send_q;
+        let Some(Message::CmpctBlock(cb)) = q.front() else {
+            panic!("peer {id}: block not at the front: {q:?}");
+        };
+        assert_eq!((cb.block_hash(), cb.nonce), (hash, nonce), "peer {id}");
+        // Block priority put it ahead of a dialed peer's queued VERSION.
+        let rest: Vec<&Message> = q.iter().skip(1).collect();
+        if id == 2 || id == 5 {
+            assert!(matches!(rest[..], [Message::Version(_)]), "{rest:?}");
+        } else {
+            assert!(rest.is_empty(), "{rest:?}");
+        }
+    }
+    let feeler = &n.peers[&NodeId(3)].send_q;
+    assert!(matches!(
+        feeler.iter().collect::<Vec<_>>()[..],
+        [Message::Version(_)]
+    ));
+    // The socket writer walks the same order.
+    let (sent, _) = n.pump(now);
+    let to: Vec<u32> = sent.iter().map(|o| o.to.0).collect();
+    assert_eq!(to, [2, 5, 3, 1, 4]);
 }

@@ -96,6 +96,47 @@ proptest! {
         prop_assert!(!n.has_pending_work());
     }
 
+    /// Under the §V proposal a round serves outbound peers, then feelers,
+    /// then inbound ones — each class in connection order, a crossed dial's
+    /// second turn included — whatever the connect/disconnect history.
+    #[test]
+    fn proposal_visit_order_is_the_stable_sort_of_connection_order(
+        ops in proptest::collection::vec((0u8..3, 1u32..7, 0u8..3), 1..40),
+    ) {
+        let now = SimTime::from_secs(1);
+        let mut cfg = NodeConfig::bitcoin_core();
+        cfg.relay = bitsync_node::RelayPolicy::paper_proposal();
+        let mut n = Node::new(NodeId(0), addr(200), true, cfg, 3);
+        // The model: one entry per turn in connection order, and each
+        // connected id's current direction.
+        let mut turns: Vec<u32> = Vec::new();
+        let mut dirs = std::collections::BTreeMap::new();
+        for (op, p, class) in ops {
+            if op < 2 {
+                let dir = [Direction::Outbound, Direction::Feeler, Direction::Inbound][class as usize];
+                n.on_connected(NodeId(p), addr(p as u8), dir, now);
+                turns.push(p);
+                dirs.insert(p, class);
+            } else {
+                n.on_disconnected(NodeId(p));
+                turns.retain(|t| *t != p);
+                dirs.remove(&p);
+            }
+            while n.has_pending_work() {
+                n.pump(now);
+            }
+            // One ping per turn, so every turn has a pong to flush.
+            for p in &turns {
+                prop_assert!(n.deliver(NodeId(*p), Message::Ping(1)));
+            }
+            let (out, _) = n.pump(now);
+            let served: Vec<u32> = out.iter().map(|o| o.to.0).collect();
+            let mut expected = turns.clone();
+            expected.sort_by_key(|p| dirs[p]);
+            prop_assert_eq!(served, expected);
+        }
+    }
+
     /// Connection counts stay within Core's limits whatever the
     /// connect/disconnect order.
     #[test]

@@ -4,6 +4,7 @@
 //! a discouraged address must never be redialed inside its window.
 
 use bitsync_node::config::{backoff_delay, NodeConfig, ResilienceConfig};
+use bitsync_node::node::Attempt;
 use bitsync_node::{unix_time, Direction, Node, NodeId, NodeRequest};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
 use bitsync_protocol::message::Message;
@@ -153,13 +154,10 @@ fn discouraged_address_is_never_redialed_within_window() {
     let mut t = now;
     let mut deferred = 0u64;
     while t < now + window {
-        assert_eq!(
-            n.begin_outbound_attempt(t),
-            None,
-            "banned address dialed at {t}"
-        );
-        if n.take_deferred_dial() == Some(banned) {
-            deferred += 1;
+        match n.begin_attempt(Direction::Outbound, t) {
+            Attempt::Dial(addr) => panic!("{addr} dialed at {t}"),
+            Attempt::Deferred(addr) if addr == banned => deferred += 1,
+            _ => {}
         }
         t += SimDuration::from_mins(30);
     }
@@ -171,7 +169,8 @@ fn discouraged_address_is_never_redialed_within_window() {
     assert!(!n.is_discouraged(&banned, after));
     let mut redialed = false;
     for i in 0..50 {
-        if n.begin_outbound_attempt(after + SimDuration::from_secs(i)) == Some(banned) {
+        let at = after + SimDuration::from_secs(i);
+        if n.begin_attempt(Direction::Outbound, at) == Attempt::Dial(banned) {
             redialed = true;
             break;
         }
@@ -187,27 +186,41 @@ fn failed_dials_back_off_and_clear_on_success() {
     n.addrman.add(target, addr(99), unix_time(now));
 
     // Each failure pushes the next permitted dial further out, up to the
-    // cap; attempts inside the window return None.
+    // cap; attempts inside the window are deferred.
     let mut prev_gap = SimDuration::ZERO;
     for round in 1..=8u32 {
-        let picked = n.begin_outbound_attempt(now);
-        assert_eq!(picked, Some(target), "round {round} did not dial");
+        let picked = n.begin_attempt(Direction::Outbound, now);
+        assert_eq!(picked, Attempt::Dial(target), "round {round} did not dial");
         n.on_attempt_failed(target, false, now);
-        assert_eq!(n.dial_failures(&target), round);
         let gap = backoff_delay(&n.cfg.resilience, false, round);
         assert!(gap >= prev_gap, "in-vivo backoff shrank at {round}");
         assert_eq!(
-            n.begin_outbound_attempt(now + gap.saturating_sub(SimDuration::from_secs(1))),
-            None,
+            n.begin_attempt(
+                Direction::Outbound,
+                now + gap.saturating_sub(SimDuration::from_secs(1))
+            ),
+            Attempt::Deferred(target),
             "dialed inside the backoff window at {round}"
         );
         prev_gap = gap;
         now += gap; // the next attempt is made exactly at expiry
     }
 
-    // A successful connection wipes the slate.
-    let picked = n.begin_outbound_attempt(now);
-    assert_eq!(picked, Some(target));
+    // A successful connection wipes the slate: the next failure backs off
+    // for the first step of the schedule again, not the ninth.
+    let picked = n.begin_attempt(Direction::Outbound, now);
+    assert_eq!(picked, Attempt::Dial(target));
     n.on_connected(NodeId(3), target, Direction::Outbound, now);
-    assert_eq!(n.dial_failures(&target), 0);
+    n.on_disconnected(NodeId(3));
+    assert_eq!(
+        n.begin_attempt(Direction::Outbound, now),
+        Attempt::Dial(target)
+    );
+    n.on_attempt_failed(target, false, now);
+    let first = backoff_delay(&n.cfg.resilience, false, 1);
+    assert!(first < prev_gap);
+    assert_eq!(
+        n.begin_attempt(Direction::Outbound, now + first),
+        Attempt::Dial(target)
+    );
 }

@@ -8,11 +8,6 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Service flag: node can serve the full block chain (`NODE_NETWORK`).
 pub const NODE_NETWORK: u64 = 1;
-/// Service flag: node supports BIP 155 `addrv2` (not modeled, kept for
-/// completeness of the flag set).
-pub const NODE_WITNESS: u64 = 1 << 3;
-/// Service flag: node serves limited recent blocks (`NODE_NETWORK_LIMITED`).
-pub const NODE_NETWORK_LIMITED: u64 = 1 << 10;
 
 /// The default Bitcoin mainnet port; the paper found 95.78% of reachable and
 /// 88.54% of unreachable nodes on this port.

@@ -26,7 +26,6 @@
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 struct Scheduled<E> {
     at: SimTime,
@@ -70,28 +69,10 @@ pub enum Backend {
     Heap,
 }
 
-/// 0 = wheel, 1 = heap.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// The backend new queues are created with (see [`set_default_backend`]).
+/// The backend [`EventQueue::new`] runs on, and a world whose config pins
+/// none.
 pub fn default_backend() -> Backend {
-    if DEFAULT_BACKEND.load(AtomicOrdering::Relaxed) == 1 {
-        Backend::Heap
-    } else {
-        Backend::Wheel
-    }
-}
-
-/// Overrides the backend used by [`EventQueue::new`] process-wide.
-///
-/// Intended for differential tests that run the same experiment on both
-/// cores in one process; production code should leave the default alone.
-pub fn set_default_backend(backend: Backend) {
-    let v = match backend {
-        Backend::Wheel => 0,
-        Backend::Heap => 1,
-    };
-    DEFAULT_BACKEND.store(v, AtomicOrdering::Relaxed);
+    Backend::Wheel
 }
 
 /// Bits per wheel level: 64 slots each.
@@ -373,7 +354,6 @@ impl<E> Core<E> {
 /// ```
 pub struct EventQueue<E> {
     core: Core<E>,
-    backend: Backend,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -386,7 +366,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero on the process-default backend.
+    /// Creates an empty queue at time zero on [`default_backend`].
     pub fn new() -> Self {
         Self::with_backend(default_backend())
     }
@@ -399,16 +379,10 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             core,
-            backend,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
         }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The current simulated instant (the timestamp of the last popped
@@ -675,17 +649,5 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, times.len());
-    }
-
-    #[test]
-    fn default_backend_respects_global_override() {
-        // Serial with itself only; other tests never touch the global.
-        let initial = default_backend();
-        set_default_backend(Backend::Heap);
-        assert_eq!(default_backend(), Backend::Heap);
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), Backend::Heap);
-        set_default_backend(initial);
-        assert_eq!(default_backend(), initial);
     }
 }

@@ -131,11 +131,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Whole seconds (truncating).
     pub const fn as_secs(self) -> u64 {
         self.0 / 1_000_000_000
@@ -144,11 +139,6 @@ impl SimDuration {
     /// Seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Whole days (truncating).
-    pub const fn as_days(self) -> u64 {
-        self.0 / (86_400 * 1_000_000_000)
     }
 
     /// Days as a float.
@@ -274,7 +264,6 @@ mod tests {
     #[test]
     fn day_conversions() {
         let d = SimDuration::from_hours(36);
-        assert_eq!(d.as_days(), 1);
         assert!((d.as_days_f64() - 1.5).abs() < 1e-12);
     }
 

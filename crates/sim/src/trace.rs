@@ -48,9 +48,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-/// Default per-category ring-buffer capacity (events). Large enough to hold
-/// every event of the quick/scaled experiments; paper-scale runs that
-/// overflow it keep the *newest* events and count the drops.
+/// Default per-category ring-buffer capacity (events). Enough for every
+/// category except `relay`, which overflows it already at quick scale
+/// (`relay`, `ablation`, `resilience` and `forkstress` drop 0.76–4.3 M
+/// relay events there); a ring that overflows keeps the *newest* events
+/// and counts the drops, which `repro` reports as manifest warnings.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 18;
 
 /// A bounded FIFO of trace events: at most `cap` newest items are kept and

@@ -1,18 +1,15 @@
 //! Differential oracle for the event-queue backends: the hierarchical
 //! timer wheel must be observationally identical to the legacy binary
-//! heap — same pop order on raw timer streams, and byte-identical
-//! experiment JSON through the registry.
-//!
-//! The experiment-level comparison lives in **one** test function: the
-//! default backend is process-global state, and the harness runs
-//! `#[test]`s concurrently, so splitting the wheel and heap phases across
-//! tests would race. The raw pop-order comparison pins backends
-//! explicitly via [`EventQueue::with_backend`], so it can run alongside.
+//! heap — same pop order on raw timer streams, and the same relay delays
+//! and metrics out of a whole world. Both comparisons pin their backends
+//! explicitly ([`EventQueue::with_backend`], `WorldConfig::backend`).
 
-use bitsync_core::experiments::{ExperimentRunner, RunnerConfig, Scale};
-use bitsync_sim::event::{default_backend, set_default_backend, Backend, EventQueue};
+use bitsync_core::experiments::relay::RelayConfig;
+use bitsync_core::node::world::{World, WorldConfig};
+use bitsync_core::node::NodeId;
+use bitsync_sim::event::{Backend, EventQueue};
 use bitsync_sim::rng::SimRng;
-use bitsync_sim::time::SimDuration;
+use bitsync_sim::time::{SimDuration, SimTime};
 
 /// A mixed schedule/pop workload returning the observed pop sequence.
 fn pop_sequence(backend: Backend, seed: u64) -> Vec<(u64, u64)> {
@@ -38,21 +35,40 @@ fn pop_sequence(backend: Backend, seed: u64) -> Vec<(u64, u64)> {
     out
 }
 
-/// Runs `targets` at quick scale under the current default backend.
-fn run_reports(targets: &[&str]) -> Vec<(String, String)> {
-    let runner = ExperimentRunner::new(RunnerConfig {
-        scale: Scale::Quick,
-        seed: 2021,
-        threads: 1,
-        trace_cap: None,
-        sample_interval: None,
+/// The `relay` experiment's world at quick scale — the forced 8-out/17-in
+/// star around an instrumented hub — on `backend`: the hub's relay delays
+/// (sorted: the log is an unordered map) and every metric the world
+/// recorded.
+fn relay_star(backend: Backend) -> (Vec<(bool, u64)>, String) {
+    let cfg = RelayConfig::quick(2021);
+    let mut node_cfg = cfg.node_cfg.clone();
+    node_cfg.upload_bandwidth = cfg.upload_bandwidth;
+    let mut world = World::new(WorldConfig {
+        seed: cfg.seed,
+        node_cfg,
+        n_reachable: 1 + cfg.n_outbound + cfg.n_inbound,
+        n_unreachable_full: 0,
+        n_phantoms: 0,
+        seed_reachable: 0,
+        seed_phantoms: 0,
+        block_interval: Some(cfg.block_interval),
+        tx_rate: cfg.tx_rate,
+        compact_fraction: cfg.compact_fraction,
+        instrument: Some(0),
+        backend: Some(backend),
+        ..WorldConfig::default()
     });
-    runner
-        .run(&targets.iter().map(|t| t.to_string()).collect::<Vec<_>>())
-        .expect("targets resolve")
-        .into_iter()
-        .map(|r| (r.name.to_string(), r.json.to_string_pretty()))
-        .collect()
+    let hub = NodeId(0);
+    for i in 0..cfg.n_outbound {
+        world.force_connect(hub, NodeId(1 + i as u32));
+    }
+    for i in 0..cfg.n_inbound {
+        world.force_connect(NodeId(1 + (cfg.n_outbound + i) as u32), hub);
+    }
+    world.run_until(SimTime::ZERO + cfg.duration);
+    let mut delays = world.relay_delays();
+    delays.sort_unstable();
+    (delays, world.metrics.to_json().to_string_pretty())
 }
 
 /// Raw queues: identical pop order, including (time, seq) tie-breaks.
@@ -68,21 +84,13 @@ fn wheel_and_heap_pop_orders_are_identical() {
     }
 }
 
-/// Whole experiments: event-loop-heavy relay and the census campaign
-/// must serialize byte-identically whichever backend drives them.
+/// A whole world: the event-loop-heavy relay star must log the same relay
+/// delays and record byte-identical metrics whichever backend drives it.
 #[test]
-#[ignore = "runs two quick-scale experiments twice; exercised by the release CI job"]
 fn wheel_and_heap_experiment_json_is_identical() {
-    let saved = default_backend();
-    set_default_backend(Backend::Wheel);
-    let wheel = run_reports(&["census", "relay"]);
-    set_default_backend(Backend::Heap);
-    let heap = run_reports(&["census", "relay"]);
-    set_default_backend(saved);
-
-    assert_eq!(wheel.len(), heap.len());
-    for ((wn, wj), (hn, hj)) in wheel.iter().zip(&heap) {
-        assert_eq!(wn, hn, "report order diverged");
-        assert_eq!(wj, hj, "{wn}: wheel vs heap JSON diverged");
-    }
+    let (wheel_delays, wheel_metrics) = relay_star(Backend::Wheel);
+    let (heap_delays, heap_metrics) = relay_star(Backend::Heap);
+    assert!(!wheel_delays.is_empty(), "the hub relayed nothing");
+    assert_eq!(wheel_delays, heap_delays, "relay delays diverged");
+    assert_eq!(wheel_metrics, heap_metrics, "metrics diverged");
 }
