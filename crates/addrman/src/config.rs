@@ -4,7 +4,7 @@
 //! *§V refinement* expose the changes the paper proposes to improve network
 //! synchronization; the ablation benchmarks toggle them. `addrman.h`
 //! parameters that nothing varies are constants next to the code that
-//! reads them ([`crate::MAX_RETRIES_NEW`], [`crate::GETADDR_MAX`], …).
+//! reads them ([`crate::MAX_RETRIES_NEW`], [`crate::GETADDR_MAX_PCT`], …).
 
 /// Parameters of the address manager.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -21,9 +21,6 @@ pub struct AddrManConfig {
     /// *§V refinement*: the paper measures a mean node lifetime of 16.6 days
     /// and proposes reducing this to 17.
     pub horizon_days: i64,
-    /// Fraction of table size returned by `GETADDR`
-    /// (`ADDRMAN_GETADDR_MAX_PCT`; Core: 23).
-    pub getaddr_max_pct: u32,
     /// *§V refinement (a)*: serve `GETADDR` only from the `tried` table, so
     /// ADDR messages carry only addresses that were actually reachable.
     pub getaddr_from_tried_only: bool,
@@ -37,7 +34,6 @@ impl AddrManConfig {
             tried_bucket_count: 256,
             bucket_size: 64,
             horizon_days: 30,
-            getaddr_max_pct: 23,
             getaddr_from_tried_only: false,
         }
     }
@@ -82,7 +78,7 @@ mod tests {
         assert_eq!(crate::MAX_RETRIES_NEW, 3);
         assert_eq!(crate::MAX_FAILURES, 10);
         assert_eq!(crate::MAX_FAILURE_DAYS, 7);
-        assert_eq!(c.getaddr_max_pct, 23);
+        assert_eq!(crate::GETADDR_MAX_PCT, 23);
         assert_eq!(crate::GETADDR_MAX, 1000);
         assert!(!c.getaddr_from_tried_only);
     }
@@ -94,6 +90,6 @@ mod tests {
         assert_eq!(prop.horizon_days, 17);
         assert!(prop.getaddr_from_tried_only);
         assert_eq!(prop.new_bucket_count, core.new_bucket_count);
-        assert_eq!(prop.getaddr_max_pct, core.getaddr_max_pct);
+        assert_eq!(prop.bucket_size, core.bucket_size);
     }
 }

@@ -62,6 +62,10 @@ pub const MAX_FAILURES: u32 = 10;
 /// Window for [`MAX_FAILURES`] (`ADDRMAN_MIN_FAIL_DAYS`: 7).
 pub const MAX_FAILURE_DAYS: i64 = 7;
 
+/// Percentage of the eligible entries a `GETADDR` response samples
+/// (`ADDRMAN_GETADDR_MAX_PCT`: 23).
+pub const GETADDR_MAX_PCT: usize = 23;
+
 /// Absolute cap on a `GETADDR` response (Core's `MAX_ADDR_TO_SEND`: 1000,
 /// the `ADDR` message limit the paper describes in §III-A).
 pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
@@ -445,7 +449,7 @@ impl AddrMan {
     }
 
     /// Builds a `GETADDR` response (Core's `GetAddr`): a random sample of
-    /// `getaddr_max_pct`% of the table (capped at [`GETADDR_MAX`]), skipping
+    /// [`GETADDR_MAX_PCT`]% of the table (capped at [`GETADDR_MAX`]), skipping
     /// terrible addresses. With the §V refinement enabled, only `tried`
     /// addresses are eligible.
     pub fn get_addr(&self, rng: &mut SimRng, now: i64) -> Vec<TimestampedAddr> {
@@ -457,7 +461,7 @@ impl AddrMan {
         } else {
             self.infos.iter().flatten().collect()
         };
-        let want = ((eligible.len() * self.cfg.getaddr_max_pct as usize) / 100).min(GETADDR_MAX);
+        let want = (eligible.len() * GETADDR_MAX_PCT / 100).min(GETADDR_MAX);
         let picks = if eligible.is_empty() {
             Vec::new()
         } else {
@@ -765,19 +769,23 @@ mod tests {
 
     #[test]
     fn getaddr_tried_only_refinement() {
-        let mut cfg = AddrManConfig::paper_proposal();
-        cfg.getaddr_max_pct = 100;
-        let mut am = AddrMan::new(1, cfg);
-        let good_addr = addr(9, 9, 9, 9);
-        am.add(good_addr, src(), NOW);
-        am.good(&good_addr, NOW);
-        for i in 0..50u8 {
+        let mut am = AddrMan::new(1, AddrManConfig::paper_proposal());
+        for i in 0..40u8 {
+            let a = addr(9, 9, i, 9);
+            am.add(a, src(), NOW);
+            am.good(&a, NOW);
+        }
+        for i in 0..200u8 {
             am.add(addr(8, 8, i, 1), src(), NOW);
         }
         let mut rng = SimRng::seed_from(5);
         let resp = am.get_addr(&mut rng, NOW);
-        assert_eq!(resp.len(), 1);
-        assert_eq!(resp[0].addr, good_addr);
+        // 23 % of the tried entries, not of the 240-entry book.
+        assert_eq!(resp.len(), am.tried_count() * GETADDR_MAX_PCT / 100);
+        assert!(resp.len() >= 8, "{} tried", am.tried_count());
+        for e in &resp {
+            assert_eq!(am.info(&e.addr).unwrap().table, Table::Tried);
+        }
     }
 
     #[test]
@@ -885,15 +893,27 @@ mod tests {
 
     #[test]
     fn getaddr_filters_terrible() {
-        let mut cfg = AddrManConfig::bitcoin_core();
-        cfg.getaddr_max_pct = 100;
+        let cfg = AddrManConfig::bitcoin_core();
         let mut am = AddrMan::new(1, cfg);
-        am.add(addr(1, 1, 1, 1), src(), NOW);
-        am.add(addr(2, 2, 2, 2), src(), NOW - 40 * SECS_PER_DAY);
+        for i in 0..100u8 {
+            // One /16 group each, so no two share a bucket.
+            am.add(addr(1, i, 1, 1), src(), NOW);
+            am.add(addr(2, i, 2, 2), src(), NOW - 40 * SECS_PER_DAY);
+        }
         let mut rng = SimRng::seed_from(6);
         let resp = am.get_addr(&mut rng, NOW);
-        assert_eq!(resp.len(), 1);
-        assert_eq!(resp[0].addr, addr(1, 1, 1, 1));
+        // The 23 % sample is drawn first and the stale half of it dropped,
+        // as in Core's `GetAddr_`.
+        assert!(
+            am.len() > 150,
+            "bucket collisions ate the book: {}",
+            am.len()
+        );
+        let sampled = am.len() * GETADDR_MAX_PCT / 100;
+        assert!(!resp.is_empty() && resp.len() < sampled, "{}", resp.len());
+        for e in &resp {
+            assert!(!am.info(&e.addr).unwrap().is_terrible(NOW, &cfg));
+        }
     }
 
     #[test]
@@ -989,7 +1009,7 @@ mod proptests {
             let mut rng = SimRng::seed_from(seed);
             let resp = am.get_addr(&mut rng, 1_600_000_000);
             prop_assert!(resp.len() <= 1000);
-            prop_assert!(resp.len() <= am.len() * 23 / 100 + 1);
+            prop_assert!(resp.len() <= am.len() * GETADDR_MAX_PCT / 100);
             for e in &resp {
                 prop_assert!(am.info(&e.addr).is_some());
             }

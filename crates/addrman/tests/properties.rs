@@ -206,7 +206,7 @@ proptest! {
             am.len()
         };
         prop_assert!(
-            resp.len() <= eligible * cfg.getaddr_max_pct as usize / 100 + 1,
+            resp.len() <= eligible * bitsync_addrman::GETADDR_MAX_PCT / 100,
             "{} of {eligible} returned",
             resp.len()
         );

@@ -1,13 +1,18 @@
 #![warn(missing_docs)]
 
-//! `bitsync-analysis` — the statistics layer every experiment report uses:
+//! `bitsync-analysis` — the statistics layer every experiment report uses;
+//! each module feeds a report, a bundle file or a test of one:
 //!
 //! - [`stats`]: summaries, percentiles, histograms.
 //! - [`kde`]: Gaussian kernel density estimation (Figure 1).
 //! - [`as_concentration`]: Table I shares and the hijack-k-ASes metric.
+//! - [`routing`]: the greedy hijack plan of the §IV-A1 partition attack.
 //! - [`churn`]: synchronized departures per 10-minute window (§IV-D).
 //! - [`propagation`]: the `ceil(log_d N)` gossip-rounds model and the
 //!   effective-outdegree renewal argument (§IV-B).
+//! - [`propagation_tree`]: per-object relay trees rebuilt from trace events.
+//! - [`rootcause`]: the four-cause attribution of sync deltas.
+//! - [`ascii_plot`]: sparklines for the text reports.
 //!
 //! # Examples
 //!
@@ -19,7 +24,6 @@
 pub mod as_concentration;
 pub mod ascii_plot;
 pub mod churn;
-pub mod eclipse;
 pub mod kde;
 pub mod propagation;
 pub mod propagation_tree;
@@ -30,7 +34,6 @@ pub mod stats;
 pub use as_concentration::{AsConcentration, AsShare};
 pub use ascii_plot::{sparkline, sparkline_fit};
 pub use churn::{mean_synchronized_departures, Departure};
-pub use eclipse::TableExposure;
 pub use kde::Kde;
 pub use propagation::{effective_outdegree, rounds_to_cover};
 pub use propagation_tree::{build_trees, replay_relay_histogram, PropagationTree, TreeNode};

@@ -1,7 +1,6 @@
 //! Paper-anchor tests: closed-form quantities the paper states outright,
 //! checked against the analysis layer.
 
-use bitsync_analysis::eclipse::TableExposure;
 use bitsync_analysis::kde::Kde;
 use bitsync_analysis::propagation::{effective_outdegree, rounds_to_cover};
 use bitsync_analysis::stats::Summary;
@@ -46,29 +45,6 @@ fn figure1_summary_arithmetic() {
     let kde = Kde::fit(&y2019).unwrap();
     let mode = kde.mode(0.0, 1.0, 2000);
     assert!((mode - 0.7202).abs() < 0.03, "mode {mode}");
-}
-
-#[test]
-fn section_5_tried_only_addr_blocks_new_table_eclipse() {
-    // Under the §V refinement, outgoing candidates come only from tried:
-    // an attacker who can only pollute `new` gets zero eclipse probability.
-    let victim_after_refinement = TableExposure {
-        attacker_new: 0, // new table no longer consulted
-        honest_new: 0,
-        attacker_tried: 0,
-        honest_tried: 200,
-    };
-    assert_eq!(victim_after_refinement.eclipse_probability(8), 0.0);
-
-    // Whereas the unrefined victim with a paper-like 85%-polluted new
-    // table faces a materially nonzero per-draw probability.
-    let unrefined = TableExposure {
-        attacker_new: 850,
-        honest_new: 150,
-        attacker_tried: 0,
-        honest_tried: 200,
-    };
-    assert!(unrefined.per_draw_probability() > 0.4);
 }
 
 #[test]

@@ -31,7 +31,7 @@ pub mod miner;
 pub mod state;
 
 pub use mempool::Mempool;
-pub use miner::{Miner, TxGenerator, TARGET_BLOCK_INTERVAL};
+pub use miner::{Miner, TxGenerator};
 pub use state::{ChainError, ChainState, ReorgInfo};
 
 #[cfg(test)]

@@ -10,10 +10,7 @@ use bitsync_protocol::block::Block;
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::tx::{OutPoint, Transaction, TxIn, TxOut};
 use bitsync_sim::rng::SimRng;
-use bitsync_sim::time::SimDuration;
 
-/// Expected block interval on Bitcoin mainnet.
-pub const TARGET_BLOCK_INTERVAL: SimDuration = SimDuration::from_secs(600);
 /// Block subsidy at the paper's measurement period (post-2020 halving).
 pub const BLOCK_SUBSIDY: u64 = 625_000_000;
 
@@ -104,19 +101,6 @@ impl Miner {
         txs.extend(mempool.select_for_block(self.max_block_txs.saturating_sub(1)));
         Block::assemble(0x2000_0000, prev, time, rng.next_u64() as u32, txs)
     }
-
-    /// Samples the next block inter-arrival time (exponential around the
-    /// target interval scaled by this miner's hash-rate `share` of the
-    /// network, 0 < share <= 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `share` is not in `(0, 1]`.
-    pub fn next_block_delay(share: f64, rng: &mut SimRng) -> SimDuration {
-        assert!(share > 0.0 && share <= 1.0, "hash share must be in (0,1]");
-        let mean = SimDuration::from_secs_f64(TARGET_BLOCK_INTERVAL.as_secs_f64() / share);
-        rng.exp_duration(mean)
-    }
 }
 
 #[cfg(test)]
@@ -185,28 +169,5 @@ mod tests {
         let c = m2.mine(Hash256::ZERO, 1, &pool, &mut rng);
         assert_ne!(a.txs[0].txid(), b.txs[0].txid());
         assert_ne!(a.txs[0].txid(), c.txs[0].txid());
-    }
-
-    #[test]
-    fn block_delay_scales_with_share() {
-        let mut rng = SimRng::seed_from(6);
-        let n = 4000;
-        let mean_full: f64 = (0..n)
-            .map(|_| Miner::next_block_delay(1.0, &mut rng).as_secs_f64())
-            .sum::<f64>()
-            / n as f64;
-        let mean_half: f64 = (0..n)
-            .map(|_| Miner::next_block_delay(0.5, &mut rng).as_secs_f64())
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean_full - 600.0).abs() < 40.0, "full {mean_full}");
-        assert!((mean_half - 1200.0).abs() < 80.0, "half {mean_half}");
-    }
-
-    #[test]
-    #[should_panic(expected = "hash share")]
-    fn zero_share_panics() {
-        let mut rng = SimRng::seed_from(7);
-        Miner::next_block_delay(0.0, &mut rng);
     }
 }

@@ -24,9 +24,6 @@ use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use std::collections::HashSet;
 
-/// Seconds in a simulated day.
-pub const DAY_SECS: f64 = 86_400.0;
-
 /// Census model parameters.
 #[derive(Clone, Debug)]
 pub struct CensusConfig {
@@ -147,21 +144,6 @@ impl CensusNode {
     /// Whether the node is online at `day` (fractional days).
     pub fn online_at(&self, day: f64) -> bool {
         self.sessions.iter().any(|s| s.start <= day && day < s.end)
-    }
-
-    /// First appearance, days.
-    pub fn first_seen(&self) -> f64 {
-        self.sessions.first().map_or(f64::MAX, |s| s.start)
-    }
-
-    /// Last disappearance, days.
-    pub fn last_seen(&self) -> f64 {
-        self.sessions.last().map_or(0.0, |s| s.end)
-    }
-
-    /// The paper's "network lifetime": span from first join to last leave.
-    pub fn network_lifetime_days(&self) -> f64 {
-        (self.last_seen() - self.first_seen()).max(0.0)
     }
 }
 
@@ -613,15 +595,6 @@ mod tests {
         assert_eq!(index.len(), net.reachable.len());
         for (i, n) in net.reachable.iter().enumerate() {
             assert_eq!(index[&n.addr], i);
-        }
-    }
-
-    #[test]
-    fn network_lifetime_is_positive_and_bounded() {
-        let net = tiny();
-        for n in &net.reachable {
-            let l = n.network_lifetime_days();
-            assert!(l >= 0.0 && l <= net.cfg.days as f64 + 1e-9);
         }
     }
 }

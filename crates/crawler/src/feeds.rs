@@ -51,13 +51,6 @@ impl FeedSnapshot {
         let b: HashSet<&NetAddr> = self.bitnodes.iter().collect();
         self.dns.iter().filter(|a| b.contains(a)).count()
     }
-
-    /// DNS addresses missing from Bitnodes (the coverage the DNS database
-    /// adds, Figure 3(d)).
-    pub fn dns_only(&self) -> usize {
-        let b: HashSet<&NetAddr> = self.bitnodes.iter().collect();
-        self.dns.iter().filter(|a| !b.contains(a)).count()
-    }
 }
 
 /// Simulates both feeds over a census network.
@@ -76,11 +69,6 @@ impl Feeds {
             .map(|_| rng.chance(CRITICAL_FRACTION))
             .collect();
         Feeds { critical }
-    }
-
-    /// Whether a node (by census index) is on the blacklist.
-    pub fn is_critical(&self, node_idx: usize) -> bool {
-        self.critical.get(node_idx).copied().unwrap_or(false)
     }
 
     /// Pulls both feeds at fractional `day` and builds the candidate list.
@@ -167,7 +155,7 @@ mod tests {
         let mut dns_only = 0;
         for d in 0..8 {
             let snap = feeds.pull(&net, d as f64 + 0.5, &mut rng);
-            dns_only += snap.dns_only();
+            dns_only += snap.dns.len() - snap.common();
         }
         assert!(dns_only > 0, "DNS never added coverage");
     }
@@ -195,7 +183,7 @@ mod tests {
         let snap = feeds.pull(&net, 2.0, &mut rng);
         for addr in &snap.candidates {
             let idx = net.reachable.iter().position(|n| n.addr == *addr).unwrap();
-            assert!(!feeds.is_critical(idx));
+            assert!(!feeds.critical[idx]);
         }
     }
 
@@ -206,6 +194,5 @@ mod tests {
         let common = snap.common();
         assert!(common <= snap.bitnodes.len());
         assert!(common <= snap.dns.len());
-        assert_eq!(common + snap.dns_only(), snap.dns.len());
     }
 }

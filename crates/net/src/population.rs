@@ -25,13 +25,6 @@ pub enum NodeClass {
     UnreachableSilent,
 }
 
-impl NodeClass {
-    /// Whether the node is unreachable (either kind).
-    pub fn is_unreachable(self) -> bool {
-        !matches!(self, NodeClass::Reachable)
-    }
-}
-
 /// Draws a routable IPv4 endpoint not yet in `used` (skipping 0/8, 10/8,
 /// 127/8 and multicast and above) and records it there. The port is 8333
 /// with probability `default_port_frac`, otherwise an unprivileged one.
@@ -52,16 +45,4 @@ pub fn fresh_addr(used: &mut HashSet<u32>, default_port_frac: f64, rng: &mut Sim
         1024 + rng.below(60_000) as u16
     };
     NetAddr::from_ipv4(Ipv4Addr::from(ip), port)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_class_but_reachable_is_unreachable() {
-        assert!(!NodeClass::Reachable.is_unreachable());
-        assert!(NodeClass::UnreachableResponsive.is_unreachable());
-        assert!(NodeClass::UnreachableSilent.is_unreachable());
-    }
 }

@@ -60,23 +60,14 @@ impl RelayPolicy {
 /// Everything defaults to [`ResilienceConfig::off`] so existing worlds
 /// (and their golden snapshots) are untouched; the `resilience`
 /// experiment flips the switches via [`ResilienceConfig::bitcoin_core`].
-/// The backoff schedule stays populated even when the mechanism is off,
-/// so [`backoff_delay`] is always well-defined.
 #[derive(Clone, Debug)]
 pub struct ResilienceConfig {
     /// Score protocol misbehavior (oversized/over-budget ADDR) and ban
     /// peers crossing [`crate::node::BAN_THRESHOLD`].
     pub misbehavior: bool,
-    /// Apply exponential per-address backoff to failed dials.
+    /// Apply exponential per-address backoff ([`backoff_delay`]) to
+    /// failed dials.
     pub dial_backoff: bool,
-    /// Backoff base after a fast refusal (RST): the host is up, retry
-    /// soon.
-    pub backoff_base_refused: SimDuration,
-    /// Backoff base after a blackholed timeout: the host looks dead,
-    /// retry much later.
-    pub backoff_base_timeout: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
     /// Disconnect peers stuck mid-handshake for this long (Core: 60 s),
     /// or `None` to let them wedge the slot (the 0.20 keepalive only
     /// covers completed handshakes).
@@ -99,9 +90,6 @@ impl ResilienceConfig {
         ResilienceConfig {
             misbehavior: false,
             dial_backoff: false,
-            backoff_base_refused: SimDuration::from_secs(10),
-            backoff_base_timeout: SimDuration::from_secs(60),
-            backoff_cap: SimDuration::from_hours(1),
             handshake_timeout: None,
             stale_tip_timeout: None,
             ban_on_reorg: false,
@@ -132,22 +120,32 @@ impl Default for ResilienceConfig {
     }
 }
 
+/// Dial backoff base after a fast refusal (RST): the host is up, retry
+/// soon. Core 0.20 keeps no per-address retry schedule — its nearest
+/// mechanism is `CAddrInfo::GetChance` making an entry tried in the last
+/// 10 minutes 100x less likely to be picked — so the three backoff values
+/// are this countermeasure layer's own.
+pub const BACKOFF_BASE_REFUSED: SimDuration = SimDuration::from_secs(10);
+
+/// Dial backoff base after a blackholed timeout: the host looks dead,
+/// retry much later (the minute `CAddrInfo::IsTerrible` leaves a
+/// just-tried entry alone).
+pub const BACKOFF_BASE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// Dial backoff ceiling: reached after 10 refusals or 7 timeouts in a row.
+pub const BACKOFF_CAP: SimDuration = SimDuration::from_hours(1);
+
 /// The per-address dial backoff schedule: `base(kind) * 2^(failures-1)`,
-/// clamped to `cfg.backoff_cap`. Monotone non-decreasing in `failures`
-/// (for a fixed kind) and capped — both properties are pinned by tests.
-pub fn backoff_delay(cfg: &ResilienceConfig, refused: bool, failures: u32) -> SimDuration {
+/// clamped to [`BACKOFF_CAP`]. Monotone non-decreasing in `failures` (for
+/// a fixed kind) and capped — both properties are pinned by tests.
+pub fn backoff_delay(refused: bool, failures: u32) -> SimDuration {
     let base = if refused {
-        cfg.backoff_base_refused
+        BACKOFF_BASE_REFUSED
     } else {
-        cfg.backoff_base_timeout
+        BACKOFF_BASE_TIMEOUT
     };
     let exp = failures.saturating_sub(1).min(20);
-    let delay = base.saturating_mul(1u64 << exp);
-    if delay > cfg.backoff_cap {
-        cfg.backoff_cap
-    } else {
-        delay
-    }
+    base.saturating_mul(1u64 << exp).min(BACKOFF_CAP)
 }
 
 /// Full configuration of a simulated node.
@@ -164,10 +162,6 @@ pub struct NodeConfig {
     pub compact_blocks: bool,
     /// Transaction announcement mode.
     pub tx_announce: TxAnnounce,
-    /// Cache `GETADDR` responses for this long (Bitcoin Core 0.21 added a
-    /// ~24 h cache precisely to blunt the iterative crawling this paper's
-    /// Algorithm 1 performs). `None` reproduces 0.20 (no cache).
-    pub getaddr_cache: Option<SimDuration>,
     /// Countermeasure layer (misbehavior scoring, dial backoff,
     /// handshake/stale-tip timeouts). Off by default.
     pub resilience: ResilienceConfig,
@@ -182,7 +176,6 @@ impl NodeConfig {
             relay: RelayPolicy::bitcoin_core(),
             compact_blocks: true,
             tx_announce: TxAnnounce::Flood,
-            getaddr_cache: None,
             resilience: ResilienceConfig::off(),
         }
     }
@@ -252,6 +245,9 @@ mod tests {
         assert_eq!(node::ADDR_ENTRY_BUDGET, 5_000);
         assert_eq!(node::ADDR_FLOOD_PENALTY, 25);
         assert_eq!(RESILIENCE_TICK_INTERVAL, SimDuration::from_secs(30));
+        assert_eq!(BACKOFF_BASE_REFUSED, SimDuration::from_secs(10));
+        assert_eq!(BACKOFF_BASE_TIMEOUT, SimDuration::from_secs(60));
+        assert_eq!(BACKOFF_CAP, SimDuration::from_hours(1));
         let c = NodeConfig::bitcoin_core();
         assert!(!c.resilience.misbehavior);
         assert!(!c.resilience.dial_backoff);
@@ -270,10 +266,9 @@ mod tests {
 
     #[test]
     fn backoff_schedule_shape() {
-        let r = ResilienceConfig::bitcoin_core();
-        assert_eq!(backoff_delay(&r, true, 1), SimDuration::from_secs(10));
-        assert_eq!(backoff_delay(&r, true, 2), SimDuration::from_secs(20));
-        assert_eq!(backoff_delay(&r, false, 1), SimDuration::from_secs(60));
-        assert_eq!(backoff_delay(&r, false, 40), r.backoff_cap);
+        assert_eq!(backoff_delay(true, 1), SimDuration::from_secs(10));
+        assert_eq!(backoff_delay(true, 2), SimDuration::from_secs(20));
+        assert_eq!(backoff_delay(false, 1), SimDuration::from_secs(60));
+        assert_eq!(backoff_delay(false, 40), BACKOFF_CAP);
     }
 }

@@ -7,8 +7,7 @@
 use super::{unix_time, Node, NodeRequest};
 use crate::peer::NodeId;
 use bitsync_protocol::addr::TimestampedAddr;
-use bitsync_protocol::message::Message;
-use bitsync_sim::fault::MAX_ADDR_PER_MSG;
+use bitsync_protocol::message::{Message, MAX_ADDR_PER_MSG};
 use bitsync_sim::time::SimTime;
 use bitsync_sim::trace;
 
@@ -51,18 +50,7 @@ impl Node {
             return; // Core answers GETADDR once per connection
         }
         self.getaddr_answered.push(from);
-        // With the 0.21-style cache enabled, every requester within the
-        // window sees the same sample — iterative crawling (the paper's
-        // Algorithm 1) can no longer page through the whole table.
-        let mut list = match (&self.getaddr_cached, self.cfg.getaddr_cache) {
-            (Some((cached, until)), Some(_)) if now < *until => cached.clone(),
-            (_, Some(ttl)) => {
-                let fresh = self.addrman.get_addr(&mut self.rng, unix_time(now));
-                self.getaddr_cached = Some((fresh.clone(), now + ttl));
-                fresh
-            }
-            _ => self.addrman.get_addr(&mut self.rng, unix_time(now)),
-        };
+        let mut list = self.addrman.get_addr(&mut self.rng, unix_time(now));
         // A node always includes its own address.
         list.push(self.self_advertisement(now));
         self.send(from, Message::Addr(list));

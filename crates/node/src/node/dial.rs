@@ -145,7 +145,7 @@ impl Node {
         if self.cfg.resilience.dial_backoff {
             let entry = self.dial_backoff.entry(addr).or_default();
             entry.failures = entry.failures.saturating_add(1);
-            entry.retry_at = now + backoff_delay(&self.cfg.resilience, refused, entry.failures);
+            entry.retry_at = now + backoff_delay(refused, entry.failures);
         }
     }
 

@@ -40,7 +40,7 @@ use crate::config::NodeConfig;
 use crate::peer::{Direction, NodeId, PeerTable};
 use bitsync_addrman::AddrMan;
 use bitsync_chain::{ChainState, Mempool, ReorgInfo};
-use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
+use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::block::Block;
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::message::Message;
@@ -139,9 +139,6 @@ pub struct Node {
     pending_reorgs: Vec<ReorgInfo>,
     /// Peers we already answered `GETADDR` for (Core answers once).
     getaddr_answered: Vec<NodeId>,
-    /// Cached `GETADDR` response and its expiry (Core 0.21 behaviour when
-    /// `cfg.getaddr_cache` is set).
-    getaddr_cached: Option<(Vec<TimestampedAddr>, SimTime)>,
     /// Instrumentation counters.
     pub stats: NodeStats,
     /// When set, the node is ADDR-flooding malware (§IV-B, Figure 8).
@@ -183,7 +180,6 @@ impl Node {
             orphans: VecDeque::new(),
             pending_reorgs: Vec::new(),
             getaddr_answered: Vec::new(),
-            getaddr_cached: None,
             stats: NodeStats::default(),
             flooder: None,
             discouraged: HashMap::new(),
@@ -209,19 +205,6 @@ impl Node {
             Message::Verack => self.on_verack(from, now, requests),
             Message::GetAddr => self.on_getaddr(from, now),
             Message::Addr(list) => self.on_addr(from, list, now, requests),
-            Message::SendAddrV2 => {
-                // BIP 155 negotiation acknowledged; the simulated network
-                // gossips legacy entries, so no state change is needed.
-            }
-            Message::AddrV2(list) => {
-                // Accept the legacy-expressible subset; Tor/I2P/CJDNS
-                // addresses have no dialable counterpart in the simulation.
-                let legacy: Vec<TimestampedAddr> = list
-                    .iter()
-                    .filter_map(|e| e.to_legacy().map(|a| TimestampedAddr::new(e.time, a)))
-                    .collect();
-                self.on_addr(from, legacy, now, requests);
-            }
             Message::Ping(n) => self.send(from, Message::Pong(n)),
             Message::Pong(_) => {}
             Message::Inv(items) => self.on_inv(from, items),

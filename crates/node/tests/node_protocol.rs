@@ -592,50 +592,46 @@ fn socket_writer_serializes_sends() {
 }
 
 #[test]
-fn getaddr_cache_serves_identical_samples() {
-    use bitsync_sim::time::SimDuration;
-
+fn getaddr_is_answered_once_per_connection_from_one_sample() {
     let now = SimTime::from_secs(1);
-    let mut cfg = NodeConfig::bitcoin_core();
-    cfg.getaddr_cache = Some(SimDuration::from_hours(24));
-    let mut n = Node::new(NodeId(0), addr(1), true, cfg, 30);
+    let mut n = node(0, 30);
     for i in 10..200u8 {
         n.addrman.add(addr(i), addr(99), unix_time(now));
     }
-    // Two different peers ask within the cache window.
-    ready_inbound_peer(&mut n, 8, now);
+    let sample_len = n.addrman.len() * bitsync_addrman::GETADDR_MAX_PCT / 100;
+    let addr_replies = |n: &mut Node| -> Vec<Vec<TimestampedAddr>> {
+        drain_to(n, NodeId(9), now)
+            .into_iter()
+            .filter_map(|m| match m {
+                Message::Addr(list) => Some(list),
+                _ => None,
+            })
+            .collect()
+    };
     ready_inbound_peer(&mut n, 9, now);
-    n.deliver(NodeId(8), Message::GetAddr);
     n.deliver(NodeId(9), Message::GetAddr);
-    let mut replies: Vec<Vec<NetAddr>> = Vec::new();
-    for _ in 0..20 {
-        let (out, _) = n.pump(now);
-        for o in out {
-            if let Message::Addr(list) = o.msg {
-                let mut addrs: Vec<NetAddr> = list
-                    .iter()
-                    .map(|e| e.addr)
-                    .filter(|a| *a != n.addr)
-                    .collect();
-                addrs.sort();
-                replies.push(addrs);
-            }
-        }
-        if replies.len() == 2 {
-            break;
-        }
-    }
-    assert_eq!(replies.len(), 2);
-    // The 0.21 countermeasure: both requesters see the same sample, so
-    // iterative crawling cannot page through the table.
-    assert_eq!(replies[0], replies[1]);
-    assert!(!replies[0].is_empty());
+    let first = addr_replies(&mut n);
+    assert_eq!(first.len(), 1);
+    // One addrman sample, then the self-advertisement as the last entry.
+    assert_eq!(first[0].len(), sample_len + 1);
+    assert_eq!(first[0].last().unwrap().addr, n.addr);
+    assert!(first[0][..sample_len].iter().all(|e| e.addr != n.addr));
+    // A second GETADDR on the same connection is ignored ...
+    n.deliver(NodeId(9), Message::GetAddr);
+    assert!(addr_replies(&mut n).is_empty());
+    // ... and a reconnect is a new connection, answered again.
+    n.on_disconnected(NodeId(9));
+    ready_inbound_peer(&mut n, 9, now);
+    n.deliver(NodeId(9), Message::GetAddr);
+    let again = addr_replies(&mut n);
+    assert_eq!(again.len(), 1);
+    assert_eq!(again[0].last().unwrap().addr, n.addr);
 }
 
 #[test]
 fn uncached_getaddr_samples_differ_across_peers() {
     let now = SimTime::from_secs(1);
-    let mut n = node(0, 31); // default config: no cache (Core 0.20)
+    let mut n = node(0, 31);
     for i in 10..250u8 {
         n.addrman.add(addr(i), addr(99), unix_time(now));
     }
@@ -702,40 +698,6 @@ fn keepalive_pings_quiet_peers() {
         }
     }
     assert!(pinged, "no keepalive ping sent");
-}
-
-#[test]
-fn addrv2_legacy_subset_enters_addrman() {
-    use bitsync_protocol::addrv2::{AddrV2Entry, NetworkAddress};
-
-    let now = SimTime::from_secs(1);
-    let mut n = node(0, 40);
-    ready_inbound_peer(&mut n, 9, now);
-    let entries = vec![
-        AddrV2Entry::from_legacy(unix_time(now) as u32, &addr(120)),
-        // A Tor v3 address has no legacy/dialable form in the simulation.
-        AddrV2Entry {
-            time: unix_time(now) as u32,
-            services: 1,
-            addr: NetworkAddress::TorV3([5u8; 32]),
-            port: 8333,
-        },
-    ];
-    n.deliver(NodeId(9), Message::AddrV2(entries));
-    n.pump(now);
-    assert!(n.addrman.info(&addr(120)).is_some(), "legacy entry dropped");
-    assert_eq!(n.addrman.len(), 1, "non-IP entry must not enter addrman");
-}
-
-#[test]
-fn sendaddrv2_is_accepted_quietly() {
-    let now = SimTime::from_secs(1);
-    let mut n = node(0, 41);
-    ready_inbound_peer(&mut n, 9, now);
-    n.deliver(NodeId(9), Message::SendAddrV2);
-    let msgs = drain_to(&mut n, NodeId(9), now);
-    // No error, no reply required.
-    assert!(msgs.iter().all(|m| !matches!(m, Message::NotFound(_))));
 }
 
 #[test]

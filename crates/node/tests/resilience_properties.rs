@@ -3,7 +3,7 @@
 //! disconnect, the dial backoff schedule must be monotone and capped, and
 //! a discouraged address must never be redialed inside its window.
 
-use bitsync_node::config::{backoff_delay, NodeConfig, ResilienceConfig};
+use bitsync_node::config::{backoff_delay, NodeConfig, BACKOFF_CAP};
 use bitsync_node::node::Attempt;
 use bitsync_node::{unix_time, Direction, Node, NodeId, NodeRequest};
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
@@ -64,32 +64,27 @@ fn addr_batch(count: usize, now: SimTime) -> Vec<TimestampedAddr> {
 
 #[test]
 fn backoff_is_monotone_and_capped() {
-    let cfgs = [
-        ResilienceConfig::bitcoin_core(),
-        ResilienceConfig {
-            backoff_base_refused: SimDuration::from_secs(1),
-            backoff_base_timeout: SimDuration::from_secs(7),
-            backoff_cap: SimDuration::from_secs(333),
-            ..ResilienceConfig::bitcoin_core()
-        },
-    ];
-    for cfg in &cfgs {
-        for refused in [true, false] {
-            let mut prev = SimDuration::ZERO;
-            for failures in 1..=80u32 {
-                let d = backoff_delay(cfg, refused, failures);
-                assert!(d >= prev, "backoff not monotone at {failures}");
-                assert!(d <= cfg.backoff_cap, "backoff over cap at {failures}");
-                prev = d;
-            }
-            // The schedule saturates: far out it sits exactly at the cap.
-            assert_eq!(backoff_delay(cfg, refused, 80), cfg.backoff_cap);
-        }
-        // A fast refusal always retries no later than a blackholed timeout.
+    for refused in [true, false] {
+        let mut prev = SimDuration::ZERO;
         for failures in 1..=80u32 {
-            assert!(backoff_delay(cfg, true, failures) <= backoff_delay(cfg, false, failures));
+            let d = backoff_delay(refused, failures);
+            assert!(d >= prev, "backoff not monotone at {failures}");
+            assert!(d <= BACKOFF_CAP, "backoff over cap at {failures}");
+            prev = d;
         }
+        // The schedule saturates: far out it sits exactly at the cap.
+        assert_eq!(backoff_delay(refused, 80), BACKOFF_CAP);
     }
+    // A fast refusal always retries no later than a blackholed timeout.
+    for failures in 1..=80u32 {
+        assert!(backoff_delay(true, failures) <= backoff_delay(false, failures));
+    }
+    // The first steps, exactly: 10 s doubling after a refusal, 60 s after
+    // a timeout, one hour at the far end.
+    assert_eq!(backoff_delay(true, 1), SimDuration::from_secs(10));
+    assert_eq!(backoff_delay(true, 2), SimDuration::from_secs(20));
+    assert_eq!(backoff_delay(false, 1), SimDuration::from_secs(60));
+    assert_eq!(BACKOFF_CAP, SimDuration::from_hours(1));
 }
 
 #[test]
@@ -192,7 +187,7 @@ fn failed_dials_back_off_and_clear_on_success() {
         let picked = n.begin_attempt(Direction::Outbound, now);
         assert_eq!(picked, Attempt::Dial(target), "round {round} did not dial");
         n.on_attempt_failed(target, false, now);
-        let gap = backoff_delay(&n.cfg.resilience, false, round);
+        let gap = backoff_delay(false, round);
         assert!(gap >= prev_gap, "in-vivo backoff shrank at {round}");
         assert_eq!(
             n.begin_attempt(
@@ -217,7 +212,7 @@ fn failed_dials_back_off_and_clear_on_success() {
         Attempt::Dial(target)
     );
     n.on_attempt_failed(target, false, now);
-    let first = backoff_delay(&n.cfg.resilience, false, 1);
+    let first = backoff_delay(false, 1);
     assert!(first < prev_gap);
     assert_eq!(
         n.begin_attempt(Direction::Outbound, now + first),

@@ -56,11 +56,6 @@ impl NetAddr {
         self.as_ipv4().is_some()
     }
 
-    /// Whether the endpoint uses the default mainnet port.
-    pub fn is_default_port(&self) -> bool {
-        self.port == DEFAULT_PORT
-    }
-
     /// A stable 64-bit key for this endpoint, convenient for addrman
     /// bucketing and set membership.
     pub fn key(&self) -> u64 {
@@ -226,16 +221,6 @@ mod tests {
     #[test]
     fn display_ipv4() {
         assert_eq!(sample().to_string(), "10.1.2.3:8333");
-    }
-
-    #[test]
-    fn default_port_detection() {
-        assert!(sample().is_default_port());
-        let odd = NetAddr {
-            port: 18444,
-            ..sample()
-        };
-        assert!(!odd.is_default_port());
     }
 
     #[test]

@@ -15,6 +15,23 @@ use bitsync_crypto::{sha256_digest, SipHasher24};
 /// Sanity bound for list lengths in compact-block structures.
 const MAX_CMPCT_ITEMS: u64 = 1_000_000;
 
+/// Reads one BIP 152 differentially encoded index: a varint counting the
+/// indexes skipped since `last` (`None` before the first entry). The
+/// differential is an attacker-chosen `u64`, so the sum is checked; an
+/// index must fit the `u32` the structures store it in (BIP 152 itself
+/// stops at `u16::MAX`, below the [`MAX_CMPCT_ITEMS`] this codec accepts).
+fn differential_index(
+    r: &mut Reader<'_>,
+    last: Option<u32>,
+    what: &'static str,
+) -> Result<u32, DecodeError> {
+    let diff = r.varint(what)?;
+    let next = last.map_or(0, |l| u64::from(l) + 1);
+    next.checked_add(diff)
+        .and_then(|index| u32::try_from(index).ok())
+        .ok_or(DecodeError::InvalidValue { what, value: diff })
+}
+
 /// A 6-byte short transaction id (BIP 152).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShortId(pub [u8; 6]);
@@ -167,13 +184,11 @@ impl Decodable for CompactBlock {
         }
         let n_pre = r.length("cmpct.prefilled", MAX_CMPCT_ITEMS)?;
         let mut prefilled = Vec::with_capacity(n_pre.min(4096));
-        let mut last: i64 = -1;
         for _ in 0..n_pre {
-            let diff = r.varint("cmpct.prefilled_index")?;
-            let index = (last + 1 + diff as i64) as u32;
+            let last = prefilled.last().map(|p: &PrefilledTx| p.index);
+            let index = differential_index(r, last, "cmpct.prefilled_index")?;
             let tx = Transaction::decode(r)?;
             prefilled.push(PrefilledTx { index, tx });
-            last = index as i64;
         }
         Ok(CompactBlock {
             header,
@@ -211,12 +226,9 @@ impl Decodable for BlockTxnRequest {
         let block_hash = Hash256::decode(r)?;
         let n = r.length("getblocktxn.indexes", MAX_CMPCT_ITEMS)?;
         let mut indexes = Vec::with_capacity(n.min(4096));
-        let mut last: i64 = -1;
         for _ in 0..n {
-            let diff = r.varint("getblocktxn.index")?;
-            let idx = last + 1 + diff as i64;
-            indexes.push(idx as u32);
-            last = idx;
+            let last = indexes.last().copied();
+            indexes.push(differential_index(r, last, "getblocktxn.index")?);
         }
         Ok(BlockTxnRequest {
             block_hash,
@@ -389,6 +401,66 @@ mod tests {
         let req = BlockTxnRequest {
             block_hash: Hash256::hash_of(b"b"),
             indexes: vec![1, 3, 10, 11],
+        };
+        let bytes = req.encode_to_vec();
+        assert_eq!(BlockTxnRequest::decode_exact(&bytes).unwrap(), req);
+    }
+
+    /// `0xff` + 8 bytes: a 9-byte varint carrying `value`.
+    fn varint9(value: u64) -> Vec<u8> {
+        [&[0xff][..], &value.to_le_bytes()].concat()
+    }
+
+    #[test]
+    fn getblocktxn_rejects_overflowing_differentials() {
+        // Second index = 0 + 1 + i64::MAX: overflowed the old signed sum.
+        let mut ascending_then_huge = vec![0u8; 32];
+        ascending_then_huge.extend_from_slice(&[0x02, 0x00]);
+        ascending_then_huge.extend_from_slice(&varint9(i64::MAX as u64));
+        // One differential of u64::MAX: wrapped to index 4294967295.
+        let mut wraps_negative = vec![0u8; 32];
+        wraps_negative.push(0x01);
+        wraps_negative.extend_from_slice(&varint9(u64::MAX));
+        for payload in [ascending_then_huge, wraps_negative] {
+            assert!(matches!(
+                BlockTxnRequest::decode_exact(&payload),
+                Err(DecodeError::InvalidValue {
+                    what: "getblocktxn.index",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn cmpctblock_rejects_overflowing_prefilled_differentials() {
+        let coinbase = Transaction::coinbase(1, 50).encode_to_vec();
+        for (count, diffs) in [
+            (0x02, vec![vec![0x00], varint9(i64::MAX as u64)]),
+            (0x01, vec![varint9(u64::MAX)]),
+        ] {
+            // Header and nonce zeroed, no short ids, then the prefilled list.
+            let mut payload = vec![0u8; 80 + 8];
+            payload.extend_from_slice(&[0x00, count]);
+            for diff in diffs {
+                payload.extend_from_slice(&diff);
+                payload.extend_from_slice(&coinbase);
+            }
+            assert!(matches!(
+                CompactBlock::decode_exact(&payload),
+                Err(DecodeError::InvalidValue {
+                    what: "cmpct.prefilled_index",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn differential_indexes_reach_the_top_of_the_u32_range() {
+        let req = BlockTxnRequest {
+            block_hash: Hash256::hash_of(b"b"),
+            indexes: vec![0, u32::MAX - 1, u32::MAX],
         };
         let bytes = req.encode_to_vec();
         assert_eq!(BlockTxnRequest::decode_exact(&bytes).unwrap(), req);

@@ -38,13 +38,6 @@ impl Hash256 {
         &self.0
     }
 
-    /// The low 64 bits, handy as a short deterministic key.
-    pub fn low64(&self) -> u64 {
-        u64::from_le_bytes([
-            self.0[0], self.0[1], self.0[2], self.0[3], self.0[4], self.0[5], self.0[6], self.0[7],
-        ])
-    }
-
     /// Whether this is the all-zero hash.
     pub fn is_zero(&self) -> bool {
         self.0 == [0u8; 32]
@@ -202,11 +195,5 @@ mod tests {
     #[test]
     fn invtype_rejects_unknown() {
         assert!(InvType::from_u32(99).is_err());
-    }
-
-    #[test]
-    fn low64_stable() {
-        let h = Hash256::from_bytes([1u8; 32]);
-        assert_eq!(h.low64(), u64::from_le_bytes([1; 8]));
     }
 }

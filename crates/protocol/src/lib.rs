@@ -13,8 +13,12 @@
 //! - [`tx`] / [`block`]: transactions, headers, blocks and Merkle roots.
 //! - [`compact`]: BIP 152 compact-block relay, whose dependence on timely
 //!   transaction relay motivates the paper's Figure 11.
-//! - [`message`]: the [`message::Message`] enum and the
+//! - [`message`]: the [`message::Message`] enum — the 17 messages a
+//!   simulated Core 0.20 node sends; any other command is
+//!   [`wire::DecodeError::UnknownCommand`] — and the
 //!   `magic|command|length|checksum` framing.
+//!
+//! Decoders return `Err` on hostile bytes and never panic.
 //!
 //! # Examples
 //!
@@ -29,7 +33,6 @@
 //! ```
 
 pub mod addr;
-pub mod addrv2;
 pub mod block;
 pub mod compact;
 pub mod hash;
@@ -38,7 +41,6 @@ pub mod tx;
 pub mod wire;
 
 pub use addr::{NetAddr, TimestampedAddr, DEFAULT_PORT};
-pub use addrv2::{AddrV2Entry, NetworkAddress};
 pub use block::{Block, BlockHeader};
 pub use hash::{Hash256, InvType, InvVect};
 pub use message::{Message, VersionMsg, MAGIC_MAINNET, MAX_ADDR_PER_MSG, PROTOCOL_VERSION};

@@ -2,7 +2,6 @@
 //! (`magic | command | length | checksum`).
 
 use crate::addr::{NetAddr, TimestampedAddr};
-use crate::addrv2::AddrV2Entry;
 use crate::block::{Block, BlockHeader};
 use crate::compact::{BlockTxn, BlockTxnRequest, CompactBlock};
 use crate::hash::{Hash256, InvVect};
@@ -71,7 +70,13 @@ impl Decodable for VersionMsg {
         let nonce = r.u64_le("version.nonce")?;
         let ua_len = r.length("version.user_agent", 256)?;
         let ua_bytes = r.take(ua_len, "version.user_agent")?;
-        let user_agent = String::from_utf8_lossy(ua_bytes).into_owned();
+        // Not lossy: replacement characters are three bytes each, so a
+        // repaired string could outgrow the limit it was just held to.
+        let user_agent =
+            String::from_utf8(ua_bytes.to_vec()).map_err(|e| DecodeError::InvalidValue {
+                what: "version.user_agent",
+                value: e.utf8_error().valid_up_to() as u64,
+            })?;
         let start_height = r.u32_le("version.start_height")? as i32;
         let relay = r.u8("version.relay")? != 0;
         Ok(VersionMsg {
@@ -117,10 +122,6 @@ pub enum Message {
     GetAddr,
     /// Advertises known addresses.
     Addr(Vec<TimestampedAddr>),
-    /// Signals BIP 155 `addrv2` support (sent between VERSION and VERACK).
-    SendAddrV2,
-    /// Advertises addresses in the BIP 155 format (Tor v3, I2P, CJDNS, …).
-    AddrV2(Vec<AddrV2Entry>),
     /// Keepalive probe.
     Ping(u64),
     /// Keepalive reply.
@@ -157,8 +158,6 @@ impl Message {
             Message::Verack => "verack",
             Message::GetAddr => "getaddr",
             Message::Addr(_) => "addr",
-            Message::SendAddrV2 => "sendaddrv2",
-            Message::AddrV2(_) => "addrv2",
             Message::Ping(_) => "ping",
             Message::Pong(_) => "pong",
             Message::Inv(_) => "inv",
@@ -180,14 +179,8 @@ impl Message {
         let mut w = Writer::new();
         match self {
             Message::Version(v) => v.encode(&mut w),
-            Message::Verack | Message::GetAddr | Message::SendAddrV2 => {}
+            Message::Verack | Message::GetAddr => {}
             Message::Addr(addrs) => {
-                w.varint(addrs.len() as u64);
-                for a in addrs {
-                    a.encode(&mut w);
-                }
-            }
-            Message::AddrV2(addrs) => {
                 w.varint(addrs.len() as u64);
                 for a in addrs {
                     a.encode(&mut w);
@@ -240,15 +233,6 @@ impl Message {
             "version" => Message::Version(VersionMsg::decode(&mut r)?),
             "verack" => Message::Verack,
             "getaddr" => Message::GetAddr,
-            "sendaddrv2" => Message::SendAddrV2,
-            "addrv2" => {
-                let n = r.length("addrv2.count", MAX_ADDR_PER_MSG as u64)?;
-                let mut addrs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    addrs.push(AddrV2Entry::decode(&mut r)?);
-                }
-                Message::AddrV2(addrs)
-            }
             "addr" => {
                 let n = r.length("addr.count", MAX_ADDR_PER_MSG as u64)?;
                 let mut addrs = Vec::with_capacity(n);
@@ -377,11 +361,8 @@ impl Message {
                     + 4
                     + 1
             }
-            Message::Verack | Message::GetAddr | Message::SendAddrV2 => 0,
+            Message::Verack | Message::GetAddr => 0,
             Message::Addr(addrs) => varint_len(addrs.len() as u64) + 30 * addrs.len(),
-            Message::AddrV2(addrs) => {
-                varint_len(addrs.len() as u64) + addrs.iter().map(AddrV2Entry::size).sum::<usize>()
-            }
             Message::Ping(_) | Message::Pong(_) => 8,
             Message::Inv(items) | Message::GetData(items) | Message::NotFound(items) => {
                 varint_len(items.len() as u64) + 36 * items.len()
@@ -430,6 +411,7 @@ impl Message {
 mod tests {
     use super::*;
     use crate::tx::{OutPoint, TxIn, TxOut};
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn addr(last: u8) -> NetAddr {
@@ -474,16 +456,6 @@ mod tests {
             Message::Addr(vec![
                 TimestampedAddr::new(1_600_000_000, addr(3)),
                 TimestampedAddr::new(1_600_000_100, addr(4)),
-            ]),
-            Message::SendAddrV2,
-            Message::AddrV2(vec![
-                AddrV2Entry::from_legacy(1_600_000_000, &addr(5)),
-                AddrV2Entry {
-                    time: 1_600_000_001,
-                    services: 0x409,
-                    addr: crate::addrv2::NetworkAddress::TorV3([3u8; 32]),
-                    port: 8333,
-                },
             ]),
             Message::Ping(7),
             Message::Pong(7),
@@ -562,9 +534,46 @@ mod tests {
     }
 
     #[test]
+    fn version_rejects_a_user_agent_that_is_not_utf8() {
+        let mut v = version_msg();
+        v.user_agent = "x".repeat(100);
+        let payload = Message::Version(v).encode_payload();
+        let ua = 4 + 8 + 8 + 26 + 26 + 8 + 1;
+        let mut hostile = payload.clone();
+        hostile[ua..ua + 100].fill(0xff);
+        assert!(Message::decode_payload("version", &payload).is_ok());
+        assert_eq!(
+            Message::decode_payload("version", &hostile).unwrap_err(),
+            DecodeError::InvalidValue {
+                what: "version.user_agent",
+                value: 0
+            }
+        );
+    }
+
+    #[test]
     fn unknown_command_is_reported() {
         let err = Message::decode_payload("frobnicate", &[]).unwrap_err();
         assert_eq!(err, DecodeError::UnknownCommand("frobnicate".into()));
+    }
+
+    #[test]
+    fn addrv2_and_sendaddrv2_frames_are_unknown_commands() {
+        // BIP 155 is outside the Core 0.20 message set: a well-formed frame
+        // (valid magic, length and checksum) is refused by name.
+        for (command, payload) in [("sendaddrv2", vec![]), ("addrv2", vec![0u8])] {
+            let mut framed = MAGIC_MAINNET.to_vec();
+            let mut cmd = [0u8; 12];
+            cmd[..command.len()].copy_from_slice(command.as_bytes());
+            framed.extend_from_slice(&cmd);
+            framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            framed.extend_from_slice(&checksum4(&payload));
+            framed.extend_from_slice(&payload);
+            assert_eq!(
+                Message::decode_framed(&framed, MAGIC_MAINNET).unwrap_err(),
+                DecodeError::UnknownCommand(command.into())
+            );
+        }
     }
 
     #[test]
@@ -607,6 +616,55 @@ mod tests {
     fn command_names_fit_twelve_bytes() {
         for msg in all_messages() {
             assert!(msg.command().len() <= 12, "{}", msg.command());
+        }
+    }
+
+    /// A run of hostile payload bytes: noise, the zero runs and small counts
+    /// that let a decoder reach its inner fields, and the largest value of
+    /// each `CompactSize` width.
+    fn hostile_chunk() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..256),
+            Just(vec![0u8; 32]),
+            Just(vec![0u8; 80]),
+            (0u8..4).prop_map(|count| vec![count]),
+            Just(vec![0xfd, 0xff, 0xff]),
+            Just(vec![0xfe, 0xff, 0xff, 0xff, 0xff]),
+            Just(vec![0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]),
+            Just(vec![0xff; 9]),
+        ]
+    }
+
+    proptest! {
+        /// Hostile payloads — chunks as above, or a valid payload with one
+        /// chunk written over it — never panic the decoder under any
+        /// command name, and whatever it accepts survives a re-encode.
+        #[test]
+        fn hostile_payloads_never_panic_and_accepted_ones_roundtrip(
+            chunks in proptest::collection::vec(hostile_chunk(), 0..24),
+            victim in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+        ) {
+            let messages = all_messages();
+            let mut payload = match victim {
+                Some(pick) => {
+                    let pick = pick as usize;
+                    let mut valid = messages[pick % messages.len()].encode_payload();
+                    let at = (pick / messages.len()) % (valid.len() + 1);
+                    let chunk = chunks.first().map_or(&[][..], Vec::as_slice);
+                    let n = chunk.len().min(valid.len() - at);
+                    valid[at..at + n].copy_from_slice(&chunk[..n]);
+                    valid
+                }
+                None => chunks.concat(),
+            };
+            payload.truncate(4096);
+            let commands = messages.iter().map(Message::command).chain(["frobnicate"]);
+            for command in commands {
+                if let Ok(msg) = Message::decode_payload(command, &payload) {
+                    let again = msg.encode_payload();
+                    prop_assert_eq!(Message::decode_payload(msg.command(), &again), Ok(msg));
+                }
+            }
         }
     }
 }

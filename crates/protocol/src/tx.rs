@@ -268,11 +268,6 @@ impl Transaction {
             + outs
             + 4
     }
-
-    /// Total output value in satoshis.
-    pub fn output_value(&self) -> u64 {
-        self.outputs.iter().map(|o| o.value).sum()
-    }
 }
 
 impl Deref for Transaction {
@@ -386,11 +381,6 @@ mod tests {
     fn size_matches_encoding() {
         let tx = sample_tx();
         assert_eq!(tx.size(), tx.encode_to_vec().len());
-    }
-
-    #[test]
-    fn output_value_sums() {
-        assert_eq!(sample_tx().output_value(), 3_000);
     }
 
     #[test]
