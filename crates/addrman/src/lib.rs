@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Walk order of an `IdMap` is reproducible, so output that came to depend on
+// it would go unnoticed (see `bitsync_protocol::hash`).
+#![warn(clippy::iter_over_hash_type)]
 
 //! `bitsync-addrman` — a faithful model of Bitcoin Core's address manager
 //! (`addrman.cpp`), the component at the heart of the paper's addressing-
@@ -46,8 +49,8 @@ pub use config::AddrManConfig;
 
 use bitsync_crypto::SipHasher24;
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
+use bitsync_protocol::hash::IdMap;
 use bitsync_sim::rng::SimRng;
-use std::collections::HashMap;
 
 const SECS_PER_DAY: i64 = 86_400;
 
@@ -137,7 +140,7 @@ pub struct AddrMan {
     /// Free slab slots for reuse.
     free: Vec<usize>,
     /// Endpoint → record index.
-    index: HashMap<NetAddr, usize>,
+    index: IdMap<NetAddr, usize>,
     /// `new` table, flattened `bucket × slot` → record index
     /// (`EMPTY_SLOT` = vacant).
     new_table: Vec<u32>,
@@ -161,7 +164,7 @@ impl AddrMan {
             cfg,
             infos: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             new_members: Vec::new(),
             tried_members: Vec::new(),
             member_pos: Vec::new(),
@@ -554,14 +557,16 @@ impl AddrMan {
                 live.len()
             )
         })?;
-        for (a, &i) in &self.index {
-            let info = self
-                .infos
-                .get(i)
-                .and_then(|o| o.as_ref())
-                .ok_or_else(|| format!("index entry {a:?} points at vacant slab slot {i}"))?;
-            ensure(info.addr == *a, || {
-                format!("index key {a:?} != record address {:?}", info.addr)
+        // In slab order, not index order: the index has as many entries as
+        // there are live records, so each record finding itself under its
+        // own address makes the two a bijection.
+        for &i in &live {
+            let addr = self.info_at(i).addr;
+            ensure(self.index.get(&addr) == Some(&i), || {
+                format!(
+                    "record {i} ({addr:?}) is indexed as {:?}",
+                    self.index.get(&addr)
+                )
             })?;
         }
 

@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Walk order of an `IdMap` is reproducible, so output that came to depend on
+// it would go unnoticed (see `bitsync_protocol::hash`).
+#![warn(clippy::iter_over_hash_type)]
 
 //! `bitsync-chain` — blockchain substrate for the `bitsync` simulation:
 //! block-tree state with reorgs and header serving ([`state`]), a bounded
@@ -154,7 +157,7 @@ mod proptests {
         /// holds all its non-coinbase transactions (the BIP 152 happy path).
         #[test]
         fn compact_roundtrip_from_full_mempool(n_txs in 0usize..20, seed in any::<u64>()) {
-            use bitsync_protocol::compact::{reconstruct, CompactBlock, Reconstruction};
+            use bitsync_protocol::compact::{reconstruct, CompactBlock, Reconstruction, ShortId};
             let mut rng = SimRng::seed_from(seed);
             let mut gen = TxGenerator::new(3);
             let mut pool = Mempool::new(1000);
@@ -162,8 +165,9 @@ mod proptests {
             let mut miner = Miner::new(1, 1000);
             let block = miner.mine(bitsync_protocol::hash::Hash256::ZERO, 1, &pool, &mut rng);
             let cb = CompactBlock::from_block(&block, rng.next_u64());
-            let keys = cb.keys();
-            match reconstruct(&cb, |sid| pool.lookup_short_id(&keys, sid).cloned()) {
+            let index = pool.short_id_index(&cb.keys());
+            let pooled = |sid: ShortId| index.get(&sid.to_u64()).and_then(|id| pool.get(id));
+            match reconstruct(&cb, |sid| pooled(sid).cloned()) {
                 Reconstruction::Complete(rb) => prop_assert_eq!(*rb, block),
                 Reconstruction::Missing { indexes } =>
                     prop_assert!(false, "missing {indexes:?}"),

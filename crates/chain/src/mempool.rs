@@ -4,10 +4,10 @@
 //! the receiving node's mempool already holds the block's transactions, so
 //! mempool contents directly gate block-level synchronization.
 
-use bitsync_protocol::compact::{ShortId, ShortIdKeys};
-use bitsync_protocol::hash::Hash256;
+use bitsync_protocol::compact::ShortIdKeys;
+use bitsync_protocol::hash::{Hash256, IdMap};
 use bitsync_protocol::tx::Transaction;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A size-bounded transaction pool with txid lookup and short-id matching.
 ///
@@ -25,7 +25,7 @@ use std::collections::{HashMap, VecDeque};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mempool {
-    txs: HashMap<Hash256, Transaction>,
+    txs: IdMap<Hash256, Transaction>,
     /// Insertion order for FIFO eviction; may hold ids [`Mempool::remove`]
     /// already took out of `txs`.
     order: VecDeque<Hash256>,
@@ -40,7 +40,7 @@ impl Mempool {
     /// Creates a pool bounded to `max_txs` transactions.
     pub fn new(max_txs: usize) -> Self {
         Mempool {
-            txs: HashMap::new(),
+            txs: IdMap::default(),
             order: VecDeque::new(),
             max_txs: max_txs.max(1),
             inserted: 0,
@@ -111,30 +111,14 @@ impl Mempool {
         n
     }
 
-    /// Looks up a transaction by BIP 152 short id under `keys`.
-    ///
-    /// Linear over the pool; for per-block reconstruction over many short
-    /// ids, build a [`Mempool::short_id_index`] once instead.
-    pub fn lookup_short_id(&self, keys: &ShortIdKeys, sid: ShortId) -> Option<&Transaction> {
-        self.txs
-            .iter()
-            .find(|(txid, _)| keys.short_id(txid) == sid)
-            .map(|(_, tx)| tx)
-    }
-
     /// Builds the per-block short-id → txid index Bitcoin Core constructs
     /// for compact-block reconstruction: one SipHash per pooled
     /// transaction, then O(1) lookups.
-    pub fn short_id_index(&self, keys: &ShortIdKeys) -> HashMap<u64, Hash256> {
+    pub fn short_id_index(&self, keys: &ShortIdKeys) -> IdMap<u64, Hash256> {
         self.txs
             .keys()
             .map(|txid| (keys.short_id(txid).to_u64(), *txid))
             .collect()
-    }
-
-    /// All pooled txids.
-    pub fn txids(&self) -> Vec<Hash256> {
-        self.txs.keys().copied().collect()
     }
 
     /// Up to `max` transactions for a block template, in insertion order.
@@ -240,10 +224,13 @@ mod tests {
         let mut p = Mempool::new(100);
         let t = tx(42);
         p.insert(t.clone());
+        p.insert(tx(43));
         let block = Block::assemble(2, Hash256::ZERO, 0, 0, vec![tx(0)]);
         let keys = ShortIdKeys::derive(&block.header, 99);
+        let index = p.short_id_index(&keys);
+        assert_eq!(index.len(), 2);
         let sid = keys.short_id(&t.txid());
-        assert_eq!(p.lookup_short_id(&keys, sid).unwrap().txid(), t.txid());
+        assert_eq!(index.get(&sid.to_u64()), Some(&t.txid()));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! central metric).
 
 use bitsync_protocol::block::{Block, BlockHeader};
-use bitsync_protocol::hash::Hash256;
-use std::collections::HashMap;
+use bitsync_protocol::hash::{Hash256, IdMap};
 use std::fmt;
 
 /// Error returned when a block cannot be connected.
@@ -89,9 +88,9 @@ struct Entry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ChainState {
-    entries: HashMap<Hash256, Entry>,
+    entries: IdMap<Hash256, Entry>,
     /// Full blocks we have bodies for (headers-only entries are absent).
-    bodies: HashMap<Hash256, Block>,
+    bodies: IdMap<Hash256, Block>,
     /// Best chain by height: `by_height[h]` is the active block at height h.
     by_height: Vec<Hash256>,
     tip: Hash256,
@@ -104,7 +103,7 @@ impl ChainState {
     pub fn with_genesis() -> Self {
         let genesis = Block::assemble(1, Hash256::ZERO, 0, 0, vec![]);
         let hash = genesis.block_hash();
-        let mut entries = HashMap::new();
+        let mut entries = IdMap::default();
         entries.insert(
             hash,
             Entry {
@@ -112,7 +111,7 @@ impl ChainState {
                 height: 0,
             },
         );
-        let mut bodies = HashMap::new();
+        let mut bodies = IdMap::default();
         bodies.insert(hash, genesis);
         ChainState {
             entries,
@@ -393,8 +392,10 @@ mod tests {
     #[test]
     fn bad_merkle_rejected() {
         let mut c = ChainState::with_genesis();
-        let mut b = Block::assemble(2, c.tip_hash(), 1, 1, vec![Transaction::coinbase(1, 50)]);
-        b.txs.push(Transaction::coinbase(2, 50)); // break commitment
+        let good = Block::assemble(2, c.tip_hash(), 1, 1, vec![Transaction::coinbase(1, 50)]);
+        let mut txs = good.txs.clone();
+        txs.push(Transaction::coinbase(2, 50)); // break commitment
+        let b = Block::from_parts(good.header, txs);
         assert!(matches!(
             c.connect_block(&b),
             Err(ChainError::BadMerkleRoot(_))
@@ -409,8 +410,9 @@ mod tests {
         // Same header, one transaction rebuilt with a different value.
         let mut outputs = good.txs[1].outputs.clone();
         outputs[0].value += 1;
-        let mut b = good.clone();
-        b.txs[1] = Transaction::from_parts(2, good.txs[1].inputs.clone(), outputs, 0);
+        let mut txs = good.txs.clone();
+        txs[1] = Transaction::from_parts(2, good.txs[1].inputs.clone(), outputs, 0);
+        let b = Block::from_parts(good.header, txs);
         assert!(!b.check_merkle_root());
         assert_eq!(
             c.connect_block(&b),

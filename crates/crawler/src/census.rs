@@ -21,6 +21,7 @@
 use bitsync_net::as_model::AsModel;
 use bitsync_net::population::{fresh_addr, NodeClass};
 use bitsync_protocol::addr::NetAddr;
+use bitsync_protocol::hash::IdSet;
 use bitsync_sim::rng::SimRng;
 use std::collections::HashSet;
 
@@ -212,13 +213,13 @@ impl CensusNetwork {
     /// Materializes a census network for the whole window.
     pub fn generate(cfg: CensusConfig, rng: &mut SimRng) -> Self {
         let as_model = AsModel::from_paper();
-        let mut used = HashSet::new();
+        let mut used = IdSet::default();
         let horizon = cfg.days as f64;
 
         // --- Unreachable pool: initial live set plus daily turnover. ---
         let mut unreachable = Vec::new();
         let push_unreachable = |appears: f64,
-                                used: &mut HashSet<u32>,
+                                used: &mut IdSet<u32>,
                                 rng: &mut SimRng,
                                 out: &mut Vec<UnreachableAddr>| {
             let responsive = rng.chance(RESPONSIVE_FRACTION);

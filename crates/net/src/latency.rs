@@ -10,10 +10,20 @@
 //!
 //! Pairwise base delays are derived deterministically from the AS numbers,
 //! so the same scenario seed always yields the same topology of delays.
+//!
+//! A link's base delay is derived once per AS pair, not once per message:
+//! [`LatencyModel::base_delay`] is a pure function of the unordered pair (a
+//! SipHash, an inverse normal CDF and an `exp`), so the model keeps the
+//! [`SimDuration`] the formula returned in an interior memo and every later
+//! message on that pair reads it back — the same value to the nanosecond,
+//! so event times do not move. The memo grows to the distinct AS pairs
+//! that ever exchanged a message or a dial, at most one per pair of nodes.
 
 use bitsync_crypto::siphash24;
+use bitsync_protocol::hash::IdMap;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimDuration;
+use std::cell::RefCell;
 
 /// Latency/bandwidth parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -72,12 +82,19 @@ pub struct LatencyModel {
     cfg: LatencyConfig,
     /// Seed mixing key so different scenarios get different pairwise bases.
     seed: u64,
+    /// Inter-AS base delays derived so far, by ordered `(low, high)` pair.
+    /// Interior because reading a delay is logically `&self`.
+    base_delays: RefCell<IdMap<(u32, u32), SimDuration>>,
 }
 
 impl LatencyModel {
     /// Creates a model; `seed` fixes the pairwise base-delay draw.
     pub fn new(cfg: LatencyConfig, seed: u64) -> Self {
-        LatencyModel { cfg, seed }
+        LatencyModel {
+            cfg,
+            seed,
+            base_delays: RefCell::default(),
+        }
     }
 
     /// The model's configuration.
@@ -90,17 +107,21 @@ impl LatencyModel {
         if from_asn == to_asn {
             return SimDuration::from_secs_f64(self.cfg.intra_as_mean_ms / 1_000.0);
         }
+        let pair = (from_asn.min(to_asn), from_asn.max(to_asn));
+        *self
+            .base_delays
+            .borrow_mut()
+            .entry(pair)
+            .or_insert_with(|| self.inter_as_delay(pair))
+    }
+
+    /// The base-delay formula for `(low, high)`, a pair of distinct ASes.
+    fn inter_as_delay(&self, (a, b): (u32, u32)) -> SimDuration {
         // Symmetric deterministic hash of the unordered AS pair.
-        let (a, b) = if from_asn <= to_asn {
-            (from_asn, to_asn)
-        } else {
-            (to_asn, from_asn)
-        };
-        let h = siphash24(
-            self.seed,
-            self.seed ^ 0x517c_c1b7_2722_0a95,
-            &[a.to_le_bytes(), b.to_le_bytes()].concat(),
-        );
+        let mut pair = [0u8; 8];
+        pair[..4].copy_from_slice(&a.to_le_bytes());
+        pair[4..].copy_from_slice(&b.to_le_bytes());
+        let h = siphash24(self.seed, self.seed ^ 0x517c_c1b7_2722_0a95, &pair);
         // Map the hash to a log-normal quantile via an approximate inverse
         // normal CDF on a uniform in (0,1).
         let u = ((h >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
@@ -205,6 +226,25 @@ mod tests {
         let m = model();
         assert_eq!(m.base_delay(1, 2), m.base_delay(2, 1));
         assert_eq!(m.base_delay(100, 7), model().base_delay(100, 7));
+    }
+
+    #[test]
+    fn base_delay_is_derived_once_per_unordered_pair() {
+        let m = model();
+        let first = m.base_delay(3320, 24940);
+        assert_eq!(m.base_delays.borrow().len(), 1);
+        // Read back, in either direction, to the nanosecond — and the same
+        // as a model that has never seen the pair derives.
+        assert_eq!(m.base_delay(3320, 24940), first);
+        assert_eq!(m.base_delay(24940, 3320), first);
+        assert_eq!(model().base_delay(24940, 3320), first);
+        assert_eq!(first, m.inter_as_delay((3320, 24940)));
+        assert_eq!(m.base_delays.borrow().len(), 1);
+        // Intra-AS delay is a constant: nothing to remember.
+        m.base_delay(3320, 3320);
+        assert_eq!(m.base_delays.borrow().len(), 1);
+        m.base_delay(3320, 7018);
+        assert_eq!(m.base_delays.borrow().len(), 2);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! `bitsync-node` — and share this vocabulary and [`fresh_addr`].
 
 use bitsync_protocol::addr::{NetAddr, DEFAULT_PORT};
+use bitsync_protocol::hash::IdSet;
 use bitsync_sim::rng::SimRng;
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Ground-truth classification of a node (what the crawler tries to infer).
@@ -28,7 +28,7 @@ pub enum NodeClass {
 /// Draws a routable IPv4 endpoint not yet in `used` (skipping 0/8, 10/8,
 /// 127/8 and multicast and above) and records it there. The port is 8333
 /// with probability `default_port_frac`, otherwise an unprivileged one.
-pub fn fresh_addr(used: &mut HashSet<u32>, default_port_frac: f64, rng: &mut SimRng) -> NetAddr {
+pub fn fresh_addr(used: &mut IdSet<u32>, default_port_frac: f64, rng: &mut SimRng) -> NetAddr {
     let ip = loop {
         let candidate = rng.below(0xdfff_ffff) as u32 + 0x0100_0000;
         let first = (candidate >> 24) as u8;

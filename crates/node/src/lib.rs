@@ -1,4 +1,7 @@
 #![warn(missing_docs)]
+// Walk order of an `IdMap` is reproducible, so output that came to depend on
+// it would go unnoticed (see `bitsync_protocol::hash`).
+#![warn(clippy::iter_over_hash_type)]
 
 //! `bitsync-node` — the Bitcoin Core node behaviour model and the
 //! event-driven world that hosts a population of them.

@@ -42,12 +42,12 @@ use bitsync_addrman::AddrMan;
 use bitsync_chain::{ChainState, Mempool, ReorgInfo};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::block::Block;
-use bitsync_protocol::hash::Hash256;
+use bitsync_protocol::hash::{Hash256, IdMap};
 use bitsync_protocol::message::Message;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimTime;
 use bitsync_sim::trace::Tracer;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// UNIX timestamp of simulation time zero (April 4, 2020 — the start of the
 /// paper's measurement window).
@@ -131,7 +131,7 @@ pub struct Node {
     /// Outstanding dial, if any (Core opens one at a time).
     in_flight_attempt: Option<(NetAddr, Direction)>,
     /// Compact blocks awaiting `BLOCKTXN`.
-    pending_compact: HashMap<Hash256, blocks::PendingCompact>,
+    pending_compact: IdMap<Hash256, blocks::PendingCompact>,
     /// Orphan blocks parked until their parent arrives, oldest first
     /// (bounded by [`MAX_ORPHAN_BLOCKS`] with FIFO eviction).
     orphans: VecDeque<Block>,
@@ -145,10 +145,10 @@ pub struct Node {
     pub flooder: Option<crate::malicious::AddrFlooder>,
     /// Discouraged ("banned") addresses and when they were discouraged;
     /// neither dialed nor accepted within the discouragement window.
-    discouraged: HashMap<NetAddr, SimTime>,
+    discouraged: IdMap<NetAddr, SimTime>,
     /// Per-address dial backoff (lookup-only: never iterated, so the
     /// hash map's order cannot leak into the simulation).
-    dial_backoff: HashMap<NetAddr, dial::BackoffEntry>,
+    dial_backoff: IdMap<NetAddr, dial::BackoffEntry>,
     /// Last time the chain tip advanced (drives stale-tip detection).
     pub last_tip_change: SimTime,
     /// Whether the stale-tip countermeasure currently grants one extra
@@ -176,14 +176,14 @@ impl Node {
             peers: PeerTable::default(),
             socket_free_at: SimTime::ZERO,
             in_flight_attempt: None,
-            pending_compact: HashMap::new(),
+            pending_compact: IdMap::default(),
             orphans: VecDeque::new(),
             pending_reorgs: Vec::new(),
             getaddr_answered: Vec::new(),
             stats: NodeStats::default(),
             flooder: None,
-            discouraged: HashMap::new(),
-            dial_backoff: HashMap::new(),
+            discouraged: IdMap::default(),
+            dial_backoff: IdMap::default(),
             last_tip_change: SimTime::ZERO,
             stale_tip_extra: false,
             tracer: Tracer::disabled(),

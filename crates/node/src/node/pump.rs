@@ -17,6 +17,9 @@ pub struct Outgoing {
     pub to: NodeId,
     /// The message.
     pub msg: Message,
+    /// `msg.wire_size()`, computed once: the socket time here and the link
+    /// time in the world both scale with it.
+    pub wire_size: usize,
     /// When the socket writer started transmitting it.
     pub send_start: SimTime,
     /// When transmission finished (delivery latency is added by the world).
@@ -79,14 +82,15 @@ impl Node {
             };
             let to = peer.node;
             let send_start = node.socket_free_at.max(now);
-            let tx_time =
-                SimDuration::from_secs_f64(msg.wire_size() as f64 / node.cfg.upload_bandwidth);
+            let wire_size = msg.wire_size();
+            let tx_time = SimDuration::from_secs_f64(wire_size as f64 / node.cfg.upload_bandwidth);
             let send_end = send_start + tx_time;
             node.socket_free_at = send_end;
             node.stats.msgs_sent += 1;
             outgoing.push(Outgoing {
                 to,
                 msg,
+                wire_size,
                 send_start,
                 send_end,
             });

@@ -3,10 +3,10 @@
 //! `vSendMessage` outbound) — and the [`PeerTable`] a node keeps them in.
 
 use bitsync_protocol::addr::NetAddr;
-use bitsync_protocol::hash::Hash256;
+use bitsync_protocol::hash::{Hash256, IdSet};
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::SimTime;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A node identifier inside a simulation world.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,7 +67,7 @@ pub struct Peer {
     /// Whether the peer negotiated BIP 152 compact blocks.
     pub prefers_compact: bool,
     /// Inventory the peer is known to have (suppresses re-relay).
-    pub known_invs: HashSet<Hash256>,
+    pub known_invs: IdSet<Hash256>,
     /// Txids queued for the next trickled `INV` (Core's per-peer
     /// `vInventoryTxToSend`; only used in `TxAnnounce::Trickle` mode).
     pub pending_inv: Vec<Hash256>,
@@ -99,7 +99,7 @@ impl Peer {
             proc_q: VecDeque::new(),
             send_q: VecDeque::new(),
             prefers_compact: false,
-            known_invs: HashSet::new(),
+            known_invs: IdSet::default(),
             pending_inv: Vec::new(),
             next_inv_at: SimTime::ZERO,
             last_recv: SimTime::ZERO,

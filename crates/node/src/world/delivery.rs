@@ -234,7 +234,11 @@ impl World {
     /// severs the route and the fault plane lets it through.
     fn transmit(&mut self, from: NodeId, out: Outgoing, now: SimTime) {
         let Outgoing {
-            to, msg, send_end, ..
+            to,
+            msg,
+            wire_size,
+            send_end,
+            ..
         } = out;
         let from_asn = self.meta[from.0 as usize].asn;
         let to_asn = self.meta[to.0 as usize].asn;
@@ -261,7 +265,7 @@ impl World {
         }
         let delay = self
             .latency
-            .message_delay(from_asn, to_asn, msg.wire_size(), &mut self.rng);
+            .message_delay(from_asn, to_asn, wire_size, &mut self.rng);
         let at = send_end.max(now) + delay + fault_extra;
         if self.checker.is_enabled() {
             if let Some((hash, _)) = relay_key(&msg) {

@@ -30,7 +30,7 @@ use bitsync_chain::{Miner, TxGenerator};
 use bitsync_net::churn::{ChurnConfig, ChurnModel};
 use bitsync_net::latency::{LatencyConfig, LatencyModel};
 use bitsync_protocol::addr::NetAddr;
-use bitsync_protocol::hash::Hash256;
+use bitsync_protocol::hash::{Hash256, IdMap, IdSet};
 use bitsync_protocol::message::Message;
 use bitsync_sim::check::{Checker, MonotoneClock, ObjectLedger};
 use bitsync_sim::event::{default_backend, Backend, EventQueue};
@@ -42,7 +42,6 @@ use bitsync_sim::timeseries::Sampler;
 use bitsync_sim::trace::Tracer;
 use bitsync_sim::Instruments;
 use population::PhantomKind;
-use std::collections::{HashMap, HashSet};
 
 /// World construction parameters.
 #[derive(Clone, Debug)]
@@ -181,29 +180,29 @@ pub struct World {
     nodes: Vec<Option<Node>>,
     /// The per-node record, by node id (slot-aligned with `nodes`).
     pub meta: Vec<NodeMeta>,
-    addr_index: HashMap<NetAddr, NodeId>,
+    addr_index: IdMap<NetAddr, NodeId>,
     /// Phantom gossip addresses and their dial behaviour.
-    phantoms: HashMap<NetAddr, (PhantomKind, u32)>,
+    phantoms: IdMap<NetAddr, (PhantomKind, u32)>,
     phantom_list: Vec<NetAddr>,
     /// Ground-truth set of reachable addresses (for the ADDR census).
-    reachable_addrs: HashSet<NetAddr>,
+    reachable_addrs: IdSet<NetAddr>,
     /// Same addresses as an ordered list (deterministic sampling).
     reachable_addr_list: Vec<NetAddr>,
     miner: Miner,
     txgen: TxGenerator,
     best_height: u64,
     /// Relay log of the instrumented node.
-    pub relay_log: HashMap<Hash256, RelayRecord>,
+    pub relay_log: IdMap<Hash256, RelayRecord>,
     instrumented: Option<NodeId>,
     /// ADDR census per sender.
-    pub addr_senders: HashMap<NodeId, AddrSenderStats>,
+    pub addr_senders: IdMap<NodeId, AddrSenderStats>,
     /// Churn history.
     pub churn_events: Vec<(SimTime, ChurnEvent)>,
     /// When set, a BGP-hijack partition is active: the listed ASes are cut
     /// off — messages and dials crossing the boundary fail (§IV-A1).
-    hijacked_asns: Option<HashSet<u32>>,
+    hijacked_asns: Option<IdSet<u32>>,
     /// Used IPs, to keep generated arrival addresses unique.
-    used_ips: HashSet<u32>,
+    used_ips: IdSet<u32>,
     as_model: bitsync_net::AsModel,
     /// Metrics sink for the event loop and the node pump. Replaceable via
     /// [`World::attach_metrics`] so an experiment can aggregate several
@@ -274,20 +273,20 @@ impl World {
             churn,
             nodes: Vec::new(),
             meta: Vec::new(),
-            addr_index: HashMap::new(),
-            phantoms: HashMap::new(),
+            addr_index: IdMap::default(),
+            phantoms: IdMap::default(),
             phantom_list: Vec::new(),
-            reachable_addrs: HashSet::new(),
+            reachable_addrs: IdSet::default(),
             reachable_addr_list: Vec::new(),
             miner: Miner::new(cfg.seed ^ 0xb10c, 10_000),
             txgen: TxGenerator::new(cfg.seed ^ 0x7c5),
             best_height: 0,
-            relay_log: HashMap::new(),
+            relay_log: IdMap::default(),
             instrumented: cfg.instrument.map(|idx| NodeId(idx as u32)),
-            addr_senders: HashMap::new(),
+            addr_senders: IdMap::default(),
             churn_events: Vec::new(),
             hijacked_asns: None,
-            used_ips: HashSet::new(),
+            used_ips: IdSet::default(),
             as_model: bitsync_net::AsModel::from_paper(),
             metrics,
             tracer: Tracer::disabled(),

@@ -1,9 +1,17 @@
 //! Block headers, full blocks, and the Merkle root binding the two.
+//!
+//! A block is hashed where it is built: [`Block`]'s constructors run the
+//! header's SHA-256d once and [`Block::block_hash`] is a field read, so the
+//! hundreds of deliveries of one block across a world (most of them
+//! duplicates, rejected right after the hash lookup) share one hash
+//! computation. [`BlockHeader::block_hash`] stays the one place the hash is
+//! computed; a header is `Copy` and carries no memo.
 
 use crate::hash::Hash256;
 use crate::tx::Transaction;
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
 use bitsync_crypto::sha256d;
+use std::ops::Deref;
 
 /// Sanity bound on transactions per block when decoding.
 const MAX_BLOCK_TXS: u64 = 1_000_000;
@@ -103,16 +111,62 @@ pub fn merkle_root(txids: &[Hash256]) -> Hash256 {
     layer[0]
 }
 
-/// A full block: header plus transactions.
+/// The contents of a [`Block`]: header and transactions, readable through
+/// the block's `Deref`, plus the block hash computed from the header.
+///
+/// Only the [`Block`] constructors build one (the `hash` field is private)
+/// and a block hands out no `&mut BlockBody`, so the memoized hash can
+/// never go stale.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Block {
+pub struct BlockBody {
+    /// Double-SHA-256 of `header`.
+    hash: Hash256,
     /// The header.
     pub header: BlockHeader,
     /// Transactions, coinbase first.
     pub txs: Vec<Transaction>,
 }
 
+/// A full block: header plus transactions, immutable once built.
+///
+/// Fields are read through `Deref` (`block.header.prev_blockhash`,
+/// `block.txs`); to change one, build a new block with
+/// [`Block::from_parts`], which hashes the new header:
+///
+/// ```compile_fail
+/// use bitsync_protocol::block::Block;
+/// use bitsync_protocol::hash::Hash256;
+///
+/// let mut block = Block::assemble(2, Hash256::ZERO, 0, 0, vec![]);
+/// block.header.nonce = 1; // no `DerefMut`: the memoized hash would go stale
+/// ```
+///
+/// ```compile_fail
+/// use bitsync_protocol::block::Block;
+/// use bitsync_protocol::hash::Hash256;
+///
+/// let mut block = Block::assemble(2, Hash256::ZERO, 0, 0, vec![]);
+/// block.txs.clear();
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Block(BlockBody);
+
 impl Block {
+    /// Builds a block from its header and transactions, computing the
+    /// block hash. The Merkle root is taken as given (see
+    /// [`Block::check_merkle_root`]).
+    pub fn from_parts(header: BlockHeader, txs: Vec<Transaction>) -> Self {
+        Block::with_hash(header.block_hash(), header, txs)
+    }
+
+    /// [`Block::from_parts`] for a caller that already holds `header`'s
+    /// hash (a [`crate::compact::CompactBlock`], whose constructors
+    /// computed it).
+    pub(crate) fn with_hash(hash: Hash256, header: BlockHeader, txs: Vec<Transaction>) -> Self {
+        debug_assert_eq!(hash, header.block_hash());
+        Block(BlockBody { hash, header, txs })
+    }
+
     /// Assembles a block over `txs`, computing the Merkle root.
     pub fn assemble(
         version: i32,
@@ -122,22 +176,20 @@ impl Block {
         txs: Vec<Transaction>,
     ) -> Self {
         let txids: Vec<Hash256> = txs.iter().map(Transaction::txid).collect();
-        Block {
-            header: BlockHeader {
-                version,
-                prev_blockhash,
-                merkle_root: merkle_root(&txids),
-                time,
-                bits: 0x1d00ffff,
-                nonce,
-            },
-            txs,
-        }
+        let header = BlockHeader {
+            version,
+            prev_blockhash,
+            merkle_root: merkle_root(&txids),
+            time,
+            bits: 0x1d00ffff,
+            nonce,
+        };
+        Block::from_parts(header, txs)
     }
 
-    /// The block hash.
+    /// The block hash, computed when the block was built.
     pub fn block_hash(&self) -> Hash256 {
-        self.header.block_hash()
+        self.0.hash
     }
 
     /// Whether the header's Merkle root matches the transactions.
@@ -154,6 +206,14 @@ impl Block {
     /// Txids of all transactions, in block order.
     pub fn txids(&self) -> Vec<Hash256> {
         self.txs.iter().map(Transaction::txid).collect()
+    }
+}
+
+impl Deref for Block {
+    type Target = BlockBody;
+
+    fn deref(&self) -> &BlockBody {
+        &self.0
     }
 }
 
@@ -175,7 +235,7 @@ impl Decodable for Block {
         for _ in 0..n {
             txs.push(Transaction::decode(r)?);
         }
-        Ok(Block { header, txs })
+        Ok(Block::from_parts(header, txs))
     }
 }
 
@@ -224,14 +284,14 @@ mod tests {
         let victim = &b.txs[1];
         let mut outputs = victim.outputs.clone();
         outputs[0].value += 1;
-        let mut tampered = b.clone();
-        tampered.txs[1] = Transaction::from_parts(
+        let mut txs = b.txs.clone();
+        txs[1] = Transaction::from_parts(
             victim.version,
             victim.inputs.clone(),
             outputs,
             victim.lock_time,
         );
-        assert!(!tampered.check_merkle_root());
+        assert!(!Block::from_parts(b.header, txs).check_merkle_root());
     }
 
     #[test]
@@ -266,9 +326,11 @@ mod tests {
     #[test]
     fn block_hash_depends_on_nonce() {
         let b = sample_block();
-        let mut b2 = b.clone();
-        b2.header.nonce += 1;
+        let mut header = b.header;
+        header.nonce += 1;
+        let b2 = Block::from_parts(header, b.txs.clone());
         assert_ne!(b.block_hash(), b2.block_hash());
+        assert_eq!(b2.block_hash(), header.block_hash());
     }
 
     #[test]

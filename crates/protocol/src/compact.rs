@@ -5,12 +5,20 @@
 //! transactions must round-trip `GETBLOCKTXN`/`BLOCKTXN` before it can
 //! reconstruct a block, so delayed transaction relay delays block
 //! reconstruction.
+//!
+//! A [`CompactBlock`] carries the hash of the block it announces the way a
+//! [`Block`] does (see [`crate::block`]): [`CompactBlock::from_block`]
+//! copies the block's, decoding computes it once, and [`reconstruct`]
+//! hands it on to the rebuilt block, so a block relayed compactly is still
+//! hashed once per world. Short-id keys are *not* memoized — they depend
+//! on the per-recipient nonce and are derived once per reconstruction.
 
 use crate::block::{Block, BlockHeader};
 use crate::hash::Hash256;
 use crate::tx::Transaction;
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
 use bitsync_crypto::{sha256_digest, SipHasher24};
+use std::ops::Deref;
 
 /// Sanity bound for list lengths in compact-block structures.
 const MAX_CMPCT_ITEMS: u64 = 1_000_000;
@@ -85,9 +93,14 @@ pub struct PrefilledTx {
     pub tx: Transaction,
 }
 
-/// The `CMPCTBLOCK` message payload (BIP 152 `HeaderAndShortIDs`).
+/// The contents of a [`CompactBlock`], readable through its `Deref`, plus
+/// the hash of the announced block. As with [`crate::block::BlockBody`],
+/// only the [`CompactBlock`] constructors build one and nothing hands out
+/// a `&mut CompactBody`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompactBlock {
+pub struct CompactBody {
+    /// Double-SHA-256 of `header`.
+    hash: Hash256,
     /// The block header.
     pub header: BlockHeader,
     /// Per-block salt for short-id keying.
@@ -96,6 +109,19 @@ pub struct CompactBlock {
     pub short_ids: Vec<ShortId>,
     /// Transactions sent in full (coinbase at minimum).
     pub prefilled: Vec<PrefilledTx>,
+}
+
+/// The `CMPCTBLOCK` message payload (BIP 152 `HeaderAndShortIDs`),
+/// immutable once built.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CompactBlock(CompactBody);
+
+impl Deref for CompactBlock {
+    type Target = CompactBody;
+
+    fn deref(&self) -> &CompactBody {
+        &self.0
+    }
 }
 
 impl CompactBlock {
@@ -114,17 +140,19 @@ impl CompactBlock {
                 short_ids.push(keys.short_id(&tx.txid()));
             }
         }
-        CompactBlock {
+        CompactBlock(CompactBody {
+            hash: block.block_hash(),
             header: block.header,
             nonce,
             short_ids,
             prefilled,
-        }
+        })
     }
 
-    /// The hash of the announced block.
+    /// The hash of the announced block, computed when the announcement
+    /// (or the block it was built from) was.
     pub fn block_hash(&self) -> Hash256 {
-        self.header.block_hash()
+        self.0.hash
     }
 
     /// Total number of transactions in the announced block.
@@ -190,12 +218,13 @@ impl Decodable for CompactBlock {
             let tx = Transaction::decode(r)?;
             prefilled.push(PrefilledTx { index, tx });
         }
-        Ok(CompactBlock {
+        Ok(CompactBlock(CompactBody {
+            hash: header.block_hash(),
             header,
             nonce,
             short_ids,
             prefilled,
-        })
+        }))
     }
 }
 
@@ -312,10 +341,7 @@ pub fn reconstruct(
         .collect();
     if missing.is_empty() {
         let txs: Vec<Transaction> = slots.into_iter().map(|s| s.expect("checked")).collect();
-        Reconstruction::Complete(Box::new(Block {
-            header: cb.header,
-            txs,
-        }))
+        Reconstruction::Complete(Box::new(Block::with_hash(cb.block_hash(), cb.header, txs)))
     } else {
         Reconstruction::Missing { indexes: missing }
     }

@@ -118,6 +118,43 @@ mod proptests {
             prop_assert_eq!(back, tx);
         }
 
+        /// Every way to build a block or a compact block leaves the hash it
+        /// carries equal to its header's.
+        #[test]
+        fn carried_block_hash_is_the_headers(
+            n_txs in 0u64..6,
+            nonce in any::<u32>(),
+            salt in any::<u64>(),
+        ) {
+            use crate::compact::{reconstruct, CompactBlock, Reconstruction};
+            let txs: Vec<Transaction> = (0..n_txs).map(|i| Transaction::coinbase(i, 50)).collect();
+            let assembled = Block::assemble(2, Hash256::hash_of(b"prev"), 1, nonce, txs.clone());
+            let mut header = assembled.header;
+            header.nonce = !nonce;
+            let from_parts = Block::from_parts(header, txs);
+            let decoded = Block::decode_exact(&assembled.encode_to_vec()).unwrap();
+            let cb = CompactBlock::from_block(&from_parts, salt);
+            let cb_decoded = CompactBlock::decode_exact(&cb.encode_to_vec()).unwrap();
+            let keys = cb_decoded.keys();
+            let pooled = |sid| from_parts.txs.iter().find(|t| keys.short_id(&t.txid()) == sid);
+            let Reconstruction::Complete(rebuilt) = reconstruct(&cb_decoded, |sid| pooled(sid).cloned())
+            else {
+                panic!("every transaction is at hand");
+            };
+            prop_assert_ne!(assembled.block_hash(), from_parts.block_hash());
+            for (carried, header) in [
+                (assembled.block_hash(), assembled.header),
+                (from_parts.block_hash(), from_parts.header),
+                (decoded.block_hash(), decoded.header),
+                (cb.block_hash(), cb.header),
+                (cb_decoded.block_hash(), cb_decoded.header),
+                (rebuilt.block_hash(), rebuilt.header),
+            ] {
+                prop_assert_eq!(carried, header.block_hash());
+            }
+            prop_assert_eq!(*rebuilt, from_parts);
+        }
+
         /// ADDR messages round-trip through framing for arbitrary entry sets
         /// up to the protocol limit.
         #[test]

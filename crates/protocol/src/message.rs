@@ -22,6 +22,20 @@ pub const MAX_HEADERS_PER_MSG: usize = 2000;
 /// Maximum locator hashes in `GETHEADERS`.
 const MAX_LOCATOR: u64 = 101;
 
+/// Reads a list count bounded by `max` and starts the list. What is
+/// reserved up front is bounded by the frame, not by the count it claims:
+/// an entry takes at least `entry_bytes`, so a five-byte frame announcing
+/// 2000 headers reserves nothing.
+fn list<T>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    max: u64,
+    entry_bytes: usize,
+) -> Result<(usize, Vec<T>), DecodeError> {
+    let n = r.length(what, max)?;
+    Ok((n, Vec::with_capacity(n.min(r.remaining() / entry_bytes))))
+}
+
 /// The `VERSION` handshake payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionMsg {
@@ -234,8 +248,7 @@ impl Message {
             "verack" => Message::Verack,
             "getaddr" => Message::GetAddr,
             "addr" => {
-                let n = r.length("addr.count", MAX_ADDR_PER_MSG as u64)?;
-                let mut addrs = Vec::with_capacity(n);
+                let (n, mut addrs) = list(&mut r, "addr.count", MAX_ADDR_PER_MSG as u64, 30)?;
                 for _ in 0..n {
                     addrs.push(TimestampedAddr::decode(&mut r)?);
                 }
@@ -244,8 +257,7 @@ impl Message {
             "ping" => Message::Ping(r.u64_le("ping.nonce")?),
             "pong" => Message::Pong(r.u64_le("pong.nonce")?),
             "inv" | "getdata" | "notfound" => {
-                let n = r.length("inv.count", MAX_INV_PER_MSG as u64)?;
-                let mut items = Vec::with_capacity(n.min(4096));
+                let (n, mut items) = list(&mut r, "inv.count", MAX_INV_PER_MSG as u64, 36)?;
                 for _ in 0..n {
                     items.push(InvVect::decode(&mut r)?);
                 }
@@ -259,8 +271,7 @@ impl Message {
             "block" => Message::Block(Box::new(Block::decode(&mut r)?)),
             "getheaders" => {
                 let _version = r.u32_le("getheaders.version")?;
-                let n = r.length("getheaders.locator", MAX_LOCATOR)?;
-                let mut locator = Vec::with_capacity(n);
+                let (n, mut locator) = list(&mut r, "getheaders.locator", MAX_LOCATOR, 32)?;
                 for _ in 0..n {
                     locator.push(Hash256::decode(&mut r)?);
                 }
@@ -268,8 +279,9 @@ impl Message {
                 Message::GetHeaders(GetHeaders { locator, stop })
             }
             "headers" => {
-                let n = r.length("headers.count", MAX_HEADERS_PER_MSG as u64)?;
-                let mut headers = Vec::with_capacity(n);
+                // 80 header bytes and at least one for the transaction count.
+                let (n, mut headers) =
+                    list(&mut r, "headers.count", MAX_HEADERS_PER_MSG as u64, 81)?;
                 for _ in 0..n {
                     headers.push(BlockHeader::decode(&mut r)?);
                     let _txn = r.varint("headers.txcount")?;
@@ -643,6 +655,7 @@ mod tests {
         fn hostile_payloads_never_panic_and_accepted_ones_roundtrip(
             chunks in proptest::collection::vec(hostile_chunk(), 0..24),
             victim in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+            whole_entries in 0usize..4,
         ) {
             let messages = all_messages();
             let mut payload = match victim {
@@ -664,6 +677,24 @@ mod tests {
                     let again = msg.encode_payload();
                     prop_assert_eq!(Message::decode_payload(msg.command(), &again), Ok(msg));
                 }
+            }
+            // A list that claims its protocol maximum in a frame cut off
+            // after a few whole entries (all-zero ones decode) is refused
+            // at the first missing byte.
+            for (command, prefix, max, entry_bytes) in [
+                ("addr", 0, MAX_ADDR_PER_MSG as u64, 30),
+                ("getheaders", 4, MAX_LOCATOR, 32),
+                ("headers", 0, MAX_HEADERS_PER_MSG as u64, 81),
+            ] {
+                let mut w = Writer::new();
+                w.bytes(&vec![0u8; prefix]);
+                w.varint(max);
+                w.bytes(&vec![0u8; whole_entries * entry_bytes]);
+                let truncated = Message::decode_payload(command, &w.into_bytes());
+                prop_assert!(
+                    matches!(truncated, Err(DecodeError::UnexpectedEof { .. })),
+                    "{}: {:?}", command, truncated
+                );
             }
         }
     }
