@@ -38,7 +38,7 @@
 //! via the invariant checker, while the benign fault-plane variants
 //! (`drop-messages`, `delay-messages`, `reorder-messages`, `stall-peers`,
 //! `addr-flood`, `connection-flaps`, `partition-flaps`,
-//! `competing-miners`, `solo-miners`, `reorg-storms`) must pass all four
+//! `competing-miners`, `solo-miners`, `reorg-storms`) must pass all three
 //! harnesses and reconverge onto a single chain once faults end.
 
 use bitsync_core::experiments::fuzz::{self, FuzzConfig};

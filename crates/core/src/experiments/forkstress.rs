@@ -17,6 +17,7 @@
 use crate::experiments::registry::{Experiment, Scale};
 use crate::experiments::sweep;
 use bitsync_json::{ToJson, Value};
+use bitsync_node::config::NodeConfig;
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::{Fault, FaultConfig};
 use bitsync_sim::time::SimDuration;
@@ -167,7 +168,11 @@ pub fn run_cell(
     )));
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
-        node_cfg: sweep::node_config(resilience),
+        node_cfg: if resilience {
+            NodeConfig::resilient()
+        } else {
+            NodeConfig::bitcoin_core()
+        },
         n_reachable: cfg.n_reachable,
         n_malicious: 0,
         n_unreachable_full: cfg.n_unreachable_full,

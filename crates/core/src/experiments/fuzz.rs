@@ -12,13 +12,12 @@
 //!    per-object delivery conservation, outdegree caps, and addrman table
 //!    consistency are checked on every event (see `bitsync-node`'s event
 //!    loop), plus a final addrman sweep over all online nodes;
-//! 2. **backend differential** — the identical scenario re-runs on the
-//!    binary-heap event queue; the run digests must match the timer wheel's;
-//! 3. **thread invariance** — the scenario re-runs on a freshly spawned
-//!    thread; the digest must match again;
-//! 4. **trace replay** — the relay histogram rebuilt from the trace log
+//! 2. **trace replay** — the relay histogram rebuilt from the trace log
 //!    ([`replay_relay_histogram`]) must equal the live
-//!    `node.relay_delay_secs` histogram exactly.
+//!    `node.relay_delay_secs` histogram exactly;
+//! 3. **thread invariance** — the identical scenario re-runs bare (no
+//!    checker, no tracer) on a freshly spawned thread; the run digests
+//!    must match, which also proves the observers are read-only.
 //!
 //! Fault scenarios additionally *settle*: after the bounded run the fault
 //! plane is torn down and the world gets a grace window in which the
@@ -33,7 +32,7 @@
 //! deliveries, time-warped deliveries, ban-reorg-peers) must trip the
 //! checker, while the benign fault-plane variants (drops, delays, stalls,
 //! flaps, floods, partition storms, competing/solo miners) must sail
-//! through all four harnesses *and* reconverge once the faults end.
+//! through all three harnesses *and* reconverge once the faults end.
 //!
 //! Everything is a pure function of the seed: same seed, same scenarios,
 //! same verdicts, byte-identical repro files.
@@ -45,7 +44,6 @@ use bitsync_net::churn::ChurnConfig;
 use bitsync_node::config::{NodeConfig, ResilienceConfig};
 use bitsync_node::world::{metric, Fault, World, WorldConfig, FRESH_RELAY_WINDOW};
 use bitsync_sim::check::Checker;
-use bitsync_sim::event::Backend;
 use bitsync_sim::metrics::DEFAULT_BUCKETS;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -179,13 +177,13 @@ impl Scenario {
         })
     }
 
-    /// The [`WorldConfig`] this scenario describes, pinned to `backend`.
+    /// The [`WorldConfig`] this scenario describes.
     ///
     /// Node address managers use deliberately small tables (256 `new` /
     /// 64 `tried` cells instead of Bitcoin Core's ~82k): per-event
     /// consistency checks stay affordable, and small tables reach the
     /// collision/eviction paths that big ones never touch in a bounded run.
-    pub fn world_config(&self, backend: Backend) -> WorldConfig {
+    pub fn world_config(&self) -> WorldConfig {
         let node_cfg = NodeConfig {
             addrman: AddrManConfig {
                 new_bucket_count: 32,
@@ -223,7 +221,6 @@ impl Scenario {
             connection_mean_lifetime: (self.connection_mean_secs > 0)
                 .then(|| SimDuration::from_secs(self.connection_mean_secs)),
             instrument: Some(0),
-            backend: Some(backend),
             fault: self.fault.map(Fault::plane_config).unwrap_or_default(),
             ..WorldConfig::default()
         }
@@ -390,8 +387,8 @@ const QUOTED_VIOLATIONS: usize = 3;
 /// ([`World::check_convergence`] records a `chain_converged` violation on
 /// timeout when a checker is attached). Only fault scenarios settle: the
 /// convergence invariant promises recovery *once faults end*, and clean
-/// runs keep their historical digests and cost. Every harness run settles
-/// identically so wheel/heap/thread digests stay comparable.
+/// runs keep their historical digests and cost. Both runs of a scenario
+/// settle identically so their digests stay comparable.
 fn settle(world: &mut World, scenario: &Scenario) {
     if scenario.fault.is_none() {
         return;
@@ -400,10 +397,10 @@ fn settle(world: &mut World, scenario: &Scenario) {
     world.check_convergence(SimDuration::from_secs(scenario.duration_secs.max(1_800)));
 }
 
-/// Builds and runs a world for `scenario` on `backend`, returning the
-/// finished world.
-fn run_world(scenario: &Scenario, backend: Backend) -> World {
-    let mut world = World::new(scenario.world_config(backend));
+/// Builds and runs a bare world for `scenario`, returning the finished
+/// world.
+fn run_world(scenario: &Scenario) -> World {
+    let mut world = World::new(scenario.world_config());
     if let Some(fault) = scenario.fault {
         world.inject_fault(fault);
     }
@@ -439,9 +436,9 @@ fn world_digest(world: &World) -> String {
 pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
     let mut failures: Vec<String> = Vec::new();
 
-    // Primary run: timer wheel, checker and tracer attached. Observers are
-    // read-only, so its digest must match the bare runs below.
-    let mut world = World::new(scenario.world_config(Backend::Wheel));
+    // Primary run: checker and tracer attached. Observers are read-only,
+    // so its digest must match the bare run below.
+    let mut world = World::new(scenario.world_config());
     let ins = Instruments {
         checker: Checker::enabled(),
         tracer: Tracer::enabled(DEFAULT_TRACE_CAP),
@@ -508,17 +505,12 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
         }
     }
 
-    // 3. Backend differential: the heap queue must produce the same world.
+    // 3. Thread invariance: a bare run on a fresh thread must produce the
+    // same world.
     let digest = world_digest(&world);
-    let heap_digest = world_digest(&run_world(scenario, Backend::Heap));
-    if heap_digest != digest {
-        failures.push("backend differential: wheel and heap digests differ".into());
-    }
-
-    // 4. Thread invariance: a fresh thread must produce the same world.
     let threaded = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || world_digest(&run_world(&scenario, Backend::Wheel)))
+        std::thread::spawn(move || world_digest(&run_world(&scenario)))
             .join()
             .expect("digest thread panicked")
     };

@@ -23,6 +23,7 @@ use crate::experiments::registry::{Experiment, Scale};
 use crate::experiments::sweep;
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
+use bitsync_node::config::NodeConfig;
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::SimDuration;
@@ -214,7 +215,11 @@ pub fn run_cell(
     )));
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
-        node_cfg: sweep::node_config(countermeasures),
+        node_cfg: if countermeasures {
+            NodeConfig::resilient()
+        } else {
+            NodeConfig::bitcoin_core()
+        },
         n_reachable: cfg.n_reachable,
         n_malicious: cfg.n_malicious,
         n_unreachable_full: cfg.n_unreachable_full,

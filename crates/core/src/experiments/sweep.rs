@@ -1,11 +1,11 @@
-//! The mechanics the multi-world sweeps ([`resilience`](super::resilience),
-//! [`forkstress`](super::forkstress), [`ablation`](super::ablation)) share:
-//! the `intensity × {off, on}` grid, the countermeasure toggle, the
-//! warm-up + fixed-cadence sampling loop, per-cell counter deltas over the
-//! recorder all cells of a sweep report into, and the sample reductions.
+//! The mechanics the multi-world experiments
+//! ([`resilience`](super::resilience), [`forkstress`](super::forkstress),
+//! [`ablation`](super::ablation), [`sync_kde`](super::sync_kde)) share: the
+//! `intensity × {off, on}` grid, the warm-up + fixed-cadence sampling loop,
+//! per-cell counter deltas over the recorder all cells of a sweep report
+//! into, and the sample reductions.
 
 use bitsync_analysis::Summary;
-use bitsync_node::config::{NodeConfig, ResilienceConfig};
 use bitsync_node::world::World;
 use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -16,19 +16,6 @@ use bitsync_sim::time::{SimDuration, SimTime};
 pub fn grid<C>(intensities: &[f64], mut cell: impl FnMut(f64, bool) -> C) -> Vec<C> {
     let points = intensities.iter().flat_map(|&i| [(i, false), (i, true)]);
     points.map(|(i, on)| cell(i, on)).collect()
-}
-
-/// Bitcoin Core's node configuration with its countermeasure layer (bans,
-/// dial backoff, handshake timeouts, stale-tip recovery) on or off.
-pub fn node_config(countermeasures: bool) -> NodeConfig {
-    NodeConfig {
-        resilience: if countermeasures {
-            ResilienceConfig::bitcoin_core()
-        } else {
-            ResilienceConfig::off()
-        },
-        ..NodeConfig::bitcoin_core()
-    }
 }
 
 /// Runs `world` through `warmup`, then on to `warmup + duration` in steps

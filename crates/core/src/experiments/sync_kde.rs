@@ -15,12 +15,13 @@
 //! "protocols did not change between the years" argument.
 
 use crate::experiments::registry::{Experiment, Scale};
+use crate::experiments::sweep;
 use bitsync_analysis::churn::{mean_synchronized_departures, Departure};
 use bitsync_analysis::{Kde, Summary};
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
 use bitsync_node::world::{ChurnEvent, World, WorldConfig};
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// Which measurement-period regime to reproduce.
@@ -208,16 +209,13 @@ pub fn run_year(cfg: &SyncScenarioConfig, year: Year, ins: &Instruments) -> Year
     }));
     let mut world = World::new(wcfg);
     world.attach(ins);
-    let mut samples = Vec::new();
-    let warmup = cfg.warmup;
-    world.run_until(SimTime::ZERO + warmup);
-    let mut t = SimTime::ZERO + warmup;
-    let end = SimTime::ZERO + warmup + cfg.duration;
-    while t < end {
-        t += cfg.snapshot_interval;
-        world.run_until(t);
-        samples.push(world.sync_fraction());
-    }
+    let samples = sweep::sample_run(
+        &mut world,
+        cfg.warmup,
+        cfg.duration,
+        cfg.snapshot_interval,
+        World::sync_fraction,
+    );
     let departures: Vec<Departure> = world
         .churn_events
         .iter()
@@ -229,7 +227,7 @@ pub fn run_year(cfg: &SyncScenarioConfig, year: Year, ins: &Instruments) -> Year
             _ => None,
         })
         .collect();
-    let horizon = (warmup + cfg.duration).as_secs();
+    let horizon = (cfg.warmup + cfg.duration).as_secs();
     let sync_departures_per_10min = mean_synchronized_departures(&departures, horizon, 600);
     YearResult {
         year,

@@ -33,7 +33,7 @@ use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::{Hash256, IdMap, IdSet};
 use bitsync_protocol::message::Message;
 use bitsync_sim::check::{Checker, MonotoneClock, ObjectLedger};
-use bitsync_sim::event::{default_backend, Backend, EventQueue};
+use bitsync_sim::event::EventQueue;
 use bitsync_sim::fault::{FaultConfig, FaultPlane};
 use bitsync_sim::metrics::Recorder;
 use bitsync_sim::rng::SimRng;
@@ -91,11 +91,6 @@ pub struct WorldConfig {
     /// relay but never count as synchronized — the base unsynchronized
     /// level visible in Bitnodes data on top of the churn-driven part.
     pub laggard_fraction: f64,
-    /// Event-queue backend for this world, or `None` for
-    /// [`default_backend`]. Differential harnesses (the scenario fuzzer,
-    /// `tests/queue_differential.rs`) run the same config on
-    /// [`Backend::Wheel`] and [`Backend::Heap`].
-    pub backend: Option<Backend>,
     /// Fault-plane intensities ([`FaultConfig::off`] by default). The
     /// plane draws from its own salted random stream, so an inactive
     /// config leaves every other stream — and every golden snapshot —
@@ -123,7 +118,6 @@ impl Default for WorldConfig {
             connection_mean_lifetime: None,
             permanent_fraction: 0.37,
             laggard_fraction: 0.0,
-            backend: None,
             fault: FaultConfig::off(),
         }
     }
@@ -257,7 +251,7 @@ impl World {
         );
         let churn = cfg.churn.map(ChurnModel::new);
 
-        let queue = EventQueue::with_backend(cfg.backend.unwrap_or_else(default_backend));
+        let queue = EventQueue::new();
         // The plane's stream is salted off the world seed inside
         // `FaultPlane::new`, so an inactive config changes no draw anywhere.
         let fault_plane = cfg
@@ -499,9 +493,9 @@ impl World {
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         // TimeWarpDeliveries bug injection: relayable deliveries are
         // handled with a timestamp skewed one second into the past. The
-        // queue itself stays monotone (identical across backends and
-        // thread counts), so the *only* harness that can catch this is the
-        // checker's MonotoneClock.
+        // queue itself stays monotone (identical across thread counts), so
+        // the *only* harness that can catch this is the checker's
+        // MonotoneClock.
         let now = if self.fault == Some(Fault::TimeWarpDeliveries)
             && matches!(&ev, Ev::Deliver { msg, .. } if delivery::relay_key(msg).is_some())
         {

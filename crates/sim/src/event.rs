@@ -6,22 +6,27 @@
 //! the same instant are delivered in scheduling order, which keeps runs
 //! bit-for-bit reproducible.
 //!
-//! # Backends
+//! # The queue is a binary heap
 //!
-//! Two interchangeable cores implement the same `(time, seq)` order:
+//! [`EventQueue::new`] — and therefore every world — runs on a
+//! `BinaryHeap` keyed by `(time, seq)`. The worlds the experiments build
+//! hold a few hundred to a few thousand pending events, the depth at which
+//! the heap is the cheaper structure.
 //!
-//! - [`Backend::Wheel`] (the default): a hierarchical timer wheel — eight
-//!   levels of 64 slots each (6 bits per level, 1 ns granularity, ~3.26 days
-//!   of span) with per-level occupancy bitmaps, cascading far slots down as
-//!   the clock advances and spilling anything beyond the span into an
-//!   overflow heap. Push is O(1); pop is O(1) amortized for the near-future
-//!   workloads the simulator generates, which is what makes full paper-scale
-//!   populations practical on one core.
-//! - [`Backend::Heap`]: the original `BinaryHeap` implementation, kept as a
-//!   differential-test oracle.
+//! # The timer wheel is a probe target
 //!
-//! Both backends produce byte-identical experiment output; the differential
-//! tests in `tests/` hold them to that.
+//! A second core, a hierarchical timer wheel — eight levels of 64 slots
+//! each (6 bits per level, 1 ns granularity, ~3.26 days of span) with
+//! per-level occupancy bitmaps, cascading far slots down as the clock
+//! advances and spilling anything beyond the span into an overflow heap —
+//! is built for no world. It stays because `benchmark/src/seam.rs` and
+//! `benchmark/src/seam/probes.rs` name [`Backend`],
+//! [`EventQueue::with_backend`] and [`default_backend`] (the
+//! `sim.event.{wheel,heap}_churn_ns` probes), and a PR may not edit the
+//! benchmark it is measured by; ROADMAP item 3(a) drops those names from
+//! the seam and deletes the wheel with them. Until then the unit tests
+//! below and `tests/wheel_edge_cases.rs` hold the wheel to the heap's
+//! `(time, seq)` order.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -60,19 +65,22 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which event-queue core a queue runs on.
+/// Which core [`EventQueue::with_backend`] builds. Named only by the
+/// benchmark seam's queue probes and this crate's oracle tests (module
+/// docs); ROADMAP item 3(a) deletes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Hierarchical timer wheel (default; fast at scale).
+    /// Hierarchical timer wheel: a probe target, built for no world.
     Wheel,
-    /// Legacy binary heap (test oracle).
+    /// Binary heap: what [`EventQueue::new`] builds.
     Heap,
 }
 
-/// The backend [`EventQueue::new`] runs on, and a world whose config pins
-/// none.
+/// The backend [`EventQueue::new`] runs on. `benchmark/src/seam.rs` reads
+/// it to pick which queue probe stands for a world's queue; ROADMAP item
+/// 3(a) deletes it.
 pub fn default_backend() -> Backend {
-    Backend::Wheel
+    Backend::Heap
 }
 
 /// Bits per wheel level: 64 slots each.
@@ -85,7 +93,9 @@ const LEVELS: usize = 8;
 /// Deltas at or beyond this go to the overflow heap.
 const WHEEL_SPAN: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
 
-/// The hierarchical timer wheel core.
+/// The hierarchical timer wheel core: built only when
+/// [`EventQueue::with_backend`] is given [`Backend::Wheel`], which only
+/// `benchmark/src/seam/probes.rs` and the oracle tests do (module docs).
 ///
 /// Invariant: `base` never exceeds the timestamp of any entry stored in the
 /// wheel slots. `base` only advances to the lower bound of a processed slot,
@@ -366,12 +376,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero on [`default_backend`].
+    /// Creates an empty queue at time zero (on the binary heap,
+    /// [`default_backend`]).
     pub fn new() -> Self {
         Self::with_backend(default_backend())
     }
 
-    /// Creates an empty queue at time zero on an explicit backend.
+    /// Creates an empty queue at time zero on an explicit backend: the
+    /// constructor `benchmark/src/seam/probes.rs` and the oracle tests use
+    /// to reach the wheel. ROADMAP item 3(a) deletes it.
     pub fn with_backend(backend: Backend) -> Self {
         let core = match backend {
             Backend::Wheel => Core::Wheel(WheelCore::new()),
@@ -467,74 +480,111 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
+    /// No world is built on the wheel any more, but the benchmark still
+    /// probes it: the API tests run once per backend.
+    const BACKENDS: [Backend; 2] = [Backend::Heap, Backend::Wheel];
+
+    #[test]
+    fn new_queue_is_a_heap() {
+        assert_eq!(default_backend(), Backend::Heap);
+        assert!(matches!(EventQueue::<()>::new().core, Core::Heap(_)));
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(3), 'c');
-        q.schedule(SimTime::from_secs(1), 'a');
-        q.schedule(SimTime::from_secs(2), 'b');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(3), 'c');
+            q.schedule(SimTime::from_secs(1), 'a');
+            q.schedule(SimTime::from_secs(2), 'b');
+            assert_eq!(q.len(), 3, "{backend:?}");
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)), "{backend:?}");
+            let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, vec!['a', 'b', 'c'], "{backend:?}");
+            assert!(q.is_empty() && q.peek_time().is_none(), "{backend:?}");
+        }
     }
 
     #[test]
     fn ties_break_by_scheduling_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(5);
-        for i in 0..10 {
-            q.schedule(t, i);
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            let t = SimTime::from_secs(5);
+            for i in 0..10 {
+                q.schedule(t, i);
+            }
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{backend:?}");
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(4), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime::from_secs(4));
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(4), ());
+            assert_eq!(q.now(), SimTime::ZERO, "{backend:?}");
+            q.pop();
+            assert_eq!(q.now(), SimTime::from_secs(4), "{backend:?}");
+            // The clock also moves without a pop, and later events follow it.
+            q.advance_to(SimTime::from_secs(6));
+            q.schedule_after(SimDuration::from_secs(1), ());
+            assert_eq!(q.pop().unwrap().0, SimTime::from_secs(7), "{backend:?}");
+        }
     }
 
     #[test]
     fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 1);
-        q.schedule(SimTime::from_secs(10), 2);
-        assert_eq!(q.pop_until(SimTime::from_secs(5)).unwrap().1, 1);
-        assert!(q.pop_until(SimTime::from_secs(5)).is_none());
-        // The future event is still there.
-        assert_eq!(q.pop().unwrap().1, 2);
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(1), 1);
+            q.schedule(SimTime::from_secs(10), 2);
+            assert_eq!(q.pop_until(SimTime::from_secs(5)).unwrap().1, 1);
+            assert!(q.pop_until(SimTime::from_secs(5)).is_none(), "{backend:?}");
+            // The future event is still there.
+            assert_eq!(q.len(), 1, "{backend:?}");
+            assert_eq!(q.pop().unwrap().1, 2, "{backend:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(5), ());
-        q.pop();
-        q.schedule(SimTime::from_secs(1), ());
+        fn schedule_into_past(backend: Backend) {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(5), ());
+            q.pop();
+            q.schedule(SimTime::from_secs(1), ());
+        }
+        // The heap's panic is caught and checked here; the wheel's is the
+        // one `should_panic` sees.
+        let heap = std::panic::catch_unwind(|| schedule_into_past(Backend::Heap));
+        assert!(heap.is_err(), "the heap queue did not panic");
+        schedule_into_past(Backend::Wheel);
     }
 
     #[test]
     fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), 0);
-        q.pop();
-        q.schedule_after(SimDuration::from_secs(5), 1);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_secs(15));
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(10), 0);
+            q.pop();
+            q.schedule_after(SimDuration::from_secs(5), 1);
+            let (t, _) = q.pop().unwrap();
+            assert_eq!(t, SimTime::from_secs(15), "{backend:?}");
+        }
     }
 
     #[test]
     fn events_processed_counts() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        q.pop();
-        q.pop();
-        assert_eq!(q.events_processed(), 2);
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(SimTime::from_secs(1), ());
+            q.schedule(SimTime::from_secs(2), ());
+            q.pop();
+            q.pop();
+            assert_eq!(q.events_processed(), 2, "{backend:?}");
+        }
     }
 
     /// Runs `scenario` on both backends and asserts identical pop streams.

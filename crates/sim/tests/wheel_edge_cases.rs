@@ -3,9 +3,14 @@
 //! for any schedule, including the regimes the wheel handles specially —
 //! far-future timers parked past the top level, cascades at exact
 //! `64^k` digit boundaries, and zero-delay self-schedules from inside a
-//! `pop_until` drain.
+//! `pop_until` drain — and for a long interleaved schedule/pop stream.
+//!
+//! The heap is what every world runs on; the wheel is built only by the
+//! benchmark's queue probes (`bitsync_sim::event` module docs). This file
+//! goes with the wheel (ROADMAP item 3(a)).
 
 use bitsync_sim::event::{Backend, EventQueue};
+use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -168,6 +173,43 @@ fn schedule_at_now_while_draining_pop_until() {
         }
         assert_eq!(labels, vec![(50, "a"), (50, "b")], "{backend:?}");
         assert_eq!(q.len(), 1, "the post-deadline event stays queued");
+    }
+}
+
+/// A mixed schedule/pop workload returning the observed pop sequence.
+fn pop_sequence(backend: Backend, seed: u64) -> Vec<(u64, u64)> {
+    let mut rng = SimRng::seed_from(seed);
+    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+    let mut out = Vec::new();
+    let horizon = SimDuration::from_mins(30).as_nanos();
+    for i in 0..20_000u64 {
+        // Schedule relative to the advancing clock (popping moves `now`
+        // forward); masking the low bits makes duplicate timestamps
+        // frequent so FIFO tie-breaking is exercised.
+        let t = q.now() + SimDuration::from_nanos(rng.below(horizon) & !0x3ff);
+        q.schedule(t, i);
+        if rng.chance(0.45) {
+            if let Some((at, e)) = q.pop() {
+                out.push((at.as_nanos(), e));
+            }
+        }
+    }
+    while let Some((at, e)) = q.pop() {
+        out.push((at.as_nanos(), e));
+    }
+    out
+}
+
+/// Raw queues: identical pop order, including (time, seq) tie-breaks.
+#[test]
+fn wheel_and_heap_pop_orders_are_identical() {
+    for seed in [3, 17, 2021] {
+        let wheel = pop_sequence(Backend::Wheel, seed);
+        let heap = pop_sequence(Backend::Heap, seed);
+        assert_eq!(wheel.len(), heap.len(), "seed {seed}: dropped events");
+        for (i, (w, h)) in wheel.iter().zip(&heap).enumerate() {
+            assert_eq!(w, h, "seed {seed}: pop {i} diverged");
+        }
     }
 }
 
