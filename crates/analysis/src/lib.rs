@@ -3,7 +3,7 @@
 //! `bitsync-analysis` — the statistics layer every experiment report uses;
 //! each module feeds a report, a bundle file or a test of one:
 //!
-//! - [`stats`]: summaries, percentiles, histograms.
+//! - [`stats`]: summaries and percentiles.
 //! - [`kde`]: Gaussian kernel density estimation (Figure 1).
 //! - [`as_concentration`]: Table I shares and the hijack-k-ASes metric.
 //! - [`routing`]: the greedy hijack plan of the §IV-A1 partition attack.
@@ -39,7 +39,7 @@ pub use propagation::{effective_outdegree, rounds_to_cover};
 pub use propagation_tree::{build_trees, replay_relay_histogram, PropagationTree, TreeNode};
 pub use rootcause::{attribute, RootCauseReport};
 pub use routing::{plan_hijack, HijackPlan};
-pub use stats::{percentile, Histogram, Summary};
+pub use stats::{percentile, Summary};
 
 #[cfg(test)]
 mod proptests {
@@ -67,13 +67,6 @@ mod proptests {
             let kde = Kde::fit(&samples).unwrap();
             prop_assert!(kde.density(x) >= 0.0);
             prop_assert!(kde.density(samples[0]) > 0.0);
-        }
-
-        /// Histogram conserves samples: bins + outliers = n.
-        #[test]
-        fn histogram_conserves(values in proptest::collection::vec(-10f64..20.0, 0..200)) {
-            let h = Histogram::build(&values, 0.0, 10.0, 7);
-            prop_assert_eq!(h.total() + h.outliers, values.len() as u64);
         }
 
         /// AS concentration: shares sum to ~100%, covering 100% needs all

@@ -82,53 +82,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     percentile_sorted(&sorted, p)
 }
 
-/// A fixed-width histogram over `[lo, hi)`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Histogram {
-    /// Inclusive lower bound of the range.
-    pub lo: f64,
-    /// Exclusive upper bound.
-    pub hi: f64,
-    /// Bin counts.
-    pub bins: Vec<u64>,
-    /// Samples outside the range.
-    pub outliers: u64,
-}
-
-impl Histogram {
-    /// Builds a histogram with `n_bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hi <= lo` or `n_bins == 0`.
-    pub fn build(values: &[f64], lo: f64, hi: f64, n_bins: usize) -> Histogram {
-        assert!(hi > lo, "empty histogram range");
-        assert!(n_bins > 0, "histogram needs bins");
-        let mut bins = vec![0u64; n_bins];
-        let mut outliers = 0;
-        let width = (hi - lo) / n_bins as f64;
-        for &v in values {
-            if v < lo || v >= hi {
-                outliers += 1;
-            } else {
-                let b = (((v - lo) / width) as usize).min(n_bins - 1);
-                bins[b] += 1;
-            }
-        }
-        Histogram {
-            lo,
-            hi,
-            bins,
-            outliers,
-        }
-    }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,21 +129,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_empty_panics() {
         percentile_sorted(&[], 50.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let h = Histogram::build(&[0.5, 1.5, 1.6, 9.9, -1.0, 10.0], 0.0, 10.0, 10);
-        assert_eq!(h.bins[0], 1);
-        assert_eq!(h.bins[1], 2);
-        assert_eq!(h.bins[9], 1);
-        assert_eq!(h.outliers, 2);
-        assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "bins")]
-    fn histogram_zero_bins_panics() {
-        Histogram::build(&[1.0], 0.0, 1.0, 0);
     }
 }

@@ -15,6 +15,10 @@
 //! wall-clock observations; every other file, the manifest included, is a
 //! pure function of `(seed, scale, targets, instruments)` and is
 //! byte-identical at any thread count.
+//!
+//! Only this module creates a run's files: the trace and time-series logs
+//! serialise to strings and every file goes through the one [`write()`]
+//! below; `bitsync_json::parse` reads each JSON file back to the same bytes.
 
 use super::runner::{ExperimentReport, RunnerConfig};
 use bitsync_json::{ToJson, Value};
@@ -39,8 +43,7 @@ pub fn write_bundle(
     let mut experiments = Value::object();
     for r in reports {
         let sub = dir.join(r.name);
-        std::fs::create_dir_all(&sub)
-            .map_err(|e| format!("cannot create {}: {e}", sub.display()))?;
+        create_dir(&sub)?;
         write(&sub.join("report.json"), &r.json.to_string_pretty())?;
         write(&sub.join("report.txt"), &r.rendered)?;
         write(&sub.join("metrics.txt"), &metrics_text(r))?;
@@ -49,20 +52,12 @@ pub fn write_bundle(
         let mut trace = Value::Null;
         if let Some(log) = &r.trace {
             let trace_dir = sub.join("trace");
-            log.write_dir(&trace_dir)
-                .map_err(|e| failed(&trace_dir, e))?;
+            create_dir(&trace_dir)?;
+            for (category, jsonl) in log.to_jsonl() {
+                write(&trace_dir.join(format!("{category}.jsonl")), &jsonl)?;
+            }
             trace = Value::object();
-            for (category, events, dropped) in [
-                ("relay", log.relay.len(), log.relay.dropped()),
-                ("dial", log.dial.len(), log.dial.dropped()),
-                ("addr", log.addr.len(), log.addr.dropped()),
-                ("churn", log.churn.len(), log.churn.dropped()),
-                ("crawl", log.crawl.len(), log.crawl.dropped()),
-                ("reorg", log.reorg.len(), log.reorg.dropped()),
-            ] {
-                if events == 0 {
-                    continue;
-                }
+            for (category, events, dropped) in log.counts() {
                 let counts = Value::object()
                     .with("events", events)
                     .with("dropped", dropped);
@@ -75,7 +70,11 @@ pub fn write_bundle(
             }
         }
         if let Some(log) = &r.timeseries {
-            log.write_dir(&sub).map_err(|e| failed(&sub, e))?;
+            write(&sub.join("timeseries.jsonl"), &log.to_jsonl())?;
+            write(&sub.join("timeseries.csv"), &log.to_csv())?;
+            if !log.perf.is_empty() {
+                write(&sub.join("perf.jsonl"), &log.perf_to_jsonl())?;
+            }
             if log.is_empty() {
                 own.push(format!(
                     "0 timeseries rows: no world lived a full {} s sample interval",
@@ -134,12 +133,13 @@ pub fn write_bundle(
     Ok(warnings)
 }
 
-fn failed(path: &Path, e: std::io::Error) -> String {
-    format!("cannot write {}: {e}", path.display())
+/// The two calls that touch the filesystem; each names the path it failed on.
+fn create_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))
 }
 
 fn write(path: &Path, body: &str) -> Result<(), String> {
-    std::fs::write(path, body).map_err(|e| failed(path, e))
+    std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Events the experiment's worlds processed (0 for the census, which runs
@@ -214,10 +214,15 @@ mod tests {
     use crate::experiments::{ExperimentRunner, Scale};
 
     /// `BENCH_repro.json` is a copied `perf.json`, so the two must keep one
-    /// set of key names (`bitsync-json` has no parser: one substring check
-    /// per key).
+    /// set of key names, at the top and per experiment.
     #[test]
     fn perf_json_keeps_the_bench_repro_key_names() {
+        fn keys(v: &Value) -> Vec<&str> {
+            let Value::Object(members) = v else {
+                panic!("not an object: {v}");
+            };
+            members.iter().map(|(k, _)| k.as_str()).collect()
+        }
         let cfg = RunnerConfig {
             scale: Scale::Quick,
             ..RunnerConfig::default()
@@ -226,34 +231,19 @@ mod tests {
             .run(&["rounds".to_string()])
             .unwrap();
         let perf = perf_json("repro rounds".into(), &cfg, &reports, 1.0);
-        let tracked = include_str!("../../../../BENCH_repro.json");
-        let top = [
-            "command",
-            "scale",
-            "seed",
-            "threads",
-            "wall_secs",
-            "total_sim_events",
-            "events_per_sec",
-            "experiments",
-        ];
-        for key in top {
-            assert!(perf.get(key).is_some(), "perf.json lost {key}");
-            assert!(tracked.contains(&format!("\"{key}\":")), "{key}");
-        }
+        let tracked = bitsync_json::parse(include_str!("../../../../BENCH_repro.json"))
+            .expect("BENCH_repro.json parses");
+        let mut expected = keys(&tracked);
+        assert_eq!(expected.last(), Some(&"peak_rss_mib"));
         // Absent only where /proc is masked; the tracked file has it.
-        if peak_rss_bytes().is_some() {
-            assert!(perf.get("peak_rss_mib").is_some());
+        if peak_rss_bytes().is_none() {
+            expected.pop();
         }
-        assert!(tracked.contains("\"peak_rss_mib\":"));
-        let rounds = perf
-            .get("experiments")
-            .and_then(|e| e.get("rounds"))
-            .expect("one entry per experiment");
-        for key in ["run_secs", "sim_events", "events_per_sec"] {
-            assert!(rounds.get(key).is_some(), "experiments.rounds lost {key}");
-            assert!(tracked.contains(&format!("\"{key}\":")), "{key}");
+        assert_eq!(keys(&perf), expected);
+        fn rounds(v: &Value) -> Vec<&str> {
+            keys(v.get("experiments").and_then(|e| e.get("rounds")).unwrap())
         }
-        assert!(tracked.contains("\"rounds\":"));
+        assert_eq!(keys(perf.get("experiments").unwrap()), ["rounds"]);
+        assert_eq!(rounds(&perf), rounds(&tracked));
     }
 }

@@ -127,31 +127,27 @@ impl Scenario {
         v
     }
 
-    /// Parses a scenario from repro-file JSON text.
-    ///
-    /// The accepted grammar is exactly what [`Scenario::to_json`] emits: a
-    /// flat object of numeric members (`bitsync_json` has a printer but no
-    /// parser, so this minimal one lives with its only consumer). Integer
-    /// members are parsed from their text, never through `f64`: a world
-    /// seed uses all 64 bits.
+    /// Parses a scenario from repro-file JSON text: the flat object
+    /// [`Scenario::to_json`] emits, read by [`bitsync_json::parse`]. An
+    /// integer member must be an integer literal (`parse` keeps those exact
+    /// and never goes through `f64`): a world seed uses all 64 bits.
     pub fn from_json_str(text: &str) -> Result<Scenario, String> {
-        let fields = parse_flat_object(text)?;
-        let find = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let need = |key: &str| find(key).ok_or_else(|| format!("missing field '{key}'"));
+        let doc = bitsync_json::parse(text).map_err(|e| e.to_string())?;
+        let need = |key: &str| doc.get(key).ok_or_else(|| format!("missing field '{key}'"));
         let get = |key: &str| -> Result<f64, String> {
             let v = need(key)?;
-            Ok(v.parse().expect("parse_flat_object keeps only numbers"))
+            v.as_f64()
+                .ok_or_else(|| format!("field '{key}' must be a number, got {v}"))
         };
         let get_u64 = |key: &str| -> Result<u64, String> {
             let v = need(key)?;
-            v.parse()
-                .map_err(|_| format!("field '{key}' must be a non-negative integer, got {v}"))
+            v.as_u64()
+                .ok_or_else(|| format!("field '{key}' must be a non-negative integer, got {v}"))
         };
-        let fault = match find("fault") {
-            None => None,
-            Some(v) if v == "0" => None,
+        let fault = match doc.get("fault") {
+            None | Some(Value::Int(0)) => None,
             Some(v) => {
-                let fault = v.parse().ok().and_then(Fault::from_code);
+                let fault = v.as_u64().and_then(Fault::from_code);
                 Some(fault.ok_or_else(|| format!("unknown fault code {v}"))?)
             }
         };
@@ -225,75 +221,6 @@ impl Scenario {
             ..WorldConfig::default()
         }
     }
-}
-
-/// Parses a flat JSON object of numeric members into `(key, number text)`
-/// pairs in document order; every value is checked to be a number but kept
-/// as written, so the caller chooses its type. Rejects nesting, strings,
-/// booleans, and duplicates.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut chars = text.chars().peekable();
-    let mut fields: Vec<(String, String)> = Vec::new();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some('"') => {}
-            _ => return Err("expected '\"' or '}'".into()),
-        }
-        chars.next(); // opening quote
-        let mut key = String::new();
-        loop {
-            match chars.next() {
-                Some('"') => break,
-                Some('\\') => return Err("escapes are not supported in keys".into()),
-                Some(c) => key.push(c),
-                None => return Err("unterminated key".into()),
-            }
-        }
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key '{key}'"));
-        }
-        skip_ws(&mut chars);
-        let mut num = String::new();
-        while chars
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        {
-            num.push(chars.next().expect("peeked"));
-        }
-        if num.parse::<f64>().is_err() {
-            return Err(format!("invalid number '{num}' for key '{key}'"));
-        }
-        if fields.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate key '{key}'"));
-        }
-        fields.push((key, num));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(fields)
 }
 
 /// Seeded scenario sampler. Same seed, same scenario stream.
@@ -397,17 +324,20 @@ fn settle(world: &mut World, scenario: &Scenario) {
     world.check_convergence(SimDuration::from_secs(scenario.duration_secs.max(1_800)));
 }
 
-/// Builds and runs a bare world for `scenario`, returning the finished
-/// world.
-fn run_world(scenario: &Scenario) -> World {
+/// Builds a world for `scenario`, attaches `ins` and runs it — the only
+/// place a scenario becomes a world, so the two sides of the thread
+/// differential cannot drift apart. Returns the finished world and the
+/// events its bounded run processed (settling comes on top).
+fn run_world(scenario: &Scenario, ins: &Instruments) -> (World, u64) {
     let mut world = World::new(scenario.world_config());
+    world.attach(ins);
     if let Some(fault) = scenario.fault {
         world.inject_fault(fault);
     }
     let deadline = SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs);
-    world.run_steps(scenario.max_steps, deadline);
+    let events_processed = world.run_steps(scenario.max_steps, deadline);
     settle(&mut world, scenario);
-    world
+    (world, events_processed)
 }
 
 /// A run's observable outcome, serialized for differential comparison:
@@ -438,20 +368,13 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
 
     // Primary run: checker and tracer attached. Observers are read-only,
     // so its digest must match the bare run below.
-    let mut world = World::new(scenario.world_config());
     let ins = Instruments {
         checker: Checker::enabled(),
         tracer: Tracer::enabled(DEFAULT_TRACE_CAP),
         ..Instruments::default()
     };
-    world.attach(&ins);
+    let (world, events_processed) = run_world(scenario, &ins);
     let (checker, tracer) = (&ins.checker, &ins.tracer);
-    if let Some(fault) = scenario.fault {
-        world.inject_fault(fault);
-    }
-    let deadline = SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs);
-    let events_processed = world.run_steps(scenario.max_steps, deadline);
-    settle(&mut world, scenario);
 
     // 1. Per-event invariants accumulated by the checker (including the
     // post-fault `chain_converged` recovery check recorded by `settle`).
@@ -510,7 +433,7 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
     let digest = world_digest(&world);
     let threaded = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || world_digest(&run_world(&scenario)))
+        std::thread::spawn(move || world_digest(&run_world(&scenario, &Instruments::default()).0))
             .join()
             .expect("digest thread panicked")
     };
@@ -764,6 +687,7 @@ pub fn replay_file(path: &Path) -> Result<ScenarioVerdict, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitsync_json::parse;
 
     fn tiny() -> Scenario {
         Scenario {
@@ -840,17 +764,14 @@ mod tests {
         assert!(Scenario::from_json_str("").is_err());
         assert!(Scenario::from_json_str("{}").is_err(), "missing fields");
         assert!(Scenario::from_json_str("{\"seed\": \"x\"}").is_err());
-        assert!(parse_flat_object("{\"a\": 1, \"a\": 2}").is_err());
-        assert!(parse_flat_object("{\"a\": {\"b\": 1}}").is_err());
-        assert!(parse_flat_object("{\"a\": 1} trailing").is_err());
-        let ok = parse_flat_object("{ \"a\": 1.5 ,\n \"b\": -2e3 }").expect("parses");
-        assert_eq!(
-            ok,
-            [("a".into(), "1.5".into()), ("b".into(), "-2e3".into())]
-        );
-        // Integer members stay integers: no fraction, exponent or sign.
+        assert!(parse("{\"a\": 1, \"a\": 2}").is_err());
+        assert!(parse("{\"a\": 1} trailing").is_err());
+        let ok = parse("{ \"a\": 1.5 ,\n \"b\": -2e3 }").expect("parses");
+        assert_eq!(ok, Value::object().with("a", 1.5).with("b", -2000.0));
+        // Integer members stay integers: no fraction, exponent, sign,
+        // 65th bit or nesting.
         let text = tiny().to_json().to_string_pretty();
-        for bad in ["7.0", "7e0", "-7", "18446744073709551616"] {
+        for bad in ["7.0", "7e0", "-7", "18446744073709551616", "{\"b\": 1}"] {
             let edited = text.replacen("\"seed\": 7", &format!("\"seed\": {bad}"), 1);
             assert_ne!(edited, text);
             assert!(Scenario::from_json_str(&edited).is_err(), "seed {bad}");

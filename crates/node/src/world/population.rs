@@ -52,8 +52,6 @@ pub struct NodeMeta {
     pub malicious: bool,
     /// IBD accounting: the node counts as synchronized only after this.
     pub ibd_until: SimTime,
-    /// Whether the node is currently online.
-    pub online: bool,
     /// Fault plane: the node accepts TCP connections but never processes
     /// messages, wedging its peers' handshakes (persists across rejoins).
     pub stalled: bool,
@@ -176,7 +174,6 @@ impl World {
             permanent,
             malicious,
             ibd_until: if laggard { SimTime::MAX } else { SimTime::ZERO },
-            online: true,
             stalled,
             pump_scheduled: false,
             connect_scheduled: false,
@@ -290,7 +287,6 @@ impl World {
         };
         let synchronized =
             self.meta[slot].ibd_until <= now && node.chain.is_synced_to(self.best_height);
-        self.meta[slot].online = false;
         self.note_churn(
             now,
             ChurnEvent::Departed {
@@ -352,7 +348,6 @@ impl World {
             node.addrman = addrman;
         }
         self.nodes[slot] = Some(node);
-        self.meta[slot].online = true;
         // A rejoin restarts from genesis; the height-regression tracking
         // must not mistake the fresh chain for a rollback.
         self.meta[slot].last_height = 0;

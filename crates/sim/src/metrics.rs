@@ -99,25 +99,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Folds another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket bounds differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different buckets"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -317,31 +298,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Folds every metric of `other` into this recorder: counters add,
-    /// gauges take the max, histograms merge bucket-wise.
-    pub fn merge(&self, other: &Recorder) {
-        if Rc::ptr_eq(&self.inner, &other.inner) {
-            return;
-        }
-        let other = other.inner.borrow();
-        let mut reg = self.inner.borrow_mut();
-        for (name, by) in &other.counters {
-            *reg.counters.entry(name.clone()).or_insert(0) += by;
-        }
-        for (name, v) in &other.gauges {
-            let slot = reg.gauges.entry(name.clone()).or_insert(f64::NEG_INFINITY);
-            *slot = slot.max(*v);
-        }
-        for (name, h) in &other.histograms {
-            match reg.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    reg.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         let reg = self.inner.borrow();
@@ -470,49 +426,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 1, 1, 1]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 107.0);
-    }
-
-    #[test]
-    fn histogram_merge_adds_bucketwise() {
-        let mut a = Histogram::with_buckets(&[1.0, 2.0]);
-        let mut b = Histogram::with_buckets(&[1.0, 2.0]);
-        a.observe(0.5);
-        b.observe(1.5);
-        b.observe(10.0);
-        a.merge(&b);
-        assert_eq!(a.bucket_counts(), &[1, 1, 1]);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), Some(4.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "different buckets")]
-    fn histogram_merge_rejects_mismatched_buckets() {
-        let mut a = Histogram::with_buckets(&[1.0]);
-        let b = Histogram::with_buckets(&[2.0]);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn recorder_merge_combines_all_kinds() {
-        let a = Recorder::new();
-        let b = Recorder::new();
-        a.inc("events", 5);
-        b.inc("events", 7);
-        b.inc("only_b", 1);
-        a.gauge_max("hwm", 3.0);
-        b.gauge_max("hwm", 11.0);
-        a.observe("delay", 0.2);
-        b.observe("delay", 30.0);
-        a.merge(&b);
-        assert_eq!(a.counter("events"), 12);
-        assert_eq!(a.counter("only_b"), 1);
-        assert_eq!(a.gauge("hwm"), Some(11.0));
-        assert_eq!(a.histogram("delay").unwrap().count(), 2);
-        // Merging with itself is a no-op, not a double-count.
-        let before = a.to_json().to_string();
-        a.merge(&a.clone());
-        assert_eq!(a.to_json().to_string(), before);
     }
 
     #[test]

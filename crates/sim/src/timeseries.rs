@@ -22,6 +22,10 @@
 //!   one sampler = one thread, the same argument that makes the metrics
 //!   [`Recorder`](crate::metrics::Recorder) thread-count invariant.
 //!
+//! The log only serialises ([`TimeseriesLog::to_jsonl`], `to_csv`,
+//! `perf_to_jsonl` return strings); `bitsync_core`'s `write_bundle`, the one
+//! writer of a run's files, puts them at `timeseries.{jsonl,csv}`, `perf.jsonl`.
+//!
 //! Between ticks the log accumulates *windowed* state: named counters
 //! (dial failures, churn arrivals, fault drops, ...) and windowed
 //! [`Histogram`]s (relay delay). Each [`Sampler::record`] call appends
@@ -34,8 +38,6 @@ use crate::time::{SimDuration, SimTime};
 use bitsync_json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -211,30 +213,6 @@ impl TimeseriesLog {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes `timeseries.jsonl`, `timeseries.csv`, and (when any perf
-    /// row exists) `perf.jsonl` under `dir`, creating it if needed.
-    /// Returns the paths written.
-    pub fn write_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        for (name, body) in [
-            ("timeseries.jsonl", self.to_jsonl()),
-            ("timeseries.csv", self.to_csv()),
-        ] {
-            let path = dir.join(name);
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(body.as_bytes())?;
-            written.push(path);
-        }
-        if !self.perf.is_empty() {
-            let path = dir.join("perf.jsonl");
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(self.perf_to_jsonl().as_bytes())?;
-            written.push(path);
-        }
-        Ok(written)
     }
 }
 

@@ -16,7 +16,9 @@
 //!
 //! Events carry only primitives (`u32` node ids, `[u8; 32]` object hashes,
 //! pre-rendered address strings): `bitsync-sim` is a leaf crate and must not
-//! know about network or protocol types.
+//! know about network or protocol types. Nor does it touch the filesystem:
+//! [`TraceLog::to_jsonl`] only serialises, and `bitsync_core`'s
+//! `write_bundle` puts each category at `trace/<category>.jsonl`.
 //!
 //! # Examples
 //!
@@ -41,11 +43,9 @@
 //! ```
 
 use crate::time::SimTime;
-use bitsync_json::Value;
+use bitsync_json::{ToJson, Value};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 /// Default per-category ring-buffer capacity (events). Enough for every
@@ -148,7 +148,7 @@ pub struct RelayEvent {
     pub to: u32,
 }
 
-impl RelayEvent {
+impl ToJson for RelayEvent {
     fn to_json(&self) -> Value {
         let mut v = Value::object()
             .with("t_ns", self.at.as_nanos())
@@ -231,7 +231,7 @@ pub struct DialEvent {
     pub ok: bool,
 }
 
-impl DialEvent {
+impl ToJson for DialEvent {
     fn to_json(&self) -> Value {
         Value::object()
             .with("t_ns", self.at.as_nanos())
@@ -280,7 +280,7 @@ pub struct AddrEvent {
     pub accepted: Option<u32>,
 }
 
-impl AddrEvent {
+impl ToJson for AddrEvent {
     fn to_json(&self) -> Value {
         let mut v = Value::object()
             .with("t_ns", self.at.as_nanos())
@@ -331,7 +331,7 @@ pub struct ChurnTrace {
     pub kind: ChurnKind,
 }
 
-impl ChurnTrace {
+impl ToJson for ChurnTrace {
     fn to_json(&self) -> Value {
         let mut v = Value::object()
             .with("t_ns", self.at.as_nanos())
@@ -370,7 +370,7 @@ pub struct CrawlEvent {
     pub malicious: bool,
 }
 
-impl CrawlEvent {
+impl ToJson for CrawlEvent {
     fn to_json(&self) -> Value {
         Value::object()
             .with("day", self.day)
@@ -403,7 +403,7 @@ pub struct ReorgEvent {
     pub depth: u64,
 }
 
-impl ReorgEvent {
+impl ToJson for ReorgEvent {
     fn to_json(&self) -> Value {
         Value::object()
             .with("t_ns", self.at.as_nanos())
@@ -415,9 +415,6 @@ impl ReorgEvent {
             .with("depth", self.depth)
     }
 }
-
-/// Every trace category in serialization order.
-pub const CATEGORIES: [&str; 6] = ["relay", "dial", "addr", "churn", "crawl", "reorg"];
 
 /// The collected trace of one experiment: one ring buffer per category.
 ///
@@ -453,85 +450,72 @@ impl TraceLog {
         }
     }
 
-    /// True when no category retained any event.
-    pub fn is_empty(&self) -> bool {
-        self.relay.is_empty()
-            && self.dial.is_empty()
-            && self.addr.is_empty()
-            && self.churn.is_empty()
-            && self.crawl.is_empty()
-            && self.reorg.is_empty()
+    /// The one list of categories, in serialization order and less the
+    /// empty ones: everything said per category is read off this walk.
+    fn categories(&self) -> impl Iterator<Item = (&'static str, &dyn Category)> {
+        let all: [(&'static str, &dyn Category); 6] = [
+            ("relay", &self.relay),
+            ("dial", &self.dial),
+            ("addr", &self.addr),
+            ("churn", &self.churn),
+            ("crawl", &self.crawl),
+            ("reorg", &self.reorg),
+        ];
+        all.into_iter().filter(|(_, c)| c.retained() > 0)
     }
 
     /// Total retained events across categories.
     pub fn total_events(&self) -> u64 {
-        (self.relay.len()
-            + self.dial.len()
-            + self.addr.len()
-            + self.churn.len()
-            + self.crawl.len()
-            + self.reorg.len()) as u64
+        self.categories().map(|(_, c)| c.retained() as u64).sum()
     }
 
     /// Total events evicted across categories.
     pub fn total_dropped(&self) -> u64 {
-        self.relay.dropped()
-            + self.dial.dropped()
-            + self.addr.dropped()
-            + self.churn.dropped()
-            + self.crawl.dropped()
-            + self.reorg.dropped()
+        self.categories().map(|(_, c)| c.evicted()).sum()
     }
 
-    /// Serializes every non-empty category as `(name, JSONL)` pairs in
-    /// [`CATEGORIES`] order: one compact JSON object per line, `\n`-ended.
-    ///
-    /// The output is a pure function of the recorded events, so two
-    /// identical simulations produce byte-identical JSONL regardless of
-    /// runner thread count.
+    /// `(name, retained, dropped)` of every non-empty category, in the
+    /// order of [`TraceLog::to_jsonl`]: the manifest's `trace` object.
+    pub fn counts(&self) -> Vec<(&'static str, usize, u64)> {
+        self.categories()
+            .map(|(name, c)| (name, c.retained(), c.evicted()))
+            .collect()
+    }
+
+    /// Serializes every non-empty category as `(name, JSONL)` pairs —
+    /// relay, dial, addr, churn, crawl, reorg — one compact JSON object per
+    /// line, `\n`-ended. A pure function of the recorded events, so two
+    /// identical simulations produce byte-identical JSONL at any runner
+    /// thread count.
     pub fn to_jsonl(&self) -> Vec<(&'static str, String)> {
-        fn render<T>(ring: &Ring<T>, to_json: impl Fn(&T) -> Value) -> String {
-            let mut out = String::new();
-            for ev in ring.iter() {
-                out.push_str(&to_json(ev).to_string());
-                out.push('\n');
-            }
-            out
-        }
-        let mut cats = Vec::new();
-        if !self.relay.is_empty() {
-            cats.push(("relay", render(&self.relay, RelayEvent::to_json)));
-        }
-        if !self.dial.is_empty() {
-            cats.push(("dial", render(&self.dial, DialEvent::to_json)));
-        }
-        if !self.addr.is_empty() {
-            cats.push(("addr", render(&self.addr, AddrEvent::to_json)));
-        }
-        if !self.churn.is_empty() {
-            cats.push(("churn", render(&self.churn, ChurnTrace::to_json)));
-        }
-        if !self.crawl.is_empty() {
-            cats.push(("crawl", render(&self.crawl, CrawlEvent::to_json)));
-        }
-        if !self.reorg.is_empty() {
-            cats.push(("reorg", render(&self.reorg, ReorgEvent::to_json)));
-        }
-        cats
+        self.categories().map(|(n, c)| (n, c.jsonl())).collect()
+    }
+}
+
+/// A ring as [`TraceLog::categories`] lists it, whatever its events are.
+trait Category {
+    fn retained(&self) -> usize;
+    fn evicted(&self) -> u64;
+    /// The retained events, oldest first, one compact JSON object per line.
+    fn jsonl(&self) -> String;
+}
+
+impl<T: ToJson> Category for Ring<T> {
+    fn retained(&self) -> usize {
+        self.items.len()
     }
 
-    /// Writes each non-empty category to `<dir>/<category>.jsonl`, creating
-    /// `dir` if needed. Returns the written paths.
-    pub fn write_dir(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::new();
-        for (name, body) in self.to_jsonl() {
-            let path = dir.join(format!("{name}.jsonl"));
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(body.as_bytes())?;
-            paths.push(path);
+    fn evicted(&self) -> u64 {
+        self.dropped
+    }
+
+    fn jsonl(&self) -> String {
+        let mut out = String::new();
+        for ev in &self.items {
+            out.push_str(&ev.to_json().to_string());
+            out.push('\n');
         }
-        Ok(paths)
+        out
     }
 }
 
@@ -780,8 +764,6 @@ mod tests {
 
     #[test]
     fn write_dir_emits_only_nonempty_categories() {
-        let dir = std::env::temp_dir().join(format!("bitsync_trace_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let t = Tracer::enabled(8);
         t.crawl(CrawlEvent {
             day: 1.5,
@@ -791,12 +773,13 @@ mod tests {
             reachable_revealed: 120,
             malicious: false,
         });
-        let paths = t.take().unwrap().write_dir(&dir).unwrap();
-        assert_eq!(paths.len(), 1);
-        assert!(paths[0].ends_with("crawl.jsonl"));
-        let body = std::fs::read_to_string(&paths[0]).unwrap();
+        let log = t.take().unwrap();
+        assert_eq!(log.counts(), [("crawl", 1, 0)]);
+        let files = log.to_jsonl();
+        assert_eq!(files.len(), 1);
+        let (name, body) = &files[0];
+        assert_eq!(*name, "crawl");
         assert!(body.ends_with('\n'));
         assert!(body.contains("\"reachable_revealed\":120"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

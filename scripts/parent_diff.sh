@@ -12,7 +12,8 @@
 #     --sample-interval 60 all`): report, trace, timeseries, attribution,
 #     metrics, the manifest and stdout — everything except the wall-clock
 #     `perf.*`;
-#   - CI's 13 `repro fuzz --fault X` commands: exit code and output (the
+#   - the 13 `repro fuzz --fault X` commands of scripts/fuzz_cases.txt
+#     (CI's resilience-smoke job runs the same file): exit code and output (the
 #     `N events, M invariant checks` line, violations, the shrunk
 #     scenario) with the wall time cut off.
 # Prints one `identical=yes/no` line per experiment and per fault and
@@ -60,18 +61,8 @@ done
 verdict "manifest" cmp "$work/base/run/manifest.json" "$work/change/run/manifest.json"
 verdict "stdout" cmp "$work/base/stdout.txt" "$work/change/stdout.txt"
 
-# "<fault> <runs> <max-steps>", as in .github/workflows/ci.yml
-# (resilience-smoke): three planted bugs the checker must catch, ten
-# benign stressors that must pass.
-fuzz_cases=(
-    "duplicate-deliveries 2 20000" "time-warp-deliveries 2 20000" "ban-reorg-peers 5 50000"
-    "drop-messages 2 20000" "delay-messages 2 20000" "reorder-messages 2 20000"
-    "stall-peers 2 20000" "addr-flood 2 20000" "connection-flaps 2 20000"
-    "partition-flaps 2 20000" "competing-miners 2 20000" "solo-miners 2 20000"
-    "reorg-storms 2 20000"
-)
-for case in "${fuzz_cases[@]}"; do
-    read -r fault runs steps <<<"$case"
+# The cases CI's resilience-smoke job runs.
+while read -r fault runs steps _; do
     for side in base change; do
         code=0
         "${bin[$side]}" fuzz --seed 1 --runs "$runs" --max-steps "$steps" --fault "$fault" \
@@ -83,5 +74,5 @@ for case in "${fuzz_cases[@]}"; do
     done
     verdict "fuzz $fault ($(head -1 "$work/change/fuzz-$fault.txt"))" \
         cmp "$work/base/fuzz-$fault.txt" "$work/change/fuzz-$fault.txt"
-done
+done < <(grep -v '^#' "$root/scripts/fuzz_cases.txt")
 exit $status
