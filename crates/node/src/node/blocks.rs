@@ -203,10 +203,10 @@ impl Node {
         let locator = self.chain.locator();
         self.send(
             peer,
-            Message::GetHeaders(GetHeaders {
+            Message::GetHeaders(Box::new(GetHeaders {
                 locator,
                 stop: Hash256::ZERO,
-            }),
+            })),
         );
     }
 
@@ -285,10 +285,10 @@ impl Node {
                     .insert(hash, PendingCompact { cb, from });
                 self.send(
                     from,
-                    Message::GetBlockTxn(BlockTxnRequest {
+                    Message::GetBlockTxn(Box::new(BlockTxnRequest {
                         block_hash: hash,
                         indexes,
-                    }),
+                    })),
                 );
             }
         }
@@ -305,10 +305,10 @@ impl Node {
             .collect();
         self.send(
             from,
-            Message::BlockTxn(BlockTxn {
+            Message::BlockTxn(Box::new(BlockTxn {
                 block_hash: req.block_hash,
                 txs,
-            }),
+            })),
         );
     }
 

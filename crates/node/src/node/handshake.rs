@@ -18,7 +18,7 @@ pub const PEER_TIMEOUT: SimDuration = SimDuration::from_mins(20);
 
 impl Node {
     pub(super) fn version_msg(&mut self, remote: NetAddr, now: SimTime) -> Message {
-        Message::Version(VersionMsg {
+        Message::Version(Box::new(VersionMsg {
             version: PROTOCOL_VERSION,
             services: NODE_NETWORK,
             timestamp: unix_time(now),
@@ -28,7 +28,7 @@ impl Node {
             user_agent: "/bitsync:0.1.0/".into(),
             start_height: self.chain.height() as i32,
             relay: true,
-        })
+        }))
     }
 
     pub(super) fn on_version(&mut self, from: NodeId, v: VersionMsg, now: SimTime) {

@@ -201,7 +201,7 @@ impl Node {
         requests: &mut Vec<NodeRequest>,
     ) {
         match msg {
-            Message::Version(v) => self.on_version(from, v, now),
+            Message::Version(v) => self.on_version(from, *v, now),
             Message::Verack => self.on_verack(from, now, requests),
             Message::GetAddr => self.on_getaddr(from, now),
             Message::Addr(list) => self.on_addr(from, list, now, requests),
@@ -212,7 +212,7 @@ impl Node {
             Message::NotFound(_) => {}
             Message::Tx(tx) => self.on_tx(from, tx, now),
             Message::Block(b) => self.on_block(from, *b, now, requests),
-            Message::GetHeaders(g) => self.on_getheaders(from, g),
+            Message::GetHeaders(g) => self.on_getheaders(from, *g),
             Message::Headers(headers) => self.on_headers(from, headers, now, requests),
             Message::SendCmpct(s) => {
                 if let Some(p) = self.peers.get_mut(&from) {
@@ -220,8 +220,8 @@ impl Node {
                 }
             }
             Message::CmpctBlock(cb) => self.on_cmpctblock(from, *cb, now, requests),
-            Message::GetBlockTxn(req) => self.on_getblocktxn(from, req),
-            Message::BlockTxn(bt) => self.on_blocktxn(bt, now, requests),
+            Message::GetBlockTxn(req) => self.on_getblocktxn(from, *req),
+            Message::BlockTxn(bt) => self.on_blocktxn(*bt, now, requests),
         }
     }
 

@@ -162,6 +162,10 @@ enum Ev {
     ResilienceTick(NodeId),
 }
 
+// With the queue's `(time, seq)` key a scheduled event fills one 64-byte
+// cache line; a larger variant makes every push and pop move more.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
+
 /// The simulation world.
 pub struct World {
     /// Configuration it was built from.

@@ -33,7 +33,7 @@ fn ready_inbound_peer(n: &mut Node, peer: u32, now: SimTime) {
     n.on_connected(pid, addr(peer as u8 + 1), Direction::Inbound, now);
     n.deliver(
         pid,
-        Message::Version(bitsync_protocol::message::VersionMsg {
+        Message::Version(Box::new(bitsync_protocol::message::VersionMsg {
             version: bitsync_protocol::PROTOCOL_VERSION,
             services: 1,
             timestamp: unix_time(now),
@@ -43,7 +43,7 @@ fn ready_inbound_peer(n: &mut Node, peer: u32, now: SimTime) {
             user_agent: "/test/".into(),
             start_height: 0,
             relay: true,
-        }),
+        })),
     );
     n.deliver(pid, Message::Verack);
     n.pump(now);
@@ -755,10 +755,10 @@ fn missing_compact_transactions_round_trip_through_getblocktxn() {
     // A BLOCKTXN nobody asked for is ignored.
     b.deliver(
         NodeId(0),
-        Message::BlockTxn(bitsync_protocol::compact::BlockTxn {
+        Message::BlockTxn(Box::new(bitsync_protocol::compact::BlockTxn {
             block_hash: Hash256::hash_of(b"unknown"),
             txs: vec![txs[0].clone()],
-        }),
+        })),
     );
     let (sent, reqs) = b.pump(now);
     assert!(sent.is_empty() && reqs.is_empty(), "{sent:?} {reqs:?}");
@@ -819,7 +819,7 @@ fn a_feeler_marks_promotes_and_hangs_up_and_deferrals_are_reported_once() {
     n.on_connected(pid, target, Direction::Feeler, now);
     n.deliver(
         pid,
-        Message::Version(bitsync_protocol::message::VersionMsg {
+        Message::Version(Box::new(bitsync_protocol::message::VersionMsg {
             version: bitsync_protocol::PROTOCOL_VERSION,
             services: 1,
             timestamp: unix_time(now),
@@ -829,7 +829,7 @@ fn a_feeler_marks_promotes_and_hangs_up_and_deferrals_are_reported_once() {
             user_agent: "/test/".into(),
             start_height: 0,
             relay: true,
-        }),
+        })),
     );
     n.deliver(pid, Message::Verack);
     let (sent, reqs) = n.pump(now);

@@ -32,7 +32,7 @@ fn ready_inbound_peer(n: &mut Node, peer: u32, now: SimTime) {
     n.on_connected(pid, addr(peer as u8 + 1), Direction::Inbound, now);
     n.deliver(
         pid,
-        Message::Version(bitsync_protocol::message::VersionMsg {
+        Message::Version(Box::new(bitsync_protocol::message::VersionMsg {
             version: bitsync_protocol::PROTOCOL_VERSION,
             services: 1,
             timestamp: unix_time(now),
@@ -42,7 +42,7 @@ fn ready_inbound_peer(n: &mut Node, peer: u32, now: SimTime) {
             user_agent: "/test/".into(),
             start_height: 0,
             relay: true,
-        }),
+        })),
     );
     n.deliver(pid, Message::Verack);
     n.pump(now);

@@ -8,13 +8,13 @@
 //! computed; a header is `Copy` and carries no memo.
 
 use crate::hash::Hash256;
-use crate::tx::Transaction;
+use crate::tx::{Transaction, MIN_TX_BYTES};
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
 use bitsync_crypto::sha256d;
 use std::ops::Deref;
 
 /// Sanity bound on transactions per block when decoding.
-const MAX_BLOCK_TXS: u64 = 1_000_000;
+pub(crate) const MAX_BLOCK_TXS: u64 = 1_000_000;
 
 /// An 80-byte Bitcoin block header.
 ///
@@ -230,8 +230,7 @@ impl Encodable for Block {
 impl Decodable for Block {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let header = BlockHeader::decode(r)?;
-        let n = r.length("block.txs", MAX_BLOCK_TXS)?;
-        let mut txs = Vec::with_capacity(n.min(4096));
+        let (n, mut txs) = r.list("block.txs", MAX_BLOCK_TXS, MIN_TX_BYTES)?;
         for _ in 0..n {
             txs.push(Transaction::decode(r)?);
         }

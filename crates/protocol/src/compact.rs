@@ -15,13 +15,13 @@
 
 use crate::block::{Block, BlockHeader};
 use crate::hash::Hash256;
-use crate::tx::Transaction;
+use crate::tx::{Transaction, MIN_TX_BYTES};
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
 use bitsync_crypto::{sha256_digest, SipHasher24};
 use std::ops::Deref;
 
 /// Sanity bound for list lengths in compact-block structures.
-const MAX_CMPCT_ITEMS: u64 = 1_000_000;
+pub(crate) const MAX_CMPCT_ITEMS: u64 = 1_000_000;
 
 /// Reads one BIP 152 differentially encoded index: a varint counting the
 /// indexes skipped since `last` (`None` before the first entry). The
@@ -204,14 +204,14 @@ impl Decodable for CompactBlock {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let header = BlockHeader::decode(r)?;
         let nonce = r.u64_le("cmpct.nonce")?;
-        let n_short = r.length("cmpct.short_ids", MAX_CMPCT_ITEMS)?;
-        let mut short_ids = Vec::with_capacity(n_short.min(4096));
+        let (n_short, mut short_ids) = r.list("cmpct.short_ids", MAX_CMPCT_ITEMS, 6)?;
         for _ in 0..n_short {
             let b = r.take(6, "cmpct.short_id")?;
             short_ids.push(ShortId([b[0], b[1], b[2], b[3], b[4], b[5]]));
         }
-        let n_pre = r.length("cmpct.prefilled", MAX_CMPCT_ITEMS)?;
-        let mut prefilled = Vec::with_capacity(n_pre.min(4096));
+        // A one-byte index differential and a transaction.
+        let (n_pre, mut prefilled) =
+            r.list("cmpct.prefilled", MAX_CMPCT_ITEMS, 1 + MIN_TX_BYTES)?;
         for _ in 0..n_pre {
             let last = prefilled.last().map(|p: &PrefilledTx| p.index);
             let index = differential_index(r, last, "cmpct.prefilled_index")?;
@@ -253,8 +253,7 @@ impl Encodable for BlockTxnRequest {
 impl Decodable for BlockTxnRequest {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let block_hash = Hash256::decode(r)?;
-        let n = r.length("getblocktxn.indexes", MAX_CMPCT_ITEMS)?;
-        let mut indexes = Vec::with_capacity(n.min(4096));
+        let (n, mut indexes) = r.list("getblocktxn.indexes", MAX_CMPCT_ITEMS, 1)?;
         for _ in 0..n {
             let last = indexes.last().copied();
             indexes.push(differential_index(r, last, "getblocktxn.index")?);
@@ -288,8 +287,7 @@ impl Encodable for BlockTxn {
 impl Decodable for BlockTxn {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let block_hash = Hash256::decode(r)?;
-        let n = r.length("blocktxn.txs", MAX_CMPCT_ITEMS)?;
-        let mut txs = Vec::with_capacity(n.min(4096));
+        let (n, mut txs) = r.list("blocktxn.txs", MAX_CMPCT_ITEMS, MIN_TX_BYTES)?;
         for _ in 0..n {
             txs.push(Transaction::decode(r)?);
         }

@@ -22,20 +22,6 @@ pub const MAX_HEADERS_PER_MSG: usize = 2000;
 /// Maximum locator hashes in `GETHEADERS`.
 const MAX_LOCATOR: u64 = 101;
 
-/// Reads a list count bounded by `max` and starts the list. What is
-/// reserved up front is bounded by the frame, not by the count it claims:
-/// an entry takes at least `entry_bytes`, so a five-byte frame announcing
-/// 2000 headers reserves nothing.
-fn list<T>(
-    r: &mut Reader<'_>,
-    what: &'static str,
-    max: u64,
-    entry_bytes: usize,
-) -> Result<(usize, Vec<T>), DecodeError> {
-    let n = r.length(what, max)?;
-    Ok((n, Vec::with_capacity(n.min(r.remaining() / entry_bytes))))
-}
-
 /// The `VERSION` handshake payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionMsg {
@@ -126,10 +112,17 @@ pub struct GetHeaders {
 }
 
 /// A P2P message, the unit moved between simulated peers.
+///
+/// Messages move by value through the world's event queue and every peer's
+/// send and process queues, so the enum is kept to 32 bytes: a payload
+/// larger than a `Vec` is boxed. Those are the rare ones — `Block` and
+/// `CmpctBlock` once per block and peer, `Version` twice per connection,
+/// `GetHeaders` once per outbound connection or orphan, `GetBlockTxn` and
+/// `BlockTxn` once per compact-block miss.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
     /// Initiates the handshake.
-    Version(VersionMsg),
+    Version(Box<VersionMsg>),
     /// Acknowledges a `Version`.
     Verack,
     /// Requests addresses from the peer's addrman.
@@ -151,7 +144,7 @@ pub enum Message {
     /// A full block.
     Block(Box<Block>),
     /// Requests headers for initial sync.
-    GetHeaders(GetHeaders),
+    GetHeaders(Box<GetHeaders>),
     /// Headers response.
     Headers(Vec<BlockHeader>),
     /// Negotiates compact-block relay.
@@ -159,10 +152,14 @@ pub enum Message {
     /// A compact block announcement.
     CmpctBlock(Box<CompactBlock>),
     /// Requests missing transactions of a compact block.
-    GetBlockTxn(BlockTxnRequest),
+    GetBlockTxn(Box<BlockTxnRequest>),
     /// The missing transactions.
-    BlockTxn(BlockTxn),
+    BlockTxn(Box<BlockTxn>),
 }
+
+// A variant that embeds a struct instead of boxing it copies its bytes on
+// every queue move of every message: fail the build instead.
+const _: () = assert!(std::mem::size_of::<Message>() <= 32);
 
 impl Message {
     /// The 12-byte ASCII command name for the framing header.
@@ -244,11 +241,11 @@ impl Message {
     pub fn decode_payload(command: &str, payload: &[u8]) -> Result<Message, DecodeError> {
         let mut r = Reader::new(payload);
         let msg = match command {
-            "version" => Message::Version(VersionMsg::decode(&mut r)?),
+            "version" => Message::Version(Box::new(VersionMsg::decode(&mut r)?)),
             "verack" => Message::Verack,
             "getaddr" => Message::GetAddr,
             "addr" => {
-                let (n, mut addrs) = list(&mut r, "addr.count", MAX_ADDR_PER_MSG as u64, 30)?;
+                let (n, mut addrs) = r.list("addr.count", MAX_ADDR_PER_MSG as u64, 30)?;
                 for _ in 0..n {
                     addrs.push(TimestampedAddr::decode(&mut r)?);
                 }
@@ -257,7 +254,7 @@ impl Message {
             "ping" => Message::Ping(r.u64_le("ping.nonce")?),
             "pong" => Message::Pong(r.u64_le("pong.nonce")?),
             "inv" | "getdata" | "notfound" => {
-                let (n, mut items) = list(&mut r, "inv.count", MAX_INV_PER_MSG as u64, 36)?;
+                let (n, mut items) = r.list("inv.count", MAX_INV_PER_MSG as u64, 36)?;
                 for _ in 0..n {
                     items.push(InvVect::decode(&mut r)?);
                 }
@@ -271,17 +268,16 @@ impl Message {
             "block" => Message::Block(Box::new(Block::decode(&mut r)?)),
             "getheaders" => {
                 let _version = r.u32_le("getheaders.version")?;
-                let (n, mut locator) = list(&mut r, "getheaders.locator", MAX_LOCATOR, 32)?;
+                let (n, mut locator) = r.list("getheaders.locator", MAX_LOCATOR, 32)?;
                 for _ in 0..n {
                     locator.push(Hash256::decode(&mut r)?);
                 }
                 let stop = Hash256::decode(&mut r)?;
-                Message::GetHeaders(GetHeaders { locator, stop })
+                Message::GetHeaders(Box::new(GetHeaders { locator, stop }))
             }
             "headers" => {
                 // 80 header bytes and at least one for the transaction count.
-                let (n, mut headers) =
-                    list(&mut r, "headers.count", MAX_HEADERS_PER_MSG as u64, 81)?;
+                let (n, mut headers) = r.list("headers.count", MAX_HEADERS_PER_MSG as u64, 81)?;
                 for _ in 0..n {
                     headers.push(BlockHeader::decode(&mut r)?);
                     let _txn = r.varint("headers.txcount")?;
@@ -293,8 +289,8 @@ impl Message {
                 version: r.u64_le("sendcmpct.version")?,
             }),
             "cmpctblock" => Message::CmpctBlock(Box::new(CompactBlock::decode(&mut r)?)),
-            "getblocktxn" => Message::GetBlockTxn(BlockTxnRequest::decode(&mut r)?),
-            "blocktxn" => Message::BlockTxn(BlockTxn::decode(&mut r)?),
+            "getblocktxn" => Message::GetBlockTxn(Box::new(BlockTxnRequest::decode(&mut r)?)),
+            "blocktxn" => Message::BlockTxn(Box::new(BlockTxn::decode(&mut r)?)),
             other => return Err(DecodeError::UnknownCommand(other.to_string())),
         };
         if !r.is_exhausted() {
@@ -422,7 +418,11 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tx::{OutPoint, TxIn, TxOut};
+    use crate::block::MAX_BLOCK_TXS;
+    use crate::compact::MAX_CMPCT_ITEMS;
+    use crate::tx::{
+        OutPoint, TxIn, TxOut, MAX_TX_IO, MIN_TXIN_BYTES, MIN_TXOUT_BYTES, MIN_TX_BYTES,
+    };
     use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
@@ -462,7 +462,7 @@ mod tests {
 
     fn all_messages() -> Vec<Message> {
         vec![
-            Message::Version(version_msg()),
+            Message::Version(Box::new(version_msg())),
             Message::Verack,
             Message::GetAddr,
             Message::Addr(vec![
@@ -476,24 +476,24 @@ mod tests {
             Message::NotFound(vec![InvVect::tx(Hash256::hash_of(b"n"))]),
             Message::Tx(Transaction::coinbase(9, 50)),
             Message::Block(Box::new(sample_block())),
-            Message::GetHeaders(GetHeaders {
+            Message::GetHeaders(Box::new(GetHeaders {
                 locator: vec![Hash256::hash_of(b"tip"), Hash256::ZERO],
                 stop: Hash256::ZERO,
-            }),
+            })),
             Message::Headers(vec![sample_block().header]),
             Message::SendCmpct(SendCmpct {
                 announce: true,
                 version: 1,
             }),
             Message::CmpctBlock(Box::new(CompactBlock::from_block(&sample_block(), 11))),
-            Message::GetBlockTxn(BlockTxnRequest {
+            Message::GetBlockTxn(Box::new(BlockTxnRequest {
                 block_hash: Hash256::hash_of(b"b"),
                 indexes: vec![1],
-            }),
-            Message::BlockTxn(BlockTxn {
+            })),
+            Message::BlockTxn(Box::new(BlockTxn {
                 block_hash: Hash256::hash_of(b"b"),
                 txs: vec![Transaction::coinbase(1, 50)],
-            }),
+            })),
         ]
     }
 
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn frame_rejects_truncation() {
-        let framed = Message::Version(version_msg()).encode_framed(MAGIC_MAINNET);
+        let framed = Message::Version(Box::new(version_msg())).encode_framed(MAGIC_MAINNET);
         for cut in [0, 10, 23, framed.len() - 1] {
             assert!(Message::decode_framed(&framed[..cut], MAGIC_MAINNET).is_err());
         }
@@ -549,7 +549,7 @@ mod tests {
     fn version_rejects_a_user_agent_that_is_not_utf8() {
         let mut v = version_msg();
         v.user_agent = "x".repeat(100);
-        let payload = Message::Version(v).encode_payload();
+        let payload = Message::Version(Box::new(v)).encode_payload();
         let ua = 4 + 8 + 8 + 26 + 26 + 8 + 1;
         let mut hostile = payload.clone();
         hostile[ua..ua + 100].fill(0xff);
@@ -574,18 +574,24 @@ mod tests {
         // BIP 155 is outside the Core 0.20 message set: a well-formed frame
         // (valid magic, length and checksum) is refused by name.
         for (command, payload) in [("sendaddrv2", vec![]), ("addrv2", vec![0u8])] {
-            let mut framed = MAGIC_MAINNET.to_vec();
-            let mut cmd = [0u8; 12];
-            cmd[..command.len()].copy_from_slice(command.as_bytes());
-            framed.extend_from_slice(&cmd);
-            framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            framed.extend_from_slice(&checksum4(&payload));
-            framed.extend_from_slice(&payload);
             assert_eq!(
-                Message::decode_framed(&framed, MAGIC_MAINNET).unwrap_err(),
+                Message::decode_framed(&frame(command, &payload), MAGIC_MAINNET).unwrap_err(),
                 DecodeError::UnknownCommand(command.into())
             );
         }
+    }
+
+    /// `payload` under a well-formed header naming `command`: mainnet magic,
+    /// true length, true checksum.
+    fn frame(command: &str, payload: &[u8]) -> Vec<u8> {
+        let mut framed = MAGIC_MAINNET.to_vec();
+        let mut cmd = [0u8; 12];
+        cmd[..command.len()].copy_from_slice(command.as_bytes());
+        framed.extend_from_slice(&cmd);
+        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&checksum4(payload));
+        framed.extend_from_slice(payload);
+        framed
     }
 
     #[test]
@@ -647,6 +653,39 @@ mod tests {
         ]
     }
 
+    /// Some `u32` or none: which valid payload a chunk is written over,
+    /// what a frame's length field lies about, or where the frame is cut.
+    fn maybe_u32() -> impl Strategy<Value = Option<u32>> {
+        prop_oneof![Just(None), any::<u32>().prop_map(Some)]
+    }
+
+    /// The chunks end to end, or the valid payload `victim` picks with the
+    /// first chunk written over it; at most 4 KiB either way.
+    fn hostile_payload(chunks: &[Vec<u8>], victim: Option<u32>) -> Vec<u8> {
+        let messages = all_messages();
+        let mut payload = match victim {
+            Some(pick) => {
+                let pick = pick as usize;
+                let mut valid = messages[pick % messages.len()].encode_payload();
+                let at = (pick / messages.len()) % (valid.len() + 1);
+                let chunk = chunks.first().map_or(&[][..], Vec::as_slice);
+                let n = chunk.len().min(valid.len() - at);
+                valid[at..at + n].copy_from_slice(&chunk[..n]);
+                valid
+            }
+            None => chunks.concat(),
+        };
+        payload.truncate(4096);
+        payload
+    }
+
+    /// Every command name the decoder knows, and one it does not.
+    fn commands() -> Vec<&'static str> {
+        let mut names: Vec<_> = all_messages().iter().map(Message::command).collect();
+        names.push("frobnicate");
+        names
+    }
+
     proptest! {
         /// Hostile payloads — chunks as above, or a valid payload with one
         /// chunk written over it — never panic the decoder under any
@@ -654,37 +693,38 @@ mod tests {
         #[test]
         fn hostile_payloads_never_panic_and_accepted_ones_roundtrip(
             chunks in proptest::collection::vec(hostile_chunk(), 0..24),
-            victim in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+            victim in maybe_u32(),
             whole_entries in 0usize..4,
         ) {
-            let messages = all_messages();
-            let mut payload = match victim {
-                Some(pick) => {
-                    let pick = pick as usize;
-                    let mut valid = messages[pick % messages.len()].encode_payload();
-                    let at = (pick / messages.len()) % (valid.len() + 1);
-                    let chunk = chunks.first().map_or(&[][..], Vec::as_slice);
-                    let n = chunk.len().min(valid.len() - at);
-                    valid[at..at + n].copy_from_slice(&chunk[..n]);
-                    valid
-                }
-                None => chunks.concat(),
-            };
-            payload.truncate(4096);
-            let commands = messages.iter().map(Message::command).chain(["frobnicate"]);
-            for command in commands {
+            let payload = hostile_payload(&chunks, victim);
+            for command in commands() {
                 if let Ok(msg) = Message::decode_payload(command, &payload) {
                     let again = msg.encode_payload();
                     prop_assert_eq!(Message::decode_payload(msg.command(), &again), Ok(msg));
                 }
             }
-            // A list that claims its protocol maximum in a frame cut off
-            // after a few whole entries (all-zero ones decode) is refused
-            // at the first missing byte.
+            // A list — the message's own or one nested in a transaction,
+            // block or compact structure — that claims its maximum in a
+            // frame cut off after a few whole entries (all-zero ones decode)
+            // is refused at the first missing byte.
             for (command, prefix, max, entry_bytes) in [
                 ("addr", 0, MAX_ADDR_PER_MSG as u64, 30),
                 ("getheaders", 4, MAX_LOCATOR, 32),
                 ("headers", 0, MAX_HEADERS_PER_MSG as u64, 81),
+                // version | inputs
+                ("tx", 4, MAX_TX_IO, MIN_TXIN_BYTES),
+                // version, no inputs | outputs
+                ("tx", 4 + 1, MAX_TX_IO, MIN_TXOUT_BYTES),
+                // header | transactions
+                ("block", 80, MAX_BLOCK_TXS, MIN_TX_BYTES),
+                // header, nonce | short ids
+                ("cmpctblock", 80 + 8, MAX_CMPCT_ITEMS, 6),
+                // header, nonce, no short ids | (index differential, tx)s
+                ("cmpctblock", 80 + 8 + 1, MAX_CMPCT_ITEMS, 1 + MIN_TX_BYTES),
+                // block hash | index differentials
+                ("getblocktxn", 32, MAX_CMPCT_ITEMS, 1),
+                // block hash | transactions
+                ("blocktxn", 32, MAX_CMPCT_ITEMS, MIN_TX_BYTES),
             ] {
                 let mut w = Writer::new();
                 w.bytes(&vec![0u8; prefix]);
@@ -695,6 +735,42 @@ mod tests {
                     matches!(truncated, Err(DecodeError::UnexpectedEof { .. })),
                     "{}: {:?}", command, truncated
                 );
+            }
+        }
+
+        /// The same property through the framing: a hostile payload under
+        /// every command name never panics `decode_framed`, honestly framed
+        /// it decodes exactly as `decode_payload` does, and with a lying
+        /// length field or cut short, whatever is accepted survives a
+        /// re-frame.
+        #[test]
+        fn hostile_frames_never_panic_and_accepted_ones_roundtrip(
+            chunks in proptest::collection::vec(hostile_chunk(), 0..24),
+            victim in maybe_u32(),
+            length in maybe_u32(),
+            cut in maybe_u32(),
+        ) {
+            let payload = hostile_payload(&chunks, victim);
+            for command in commands() {
+                let mut framed = frame(command, &payload);
+                prop_assert_eq!(
+                    Message::decode_framed(&framed, MAGIC_MAINNET),
+                    Message::decode_payload(command, &payload).map(|m| (m, framed.len()))
+                );
+                if let Some(length) = length {
+                    framed[16..20].copy_from_slice(&length.to_le_bytes());
+                }
+                if let Some(cut) = cut {
+                    framed.truncate(cut as usize % (framed.len() + 1));
+                }
+                if let Ok((msg, used)) = Message::decode_framed(&framed, MAGIC_MAINNET) {
+                    prop_assert!(used <= framed.len());
+                    let again = msg.encode_framed(MAGIC_MAINNET);
+                    prop_assert_eq!(
+                        Message::decode_framed(&again, MAGIC_MAINNET),
+                        Ok((msg, again.len()))
+                    );
+                }
             }
         }
     }

@@ -17,7 +17,13 @@ use std::sync::Arc;
 /// bytes for executed scripts; this is a sanity bound for the simulator).
 const MAX_SCRIPT_LEN: u64 = 10_000;
 /// Sanity bound on inputs/outputs per transaction.
-const MAX_TX_IO: u64 = 100_000;
+pub(crate) const MAX_TX_IO: u64 = 100_000;
+/// The smallest input: outpoint, empty script, sequence.
+pub(crate) const MIN_TXIN_BYTES: usize = 32 + 4 + 1 + 4;
+/// The smallest output: value and empty script.
+pub(crate) const MIN_TXOUT_BYTES: usize = 8 + 1;
+/// The smallest transaction: version, no inputs, no outputs, lock time.
+pub(crate) const MIN_TX_BYTES: usize = 4 + 1 + 1 + 4;
 
 /// Reference to a previous transaction output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -298,13 +304,11 @@ impl Encodable for Transaction {
 impl Decodable for Transaction {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let version = r.u32_le("tx.version")? as i32;
-        let n_in = r.length("tx.inputs", MAX_TX_IO)?;
-        let mut inputs = Vec::with_capacity(n_in.min(1024));
+        let (n_in, mut inputs) = r.list("tx.inputs", MAX_TX_IO, MIN_TXIN_BYTES)?;
         for _ in 0..n_in {
             inputs.push(TxIn::decode(r)?);
         }
-        let n_out = r.length("tx.outputs", MAX_TX_IO)?;
-        let mut outputs = Vec::with_capacity(n_out.min(1024));
+        let (n_out, mut outputs) = r.list("tx.outputs", MAX_TX_IO, MIN_TXOUT_BYTES)?;
         for _ in 0..n_out {
             outputs.push(TxOut::decode(r)?);
         }

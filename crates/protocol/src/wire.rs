@@ -175,6 +175,20 @@ impl<'a> Reader<'a> {
         }
         Ok(len as usize)
     }
+
+    /// Reads a list count bounded by `max` and starts the list. What is
+    /// reserved up front is bounded by the frame, not by the count it
+    /// claims: an entry takes at least `entry_bytes`, so a five-byte frame
+    /// announcing 2000 headers reserves nothing.
+    pub fn list<T>(
+        &mut self,
+        what: &'static str,
+        max: u64,
+        entry_bytes: usize,
+    ) -> Result<(usize, Vec<T>), DecodeError> {
+        let n = self.length(what, max)?;
+        Ok((n, Vec::with_capacity(n.min(self.remaining() / entry_bytes))))
+    }
 }
 
 /// A growable byte writer for wire payloads.
@@ -405,6 +419,16 @@ mod tests {
                 max: 1000
             }
         );
+    }
+
+    #[test]
+    fn list_reserves_no_more_than_the_frame_holds() {
+        // 0xfd 0x00 0x10 = 4096 entries, then two bytes: not one 6-byte entry.
+        let bytes = [0xfd, 0x00, 0x10, 0x00, 0x00];
+        let mut r = Reader::new(&bytes);
+        let (n, v) = r.list::<[u8; 6]>("short_ids", 1_000_000, 6).unwrap();
+        assert_eq!((n, v.capacity()), (4096, 0));
+        assert_eq!(r.remaining(), 2);
     }
 
     #[test]
