@@ -6,15 +6,39 @@
 //! parameters that nothing varies are constants next to the code that
 //! reads them ([`crate::MAX_RETRIES_NEW`], [`crate::GETADDR_MAX_PCT`], …).
 
+/// The shape of the two bucket tables.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TableSizes {
+    /// Buckets in the `new` table.
+    pub new_buckets: usize,
+    /// Buckets in the `tried` table.
+    pub tried_buckets: usize,
+    /// Slots per bucket.
+    pub bucket_size: usize,
+}
+
+/// Bitcoin Core's tables (`ADDRMAN_NEW_BUCKET_COUNT` 1024,
+/// `ADDRMAN_TRIED_BUCKET_COUNT` 256, `ADDRMAN_BUCKET_SIZE` 64).
+pub const CORE_TABLES: TableSizes = TableSizes {
+    new_buckets: 1024,
+    tried_buckets: 256,
+    bucket_size: 64,
+};
+
+/// The fuzzer's tables: 256 `new` and 64 `tried` cells instead of Core's
+/// ~82k, so per-event consistency checks stay affordable and a bounded run
+/// reaches the collision and eviction paths.
+pub const SMALL_TABLES: TableSizes = TableSizes {
+    new_buckets: 32,
+    tried_buckets: 8,
+    bucket_size: 8,
+};
+
 /// Parameters of the address manager.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AddrManConfig {
-    /// Number of buckets in the `new` table (Core: 1024).
-    pub new_bucket_count: usize,
-    /// Number of buckets in the `tried` table (Core: 256).
-    pub tried_bucket_count: usize,
-    /// Slots per bucket (Core: 64).
-    pub bucket_size: usize,
+    /// Use [`SMALL_TABLES`] instead of [`CORE_TABLES`].
+    pub small_tables: bool,
     /// Days after which a known address counts as stale and is evicted
     /// (`ADDRMAN_HORIZON_DAYS`; Core: 30).
     ///
@@ -30,9 +54,7 @@ impl AddrManConfig {
     /// Bitcoin Core 0.20 defaults.
     pub fn bitcoin_core() -> Self {
         AddrManConfig {
-            new_bucket_count: 1024,
-            tried_bucket_count: 256,
-            bucket_size: 64,
+            small_tables: false,
             horizon_days: 30,
             getaddr_from_tried_only: false,
         }
@@ -47,20 +69,21 @@ impl AddrManConfig {
         }
     }
 
-    /// A small table for unit tests (fewer buckets, same policies).
-    pub fn small_for_tests() -> Self {
+    /// Core's policies on [`SMALL_TABLES`].
+    pub fn small() -> Self {
         AddrManConfig {
-            new_bucket_count: 16,
-            tried_bucket_count: 8,
-            bucket_size: 8,
+            small_tables: true,
             ..Self::bitcoin_core()
         }
     }
-}
 
-impl Default for AddrManConfig {
-    fn default() -> Self {
-        Self::bitcoin_core()
+    /// The table shape this config selects.
+    pub fn tables(&self) -> TableSizes {
+        if self.small_tables {
+            SMALL_TABLES
+        } else {
+            CORE_TABLES
+        }
     }
 }
 
@@ -71,9 +94,22 @@ mod tests {
     #[test]
     fn core_defaults_match_addrman_h() {
         let c = AddrManConfig::bitcoin_core();
-        assert_eq!(c.new_bucket_count, 1024);
-        assert_eq!(c.tried_bucket_count, 256);
-        assert_eq!(c.bucket_size, 64);
+        assert_eq!(
+            c.tables(),
+            TableSizes {
+                new_buckets: 1024,
+                tried_buckets: 256,
+                bucket_size: 64,
+            }
+        );
+        assert_eq!(
+            AddrManConfig::small().tables(),
+            TableSizes {
+                new_buckets: 32,
+                tried_buckets: 8,
+                bucket_size: 8,
+            }
+        );
         assert_eq!(c.horizon_days, 30);
         assert_eq!(crate::MAX_RETRIES_NEW, 3);
         assert_eq!(crate::MAX_FAILURES, 10);
@@ -89,7 +125,7 @@ mod tests {
         let prop = AddrManConfig::paper_proposal();
         assert_eq!(prop.horizon_days, 17);
         assert!(prop.getaddr_from_tried_only);
-        assert_eq!(prop.new_bucket_count, core.new_bucket_count);
-        assert_eq!(prop.bucket_size, core.bucket_size);
+        assert_eq!(prop.small_tables, core.small_tables);
+        assert_eq!(prop.tables(), core.tables());
     }
 }

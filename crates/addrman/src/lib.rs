@@ -47,6 +47,8 @@ pub mod config;
 
 pub use config::AddrManConfig;
 
+use config::TableSizes;
+
 use bitsync_crypto::SipHasher24;
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
 use bitsync_protocol::hash::IdMap;
@@ -133,6 +135,8 @@ impl AddrInfo {
 #[derive(Clone, Debug)]
 pub struct AddrMan {
     cfg: AddrManConfig,
+    /// `cfg.tables()`, resolved once.
+    tables: TableSizes,
     /// SipHash key halves (Core's `nKey`).
     key: (u64, u64),
     /// All known address records (slab: indices are stable; `None` = free).
@@ -157,11 +161,13 @@ pub struct AddrMan {
 impl AddrMan {
     /// Creates an empty manager keyed by `key` (the per-node random `nKey`).
     pub fn new(key: u64, cfg: AddrManConfig) -> Self {
+        let tables = cfg.tables();
         AddrMan {
             key: (key, key.rotate_left(32) ^ 0x5bd1e995),
-            new_table: vec![EMPTY_SLOT; cfg.bucket_size * cfg.new_bucket_count],
-            tried_table: vec![EMPTY_SLOT; cfg.bucket_size * cfg.tried_bucket_count],
+            new_table: vec![EMPTY_SLOT; tables.bucket_size * tables.new_buckets],
+            tried_table: vec![EMPTY_SLOT; tables.bucket_size * tables.tried_buckets],
             cfg,
+            tables,
             infos: Vec::new(),
             free: Vec::new(),
             index: IdMap::default(),
@@ -195,7 +201,7 @@ impl AddrMan {
 
     #[inline]
     fn flat(&self, bucket: usize, slot: usize) -> usize {
-        bucket * self.cfg.bucket_size + slot
+        bucket * self.tables.bucket_size + slot
     }
 
     fn member_remove(&mut self, table: Table, idx: usize) {
@@ -248,14 +254,14 @@ impl AddrMan {
         let mut outer = SipHasher24::new(self.key.0, self.key.1);
         outer.write(&source.group());
         outer.write_u64(derived);
-        (outer.finish() as usize) % self.cfg.new_bucket_count
+        (outer.finish() as usize) % self.tables.new_buckets
     }
 
     fn tried_bucket_of(&self, addr: &NetAddr) -> usize {
         let mut h = SipHasher24::new(self.key.0, self.key.1);
         h.write_u64(addr.key());
         h.write(&addr.group());
-        (h.finish() as usize) % self.cfg.tried_bucket_count
+        (h.finish() as usize) % self.tables.tried_buckets
     }
 
     fn slot_of(&self, bucket: usize, addr: &NetAddr, tried: bool) -> usize {
@@ -263,7 +269,7 @@ impl AddrMan {
         h.write_u8(tried as u8);
         h.write_u64(bucket as u64);
         h.write_u64(addr.key());
-        (h.finish() as usize) % self.cfg.bucket_size
+        (h.finish() as usize) % self.tables.bucket_size
     }
 
     /// Adds an address heard from `source` at time `now`, as on receipt of
@@ -570,8 +576,8 @@ impl AddrMan {
             })?;
         }
 
-        let new_cap = self.cfg.new_bucket_count * self.cfg.bucket_size;
-        let tried_cap = self.cfg.tried_bucket_count * self.cfg.bucket_size;
+        let new_cap = self.tables.new_buckets * self.tables.bucket_size;
+        let tried_cap = self.tables.tried_buckets * self.tables.bucket_size;
         ensure(self.new_count() <= new_cap, || {
             format!("new overflow: {} > {new_cap}", self.new_count())
         })?;
@@ -923,7 +929,7 @@ mod tests {
 
     #[test]
     fn counts_stay_consistent_under_churny_workload() {
-        let mut am = AddrMan::new(99, AddrManConfig::small_for_tests());
+        let mut am = AddrMan::new(99, AddrManConfig::small());
         let mut rng = SimRng::seed_from(7);
         for round in 0..2000u32 {
             let a = addr(
@@ -950,7 +956,7 @@ mod tests {
     #[test]
     fn tried_collision_keeps_counts_consistent() {
         // Force tried-slot collisions in a tiny table.
-        let mut am = AddrMan::new(3, AddrManConfig::small_for_tests());
+        let mut am = AddrMan::new(3, AddrManConfig::small());
         for i in 0..64u8 {
             let a = addr(20, i, 1, 1);
             am.add(a, src(), NOW);
@@ -978,7 +984,7 @@ mod proptests {
         /// counts, index, and bucket occupancy stay mutually consistent.
         #[test]
         fn table_invariants(ops in proptest::collection::vec((0u8..4, any::<u16>()), 1..300)) {
-            let mut am = AddrMan::new(5, AddrManConfig::small_for_tests());
+            let mut am = AddrMan::new(5, AddrManConfig::small());
             let src = addr_of(0xffff_0001);
             let now = 1_600_000_000i64;
             for (i, (op, v)) in ops.into_iter().enumerate() {

@@ -51,8 +51,9 @@ fn source_of(i: u32) -> NetAddr {
 #[test]
 fn slot_bounds_hold_under_heavy_fill() {
     let cfg = AddrManConfig::bitcoin_core();
-    let new_cap = cfg.new_bucket_count * cfg.bucket_size;
-    let tried_cap = cfg.tried_bucket_count * cfg.bucket_size;
+    let t = cfg.tables();
+    let new_cap = t.new_buckets * t.bucket_size;
+    let tried_cap = t.tried_buckets * t.bucket_size;
     assert_eq!((new_cap, tried_cap), (1024 * 64, 256 * 64));
 
     let mut am = AddrMan::new(0xFEED, cfg);
@@ -131,7 +132,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, any::<u16>()), 1..200),
         key in any::<u64>(),
     ) {
-        let mut am = AddrMan::new(key, AddrManConfig::small_for_tests());
+        let mut am = AddrMan::new(key, AddrManConfig::small());
         for (i, (op, v)) in ops.into_iter().enumerate() {
             let a = addr_of(v as u32 & 0x3ff);
             let t = NOW + i as i64 * 3600;

@@ -17,7 +17,7 @@ use crate::experiments::sweep;
 use bitsync_addrman::AddrManConfig;
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
-use bitsync_node::config::{NodeConfig, RelayPolicy};
+use bitsync_node::config::NodeConfig;
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
@@ -78,7 +78,7 @@ impl Arm {
                 };
             }
             Arm::PriorityRelay => {
-                cfg.relay = RelayPolicy::paper_proposal();
+                cfg.priority_relay = true;
             }
             Arm::AllProposals => {
                 cfg = NodeConfig::paper_proposal();

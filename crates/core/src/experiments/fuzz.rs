@@ -175,18 +175,13 @@ impl Scenario {
 
     /// The [`WorldConfig`] this scenario describes.
     ///
-    /// Node address managers use deliberately small tables (256 `new` /
-    /// 64 `tried` cells instead of Bitcoin Core's ~82k): per-event
-    /// consistency checks stay affordable, and small tables reach the
-    /// collision/eviction paths that big ones never touch in a bounded run.
+    /// Node address managers use deliberately small tables
+    /// ([`AddrManConfig::small`]): per-event consistency checks stay
+    /// affordable, and small tables reach the collision/eviction paths that
+    /// big ones never touch in a bounded run.
     pub fn world_config(&self) -> WorldConfig {
         let node_cfg = NodeConfig {
-            addrman: AddrManConfig {
-                new_bucket_count: 32,
-                tried_bucket_count: 8,
-                bucket_size: 8,
-                ..AddrManConfig::bitcoin_core()
-            },
+            addrman: AddrManConfig::small(),
             resilience: ResilienceConfig {
                 ban_on_reorg: self.fault == Some(Fault::BanReorgPeers),
                 ..ResilienceConfig::off()
@@ -324,13 +319,15 @@ fn settle(world: &mut World, scenario: &Scenario) {
     world.check_convergence(SimDuration::from_secs(scenario.duration_secs.max(1_800)));
 }
 
-/// Builds a world for `scenario`, attaches `ins` and runs it — the only
-/// place a scenario becomes a world, so the two sides of the thread
-/// differential cannot drift apart. Returns the finished world and the
-/// events its bounded run processed (settling comes on top).
-fn run_world(scenario: &Scenario, ins: &Instruments) -> (World, u64) {
+/// Builds a world for `scenario`, attaches `ins`, installs `checker` and
+/// runs it — the only place a scenario becomes a world, so the two sides
+/// of the thread differential cannot drift apart. Returns the finished
+/// world (its checker holds the verdict) and the events its bounded run
+/// processed (settling comes on top).
+fn run_world(scenario: &Scenario, ins: &Instruments, checker: Checker) -> (World, u64) {
     let mut world = World::new(scenario.world_config());
     world.attach(ins);
+    world.checker = checker;
     if let Some(fault) = scenario.fault {
         world.inject_fault(fault);
     }
@@ -369,12 +366,11 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
     // Primary run: checker and tracer attached. Observers are read-only,
     // so its digest must match the bare run below.
     let ins = Instruments {
-        checker: Checker::enabled(),
         tracer: Tracer::enabled(DEFAULT_TRACE_CAP),
         ..Instruments::default()
     };
-    let (world, events_processed) = run_world(scenario, &ins);
-    let (checker, tracer) = (&ins.checker, &ins.tracer);
+    let (world, events_processed) = run_world(scenario, &ins, Checker::enabled());
+    let (checker, tracer) = (&world.checker, &ins.tracer);
 
     // 1. Per-event invariants accumulated by the checker (including the
     // post-fault `chain_converged` recovery check recorded by `settle`).
@@ -433,9 +429,11 @@ pub fn check_scenario(scenario: &Scenario) -> ScenarioVerdict {
     let digest = world_digest(&world);
     let threaded = {
         let scenario = scenario.clone();
-        std::thread::spawn(move || world_digest(&run_world(&scenario, &Instruments::default()).0))
-            .join()
-            .expect("digest thread panicked")
+        std::thread::spawn(move || {
+            world_digest(&run_world(&scenario, &Instruments::default(), Checker::disabled()).0)
+        })
+        .join()
+        .expect("digest thread panicked")
     };
     if threaded != digest {
         failures.push("thread invariance: spawned-thread digest differs".into());

@@ -359,8 +359,15 @@ mod tests {
         let stressed_off = run_cell(&cfg, 1.0, false, &Instruments::default());
         let stressed_on = run_cell(&cfg, 1.0, true, &Instruments::default());
         assert!(stressed_off.faults_dropped > 0, "fault plane inactive");
+        // One switch: off, no countermeasure acts at all.
+        assert_eq!(stressed_off.dial_retries, 0);
         assert_eq!(stressed_off.peers_banned, 0);
         assert_eq!(stressed_off.handshake_timeouts, 0);
+        assert_eq!(stressed_off.stale_rescues, 0);
+        assert!(
+            stressed_on.dial_retries > 0,
+            "failed dials were never backed off"
+        );
         assert!(
             stressed_on.peers_banned > 0,
             "flooders were never discouraged"

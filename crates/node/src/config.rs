@@ -13,6 +13,14 @@ pub const MAX_OUTBOUND: usize = 8;
 /// (stands in for Core's `CheckForStaleTipAndEvictPeers` scheduler tick).
 pub const RESILIENCE_TICK_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
+/// A peer still mid-handshake this long after connecting is disconnected
+/// (Core: 60 s; the 0.20 keepalive only covers completed handshakes).
+pub const HANDSHAKE_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+
+/// With no tip advance for this long, a node opens one extra outbound
+/// connection (Core: 30 min).
+pub const STALE_TIP_TIMEOUT: SimDuration = SimDuration::from_mins(30);
+
 /// How transactions are announced to peers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxAnnounce {
@@ -25,56 +33,21 @@ pub enum TxAnnounce {
     Trickle,
 }
 
-/// The §V relay refinement: how a node orders its outgoing messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RelayPolicy {
-    /// Put block-bearing messages at the front of each peer's send queue
-    /// instead of behind pending request responses.
-    pub prioritize_blocks: bool,
-    /// Serve outbound (always-reachable) connections before inbound ones in
-    /// the round-robin send loop.
-    pub outbound_first: bool,
-}
-
-impl RelayPolicy {
-    /// Bitcoin Core 0.20: strict FIFO per peer, connection order as-is.
-    pub fn bitcoin_core() -> Self {
-        RelayPolicy {
-            prioritize_blocks: false,
-            outbound_first: false,
-        }
-    }
-
-    /// The paper's §V proposal.
-    pub fn paper_proposal() -> Self {
-        RelayPolicy {
-            prioritize_blocks: true,
-            outbound_first: true,
-        }
-    }
-}
-
-/// Bitcoin Core's countermeasure layer: misbehavior discouragement,
-/// per-address dial backoff, handshake timeouts, and stale-tip recovery.
+/// Bitcoin Core's countermeasure layer — misbehavior discouragement,
+/// per-address dial backoff, [`HANDSHAKE_TIMEOUT`] and [`STALE_TIP_TIMEOUT`]
+/// — as one switch, plus the fuzzer's planted bug.
 ///
-/// Everything defaults to [`ResilienceConfig::off`] so existing worlds
-/// (and their golden snapshots) are untouched; the `resilience`
-/// experiment flips the switches via [`ResilienceConfig::bitcoin_core`].
+/// [`ResilienceConfig::off`] leaves existing worlds (and their golden
+/// snapshots) untouched; the `resilience` and `forkstress` experiments
+/// flip the switch via [`ResilienceConfig::bitcoin_core`].
 #[derive(Clone, Debug)]
 pub struct ResilienceConfig {
     /// Score protocol misbehavior (oversized/over-budget ADDR) and ban
-    /// peers crossing [`crate::node::BAN_THRESHOLD`].
-    pub misbehavior: bool,
-    /// Apply exponential per-address backoff ([`backoff_delay`]) to
-    /// failed dials.
-    pub dial_backoff: bool,
-    /// Disconnect peers stuck mid-handshake for this long (Core: 60 s),
-    /// or `None` to let them wedge the slot (the 0.20 keepalive only
-    /// covers completed handshakes).
-    pub handshake_timeout: Option<SimDuration>,
-    /// With no tip advance for this long, open one extra outbound
-    /// connection (Core: 30 min), or `None` to disable.
-    pub stale_tip_timeout: Option<SimDuration>,
+    /// peers crossing [`crate::node::BAN_THRESHOLD`]; back failed dials off
+    /// ([`backoff_delay`]); and run the per-node sweep every
+    /// [`RESILIENCE_TICK_INTERVAL`] that disconnects peers stuck
+    /// mid-handshake and grants one extra outbound slot on a stale tip.
+    pub countermeasures: bool,
     /// Misconfiguration, never part of a sane preset: treat any peer that
     /// announces a competing fork (a block whose parent is off our active
     /// chain) as a hostile miner and discourage it outright. After a
@@ -85,13 +58,10 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Every countermeasure disabled (the default).
+    /// Every countermeasure disabled.
     pub fn off() -> Self {
         ResilienceConfig {
-            misbehavior: false,
-            dial_backoff: false,
-            handshake_timeout: None,
-            stale_tip_timeout: None,
+            countermeasures: false,
             ban_on_reorg: false,
         }
     }
@@ -99,24 +69,9 @@ impl ResilienceConfig {
     /// Every countermeasure enabled at Bitcoin Core-shaped thresholds.
     pub fn bitcoin_core() -> Self {
         ResilienceConfig {
-            misbehavior: true,
-            dial_backoff: true,
-            handshake_timeout: Some(SimDuration::from_secs(60)),
-            stale_tip_timeout: Some(SimDuration::from_mins(30)),
+            countermeasures: true,
             ..Self::off()
         }
-    }
-
-    /// True when the world must run the periodic per-node resilience
-    /// sweep (handshake timeouts, stale-tip detection).
-    pub fn needs_tick(&self) -> bool {
-        self.handshake_timeout.is_some() || self.stale_tip_timeout.is_some()
-    }
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self::off()
     }
 }
 
@@ -156,14 +111,17 @@ pub struct NodeConfig {
     pub upload_bandwidth: f64,
     /// Address manager policy knobs.
     pub addrman: AddrManConfig,
-    /// Send-queue ordering policy.
-    pub relay: RelayPolicy,
+    /// The §V relay refinement: block-bearing messages go to the front of
+    /// each peer's send queue instead of behind pending request responses,
+    /// and the round-robin send loop serves outbound (always-reachable)
+    /// connections before inbound ones.
+    pub priority_relay: bool,
     /// Whether the node negotiates BIP 152 compact blocks.
     pub compact_blocks: bool,
     /// Transaction announcement mode.
     pub tx_announce: TxAnnounce,
     /// Countermeasure layer (misbehavior scoring, dial backoff,
-    /// handshake/stale-tip timeouts). Off by default.
+    /// handshake/stale-tip timeouts).
     pub resilience: ResilienceConfig,
 }
 
@@ -173,7 +131,7 @@ impl NodeConfig {
         NodeConfig {
             upload_bandwidth: 2_000_000.0,
             addrman: AddrManConfig::bitcoin_core(),
-            relay: RelayPolicy::bitcoin_core(),
+            priority_relay: false,
             compact_blocks: true,
             tx_announce: TxAnnounce::Flood,
             resilience: ResilienceConfig::off(),
@@ -193,15 +151,9 @@ impl NodeConfig {
     pub fn paper_proposal() -> Self {
         NodeConfig {
             addrman: AddrManConfig::paper_proposal(),
-            relay: RelayPolicy::paper_proposal(),
+            priority_relay: true,
             ..Self::bitcoin_core()
         }
-    }
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        Self::bitcoin_core()
     }
 }
 
@@ -224,15 +176,13 @@ mod tests {
         assert_eq!(node::PEER_TIMEOUT, SimDuration::from_mins(20));
         assert_eq!(node::MEMPOOL_CAPACITY, 50_000);
         let c = NodeConfig::bitcoin_core();
-        assert!(!c.relay.prioritize_blocks);
-        assert!(!c.relay.outbound_first);
+        assert!(!c.priority_relay);
     }
 
     #[test]
     fn proposal_flips_relay_and_addrman() {
         let c = NodeConfig::paper_proposal();
-        assert!(c.relay.prioritize_blocks);
-        assert!(c.relay.outbound_first);
+        assert!(c.priority_relay);
         assert!(c.addrman.getaddr_from_tried_only);
         assert_eq!(c.addrman.horizon_days, 17);
     }
@@ -245,23 +195,17 @@ mod tests {
         assert_eq!(node::ADDR_ENTRY_BUDGET, 5_000);
         assert_eq!(node::ADDR_FLOOD_PENALTY, 25);
         assert_eq!(RESILIENCE_TICK_INTERVAL, SimDuration::from_secs(30));
+        assert_eq!(HANDSHAKE_TIMEOUT, SimDuration::from_secs(60));
+        assert_eq!(STALE_TIP_TIMEOUT, SimDuration::from_mins(30));
         assert_eq!(BACKOFF_BASE_REFUSED, SimDuration::from_secs(10));
         assert_eq!(BACKOFF_BASE_TIMEOUT, SimDuration::from_secs(60));
         assert_eq!(BACKOFF_CAP, SimDuration::from_hours(1));
         let c = NodeConfig::bitcoin_core();
-        assert!(!c.resilience.misbehavior);
-        assert!(!c.resilience.dial_backoff);
-        assert!(!c.resilience.needs_tick());
+        assert!(!c.resilience.countermeasures);
         assert!(!c.resilience.ban_on_reorg);
         let r = NodeConfig::resilient();
-        assert!(r.resilience.misbehavior);
-        assert!(r.resilience.dial_backoff);
+        assert!(r.resilience.countermeasures);
         assert!(!r.resilience.ban_on_reorg, "no sane preset bans on reorg");
-        assert!(r.resilience.needs_tick());
-        assert_eq!(
-            r.resilience.handshake_timeout,
-            Some(SimDuration::from_secs(60))
-        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod node;
 pub mod peer;
 pub mod world;
 
-pub use config::{NodeConfig, RelayPolicy, TxAnnounce};
+pub use config::{NodeConfig, TxAnnounce};
 pub use malicious::{AddrFlooder, FloodScale};
 pub use node::{
     unix_time, Node, NodeRequest, NodeStats, Outgoing, MAX_ORPHAN_BLOCKS, SIM_EPOCH_UNIX,

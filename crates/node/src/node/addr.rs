@@ -65,7 +65,7 @@ impl Node {
     ) {
         self.stats.addr_msgs_received += 1;
         self.stats.addrs_received += list.len() as u64;
-        if self.cfg.resilience.misbehavior {
+        if self.cfg.resilience.countermeasures {
             let mut penalty = 0u32;
             if list.len() > MAX_ADDR_PER_MSG {
                 // Protocol violation: Core never sends more than 1000
@@ -115,7 +115,7 @@ impl Node {
             });
             let fanout = ADDR_RELAY_FANOUT.min(candidates.len());
             let picks = self.rng.sample_indices(candidates.len(), fanout);
-            let prioritize = self.cfg.relay.prioritize_blocks;
+            let prioritize = self.cfg.priority_relay;
             for i in picks {
                 self.peers
                     .slot_mut(candidates[i])

@@ -186,7 +186,7 @@ impl Node {
     }
 
     fn relay_block(&mut self, hash: &Hash256, block: &Block) {
-        let prioritize = self.cfg.relay.prioritize_blocks;
+        let prioritize = self.cfg.priority_relay;
         for slot in self.relay_targets(hash) {
             let p = self.peers.slot_mut(slot);
             p.mark_known(*hash);

@@ -6,7 +6,7 @@
 //! so most attempts started here fail.
 
 use super::{unix_time, Node};
-use crate::config::{backoff_delay, MAX_OUTBOUND};
+use crate::config::{backoff_delay, MAX_OUTBOUND, STALE_TIP_TIMEOUT};
 use crate::peer::{Direction, Handshake, NodeId, Peer};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -105,7 +105,7 @@ impl Node {
         }
         // Discouraged addresses are not even feeler-probed, and a failed
         // address waits out its backoff whichever kind of dial picked it.
-        let backed_off = self.cfg.resilience.dial_backoff
+        let backed_off = self.cfg.resilience.countermeasures
             && self
                 .dial_backoff
                 .get(&target)
@@ -142,7 +142,7 @@ impl Node {
         {
             self.in_flight_attempt = None;
         }
-        if self.cfg.resilience.dial_backoff {
+        if self.cfg.resilience.countermeasures {
             let entry = self.dial_backoff.entry(addr).or_default();
             entry.failures = entry.failures.saturating_add(1);
             entry.retry_at = now + backoff_delay(refused, entry.failures);
@@ -172,11 +172,11 @@ impl Node {
         self.getaddr_answered.retain(|p| *p != peer);
     }
 
-    /// Stale-tip sweep (world-driven): with no tip advance for `timeout`,
-    /// grant one extra outbound slot until the next block arrives.
-    /// Returns `true` when a new rescue was triggered.
-    pub fn check_stale_tip(&mut self, now: SimTime, timeout: SimDuration) -> bool {
-        if self.stale_tip_extra || now.saturating_since(self.last_tip_change) <= timeout {
+    /// Stale-tip sweep (world-driven): with no tip advance for
+    /// [`STALE_TIP_TIMEOUT`], grant one extra outbound slot until the next
+    /// block arrives. Returns `true` when a new rescue was triggered.
+    pub fn check_stale_tip(&mut self, now: SimTime) -> bool {
+        if self.stale_tip_extra || now.saturating_since(self.last_tip_change) <= STALE_TIP_TIMEOUT {
             return false;
         }
         self.stale_tip_extra = true;

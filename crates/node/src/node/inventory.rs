@@ -93,7 +93,7 @@ impl Node {
 
     fn relay_tx(&mut self, tx: &Transaction) {
         let txid = tx.txid();
-        let prioritize = self.cfg.relay.prioritize_blocks;
+        let prioritize = self.cfg.priority_relay;
         for slot in self.relay_targets(&txid) {
             let p = self.peers.slot_mut(slot);
             match self.cfg.tx_announce {
@@ -112,7 +112,7 @@ impl Node {
         if self.cfg.tx_announce != TxAnnounce::Trickle {
             return;
         }
-        let prioritize = self.cfg.relay.prioritize_blocks;
+        let prioritize = self.cfg.priority_relay;
         self.for_each_turn(|node, slot| {
             let p = node.peers.slot_mut(slot);
             if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {

@@ -228,7 +228,7 @@ impl Node {
     /// Queues `msg` for peer `to` (dropped if it is gone), under the §V
     /// block-priority refinement when configured.
     fn send(&mut self, to: NodeId, msg: Message) {
-        let prioritize = self.cfg.relay.prioritize_blocks;
+        let prioritize = self.cfg.priority_relay;
         if let Some(p) = self.peers.get_mut(&to) {
             p.enqueue_send(msg, prioritize);
         }

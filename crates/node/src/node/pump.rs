@@ -99,14 +99,14 @@ impl Node {
     }
 
     /// Calls `f` with the slot of every turn of one round, in visit order:
-    /// the table's connection order (Core walks `vNodes`) or, under the §V
-    /// `outbound_first` refinement, outbound peers, then feelers, then
+    /// the table's connection order (Core walks `vNodes`) or, under §V
+    /// priority relay, outbound peers, then feelers, then
     /// inbound ones, each class in connection order. `f` gets the node
     /// back, so a turn can run a message handler; handlers never connect,
     /// disconnect or change a direction (they only *request* it), so the
     /// turns stay valid across the walk.
     pub(super) fn for_each_turn(&mut self, mut f: impl FnMut(&mut Self, u32)) {
-        let classes: &[Option<Direction>] = if self.cfg.relay.outbound_first {
+        let classes: &[Option<Direction>] = if self.cfg.priority_relay {
             &[
                 Some(Direction::Outbound),
                 Some(Direction::Feeler),

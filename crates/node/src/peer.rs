@@ -272,7 +272,7 @@ impl PeerTable {
 
     /// One slot number (for [`slot_mut`](Self::slot_mut)) per pump turn, in
     /// connection order; the node's `for_each_turn` walks it as is or, under
-    /// the §V `outbound_first` refinement, class by class.
+    /// §V priority relay, class by class.
     pub(crate) fn order(&self) -> &[u32] {
         &self.order
     }

@@ -6,7 +6,7 @@
 //! inside `chain`; stalls and flood amplification are assigned at spawn.
 
 use super::{metric, Ev, World};
-use crate::config::RESILIENCE_TICK_INTERVAL;
+use crate::config::{HANDSHAKE_TIMEOUT, RESILIENCE_TICK_INTERVAL};
 use crate::peer::NodeId;
 use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -153,42 +153,39 @@ impl World {
         }
     }
 
-    /// Resilience sweep at one node: abort handshakes stuck past the
-    /// timeout, detect a stale tip (granting an extra outbound dial), and
-    /// reschedule.
+    /// Resilience sweep at one node (scheduled only while the
+    /// countermeasures are on): abort handshakes stuck past
+    /// [`HANDSHAKE_TIMEOUT`], detect a stale tip (granting an extra
+    /// outbound dial), and reschedule.
     pub(super) fn on_resilience_tick(&mut self, id: NodeId, now: SimTime) {
         let slot = id.0 as usize;
         let Some(node) = self.nodes[slot].as_ref() else {
             self.meta[slot].resilience_scheduled = false;
             return; // offline; a rejoin reschedules via boot_node
         };
-        let res = &node.cfg.resilience;
-        let stale_tip_timeout = res.stale_tip_timeout;
-        if let Some(timeout) = res.handshake_timeout {
-            let stuck: Vec<NodeId> = node
-                .peers
-                .iter()
-                .filter(|(_, p)| !p.is_ready() && now.saturating_since(p.connected_at) > timeout)
-                .map(|(pid, _)| *pid)
-                .collect();
-            for peer in stuck {
-                self.metrics.inc(metric::HANDSHAKE_TIMEOUTS, 1);
-                self.disconnect_pair(id, peer);
-            }
+        let stuck: Vec<NodeId> = node
+            .peers
+            .iter()
+            .filter(|(_, p)| {
+                !p.is_ready() && now.saturating_since(p.connected_at) > HANDSHAKE_TIMEOUT
+            })
+            .map(|(pid, _)| *pid)
+            .collect();
+        for peer in stuck {
+            self.metrics.inc(metric::HANDSHAKE_TIMEOUTS, 1);
+            self.disconnect_pair(id, peer);
         }
-        if let Some(timeout) = stale_tip_timeout {
-            let rescued = self.nodes[slot]
-                .as_mut()
-                .is_some_and(|n| n.check_stale_tip(now, timeout));
-            if rescued {
-                self.metrics.inc(metric::STALETIP_RESCUES, 1);
-                self.tracer.churn(trace::ChurnTrace {
-                    at: now,
-                    node: id.0,
-                    kind: trace::ChurnKind::StaleTipRescue,
-                });
-                self.schedule_connect(id, SimDuration::from_millis(1));
-            }
+        let rescued = self.nodes[slot]
+            .as_mut()
+            .is_some_and(|n| n.check_stale_tip(now));
+        if rescued {
+            self.metrics.inc(metric::STALETIP_RESCUES, 1);
+            self.tracer.churn(trace::ChurnTrace {
+                at: now,
+                node: id.0,
+                kind: trace::ChurnKind::StaleTipRescue,
+            });
+            self.schedule_connect(id, SimDuration::from_millis(1));
         }
         self.queue
             .schedule(now + RESILIENCE_TICK_INTERVAL, Ev::ResilienceTick(id));

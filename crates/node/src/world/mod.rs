@@ -210,11 +210,14 @@ pub struct World {
     /// [`World::attach_tracer`]; the handle is also cloned into every node
     /// so the pump can trace without going through the world.
     pub tracer: Tracer,
-    /// Invariant recorder, disabled by default. When enabled (via
-    /// [`World::attach_checker`]) the event loop checks time monotonicity,
-    /// per-object send/delivery conservation, outdegree caps, and addrman
-    /// consistency after every event that can mutate them. Checks are
-    /// read-only: an enabled checker never perturbs the simulation.
+    /// Invariant recorder, disabled by default and owned by this world.
+    /// When an enabled one is installed (before running: conservation
+    /// bookkeeping starts from that moment, so sends scheduled earlier
+    /// would be seen as unmatched deliveries) the event loop checks time
+    /// monotonicity, per-object send/delivery conservation, outdegree caps,
+    /// and addrman consistency after every event that can mutate them.
+    /// Checks are read-only: an enabled checker never perturbs the
+    /// simulation.
     pub checker: Checker,
     /// Time-series sampler, disabled by default. When enabled (via
     /// [`World::attach_sampler`]) [`World::run_until`] splits its run at
@@ -349,14 +352,6 @@ impl World {
         }
     }
 
-    /// Points the world at an invariant checker. Like
-    /// [`World::attach_metrics`], attach before running: conservation
-    /// bookkeeping starts from this moment, so sends scheduled earlier
-    /// would be seen as unmatched deliveries.
-    pub fn attach_checker(&mut self, checker: Checker) {
-        self.checker = checker;
-    }
-
     /// Points the world at a time-series sampler. Like
     /// [`World::attach_metrics`], attach before running: the first tick
     /// fires one interval after the current sim time, and the wall-clock
@@ -371,13 +366,12 @@ impl World {
     }
 
     /// Points the world at every handle of `ins` — the one line that
-    /// instruments a world. Attach before running (see the four
+    /// instruments a world. Attach before running (see the three
     /// `attach_*` methods this is made of).
     pub fn attach(&mut self, ins: &Instruments) {
         self.attach_metrics(ins.metrics.clone());
         self.attach_tracer(ins.tracer.clone());
         self.attach_sampler(&ins.sampler);
-        self.attach_checker(ins.checker.clone());
     }
 
     /// Arms one of the two dispatch-rewiring bug injections
@@ -559,12 +553,14 @@ impl World {
 
     /// Post-event node checks: outdegree cap and addrman consistency.
     /// Skipped silently when the node went offline during the event.
-    fn check_node_invariants(&self, id: NodeId, now: SimTime) {
-        let Some(node) = self.node(id) else { return };
+    fn check_node_invariants(&mut self, id: NodeId, now: SimTime) {
+        let Some(node) = self.nodes[id.0 as usize].as_ref() else {
+            return;
+        };
         let out = node.outbound_count();
         // The stale-tip countermeasure legitimately grants one slot above
         // the maximum while active.
-        let cap = MAX_OUTBOUND + usize::from(node.cfg.resilience.stale_tip_timeout.is_some());
+        let cap = MAX_OUTBOUND + usize::from(node.cfg.resilience.countermeasures);
         self.checker.check(out <= cap, now, "outdegree_cap", || {
             format!("node {} holds {out} outbound connections > cap {cap}", id.0)
         });

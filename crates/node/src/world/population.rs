@@ -222,7 +222,7 @@ impl World {
         self.meta[slot].connect_scheduled = true;
         // Resilience sweep (handshake timeouts, stale-tip detection). The
         // stale-tip clock starts at boot, not at sim epoch.
-        if self.cfg.node_cfg.resilience.needs_tick() {
+        if self.cfg.node_cfg.resilience.countermeasures {
             if !self.meta[slot].resilience_scheduled {
                 self.meta[slot].resilience_scheduled = true;
                 self.queue

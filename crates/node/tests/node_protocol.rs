@@ -890,7 +890,7 @@ fn a_feeler_marks_promotes_and_hangs_up_and_deferrals_are_reported_once() {
 
 #[test]
 fn proposal_relay_draws_compact_nonces_in_outbound_first_order() {
-    use bitsync_node::{Handshake, RelayPolicy};
+    use bitsync_node::Handshake;
 
     let now = SimTime::from_secs(1);
     let mut donor = node(9, 75);
@@ -900,7 +900,7 @@ fn proposal_relay_draws_compact_nonces_in_outbound_first_order() {
 
     let seed = 76;
     let mut cfg = NodeConfig::bitcoin_core();
-    cfg.relay = RelayPolicy::paper_proposal();
+    cfg.priority_relay = true;
     let mut n = Node::new(NodeId(0), addr(1), true, cfg, seed);
     let table = [
         (1, Direction::Inbound),

@@ -105,7 +105,7 @@ proptest! {
     ) {
         let now = SimTime::from_secs(1);
         let mut cfg = NodeConfig::bitcoin_core();
-        cfg.relay = bitsync_node::RelayPolicy::paper_proposal();
+        cfg.priority_relay = true;
         let mut n = Node::new(NodeId(0), addr(200), true, cfg, 3);
         // The model: one entry per turn in connection order, and each
         // connected id's current direction.

@@ -2,7 +2,7 @@
 //! message processed and one flushed per peer per pump round, and the §V
 //! ordering refinements.
 
-use bitsync_node::{Direction, Node, NodeConfig, NodeId, NodeRequest, RelayPolicy};
+use bitsync_node::{Direction, Node, NodeConfig, NodeId, NodeRequest};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::InvVect;
 use bitsync_protocol::message::Message;
@@ -95,7 +95,7 @@ fn a_block_waits_behind_queued_responses_without_priority() {
 fn priority_relay_sends_the_block_first() {
     let now = SimTime::from_secs(1);
     let mut cfg = NodeConfig::bitcoin_core();
-    cfg.relay = RelayPolicy::paper_proposal();
+    cfg.priority_relay = true;
     let mut n = node_with_peers(cfg, 1);
     {
         let peer = n.peers.get_mut(&NodeId(1)).unwrap();
@@ -117,7 +117,7 @@ fn priority_relay_sends_the_block_first() {
 fn outbound_first_ordering_under_proposal() {
     let now = SimTime::from_secs(1);
     let mut cfg = NodeConfig::bitcoin_core();
-    cfg.relay = RelayPolicy::paper_proposal();
+    cfg.priority_relay = true;
     let mut n = node_with_peers(cfg, 4);
     // Reclassify peers 2 and 4 as outbound (their VERSION was never
     // queued because the helper connects everyone as inbound).
@@ -232,7 +232,7 @@ fn a_reconnect_after_a_mid_order_disconnect_goes_last() {
 fn outbound_first_is_stable_across_disconnect_and_reconnect() {
     let now = SimTime::from_secs(1);
     let mut cfg = NodeConfig::bitcoin_core();
-    cfg.relay = RelayPolicy::paper_proposal();
+    cfg.priority_relay = true;
     let mut n = node_with_peers(cfg, 5);
     n.peers.get_mut(&NodeId(4)).unwrap().dir = Direction::Outbound;
     n.peers.get_mut(&NodeId(2)).unwrap().dir = Direction::Outbound;

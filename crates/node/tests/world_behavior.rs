@@ -2,7 +2,7 @@
 //! propagation, connection dynamics, ADDR gossip, and churn.
 
 use bitsync_net::churn::ChurnConfig;
-use bitsync_node::config::ResilienceConfig;
+use bitsync_node::config::{ResilienceConfig, STALE_TIP_TIMEOUT};
 use bitsync_node::world::{World, WorldConfig};
 use bitsync_node::{ChurnEvent, NodeId};
 use bitsync_protocol::hash::Hash256;
@@ -286,25 +286,28 @@ fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
     // Inputs: (mining, resilience sweep, seconds offline). With the sweep
     // on and no blocks, the stale-tip detector fires exactly once per
     // boot, so a fresh node's `stale_rescues` reads whether its tick chain
-    // is live. Ticks fire every 30 s from boot: a 10 s gap leaves the old
-    // chain (and its flag) in place across the rejoin, a 45 s gap lets it
-    // die on the empty slot so the reboot has to re-arm it.
-    let sweep = ResilienceConfig {
-        stale_tip_timeout: Some(SimDuration::from_secs(60)),
-        ..ResilienceConfig::off()
-    };
+    // is live; sweeping runs last past `STALE_TIP_TIMEOUT` on either side
+    // of the rejoin. Ticks fire every 30 s from boot: a 10 s gap leaves the
+    // old chain (and its flag) in place across the rejoin, a 45 s gap lets
+    // it die on the empty slot so the reboot has to re-arm it.
     for (mining, resilience, offline_secs) in [
         (true, ResilienceConfig::off(), 30),
-        (false, sweep.clone(), 10),
-        (false, sweep, 45),
+        (false, ResilienceConfig::bitcoin_core(), 10),
+        (false, ResilienceConfig::bitcoin_core(), 45),
     ] {
         let label = format!("mining {mining}, offline {offline_secs} s");
         let mut cfg = base_cfg(14);
         cfg.block_interval = mining.then(|| SimDuration::from_secs(120));
-        let sweeping = resilience.needs_tick();
+        let sweeping = resilience.countermeasures;
+        let (warmup, after) = if sweeping {
+            let past_stale = STALE_TIP_TIMEOUT + SimDuration::from_mins(5);
+            (past_stale, past_stale)
+        } else {
+            (SimDuration::from_secs(600), SimDuration::from_secs(300))
+        };
         cfg.node_cfg.resilience = resilience;
         let mut world = World::new(cfg);
-        world.run_until(SimTime::from_secs(600));
+        world.run_for(warmup);
         let id = NodeId(0);
         assert!(world.node(id).unwrap().outbound_count() > 0, "{label}");
         if sweeping {
@@ -316,7 +319,7 @@ fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
         world.force_depart(id);
         world.run_for(SimDuration::from_secs(offline_secs));
         world.force_rejoin(id);
-        world.run_for(SimDuration::from_secs(300));
+        world.run_for(after);
 
         // A wedged pump chain would leave the node unable to complete any
         // handshake (VERSION never flushes) or relay anything; a wedged

@@ -9,11 +9,12 @@
 //! *every* broken invariant and the fuzzer can shrink the scenario that
 //! produced them.
 //!
-//! A `Checker` mirrors [`crate::trace::Tracer`]: a cheaply cloneable
-//! `Rc<RefCell<..>>` handle, deliberately not `Send` (one simulation, one
-//! checker, one thread), whose default [`Checker::disabled`] state costs a
-//! single branch per check site. The violation list is capped; totals keep
-//! counting past the cap so a hot broken invariant cannot eat memory.
+//! Unlike the shared instrument handles ([`crate::Instruments`]), a
+//! `Checker` is a plain value owned by the one world it checks, and the
+//! recording methods take `&mut self`; its default [`Checker::disabled`]
+//! state costs a single branch per check site. The violation list is
+//! capped; totals keep counting past the cap so a hot broken invariant
+//! cannot eat memory.
 //!
 //! Two small bookkeeping helpers cover the cross-event invariants the
 //! checker itself cannot see from a single call site:
@@ -28,7 +29,7 @@
 //! use bitsync_sim::check::Checker;
 //! use bitsync_sim::time::SimTime;
 //!
-//! let checker = Checker::enabled();
+//! let mut checker = Checker::enabled();
 //! checker.check(1 + 1 == 2, SimTime::ZERO, "arithmetic", || "unused".into());
 //! checker.check(false, SimTime::from_secs(5), "outdegree", || "9 > 8".into());
 //! assert_eq!(checker.violation_count(), 1);
@@ -36,9 +37,7 @@
 //! ```
 
 use crate::time::SimTime;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Retained violations are capped at this many; see [`Checker`].
 pub const MAX_RETAINED_VIOLATIONS: usize = 64;
@@ -67,13 +66,10 @@ struct CheckState {
     violations: Vec<Violation>,
 }
 
-/// Shared handle to an invariant recorder, or a no-op when disabled.
-///
-/// Cloning is cheap; clones record into the same state. Like
-/// [`crate::trace::Tracer`], a checker is intentionally not `Send`.
-#[derive(Clone, Debug, Default)]
+/// An invariant recorder, or a no-op when disabled.
+#[derive(Debug, Default)]
 pub struct Checker {
-    inner: Option<Rc<RefCell<CheckState>>>,
+    inner: Option<CheckState>,
 }
 
 impl Checker {
@@ -85,7 +81,7 @@ impl Checker {
     /// A recording checker.
     pub fn enabled() -> Checker {
         Checker {
-            inner: Some(Rc::new(RefCell::new(CheckState::default()))),
+            inner: Some(CheckState::default()),
         }
     }
 
@@ -97,9 +93,8 @@ impl Checker {
     }
 
     /// Records a failed check of `invariant` at `at`.
-    pub fn fail(&self, at: SimTime, invariant: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(inner) = &self.inner {
-            let mut state = inner.borrow_mut();
+    pub fn fail(&mut self, at: SimTime, invariant: &'static str, detail: impl FnOnce() -> String) {
+        if let Some(state) = &mut self.inner {
             state.checks += 1;
             state.total_violations += 1;
             if state.violations.len() < MAX_RETAINED_VIOLATIONS {
@@ -116,15 +111,15 @@ impl Checker {
     /// Records a check of `invariant`: a violation when `ok` is false.
     /// `detail` is only evaluated on failure.
     pub fn check(
-        &self,
+        &mut self,
         ok: bool,
         at: SimTime,
         invariant: &'static str,
         detail: impl FnOnce() -> String,
     ) {
-        let Some(inner) = &self.inner else { return };
+        let Some(state) = &mut self.inner else { return };
         if ok {
-            inner.borrow_mut().checks += 1;
+            state.checks += 1;
         } else {
             self.fail(at, invariant, detail);
         }
@@ -132,14 +127,12 @@ impl Checker {
 
     /// Total checks performed (passing and failing).
     pub fn checks(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().checks)
+        self.inner.as_ref().map_or(0, |s| s.checks)
     }
 
     /// Total violations recorded, including those beyond the retention cap.
     pub fn violation_count(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.borrow().total_violations)
+        self.inner.as_ref().map_or(0, |s| s.total_violations)
     }
 
     /// True when enabled and no check has failed.
@@ -149,10 +142,8 @@ impl Checker {
 
     /// The retained violations (at most [`MAX_RETAINED_VIOLATIONS`]), in
     /// recording order.
-    pub fn violations(&self) -> Vec<Violation> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.borrow().violations.clone())
+    pub fn violations(&self) -> &[Violation] {
+        self.inner.as_ref().map_or(&[], |s| &s.violations)
     }
 }
 
@@ -234,7 +225,7 @@ mod tests {
 
     #[test]
     fn disabled_checker_records_nothing() {
-        let c = Checker::disabled();
+        let mut c = Checker::disabled();
         assert!(!c.is_enabled());
         c.check(false, SimTime::ZERO, "anything", || unreachable!());
         assert_eq!(c.checks(), 0);
@@ -244,16 +235,15 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state_and_detail_is_lazy() {
-        let c = Checker::enabled();
-        let clone = c.clone();
+    fn checks_are_counted_and_detail_is_lazy() {
+        let mut c = Checker::enabled();
         let mut evaluated = false;
         c.check(true, SimTime::ZERO, "pass", || {
             evaluated = true;
             String::new()
         });
         assert!(!evaluated, "detail must not run for passing checks");
-        clone.check(false, SimTime::from_secs(3), "fail", || "boom".into());
+        c.check(false, SimTime::from_secs(3), "fail", || "boom".into());
         assert_eq!(c.checks(), 2);
         assert_eq!(c.violation_count(), 1);
         assert!(!c.ok());
@@ -266,7 +256,7 @@ mod tests {
 
     #[test]
     fn violation_retention_is_capped_but_totals_keep_counting() {
-        let c = Checker::enabled();
+        let mut c = Checker::enabled();
         for i in 0..(MAX_RETAINED_VIOLATIONS as u64 + 10) {
             c.fail(SimTime::ZERO + SimDuration::from_nanos(i), "hot", || {
                 format!("#{i}")

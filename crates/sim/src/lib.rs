@@ -14,9 +14,10 @@
 //!   and sampling; [`rng::AliasTable`] for weighted choice),
 //!   forkable per component so streams stay decoupled.
 //! - [`check`]: a [`check::Checker`] that records invariant violations
-//!   instead of panicking, for the scenario fuzzer's bounded runs.
-//! - [`Instruments`]: the one bundle of observer handles ([`metrics`],
-//!   [`trace`], [`timeseries`], [`check`]) every run is handed.
+//!   instead of panicking, for the scenario fuzzer's bounded runs; each
+//!   checked world owns its own.
+//! - [`Instruments`]: the one bundle of shared observer handles
+//!   ([`metrics`], [`trace`], [`timeseries`]) every run is handed.
 //!
 //! # Examples
 //!
@@ -54,12 +55,12 @@ pub use time::{SimDuration, SimTime};
 /// The observer handles one run reports into, passed by reference from the
 /// caller down to whatever builds the worlds.
 ///
-/// `Default` is a fresh [`metrics::Recorder`] with the tracer, sampler and
-/// checker disabled; enable one by replacing its field. Every handle is a
-/// cheap clone of shared state, so the caller reads the results back out of
-/// the same bundle after the run (`metrics`, `tracer.take()`,
-/// `sampler.take()`, `checker.violations()`). Handles only observe: a run's
-/// result must not depend on which of them are enabled.
+/// `Default` is a fresh [`metrics::Recorder`] with the tracer and sampler
+/// disabled; enable one by replacing its field. Every handle is a cheap
+/// clone of shared state, so the caller reads the results back out of the
+/// same bundle after the run (`metrics`, `tracer.take()`,
+/// `sampler.take()`). Handles only observe: a run's result must not depend
+/// on which of them are enabled.
 #[derive(Debug, Default)]
 pub struct Instruments {
     /// Counters, gauges and histograms; always recording.
@@ -68,8 +69,6 @@ pub struct Instruments {
     pub tracer: trace::Tracer,
     /// Sim-time-cadence timeseries sampler.
     pub sampler: timeseries::Sampler,
-    /// Invariant-violation recorder.
-    pub checker: check::Checker,
 }
 
 #[cfg(test)]

@@ -12,11 +12,12 @@
 #     --sample-interval 60 all`): report, trace, timeseries, attribution,
 #     metrics, the manifest and stdout — everything except the wall-clock
 #     `perf.*`;
-#   - the 13 `repro fuzz --fault X` commands of scripts/fuzz_cases.txt
-#     (CI's resilience-smoke job runs the same file): exit code and output (the
-#     `N events, M invariant checks` line, violations, the shrunk
-#     scenario) with the wall time cut off.
-# Prints one `identical=yes/no` line per experiment and per fault and
+#   - the 14 `repro fuzz` commands of scripts/fuzz_cases.txt (the clean
+#     campaign and the 13 `--fault X` cases; CI's resilience-smoke job runs
+#     the same file): exit code and output (the `N events, M invariant
+#     checks` line, violations, the shrunk scenario) with the wall time cut
+#     off.
+# Prints one `identical=yes/no` line per experiment and per fuzz row and
 # exits 1 on any difference.
 set -euo pipefail
 
@@ -63,9 +64,11 @@ verdict "stdout" cmp "$work/base/stdout.txt" "$work/change/stdout.txt"
 
 # The cases CI's resilience-smoke job runs.
 while read -r fault runs steps _; do
+    armed=(--fault "$fault")
+    [ "$fault" = none ] && armed=()
     for side in base change; do
         code=0
-        "${bin[$side]}" fuzz --seed 1 --runs "$runs" --max-steps "$steps" --fault "$fault" \
+        "${bin[$side]}" fuzz --seed 1 --runs "$runs" --max-steps "$steps" "${armed[@]}" \
             --out "$work/$side/fuzz-repro.json" >"$work/$side/fuzz.raw" 2>&1 || code=$?
         {
             echo "exit=$code"
