@@ -48,7 +48,6 @@ use bitsync_core::experiments::{
 use bitsync_node::world::Fault;
 use bitsync_sim::metrics::{peak_rss_bytes, Throughput};
 use bitsync_sim::time::SimDuration;
-use bitsync_sim::trace::DEFAULT_TRACE_CAP;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -215,7 +214,7 @@ fn main() {
                 list();
                 return;
             }
-            "--trace" => cfg.trace_cap = Some(DEFAULT_TRACE_CAP),
+            "--trace" => cfg.trace = true,
             "--out" => {
                 out = Some(flag_value(args, parsed, || {
                     usage("--out needs a directory")
@@ -244,7 +243,7 @@ fn main() {
     if targets.is_empty() {
         usage("no target given");
     }
-    if out.is_none() && (cfg.trace_cap.is_some() || cfg.sample_interval.is_some()) {
+    if out.is_none() && (cfg.trace || cfg.sample_interval.is_some()) {
         usage("--trace and --sample-interval require --out DIR");
     }
     // Before anything runs: an unusable path must not cost a simulation.
@@ -281,16 +280,7 @@ fn main() {
 
     // Wall clock goes to stderr and `perf.*` only: stdout and every other
     // file must stay byte-identical across machines and thread counts.
-    let events: u64 = reports
-        .iter()
-        .filter_map(|r| {
-            r.json
-                .get("metrics")?
-                .get("counters")?
-                .get("sim.events_processed")?
-                .as_u64()
-        })
-        .sum();
+    let events: u64 = reports.iter().map(|r| r.sim_events()).sum();
     let throughput = Throughput { events, wall_secs };
     match peak_rss_bytes() {
         Some(rss) => eprintln!(

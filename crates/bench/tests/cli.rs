@@ -1,8 +1,11 @@
-//! The `repro` binary's argument surface, driven as a subprocess.
+//! The `repro` binary's argument surface and the bundles it files, driven
+//! as a subprocess.
 
-use bitsync_json::Value;
+use bitsync_core::experiments::{experiment_names, experiment_seed};
+use bitsync_json::{first_difference, Value};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -101,47 +104,294 @@ fn keys(v: &Value) -> Vec<&str> {
     members.iter().map(|(k, _)| k.as_str()).collect()
 }
 
-/// The `perf.*` rule: every other file is byte-identical in both bundles.
-fn assert_same_outside_perf(a: &Path, b: &Path) {
-    let files = files_under(a);
-    assert_eq!(files, files_under(b));
-    for f in &files {
-        let is_perf = f.rsplit('/').next().is_some_and(|n| n.starts_with("perf."));
-        if !is_perf {
-            let (x, y) = (std::fs::read(a.join(f)), std::fs::read(b.join(f)));
-            assert!(x.unwrap() == y.unwrap(), "{f} differs");
-        }
-    }
-    assert!(files.iter().any(|f| f == "perf.json"));
+/// Whether `file` (a bundle-relative path) is wall clock: the `perf.*` rule.
+fn is_perf(file: &str) -> bool {
+    file.rsplit('/')
+        .next()
+        .is_some_and(|n| n.starts_with("perf."))
 }
 
-/// The instrumented quick `rounds relay` bundle the layout tests share.
-fn bundle(dir: &Path, threads: &str) -> std::process::Output {
-    let dir = dir.to_str().expect("utf-8 temp path");
-    repro(&[
-        "--scale",
-        "quick",
-        "--threads",
-        threads,
-        "--out",
-        dir,
-        "--trace",
-        "--sample-interval",
-        "60",
-        "rounds",
-        "relay",
-    ])
+/// Where two texts first differ, by line.
+fn first_line_difference(x: &str, y: &str) -> String {
+    let (xs, ys): (Vec<&str>, Vec<&str>) = (x.lines().collect(), y.lines().collect());
+    let Some(i) = (0..xs.len().max(ys.len())).find(|&i| xs.get(i) != ys.get(i)) else {
+        return "the same lines, ended differently".into();
+    };
+    let line = |lines: &[&str]| lines.get(i).copied().unwrap_or("<end of file>").to_string();
+    format!("line {}: {} != {}", i + 1, line(&xs), line(&ys))
+}
+
+/// Panics at the first of `files` whose bytes differ under `a` and `b`,
+/// naming the file and where it first differs: a JSON file's first
+/// differing path ([`first_difference`]), any other file's first line.
+fn assert_same_files(a: &Path, b: &Path, files: &[String]) {
+    for f in files {
+        let read = |dir: &Path| std::fs::read_to_string(dir.join(f)).expect(f);
+        let (x, y) = (read(a), read(b));
+        if x == y {
+            continue;
+        }
+        let diff = if f.ends_with(".json") {
+            first_difference(&read_json(&a.join(f)), &read_json(&b.join(f)))
+                .unwrap_or_else(|| "the same document, printed differently".into())
+        } else {
+            first_line_difference(&x, &y)
+        };
+        panic!("{f}: {diff}");
+    }
+}
+
+/// The `perf.*` rule: both bundles hold the same files, and every one not
+/// named `perf.*` is byte-identical.
+fn assert_same_outside_perf(a: &Path, b: &Path) {
+    let files = files_under(a);
+    assert_eq!(files, files_under(b), "the bundles hold different files");
+    assert!(files.iter().any(|f| f == "perf.json"));
+    let deterministic: Vec<String> = files.into_iter().filter(|f| !is_perf(f)).collect();
+    assert_same_files(a, b, &deterministic);
+}
+
+/// One `repro --out` run: the directory it filed and its stdout.
+struct Filed {
+    dir: PathBuf,
+    stdout: String,
+}
+
+/// Runs `repro --threads THREADS --out DIR ARGS...`, which must succeed.
+fn file_bundle(dir: PathBuf, threads: &str, args: &[&str]) -> Filed {
+    let out_dir = dir.to_str().expect("utf-8 path");
+    let out = repro(&[&["--threads", threads, "--out", out_dir], args].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "repro {args:?}: {stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    Filed { dir, stdout }
+}
+
+/// Two runs that differ only in `--threads` file the same bundle outside
+/// `perf.*` and print the same stdout below its header line (the one line
+/// that names the thread count).
+fn assert_thread_count_invariant(a: &Filed, b: &Filed) {
+    assert_same_outside_perf(&a.dir, &b.dir);
+    let body = |run: &Filed| run.stdout.split_once('\n').expect("a header").1.to_string();
+    let (x, y) = (body(a), body(b));
+    assert!(x == y, "stdout: {}", first_line_difference(&x, &y));
+}
+
+/// `report` with its `metrics.histograms[name]` set to null.
+fn without_histogram(mut report: Value, name: &str) -> Value {
+    let mut metrics = at(&report, &["metrics"]).clone();
+    let mut histograms = at(&metrics, &["histograms"]).clone();
+    histograms.set(name, Value::Null);
+    metrics.set("histograms", histograms);
+    report.set("metrics", metrics);
+    report
+}
+
+/// The determinism contract — a run's files are the same at any
+/// `--threads`, and turning an instrument on changes no result — checked
+/// once, over the whole quick registry: three `repro --scale quick all`
+/// bundles, filed concurrently by the first test that asks and shared by
+/// the tests below. They stay in the target directory's scratch space
+/// after the run, so a failure names a file that can be inspected. What
+/// each assertion replaces:
+///
+/// - [`quick_bundle_is_the_same_at_one_and_four_threads`] (`t1` vs `t4`:
+///   file list, every non-`perf.*` file, stdout below its header):
+///   `tests/determinism.rs::{serial_and_parallel_runs_are_byte_identical,
+///   timeseries_exports_byte_identical_across_thread_counts}`,
+///   `tests/trace_observability.rs::{trace_jsonl,truncated_trace_jsonl}_byte_identical_across_thread_counts`,
+///   this file's `bundles_differ_across_thread_counts_only_in_perf_files`,
+///   the `deterministic` unit tests of `stability`, `success_rate`,
+///   `partition` and `resync`, and CI resilience-smoke's `diff -r` of the
+///   `resilience` and `forkstress` bundles.
+/// - [`instruments_change_no_stdout_and_no_report`] (`t1` vs `bare`):
+///   `runner.rs::traced_relay_run_captures_relay_events_without_changing_json`.
+/// - [`quick_bundle_traces_samples_and_counts_every_experiment`] (`t1`'s
+///   files): trace events per experiment and all six categories from
+///   `trace_jsonl_byte_identical_across_thread_counts`; an evicting ring
+///   from `truncated_trace_jsonl_byte_identical_across_thread_counts`; sim
+///   events from `determinism.rs::every_quick_experiment_reports_sim_event_metrics`;
+///   timeseries rows, ctx labels, `sync_frac` and no `wall_secs` from
+///   `timeseries_exports_byte_identical_across_thread_counts`; the relay
+///   histogram from `relay_metrics_histogram_is_consistent_with_figure_output`;
+///   no `threads` in the manifest from [`out_writes_exactly_the_documented_layout`].
+/// - [`out_writes_exactly_the_documented_layout`] compares its `rounds
+///   relay` run with `t1`: `determinism.rs::subset_runs_reuse_the_same_per_experiment_seed`.
+struct QuickBundles {
+    /// `--trace --sample-interval 60`, one thread.
+    t1: Filed,
+    /// The same at four threads.
+    t4: Filed,
+    /// No instrument, one thread.
+    bare: Filed,
+}
+
+fn quick_bundles() -> &'static QuickBundles {
+    static BUNDLES: OnceLock<QuickBundles> = OnceLock::new();
+    BUNDLES.get_or_init(|| {
+        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("quick-bundles");
+        let _ = std::fs::remove_dir_all(&root);
+        let traced = [
+            "--scale",
+            "quick",
+            "--trace",
+            "--sample-interval",
+            "60",
+            "all",
+        ];
+        let file =
+            |name: &str, threads: &str, args: &[&str]| file_bundle(root.join(name), threads, args);
+        std::thread::scope(|s| {
+            let t4 = s.spawn(|| file("t4", "4", &traced));
+            let bare = s.spawn(|| file("bare", "1", &["--scale", "quick", "all"]));
+            QuickBundles {
+                t1: file("t1", "1", &traced),
+                t4: t4.join().expect("the t4 bundle"),
+                bare: bare.join().expect("the bare bundle"),
+            }
+        })
+    })
 }
 
 #[test]
-fn out_writes_exactly_the_documented_layout() {
-    let dir = scratch("layout");
-    let out = bundle(&dir, "1");
+fn quick_bundle_is_the_same_at_one_and_four_threads() {
+    let bundles = quick_bundles();
+    assert_thread_count_invariant(&bundles.t1, &bundles.t4);
+}
+
+/// Every `report.json` is the same with and without `--trace
+/// --sample-interval`, except one histogram: sampling makes fig1's worlds
+/// relay-instrument node 0 (`sync_kde`), which fills
+/// `node.relay_delay_secs`.
+#[test]
+fn instruments_change_no_stdout_and_no_report() {
+    let QuickBundles { t1, bare, .. } = quick_bundles();
+    let (x, y) = (&t1.stdout, &bare.stdout);
+    assert!(x == y, "stdout: {}", first_line_difference(x, y));
+    for name in experiment_names() {
+        let file = format!("{name}/report.json");
+        let [mut traced, mut untraced] = [t1, bare].map(|run| read_json(&run.dir.join(&file)));
+        if name == "fig1" {
+            traced = without_histogram(traced, "node.relay_delay_secs");
+            untraced = without_histogram(untraced, "node.relay_delay_secs");
+        }
+        if let Some(diff) = first_difference(&traced, &untraced) {
+            panic!("{file}: {diff}");
+        }
+    }
+}
+
+#[test]
+fn quick_bundle_traces_samples_and_counts_every_experiment() {
+    let dir = &quick_bundles().t1.dir;
+    let manifest = read_json(&dir.join("manifest.json"));
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        !manifest.to_string().contains("threads"),
+        "manifest must not vary with --threads"
     );
+    let experiments = at(&manifest, &["experiments"]);
+    let names = experiment_names();
+    assert_eq!(keys(experiments), names);
+    let (mut categories, mut evicted) = (Vec::new(), false);
+    for name in names {
+        let filed = at(experiments, &[name]);
+        let report = read_json(&dir.join(name).join("report.json"));
+        let counters = at(&report, &["metrics", "counters"]);
+        let events = counters.get("sim.events_processed").and_then(Value::as_u64);
+        assert_eq!(
+            at(filed, &["sim_events"]).as_u64(),
+            Some(events.unwrap_or(0))
+        );
+        assert!(
+            name == "census" || events > Some(0),
+            "{name}: no sim events"
+        );
+        let Value::Object(trace) = at(filed, &["trace"]) else {
+            panic!("{name}: no trace counts");
+        };
+        let traced = |(_, counts): &(String, Value)| at(counts, &["events"]).as_u64() > Some(0);
+        assert!(trace.iter().any(traced), "{name}: nothing traced");
+        for (category, counts) in trace {
+            categories.push(category.as_str());
+            evicted |= at(counts, &["dropped"]).as_u64() > Some(0);
+        }
+        let rows = at(filed, &["timeseries_rows"]).as_u64();
+        assert!(rows > Some(0), "{name}: no timeseries rows");
+        let series = std::fs::read_to_string(dir.join(name).join("timeseries.jsonl")).unwrap();
+        assert!(
+            !series.contains("wall_secs"),
+            "{name}: perf leaked into the timeseries"
+        );
+    }
+    categories.sort();
+    categories.dedup();
+    assert_eq!(
+        categories,
+        ["addr", "churn", "crawl", "dial", "relay", "reorg"]
+    );
+    assert!(evicted, "no trace ring evicted an event");
+
+    // Multi-world experiments label each world's rows, and every row carries
+    // the honest-sync gauge the root-cause decomposition needs.
+    for (name, ctxs) in [
+        ("fig1", &["y2019", "y2020"][..]),
+        (
+            "ablation",
+            &["baseline (Core 0.20)", "all three refinements"],
+        ),
+        ("partition", &["before", "attack", "heal"]),
+    ] {
+        let series = std::fs::read_to_string(dir.join(name).join("timeseries.jsonl")).unwrap();
+        let rows: Vec<Value> = series
+            .lines()
+            .map(|l| bitsync_json::parse(l).unwrap())
+            .collect();
+        for ctx in ctxs {
+            let labelled = rows
+                .iter()
+                .any(|r| r.get("ctx") == Some(&Value::from(*ctx)));
+            assert!(labelled, "{name} rows missing ctx {ctx}");
+        }
+        let synced = rows.iter().all(|r| r.get("sync_frac").is_some());
+        assert!(synced, "{name} rows missing sync_frac");
+    }
+
+    // Every relayed object had at least one fresh send observed, so the
+    // per-hop histogram counts at least as many delays as the figure. The
+    // figure's per-object delays are debug.log-style (both endpoints whole
+    // seconds), so its maximum exceeds the raw hop delay by at most 1 s.
+    let relay = read_json(&dir.join("relay/report.json"));
+    let delays = |key: &str| at(&relay, &["result", key]).as_array().unwrap().len();
+    let (blocks, txs) = (delays("block_delays"), delays("tx_delays"));
+    assert!(blocks > 0, "quick relay run must relay blocks");
+    let hist = at(&relay, &["metrics", "histograms", "node.relay_delay_secs"]);
+    let count = at(hist, &["count"]).as_u64().unwrap();
+    assert!(
+        count >= (blocks + txs) as u64,
+        "{count} hops < {blocks} + {txs} objects"
+    );
+    let hist_max = at(hist, &["max"]).as_f64().unwrap();
+    let fig_max = at(&relay, &["result", "block_summary", "max"])
+        .as_f64()
+        .unwrap();
+    assert!(
+        fig_max <= hist_max + 1.0,
+        "figure max {fig_max} > hop max {hist_max} + 1 s"
+    );
+}
+
+/// The instrumented quick `rounds relay` bundle: exactly the documented
+/// files, and each experiment filed as the quick `all` bundle files it (a
+/// subset run derives the same per-experiment seed).
+#[test]
+fn out_writes_exactly_the_documented_layout() {
+    let args = ["--scale", "quick", "--trace", "--sample-interval", "60"];
+    let run = file_bundle(
+        scratch("layout"),
+        "1",
+        &[&args[..], &["rounds", "relay"]].concat(),
+    );
+    let dir = &run.dir;
     let per_experiment = [
         "attribution.json",
         "attribution.txt",
@@ -160,39 +410,22 @@ fn out_writes_exactly_the_documented_layout() {
         expected.extend(per_experiment.iter().map(|f| format!("{name}/{f}")));
     }
     expected.sort();
-    assert_eq!(files_under(&dir), expected);
+    assert_eq!(files_under(dir), expected);
 
-    let manifest = read_json(&dir.join("manifest.json"));
+    let all = &quick_bundles().t1.dir;
+    let [manifest, all_manifest] = [dir, all].map(|d| read_json(&d.join("manifest.json")));
     for name in ["rounds", "relay"] {
-        let report = read_json(&dir.join(name).join("report.json"));
-        let events = at(&report, &["metrics", "counters", "sim.events_processed"]).as_u64();
-        assert!(events.is_some_and(|n| n > 0), "{name}");
-        let filed = at(&manifest, &["experiments", name, "sim_events"]);
-        assert_eq!(filed.as_u64(), events);
+        let path = ["experiments", name];
+        assert_eq!(at(&manifest, &path), at(&all_manifest, &path), "{name}");
         // stdout is the text reports, with or without a bundle.
         let text = std::fs::read_to_string(dir.join(name).join("report.txt")).unwrap();
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains(&text),
-            "{name}"
-        );
+        assert!(run.stdout.contains(&text), "{name}");
     }
-    assert!(
-        !manifest.to_string().contains("threads"),
-        "manifest must not vary with --threads"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The `perf.*` rule: those files are wall clock, every other file —
-/// `manifest.json` included — is byte-identical at any thread count.
-#[test]
-fn bundles_differ_across_thread_counts_only_in_perf_files() {
-    let (t1, t4) = (scratch("t1"), scratch("t4"));
-    assert!(bundle(&t1, "1").status.success());
-    assert!(bundle(&t4, "4").status.success());
-    assert_same_outside_perf(&t1, &t4);
-    std::fs::remove_dir_all(&t1).unwrap();
-    std::fs::remove_dir_all(&t4).unwrap();
+    let rounds_seed = at(&manifest, &["experiments", "rounds", "seed"]).as_u64();
+    assert_eq!(rounds_seed, Some(experiment_seed(2021, "rounds")));
+    expected.retain(|f| f.contains('/') && !is_perf(f));
+    assert_same_files(all, dir, &expected);
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 /// The six flags the bundle replaced are gone, not aliased.
@@ -321,24 +554,11 @@ fn perf_json_has_exactly_the_bench_repro_key_names() {
 #[test]
 #[ignore = "two scaled fig1 runs take minutes; run with --ignored (CI slow-tests)"]
 fn sampled_scaled_fig1_files_a_schema_valid_timeseries() {
-    let (t1, t4) = (scratch("ts1"), scratch("ts4"));
-    for (dir, threads) in [(&t1, "1"), (&t4, "4")] {
-        let out = repro(&[
-            "--scale",
-            "scaled",
-            "--seed",
-            "2021",
-            "--threads",
-            threads,
-            "--out",
-            dir.to_str().unwrap(),
-            "--sample-interval",
-            "600",
-            "fig1",
-        ]);
-        assert!(out.status.success());
-    }
-    assert_same_outside_perf(&t1, &t4);
+    let args = ["--scale", "scaled", "--sample-interval", "600", "fig1"];
+    let one = file_bundle(scratch("ts1"), "1", &args);
+    let four = file_bundle(scratch("ts4"), "4", &args);
+    assert_thread_count_invariant(&one, &four);
+    let (t1, t4) = (one.dir, four.dir);
 
     let jsonl = std::fs::read_to_string(t1.join("fig1/timeseries.jsonl")).unwrap();
     let rows: Vec<Value> = jsonl
@@ -389,6 +609,19 @@ fn sampled_scaled_fig1_files_a_schema_valid_timeseries() {
     assert_eq!(at(fig1, &["warnings"]), &Value::Array(vec![]));
     std::fs::remove_dir_all(&t1).unwrap();
     std::fs::remove_dir_all(&t4).unwrap();
+}
+
+/// Full scale: the sampled census (10K reachable / ~700K unreachable) and
+/// the full-pollution Figure 7 file the same bundle at one and four threads.
+#[test]
+#[ignore = "full-scale worlds take seconds in release, minutes in debug; run with --ignored (CI slow-tests)"]
+fn full_scale_bundle_is_the_same_at_one_and_four_threads() {
+    let args = ["--scale", "full", "census", "fig7"];
+    let one = file_bundle(scratch("full1"), "1", &args);
+    let four = file_bundle(scratch("full4"), "4", &args);
+    assert_thread_count_invariant(&one, &four);
+    std::fs::remove_dir_all(&one.dir).unwrap();
+    std::fs::remove_dir_all(&four.dir).unwrap();
 }
 
 /// A planted bug is caught (exit 1), and the repro file replays the scenario

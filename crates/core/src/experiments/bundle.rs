@@ -23,6 +23,7 @@
 use super::runner::{ExperimentReport, RunnerConfig};
 use bitsync_json::{ToJson, Value};
 use bitsync_sim::metrics::{peak_rss_bytes, Throughput};
+use bitsync_sim::trace::DEFAULT_TRACE_CAP;
 use std::path::Path;
 
 /// Writes one finished run under `dir` (layout in the module docs),
@@ -95,7 +96,7 @@ pub fn write_bundle(
             Value::object()
                 .with("seed", r.seed)
                 .with("artifact", r.artifact)
-                .with("sim_events", sim_events(r))
+                .with("sim_events", r.sim_events())
                 .with("trace", trace)
                 .with("timeseries_rows", r.timeseries.as_ref().map(|l| l.len()))
                 .with("warnings", own),
@@ -107,7 +108,7 @@ pub fn write_bundle(
         .with("seed", cfg.seed)
         .with("scale", cfg.scale.name())
         .with("targets", targets.to_vec())
-        .with("trace_cap", cfg.trace_cap)
+        .with("trace_cap", cfg.trace.then_some(DEFAULT_TRACE_CAP))
         .with("sample_interval_secs", sample_secs)
         .with("experiments", experiments);
     write(&dir.join("manifest.json"), &manifest.to_string_pretty())?;
@@ -119,7 +120,7 @@ pub fn write_bundle(
         cfg.threads,
         dir.display()
     );
-    if cfg.trace_cap.is_some() {
+    if cfg.trace {
         command.push_str(" --trace");
     }
     if let Some(secs) = sample_secs {
@@ -140,17 +141,6 @@ fn create_dir(dir: &Path) -> Result<(), String> {
 
 fn write(path: &Path, body: &str) -> Result<(), String> {
     std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
-/// Events the experiment's worlds processed (0 for the census, which runs
-/// no event loop).
-fn sim_events(r: &ExperimentReport) -> u64 {
-    r.json
-        .get("metrics")
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get("sim.events_processed"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
 }
 
 /// The envelope's metrics section, then one p50/p90/p99 line per histogram
@@ -183,7 +173,7 @@ fn perf_json(
     let mut experiments = Value::object();
     let mut total_events = 0u64;
     for r in reports {
-        let events = sim_events(r);
+        let events = r.sim_events();
         total_events += events;
         experiments.set(
             r.name,
@@ -206,44 +196,4 @@ fn perf_json(
         json.set("peak_rss_mib", rss as f64 / (1024.0 * 1024.0));
     }
     json
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::{ExperimentRunner, Scale};
-
-    /// `BENCH_repro.json` is a copied `perf.json`, so the two must keep one
-    /// set of key names, at the top and per experiment.
-    #[test]
-    fn perf_json_keeps_the_bench_repro_key_names() {
-        fn keys(v: &Value) -> Vec<&str> {
-            let Value::Object(members) = v else {
-                panic!("not an object: {v}");
-            };
-            members.iter().map(|(k, _)| k.as_str()).collect()
-        }
-        let cfg = RunnerConfig {
-            scale: Scale::Quick,
-            ..RunnerConfig::default()
-        };
-        let reports = ExperimentRunner::new(cfg)
-            .run(&["rounds".to_string()])
-            .unwrap();
-        let perf = perf_json("repro rounds".into(), &cfg, &reports, 1.0);
-        let tracked = bitsync_json::parse(include_str!("../../../../BENCH_repro.json"))
-            .expect("BENCH_repro.json parses");
-        let mut expected = keys(&tracked);
-        assert_eq!(expected.last(), Some(&"peak_rss_mib"));
-        // Absent only where /proc is masked; the tracked file has it.
-        if peak_rss_bytes().is_none() {
-            expected.pop();
-        }
-        assert_eq!(keys(&perf), expected);
-        fn rounds(v: &Value) -> Vec<&str> {
-            keys(v.get("experiments").and_then(|e| e.get("rounds")).unwrap())
-        }
-        assert_eq!(keys(perf.get("experiments").unwrap()), ["rounds"]);
-        assert_eq!(rounds(&perf), rounds(&tracked));
-    }
 }

@@ -197,13 +197,4 @@ mod tests {
             r.sync_during
         );
     }
-
-    #[test]
-    fn deterministic() {
-        let a = run(&PartitionConfig::quick(42), &Instruments::default());
-        let b = run(&PartitionConfig::quick(42), &Instruments::default());
-        assert_eq!(a.hijacked_asns, b.hijacked_asns);
-        assert_eq!(a.isolated_nodes, b.isolated_nodes);
-        assert_eq!(a.blocks_during, b.blocks_during);
-    }
 }

@@ -183,12 +183,4 @@ mod tests {
         assert!(ready >= 1, "implausibly instant recovery");
         assert!(ready <= 3600);
     }
-
-    #[test]
-    fn deterministic() {
-        let a = run(&ResyncConfig::quick(22), &Instruments::default());
-        let b = run(&ResyncConfig::quick(22), &Instruments::default());
-        assert_eq!(a.relay_ready_secs, b.relay_ready_secs);
-        assert_eq!(a.first_connection_secs, b.first_connection_secs);
-    }
 }

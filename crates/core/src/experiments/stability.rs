@@ -168,11 +168,4 @@ mod tests {
             result.summary
         );
     }
-
-    #[test]
-    fn deterministic() {
-        let a = run(&StabilityConfig::quick(9), &Instruments::default());
-        let b = run(&StabilityConfig::quick(9), &Instruments::default());
-        assert_eq!(a.series, b.series);
-    }
 }

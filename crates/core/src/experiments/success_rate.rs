@@ -205,15 +205,4 @@ mod tests {
         let result = run(&SuccessRateConfig::quick(2), &Instruments::default());
         assert!(result.worst_rate() <= result.mean_rate() + 1e-12);
     }
-
-    #[test]
-    fn deterministic() {
-        let a = run(&SuccessRateConfig::quick(3), &Instruments::default());
-        let b = run(&SuccessRateConfig::quick(3), &Instruments::default());
-        assert_eq!(a.runs.len(), b.runs.len());
-        for (x, y) in a.runs.iter().zip(&b.runs) {
-            assert_eq!(x.attempts, y.attempts);
-            assert_eq!(x.successes, y.successes);
-        }
-    }
 }

@@ -320,6 +320,42 @@ impl<T: ToJson> From<&T> for Value {
     }
 }
 
+/// Where two documents first differ, depth first in document order, as
+/// `result.arms[2].mean_outdegree: 8.0 != 7.9` (`a`'s value first); `None`
+/// when they are equal. What golden drift and a bundle comparison report.
+pub fn first_difference(a: &Value, b: &Value) -> Option<String> {
+    difference_at("", a, b)
+}
+
+fn difference_at(path: &str, a: &Value, b: &Value) -> Option<String> {
+    match (a, b) {
+        (Value::Object(x), Value::Object(y)) => {
+            let dot = if path.is_empty() { "" } else { "." };
+            for (i, (key, value)) in x.iter().enumerate() {
+                match y.get(i) {
+                    Some((k, v)) if k == key => {
+                        let found = difference_at(&format!("{path}{dot}{key}"), value, v);
+                        if found.is_some() {
+                            return found;
+                        }
+                    }
+                    Some((k, _)) => return Some(format!("{path}: member {key} != {k}")),
+                    None => return Some(format!("{path}: member {key} is only in the first")),
+                }
+            }
+            let (missing, _) = y.get(x.len())?;
+            Some(format!("{path}: member {missing} is only in the second"))
+        }
+        (Value::Array(x), Value::Array(y)) => {
+            let mut pairs = x.iter().zip(y).enumerate();
+            let found = pairs.find_map(|(i, (a, b))| difference_at(&format!("{path}[{i}]"), a, b));
+            let lengths = || format!("{path}: {} items != {}", x.len(), y.len());
+            found.or_else(|| (x.len() != y.len()).then(lengths))
+        }
+        _ => (a != b).then(|| format!("{path}: {a} != {b}")),
+    }
+}
+
 /// Why [`parse`] rejected a text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -616,6 +652,33 @@ mod tests {
             .with("arr", Value::Array(vec![]))
             .with("obj", Value::object());
         assert_eq!(v.to_string_pretty(), "{\n  \"arr\": [],\n  \"obj\": {}\n}");
+    }
+
+    #[test]
+    fn first_difference_names_the_path_and_both_values() {
+        let doc = |outdegree: f64, extra: bool| {
+            let mut arm = Value::object().with("mean_outdegree", outdegree);
+            if extra {
+                arm.set("sync", 0.5);
+            }
+            let arms = vec![Value::object(), Value::Null, arm];
+            Value::object()
+                .with("experiment", "ablation")
+                .with("result", Value::object().with("arms", arms))
+        };
+        assert_eq!(first_difference(&doc(8.0, false), &doc(8.0, false)), None);
+        assert_eq!(
+            first_difference(&doc(8.0, false), &doc(7.9, false)).as_deref(),
+            Some("result.arms[2].mean_outdegree: 8.0 != 7.9")
+        );
+        assert_eq!(
+            first_difference(&doc(8.0, false), &doc(8.0, true)).as_deref(),
+            Some("result.arms[2]: member sync is only in the second")
+        );
+        assert_eq!(
+            first_difference(&Value::from(vec![1u64, 2]), &Value::from(vec![1u64])).as_deref(),
+            Some(": 2 items != 1")
+        );
     }
 
     #[test]

@@ -368,11 +368,6 @@ impl Sampler {
             std::mem::replace(&mut *log, TimeseriesLog::new(interval))
         })
     }
-
-    /// Clones the current log without draining it. `None` when disabled.
-    pub fn snapshot(&self) -> Option<TimeseriesLog> {
-        self.inner.as_ref().map(|log| log.borrow().clone())
-    }
 }
 
 #[cfg(test)]
@@ -395,7 +390,6 @@ mod tests {
         s.record(t(1), &[("g", 1.0)]);
         s.record_perf(t(1), 100);
         assert!(s.take().is_none());
-        assert!(s.snapshot().is_none());
     }
 
     #[test]

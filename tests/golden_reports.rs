@@ -16,7 +16,7 @@
 
 use bitsync_core::experiments::{ExperimentRunner, RunnerConfig, Scale, REGISTRY};
 use bitsync_core::sim::time::SimDuration;
-use bitsync_json::{parse, Value};
+use bitsync_json::{first_difference, parse};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -28,7 +28,7 @@ fn check_or_bless(name: &str) {
         scale: Scale::Scaled,
         seed: 2021,
         threads: 1,
-        trace_cap: None,
+        trace: false,
         sample_interval: None,
     });
     let reports = runner
@@ -51,75 +51,15 @@ fn check_or_bless(name: &str) {
     });
     if actual != expected {
         let drift = match (parse(&actual), parse(&expected)) {
-            (Ok(a), Ok(e)) => first_difference("", &a, &e)
+            (Ok(a), Ok(e)) => first_difference(&a, &e)
                 .unwrap_or_else(|| "no value: the same document, printed differently".into()),
             (a, e) => format!("an unparseable side: {:?} / {:?}", a.err(), e.err()),
         };
         panic!(
-            "{name}: report drifted from {} at {drift}; if intentional, regenerate with BLESS=1",
+            "{name}: report drifted from {} at {drift} (this run first); if intentional, regenerate with BLESS=1",
             path.display()
         );
     }
-}
-
-/// Where two reports first differ, depth first in document order, as
-/// `result.arms[2].mean_outdegree: 8.0 != 7.9` (actual, then golden).
-fn first_difference(path: &str, actual: &Value, golden: &Value) -> Option<String> {
-    match (actual, golden) {
-        (Value::Object(a), Value::Object(g)) => {
-            let dot = if path.is_empty() { "" } else { "." };
-            for (i, (key, value)) in a.iter().enumerate() {
-                match g.get(i) {
-                    Some((k, v)) if k == key => {
-                        let found = first_difference(&format!("{path}{dot}{key}"), value, v);
-                        if found.is_some() {
-                            return found;
-                        }
-                    }
-                    Some((k, _)) => return Some(format!("{path}: member {key} != {k}")),
-                    None => return Some(format!("{path}: member {key} is not in the golden")),
-                }
-            }
-            let (missing, _) = g.get(a.len())?;
-            Some(format!("{path}: member {missing} is only in the golden"))
-        }
-        (Value::Array(a), Value::Array(g)) => {
-            let mut pairs = a.iter().zip(g).enumerate();
-            let found =
-                pairs.find_map(|(i, (a, g))| first_difference(&format!("{path}[{i}]"), a, g));
-            let lengths = || format!("{path}: {} items != {}", a.len(), g.len());
-            found.or_else(|| (a.len() != g.len()).then(lengths))
-        }
-        _ => (actual != golden).then(|| format!("{path}: {actual} != {golden}")),
-    }
-}
-
-#[test]
-fn first_difference_names_the_path_and_both_values() {
-    let doc = |outdegree: f64, extra: bool| {
-        let mut arm = Value::object().with("mean_outdegree", outdegree);
-        if extra {
-            arm.set("sync", 0.5);
-        }
-        let arms = vec![Value::object(), Value::Null, arm];
-        Value::object()
-            .with("experiment", "ablation")
-            .with("result", Value::object().with("arms", arms))
-    };
-    let diff = |a: &Value, g: &Value| first_difference("", a, g);
-    assert_eq!(diff(&doc(8.0, false), &doc(8.0, false)), None);
-    assert_eq!(
-        diff(&doc(8.0, false), &doc(7.9, false)).as_deref(),
-        Some("result.arms[2].mean_outdegree: 8.0 != 7.9")
-    );
-    assert_eq!(
-        diff(&doc(8.0, false), &doc(8.0, true)).as_deref(),
-        Some("result.arms[2]: member sync is only in the golden")
-    );
-    assert_eq!(
-        diff(&Value::from(vec![1u64, 2]), &Value::from(vec![1u64])).as_deref(),
-        Some(": 2 items != 1")
-    );
 }
 
 // One #[ignore]d test per registered experiment (kept in sync by
@@ -163,7 +103,7 @@ fn golden_fig1_attribution() {
         scale: Scale::Scaled,
         seed: 2021,
         threads: 1,
-        trace_cap: None,
+        trace: false,
         sample_interval: Some(SimDuration::from_secs(600)),
     });
     let reports = runner.run(&["fig1".to_string()]).expect("fig1 resolves");

@@ -1,83 +1,14 @@
-//! Trace-layer integration tests: JSONL determinism across thread counts,
-//! propagation-tree structure, and the exact differential between
-//! tree-derived relay delays and the live `node.relay_delay_secs`
-//! histogram.
+//! Trace-layer integration tests: exact drop accounting, propagation-tree
+//! structure, and the exact differential between tree-derived relay delays
+//! and the live `node.relay_delay_secs` histogram. That a trace is the same
+//! at any thread count is `crates/bench/tests/cli.rs`'s quick-bundle check.
 
 use bitsync_core::analysis::propagation_tree::{build_trees, replay_relay_histogram};
 use bitsync_core::experiments::relay::{self, RelayConfig};
-use bitsync_core::experiments::{experiment_names, ExperimentRunner, RunnerConfig, Scale};
 use bitsync_core::node::world::{metric, FRESH_RELAY_WINDOW};
 use bitsync_core::sim::metrics::Recorder;
-use bitsync_core::sim::trace::{RelayEvent, RelayPhase, TraceLog, Tracer};
+use bitsync_core::sim::trace::{RelayEvent, RelayPhase, Tracer};
 use bitsync_core::sim::Instruments;
-
-/// Every registered experiment, each traced at quick scale.
-fn traced_run(threads: usize) -> Vec<(String, Option<TraceLog>)> {
-    let runner = ExperimentRunner::new(RunnerConfig {
-        scale: Scale::Quick,
-        seed: 2021,
-        threads,
-        trace_cap: Some(1 << 16),
-        sample_interval: None,
-    });
-    runner
-        .run(
-            &experiment_names()
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>(),
-        )
-        .expect("targets resolve")
-        .into_iter()
-        .map(|r| (r.name.to_string(), r.trace))
-        .collect()
-}
-
-/// The tentpole guarantee: `--trace` JSONL is byte-identical whatever the
-/// thread count.
-#[test]
-fn trace_jsonl_byte_identical_across_thread_counts() {
-    let serial = traced_run(1);
-    let parallel = traced_run(4);
-    assert_eq!(serial.len(), parallel.len());
-    for ((name_s, log_s), (name_p, log_p)) in serial.iter().zip(&parallel) {
-        assert_eq!(name_s, name_p);
-        let log_s = log_s.as_ref().expect("trace captured");
-        let log_p = log_p.as_ref().expect("trace captured");
-        // Every experiment instruments its worlds (or crawl) the same way,
-        // so none of them may come back with an empty trace.
-        assert!(log_s.total_events() > 0, "{name_s}: nothing traced");
-        let files_s = log_s.to_jsonl();
-        let files_p = log_p.to_jsonl();
-        assert_eq!(
-            files_s.len(),
-            files_p.len(),
-            "{name_s}: category sets differ"
-        );
-        for ((cat_s, body_s), (cat_p, body_p)) in files_s.iter().zip(&files_p) {
-            assert_eq!(cat_s, cat_p, "{name_s}: category order differs");
-            assert_eq!(
-                body_s, body_p,
-                "{name_s}/{cat_s}.jsonl differs between 1 and 4 threads"
-            );
-        }
-    }
-    // The runs actually traced something in every category family we
-    // instrumented: relay hops, dials, churn, and crawl events.
-    let any = |pick: fn(&TraceLog) -> usize| {
-        serial
-            .iter()
-            .filter_map(|(_, l)| l.as_ref())
-            .map(pick)
-            .sum::<usize>()
-            > 0
-    };
-    assert!(any(|l| l.relay.len()), "no relay events traced");
-    assert!(any(|l| l.dial.len()), "no dial events traced");
-    assert!(any(|l| l.churn.len()), "no churn events traced");
-    assert!(any(|l| l.crawl.len()), "no crawl events traced");
-    assert!(any(|l| l.reorg.len()), "no reorg events traced");
-}
 
 /// Drop accounting is exact when a category overflows its ring: rerunning
 /// the same deterministic experiment with a tiny cap keeps exactly `cap`
@@ -142,56 +73,6 @@ fn tiny_trace_cap_drops_are_counted_exactly() {
         .collect();
     let tiny_all: Vec<String> = tiny.relay.iter().map(|e| format!("{e:?}")).collect();
     assert_eq!(tiny_all, full_tail, "retained events are not the newest");
-}
-
-/// Satellite guarantee: even when rings overflow and evict, the truncated
-/// JSONL and the drop counters are byte-identical across thread counts —
-/// eviction order is part of the determinism contract.
-#[test]
-fn truncated_trace_jsonl_byte_identical_across_thread_counts() {
-    let run = |threads: usize| -> Vec<(String, TraceLog)> {
-        let runner = ExperimentRunner::new(RunnerConfig {
-            scale: Scale::Quick,
-            seed: 2021,
-            threads,
-            trace_cap: Some(64),
-            sample_interval: None,
-        });
-        runner
-            .run(&["relay".to_string(), "fig7".to_string()])
-            .expect("targets resolve")
-            .into_iter()
-            .map(|r| (r.name.to_string(), r.trace.expect("trace captured")))
-            .collect()
-    };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial.len(), parallel.len());
-    let mut overflowed = false;
-    for ((name_s, log_s), (name_p, log_p)) in serial.iter().zip(&parallel) {
-        assert_eq!(name_s, name_p);
-        assert_eq!(
-            log_s.total_dropped(),
-            log_p.total_dropped(),
-            "{name_s}: drop counts differ between 1 and 4 threads"
-        );
-        let files_s = log_s.to_jsonl();
-        let files_p = log_p.to_jsonl();
-        assert_eq!(
-            files_s.len(),
-            files_p.len(),
-            "{name_s}: category sets differ"
-        );
-        for ((cat_s, body_s), (cat_p, body_p)) in files_s.iter().zip(&files_p) {
-            assert_eq!(cat_s, cat_p, "{name_s}: category order differs");
-            assert_eq!(
-                body_s, body_p,
-                "{name_s}/{cat_s}.jsonl differs between 1 and 4 threads after eviction"
-            );
-        }
-        overflowed |= log_s.total_dropped() > 0;
-    }
-    assert!(overflowed, "no category overflowed the 64-event cap");
 }
 
 fn relay_events(seed: u64) -> (Recorder, Vec<RelayEvent>) {
