@@ -112,14 +112,14 @@ impl Node {
                 if p.node != from && p.is_ready() && p.dir.relays_data() {
                     candidates.push(slot);
                 }
+                None
             });
             let fanout = ADDR_RELAY_FANOUT.min(candidates.len());
             let picks = self.rng.sample_indices(candidates.len(), fanout);
             let prioritize = self.cfg.priority_relay;
             for i in picks {
                 self.peers
-                    .slot_mut(candidates[i])
-                    .enqueue_send(Message::Addr(list.clone()), prioritize);
+                    .push_send(candidates[i], Message::Addr(list.clone()), prioritize);
             }
         }
     }

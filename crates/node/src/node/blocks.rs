@@ -192,7 +192,7 @@ impl Node {
             p.mark_known(*hash);
             let compact = p.prefers_compact && self.cfg.compact_blocks;
             let msg = Self::block_message(block, compact, &mut self.rng);
-            p.enqueue_send(msg, prioritize);
+            self.peers.push_send(slot, msg, prioritize);
         }
     }
 

@@ -155,15 +155,21 @@ impl Node {
     pub fn on_connected(&mut self, peer: NodeId, addr: NetAddr, dir: Direction, now: SimTime) {
         let mut p = Peer::new(peer, addr, dir);
         p.connected_at = now;
+        let mut version = None;
         if dir != Direction::Inbound {
             self.in_flight_attempt = None;
             // The initiator speaks first.
-            p.send_q.push_back(self.version_msg(addr, now));
+            version = Some(self.version_msg(addr, now));
             p.handshake = Handshake::AwaitVersion;
             // The address answered; forget any dial backoff against it.
             self.dial_backoff.remove(&addr);
         }
-        self.peers.insert(p);
+        let slot = self.peers.insert(p);
+        if let Some(msg) = version {
+            self.peers.push_send(slot, msg, self.cfg.priority_relay);
+        }
+        // The new peer is not ready: the next keepalive sweep must run.
+        self.keepalive_due = SimTime::ZERO;
     }
 
     /// The world reports a dropped connection.

@@ -105,20 +105,41 @@ impl Node {
 
     /// Keepalive sweep: queue a `PING` for quiet ready peers and request
     /// disconnection of peers silent beyond the timeout (Core's
-    /// `TIMEOUT_INTERVAL`). Runs once per pump round.
+    /// `TIMEOUT_INTERVAL`). Called once per pump round, it walks the peers
+    /// only from the earliest instant it could act: the minimum over ready
+    /// peers of the next ping and the first instant past the timeout, or
+    /// right away while any peer is not ready. That stays a lower bound
+    /// until the next walk: `next_ping_at` changes only here, a removed
+    /// peer drops a term, [`Node::on_connected`] resets it, and `last_recv`
+    /// only moves to the current instant — from `ZERO` that adds a term
+    /// at least one `PEER_TIMEOUT` ahead, past every ready peer's next
+    /// ping (at most one `PING_INTERVAL` after the last walk).
     pub(super) fn keepalive(&mut self, now: SimTime, requests: &mut Vec<NodeRequest>) {
+        if now < self.keepalive_due {
+            return;
+        }
+        let mut due = SimTime::MAX;
         // Ascending id: the order of the timeout requests and of the
         // nonce draws.
         self.peers.for_each_by_id_mut(|_, p| {
             if !p.is_ready() {
-                return;
+                due = SimTime::ZERO;
+                return None;
             }
+            let mut ping = None;
             if p.last_recv != SimTime::ZERO && now.saturating_since(p.last_recv) > PEER_TIMEOUT {
                 requests.push(NodeRequest::Disconnect(p.node));
             } else if now >= p.next_ping_at {
                 p.next_ping_at = now + PING_INTERVAL;
-                p.send_q.push_back(Message::Ping(self.rng.next_u64()));
+                ping = Some(Message::Ping(self.rng.next_u64()));
             }
+            due = due.min(p.next_ping_at);
+            if p.last_recv != SimTime::ZERO {
+                let timeout = PEER_TIMEOUT + SimDuration::from_nanos(1);
+                due = due.min(p.last_recv.saturating_add(timeout));
+            }
+            ping
         });
+        self.keepalive_due = due;
     }
 }

@@ -11,6 +11,7 @@ use bitsync_protocol::hash::{Hash256, InvType, InvVect};
 use bitsync_protocol::message::Message;
 use bitsync_protocol::tx::Transaction;
 use bitsync_sim::time::{SimDuration, SimTime};
+use std::ops::ControlFlow;
 
 /// Mean `INV` trickle interval for outbound peers (Core's
 /// `INVENTORY_BROADCAST_INTERVAL >> 1`: 2 s Poisson).
@@ -99,7 +100,8 @@ impl Node {
             match self.cfg.tx_announce {
                 TxAnnounce::Flood => {
                     p.mark_known(txid);
-                    p.enqueue_send(Message::Tx(tx.clone()), prioritize);
+                    self.peers
+                        .push_send(slot, Message::Tx(tx.clone()), prioritize);
                 }
                 TxAnnounce::Trickle => p.pending_inv.push(txid),
             }
@@ -116,7 +118,7 @@ impl Node {
         self.for_each_turn(|node, slot| {
             let p = node.peers.slot_mut(slot);
             if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
-                return;
+                return ControlFlow::Continue(());
             }
             let batch: Vec<InvVect> = p
                 .pending_inv
@@ -135,8 +137,9 @@ impl Node {
             }
             p.next_inv_at = now + delay;
             if !batch.is_empty() {
-                p.enqueue_send(Message::Inv(batch), prioritize);
+                node.peers.push_send(slot, Message::Inv(batch), prioritize);
             }
+            ControlFlow::Continue(())
         });
     }
 }

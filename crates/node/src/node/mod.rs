@@ -128,6 +128,9 @@ pub struct Node {
     pub peers: PeerTable,
     /// When the shared socket writer frees up.
     socket_free_at: SimTime,
+    /// Earliest instant the keepalive sweep could ping or time out a peer
+    /// (a lower bound; `ZERO` forces the next sweep).
+    keepalive_due: SimTime,
     /// Outstanding dial, if any (Core opens one at a time).
     in_flight_attempt: Option<(NetAddr, Direction)>,
     /// Compact blocks awaiting `BLOCKTXN`.
@@ -175,6 +178,7 @@ impl Node {
             mempool: Mempool::new(MEMPOOL_CAPACITY),
             peers: PeerTable::default(),
             socket_free_at: SimTime::ZERO,
+            keepalive_due: SimTime::ZERO,
             in_flight_attempt: None,
             pending_compact: IdMap::default(),
             orphans: VecDeque::new(),
@@ -225,12 +229,12 @@ impl Node {
         }
     }
 
-    /// Queues `msg` for peer `to` (dropped if it is gone), under the §V
-    /// block-priority refinement when configured.
-    fn send(&mut self, to: NodeId, msg: Message) {
-        let prioritize = self.cfg.priority_relay;
-        if let Some(p) = self.peers.get_mut(&to) {
-            p.enqueue_send(msg, prioritize);
+    /// Queues `msg` on peer `to`'s `vSendMessage` (dropped if it is gone),
+    /// under the §V block-priority refinement when configured — as a
+    /// message handler's reply does.
+    pub fn send(&mut self, to: NodeId, msg: Message) {
+        if let Some(slot) = self.peers.slot(&to) {
+            self.peers.push_send(slot, msg, self.cfg.priority_relay);
         }
     }
 }

@@ -4,10 +4,12 @@
 //! visited in — by the round and by every relay fan-out alike.
 
 use super::{Node, NodeRequest};
+use crate::config::TxAnnounce;
 use crate::peer::{Direction, NodeId, Peer};
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::{SimDuration, SimTime};
+use std::ops::ControlFlow;
 
 /// A message handed to the socket writer, with its computed transmission
 /// window on the shared upload link.
@@ -42,20 +44,29 @@ impl Node {
     }
 
     fn enqueue_recv(&mut self, from: NodeId, msg: Message) -> Option<&mut Peer> {
-        let p = self.peers.get_mut(&from)?;
-        p.proc_q.push_back(msg);
-        Some(p)
+        self.peers.push_recv(&from, msg)
     }
 
     /// Whether any queue holds work for the pump.
     pub fn has_pending_work(&self) -> bool {
-        self.peers.as_slice().iter().any(|p| p.queued() > 0)
+        self.peers.queued_recv() > 0
+            || self.peers.queued_send() > 0
+            || (self.cfg.tx_announce == TxAnnounce::Trickle
+                && self
+                    .peers
+                    .as_slice()
+                    .iter()
+                    .any(|p| !p.pending_inv.is_empty()))
     }
 
     /// Runs one pump round: processes one inbound message per peer, then
     /// flushes one outbound message per peer through the serialized socket
     /// writer. Returns the flushed messages (with transmission windows) and
     /// any world requests.
+    ///
+    /// Each pass stops at the turn where the table's count of its queue
+    /// reaches zero: every later turn would find an empty queue and do
+    /// nothing, so an idle round costs two field reads.
     pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>) {
         let mut requests = Vec::new();
         self.flush_trickle(now);
@@ -63,24 +74,29 @@ impl Node {
 
         // ThreadMessageHandler: one message per peer per round.
         self.for_each_turn(|node, slot| {
-            let peer = node.peers.slot_mut(slot);
-            let Some(msg) = peer.proc_q.pop_front() else {
-                return;
+            if node.peers.queued_recv() == 0 {
+                return ControlFlow::Break(());
+            }
+            let Some(msg) = node.peers.pop_recv(slot) else {
+                return ControlFlow::Continue(());
             };
-            let from = peer.node;
+            let from = node.peers.slot_mut(slot).node;
             node.stats.msgs_processed += 1;
             node.handle_message(from, msg, now, &mut requests);
+            ControlFlow::Continue(())
         });
 
         // SocketHandler: one send per peer per round, serialized on the
         // shared upload link.
         let mut outgoing = Vec::new();
         self.for_each_turn(|node, slot| {
-            let peer = node.peers.slot_mut(slot);
-            let Some(msg) = peer.send_q.pop_front() else {
-                return;
+            if node.peers.queued_send() == 0 {
+                return ControlFlow::Break(());
+            }
+            let Some(msg) = node.peers.pop_send(slot) else {
+                return ControlFlow::Continue(());
             };
-            let to = peer.node;
+            let to = node.peers.slot_mut(slot).node;
             let send_start = node.socket_free_at.max(now);
             let wire_size = msg.wire_size();
             let tx_time = SimDuration::from_secs_f64(wire_size as f64 / node.cfg.upload_bandwidth);
@@ -94,18 +110,19 @@ impl Node {
                 send_start,
                 send_end,
             });
+            ControlFlow::Continue(())
         });
         (outgoing, requests)
     }
 
-    /// Calls `f` with the slot of every turn of one round, in visit order:
-    /// the table's connection order (Core walks `vNodes`) or, under §V
-    /// priority relay, outbound peers, then feelers, then
-    /// inbound ones, each class in connection order. `f` gets the node
-    /// back, so a turn can run a message handler; handlers never connect,
-    /// disconnect or change a direction (they only *request* it), so the
-    /// turns stay valid across the walk.
-    pub(super) fn for_each_turn(&mut self, mut f: impl FnMut(&mut Self, u32)) {
+    /// Calls `f` with the slot of every turn of one round, in visit order,
+    /// until it returns [`ControlFlow::Break`]: the table's connection
+    /// order (Core walks `vNodes`) or, under §V priority relay, outbound
+    /// peers, then feelers, then inbound ones, each class in connection
+    /// order. `f` gets the node back, so a turn can run a message handler;
+    /// handlers never connect, disconnect or change a direction (they only
+    /// *request* it), so the turns stay valid across the walk.
+    pub(super) fn for_each_turn(&mut self, mut f: impl FnMut(&mut Self, u32) -> ControlFlow<()>) {
         let classes: &[Option<Direction>] = if self.cfg.priority_relay {
             &[
                 Some(Direction::Outbound),
@@ -118,8 +135,10 @@ impl Node {
         for class in classes {
             for turn in 0..self.peers.order().len() {
                 let slot = self.peers.order()[turn];
-                if class.is_none_or(|dir| self.peers.as_slice()[slot as usize].dir == dir) {
-                    f(self, slot);
+                if class.is_none_or(|dir| self.peers.as_slice()[slot as usize].dir == dir)
+                    && f(self, slot).is_break()
+                {
+                    return;
                 }
             }
         }
@@ -136,6 +155,7 @@ impl Node {
             if p.is_ready() && p.dir.relays_data() && !p.knows(hash) {
                 targets.push(slot);
             }
+            ControlFlow::Continue(())
         });
         targets
     }

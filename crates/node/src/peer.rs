@@ -117,8 +117,9 @@ impl Peer {
 
     /// Queues `msg` for sending, honouring the block-priority refinement
     /// when `prioritize_blocks` is set: block-bearing messages are placed
-    /// before any queued non-block message.
-    pub fn enqueue_send(&mut self, msg: Message, prioritize_blocks: bool) {
+    /// before any queued non-block message. Only [`PeerTable::push_send`]
+    /// calls it, so the table's count sees every message.
+    fn enqueue_send(&mut self, msg: Message, prioritize_blocks: bool) {
         if prioritize_blocks && msg.is_block_bearing() {
             // Insert after any already-prioritized block messages at the
             // front, preserving block ordering.
@@ -143,21 +144,28 @@ impl Peer {
     pub fn knows(&self, hash: &Hash256) -> bool {
         self.known_invs.contains(hash)
     }
-
-    /// Total queued messages in both queues, plus pending trickle invs.
-    pub fn queued(&self) -> usize {
-        self.proc_q.len() + self.send_q.len() + self.pending_inv.len()
-    }
 }
 
 /// A node's connected peers: the records stored densely, the round-robin
-/// visit order, and an id-sorted index.
+/// visit order, an id-sorted index, and how many messages wait in their
+/// queues.
 ///
 /// Two orders matter to the simulation and the table keeps both:
 /// *connection order* drives the pump and the relay fan-outs (Core walks
 /// `vNodes`), ascending [`NodeId`] drives everything that used to iterate
 /// the old `BTreeMap` ([`keys`](Self::keys), [`values`](Self::values),
 /// [`iter`](Self::iter)). Lookup by id is a binary search over the index.
+///
+/// Every message the node queues goes through the table's `push_recv` or
+/// `push_send`, and the pump takes them out through its `pop_recv` /
+/// `pop_send`, so [`queued_recv`](Self::queued_recv) and
+/// [`queued_send`](Self::queued_send) are the totals over all `proc_q`s
+/// and all `send_q`s. A pump pass stops
+/// once its count reaches zero. The queues themselves stay public fields:
+/// a write through them that *removes* messages (the benchmark empties a
+/// `send_q`) leaves a count too high, which costs a longer walk and never
+/// skips a message; one that *adds* messages breaks the count (the
+/// world's checker reports it as `pump_queue_counts`).
 #[derive(Clone, Debug, Default)]
 pub struct PeerTable {
     /// Peer records, oldest connection first; `order` and `by_id` hold
@@ -168,6 +176,10 @@ pub struct PeerTable {
     order: Vec<u32>,
     /// `(id, slot)` per connected peer, ascending by id.
     by_id: Vec<(NodeId, u32)>,
+    /// Messages across every `proc_q`; never below the true total.
+    queued_recv: usize,
+    /// Messages across every `send_q`; never below the true total.
+    queued_send: usize,
 }
 
 impl PeerTable {
@@ -181,24 +193,25 @@ impl PeerTable {
         self.slots.is_empty()
     }
 
-    fn slot_of(&self, id: &NodeId) -> Option<usize> {
+    /// The slot of peer `id`, for the slot-addressed methods.
+    pub(crate) fn slot(&self, id: &NodeId) -> Option<u32> {
         let pos = self.by_id.binary_search_by_key(id, |e| e.0).ok()?;
-        Some(self.by_id[pos].1 as usize)
+        Some(self.by_id[pos].1)
     }
 
     /// Whether `id` is connected.
     pub fn contains_key(&self, id: &NodeId) -> bool {
-        self.slot_of(id).is_some()
+        self.slot(id).is_some()
     }
 
     /// The record of peer `id`.
     pub fn get(&self, id: &NodeId) -> Option<&Peer> {
-        self.slot_of(id).map(|s| &self.slots[s])
+        self.slot(id).map(|s| &self.slots[s as usize])
     }
 
     /// The record of peer `id`, mutably.
     pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut Peer> {
-        self.slot_of(id).map(|s| &mut self.slots[s])
+        self.slot(id).map(|s| &mut self.slots[s as usize])
     }
 
     /// Peers in ascending id order.
@@ -224,24 +237,36 @@ impl PeerTable {
         &self.slots
     }
 
-    /// Calls `f` with every peer and its slot, in ascending id order.
-    pub(crate) fn for_each_by_id_mut(&mut self, mut f: impl FnMut(u32, &mut Peer)) {
-        for (_, slot) in &self.by_id {
-            f(*slot, &mut self.slots[*slot as usize]);
+    /// Calls `f` with every peer and its slot, in ascending id order, and
+    /// appends the message it returns, if any, to that peer's `send_q`
+    /// (counted, as [`push_send`](Self::push_send) without block
+    /// priority).
+    pub(crate) fn for_each_by_id_mut(
+        &mut self,
+        mut f: impl FnMut(u32, &mut Peer) -> Option<Message>,
+    ) {
+        for rank in 0..self.by_id.len() {
+            let slot = self.by_id[rank].1;
+            if let Some(msg) = f(slot, &mut self.slots[slot as usize]) {
+                self.push_send(slot, msg, false);
+            }
         }
     }
 
-    /// Records a new connection; it is visited last.
+    /// Records a new connection with empty queues; it is visited last.
+    /// Returns its slot.
     ///
     /// Known quirk, kept on purpose (DESIGN.md §6 "Double connect"): if
     /// `peer.node` is already connected — two nodes dialed each other at
     /// once — the old record is replaced in place (its queues are lost)
     /// and the id gains a *second* turn at the end of the visit order.
-    pub(crate) fn insert(&mut self, peer: Peer) {
+    pub(crate) fn insert(&mut self, peer: Peer) -> u32 {
+        debug_assert!(peer.proc_q.is_empty() && peer.send_q.is_empty());
         let slot = match self.by_id.binary_search_by_key(&peer.node, |e| e.0) {
             Ok(pos) => {
                 let slot = self.by_id[pos].1;
-                self.slots[slot as usize] = peer;
+                let old = std::mem::replace(&mut self.slots[slot as usize], peer);
+                self.forget_queues(&old);
                 slot
             }
             Err(pos) => {
@@ -252,6 +277,7 @@ impl PeerTable {
             }
         };
         self.order.push(slot);
+        slot
     }
 
     /// Forgets peer `id` and every turn it had.
@@ -267,7 +293,59 @@ impl PeerTable {
         for s in later.filter(|s| **s > slot) {
             *s -= 1;
         }
-        Some(self.slots.remove(slot as usize))
+        let gone = self.slots.remove(slot as usize);
+        self.forget_queues(&gone);
+        Some(gone)
+    }
+
+    /// Takes a dropped record's queues off the counts (saturating: a
+    /// record filled through its public fields may hold more than was
+    /// counted).
+    fn forget_queues(&mut self, gone: &Peer) {
+        self.queued_recv = self.queued_recv.saturating_sub(gone.proc_q.len());
+        self.queued_send = self.queued_send.saturating_sub(gone.send_q.len());
+    }
+
+    /// Messages waiting in all `proc_q`s (see the type docs).
+    pub fn queued_recv(&self) -> usize {
+        self.queued_recv
+    }
+
+    /// Messages waiting in all `send_q`s (see the type docs).
+    pub fn queued_send(&self) -> usize {
+        self.queued_send
+    }
+
+    /// Appends a delivered message to peer `id`'s `vProcessMsg`; `None`
+    /// (and nothing queued) if `id` is not connected.
+    pub(crate) fn push_recv(&mut self, id: &NodeId, msg: Message) -> Option<&mut Peer> {
+        let slot = self.slot(id)?;
+        self.queued_recv += 1;
+        let p = &mut self.slots[slot as usize];
+        p.proc_q.push_back(msg);
+        Some(p)
+    }
+
+    /// Queues `msg` on the `vSendMessage` of the peer in `slot`, under the
+    /// §V block priority when `prioritize_blocks` is set: the one way a
+    /// node queues an outbound message.
+    pub(crate) fn push_send(&mut self, slot: u32, msg: Message, prioritize_blocks: bool) {
+        self.queued_send += 1;
+        self.slots[slot as usize].enqueue_send(msg, prioritize_blocks);
+    }
+
+    /// The next message from the `vProcessMsg` of the peer in `slot`.
+    pub(crate) fn pop_recv(&mut self, slot: u32) -> Option<Message> {
+        let msg = self.slots[slot as usize].proc_q.pop_front()?;
+        self.queued_recv -= 1;
+        Some(msg)
+    }
+
+    /// The next message from the `vSendMessage` of the peer in `slot`.
+    pub(crate) fn pop_send(&mut self, slot: u32) -> Option<Message> {
+        let msg = self.slots[slot as usize].send_q.pop_front()?;
+        self.queued_send -= 1;
+        Some(msg)
     }
 
     /// One slot number (for [`slot_mut`](Self::slot_mut)) per pump turn, in
@@ -379,28 +457,46 @@ mod tests {
         /// `PeerTable` against the structures it replaced — a
         /// `BTreeMap<NodeId, Peer>` plus a `Vec<NodeId>` visit order — over
         /// random connects (a connect of a connected id is the double
-        /// connect) and disconnects (of an unknown id: a no-op).
+        /// connect) and disconnects (of an unknown id: a no-op) — and the
+        /// queue counts against the queues, over random pushes and pops in
+        /// between.
         #[test]
         fn table_matches_the_map_and_order_it_replaced(
-            ops in proptest::collection::vec((0u8..3, 0u32..8, 0u8..3), 0..80),
+            ops in proptest::collection::vec((0u8..6, 0u32..8, 0u8..3), 0..80),
         ) {
             let mut table = PeerTable::default();
             let mut map: BTreeMap<NodeId, Peer> = BTreeMap::new();
             let mut order: Vec<NodeId> = Vec::new();
             for (step, (op, id, dir)) in ops.into_iter().enumerate() {
                 let id = NodeId(id);
-                if op < 2 {
-                    let dir = [Direction::Outbound, Direction::Inbound, Direction::Feeler][dir as usize];
-                    let mut peer = Peer::new(id, addr(), dir);
-                    peer.connected_at = SimTime::from_secs(step as u64);
-                    table.insert(peer.clone());
-                    map.insert(id, peer);
-                    order.push(id);
-                } else {
-                    let gone = table.remove(&id);
-                    prop_assert_eq!(gone.as_ref().map(tag), map.remove(&id).as_ref().map(tag));
-                    order.retain(|o| *o != id);
+                match (op, table.slot(&id)) {
+                    (0 | 1, _) => {
+                        let dir = [Direction::Outbound, Direction::Inbound, Direction::Feeler][dir as usize];
+                        let mut peer = Peer::new(id, addr(), dir);
+                        peer.connected_at = SimTime::from_secs(step as u64);
+                        table.insert(peer.clone());
+                        map.insert(id, peer);
+                        order.push(id);
+                    }
+                    (2, _) => {
+                        let gone = table.remove(&id);
+                        prop_assert_eq!(gone.as_ref().map(tag), map.remove(&id).as_ref().map(tag));
+                        order.retain(|o| *o != id);
+                    }
+                    (3, _) => {
+                        let queued = table.push_recv(&id, Message::Ping(step as u64)).is_some();
+                        prop_assert_eq!(queued, map.contains_key(&id));
+                    }
+                    (4, Some(slot)) => table.push_send(slot, block_msg(), dir == 0),
+                    (5, Some(slot)) => {
+                        table.pop_recv(slot);
+                        table.pop_send(slot);
+                    }
+                    _ => {}
                 }
+                let held = |q: fn(&Peer) -> usize| table.as_slice().iter().map(q).sum::<usize>();
+                prop_assert_eq!(table.queued_recv(), held(|p| p.proc_q.len()));
+                prop_assert_eq!(table.queued_send(), held(|p| p.send_q.len()));
 
                 prop_assert_eq!(table.len(), map.len());
                 prop_assert_eq!(table.is_empty(), map.is_empty());
@@ -430,7 +526,10 @@ mod tests {
                     map.iter().map(|(id, p)| (*id, tag(p))).collect::<Vec<_>>()
                 );
                 let mut by_id = Vec::new();
-                table.for_each_by_id_mut(|_, p| by_id.push(p.node));
+                table.for_each_by_id_mut(|_, p| {
+                    by_id.push(p.node);
+                    None
+                });
                 prop_assert_eq!(by_id, map.keys().copied().collect::<Vec<_>>());
                 // Connection order, double turns included, like the list.
                 let via_slots: Vec<NodeId> = table

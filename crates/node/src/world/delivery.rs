@@ -13,6 +13,7 @@ use bitsync_protocol::addr::TimestampedAddr;
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::message::Message;
 use bitsync_sim::fault::{Fault, LinkAction};
+use bitsync_sim::metrics::Recorder;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::trace;
 
@@ -58,6 +59,50 @@ pub struct AddrSenderStats {
     pub total: u64,
     /// Entries whose address belongs to the reachable ground-truth set.
     pub reachable: u64,
+}
+
+/// The transport counters bumped on every pump round and delivery, kept
+/// in plain fields and added to the [`Recorder`] once per
+/// [`World::run_steps`] — before anything (an experiment, a sweep delta,
+/// a sampler tick) can read the recorder — instead of three string-keyed
+/// map updates per event.
+#[derive(Debug, Default)]
+pub(super) struct Tallies {
+    /// [`metric::PUMP_ROUNDS`].
+    rounds: u64,
+    /// [`metric::PUMP_FLUSHED`].
+    flushed: u64,
+    /// [`metric::MESSAGES_DELIVERED`].
+    delivered: u64,
+    /// [`metric::PUMP_FLUSHED_PER_ROUND`] as counts per value: entry `k`
+    /// is the number of rounds that flushed `k` messages.
+    flushed_per_round: Vec<u64>,
+}
+
+impl Tallies {
+    fn round(&mut self, flushed: usize) {
+        self.rounds += 1;
+        self.flushed += flushed as u64;
+        if flushed >= self.flushed_per_round.len() {
+            self.flushed_per_round.resize(flushed + 1, 0);
+        }
+        self.flushed_per_round[flushed] += 1;
+    }
+
+    /// Adds everything tallied to `rec` and starts from zero. The
+    /// histogram values are message counts, so
+    /// [`Recorder::observe_n`]'s integer precondition holds and the result
+    /// is byte-identical to observing every round as it happened.
+    pub(super) fn flush_into(&mut self, rec: &Recorder) {
+        rec.inc(metric::PUMP_ROUNDS, self.rounds);
+        rec.inc(metric::PUMP_FLUSHED, self.flushed);
+        rec.inc(metric::MESSAGES_DELIVERED, self.delivered);
+        for (flushed, rounds) in self.flushed_per_round.iter_mut().enumerate() {
+            rec.observe_n(metric::PUMP_FLUSHED_PER_ROUND, flushed as f64, *rounds);
+            *rounds = 0;
+        }
+        (self.rounds, self.flushed, self.delivered) = (0, 0, 0);
+    }
 }
 
 /// The relayable object a message carries: `(hash, is_block)` for block,
@@ -139,12 +184,7 @@ impl World {
         };
         let (outgoing, requests) = node.pump(now);
         let more_work = node.has_pending_work();
-
-        self.metrics.inc(metric::PUMP_ROUNDS, 1);
-        self.metrics
-            .inc(metric::PUMP_FLUSHED, outgoing.len() as u64);
-        self.metrics
-            .observe(metric::PUMP_FLUSHED_PER_ROUND, outgoing.len() as f64);
+        self.tallies.round(outgoing.len());
 
         let relay_logged = self.instrumented == Some(id) || self.tracer.is_enabled();
         for out in outgoing {
@@ -280,7 +320,7 @@ impl World {
     }
 
     pub(super) fn on_deliver(&mut self, from: NodeId, to: NodeId, msg: Message, now: SimTime) {
-        self.metrics.inc(metric::MESSAGES_DELIVERED, 1);
+        self.tallies.delivered += 1;
         let checking = self.checker.is_enabled();
         let instrumented = self.instrumented == Some(to);
         let tracing = self.tracer.is_enabled();

@@ -25,7 +25,7 @@ pub use sampling::{metric, register_world_histograms};
 
 use crate::config::{NodeConfig, MAX_OUTBOUND};
 use crate::node::Node;
-use crate::peer::NodeId;
+use crate::peer::{NodeId, Peer};
 use bitsync_chain::{Miner, TxGenerator};
 use bitsync_net::churn::{ChurnConfig, ChurnModel};
 use bitsync_net::latency::{LatencyConfig, LatencyModel};
@@ -206,6 +206,9 @@ pub struct World {
     /// [`World::attach_metrics`] so an experiment can aggregate several
     /// worlds into one recorder.
     pub metrics: Recorder,
+    /// The pump and delivery counters of the current
+    /// [`World::run_steps`], added to `metrics` when it returns.
+    tallies: delivery::Tallies,
     /// Per-event trace sink, disabled by default. Replaceable via
     /// [`World::attach_tracer`]; the handle is also cloned into every node
     /// so the pump can trace without going through the world.
@@ -290,6 +293,7 @@ impl World {
             used_ips: IdSet::default(),
             as_model: bitsync_net::AsModel::from_paper(),
             metrics,
+            tallies: delivery::Tallies::default(),
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             sampler: Sampler::disabled(),
@@ -481,6 +485,7 @@ impl World {
         }
         let processed = self.queue.events_processed() - start;
         self.metrics.inc(metric::EVENTS_PROCESSED, processed);
+        self.tallies.flush_into(&self.metrics);
         if depth_hwm > 0 {
             self.metrics
                 .gauge_max(metric::QUEUE_DEPTH_HWM, depth_hwm as f64);
@@ -551,8 +556,9 @@ impl World {
         }
     }
 
-    /// Post-event node checks: outdegree cap and addrman consistency.
-    /// Skipped silently when the node went offline during the event.
+    /// Post-event node checks: outdegree cap, addrman consistency, and the
+    /// pump's queue counts. Skipped silently when the node went offline
+    /// during the event.
     fn check_node_invariants(&mut self, id: NodeId, now: SimTime) {
         let Some(node) = self.nodes[id.0 as usize].as_ref() else {
             return;
@@ -567,6 +573,22 @@ impl World {
         if let Err(msg) = node.addrman.try_check_invariants() {
             self.checker.fail(now, "addrman_consistency", || {
                 format!("node {}: {msg}", id.0)
+            });
+        }
+        // Nothing in a world writes a queue behind the table's back, so
+        // its counts must equal the queues (a push that bypassed the table
+        // would let a pump pass stop before a queued message). Like the
+        // addrman check, only a failure is recorded.
+        let peers = &node.peers;
+        let held = |len: fn(&Peer) -> usize| peers.as_slice().iter().map(len).sum::<usize>();
+        let held = (held(|p| p.proc_q.len()), held(|p| p.send_q.len()));
+        let counted = (peers.queued_recv(), peers.queued_send());
+        if counted != held {
+            self.checker.fail(now, "pump_queue_counts", || {
+                format!(
+                    "node {}: counted {counted:?} (proc_q, send_q) messages, queues hold {held:?}",
+                    id.0
+                )
             });
         }
     }

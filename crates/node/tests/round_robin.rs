@@ -2,11 +2,15 @@
 //! message processed and one flushed per peer per pump round, and the §V
 //! ordering refinements.
 
-use bitsync_node::{Direction, Node, NodeConfig, NodeId, NodeRequest};
+use bitsync_node::node::PEER_TIMEOUT;
+use bitsync_node::{Direction, Node, NodeConfig, NodeId, NodeRequest, Peer};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::InvVect;
 use bitsync_protocol::message::Message;
-use bitsync_sim::time::SimTime;
+use bitsync_sim::rng::SimRng;
+use bitsync_sim::time::{SimDuration, SimTime};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 fn addr(last: u8) -> NetAddr {
@@ -67,13 +71,10 @@ fn a_block_waits_behind_queued_responses_without_priority() {
     // block for A queues *behind* them under Core's FIFO.
     let now = SimTime::from_secs(1);
     let mut n = node_with_peers(NodeConfig::bitcoin_core(), 1);
-    {
-        let peer = n.peers.get_mut(&NodeId(1)).unwrap();
-        peer.handshake = bitsync_node::Handshake::Ready;
-        // Three pending responses already sit in vSendMessage.
-        for k in 0..3u64 {
-            peer.send_q.push_back(Message::Pong(k));
-        }
+    n.peers.get_mut(&NodeId(1)).unwrap().handshake = bitsync_node::Handshake::Ready;
+    // Three pending responses already sit in vSendMessage.
+    for k in 0..3u64 {
+        n.send(NodeId(1), Message::Pong(k));
     }
     let mut miner = bitsync_chain::Miner::new(1, 10);
     n.mine_and_relay(&mut miner, now);
@@ -97,12 +98,9 @@ fn priority_relay_sends_the_block_first() {
     let mut cfg = NodeConfig::bitcoin_core();
     cfg.priority_relay = true;
     let mut n = node_with_peers(cfg, 1);
-    {
-        let peer = n.peers.get_mut(&NodeId(1)).unwrap();
-        peer.handshake = bitsync_node::Handshake::Ready;
-        for k in 0..3u64 {
-            peer.send_q.push_back(Message::Pong(k));
-        }
+    n.peers.get_mut(&NodeId(1)).unwrap().handshake = bitsync_node::Handshake::Ready;
+    for k in 0..3u64 {
+        n.send(NodeId(1), Message::Pong(k));
     }
     let mut miner = bitsync_chain::Miner::new(1, 10);
     n.mine_and_relay(&mut miner, now);
@@ -148,7 +146,6 @@ fn core_fifo_serves_connection_order() {
 #[test]
 fn trickle_mode_delays_announcements_into_inv_batches() {
     use bitsync_node::TxAnnounce;
-    use bitsync_sim::time::SimDuration;
 
     let now = SimTime::from_secs(1);
     let mut cfg = NodeConfig::bitcoin_core();
@@ -157,7 +154,7 @@ fn trickle_mode_delays_announcements_into_inv_batches() {
     for p in 1..=2 {
         n.peers.get_mut(&NodeId(p)).unwrap().handshake = bitsync_node::Handshake::Ready;
     }
-    let mut rng = bitsync_sim::rng::SimRng::seed_from(1);
+    let mut rng = SimRng::seed_from(1);
     let mut gen = bitsync_chain::TxGenerator::new(1);
     let tx = gen.next_tx(&mut rng);
     let txid = tx.txid();
@@ -296,8 +293,7 @@ fn keepalive_walks_peers_in_id_order_not_connection_order() {
     for p in 1..=4 {
         n.peers.get_mut(&NodeId(p)).unwrap().last_recv = now;
     }
-    let late =
-        now + bitsync_node::node::PEER_TIMEOUT + bitsync_sim::time::SimDuration::from_secs(1);
+    let late = now + PEER_TIMEOUT + SimDuration::from_secs(1);
     let (_, reqs) = n.pump(late);
     assert_eq!(
         reqs,
@@ -305,6 +301,97 @@ fn keepalive_walks_peers_in_id_order_not_connection_order() {
             .map(|p| NodeRequest::Disconnect(NodeId(p)))
             .collect::<Vec<_>>()
     );
+}
+
+/// The keepalive sweep as a brute force over the peers' public fields, run
+/// every round: per ready peer in ascending id, a timeout request or a ping
+/// carrying the next nonce of `twin` (a copy of the node's RNG stream).
+fn brute_force_keepalive(
+    n: &Node,
+    now: SimTime,
+    twin: &mut SimRng,
+) -> (BTreeSet<(u32, u64)>, Vec<NodeRequest>) {
+    let (mut pings, mut reqs) = (BTreeSet::new(), Vec::new());
+    for (id, p) in n.peers.iter().filter(|(_, p)| p.is_ready()) {
+        if p.last_recv != SimTime::ZERO && now.saturating_since(p.last_recv) > PEER_TIMEOUT {
+            reqs.push(NodeRequest::Disconnect(*id));
+        } else if now >= p.next_ping_at {
+            pings.insert((id.0, twin.next_u64()));
+        }
+    }
+    (pings, reqs)
+}
+
+/// Every keepalive ping waiting in a send queue, with its peer.
+fn queued_pings(n: &Node) -> BTreeSet<(u32, u64)> {
+    let queued = n
+        .peers
+        .iter()
+        .flat_map(|(id, p)| p.send_q.iter().map(|m| (id.0, m)));
+    queued
+        .filter_map(|(to, m)| match m {
+            Message::Ping(nonce) => Some((to, *nonce)),
+            _ => None,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sweep skips rounds until something is due, yet over random
+    /// (double) connects, disconnects, `VERACK`s that make a peer ready,
+    /// deliveries and pump times spanning a few `PEER_TIMEOUT`s, every
+    /// round queues exactly the pings — nonces included — and requests
+    /// exactly the disconnects a sweep of every round would. A request is
+    /// acted on (as the world does) or ignored (the node asks again).
+    #[test]
+    fn keepalive_matches_a_sweep_every_round(
+        ops in proptest::collection::vec((0u8..7, 1u32..6, 0u64..150), 1..120),
+    ) {
+        let seed = 11;
+        let mut n = Node::new(NodeId(0), addr(250), true, NodeConfig::bitcoin_core(), seed);
+        // Only the pings draw: inbound connects, VERACKs and pongs do not.
+        let mut twin = SimRng::seed_from(seed);
+        twin.next_u64(); // the addrman key
+        let mut now = SimTime::from_secs(1);
+        for (op, peer, secs) in ops {
+            let id = NodeId(peer);
+            match op {
+                0 => n.on_connected(id, addr(peer as u8), Direction::Inbound, now),
+                1 => n.on_disconnected(id),
+                2 => {
+                    n.deliver_at(id, Message::Verack, now);
+                }
+                3 => {
+                    n.deliver_at(id, Message::Ping(secs), now);
+                }
+                _ => {
+                    now += SimDuration::from_secs(secs);
+                    let (want_pings, want_reqs) = brute_force_keepalive(&n, now, &mut twin);
+                    let before = queued_pings(&n);
+                    let (out, reqs) = n.pump(now);
+                    let flushed = out.iter().filter_map(|o| match o.msg {
+                        Message::Ping(nonce) => Some((o.to.0, nonce)),
+                        _ => None,
+                    });
+                    let mut pings = queued_pings(&n);
+                    pings.extend(flushed);
+                    let new: BTreeSet<_> = pings.difference(&before).copied().collect();
+                    prop_assert_eq!(new, want_pings, "at {}", now);
+                    prop_assert_eq!(&reqs, &want_reqs, "at {}", now);
+                    if op == 4 {
+                        for NodeRequest::Disconnect(p) | NodeRequest::Ban(p) in reqs {
+                            n.on_disconnected(p);
+                        }
+                    }
+                }
+            }
+            let held = |len: fn(&Peer) -> usize| n.peers.values().map(len).sum::<usize>();
+            prop_assert_eq!(n.peers.queued_recv(), held(|p| p.proc_q.len()));
+            prop_assert_eq!(n.peers.queued_send(), held(|p| p.send_q.len()));
+        }
+    }
 }
 
 /// Known quirk (DESIGN.md §6, "Double connect"): when two nodes cross-dial,
@@ -327,11 +414,8 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     }
     assert!(answered);
     n.deliver(NodeId(1), Message::Ping(1));
-    n.peers
-        .get_mut(&NodeId(1))
-        .unwrap()
-        .send_q
-        .push_back(Message::Pong(9));
+    n.send(NodeId(1), Message::Pong(9));
+    assert_eq!((n.peers.queued_recv(), n.peers.queued_send()), (1, 1));
 
     // The crossing dial lands: same id, opposite direction.
     n.on_connected(NodeId(1), addr(1), Direction::Outbound, now);
@@ -342,6 +426,11 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     assert!(!p.is_ready(), "the handshake starts over");
     assert_eq!(p.send_q.len(), 1, "old queues dropped; only our VERSION");
     assert!(matches!(p.send_q[0], Message::Version(_)));
+    assert_eq!(
+        (n.peers.queued_recv(), n.peers.queued_send()),
+        (0, 1),
+        "the counts drop the replaced record's queues and count the VERSION"
+    );
     n.pump(now); // flush the VERSION
     assert!(!n.has_pending_work());
 
@@ -360,7 +449,7 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     // Relay fan-outs walk the same order, so the peer is sent the object
     // twice (the second visit does not see the first one's `mark_known`).
     n.peers.get_mut(&NodeId(1)).unwrap().handshake = bitsync_node::Handshake::Ready;
-    let mut rng = bitsync_sim::rng::SimRng::seed_from(1);
+    let mut rng = SimRng::seed_from(1);
     let tx = bitsync_chain::TxGenerator::new(1).next_tx(&mut rng);
     assert!(n.accept_tx(tx, now));
     let queued = |n: &Node, p: u32| {

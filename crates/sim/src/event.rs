@@ -13,6 +13,20 @@
 //! hold a few hundred to a few thousand pending events, the depth at which
 //! the heap is the cheaper structure.
 //!
+//! # Same-instant events skip the core
+//!
+//! An event scheduled for the current instant (`at == now`: the pump a
+//! delivery wakes, 39–47 % of a world's events) is appended to a FIFO
+//! *lane* instead of being sifted into the core. Everything in the lane
+//! fires at `now`, in `seq` order, and every sequence number it holds is
+//! larger than that of any core entry scheduled before it, so
+//! [`EventQueue::pop`] takes the lane's front unless the core's earliest
+//! entry has a smaller `(time, seq)` — the pop order is exactly the
+//! `(time, seq)` order either core alone would give. `len`, `peek_time`,
+//! `pop_until` and `advance_to` all see the lane; the clock cannot move
+//! past a pending event (`advance_to` asserts it), so the lane never holds
+//! an event from an earlier instant.
+//!
 //! # The timer wheel is a probe target
 //!
 //! A second core, a hierarchical timer wheel — eight levels of 64 slots
@@ -364,6 +378,9 @@ impl<E> Core<E> {
 /// ```
 pub struct EventQueue<E> {
     core: Core<E>,
+    /// Events scheduled for the instant they were scheduled at, in `seq`
+    /// order; all of them fire at `now` (module docs).
+    lane: VecDeque<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -392,6 +409,7 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             core,
+            lane: VecDeque::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -411,12 +429,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.core.len()
+        self.core.len() + self.lane.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.core.len() == 0
+        self.len() == 0
     }
 
     /// Schedules `event` at absolute instant `at`.
@@ -432,7 +450,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.core.push(Scheduled { at, seq, event });
+        let entry = Scheduled { at, seq, event };
+        if at == self.now {
+            self.lane.push_back(entry);
+        } else {
+            self.core.push(entry);
+        }
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
@@ -444,8 +467,12 @@ impl<E> EventQueue<E> {
     /// Pops the earliest pending event, advancing [`EventQueue::now`] to its
     /// timestamp. Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.core.pop_min()?;
-        debug_assert!(s.at >= self.now, "event queue time went backwards");
+        let s = match self.lane.front() {
+            Some(first) if self.core.peek_min().is_none_or(|min| first.key() < min) => {
+                self.lane.pop_front()
+            }
+            _ => self.core.pop_min(),
+        }?;
         self.now = s.at;
         self.popped += 1;
         Some((s.at, s.event))
@@ -453,8 +480,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if it fires at or before `deadline`.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (at, _) = self.core.peek_min()?;
-        if at > deadline {
+        if self.peek_time()? > deadline {
             return None;
         }
         self.pop()
@@ -462,16 +488,27 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.core.peek_min().map(|(at, _)| at)
+        // A lane entry fires at `now`, before anything in the core.
+        match self.lane.front() {
+            Some(first) => Some(first.at),
+            None => self.core.peek_min().map(|(at, _)| at),
+        }
     }
 
     /// Advances the clock to `at` without popping an event.
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past.
+    /// Panics if `at` is in the past, or if an event is pending before
+    /// `at`: it would pop later with a timestamp behind the clock.
     pub fn advance_to(&mut self, at: SimTime) {
         assert!(at >= self.now, "cannot advance backwards");
+        if let Some(next) = self.peek_time() {
+            assert!(
+                next >= at,
+                "cannot advance to {at} past the event pending at {next}"
+            );
+        }
         self.now = at;
     }
 }
@@ -678,6 +715,82 @@ mod tests {
         q.schedule(t, 11);
         let rest: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(rest, vec![1, 2, 3, 10, 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the event pending")]
+    fn advance_to_refuses_to_skip_a_pending_event() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(3), ());
+        q.advance_to(SimTime::from_secs(4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Both backends, same-instant lane included, against a reference
+        /// `BinaryHeap<(time, seq)>`: random interleavings of schedules
+        /// (about half at `now`), `pop`, `pop_until` and `advance_to`
+        /// (never past the next pending event) give the same pops, `len`,
+        /// `peek_time` and clock after every operation.
+        #[test]
+        fn pops_follow_time_then_seq_with_the_lane(
+            ops in proptest::collection::vec((0u8..8, 0u64..50), 0..200),
+        ) {
+            use std::cmp::Reverse;
+            /// The reference: earliest `(time, seq)` first; pops move the clock.
+            #[derive(Default)]
+            struct Model {
+                heap: BinaryHeap<Reverse<(u64, u64)>>,
+                now: u64,
+            }
+            impl Model {
+                fn next_time(&self) -> Option<u64> {
+                    self.heap.peek().map(|Reverse((at, _))| *at)
+                }
+                fn pop(&mut self) -> Option<(SimTime, u64)> {
+                    let Reverse((at, seq)) = self.heap.pop()?;
+                    self.now = at;
+                    Some((SimTime::from_nanos(at), seq))
+                }
+            }
+
+            for backend in BACKENDS {
+                let mut q = EventQueue::with_backend(backend);
+                let mut model = Model::default();
+                for (seq, &(op, x)) in (0u64..).zip(&ops) {
+                    match op {
+                        // Ops 0 and 1 schedule at `now`, 2 and 3 up to 49 ns ahead.
+                        0..=3 => {
+                            let at = model.now + if op < 2 { 0 } else { x };
+                            q.schedule(SimTime::from_nanos(at), seq);
+                            model.heap.push(Reverse((at, seq)));
+                        }
+                        4 | 5 => assert_eq!(q.pop(), model.pop(), "{backend:?}"),
+                        6 => {
+                            let deadline = model.now + x;
+                            let want = if model.next_time().is_some_and(|at| at <= deadline) {
+                                model.pop()
+                            } else {
+                                None
+                            };
+                            assert_eq!(q.pop_until(SimTime::from_nanos(deadline)), want);
+                        }
+                        _ => {
+                            model.now = (model.now + x).min(model.next_time().unwrap_or(u64::MAX));
+                            q.advance_to(SimTime::from_nanos(model.now));
+                        }
+                    }
+                    assert_eq!(q.now(), SimTime::from_nanos(model.now), "{backend:?}");
+                    assert_eq!(q.len(), model.heap.len(), "{backend:?}");
+                    assert_eq!(q.peek_time(), model.next_time().map(SimTime::from_nanos));
+                }
+                while let Some(popped) = q.pop() {
+                    assert_eq!(Some(popped), model.pop(), "{backend:?}");
+                }
+                assert!(model.heap.is_empty(), "{backend:?} lost events");
+            }
+        }
     }
 
     #[test]

@@ -91,10 +91,27 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: f64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` observations of `v` at once (nothing when `n` is 0).
+    ///
+    /// Precondition: `v` is an integer and every partial sum of the
+    /// histogram stays below 2^53. Then each `f64` addition is exact, so
+    /// the result — `sum` included — is byte-identical to `n` calls of
+    /// [`Histogram::observe`] in any interleaving with other such values;
+    /// that is what lets a hot loop tally counts per value and flush them
+    /// later. For fractional values the order of additions changes the
+    /// sum, which is why this is not the general, association-independent
+    /// merge of two histograms (that needs exact sums; ROADMAP 6(b)).
+    pub fn observe_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.bounds.partition_point(|&b| b < v);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.counts[idx] += n;
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -255,12 +272,21 @@ impl Recorder {
     /// [`DEFAULT_BUCKETS`] on first use (use [`Recorder::register_histogram`]
     /// first for custom buckets).
     pub fn observe(&self, name: &str, v: f64) {
+        self.observe_n(name, v, 1);
+    }
+
+    /// [`Recorder::observe`] `n` times, under
+    /// [`Histogram::observe_n`]'s integer precondition.
+    pub fn observe_n(&self, name: &str, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let mut reg = self.inner.borrow_mut();
         if let Some(h) = reg.histograms.get_mut(name) {
-            h.observe(v);
+            h.observe_n(v, n);
         } else {
             let mut h = Histogram::with_buckets(&DEFAULT_BUCKETS);
-            h.observe(v);
+            h.observe_n(v, n);
             reg.histograms.insert(name.to_string(), h);
         }
     }
@@ -426,6 +452,45 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 1, 1, 1]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 107.0);
+    }
+
+    #[test]
+    fn observe_n_of_integers_serializes_like_n_observes() {
+        // A stream of small integers (the pump's per-round flush counts),
+        // observed one by one in stream order versus tallied per value and
+        // flushed highest value first: the additions are reassociated, and
+        // the serialized registries must still be byte-identical.
+        let bounds = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+        let (one_by_one, tallied) = (Recorder::new(), Recorder::new());
+        for rec in [&one_by_one, &tallied] {
+            rec.register_histogram("flushed", &bounds);
+        }
+        let mut tally = vec![0u64; 200];
+        let mut x = 2021u64;
+        for _ in 0..50_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let v = (x >> 33) % 200;
+            one_by_one.observe("flushed", v as f64);
+            tally[v as usize] += 1;
+        }
+        for (v, n) in tally.iter().enumerate().rev() {
+            tallied.observe_n("flushed", v as f64, *n);
+        }
+        tallied.observe_n("never", 1.0, 0);
+        assert_eq!(
+            one_by_one.to_json().to_string(),
+            tallied.to_json().to_string()
+        );
+
+        // The precondition matters: ten observations of 0.1 do not sum to
+        // one observation of 0.1 weighted ten.
+        let mut h = Histogram::with_buckets(&[1.0]);
+        let mut weighted = h.clone();
+        (0..10).for_each(|_| h.observe(0.1));
+        weighted.observe_n(0.1, 10);
+        assert_ne!(h.sum(), weighted.sum());
     }
 
     #[test]

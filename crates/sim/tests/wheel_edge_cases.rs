@@ -156,9 +156,8 @@ fn zero_delay_self_schedules_during_run() {
 
 #[test]
 fn schedule_at_now_while_draining_pop_until() {
-    // pop_until with re-scheduling at the popped instant: the wheel's
-    // current-slot insertion path (delta == 0) must still honor deadline
-    // and ordering.
+    // pop_until with re-scheduling at the popped instant: the same-instant
+    // lane must still honor deadline and ordering.
     for backend in [Backend::Wheel, Backend::Heap] {
         let mut q: EventQueue<&str> = EventQueue::with_backend(backend);
         q.schedule(SimTime::from_nanos(50), "a");
