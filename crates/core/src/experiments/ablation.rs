@@ -13,7 +13,8 @@
 //! outdegree, mean block relay delay, and mean synchronization fraction.
 
 use crate::experiments::registry::{Experiment, Scale};
-use crate::experiments::sweep;
+use crate::experiments::success_rate::RunCounts;
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_addrman::AddrManConfig;
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
@@ -169,71 +170,51 @@ impl ToJson for AblationResult {
     }
 }
 
-/// Runs one arm with its world reporting into `ins`; timeseries rows are
-/// labelled with [`Arm::label`].
-pub fn run_arm(cfg: &AblationConfig, arm: Arm, ins: &Instruments) -> ArmResult {
-    ins.sampler.set_ctx(Some(arm.label()));
-    let mut world = World::new(WorldConfig {
-        seed: cfg.seed,
-        node_cfg: arm.node_config(),
-        n_reachable: cfg.n_reachable,
-        n_unreachable_full: cfg.n_reachable / 5,
-        n_phantoms: 3_000,
-        seed_phantoms: 200,
-        seed_reachable: 32,
-        churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
-        block_interval: Some(SimDuration::from_secs(600)),
-        tx_rate: 0.2,
-        ibd_fresh_mean: Some(SimDuration::from_mins(30)),
-        instrument: Some(0),
-        ..WorldConfig::default()
-    });
-    world.attach(ins);
+/// One cell per arm in [`Arm::all`] order, rows labelled [`Arm::label`],
+/// sampling [`World::sync_fraction`] every 10 minutes.
+pub fn cells(cfg: &AblationConfig) -> Vec<(Arm, Cell<f64>)> {
+    let cell = |arm: Arm| Cell {
+        ctx: Some(arm.label().to_string()),
+        world: WorldConfig {
+            node_cfg: arm.node_config(),
+            n_reachable: cfg.n_reachable,
+            n_unreachable_full: cfg.n_reachable / 5,
+            n_phantoms: 3_000,
+            churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
+            ..sweep::mesh(cfg.seed)
+        },
+        warmup: cfg.warmup,
+        duration: cfg.duration,
+        every: SimDuration::from_mins(10),
+        probe: World::sync_fraction,
+        convergence_grace: None,
+    };
+    Arm::all().map(|arm| (arm, cell(arm))).into()
+}
 
-    let every = SimDuration::from_mins(10);
-    let sync_samples = sweep::sample_run(
-        &mut world,
-        cfg.warmup,
-        cfg.duration,
-        every,
-        World::sync_fraction,
-    );
-
-    let mut attempts = 0u64;
-    let mut successes = 0u64;
-    let mut outdegree = 0usize;
-    let mut reachable_online = 0usize;
+/// One arm's result from its cell's run.
+pub fn assemble(arm: Arm, run: Run<f64>) -> ArmResult {
+    let world = &run.world;
+    let mut dials = RunCounts::default();
     for id in world.online_ids() {
-        let node = world.node(id).expect("online");
-        attempts += node.stats.attempts;
-        successes += node.stats.successes;
-        if world.meta[id.0 as usize].reachable {
-            outdegree += node.outbound_count();
-            reachable_online += 1;
-        }
+        let stats = world.node(id).expect("online").stats;
+        dials.attempts += stats.attempts;
+        dials.successes += stats.successes;
     }
     ArmResult {
         arm,
-        connection_success_rate: if attempts == 0 {
-            0.0
-        } else {
-            successes as f64 / attempts as f64
-        },
-        mean_outdegree: if reachable_online == 0 {
-            0.0
-        } else {
-            outdegree as f64 / reachable_online as f64
-        },
-        mean_block_relay_secs: sweep::mean_block_relay_secs(&world),
-        mean_sync_fraction: sweep::mean_min(&sync_samples).0,
+        connection_success_rate: dials.rate(),
+        mean_outdegree: world.mean_outdegree(|m| m.reachable),
+        mean_block_relay_secs: sweep::mean_block_relay_secs(world),
+        mean_sync_fraction: sweep::mean_min(&run.samples).0,
     }
 }
 
-/// Runs every arm with the same seed, all reporting into the one `ins`.
+/// Runs every arm, all reporting into the one `ins`.
 pub fn run(cfg: &AblationConfig, ins: &Instruments) -> AblationResult {
-    AblationResult {
-        arms: Arm::all().iter().map(|&a| run_arm(cfg, a, ins)).collect(),
-    }
+    let measure = |(arm, cell): (Arm, Cell<f64>)| assemble(arm, sweep::run(&cell, ins));
+    let arms = cells(cfg).into_iter().map(measure).collect();
+    AblationResult { arms }
 }
 
 /// Registry row for the §V refinement ablation.
@@ -255,22 +236,33 @@ pub const EXPERIMENT: Experiment = Experiment {
 mod tests {
     use super::*;
 
+    /// Also checks the arms' counters are per-cell deltas of the shared
+    /// recorder ([`sweep::check_per_cell_deltas`]).
     #[test]
     fn all_arms_produce_metrics() {
-        let result = run(&AblationConfig::quick(31), &Instruments::default());
-        assert_eq!(result.arms.len(), 5);
-        for arm in &result.arms {
+        let cells = cells(&AblationConfig::quick(31));
+        let (arms, _) = sweep::check_per_cell_deltas(cells, assemble);
+        assert_eq!(arms.len(), 5);
+        for arm in &arms {
             assert!(arm.connection_success_rate > 0.0, "{:?}", arm.arm);
             assert!(arm.mean_outdegree > 0.0, "{:?}", arm.arm);
             assert!(arm.mean_sync_fraction > 0.0, "{:?}", arm.arm);
         }
     }
 
+    fn arm_result(cfg: &AblationConfig, arm: Arm) -> ArmResult {
+        let (_, cell) = cells(cfg)
+            .into_iter()
+            .find(|(a, _)| *a == arm)
+            .expect("arm");
+        assemble(arm, sweep::run(&cell, &Instruments::default()))
+    }
+
     #[test]
     fn tried_only_addr_improves_success_rate() {
         let cfg = AblationConfig::quick(32);
-        let base = run_arm(&cfg, Arm::Baseline, &Instruments::default());
-        let tried = run_arm(&cfg, Arm::TriedOnlyAddr, &Instruments::default());
+        let base = arm_result(&cfg, Arm::Baseline);
+        let tried = arm_result(&cfg, Arm::TriedOnlyAddr);
         // The §V claim: serving only tried (verified-reachable) addresses
         // raises the outgoing-connection success rate. Allow noise but
         // require no regression beyond it.

@@ -15,9 +15,8 @@
 //! taken against.
 
 use crate::experiments::registry::{Experiment, Scale};
-use crate::experiments::sweep;
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_json::{ToJson, Value};
-use bitsync_node::config::NodeConfig;
 use bitsync_node::world::{metric, World, WorldConfig};
 use bitsync_sim::fault::{Fault, FaultConfig};
 use bitsync_sim::time::SimDuration;
@@ -154,89 +153,51 @@ impl ForkStressResult {
     }
 }
 
-/// Runs one cell with its world reporting into `ins`; timeseries rows are
-/// labelled with the cell (`i<intensity>/res_{on,off}`).
-pub fn run_cell(
-    cfg: &ForkStressConfig,
-    intensity: f64,
-    resilience: bool,
-    ins: &Instruments,
-) -> CellResult {
-    ins.sampler.set_ctx(Some(&format!(
-        "i{intensity}/res_{}",
-        if resilience { "on" } else { "off" }
-    )));
-    let mut world = World::new(WorldConfig {
-        seed: cfg.seed,
-        node_cfg: if resilience {
-            NodeConfig::resilient()
-        } else {
-            NodeConfig::bitcoin_core()
+/// The sweep's cells ([`sweep::grid`], switch label `res`). Each samples
+/// [`World::honest_sync_fraction`], then ends the faults and clocks
+/// convergence.
+pub fn cells(cfg: &ForkStressConfig) -> sweep::Grid<f64> {
+    let base = Cell {
+        ctx: None,
+        world: WorldConfig {
+            n_reachable: cfg.n_reachable,
+            n_unreachable_full: cfg.n_unreachable_full,
+            n_phantoms: cfg.n_phantoms,
+            ..sweep::mesh(cfg.seed)
         },
-        n_reachable: cfg.n_reachable,
-        n_malicious: 0,
-        n_unreachable_full: cfg.n_unreachable_full,
-        n_phantoms: cfg.n_phantoms,
-        seed_phantoms: 200.min(cfg.n_phantoms),
-        seed_reachable: 32,
-        churn: None,
-        block_interval: Some(SimDuration::from_secs(600)),
-        tx_rate: 0.2,
-        ibd_fresh_mean: Some(SimDuration::from_mins(30)),
-        instrument: Some(0),
-        fault: cfg.base_fault.scaled(intensity),
-        ..WorldConfig::default()
-    });
-    world.attach(ins);
+        warmup: cfg.warmup,
+        duration: cfg.duration,
+        every: cfg.sample_every,
+        probe: World::honest_sync_fraction,
+        convergence_grace: Some(cfg.convergence_grace),
+    };
+    sweep::grid(&base, &cfg.base_fault, &cfg.intensities, "res")
+}
 
-    let deltas = sweep::counter_deltas(
-        &ins.metrics,
-        [
-            metric::REORGS,
-            metric::FAULT_COMPETING_BLOCKS,
-            metric::FAULT_SOLO_BLOCKS,
-            metric::PEER_BANNED,
-            metric::FAULT_CONN_FLAPS,
-        ],
-    );
-    let sync_samples = sweep::sample_run(
-        &mut world,
-        cfg.warmup,
-        cfg.duration,
-        cfg.sample_every,
-        World::honest_sync_fraction,
-    );
-    // Storm over: stop the weather and clock the recovery.
-    world.end_faults();
-    let convergence = world.check_convergence(cfg.convergence_grace);
-    let [reorgs, competing_blocks, solo_blocks, peers_banned, connection_flaps] = deltas();
-
-    let (mean_sync_fraction, min_sync_fraction) = sweep::mean_min(&sync_samples);
+/// One cell's result from its run.
+pub fn assemble((intensity, resilience): (f64, bool), run: Run<f64>) -> CellResult {
+    let (mean_sync_fraction, min_sync_fraction) = sweep::mean_min(&run.samples);
     CellResult {
         intensity,
         resilience,
         mean_sync_fraction,
         min_sync_fraction: min_sync_fraction.min(1.0),
-        converged: convergence.is_some(),
-        convergence_secs: convergence.map(|d| d.as_secs_f64()),
-        max_fork_depth: world.max_reorg_depth(),
-        reorgs,
-        competing_blocks,
-        solo_blocks,
-        peers_banned,
-        connection_flaps,
+        converged: run.convergence.is_some(),
+        convergence_secs: run.convergence.map(|d| d.as_secs_f64()),
+        max_fork_depth: run.world.max_reorg_depth(),
+        reorgs: run.counter(metric::REORGS),
+        competing_blocks: run.counter(metric::FAULT_COMPETING_BLOCKS),
+        solo_blocks: run.counter(metric::FAULT_SOLO_BLOCKS),
+        peers_banned: run.counter(metric::PEER_BANNED),
+        connection_flaps: run.counter(metric::FAULT_CONN_FLAPS),
     }
 }
 
-/// Runs the full sweep with the same seed in every cell, all reporting
-/// into the one `ins`, cells in sweep order: each intensity in turn, off
-/// before on.
+/// Runs the full sweep, all cells reporting into the one `ins`.
 pub fn run(cfg: &ForkStressConfig, ins: &Instruments) -> ForkStressResult {
-    ForkStressResult {
-        cells: sweep::grid(&cfg.intensities, |intensity, resilience| {
-            run_cell(cfg, intensity, resilience, ins)
-        }),
-    }
+    let measure = |(key, cell): ((f64, bool), Cell<f64>)| assemble(key, sweep::run(&cell, ins));
+    let cells = cells(cfg).into_iter().map(measure).collect();
+    ForkStressResult { cells }
 }
 
 /// Registry row for the fork-stress sweep.
@@ -276,9 +237,8 @@ mod tests {
     #[test]
     fn counters_are_per_cell_deltas_of_the_shared_recorder() {
         let cfg = ForkStressConfig::quick(81);
-        let ins = Instruments::default();
-        let swept = run(&cfg, &ins);
-        let total = |field: fn(&CellResult) -> u64| swept.cells.iter().map(field).sum::<u64>();
+        let (swept, ins) = sweep::check_per_cell_deltas(cells(&cfg), assemble);
+        let total = |field: fn(&CellResult) -> u64| swept.iter().map(field).sum::<u64>();
         let recorded = |name| ins.metrics.counter(name);
         assert!(recorded(metric::REORGS) > 0, "storm produced no reorgs");
         assert_eq!(total(|c| c.reorgs), recorded(metric::REORGS));
@@ -290,22 +250,26 @@ mod tests {
             total(|c| c.solo_blocks),
             recorded(metric::FAULT_SOLO_BLOCKS)
         );
-
-        let last = swept.cells.last().expect("cells");
-        let alone = run_cell(
-            &cfg,
-            last.intensity,
-            last.resilience,
-            &Instruments::default(),
+        assert_eq!(total(|c| c.peers_banned), recorded(metric::PEER_BANNED));
+        assert_eq!(
+            total(|c| c.connection_flaps),
+            recorded(metric::FAULT_CONN_FLAPS)
         );
-        assert_eq!(alone.to_json().to_string(), last.to_json().to_string());
+    }
+
+    fn cell_result(cfg: &ForkStressConfig, key: (f64, bool)) -> CellResult {
+        let (_, cell) = cells(cfg)
+            .into_iter()
+            .find(|(k, _)| *k == key)
+            .expect("cell");
+        assemble(key, sweep::run(&cell, &Instruments::default()))
     }
 
     #[test]
     fn storm_forces_forks_and_recovery_converges() {
         let cfg = ForkStressConfig::quick(82);
-        let calm = run_cell(&cfg, 0.0, false, &Instruments::default());
-        let stormy = run_cell(&cfg, 1.0, false, &Instruments::default());
+        let calm = cell_result(&cfg, (0.0, false));
+        let stormy = cell_result(&cfg, (1.0, false));
         assert_eq!(calm.competing_blocks + calm.solo_blocks, 0);
         assert!(
             stormy.competing_blocks + stormy.solo_blocks > 0,

@@ -3,7 +3,8 @@
 //! serializable result, and one `EXPERIMENT` row that enters it in the
 //! [`REGISTRY`]; the `bitsync-bench` crate renders them as the paper's
 //! tables and figures, and [`write_bundle`] files a finished run as one
-//! directory.
+//! directory. The six experiments that are lists of worlds also expose
+//! their `cells()` and an assembler; [`sweep::run`] runs each cell.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -37,7 +38,7 @@ pub mod rounds;
 pub mod runner;
 pub mod stability;
 pub mod success_rate;
-mod sweep;
+pub mod sweep;
 pub mod sync_kde;
 
 pub use bundle::write_bundle;

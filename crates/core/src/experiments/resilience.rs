@@ -20,11 +20,10 @@
 //! §IV baseline the report's relay-delay deltas are taken against.
 
 use crate::experiments::registry::{Experiment, Scale};
-use crate::experiments::sweep;
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_json::{ToJson, Value};
 use bitsync_net::churn::ChurnConfig;
-use bitsync_node::config::NodeConfig;
-use bitsync_node::world::{metric, World, WorldConfig};
+use bitsync_node::world::{metric, NodeMeta, WorldConfig};
 use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
@@ -184,81 +183,35 @@ impl ResilienceResult {
     }
 }
 
-/// Mean outbound degree over honest online reachable nodes.
-fn honest_outdegree(world: &World) -> f64 {
-    let mut total = 0usize;
-    let mut online = 0usize;
-    for id in world.online_ids() {
-        if world.meta[id.0 as usize].is_honest() {
-            online += 1;
-            total += world.node(id).expect("online").outbound_count();
-        }
-    }
-    if online == 0 {
-        0.0
-    } else {
-        total as f64 / online as f64
-    }
+/// The sweep's cells ([`sweep::grid`], switch label `cm`), each sampling
+/// the honest synchronized fraction and outdegree.
+pub fn cells(cfg: &ResilienceConfig) -> sweep::Grid<(f64, f64)> {
+    let base = Cell {
+        ctx: None,
+        world: WorldConfig {
+            n_reachable: cfg.n_reachable,
+            n_malicious: cfg.n_malicious,
+            n_unreachable_full: cfg.n_unreachable_full,
+            n_phantoms: cfg.n_phantoms,
+            churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
+            ..sweep::mesh(cfg.seed)
+        },
+        warmup: cfg.warmup,
+        duration: cfg.duration,
+        every: cfg.sample_every,
+        probe: |world| {
+            let outdegree = world.mean_outdegree(NodeMeta::is_honest);
+            (world.honest_sync_fraction(), outdegree)
+        },
+        convergence_grace: None,
+    };
+    sweep::grid(&base, &cfg.base_fault, &cfg.intensities, "cm")
 }
 
-/// Runs one cell with its world reporting into `ins`; timeseries rows are
-/// labelled with the cell (`i<intensity>/cm_{on,off}`).
-pub fn run_cell(
-    cfg: &ResilienceConfig,
-    intensity: f64,
-    countermeasures: bool,
-    ins: &Instruments,
-) -> CellResult {
-    ins.sampler.set_ctx(Some(&format!(
-        "i{intensity}/cm_{}",
-        if countermeasures { "on" } else { "off" }
-    )));
-    let mut world = World::new(WorldConfig {
-        seed: cfg.seed,
-        node_cfg: if countermeasures {
-            NodeConfig::resilient()
-        } else {
-            NodeConfig::bitcoin_core()
-        },
-        n_reachable: cfg.n_reachable,
-        n_malicious: cfg.n_malicious,
-        n_unreachable_full: cfg.n_unreachable_full,
-        n_phantoms: cfg.n_phantoms,
-        seed_phantoms: 200.min(cfg.n_phantoms),
-        seed_reachable: 32,
-        churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
-        block_interval: Some(SimDuration::from_secs(600)),
-        tx_rate: 0.2,
-        ibd_fresh_mean: Some(SimDuration::from_mins(30)),
-        instrument: Some(0),
-        fault: cfg.base_fault.scaled(intensity),
-        ..WorldConfig::default()
-    });
-    world.attach(ins);
-
-    let deltas = sweep::counter_deltas(
-        &ins.metrics,
-        [
-            metric::DIAL_RETRIES,
-            metric::PEER_BANNED,
-            metric::STALETIP_RESCUES,
-            metric::HANDSHAKE_TIMEOUTS,
-            metric::FAULT_DROPPED,
-            metric::FAULT_CONN_FLAPS,
-        ],
-    );
-    let (sync_samples, outdegree_samples): (Vec<f64>, Vec<f64>) = sweep::sample_run(
-        &mut world,
-        cfg.warmup,
-        cfg.duration,
-        cfg.sample_every,
-        |w| (w.honest_sync_fraction(), honest_outdegree(w)),
-    )
-    .into_iter()
-    .unzip();
-    let [dial_retries, peers_banned, stale_rescues, handshake_timeouts, faults_dropped, connection_flaps] =
-        deltas();
-
+/// One cell's result from its run.
+pub fn assemble((intensity, countermeasures): (f64, bool), run: Run<(f64, f64)>) -> CellResult {
+    let (sync_samples, outdegree_samples): (Vec<f64>, Vec<f64>) =
+        run.samples.iter().copied().unzip();
     let (mean_sync_fraction, min_sync_fraction) = sweep::mean_min(&sync_samples);
     let (mean_outdegree, min_outdegree) = sweep::mean_min(&outdegree_samples);
     CellResult {
@@ -272,25 +225,21 @@ pub fn run_cell(
         } else {
             0.0
         },
-        mean_block_relay_secs: sweep::mean_block_relay_secs(&world),
-        dial_retries,
-        peers_banned,
-        stale_rescues,
-        handshake_timeouts,
-        faults_dropped,
-        connection_flaps,
+        mean_block_relay_secs: sweep::mean_block_relay_secs(&run.world),
+        dial_retries: run.counter(metric::DIAL_RETRIES),
+        peers_banned: run.counter(metric::PEER_BANNED),
+        stale_rescues: run.counter(metric::STALETIP_RESCUES),
+        handshake_timeouts: run.counter(metric::HANDSHAKE_TIMEOUTS),
+        faults_dropped: run.counter(metric::FAULT_DROPPED),
+        connection_flaps: run.counter(metric::FAULT_CONN_FLAPS),
     }
 }
 
-/// Runs the full sweep with the same seed in every cell, all reporting
-/// into the one `ins`, cells in sweep order: each intensity in turn, off
-/// before on.
+/// Runs the full sweep, all cells reporting into the one `ins`.
 pub fn run(cfg: &ResilienceConfig, ins: &Instruments) -> ResilienceResult {
-    ResilienceResult {
-        cells: sweep::grid(&cfg.intensities, |intensity, countermeasures| {
-            run_cell(cfg, intensity, countermeasures, ins)
-        }),
-    }
+    let measure = |(key, cell): ((f64, bool), Cell<_>)| assemble(key, sweep::run(&cell, ins));
+    let cells = cells(cfg).into_iter().map(measure).collect();
+    ResilienceResult { cells }
 }
 
 /// Registry row for the resilience sweep.
@@ -331,33 +280,40 @@ mod tests {
     #[test]
     fn counters_are_per_cell_deltas_of_the_shared_recorder() {
         let cfg = ResilienceConfig::quick(77);
-        let ins = Instruments::default();
-        let swept = run(&cfg, &ins);
-        let total = |field: fn(&CellResult) -> u64| swept.cells.iter().map(field).sum::<u64>();
+        let (swept, ins) = sweep::check_per_cell_deltas(cells(&cfg), assemble);
+        let total = |field: fn(&CellResult) -> u64| swept.iter().map(field).sum::<u64>();
         let recorded = |name| ins.metrics.counter(name);
         assert!(recorded(metric::FAULT_DROPPED) > 0, "fault plane inactive");
+        assert_eq!(total(|c| c.dial_retries), recorded(metric::DIAL_RETRIES));
         assert_eq!(total(|c| c.peers_banned), recorded(metric::PEER_BANNED));
+        assert_eq!(
+            total(|c| c.stale_rescues),
+            recorded(metric::STALETIP_RESCUES)
+        );
+        assert_eq!(
+            total(|c| c.handshake_timeouts),
+            recorded(metric::HANDSHAKE_TIMEOUTS)
+        );
+        assert_eq!(total(|c| c.faults_dropped), recorded(metric::FAULT_DROPPED));
         assert_eq!(
             total(|c| c.connection_flaps),
             recorded(metric::FAULT_CONN_FLAPS)
         );
-        assert_eq!(total(|c| c.faults_dropped), recorded(metric::FAULT_DROPPED));
+    }
 
-        let last = swept.cells.last().expect("cells");
-        let alone = run_cell(
-            &cfg,
-            last.intensity,
-            last.countermeasures,
-            &Instruments::default(),
-        );
-        assert_eq!(alone.to_json().to_string(), last.to_json().to_string());
+    fn cell_result(cfg: &ResilienceConfig, key: (f64, bool)) -> CellResult {
+        let (_, cell) = cells(cfg)
+            .into_iter()
+            .find(|(k, _)| *k == key)
+            .expect("cell");
+        assemble(key, sweep::run(&cell, &Instruments::default()))
     }
 
     #[test]
     fn faults_fire_and_countermeasures_respond() {
         let cfg = ResilienceConfig::quick(78);
-        let stressed_off = run_cell(&cfg, 1.0, false, &Instruments::default());
-        let stressed_on = run_cell(&cfg, 1.0, true, &Instruments::default());
+        let stressed_off = cell_result(&cfg, (1.0, false));
+        let stressed_on = cell_result(&cfg, (1.0, true));
         assert!(stressed_off.faults_dropped > 0, "fault plane inactive");
         // One switch: off, no countermeasure acts at all.
         assert_eq!(stressed_off.dial_retries, 0);
@@ -381,8 +337,8 @@ mod tests {
     #[test]
     fn baseline_cell_outperforms_stressed_cell() {
         let cfg = ResilienceConfig::quick(79);
-        let clean = run_cell(&cfg, 0.0, false, &Instruments::default());
-        let stressed = run_cell(&cfg, 1.0, false, &Instruments::default());
+        let clean = cell_result(&cfg, (0.0, false));
+        let stressed = cell_result(&cfg, (1.0, false));
         assert!(
             stressed.mean_sync_fraction <= clean.mean_sync_fraction,
             "faults did not hurt: {} vs {}",

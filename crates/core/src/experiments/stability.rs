@@ -6,11 +6,12 @@
 //! and sat below 8 for ~60% of the time.
 
 use crate::experiments::registry::{Experiment, Scale};
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_analysis::Summary;
 use bitsync_json::{ToJson, Value};
-use bitsync_node::world::{World, WorldConfig};
+use bitsync_node::world::WorldConfig;
 use bitsync_node::NodeId;
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// Experiment parameters.
@@ -99,28 +100,33 @@ impl ToJson for StabilityResult {
     }
 }
 
-/// Runs the Figure 6 experiment with its world reporting into `ins`.
-pub fn run(cfg: &StabilityConfig, ins: &Instruments) -> StabilityResult {
-    let mut world = World::new(WorldConfig {
-        seed: cfg.seed,
-        n_reachable: cfg.n_reachable,
-        n_unreachable_full: 0,
-        n_phantoms: cfg.n_phantoms,
-        seed_phantoms: cfg.seed_phantoms,
-        seed_reachable: cfg.seed_reachable,
-        connection_mean_lifetime: Some(cfg.connection_mean_lifetime),
-        instrument: Some(0),
-        ..WorldConfig::default()
-    });
-    world.attach(ins);
-    let observed = NodeId(0);
-    world.run_until(SimTime::ZERO + cfg.warmup);
-    let mut series = Vec::with_capacity(cfg.window_secs as usize);
-    for s in 0..cfg.window_secs {
-        world.run_until(SimTime::ZERO + cfg.warmup + SimDuration::from_secs(s + 1));
-        let count = world.node(observed).map_or(0, |n| n.outgoing_count());
-        series.push(count);
+/// The one world, sampled once per second over the window: the observed
+/// node 0's outgoing connection count.
+pub fn cell(cfg: &StabilityConfig) -> Cell<usize> {
+    Cell {
+        ctx: None,
+        world: WorldConfig {
+            seed: cfg.seed,
+            n_reachable: cfg.n_reachable,
+            n_unreachable_full: 0,
+            n_phantoms: cfg.n_phantoms,
+            seed_phantoms: cfg.seed_phantoms,
+            seed_reachable: cfg.seed_reachable,
+            connection_mean_lifetime: Some(cfg.connection_mean_lifetime),
+            instrument: Some(0),
+            ..WorldConfig::default()
+        },
+        warmup: cfg.warmup,
+        duration: SimDuration::from_secs(cfg.window_secs),
+        every: SimDuration::from_secs(1),
+        probe: |world| world.node(NodeId(0)).map_or(0, |n| n.outgoing_count()),
+        convergence_grace: None,
     }
+}
+
+/// The Figure 6 result from the cell's run.
+pub fn assemble(run: Run<usize>) -> StabilityResult {
+    let series = run.samples;
     let as_f64: Vec<f64> = series.iter().map(|&c| c as f64).collect();
     let summary = Summary::of(&as_f64).expect("non-empty series");
     let below = series.iter().filter(|&&c| c < 8).count();
@@ -131,6 +137,11 @@ pub fn run(cfg: &StabilityConfig, ins: &Instruments) -> StabilityResult {
         summary,
         series,
     }
+}
+
+/// Runs the Figure 6 experiment with its world reporting into `ins`.
+pub fn run(cfg: &StabilityConfig, ins: &Instruments) -> StabilityResult {
+    assemble(sweep::run(&cell(cfg), ins))
 }
 
 /// Registry row for the Figure 6 connection-stability experiment.

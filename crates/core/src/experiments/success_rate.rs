@@ -6,10 +6,11 @@
 //! established connections dropped and were replaced.
 
 use crate::experiments::registry::{Experiment, Scale};
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_json::{ToJson, Value};
-use bitsync_node::world::{World, WorldConfig};
+use bitsync_node::world::WorldConfig;
 use bitsync_node::NodeId;
-use bitsync_sim::time::{SimDuration, SimTime};
+use bitsync_sim::time::SimDuration;
 use bitsync_sim::Instruments;
 
 /// Experiment parameters.
@@ -75,7 +76,7 @@ impl SuccessRateConfig {
 }
 
 /// One run's counts.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RunCounts {
     /// Outgoing attempts started.
     pub attempts: u64,
@@ -136,15 +137,13 @@ impl ToJson for SuccessRateResult {
     }
 }
 
-/// Runs the Figure 7 experiment: each run restarts the observed node in a
-/// fresh world, mirroring the paper's restart-per-experiment protocol.
-/// Every per-run world reports into the one `ins`: the initiator id plus
-/// event order distinguish runs in the trace, the `run<i>` row context in
-/// the timeseries.
-pub fn run(cfg: &SuccessRateConfig, ins: &Instruments) -> SuccessRateResult {
-    let mut runs = Vec::with_capacity(cfg.runs);
-    for i in 0..cfg.runs {
-        let mut world = World::new(WorldConfig {
+/// One fresh world per run `i` (seed `seed + i`, rows labelled `run<i>`),
+/// mirroring the paper's restart-per-experiment protocol; it runs its whole
+/// duration as the warm-up and takes no sample.
+pub fn cells(cfg: &SuccessRateConfig) -> Vec<Cell<()>> {
+    let cell = |i: usize| Cell {
+        ctx: Some(format!("run{i}")),
+        world: WorldConfig {
             seed: cfg.seed.wrapping_add(i as u64),
             n_reachable: cfg.n_reachable,
             n_unreachable_full: 0,
@@ -153,16 +152,32 @@ pub fn run(cfg: &SuccessRateConfig, ins: &Instruments) -> SuccessRateResult {
             seed_reachable: cfg.seed_reachable,
             connection_mean_lifetime: cfg.connection_mean_lifetime,
             ..WorldConfig::default()
-        });
-        ins.sampler.set_ctx(Some(&format!("run{i}")));
-        world.attach(ins);
-        world.run_until(SimTime::ZERO + cfg.run_duration);
-        let stats = world.node(NodeId(0)).map(|n| n.stats).unwrap_or_default();
-        runs.push(RunCounts {
-            attempts: stats.attempts,
-            successes: stats.successes,
-        });
+        },
+        warmup: cfg.run_duration,
+        duration: SimDuration::ZERO,
+        every: cfg.run_duration,
+        probe: |_| (),
+        convergence_grace: None,
+    };
+    (0..cfg.runs).map(cell).collect()
+}
+
+/// One run's counts: the observed node's dial statistics at the end.
+pub fn assemble(run: Run<()>) -> RunCounts {
+    let node = run.world.node(NodeId(0));
+    let stats = node.map(|n| n.stats).unwrap_or_default();
+    RunCounts {
+        attempts: stats.attempts,
+        successes: stats.successes,
     }
+}
+
+/// Runs the Figure 7 experiment. Every per-run world reports into the one
+/// `ins`: the initiator id plus event order distinguish runs in the trace,
+/// the row context in the timeseries.
+pub fn run(cfg: &SuccessRateConfig, ins: &Instruments) -> SuccessRateResult {
+    let measure = |cell: Cell<()>| assemble(sweep::run(&cell, ins));
+    let runs = cells(cfg).into_iter().map(measure).collect();
     SuccessRateResult { runs }
 }
 

@@ -15,7 +15,7 @@
 //! "protocols did not change between the years" argument.
 
 use crate::experiments::registry::{Experiment, Scale};
-use crate::experiments::sweep;
+use crate::experiments::sweep::{self, Cell, Run};
 use bitsync_analysis::churn::{mean_synchronized_departures, Departure};
 use bitsync_analysis::{Kde, Summary};
 use bitsync_json::{ToJson, Value};
@@ -100,29 +100,6 @@ impl SyncScenarioConfig {
             ..Self::scaled(seed)
         }
     }
-
-    fn world_config(&self, year: Year) -> WorldConfig {
-        // Accelerate both lifetimes and IBD by the same factor so the
-        // steady-state unsynchronized fraction is preserved.
-        let churn = year.churn().sped_up(self.churn_speedup);
-        let ibd =
-            SimDuration::from_secs_f64(self.ibd_fresh_mean.as_secs_f64() / self.churn_speedup);
-        WorldConfig {
-            seed: self.seed,
-            n_reachable: self.n_reachable,
-            n_unreachable_full: self.n_unreachable_full,
-            n_phantoms: 2_000,
-            seed_phantoms: 150,
-            seed_reachable: 32,
-            churn: Some(churn),
-            block_interval: Some(self.block_interval),
-            tx_rate: 0.0,
-            ibd_fresh_mean: Some(ibd),
-            permanent_fraction: 0.25,
-            laggard_fraction: self.laggard_fraction,
-            ..WorldConfig::default()
-        }
-    }
 }
 
 /// One arm's (one year's) results.
@@ -192,31 +169,45 @@ impl ToJson for SyncComparison {
     }
 }
 
-/// Runs one arm with its world reporting into `ins`; timeseries rows are
-/// labelled with the arm's year as the row context.
-pub fn run_year(cfg: &SyncScenarioConfig, year: Year, ins: &Instruments) -> YearResult {
-    let mut wcfg = cfg.world_config(year);
-    // Windowed relay-delay quantiles need a relay-instrumented node.
-    // Instrumentation only records (relay log + metrics + sampler window);
-    // it draws no randomness and schedules nothing, so the event stream —
-    // and therefore the result — is identical either way.
-    if ins.sampler.is_enabled() && wcfg.instrument.is_none() {
-        wcfg.instrument = Some(0);
-    }
-    ins.sampler.set_ctx(Some(match year {
-        Year::Y2019 => "y2019",
-        Year::Y2020 => "y2020",
-    }));
-    let mut world = World::new(wcfg);
-    world.attach(ins);
-    let samples = sweep::sample_run(
-        &mut world,
-        cfg.warmup,
-        cfg.duration,
-        cfg.snapshot_interval,
-        World::sync_fraction,
-    );
-    let departures: Vec<Departure> = world
+/// The two arms, 2019 then 2020, differing only in churn (rows `y2019` /
+/// `y2020`, [`World::sync_fraction`] sampled every snapshot). `sampled`
+/// relay-instruments node 0 for windowed relay quantiles; instrumentation
+/// draws and schedules nothing, so the result is the same either way.
+pub fn cells(cfg: &SyncScenarioConfig, sampled: bool) -> [(Year, Cell<f64>); 2] {
+    // Accelerate both lifetimes and IBD by the same factor so the
+    // steady-state unsynchronized fraction is preserved.
+    let ibd = SimDuration::from_secs_f64(cfg.ibd_fresh_mean.as_secs_f64() / cfg.churn_speedup);
+    [(Year::Y2019, "y2019"), (Year::Y2020, "y2020")].map(|(year, ctx)| {
+        let cell = Cell {
+            ctx: Some(ctx.to_string()),
+            world: WorldConfig {
+                seed: cfg.seed,
+                n_reachable: cfg.n_reachable,
+                n_unreachable_full: cfg.n_unreachable_full,
+                n_phantoms: 2_000,
+                seed_phantoms: 150,
+                churn: Some(year.churn().sped_up(cfg.churn_speedup)),
+                block_interval: Some(cfg.block_interval),
+                ibd_fresh_mean: Some(ibd),
+                permanent_fraction: 0.25,
+                laggard_fraction: cfg.laggard_fraction,
+                instrument: sampled.then_some(0),
+                ..WorldConfig::default()
+            },
+            warmup: cfg.warmup,
+            duration: cfg.duration,
+            every: cfg.snapshot_interval,
+            probe: World::sync_fraction,
+            convergence_grace: None,
+        };
+        (year, cell)
+    })
+}
+
+/// One arm's result from its run.
+pub fn assemble(cfg: &SyncScenarioConfig, year: Year, run: Run<f64>) -> YearResult {
+    let departures: Vec<Departure> = run
+        .world
         .churn_events
         .iter()
         .filter_map(|(at, e)| match e {
@@ -231,21 +222,19 @@ pub fn run_year(cfg: &SyncScenarioConfig, year: Year, ins: &Instruments) -> Year
     let sync_departures_per_10min = mean_synchronized_departures(&departures, horizon, 600);
     YearResult {
         year,
-        summary: Summary::of(&samples).expect("non-empty samples"),
-        sync_samples: samples,
+        summary: Summary::of(&run.samples).expect("non-empty samples"),
+        sync_samples: run.samples,
         sync_departures_per_10min,
         total_departures: departures.len(),
     }
 }
 
-/// Runs both arms with identical seeds and everything but churn fixed.
-/// Both report into the one `ins`: the 2019 arm's trace events and rows
-/// (`ctx` `y2019`) come first, each arm restarting sim time at zero.
+/// Runs both arms into the one `ins`: the 2019 arm's trace events and rows
+/// come first, each arm restarting sim time at zero.
 pub fn run(cfg: &SyncScenarioConfig, ins: &Instruments) -> SyncComparison {
-    SyncComparison {
-        y2019: run_year(cfg, Year::Y2019, ins),
-        y2020: run_year(cfg, Year::Y2020, ins),
-    }
+    let [y2019, y2020] = cells(cfg, ins.sampler.is_enabled())
+        .map(|(year, cell)| assemble(cfg, year, sweep::run(&cell, ins)));
+    SyncComparison { y2019, y2020 }
 }
 
 /// Registry row for the Figure 1 synchronization comparison.

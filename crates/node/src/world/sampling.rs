@@ -101,6 +101,16 @@ impl World {
         self.sync_fraction_where(NodeMeta::is_honest)
     }
 
+    /// Mean outbound connections per online node that `counts` selects (0
+    /// with none): the sampler's `outdeg_mean` gauge over honest nodes.
+    pub fn mean_outdegree(&self, counts: impl Fn(&NodeMeta) -> bool) -> f64 {
+        let nodes = self.online().filter(|(_, m, _)| counts(m));
+        let (n, out) = nodes.fold((0, 0), |(n, out), (_, _, node)| {
+            (n + 1, out + node.outbound_count() as u64)
+        });
+        ratio(out, n)
+    }
+
     fn sync_fraction_where(&self, counts: impl Fn(&NodeMeta) -> bool) -> f64 {
         let (mut online, mut synced) = (0, 0);
         for (_, meta, node) in self.online().filter(|(_, m, _)| counts(m)) {
@@ -119,15 +129,12 @@ impl World {
     /// wall-clock observation rides the separate perf side-channel.
     pub(super) fn take_sample(&mut self, at: SimTime) {
         let mut honest = 0u64;
-        let mut outdeg_sum = 0u64;
         let mut outdeg_min = u64::MAX;
         // Addrman entries per table: (total, unreachable).
         let (mut new, mut tried) = ((0u64, 0u64), (0u64, 0u64));
         for (_, _, node) in self.online().filter(|(_, m, _)| m.is_honest()) {
             honest += 1;
-            let out = node.outbound_count() as u64;
-            outdeg_sum += out;
-            outdeg_min = outdeg_min.min(out);
+            outdeg_min = outdeg_min.min(node.outbound_count() as u64);
             for info in node.addrman.iter() {
                 let table = match info.table {
                     Table::New => &mut new,
@@ -141,7 +148,7 @@ impl World {
         let gauges = [
             ("sync_frac", self.honest_sync_fraction()),
             ("honest_online", honest as f64),
-            ("outdeg_mean", ratio(outdeg_sum, honest)),
+            ("outdeg_mean", self.mean_outdegree(NodeMeta::is_honest)),
             (
                 "outdeg_min",
                 if honest == 0 { 0.0 } else { outdeg_min as f64 },

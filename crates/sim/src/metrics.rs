@@ -324,10 +324,9 @@ impl Recorder {
             .collect()
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        let reg = self.inner.borrow();
-        reg.counters.is_empty() && reg.gauges.is_empty() && reg.histograms.is_empty()
+    /// Snapshot of every counter, in name order.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        self.inner.borrow().counters.clone()
     }
 
     /// Serializes the registry: `{"counters": {...}, "gauges": {...},

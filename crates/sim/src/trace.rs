@@ -604,11 +604,6 @@ impl Tracer {
             std::mem::replace(&mut *log, TraceLog::with_cap(cap))
         })
     }
-
-    /// Clones the accumulated log without draining it.
-    pub fn snapshot(&self) -> Option<TraceLog> {
-        self.inner.as_ref().map(|inner| inner.borrow().clone())
-    }
 }
 
 /// Lowercase hex of a 32-byte hash.
@@ -642,7 +637,6 @@ mod tests {
         assert!(!t.is_enabled());
         t.relay(relay_at(1));
         assert!(t.take().is_none());
-        assert!(t.snapshot().is_none());
     }
 
     #[test]
@@ -654,7 +648,7 @@ mod tests {
         let log = t.take().unwrap();
         assert_eq!(log.relay.len(), 2);
         // take() drained the shared log.
-        assert_eq!(clone.snapshot().unwrap().relay.len(), 0);
+        assert_eq!(clone.take().unwrap().relay.len(), 0);
     }
 
     #[test]

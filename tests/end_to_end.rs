@@ -2,7 +2,7 @@
 //! headline result points the same direction as the paper's.
 
 use bitsync_core::experiments::{
-    ablation, census, relay, resync, rounds, stability, success_rate, sync_kde,
+    ablation, census, relay, resync, rounds, stability, success_rate, sweep, sync_kde,
 };
 use bitsync_core::sim::Instruments;
 
@@ -82,9 +82,13 @@ fn resync_experiment_end_to_end() {
 #[ignore = "slowest quick-scale run; exercised by the release CI job"]
 fn ablation_end_to_end() {
     let ins = Instruments::default();
-    let cfg = ablation::AblationConfig::quick(6);
-    let base = ablation::run_arm(&cfg, ablation::Arm::Baseline, &ins);
-    let all = ablation::run_arm(&cfg, ablation::Arm::AllProposals, &ins);
+    let cells = ablation::cells(&ablation::AblationConfig::quick(6));
+    let arm = |which| {
+        let (arm, cell) = cells.iter().find(|(a, _)| *a == which).expect("arm");
+        ablation::assemble(*arm, sweep::run(cell, &ins))
+    };
+    let base = arm(ablation::Arm::Baseline);
+    let all = arm(ablation::Arm::AllProposals);
     // §V direction: the combined refinements do not hurt synchronization
     // or connectivity.
     assert!(all.mean_sync_fraction >= base.mean_sync_fraction - 0.1);
