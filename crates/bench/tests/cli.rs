@@ -1,8 +1,10 @@
 //! The `repro` binary's argument surface and the bundles it files, driven
-//! as a subprocess.
+//! as a subprocess. The scaled goldens under `tests/golden/` are files of
+//! one such bundle: [`scaled_bundle_matches_the_goldens`] files it and
+//! compares, and `BLESS=1` copies it over them.
 
-use bitsync_core::experiments::{experiment_names, experiment_seed};
-use bitsync_json::{first_difference, Value};
+use bitsync_core::experiments::{experiment_names, experiment_seed, REGISTRY};
+use bitsync_json::{first_difference, parse, Value};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
@@ -85,7 +87,7 @@ fn files_under(dir: &Path) -> Vec<String> {
 /// The JSON document in the file at `path`.
 fn read_json(path: &Path) -> Value {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    bitsync_json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
 /// The member of `doc` reached by following `path` through nested objects.
@@ -121,23 +123,29 @@ fn first_line_difference(x: &str, y: &str) -> String {
     format!("line {}: {} != {}", i + 1, line(&xs), line(&ys))
 }
 
+/// Where the texts of two versions of `file` first differ: a JSON file's
+/// first differing path ([`first_difference`]), any other file's first
+/// line.
+fn file_difference(file: &str, x: &str, y: &str) -> String {
+    if !file.ends_with(".json") {
+        return first_line_difference(x, y);
+    }
+    match (parse(x), parse(y)) {
+        (Ok(a), Ok(b)) => first_difference(&a, &b)
+            .unwrap_or_else(|| "the same document, printed differently".into()),
+        (a, b) => format!("an unparseable side: {:?} / {:?}", a.err(), b.err()),
+    }
+}
+
 /// Panics at the first of `files` whose bytes differ under `a` and `b`,
-/// naming the file and where it first differs: a JSON file's first
-/// differing path ([`first_difference`]), any other file's first line.
+/// naming the file and where it first differs ([`file_difference`]).
 fn assert_same_files(a: &Path, b: &Path, files: &[String]) {
     for f in files {
         let read = |dir: &Path| std::fs::read_to_string(dir.join(f)).expect(f);
         let (x, y) = (read(a), read(b));
-        if x == y {
-            continue;
+        if x != y {
+            panic!("{f}: {}", file_difference(f, &x, &y));
         }
-        let diff = if f.ends_with(".json") {
-            first_difference(&read_json(&a.join(f)), &read_json(&b.join(f)))
-                .unwrap_or_else(|| "the same document, printed differently".into())
-        } else {
-            first_line_difference(&x, &y)
-        };
-        panic!("{f}: {diff}");
     }
 }
 
@@ -175,16 +183,6 @@ fn assert_thread_count_invariant(a: &Filed, b: &Filed) {
     let body = |run: &Filed| run.stdout.split_once('\n').expect("a header").1.to_string();
     let (x, y) = (body(a), body(b));
     assert!(x == y, "stdout: {}", first_line_difference(&x, &y));
-}
-
-/// `report` with its `metrics.histograms[name]` set to null.
-fn without_histogram(mut report: Value, name: &str) -> Value {
-    let mut metrics = at(&report, &["metrics"]).clone();
-    let mut histograms = at(&metrics, &["histograms"]).clone();
-    histograms.set(name, Value::Null);
-    metrics.set("histograms", histograms);
-    report.set("metrics", metrics);
-    report
 }
 
 /// The determinism contract — a run's files are the same at any
@@ -260,25 +258,17 @@ fn quick_bundle_is_the_same_at_one_and_four_threads() {
 }
 
 /// Every `report.json` is the same with and without `--trace
-/// --sample-interval`, except one histogram: sampling makes fig1's worlds
-/// relay-instrument node 0 (`sync_kde`), which fills
-/// `node.relay_delay_secs`.
+/// --sample-interval`: instruments only observe.
 #[test]
 fn instruments_change_no_stdout_and_no_report() {
     let QuickBundles { t1, bare, .. } = quick_bundles();
     let (x, y) = (&t1.stdout, &bare.stdout);
     assert!(x == y, "stdout: {}", first_line_difference(x, y));
-    for name in experiment_names() {
-        let file = format!("{name}/report.json");
-        let [mut traced, mut untraced] = [t1, bare].map(|run| read_json(&run.dir.join(&file)));
-        if name == "fig1" {
-            traced = without_histogram(traced, "node.relay_delay_secs");
-            untraced = without_histogram(untraced, "node.relay_delay_secs");
-        }
-        if let Some(diff) = first_difference(&traced, &untraced) {
-            panic!("{file}: {diff}");
-        }
-    }
+    let reports: Vec<String> = experiment_names()
+        .iter()
+        .map(|name| format!("{name}/report.json"))
+        .collect();
+    assert_same_files(&t1.dir, &bare.dir, &reports);
 }
 
 #[test]
@@ -342,10 +332,7 @@ fn quick_bundle_traces_samples_and_counts_every_experiment() {
         ("partition", &["before", "attack", "heal"]),
     ] {
         let series = std::fs::read_to_string(dir.join(name).join("timeseries.jsonl")).unwrap();
-        let rows: Vec<Value> = series
-            .lines()
-            .map(|l| bitsync_json::parse(l).unwrap())
-            .collect();
+        let rows: Vec<Value> = series.lines().map(|l| parse(l).unwrap()).collect();
         for ctx in ctxs {
             let labelled = rows
                 .iter()
@@ -546,24 +533,40 @@ fn perf_json_has_exactly_the_bench_repro_key_names() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The time-series plane at the paper's cadence: a sampled scaled `fig1`
-/// files schema-valid rows for both years, a bundle byte-identical across
-/// worker counts outside `perf.*`, an attribution over the paper's four
-/// causes, and a manifest that counts the rows. (The attribution *table* is
-/// pinned byte-exact by `tests/golden/fig1_attribution.txt`.)
-#[test]
-#[ignore = "two scaled fig1 runs take minutes; run with --ignored (CI slow-tests)"]
-fn sampled_scaled_fig1_files_a_schema_valid_timeseries() {
-    let args = ["--scale", "scaled", "--sample-interval", "600", "fig1"];
-    let one = file_bundle(scratch("ts1"), "1", &args);
-    let four = file_bundle(scratch("ts4"), "4", &args);
-    assert_thread_count_invariant(&one, &four);
-    let (t1, t4) = (one.dir, four.dir);
+/// `tests/golden/`, the tracked files of the golden bundle.
+fn golden_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+}
 
-    let jsonl = std::fs::read_to_string(t1.join("fig1/timeseries.jsonl")).unwrap();
+/// The golden suite: one sampled scaled registry pass at the `repro`
+/// defaults' seed, filed at four threads, whose files are the goldens —
+/// each `<name>/report.json` is `tests/golden/<artifact>.json` (the
+/// artifact name from the manifest) and `fig1/attribution.txt` is
+/// `tests/golden/fig1_attribution.txt`, byte for byte. A report must not
+/// depend on the thread count or the sampler, so the goldens hold for a
+/// bare one-thread run too. Before comparing it checks the fig1 time
+/// series' schema: rows for both years
+/// carrying the root-cause gauges, an attribution over the paper's four
+/// causes, and a manifest that counts the rows.
+///
+/// After an intentional change, `BLESS=1 cargo test --release -p
+/// bitsync-bench --test cli -- --ignored scaled_bundle_matches_the_goldens`
+/// copies the bundle's files over the goldens; review that diff like any
+/// other. The bundle stays in the target directory's scratch space.
+#[test]
+#[ignore = "a scaled registry pass takes minutes; run with --ignored (CI slow-tests)"]
+fn scaled_bundle_matches_the_goldens() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("scaled-bundle");
+    let _ = std::fs::remove_dir_all(&dir);
+    let args: Vec<&str> = "--scale scaled --seed 2021 --sample-interval 600 all"
+        .split(' ')
+        .collect();
+    let dir = file_bundle(dir, "4", &args).dir;
+
+    let jsonl = std::fs::read_to_string(dir.join("fig1/timeseries.jsonl")).unwrap();
     let rows: Vec<Value> = jsonl
         .lines()
-        .map(|l| bitsync_json::parse(l).expect("one JSON object per line"))
+        .map(|l| parse(l).expect("one JSON object per line"))
         .collect();
     assert!(!rows.is_empty(), "no timeseries rows");
     let gauges = [
@@ -590,8 +593,7 @@ fn sampled_scaled_fig1_files_a_schema_valid_timeseries() {
         assert!(row.get("wall_secs").is_none(), "perf leaked into {row}");
     }
     assert_eq!(years, [&Value::from("y2019"), &Value::from("y2020")]);
-
-    let attribution = read_json(&t1.join("fig1/attribution.json"));
+    let attribution = read_json(&dir.join("fig1/attribution.json"));
     let intervals = at(&attribution, &["intervals"]).as_array().unwrap();
     assert!(!intervals.is_empty(), "no attribution intervals");
     let mut causes = keys(at(&attribution, &["drop_by_cause"]));
@@ -600,15 +602,62 @@ fn sampled_scaled_fig1_files_a_schema_valid_timeseries() {
         causes,
         ["addr_pollution", "churn", "relay_lag", "unreachable_load"]
     );
-    let manifest = read_json(&t1.join("manifest.json"));
+    let manifest = read_json(&dir.join("manifest.json"));
     let fig1 = at(&manifest, &["experiments", "fig1"]);
     assert_eq!(
         at(fig1, &["timeseries_rows"]).as_u64(),
         Some(rows.len() as u64)
     );
     assert_eq!(at(fig1, &["warnings"]), &Value::Array(vec![]));
-    std::fs::remove_dir_all(&t1).unwrap();
-    std::fs::remove_dir_all(&t4).unwrap();
+
+    let mut goldens: Vec<(String, String)> = experiment_names()
+        .into_iter()
+        .map(|name| {
+            let Value::Str(artifact) = at(&manifest, &["experiments", name, "artifact"]) else {
+                panic!("{name}: no artifact name in the manifest");
+            };
+            (format!("{name}/report.json"), format!("{artifact}.json"))
+        })
+        .collect();
+    goldens.push(("fig1/attribution.txt".into(), "fig1_attribution.txt".into()));
+    let bless = std::env::var_os("BLESS").is_some_and(|v| v == "1");
+    for (filed, golden) in goldens {
+        let golden_path = golden_dir().join(&golden);
+        if bless {
+            std::fs::copy(dir.join(&filed), &golden_path).expect("write golden");
+            continue;
+        }
+        let actual = std::fs::read_to_string(dir.join(&filed)).expect(&filed);
+        let expected = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("missing golden {} ({e})", golden_path.display()));
+        if actual != expected {
+            panic!(
+                "{filed}: drifted from tests/golden/{golden} at {} (this run first); if intentional, regenerate with BLESS=1",
+                file_difference(&golden, &actual, &expected)
+            );
+        }
+    }
+}
+
+/// The registry and the snapshot directory must stay in sync: one golden
+/// file per registered artifact, no strays. Cheap, so not ignored.
+#[test]
+fn golden_directory_matches_registry() {
+    let dir = golden_dir();
+    let mut expected: Vec<String> = REGISTRY
+        .iter()
+        .map(|exp| format!("{}.json", exp.artifact))
+        .collect();
+    expected.sort();
+    let mut present: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("missing {} ({e}); run the BLESS flow", dir.display()))
+        .filter_map(|entry| {
+            let name = entry.ok()?.file_name().into_string().ok()?;
+            name.ends_with(".json").then_some(name)
+        })
+        .collect();
+    present.sort();
+    assert_eq!(present, expected, "tests/golden out of sync with REGISTRY");
 }
 
 /// Full scale: the sampled census (10K reachable / ~700K unreachable) and

@@ -237,7 +237,9 @@ mod tests {
     use super::*;
 
     /// Also checks the arms' counters are per-cell deltas of the shared
-    /// recorder ([`sweep::check_per_cell_deltas`]).
+    /// recorder ([`sweep::check_per_cell_deltas`]), and the §V direction:
+    /// the combined refinements do not hurt synchronization or
+    /// connectivity.
     #[test]
     fn all_arms_produce_metrics() {
         let cells = cells(&AblationConfig::quick(31));
@@ -248,6 +250,22 @@ mod tests {
             assert!(arm.mean_outdegree > 0.0, "{:?}", arm.arm);
             assert!(arm.mean_sync_fraction > 0.0, "{:?}", arm.arm);
         }
+        let [base, .., all] = &arms[..] else {
+            unreachable!("five arms")
+        };
+        assert_eq!((base.arm, all.arm), (Arm::Baseline, Arm::AllProposals));
+        assert!(
+            all.mean_sync_fraction >= base.mean_sync_fraction - 0.1,
+            "sync: all {} vs baseline {}",
+            all.mean_sync_fraction,
+            base.mean_sync_fraction
+        );
+        assert!(
+            all.mean_outdegree >= base.mean_outdegree - 1.0,
+            "outdegree: all {} vs baseline {}",
+            all.mean_outdegree,
+            base.mean_outdegree
+        );
     }
 
     fn arm_result(cfg: &AblationConfig, arm: Arm) -> ArmResult {

@@ -178,5 +178,6 @@ mod tests {
             "never below 8: {:?}",
             result.summary
         );
+        assert!(result.summary.mean < 9.0, "{:?}", result.summary);
     }
 }

@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn counters_are_per_cell_deltas_of_the_shared_recorder() {
         let fig1 = sync_kde::SyncScenarioConfig::quick(3);
-        check(sync_kde::cells(&fig1, false), |year, run| {
+        check(sync_kde::cells(&fig1), |year, run| {
             sync_kde::assemble(&fig1, year, run)
         });
         let fig6 = stability::cell(&stability::StabilityConfig::quick(7));

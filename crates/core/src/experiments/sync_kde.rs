@@ -170,10 +170,11 @@ impl ToJson for SyncComparison {
 }
 
 /// The two arms, 2019 then 2020, differing only in churn (rows `y2019` /
-/// `y2020`, [`World::sync_fraction`] sampled every snapshot). `sampled`
-/// relay-instruments node 0 for windowed relay quantiles; instrumentation
-/// draws and schedules nothing, so the result is the same either way.
-pub fn cells(cfg: &SyncScenarioConfig, sampled: bool) -> [(Year, Cell<f64>); 2] {
+/// `y2020`, [`World::sync_fraction`] sampled every snapshot). Node 0 is
+/// relay-instrumented, which fills the `node.relay_delay_secs` histogram
+/// and the sampler's windowed relay quantiles; it draws and schedules
+/// nothing, so it moves no other number.
+pub fn cells(cfg: &SyncScenarioConfig) -> [(Year, Cell<f64>); 2] {
     // Accelerate both lifetimes and IBD by the same factor so the
     // steady-state unsynchronized fraction is preserved.
     let ibd = SimDuration::from_secs_f64(cfg.ibd_fresh_mean.as_secs_f64() / cfg.churn_speedup);
@@ -191,7 +192,7 @@ pub fn cells(cfg: &SyncScenarioConfig, sampled: bool) -> [(Year, Cell<f64>); 2] 
                 ibd_fresh_mean: Some(ibd),
                 permanent_fraction: 0.25,
                 laggard_fraction: cfg.laggard_fraction,
-                instrument: sampled.then_some(0),
+                instrument: Some(0),
                 ..WorldConfig::default()
             },
             warmup: cfg.warmup,
@@ -232,8 +233,7 @@ pub fn assemble(cfg: &SyncScenarioConfig, year: Year, run: Run<f64>) -> YearResu
 /// Runs both arms into the one `ins`: the 2019 arm's trace events and rows
 /// come first, each arm restarting sim time at zero.
 pub fn run(cfg: &SyncScenarioConfig, ins: &Instruments) -> SyncComparison {
-    let [y2019, y2020] = cells(cfg, ins.sampler.is_enabled())
-        .map(|(year, cell)| assemble(cfg, year, sweep::run(&cell, ins)));
+    let [y2019, y2020] = cells(cfg).map(|(year, cell)| assemble(cfg, year, sweep::run(&cell, ins)));
     SyncComparison { y2019, y2020 }
 }
 

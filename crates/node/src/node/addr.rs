@@ -63,7 +63,6 @@ impl Node {
         now: SimTime,
         requests: &mut Vec<NodeRequest>,
     ) {
-        self.stats.addr_msgs_received += 1;
         self.stats.addrs_received += list.len() as u64;
         if self.cfg.resilience.countermeasures {
             let mut penalty = 0u32;

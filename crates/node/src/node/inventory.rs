@@ -87,7 +87,6 @@ impl Node {
             return false;
         }
         self.mempool.insert(tx.clone());
-        self.stats.txs_accepted += 1;
         self.relay_tx(&tx);
         true
     }

@@ -84,12 +84,8 @@ pub struct NodeStats {
     pub feeler_attempts: u64,
     /// ADDR entries received.
     pub addrs_received: u64,
-    /// ADDR messages received.
-    pub addr_msgs_received: u64,
     /// Blocks accepted into the chain.
     pub blocks_accepted: u64,
-    /// Transactions accepted into the mempool.
-    pub txs_accepted: u64,
     /// Messages processed by the pump.
     pub msgs_processed: u64,
     /// Messages flushed by the socket writer.

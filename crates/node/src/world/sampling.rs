@@ -35,8 +35,7 @@ pub mod metric {
     pub const HANDSHAKE_TIMEOUTS: &str = "node.handshake.timeouts";
     /// Messages dropped by the fault plane (counter).
     pub const FAULT_DROPPED: &str = "fault.messages_dropped";
-    /// Messages given extra delay or reorder jitter by the fault plane
-    /// (counter).
+    /// Messages given extra in-flight delay by the fault plane (counter).
     pub const FAULT_DELAYED: &str = "fault.messages_delayed";
     /// Connections severed by fault-plane flaps (counter).
     pub const FAULT_CONN_FLAPS: &str = "fault.connection_flaps";

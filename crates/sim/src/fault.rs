@@ -6,8 +6,9 @@
 //! module turns those stressors into an explicit, configurable layer that
 //! a simulation can switch on per run:
 //!
-//! - per-link message **drop**, **extra delay**, and **reorder**
-//!   probabilities ([`FaultConfig`]);
+//! - per-link message **drop** and **extra delay** probabilities
+//!   ([`FaultConfig`]); a delay lets later sends overtake the message, so
+//!   the reorder preset is a short, frequent delay;
 //! - **peer stall** (a node accepts connections but never processes
 //!   anything — its victims' handshakes wedge);
 //! - **ADDR-flood amplification** for malicious peers (bigger pools,
@@ -70,11 +71,6 @@ pub struct FaultConfig {
     pub extra_delay_probability: f64,
     /// Upper bound of the uniform extra delay.
     pub extra_delay_max: SimDuration,
-    /// Probability that a message is jittered within the reorder window,
-    /// letting later sends overtake it.
-    pub reorder_probability: f64,
-    /// Width of the reorder jitter window.
-    pub reorder_window: SimDuration,
     /// Fraction of reachable nodes spawned stalled: they accept TCP
     /// connections but never process messages, wedging their peers'
     /// handshakes forever.
@@ -104,8 +100,6 @@ impl FaultConfig {
             drop_probability: 0.0,
             extra_delay_probability: 0.0,
             extra_delay_max: SimDuration::ZERO,
-            reorder_probability: 0.0,
-            reorder_window: SimDuration::ZERO,
             stall_fraction: 0.0,
             addr_flood_factor: 1.0,
             connection_flap_interval: None,
@@ -119,7 +113,6 @@ impl FaultConfig {
     pub fn is_active(&self) -> bool {
         self.drop_probability > 0.0
             || self.extra_delay_probability > 0.0
-            || self.reorder_probability > 0.0
             || self.stall_fraction > 0.0
             || self.addr_flood_factor > 1.0
             || self.connection_flap_interval.is_some()
@@ -142,8 +135,6 @@ impl FaultConfig {
             drop_probability: self.drop_probability * intensity,
             extra_delay_probability: self.extra_delay_probability * intensity,
             extra_delay_max: self.extra_delay_max,
-            reorder_probability: self.reorder_probability * intensity,
-            reorder_window: self.reorder_window,
             stall_fraction: self.stall_fraction * intensity,
             addr_flood_factor: 1.0 + (self.addr_flood_factor - 1.0) * intensity,
             connection_flap_interval: self
@@ -213,12 +204,6 @@ impl FaultPlane {
                 .range_f64(0.0, self.cfg.extra_delay_max.as_secs_f64().max(0.0));
             return LinkAction::Delay(SimDuration::from_secs_f64(extra));
         }
-        if self.cfg.reorder_probability > 0.0 && self.rng.chance(self.cfg.reorder_probability) {
-            let jitter = self
-                .rng
-                .range_f64(0.0, self.cfg.reorder_window.as_secs_f64().max(0.0));
-            return LinkAction::Delay(SimDuration::from_secs_f64(jitter));
-        }
         LinkAction::Deliver
     }
 
@@ -248,7 +233,7 @@ pub enum Fault {
     DropMessages,
     /// Benign plane preset: a third of messages take up to 10 s extra.
     DelayMessages,
-    /// Benign plane preset: half of all messages jitter within 2 s,
+    /// Benign plane preset: half of all messages take up to 2 s extra,
     /// letting later sends overtake them.
     ReorderMessages,
     /// Benign plane preset: 30% of reachable nodes spawn stalled.
@@ -293,8 +278,8 @@ const DELAY: FaultConfig = FaultConfig {
     ..OFF
 };
 const REORDER: FaultConfig = FaultConfig {
-    reorder_probability: 0.5,
-    reorder_window: SimDuration::from_secs(2),
+    extra_delay_probability: 0.5,
+    extra_delay_max: SimDuration::from_secs(2),
     ..OFF
 };
 const STALL: FaultConfig = FaultConfig {

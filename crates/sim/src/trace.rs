@@ -757,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn write_dir_emits_only_nonempty_categories() {
+    fn counts_and_jsonl_list_only_nonempty_categories() {
         let t = Tracer::enabled(8);
         t.crawl(CrawlEvent {
             day: 1.5,
