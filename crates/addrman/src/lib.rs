@@ -51,7 +51,7 @@ use config::TableSizes;
 
 use bitsync_crypto::SipHasher24;
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
-use bitsync_protocol::hash::IdMap;
+use bitsync_protocol::hash::{table_bytes, IdMap};
 use bitsync_sim::rng::SimRng;
 
 const SECS_PER_DAY: i64 = 86_400;
@@ -238,6 +238,20 @@ impl AddrMan {
     /// Addresses in the `tried` table.
     pub fn tried_count(&self) -> usize {
         self.tried_members.len()
+    }
+
+    /// Bytes the manager allocates: the record slab and its free list, the
+    /// endpoint index ([`table_bytes`]), both bucket tables and the member
+    /// lists.
+    pub fn footprint(&self) -> usize {
+        let words = self.free.capacity()
+            + self.new_members.capacity()
+            + self.tried_members.capacity()
+            + self.member_pos.capacity();
+        self.infos.capacity() * size_of::<Option<AddrInfo>>()
+            + table_bytes(self.index.capacity(), size_of::<(NetAddr, usize)>())
+            + (self.new_table.capacity() + self.tried_table.capacity()) * size_of::<u32>()
+            + words * size_of::<usize>()
     }
 
     /// Looks up the record for an endpoint.

@@ -312,6 +312,38 @@ fn quick_bundle_traces_samples_and_counts_every_experiment() {
             !series.contains("wall_secs"),
             "{name}: perf leaked into the timeseries"
         );
+
+        // The footprint's high-water by owner is the maximum of its gauge
+        // column; the census builds no world and has none.
+        let footprint = at(filed, &["footprint_bytes"]);
+        if name == "census" {
+            assert_eq!(footprint, &Value::Null);
+            continue;
+        }
+        let owners = keys(footprint);
+        assert_eq!(
+            owners,
+            [
+                "total",
+                "queue",
+                "chains",
+                "mempools",
+                "addrmans",
+                "peers",
+                "known_invs",
+                "relay_log"
+            ],
+            "{name}"
+        );
+        let high = |owner: &str| at(footprint, &[owner]).as_u64().unwrap();
+        for owner in &owners[1..] {
+            let column = series.lines().map(|row| {
+                let row = parse(row).unwrap();
+                at(&row, &[&format!("mem_{owner}")]).as_f64().unwrap() as u64
+            });
+            assert_eq!(column.max(), Some(high(owner)), "{name}: {owner}");
+            assert!(high("total") >= high(owner), "{name}: {footprint}");
+        }
     }
     categories.sort();
     categories.dedup();

@@ -5,7 +5,7 @@
 //! mempool contents directly gate block-level synchronization.
 
 use bitsync_protocol::compact::ShortIdKeys;
-use bitsync_protocol::hash::{Hash256, IdMap};
+use bitsync_protocol::hash::{table_bytes, Hash256, IdMap};
 use bitsync_protocol::tx::Transaction;
 use std::collections::VecDeque;
 
@@ -134,6 +134,14 @@ impl Mempool {
     /// Lifetime (inserted, evicted) counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.inserted, self.evicted)
+    }
+
+    /// Bytes the pool allocates: the txid table ([`table_bytes`]) and the
+    /// eviction order. A transaction body is shared with the world and not
+    /// counted.
+    pub fn footprint(&self) -> usize {
+        table_bytes(self.txs.capacity(), size_of::<(Hash256, Transaction)>())
+            + self.order.capacity() * size_of::<Hash256>()
     }
 }
 

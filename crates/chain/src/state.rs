@@ -4,7 +4,8 @@
 //! central metric).
 
 use bitsync_protocol::block::{Block, BlockHeader};
-use bitsync_protocol::hash::{Hash256, IdMap};
+use bitsync_protocol::hash::{table_bytes, Hash256, IdMap};
+use bitsync_protocol::tx::Transaction;
 use std::fmt;
 
 /// Error returned when a block cannot be connected.
@@ -165,6 +166,17 @@ impl ChainState {
     /// Hash of the active-chain block at `height`, if within the chain.
     pub fn hash_at_height(&self, height: u64) -> Option<Hash256> {
         self.by_height.get(height as usize).copied()
+    }
+
+    /// Bytes the chain allocates: the header entries, the block bodies
+    /// with their transaction lists ([`table_bytes`]) and the active-chain
+    /// index. A transaction body is shared with the world and not counted.
+    pub fn footprint(&self) -> usize {
+        let lists: usize = self.bodies.values().map(|b| b.txs.capacity()).sum();
+        table_bytes(self.entries.capacity(), size_of::<(Hash256, Entry)>())
+            + table_bytes(self.bodies.capacity(), size_of::<(Hash256, Block)>())
+            + lists * size_of::<Transaction>()
+            + self.by_height.capacity() * size_of::<Hash256>()
     }
 
     /// Connects a header without a body (headers-first sync), returning

@@ -1,7 +1,8 @@
 //! One run, one directory: the `repro --out DIR` bundle.
 //!
 //! ```text
-//! DIR/manifest.json              what ran and how healthy the simulator was
+//! DIR/manifest.json              what ran, how healthy the simulator was
+//!                                and which owner held the memory
 //! DIR/perf.json                  wall clock: threads, seconds, events/s, RSS
 //! DIR/<name>/report.json         the envelope {experiment, .., result, metrics}
 //! DIR/<name>/report.txt          the paper-style text report
@@ -99,6 +100,7 @@ pub fn write_bundle(
                 .with("sim_events", r.sim_events())
                 .with("trace", trace)
                 .with("timeseries_rows", r.timeseries.as_ref().map(|l| l.len()))
+                .with("footprint_bytes", footprint_high_water(r))
                 .with("warnings", own),
         );
     }
@@ -141,6 +143,40 @@ fn create_dir(dir: &Path) -> Result<(), String> {
 
 fn write(path: &Path, body: &str) -> Result<(), String> {
     std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// The high-water, over the experiment's timeseries rows, of the memory
+/// each owner of its worlds held (the rows' `mem_<owner>` gauges, keyed
+/// `<owner>` in row order) and of their sum, `total`, which is at most the
+/// sum of the owners' high-waters. `null` when no row carries one: the
+/// run was not sampled, no world lived a full interval, or — the census —
+/// it built no world.
+fn footprint_high_water(r: &ExperimentReport) -> Value {
+    let rows = r.timeseries.as_ref().map_or(&[][..], |log| &log.rows);
+    let mut owners: Vec<(&str, f64)> = Vec::new();
+    let mut total = 0f64;
+    for row in rows {
+        let mut sum = 0.0;
+        for (key, bytes) in &row.values {
+            let Some(owner) = key.strip_prefix("mem_") else {
+                continue;
+            };
+            sum += bytes;
+            match owners.iter_mut().find(|(o, _)| *o == owner) {
+                Some((_, high)) => *high = high.max(*bytes),
+                None => owners.push((owner, *bytes)),
+            }
+        }
+        total = total.max(sum);
+    }
+    if owners.is_empty() {
+        return Value::Null;
+    }
+    let mut json = Value::object().with("total", total as u64);
+    for (owner, high) in owners {
+        json.set(owner, high as u64);
+    }
+    json
 }
 
 /// The envelope's metrics section, then one p50/p90/p99 line per histogram

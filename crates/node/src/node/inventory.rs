@@ -119,22 +119,12 @@ impl Node {
             if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
                 return ControlFlow::Continue(());
             }
-            let batch: Vec<InvVect> = p
-                .pending_inv
-                .drain(..)
-                .filter(|h| !p.known_invs.contains(h))
-                .take(1000)
-                .map(InvVect::tx)
-                .collect();
+            let batch = p.take_inv_batch(1000);
             let mean = match p.dir {
                 Direction::Outbound | Direction::Feeler => INV_INTERVAL_OUTBOUND,
                 Direction::Inbound => INV_INTERVAL_INBOUND,
             };
-            let delay = node.rng.exp_duration(mean);
-            for iv in &batch {
-                p.mark_known(iv.hash);
-            }
-            p.next_inv_at = now + delay;
+            p.next_inv_at = now + node.rng.exp_duration(mean);
             if !batch.is_empty() {
                 node.peers.push_send(slot, Message::Inv(batch), prioritize);
             }

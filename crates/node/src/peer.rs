@@ -3,7 +3,7 @@
 //! `vSendMessage` outbound) — and the [`PeerTable`] a node keeps them in.
 
 use bitsync_protocol::addr::NetAddr;
-use bitsync_protocol::hash::{Hash256, IdSet};
+use bitsync_protocol::hash::{table_bytes, Hash256, IdSet, InvVect};
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::SimTime;
 use std::collections::VecDeque;
@@ -66,8 +66,11 @@ pub struct Peer {
     pub send_q: VecDeque<Message>,
     /// Whether the peer negotiated BIP 152 compact blocks.
     pub prefers_compact: bool,
-    /// Inventory the peer is known to have (suppresses re-relay).
-    pub known_invs: IdSet<Hash256>,
+    /// Inventory the peer is known to have (suppresses re-relay), keyed by
+    /// [`Hash256::prefix_u64`]: the set is only looked up, never walked,
+    /// and it is most of a relay world's memory (9 bytes a slot; the whole
+    /// id would take 33).
+    known_invs: IdSet<u64>,
     /// Txids queued for the next trickled `INV` (Core's per-peer
     /// `vInventoryTxToSend`; only used in `TxAnnounce::Trickle` mode).
     pub pending_inv: Vec<Hash256>,
@@ -137,12 +140,41 @@ impl Peer {
     /// Marks an inventory item as known to this peer; returns `true` if it
     /// was previously unknown.
     pub fn mark_known(&mut self, hash: Hash256) -> bool {
-        self.known_invs.insert(hash)
+        self.known_invs.insert(hash.prefix_u64())
     }
 
     /// Whether the peer already knows this inventory item.
     pub fn knows(&self, hash: &Hash256) -> bool {
-        self.known_invs.contains(hash)
+        self.known_invs.contains(&hash.prefix_u64())
+    }
+
+    /// Empties the trickle list into the next `INV`: the first `max` txids
+    /// the peer did not know, now marked known (the rest are dropped).
+    pub(crate) fn take_inv_batch(&mut self, max: usize) -> Vec<InvVect> {
+        let known = &self.known_invs;
+        let batch: Vec<InvVect> = self
+            .pending_inv
+            .drain(..)
+            .filter(|h| !known.contains(&h.prefix_u64()))
+            .take(max)
+            .map(InvVect::tx)
+            .collect();
+        for iv in &batch {
+            self.mark_known(iv.hash);
+        }
+        batch
+    }
+
+    /// Bytes the known-inventory set allocates ([`table_bytes`]).
+    fn known_inv_bytes(&self) -> usize {
+        table_bytes(self.known_invs.capacity(), size_of::<u64>())
+    }
+
+    /// Bytes the record's two message queues and trickle list allocate
+    /// (a queued message's boxed payload is not counted).
+    fn queue_bytes(&self) -> usize {
+        (self.proc_q.capacity() + self.send_q.capacity()) * size_of::<Message>()
+            + self.pending_inv.capacity() * size_of::<Hash256>()
     }
 }
 
@@ -316,6 +348,18 @@ impl PeerTable {
         self.queued_send
     }
 
+    /// Bytes the table allocates, as `(records and their queues, known
+    /// inventory)`: the records, the visit order and the index, plus each
+    /// record's queues; then the sum of [`Peer::known_inv_bytes`].
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        let own = self.slots.capacity() * size_of::<Peer>()
+            + self.order.capacity() * size_of::<u32>()
+            + self.by_id.capacity() * size_of::<(NodeId, u32)>();
+        self.slots.iter().fold((own, 0), |(queues, known), p| {
+            (queues + p.queue_bytes(), known + p.known_inv_bytes())
+        })
+    }
+
     /// Appends a delivered message to peer `id`'s `vProcessMsg`; `None`
     /// (and nothing queued) if `id` is not connected.
     pub(crate) fn push_recv(&mut self, id: &NodeId, msg: Message) -> Option<&mut Peer> {
@@ -436,6 +480,21 @@ mod tests {
         assert!(p.mark_known(h));
         assert!(!p.mark_known(h));
         assert!(p.knows(&h));
+    }
+
+    /// A known id costs 9 bytes a slot — its 8-byte prefix and a control
+    /// byte — and 1000 marked ids are told apart from 1000 others.
+    #[test]
+    fn known_inventory_costs_nine_bytes_a_slot() {
+        let mut p = Peer::new(NodeId(2), addr(), Direction::Inbound);
+        let id = |i: u32| Hash256::hash_of(&i.to_le_bytes());
+        for i in 0..1000 {
+            assert!(p.mark_known(id(i)));
+        }
+        assert!((0..1000).all(|i| p.knows(&id(i))));
+        assert!((1000..2000).all(|i| !p.knows(&id(i))));
+        // Grown one doubling at a time: 1024 buckets hold 896, so 2048.
+        assert_eq!(p.known_inv_bytes(), 2048 * 9);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! names, the synchronization fractions (the paper's headline quantity,
 //! Figure 1) and the sampler row taken at every tick.
 
-use super::{NodeMeta, World};
+use super::{NodeMeta, RelayRecord, World};
 use crate::node::Node;
 use crate::peer::NodeId;
 use bitsync_addrman::Table;
+use bitsync_protocol::hash::{table_bytes, Hash256};
 use bitsync_sim::metrics::{Recorder, DEFAULT_BUCKETS};
 use bitsync_sim::time::SimTime;
 
@@ -110,6 +111,46 @@ impl World {
         ratio(out, n)
     }
 
+    /// The bytes each owner of the world's memory allocates now, as the
+    /// sampler's `mem_*` gauges: the event queue, then the online nodes'
+    /// chains, mempools, address managers, peer records (with their
+    /// message queues and trickle lists) and known-inventory sets, then the
+    /// relay log. An owner counts `capacity × size_of` of its containers,
+    /// hash tables by [`table_bytes`]: only what a container holds inline,
+    /// not what an entry points to (a transaction body is one allocation
+    /// shared by the whole world; a queued message's boxed payload is left
+    /// out). No allocator is asked, so it is the same at any thread count.
+    pub fn footprint(&self) -> [(&'static str, usize); 7] {
+        let mut nodes = [0; 5];
+        for (_, _, node) in self.online() {
+            let (peers, known_invs) = node.peers.footprint();
+            let owned = [
+                node.chain.footprint(),
+                node.mempool.footprint(),
+                node.addrman.footprint(),
+                peers,
+                known_invs,
+            ];
+            for (sum, bytes) in nodes.iter_mut().zip(owned) {
+                *sum += bytes;
+            }
+        }
+        let [chains, mempools, addrmans, peers, known_invs] = nodes;
+        let relay_log = table_bytes(
+            self.relay_log.capacity(),
+            size_of::<(Hash256, RelayRecord)>(),
+        );
+        [
+            ("mem_queue", self.queue.footprint()),
+            ("mem_chains", chains),
+            ("mem_mempools", mempools),
+            ("mem_addrmans", addrmans),
+            ("mem_peers", peers),
+            ("mem_known_invs", known_invs),
+            ("mem_relay_log", relay_log),
+        ]
+    }
+
     fn sync_fraction_where(&self, counts: impl Fn(&NodeMeta) -> bool) -> f64 {
         let (mut online, mut synced) = (0, 0);
         for (_, meta, node) in self.online().filter(|(_, m, _)| counts(m)) {
@@ -122,9 +163,10 @@ impl World {
     /// Snapshots world gauges into the sampler at tick `at`: honest sync
     /// fraction, outdegree spread, addrman pollution split by table,
     /// chain height, and the queue's depth and per-window event count —
-    /// plus whatever windowed counters/histograms accumulated since the
-    /// previous tick (dial outcomes, churn, reorgs, fault drops, relay
-    /// delay). All sim-derived, hence thread-count invariant; the one
+    /// plus the memory [`World::footprint`] by owner and whatever windowed
+    /// counters/histograms accumulated since the previous tick (dial
+    /// outcomes, churn, reorgs, fault drops, relay delay). All
+    /// sim-derived, hence thread-count invariant; the one
     /// wall-clock observation rides the separate perf side-channel.
     pub(super) fn take_sample(&mut self, at: SimTime) {
         let mut honest = 0u64;
@@ -144,7 +186,7 @@ impl World {
             }
         }
         let events = self.queue.events_processed();
-        let gauges = [
+        let mut gauges = vec![
             ("sync_frac", self.honest_sync_fraction()),
             ("honest_online", honest as f64),
             ("outdeg_mean", self.mean_outdegree(NodeMeta::is_honest)),
@@ -158,6 +200,7 @@ impl World {
             ("queue_depth", self.queue.len() as f64),
             ("events_w", (events - self.last_sample_events) as f64),
         ];
+        gauges.extend(self.footprint().map(|(name, bytes)| (name, bytes as f64)));
         self.last_sample_events = events;
         self.sampler.record(at, &gauges);
         self.sampler.record_perf(at, events);

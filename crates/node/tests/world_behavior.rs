@@ -190,6 +190,8 @@ fn relay_log_records_block_and_tx_delays() {
     cfg.block_interval = Some(SimDuration::from_secs(180));
     cfg.instrument = Some(0);
     let mut world = World::new(cfg);
+    let sampler = Sampler::enabled(SimDuration::from_secs(600));
+    world.attach_sampler(&sampler);
     world.run_until(SimTime::from_secs(1800));
     let delays = world.relay_delays();
     let blocks = delays.iter().filter(|(b, _)| *b).count();
@@ -199,6 +201,16 @@ fn relay_log_records_block_and_tx_delays() {
     // Quantized delays are small but non-negative.
     for (_, d) in delays {
         assert!(d < 300, "implausible relay delay {d}s");
+    }
+
+    // The last tick is the run's end: its `mem_*` gauges are the world's
+    // footprint now, and every owner holds something.
+    let rows = sampler.take().unwrap().rows;
+    let last = rows.last().expect("three ticks");
+    assert_eq!(last.at, world.now());
+    for (gauge, bytes) in world.footprint() {
+        assert_eq!(last.value(gauge), Some(bytes as f64), "{gauge}");
+        assert!(bytes > 0, "{gauge}");
     }
 }
 

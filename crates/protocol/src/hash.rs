@@ -135,6 +135,40 @@ impl Hash256 {
     pub fn is_zero(&self) -> bool {
         self.0 == [0u8; 32]
     }
+
+    /// The first 8 bytes, little-endian. An id is a SHA-256d output, so
+    /// these bytes are as uniform as all 32: the key of a lookup-only set
+    /// that holds millions of ids (two of fewer than 10⁶ ids share it with
+    /// probability below 10⁻⁷).
+    pub fn prefix_u64(&self) -> u64 {
+        u64::from_le_bytes(self.0[..8].try_into().expect("8 bytes"))
+    }
+}
+
+/// The bytes a `std` hash table with room for `capacity` entries of `entry`
+/// bytes each allocates: one slot and one control byte per bucket. The
+/// bucket count is a power of two; tables of 2, 4 and 8 buckets hold 1, 3
+/// and 7 entries, larger ones are kept at most 7/8 full. It is a function
+/// of the table's history only, so it is the same in every process (the
+/// few bytes of group padding are left out).
+///
+/// # Examples
+///
+/// ```
+/// use bitsync_protocol::hash::{table_bytes, IdSet};
+///
+/// let mut set: IdSet<u64> = IdSet::default();
+/// set.extend(0..100);
+/// // 128 buckets of an 8-byte key and its control byte.
+/// assert_eq!(table_bytes(set.capacity(), 8), 128 * 9);
+/// ```
+pub fn table_bytes(capacity: usize, entry: usize) -> usize {
+    let buckets = match capacity {
+        0 => 0,
+        c if c < 8 => c + 1,
+        c => c / 7 * 8,
+    };
+    buckets * (entry + 1)
 }
 
 impl fmt::Debug for Hash256 {
@@ -289,6 +323,29 @@ mod tests {
     #[test]
     fn invtype_rejects_unknown() {
         assert!(InvType::from_u32(99).is_err());
+    }
+
+    /// `table_bytes` reads `std`'s bucket count back from the capacity: a
+    /// power of two with room to spare, at every size a table grows through.
+    #[test]
+    fn table_bytes_counts_power_of_two_buckets() {
+        let mut set: IdSet<u64> = IdSet::default();
+        assert_eq!(table_bytes(set.capacity(), 8), 0);
+        for n in 0..5000 {
+            set.insert(n);
+            let buckets = table_bytes(set.capacity(), 0);
+            assert!(
+                buckets.is_power_of_two() && buckets > n as usize,
+                "{n}: {buckets}"
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_is_the_first_eight_bytes_little_endian() {
+        let mut bytes = [0xff; 32];
+        bytes[..8].copy_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
+        assert_eq!(Hash256(bytes).prefix_u64(), 0x0123_4567_89ab_cdef);
     }
 
     /// Stand-in for `bitsync_node::peer::NodeId`: the same derived `Hash`.

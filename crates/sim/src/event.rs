@@ -360,6 +360,17 @@ impl<E> Core<E> {
             Core::Heap(h) => h.len(),
         }
     }
+
+    /// Entries the core has room for without growing.
+    fn capacity(&self) -> usize {
+        match self {
+            Core::Wheel(w) => {
+                let slots: usize = w.slots.iter().map(Vec::capacity).sum();
+                slots + w.ready.capacity() + w.overflow.capacity() + w.front.capacity()
+            }
+            Core::Heap(h) => h.capacity(),
+        }
+    }
 }
 
 /// A deterministic discrete-event queue.
@@ -435,6 +446,12 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes the queue's buffers allocate: room for this many scheduled
+    /// events, whatever is pending now.
+    pub fn footprint(&self) -> usize {
+        (self.core.capacity() + self.lane.capacity()) * size_of::<Scheduled<E>>()
     }
 
     /// Schedules `event` at absolute instant `at`.

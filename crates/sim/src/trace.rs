@@ -55,40 +55,73 @@ use std::rc::Rc;
 /// and counts the drops, which `repro` reports as manifest warnings.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 18;
 
+/// Bytes a ring chunk holds: well under the size at which `malloc` gives a
+/// block a mapping of its own (128 KiB by default).
+const CHUNK_BYTES: usize = 32 * 1024;
+
 /// A bounded FIFO of trace events: at most `cap` newest items are kept and
 /// evictions are counted rather than silently lost.
+///
+/// The items live in chunks of 32 KiB, so a full `relay` ring
+/// (2¹⁸ events, 7 MiB) grows one small allocation at a time and is never
+/// copied into a buffer twice its size. A single buffer that doubles
+/// leaves its old copies as holes in the heap, and where the next tracer's
+/// buffer lands among them moves a process's peak RSS by up to the
+/// buffer's size from one run to the next.
 #[derive(Clone, Debug)]
 pub struct Ring<T> {
     cap: usize,
     dropped: u64,
-    items: VecDeque<T>,
+    len: usize,
+    /// Items per chunk (at most `cap`).
+    chunk: usize,
+    /// Oldest first; only the last chunk has room.
+    chunks: VecDeque<VecDeque<T>>,
 }
 
 impl<T> Ring<T> {
     fn with_cap(cap: usize) -> Ring<T> {
+        let cap = cap.max(1);
         Ring {
-            cap: cap.max(1),
+            cap,
             dropped: 0,
-            items: VecDeque::new(),
+            len: 0,
+            chunk: (CHUNK_BYTES / size_of::<T>().max(1)).clamp(1, cap),
+            chunks: VecDeque::new(),
         }
     }
 
     fn push(&mut self, item: T) {
-        if self.items.len() == self.cap {
-            self.items.pop_front();
+        // A full ring evicts its oldest item; an emptied chunk is reused.
+        let mut spare = None;
+        if self.len == self.cap {
+            let oldest = self.chunks.front_mut().expect("a full ring has items");
+            oldest.pop_front();
+            self.len -= 1;
             self.dropped += 1;
+            if oldest.is_empty() {
+                spare = self.chunks.pop_front();
+            }
         }
-        self.items.push_back(item);
+        match self.chunks.back_mut() {
+            Some(newest) if newest.len() < self.chunk => newest.push_back(item),
+            _ => {
+                let mut fresh = spare.unwrap_or_else(|| VecDeque::with_capacity(self.chunk));
+                fresh.push_back(item);
+                self.chunks.push_back(fresh);
+            }
+        }
+        self.len += 1;
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     /// True when no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
     /// Events evicted because the ring was full.
@@ -103,7 +136,7 @@ impl<T> Ring<T> {
 
     /// Iterates the retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
+        self.chunks.iter().flatten()
     }
 }
 
@@ -502,7 +535,7 @@ trait Category {
 
 impl<T: ToJson> Category for Ring<T> {
     fn retained(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     fn evicted(&self) -> u64 {
@@ -511,7 +544,7 @@ impl<T: ToJson> Category for Ring<T> {
 
     fn jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.items {
+        for ev in self.iter() {
             out.push_str(&ev.to_json().to_string());
             out.push('\n');
         }
@@ -663,6 +696,21 @@ mod tests {
         let times: Vec<u64> = log.relay.iter().map(|e| e.at.as_secs()).collect();
         assert_eq!(times, vec![2, 3, 4]);
         assert_eq!(log.total_dropped(), 2);
+    }
+
+    /// Across chunk boundaries a ring still keeps exactly the `cap` newest
+    /// items in order, and holds at most one chunk more than it needs.
+    #[test]
+    fn chunked_ring_keeps_newest_across_chunks() {
+        let mut ring: Ring<u64> = Ring::with_cap(2 * 4096 + 5);
+        assert_eq!(ring.chunk, 4096);
+        for i in 0..3 * 4096 + 100 {
+            ring.push(i);
+        }
+        assert_eq!(ring.len(), ring.cap());
+        assert_eq!(ring.dropped(), 4096 + 95);
+        assert!(ring.iter().copied().eq(4096 + 95..3 * 4096 + 100));
+        assert!(ring.chunks.len() <= 4, "{} chunks", ring.chunks.len());
     }
 
     #[test]
