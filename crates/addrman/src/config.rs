@@ -26,8 +26,8 @@ pub const CORE_TABLES: TableSizes = TableSizes {
 };
 
 /// The fuzzer's tables: 256 `new` and 64 `tried` cells instead of Core's
-/// ~82k, so per-event consistency checks stay affordable and a bounded run
-/// reaches the collision and eviction paths.
+/// ~82k, so a bounded run reaches the collision and eviction paths that
+/// Core's tables never touch.
 pub const SMALL_TABLES: TableSizes = TableSizes {
     new_buckets: 32,
     tried_buckets: 8,

@@ -12,7 +12,9 @@
 //! - a **`new` table** (1024 buckets × 64 slots) of addresses heard about in
 //!   `ADDR` gossip but never successfully connected to;
 //! - a **`tried` table** (256 buckets × 64 slots) of addresses with at least
-//!   one successful connection;
+//!   one successful connection — both stored sparsely, as maps from a flat
+//!   slot to the record filed there, so a manager costs what it holds
+//!   ([`FOOTPRINT_PER_RECORD`]) rather than the 81 920 slots it could hold;
 //! - SipHash-keyed bucket placement so bucket positions are unpredictable;
 //! - outgoing-connection candidates drawn from `new` or `tried` with equal
 //!   probability;
@@ -53,6 +55,7 @@ use bitsync_crypto::SipHasher24;
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
 use bitsync_protocol::hash::{table_bytes, IdMap};
 use bitsync_sim::rng::SimRng;
+use std::collections::hash_map::Entry;
 
 const SECS_PER_DAY: i64 = 86_400;
 
@@ -75,8 +78,11 @@ pub const GETADDR_MAX_PCT: usize = 23;
 /// the `ADDR` message limit the paper describes in §III-A).
 pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
 
-/// Vacant bucket-slot sentinel.
-const EMPTY_SLOT: u32 = u32::MAX;
+/// Most bytes [`AddrMan::footprint`] charges per known address: its record,
+/// its index entry, its table slot and its member-list words, with the slack
+/// of tables that grow by doubling. Nothing is charged per bucket, so the
+/// tests hold managers of every size to this bound.
+pub const FOOTPRINT_PER_RECORD: usize = 384;
 
 /// Which table an address currently lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,11 +151,11 @@ pub struct AddrMan {
     free: Vec<usize>,
     /// Endpoint → record index.
     index: IdMap<NetAddr, usize>,
-    /// `new` table, flattened `bucket × slot` → record index
-    /// (`EMPTY_SLOT` = vacant).
-    new_table: Vec<u32>,
+    /// `new` table: flat slot (`bucket × bucket_size + slot`) → record
+    /// index. An absent slot is vacant, so the table costs what it holds.
+    new_table: IdMap<u32, u32>,
     /// `tried` table, same layout.
-    tried_table: Vec<u32>,
+    tried_table: IdMap<u32, u32>,
     /// Record indices currently in the `new` table (O(1) uniform draws).
     new_members: Vec<usize>,
     /// Record indices currently in the `tried` table.
@@ -161,13 +167,12 @@ pub struct AddrMan {
 impl AddrMan {
     /// Creates an empty manager keyed by `key` (the per-node random `nKey`).
     pub fn new(key: u64, cfg: AddrManConfig) -> Self {
-        let tables = cfg.tables();
         AddrMan {
             key: (key, key.rotate_left(32) ^ 0x5bd1e995),
-            new_table: vec![EMPTY_SLOT; tables.bucket_size * tables.new_buckets],
-            tried_table: vec![EMPTY_SLOT; tables.bucket_size * tables.tried_buckets],
+            new_table: IdMap::default(),
+            tried_table: IdMap::default(),
+            tables: cfg.tables(),
             cfg,
-            tables,
             infos: Vec::new(),
             free: Vec::new(),
             index: IdMap::default(),
@@ -197,11 +202,6 @@ impl AddrMan {
         list.push(idx);
         let pos = list.len() - 1;
         self.member_pos[idx] = pos;
-    }
-
-    #[inline]
-    fn flat(&self, bucket: usize, slot: usize) -> usize {
-        bucket * self.tables.bucket_size + slot
     }
 
     fn member_remove(&mut self, table: Table, idx: usize) {
@@ -248,9 +248,12 @@ impl AddrMan {
             + self.new_members.capacity()
             + self.tried_members.capacity()
             + self.member_pos.capacity();
+        let slots =
+            |table: &IdMap<u32, u32>| table_bytes(table.capacity(), size_of::<(u32, u32)>());
         self.infos.capacity() * size_of::<Option<AddrInfo>>()
             + table_bytes(self.index.capacity(), size_of::<(NetAddr, usize)>())
-            + (self.new_table.capacity() + self.tried_table.capacity()) * size_of::<u32>()
+            + slots(&self.new_table)
+            + slots(&self.tried_table)
             + words * size_of::<usize>()
     }
 
@@ -286,6 +289,27 @@ impl AddrMan {
         (h.finish() as usize) % self.tables.bucket_size
     }
 
+    /// Flat `new`-table slot (`bucket × bucket_size + slot`) of `addr`
+    /// heard from `source`.
+    fn new_slot(&self, addr: &NetAddr, source: &NetAddr) -> u32 {
+        let bucket = self.new_bucket_of(addr, source);
+        (bucket * self.tables.bucket_size + self.slot_of(bucket, addr, false)) as u32
+    }
+
+    /// Flat `tried`-table slot of `addr`.
+    fn tried_slot(&self, addr: &NetAddr) -> u32 {
+        let bucket = self.tried_bucket_of(addr);
+        (bucket * self.tables.bucket_size + self.slot_of(bucket, addr, true)) as u32
+    }
+
+    /// The slot a record's own key hashes to in the table its tag names.
+    fn home_slot(&self, info: &AddrInfo) -> u32 {
+        match info.table {
+            Table::New => self.new_slot(&info.addr, &info.source),
+            Table::Tried => self.tried_slot(&info.addr),
+        }
+    }
+
     /// Adds an address heard from `source` at time `now`, as on receipt of
     /// an `ADDR` entry. Returns `true` if it was new to the table.
     ///
@@ -301,11 +325,8 @@ impl AddrMan {
             }
             return false;
         }
-        let bucket = self.new_bucket_of(&addr, &source);
-        let slot = self.slot_of(bucket, &addr, false);
-        let flat = self.flat(bucket, slot);
-        let incumbent = self.new_table[flat];
-        if incumbent != EMPTY_SLOT {
+        let flat = self.new_slot(&addr, &source);
+        if let Some(&incumbent) = self.new_table.get(&flat) {
             let terrible = self.info_at(incumbent as usize).is_terrible(now, &self.cfg);
             if !terrible {
                 return false; // keep the incumbent, drop the newcomer
@@ -321,7 +342,7 @@ impl AddrMan {
             attempts: 0,
             table: Table::New,
         });
-        self.new_table[flat] = idx as u32;
+        self.new_table.insert(flat, idx as u32);
         self.member_add(Table::New, idx);
         true
     }
@@ -356,43 +377,40 @@ impl AddrMan {
             return;
         }
         // Remove from new table.
-        self.unlink_from_new(i);
+        self.unlink(i);
         self.member_remove(Table::New, i);
         // Insert into tried, evicting an incumbent back into new if needed.
-        let bucket = self.tried_bucket_of(addr);
-        let slot = self.slot_of(bucket, addr, true);
-        let flat = self.flat(bucket, slot);
-        let incumbent = self.tried_table[flat];
-        if incumbent != EMPTY_SLOT {
-            self.tried_table[flat] = EMPTY_SLOT;
+        let flat = self.tried_slot(addr);
+        if let Some(incumbent) = self.tried_table.remove(&flat) {
             self.demote_to_new(incumbent as usize);
         }
         self.info_at_mut(i).table = Table::Tried;
-        self.tried_table[flat] = i as u32;
+        self.tried_table.insert(flat, i as u32);
         self.member_add(Table::Tried, i);
     }
 
-    fn unlink_from_new(&mut self, idx: usize) {
-        let addr = self.info_at(idx).addr;
-        let source = self.info_at(idx).source;
-        let bucket = self.new_bucket_of(&addr, &source);
-        let slot = self.slot_of(bucket, &addr, false);
-        let flat = self.flat(bucket, slot);
-        if self.new_table[flat] == idx as u32 {
-            self.new_table[flat] = EMPTY_SLOT;
+    /// Vacates record `idx`'s slot in the table its tag names.
+    fn unlink(&mut self, idx: usize) {
+        let info = self.info_at(idx);
+        let (table, flat) = (info.table, self.home_slot(info));
+        let cells = match table {
+            Table::New => &mut self.new_table,
+            Table::Tried => &mut self.tried_table,
+        };
+        if let Entry::Occupied(cell) = cells.entry(flat) {
+            if *cell.get() == idx as u32 {
+                cell.remove();
+            }
         }
     }
 
     fn demote_to_new(&mut self, idx: usize) {
         self.member_remove(Table::Tried, idx);
-        let addr = self.info_at(idx).addr;
-        let source = self.info_at(idx).source;
-        let bucket = self.new_bucket_of(&addr, &source);
-        let slot = self.slot_of(bucket, &addr, false);
-        let flat = self.flat(bucket, slot);
-        if self.new_table[flat] == EMPTY_SLOT {
+        let AddrInfo { addr, source, .. } = *self.info_at(idx);
+        let flat = self.new_slot(&addr, &source);
+        if !self.new_table.contains_key(&flat) {
             self.info_at_mut(idx).table = Table::New;
-            self.new_table[flat] = idx as u32;
+            self.new_table.insert(flat, idx as u32);
             self.member_add(Table::New, idx);
         } else {
             // No room: the demoted address is forgotten entirely.
@@ -420,27 +438,10 @@ impl AddrMan {
     }
 
     fn remove_record(&mut self, idx: usize) {
+        self.unlink(idx);
         let removed = self.infos[idx].take().expect("live record");
-        match removed.table {
-            Table::New => {
-                // Restore the record briefly for unlink address lookups.
-                self.infos[idx] = Some(removed);
-                self.unlink_from_new(idx);
-                let removed = self.infos[idx].take().expect("live record");
-                self.member_remove(Table::New, idx);
-                self.index.remove(&removed.addr);
-            }
-            Table::Tried => {
-                let bucket = self.tried_bucket_of(&removed.addr);
-                let slot = self.slot_of(bucket, &removed.addr, true);
-                let flat = self.flat(bucket, slot);
-                if self.tried_table[flat] == idx as u32 {
-                    self.tried_table[flat] = EMPTY_SLOT;
-                }
-                self.member_remove(Table::Tried, idx);
-                self.index.remove(&removed.addr);
-            }
-        }
+        self.member_remove(removed.table, idx);
+        self.index.remove(&removed.addr);
         self.free.push(idx);
     }
 
@@ -543,14 +544,18 @@ impl AddrMan {
     ///   which addresses exist (`len() == new + tried == live records`);
     /// - table sizes never exceed their bucket capacity
     ///   (`new ≤ new_buckets × slots`, `tried ≤ tried_buckets × slots`);
-    /// - every live record occupies **exactly one** cell of the table its
-    ///   `table` tag names and none of the other — in particular no
-    ///   address sits in two `tried` slots;
+    /// - every live record is filed in the table its `table` tag names at
+    ///   the slot its own key hashes to (`new`: its `(addr, source)`
+    ///   bucket; `tried`: its `addr` bucket);
+    /// - each table holds exactly as many slots as its member list has
+    ///   entries — with the previous point, every live record occupies
+    ///   **exactly one** cell of its own table and none of the other, so in
+    ///   particular no address sits in two `tried` slots;
     /// - `member_pos` round-trips through the member lists;
     /// - free-list entries are vacant.
     ///
-    /// O(tables + records): meant for tests and fuzz harnesses, not for
-    /// hot paths.
+    /// O(records): it hashes each record once and walks no table. Meant for
+    /// tests and fuzz harnesses, not for hot paths.
     pub fn try_check_invariants(&self) -> Result<(), String> {
         fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
             if cond {
@@ -599,37 +604,34 @@ impl AddrMan {
             format!("tried overflow: {} > {tried_cap}", self.tried_count())
         })?;
 
-        let mut new_refs = vec![0u32; self.infos.len()];
-        let mut tried_refs = vec![0u32; self.infos.len()];
-        for (table, refs, cells) in [
-            (Table::New, &mut new_refs, &self.new_table),
-            (Table::Tried, &mut tried_refs, &self.tried_table),
-        ] {
-            for &cell in cells {
-                if cell == EMPTY_SLOT {
-                    continue;
-                }
-                let i = cell as usize;
-                let info = self.infos[i]
-                    .as_ref()
-                    .ok_or_else(|| format!("{table:?} cell points at vacant slab slot {i}"))?;
-                ensure(info.table == table, || {
-                    format!("cell table {table:?} != record table {:?}", info.table)
-                })?;
-                refs[i] += 1;
-            }
-        }
+        // Every record sits at the slot its own key hashes to, and the
+        // tables hold nothing else: each member fills a distinct slot, so
+        // equal sizes leave no cell for a stray or second entry.
         for &i in &live {
-            let info = self.infos[i].as_ref().expect("live");
-            let (own, other) = match info.table {
-                Table::New => (new_refs[i], tried_refs[i]),
-                Table::Tried => (tried_refs[i], new_refs[i]),
+            let info = self.info_at(i);
+            let flat = self.home_slot(info);
+            let cells = match info.table {
+                Table::New => &self.new_table,
+                Table::Tried => &self.tried_table,
             };
-            ensure(own == 1, || {
-                format!("{:?} occupies {own} slots of its table", info.addr)
+            ensure(cells.get(&flat) == Some(&(i as u32)), || {
+                format!(
+                    "{:?} (record {i}) is not at its {:?} slot {flat}, which holds {:?}",
+                    info.addr,
+                    info.table,
+                    cells.get(&flat)
+                )
             })?;
-            ensure(other == 0, || {
-                format!("{:?} also sits in the other table", info.addr)
+        }
+        for (table, cells, members) in [
+            (Table::New, &self.new_table, self.new_count()),
+            (Table::Tried, &self.tried_table, self.tried_count()),
+        ] {
+            ensure(cells.len() == members, || {
+                format!(
+                    "{table:?} table holds {} slots for {members} members",
+                    cells.len()
+                )
             })?;
         }
 
@@ -965,6 +967,52 @@ mod tests {
             assert_eq!(am.len(), am.new_count() + am.tried_count());
             assert_eq!(am.len(), am.iter().count());
         }
+    }
+
+    #[test]
+    fn footprint_grows_with_records_not_with_buckets() {
+        let mut am = AddrMan::new(42, AddrManConfig::bitcoin_core());
+        assert!(am.footprint() < 1024, "empty: {} B", am.footprint());
+        for i in 0..1000u32 {
+            // One /16 group each, heard from 256 source groups.
+            let [_, _, hi, lo] = i.to_be_bytes();
+            am.add(addr(10 + hi, lo, 1, 1), addr(200, lo, hi, 1), NOW);
+        }
+        assert!(am.len() > 900, "collisions ate the book: {}", am.len());
+        assert!(
+            am.footprint() <= FOOTPRINT_PER_RECORD * am.len(),
+            "{} B for {} records",
+            am.footprint(),
+            am.len()
+        );
+    }
+
+    #[test]
+    fn invariant_check_names_a_record_filed_under_a_wrong_slot() {
+        let mut am = filled(50);
+        am.check_invariants();
+        let i = am.new_members[0];
+        let info = am.info_at(i).clone();
+        let home = am.home_slot(&info);
+        let stray = (0..).find(|s| !am.new_table.contains_key(s)).unwrap();
+        // Same record count and table size: only the slot is wrong.
+        am.new_table.remove(&home);
+        am.new_table.insert(stray, i as u32);
+        let msg = am.try_check_invariants().unwrap_err();
+        assert!(msg.contains(&format!("{:?}", info.addr)), "{msg}");
+        assert!(msg.contains(&format!("New slot {home}")), "{msg}");
+
+        // Filed twice: at home and at the stray slot.
+        am.new_table.insert(home, i as u32);
+        let members = am.new_count();
+        let msg = am.try_check_invariants().unwrap_err();
+        assert_eq!(
+            msg,
+            format!(
+                "New table holds {} slots for {members} members",
+                members + 1
+            )
+        );
     }
 
     #[test]

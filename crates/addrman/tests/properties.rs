@@ -126,13 +126,19 @@ fn eviction_spares_fresh_addresses() {
 proptest! {
     /// Arbitrary add/attempt/good/evict interleavings keep every internal
     /// structure consistent (single tried slot per address included — see
-    /// [`AddrMan::check_invariants`]).
+    /// [`AddrMan::check_invariants`]), on Core's tables and on the small ones.
     #[test]
     fn operations_preserve_invariants(
         ops in proptest::collection::vec((0u8..4, any::<u16>()), 1..200),
         key in any::<u64>(),
+        core in any::<bool>(),
     ) {
-        let mut am = AddrMan::new(key, AddrManConfig::small());
+        let cfg = if core {
+            AddrManConfig::bitcoin_core()
+        } else {
+            AddrManConfig::small()
+        };
+        let mut am = AddrMan::new(key, cfg);
         for (i, (op, v)) in ops.into_iter().enumerate() {
             let a = addr_of(v as u32 & 0x3ff);
             let t = NOW + i as i64 * 3600;
@@ -165,6 +171,7 @@ proptest! {
         let mut am = AddrMan::new(1, cfg);
         let a = addr_of(v);
         am.add(a, source(), NOW - age_secs);
+        am.check_invariants();
         let info = am.info(&a).expect("added");
         prop_assert_eq!(info.attempts, 0);
         prop_assert!(
@@ -172,6 +179,7 @@ proptest! {
             "fresh address ({age_secs}s old) is terrible"
         );
         am.evict_terrible(NOW);
+        am.check_invariants();
         prop_assert!(am.info(&a).is_some(), "fresh address evicted");
     }
 
@@ -194,8 +202,10 @@ proptest! {
         for i in 0..n {
             let a = addr_of(i);
             am.add(a, source(), NOW);
+            am.check_invariants();
             if i % promote_every == 0 {
                 am.good(&a, NOW);
+                am.check_invariants();
             }
         }
         let mut rng = SimRng::seed_from(seed);

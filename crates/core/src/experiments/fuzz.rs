@@ -176,9 +176,8 @@ impl Scenario {
     /// The [`WorldConfig`] this scenario describes.
     ///
     /// Node address managers use deliberately small tables
-    /// ([`AddrManConfig::small`]): per-event consistency checks stay
-    /// affordable, and small tables reach the collision/eviction paths that
-    /// big ones never touch in a bounded run.
+    /// ([`AddrManConfig::small`]): they reach the collision/eviction paths
+    /// that big ones never touch in a bounded run.
     pub fn world_config(&self) -> WorldConfig {
         let node_cfg = NodeConfig {
             addrman: AddrManConfig::small(),

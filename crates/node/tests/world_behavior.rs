@@ -1,6 +1,7 @@
 //! Integration tests for the world simulator: handshakes, block
 //! propagation, connection dynamics, ADDR gossip, and churn.
 
+use bitsync_addrman::FOOTPRINT_PER_RECORD;
 use bitsync_net::churn::ChurnConfig;
 use bitsync_node::config::{ResilienceConfig, STALE_TIP_TIMEOUT};
 use bitsync_node::world::{World, WorldConfig};
@@ -181,6 +182,33 @@ fn churn_generates_departures_and_arrivals() {
     assert!(arrivals >= 3, "arrivals {arrivals}");
     // Network did not collapse.
     assert!(world.online_ids().len() >= 10);
+}
+
+/// An address book costs what it holds: no node pays for the empty slots of
+/// Core's 1024 + 256 buckets, whether it joined at the start, arrived later
+/// or rejoined with its old book.
+#[test]
+fn addrman_footprint_follows_its_records() {
+    let mut cfg = base_cfg(9);
+    cfg.churn = Some(ChurnConfig {
+        mean_lifetime: SimDuration::from_hours(2),
+        rejoin_probability: 0.3,
+        mean_offline_gap: SimDuration::from_hours(1),
+    });
+    let mut world = World::new(cfg);
+    world.run_until(SimTime::from_secs(4 * 3600));
+    let online = world.online_ids();
+    assert!(online.len() >= 10, "{} nodes online", online.len());
+    for id in online {
+        let am = &world.node(id).unwrap().addrman;
+        assert!(
+            am.footprint() <= FOOTPRINT_PER_RECORD * am.len() + 1024,
+            "node {}: {} B for {} addresses",
+            id.0,
+            am.footprint(),
+            am.len()
+        );
+    }
 }
 
 #[test]

@@ -18,13 +18,17 @@
 #     checks` line, violations, the shrunk scenario) with the wall time cut
 #     off.
 # Prints one `identical=yes/no` line per experiment and per fuzz row and
-# exits 1 on any difference.
+# exits 1 on any difference. After each `identical=no` it prints
+# `identical_outside_footprint=yes/no`: the same comparison with the memory
+# accounting removed (the timeseries' `mem_*` columns and members and the
+# manifest's `footprint_bytes`), so a change that only moves what an owner
+# holds says so. That line is information: the exit status stays 1.
 set -euo pipefail
 
 base=${1:-HEAD^}
 root=$(git rev-parse --show-toplevel)
 work=$root/target/parent-diff
-rm -rf "$work/src" "$work/base" "$work/change"
+rm -rf "$work/src" "$work/base" "$work/change" "$work/stripped"
 mkdir -p "$work/src" "$work/base" "$work/change"
 
 git -C "$root" archive "$base" | tar -x -C "$work/src"
@@ -35,8 +39,33 @@ declare -A bin=(
     [change]=${CARGO_TARGET_DIR:-$root/target}/release/repro
 )
 
+# Copies a file or directory under $work/stripped/<side> without the memory
+# accounting and prints the copy's path.
+strip_footprint() { # <path> <side>
+    local out=$work/stripped/$2 f
+    rm -rf "$out"
+    mkdir -p "$out"
+    cp -r "$1" "$out/"
+    while IFS= read -r -d '' f; do
+        case $(basename "$f") in
+        timeseries.jsonl) sed -E -i 's/,"mem_[a-z_]+":[^,}]*//g' "$f" ;;
+        timeseries.csv)
+            awk -F, -v OFS=, '
+                NR == 1 { for (i = 1; i <= NF; i++) drop[i] = $i ~ /^mem_/ }
+                { row = ""; n = 0
+                  for (i = 1; i <= NF; i++) if (!drop[i]) row = n++ ? row OFS $i : $i
+                  print row }' "$f" >"$f.tmp" && mv "$f.tmp" "$f" ;;
+        manifest.json)
+            awk '/"footprint_bytes": \{/ { skip = 1; next }
+                 skip { if (/^ *\},?$/) skip = 0; next }
+                 !/"footprint_bytes": null/' "$f" >"$f.tmp" && mv "$f.tmp" "$f" ;;
+        esac
+    done < <(find "$out" -type f -print0)
+    echo "$out/$(basename "$1")"
+}
+
 status=0
-verdict() { # <what> <command that succeeds when identical...>
+verdict() { # <what> <command that succeeds when its last two arguments are identical...>
     local what=$1
     shift
     if "$@" >"$work/diff.txt" 2>&1; then
@@ -46,6 +75,14 @@ verdict() { # <what> <command that succeeds when identical...>
         # `head` closes the pipe early on a long diff; that is not a failure.
         sed 's/^/    /' "$work/diff.txt" | head -20 || true
         status=1
+        local args=("$@") n=$# base change
+        base=$(strip_footprint "${args[n - 2]}" base)
+        change=$(strip_footprint "${args[n - 1]}" change)
+        if "${args[@]:0:n-2}" "$base" "$change" >/dev/null 2>&1; then
+            echo "$what identical_outside_footprint=yes"
+        else
+            echo "$what identical_outside_footprint=no"
+        fi
     fi
 }
 
