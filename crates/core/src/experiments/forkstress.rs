@@ -42,8 +42,6 @@ pub struct ForkStressConfig {
     pub warmup: SimDuration,
     /// Measured storm duration.
     pub duration: SimDuration,
-    /// Sampling interval for the sync time series.
-    pub sample_every: SimDuration,
     /// How long after `end_faults` the population gets to converge.
     pub convergence_grace: SimDuration,
 }
@@ -61,7 +59,6 @@ impl ForkStressConfig {
             intensities: vec![0.0, 0.5, 1.0],
             warmup: SimDuration::from_mins(30),
             duration: SimDuration::from_hours(4),
-            sample_every: SimDuration::from_mins(15),
             convergence_grace: SimDuration::from_hours(2),
         }
     }
@@ -153,6 +150,9 @@ impl ForkStressResult {
     }
 }
 
+/// Sampling interval for the sync time series.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_mins(15);
+
 /// The sweep's cells ([`sweep::grid`], switch label `res`). Each samples
 /// [`World::honest_sync_fraction`], then ends the faults and clocks
 /// convergence.
@@ -167,7 +167,7 @@ pub fn cells(cfg: &ForkStressConfig) -> sweep::Grid<f64> {
         },
         warmup: cfg.warmup,
         duration: cfg.duration,
-        every: cfg.sample_every,
+        every: SAMPLE_EVERY,
         probe: World::honest_sync_fraction,
         convergence_grace: Some(cfg.convergence_grace),
     };

@@ -1,10 +1,17 @@
-//! One module per paper artifact. Each experiment has a `*Config` with
-//! `paper`/`scaled` and `quick` constructors, a `run` function, a
+//! One module per paper artifact. Each experiment has a `run` function, a
 //! serializable result, and one `EXPERIMENT` row that enters it in the
 //! [`REGISTRY`]; the `bitsync-bench` crate renders them as the paper's
 //! tables and figures, and [`write_bundle`] files a finished run as one
 //! directory. The six experiments that are lists of worlds also expose
 //! their `cells()` and an assembler; [`sweep::run`] runs each cell.
+//!
+//! Ten experiments take a `*Config` whose constructors are its [`Scale`]s:
+//! `quick`, `paper` or `scaled`, and `full` for fig6/fig7; the census's are
+//! `full`, `one_tenth` and `quick`, and [`rounds`] has none. A config field
+//! is a value its constructors change (DESIGN.md §6), except nine that
+//! `benchmark/src/seam.rs` reads through the four constructors it pins:
+//! `RelayConfig::paper`, `SyncScenarioConfig::scaled`,
+//! `AblationConfig::scaled` and `ForkStressConfig::quick`.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

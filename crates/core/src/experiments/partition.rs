@@ -23,10 +23,6 @@ pub struct PartitionConfig {
     pub seed: u64,
     /// Reachable network size.
     pub n_reachable: usize,
-    /// Fraction of nodes the hijack should isolate (paper: 50%).
-    pub isolate_fraction: f64,
-    /// Warm-up before the attack.
-    pub warmup: SimDuration,
     /// Attack duration.
     pub attack: SimDuration,
     /// Healing observation window after the partition lifts.
@@ -41,8 +37,6 @@ impl PartitionConfig {
         PartitionConfig {
             seed,
             n_reachable: 120,
-            isolate_fraction: 0.5,
-            warmup: SimDuration::from_mins(30),
             attack: SimDuration::from_hours(3),
             heal: SimDuration::from_hours(1),
             block_interval: SimDuration::from_secs(300),
@@ -94,6 +88,11 @@ impl ToJson for PartitionResult {
     }
 }
 
+/// Fraction of nodes the hijack should isolate (paper: 50%).
+const ISOLATE_FRACTION: f64 = 0.5;
+/// Warm-up before the attack.
+const WARMUP: SimDuration = SimDuration::from_mins(30);
+
 /// Runs the partition attack with its world reporting into `ins`;
 /// timeseries rows are labelled with the phase (`before`, `attack`,
 /// `heal`).
@@ -114,7 +113,7 @@ pub fn run(cfg: &PartitionConfig, ins: &Instruments) -> PartitionResult {
     });
     world.attach(ins);
     ins.sampler.set_ctx(Some("before"));
-    world.run_until(SimTime::ZERO + cfg.warmup);
+    world.run_until(SimTime::ZERO + WARMUP);
     let sync_before = world.sync_fraction();
 
     // Plan the hijack greedily over the live AS histogram.
@@ -126,7 +125,7 @@ pub fn run(cfg: &PartitionConfig, ins: &Instruments) -> PartitionResult {
         .collect::<Vec<_>>();
     let reachable_total = asns.len();
     let conc = AsConcentration::from_asns(asns);
-    let plan = plan_hijack(&conc, cfg.isolate_fraction);
+    let plan = plan_hijack(&conc, ISOLATE_FRACTION);
 
     let h0 = world.best_height();
     world.apply_partition(plan.targets.iter().copied());

@@ -112,7 +112,7 @@ impl ToJson for RelayResult {
     }
 }
 
-/// Runs the relay-delay experiment on a forced 8-out/17-in star topology.
+/// Runs the relay-delay experiment from a forced 8-out/17-in star topology.
 /// The world reports into `ins`: the per-hop relay-delay histogram, relay
 /// origin/recv/send trace events, and — the hub being relay-instrumented —
 /// windowed relay-delay quantiles in every timeseries row.
@@ -120,8 +120,11 @@ pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
     let n_nodes = 1 + cfg.n_outbound + cfg.n_inbound;
     let mut node_cfg = cfg.node_cfg.clone();
     node_cfg.upload_bandwidth = cfg.upload_bandwidth;
-    // Disable organic dialing/feelers: the topology is forced, as in the
-    // paper's configured test node.
+    // The star is forced, as in the paper's configured test node, but
+    // nothing stops organic dialing: the connect tick and the feeler still
+    // run, so the leaves dial each other (quick `relay` completes 339 dials).
+    // ROADMAP item 2, "Figs 10/11 run on the topology the code says they
+    // run on", makes the topology a decision.
     let mut world = World::new(WorldConfig {
         seed: cfg.seed,
         node_cfg,

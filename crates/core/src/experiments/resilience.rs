@@ -41,39 +41,17 @@ pub struct ResilienceConfig {
     pub n_unreachable_full: usize,
     /// Phantom (dead) addresses seeding dial failures.
     pub n_phantoms: usize,
-    /// The full-intensity fault plane; each sweep point runs
-    /// `base_fault.scaled(intensity)`.
-    pub base_fault: FaultConfig,
     /// Sweep points, each in `0..=1`; include 0.0 for the baseline.
     pub intensities: Vec<f64>,
-    /// Churn model.
-    pub churn: ChurnConfig,
-    /// Churn acceleration factor, as in the sync scenario.
+    /// Acceleration of the 2020 churn model, as in the sync scenario.
     pub churn_speedup: f64,
     /// Warm-up before measurement starts.
     pub warmup: SimDuration,
     /// Measured scenario duration.
     pub duration: SimDuration,
-    /// Sampling interval for sync/outdegree time series.
-    pub sample_every: SimDuration,
 }
 
 impl ResilienceConfig {
-    /// The full-intensity stressor mix: lossy jittery links, a fifth of
-    /// the reachable population stalled, 4× ADDR-flood amplification, and
-    /// a connection flap every minute on average.
-    pub fn paper_fault() -> FaultConfig {
-        FaultConfig {
-            drop_probability: 0.15,
-            extra_delay_probability: 0.2,
-            extra_delay_max: SimDuration::from_secs(5),
-            stall_fraction: 0.2,
-            addr_flood_factor: 4.0,
-            connection_flap_interval: Some(SimDuration::from_secs(60)),
-            ..FaultConfig::off()
-        }
-    }
-
     /// Default scaled scenario. Six cells cost roughly one ablation run,
     /// so the world is kept a notch smaller than the ablation's.
     pub fn scaled(seed: u64) -> Self {
@@ -83,13 +61,10 @@ impl ResilienceConfig {
             n_malicious: 3,
             n_unreachable_full: 16,
             n_phantoms: 1_500,
-            base_fault: Self::paper_fault(),
             intensities: vec![0.0, 0.5, 1.0],
-            churn: ChurnConfig::paper_2020(),
             churn_speedup: 24.0,
             warmup: SimDuration::from_mins(30),
             duration: SimDuration::from_hours(6),
-            sample_every: SimDuration::from_mins(15),
         }
     }
 
@@ -183,6 +158,22 @@ impl ResilienceResult {
     }
 }
 
+/// The full-intensity fault plane; each sweep point runs
+/// `BASE_FAULT.scaled(intensity)`. The stressor mix: lossy jittery links, a
+/// fifth of the reachable population stalled, 4× ADDR-flood amplification,
+/// and a connection flap every minute on average.
+const BASE_FAULT: FaultConfig = FaultConfig {
+    drop_probability: 0.15,
+    extra_delay_probability: 0.2,
+    extra_delay_max: SimDuration::from_secs(5),
+    stall_fraction: 0.2,
+    addr_flood_factor: 4.0,
+    connection_flap_interval: Some(SimDuration::from_secs(60)),
+    ..FaultConfig::off()
+};
+/// Sampling interval for sync/outdegree time series.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_mins(15);
+
 /// The sweep's cells ([`sweep::grid`], switch label `cm`), each sampling
 /// the honest synchronized fraction and outdegree.
 pub fn cells(cfg: &ResilienceConfig) -> sweep::Grid<(f64, f64)> {
@@ -193,19 +184,19 @@ pub fn cells(cfg: &ResilienceConfig) -> sweep::Grid<(f64, f64)> {
             n_malicious: cfg.n_malicious,
             n_unreachable_full: cfg.n_unreachable_full,
             n_phantoms: cfg.n_phantoms,
-            churn: Some(cfg.churn.sped_up(cfg.churn_speedup)),
+            churn: Some(ChurnConfig::paper_2020().sped_up(cfg.churn_speedup)),
             ..sweep::mesh(cfg.seed)
         },
         warmup: cfg.warmup,
         duration: cfg.duration,
-        every: cfg.sample_every,
+        every: SAMPLE_EVERY,
         probe: |world| {
             let outdegree = world.mean_outdegree(NodeMeta::is_honest);
             (world.honest_sync_fraction(), outdegree)
         },
         convergence_grace: None,
     };
-    sweep::grid(&base, &cfg.base_fault, &cfg.intensities, "cm")
+    sweep::grid(&base, &BASE_FAULT, &cfg.intensities, "cm")
 }
 
 /// One cell's result from its run.

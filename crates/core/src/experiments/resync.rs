@@ -23,10 +23,6 @@ pub struct ResyncConfig {
     pub n_reachable: usize,
     /// Warm-up before the restart, letting the chain grow.
     pub warmup: SimDuration,
-    /// How long the node stays offline.
-    pub offline: SimDuration,
-    /// Give-up horizon for the resync measurement.
-    pub timeout: SimDuration,
     /// Phantom pollution (drives connection-establishment time, the
     /// dominant term in the paper's 11 min).
     pub n_phantoms: usize,
@@ -41,8 +37,6 @@ impl ResyncConfig {
             seed,
             n_reachable: 60,
             warmup: SimDuration::from_mins(60),
-            offline: SimDuration::from_mins(10),
-            timeout: SimDuration::from_mins(60),
             n_phantoms: 3_000,
             seed_phantoms: 250,
         }
@@ -87,6 +81,11 @@ impl ToJson for ResyncResult {
     }
 }
 
+/// How long the node stays offline.
+const OFFLINE: SimDuration = SimDuration::from_mins(10);
+/// Give-up horizon for the resync measurement.
+const TIMEOUT: SimDuration = SimDuration::from_mins(60);
+
 /// Runs the restart experiment with its world reporting into `ins`;
 /// timeseries rows are labelled with the phase (`warmup`, `offline`,
 /// `resync`).
@@ -110,7 +109,7 @@ pub fn run(cfg: &ResyncConfig, ins: &Instruments) -> ResyncResult {
     world.run_until(SimTime::ZERO + cfg.warmup);
     world.force_depart(observed);
     ins.sampler.set_ctx(Some("offline"));
-    world.run_for(cfg.offline);
+    world.run_for(OFFLINE);
     let rejoin_at = world.now();
     world.force_rejoin(observed);
     ins.sampler.set_ctx(Some("resync"));
@@ -120,7 +119,7 @@ pub fn run(cfg: &ResyncConfig, ins: &Instruments) -> ResyncResult {
     let mut first_connection_secs = None;
     let mut tip_caught_up_secs = None;
     let mut relay_ready_secs = None;
-    let deadline = rejoin_at + cfg.timeout;
+    let deadline = rejoin_at + TIMEOUT;
     while world.now() < deadline && relay_ready_secs.is_none() {
         world.run_for(SimDuration::from_secs(1));
         let elapsed = (world.now() - rejoin_at).as_secs();

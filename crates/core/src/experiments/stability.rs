@@ -21,33 +21,23 @@ pub struct StabilityConfig {
     pub seed: u64,
     /// Warm-up before sampling starts (the paper's node had been running).
     pub warmup: SimDuration,
-    /// Sampling window (paper: 260 s).
-    pub window_secs: u64,
-    /// Mean per-connection lifetime driving the drop process.
-    pub connection_mean_lifetime: SimDuration,
     /// World size.
     pub n_reachable: usize,
     /// Phantom pollution of the address book.
     pub n_phantoms: usize,
     /// Phantoms seeded per node.
     pub seed_phantoms: usize,
-    /// Reachable addresses seeded per node.
-    pub seed_reachable: usize,
 }
 
 impl StabilityConfig {
-    /// Paper-shaped defaults: address books ~11% reachable, drops every
-    /// couple of minutes per connection.
+    /// Paper-shaped defaults: address books ~11% reachable.
     pub fn paper(seed: u64) -> Self {
         StabilityConfig {
             seed,
             warmup: SimDuration::from_secs(600),
-            window_secs: 260,
-            connection_mean_lifetime: SimDuration::from_secs(150),
             n_reachable: 80,
             n_phantoms: 4_000,
             seed_phantoms: 250,
-            seed_reachable: 32,
         }
     }
 
@@ -100,6 +90,14 @@ impl ToJson for StabilityResult {
     }
 }
 
+/// Sampling window (paper: 260 s).
+const WINDOW: SimDuration = SimDuration::from_secs(260);
+/// Mean per-connection lifetime driving the drop process: drops every
+/// couple of minutes per connection.
+const CONNECTION_MEAN_LIFETIME: SimDuration = SimDuration::from_secs(150);
+/// Reachable addresses seeded per node.
+const SEED_REACHABLE: usize = 32;
+
 /// The one world, sampled once per second over the window: the observed
 /// node 0's outgoing connection count.
 pub fn cell(cfg: &StabilityConfig) -> Cell<usize> {
@@ -111,13 +109,13 @@ pub fn cell(cfg: &StabilityConfig) -> Cell<usize> {
             n_unreachable_full: 0,
             n_phantoms: cfg.n_phantoms,
             seed_phantoms: cfg.seed_phantoms,
-            seed_reachable: cfg.seed_reachable,
-            connection_mean_lifetime: Some(cfg.connection_mean_lifetime),
+            seed_reachable: SEED_REACHABLE,
+            connection_mean_lifetime: Some(CONNECTION_MEAN_LIFETIME),
             instrument: Some(0),
             ..WorldConfig::default()
         },
         warmup: cfg.warmup,
-        duration: SimDuration::from_secs(cfg.window_secs),
+        duration: WINDOW,
         every: SimDuration::from_secs(1),
         probe: |world| world.node(NodeId(0)).map_or(0, |n| n.outgoing_count()),
         convergence_grace: None,

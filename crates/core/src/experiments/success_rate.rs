@@ -20,8 +20,6 @@ pub struct SuccessRateConfig {
     pub seed: u64,
     /// Number of independent runs (paper: 5).
     pub runs: usize,
-    /// Duration of each run (paper: 5 minutes).
-    pub run_duration: SimDuration,
     /// World size.
     pub n_reachable: usize,
     /// Phantom pool size.
@@ -29,10 +27,6 @@ pub struct SuccessRateConfig {
     /// Phantoms seeded into the observed node's book (paper-calibrated
     /// pollution: ~89% of the book unreachable).
     pub seed_phantoms: usize,
-    /// Reachable addresses seeded.
-    pub seed_reachable: usize,
-    /// Per-connection lifetime (drops force replacement attempts).
-    pub connection_mean_lifetime: Option<SimDuration>,
 }
 
 impl SuccessRateConfig {
@@ -41,12 +35,9 @@ impl SuccessRateConfig {
         SuccessRateConfig {
             seed,
             runs: 5,
-            run_duration: SimDuration::from_mins(5),
             n_reachable: 60,
             n_phantoms: 4_000,
             seed_phantoms: 350,
-            seed_reachable: 32,
-            connection_mean_lifetime: Some(SimDuration::from_secs(120)),
         }
     }
 
@@ -137,6 +128,13 @@ impl ToJson for SuccessRateResult {
     }
 }
 
+/// Duration of each run (paper: 5 minutes).
+const RUN_DURATION: SimDuration = SimDuration::from_mins(5);
+/// Reachable addresses seeded into the observed node's book.
+const SEED_REACHABLE: usize = 32;
+/// Per-connection lifetime (drops force replacement attempts).
+const CONNECTION_MEAN_LIFETIME: SimDuration = SimDuration::from_secs(120);
+
 /// One fresh world per run `i` (seed `seed + i`, rows labelled `run<i>`),
 /// mirroring the paper's restart-per-experiment protocol; it runs its whole
 /// duration as the warm-up and takes no sample.
@@ -149,13 +147,13 @@ pub fn cells(cfg: &SuccessRateConfig) -> Vec<Cell<()>> {
             n_unreachable_full: 0,
             n_phantoms: cfg.n_phantoms,
             seed_phantoms: cfg.seed_phantoms,
-            seed_reachable: cfg.seed_reachable,
-            connection_mean_lifetime: cfg.connection_mean_lifetime,
+            seed_reachable: SEED_REACHABLE,
+            connection_mean_lifetime: Some(CONNECTION_MEAN_LIFETIME),
             ..WorldConfig::default()
         },
-        warmup: cfg.run_duration,
+        warmup: RUN_DURATION,
         duration: SimDuration::ZERO,
-        every: cfg.run_duration,
+        every: RUN_DURATION,
         probe: |_| (),
         convergence_grace: None,
     };

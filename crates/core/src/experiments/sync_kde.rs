@@ -54,8 +54,6 @@ pub struct SyncScenarioConfig {
     pub n_unreachable_full: usize,
     /// Scenario duration.
     pub duration: SimDuration,
-    /// Snapshot interval (paper/Bitnodes: 10 minutes).
-    pub snapshot_interval: SimDuration,
     /// Block interval.
     pub block_interval: SimDuration,
     /// Mean fresh-arrival IBD time (days-long in reality).
@@ -78,7 +76,6 @@ impl SyncScenarioConfig {
             n_reachable: 150,
             n_unreachable_full: 30,
             duration: SimDuration::from_hours(96),
-            snapshot_interval: SimDuration::from_mins(10),
             block_interval: SimDuration::from_secs(600),
             ibd_fresh_mean: SimDuration::from_hours(240),
             laggard_fraction: 0.20,
@@ -169,6 +166,9 @@ impl ToJson for SyncComparison {
     }
 }
 
+/// Snapshot interval (paper/Bitnodes: 10 minutes).
+const SNAPSHOT_INTERVAL: SimDuration = SimDuration::from_mins(10);
+
 /// The two arms, 2019 then 2020, differing only in churn (rows `y2019` /
 /// `y2020`, [`World::sync_fraction`] sampled every snapshot). Node 0 is
 /// relay-instrumented, which fills the `node.relay_delay_secs` histogram
@@ -197,7 +197,7 @@ pub fn cells(cfg: &SyncScenarioConfig) -> [(Year, Cell<f64>); 2] {
             },
             warmup: cfg.warmup,
             duration: cfg.duration,
-            every: cfg.snapshot_interval,
+            every: SNAPSHOT_INTERVAL,
             probe: World::sync_fraction,
             convergence_grace: None,
         };

@@ -37,10 +37,10 @@
 //! `benchmark/src/seam/probes.rs` name [`Backend`],
 //! [`EventQueue::with_backend`] and [`default_backend`] (the
 //! `sim.event.{wheel,heap}_churn_ns` probes), and a PR may not edit the
-//! benchmark it is measured by; ROADMAP item 3(a) drops those names from
-//! the seam and deletes the wheel with them. Until then the unit tests
-//! below and `tests/wheel_edge_cases.rs` hold the wheel to the heap's
-//! `(time, seq)` order.
+//! benchmark it is measured by. The wheel goes once `benchmark/src/seam*`
+//! stops naming those three; until then the unit tests below and
+//! `tests/wheel_edge_cases.rs` hold the wheel to the heap's `(time, seq)`
+//! order.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -81,7 +81,7 @@ impl<E> Ord for Scheduled<E> {
 
 /// Which core [`EventQueue::with_backend`] builds. Named only by the
 /// benchmark seam's queue probes and this crate's oracle tests (module
-/// docs); ROADMAP item 3(a) deletes it.
+/// docs); it goes once `benchmark/src/seam*` stops naming it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Hierarchical timer wheel: a probe target, built for no world.
@@ -91,8 +91,8 @@ pub enum Backend {
 }
 
 /// The backend [`EventQueue::new`] runs on. `benchmark/src/seam.rs` reads
-/// it to pick which queue probe stands for a world's queue; ROADMAP item
-/// 3(a) deletes it.
+/// it to pick which queue probe stands for a world's queue; it goes once
+/// `benchmark/src/seam*` stops naming it.
 pub fn default_backend() -> Backend {
     Backend::Heap
 }
@@ -412,7 +412,7 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue at time zero on an explicit backend: the
     /// constructor `benchmark/src/seam/probes.rs` and the oracle tests use
-    /// to reach the wheel. ROADMAP item 3(a) deletes it.
+    /// to reach the wheel; it goes once `benchmark/src/seam*` stops naming it.
     pub fn with_backend(backend: Backend) -> Self {
         let core = match backend {
             Backend::Wheel => Core::Wheel(WheelCore::new()),

@@ -7,7 +7,7 @@
 //!
 //! The heap is what every world runs on; the wheel is built only by the
 //! benchmark's queue probes (`bitsync_sim::event` module docs). This file
-//! goes with the wheel (ROADMAP item 3(a)).
+//! goes with the wheel, once `benchmark/src/seam*` stops naming `Backend`.
 
 use bitsync_sim::event::{Backend, EventQueue};
 use bitsync_sim::rng::SimRng;
