@@ -15,6 +15,9 @@
 //!   one successful connection — both stored sparsely, as maps from a flat
 //!   slot to the record filed there, so a manager costs what it holds
 //!   ([`FOOTPRINT_PER_RECORD`]) rather than the 81 920 slots it could hold;
+//! - each address stored once, in its record: the endpoint → record index
+//!   is an open-addressing table of 4-byte record numbers, compared against
+//!   the records themselves;
 //! - SipHash-keyed bucket placement so bucket positions are unpredictable;
 //! - outgoing-connection candidates drawn from `new` or `tried` with equal
 //!   probability;
@@ -53,9 +56,10 @@ use config::TableSizes;
 
 use bitsync_crypto::SipHasher24;
 use bitsync_protocol::addr::{NetAddr, TimestampedAddr};
-use bitsync_protocol::hash::{table_bytes, IdMap};
+use bitsync_protocol::hash::{table_bytes, IdHasher, IdMap};
 use bitsync_sim::rng::SimRng;
 use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 const SECS_PER_DAY: i64 = 86_400;
 
@@ -79,10 +83,10 @@ pub const GETADDR_MAX_PCT: usize = 23;
 pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
 
 /// Most bytes [`AddrMan::footprint`] charges per known address: its record,
-/// its index entry, its table slot and its member-list words, with the slack
-/// of tables that grow by doubling. Nothing is charged per bucket, so the
-/// tests hold managers of every size to this bound.
-pub const FOOTPRINT_PER_RECORD: usize = 384;
+/// its 4-byte index cell, its table slot and its member-list words, with
+/// the slack of tables that grow by doubling. Nothing is charged per bucket,
+/// so the tests hold managers of every size to this bound.
+pub const FOOTPRINT_PER_RECORD: usize = 256;
 
 /// Which table an address currently lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,6 +141,131 @@ impl AddrInfo {
     }
 }
 
+/// The record a cell of the [`EndpointIndex`] names.
+fn indexed(infos: &[Option<AddrInfo>], idx: u32) -> &AddrInfo {
+    infos[idx as usize]
+        .as_ref()
+        .expect("indexed record is live")
+}
+
+/// Endpoint → record number, without a second copy of the endpoint: an
+/// open-addressing table of slab indices whose keys are the records'
+/// own `addr`s.
+///
+/// The cell count is a power of two and at most 7/8 of the cells are
+/// occupied, so every probe chain ends at a [`EndpointIndex::VACANT`] cell.
+/// A lookup hashes the endpoint with [`IdHasher`], probes linearly from
+/// its home cell and compares each record's `addr`. A removal shifts the
+/// rest of its chain back over the hole instead of leaving a tombstone,
+/// and so reads the moved records' addresses from the slab: a record
+/// leaves the index before it leaves the slab. Nothing walks the cells,
+/// so their order never reaches output. A record number fits a cell: the
+/// slab never holds more records than the two tables have slots.
+#[derive(Clone, Debug, Default)]
+struct EndpointIndex {
+    cells: Vec<u32>,
+    /// Occupied cells.
+    len: usize,
+}
+
+impl EndpointIndex {
+    /// Marks a vacant cell.
+    const VACANT: u32 = u32::MAX;
+
+    /// Cells of the first allocation: enough for a world's DNS seeding
+    /// (`WorldConfig`'s default 32 reachable + 200 phantom addresses) to
+    /// fit without a growth step.
+    const MIN_CELLS: usize = 512;
+
+    fn mask(&self) -> usize {
+        self.cells.len() - 1
+    }
+
+    fn home(&self, addr: &NetAddr) -> usize {
+        BuildHasherDefault::<IdHasher>::default().hash_one(addr) as usize & self.mask()
+    }
+
+    /// The cell naming `addr`'s record, or else the vacant cell that ends
+    /// its chain. The table must have cells.
+    fn probe(&self, addr: &NetAddr, infos: &[Option<AddrInfo>]) -> Result<usize, usize> {
+        let mut cell = self.home(addr);
+        loop {
+            match self.cells[cell] {
+                Self::VACANT => return Err(cell),
+                idx if indexed(infos, idx).addr == *addr => return Ok(cell),
+                _ => cell = (cell + 1) & self.mask(),
+            }
+        }
+    }
+
+    fn get(&self, addr: &NetAddr, infos: &[Option<AddrInfo>]) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let cell = self.probe(addr, infos).ok()?;
+        Some(self.cells[cell] as usize)
+    }
+
+    /// Files record `idx`, whose endpoint is not indexed yet.
+    fn insert(&mut self, idx: usize, infos: &[Option<AddrInfo>]) {
+        if (self.len + 1) * 8 > self.cells.len() * 7 {
+            self.grow(infos);
+        }
+        let cell = self
+            .probe(&indexed(infos, idx as u32).addr, infos)
+            .expect_err("endpoint indexed twice");
+        self.cells[cell] = idx as u32;
+        self.len += 1;
+    }
+
+    /// Doubles the cells and refiles every record (their endpoints are
+    /// distinct, so each goes to the first vacant cell of its chain).
+    fn grow(&mut self, infos: &[Option<AddrInfo>]) {
+        let cells = (self.cells.len() * 2).max(Self::MIN_CELLS);
+        let old = std::mem::replace(&mut self.cells, vec![Self::VACANT; cells]);
+        for idx in old.into_iter().filter(|&idx| idx != Self::VACANT) {
+            let mut cell = self.home(&indexed(infos, idx).addr);
+            while self.cells[cell] != Self::VACANT {
+                cell = (cell + 1) & self.mask();
+            }
+            self.cells[cell] = idx;
+        }
+    }
+
+    /// Unfiles `addr`, whose record must still be in the slab, by backward
+    /// shift: each later member of the chain whose home cell does not lie
+    /// between the hole and itself moves into the hole, which moves on.
+    fn remove(&mut self, addr: &NetAddr, infos: &[Option<AddrInfo>]) {
+        if self.cells.is_empty() {
+            return;
+        }
+        let Ok(mut hole) = self.probe(addr, infos) else {
+            return;
+        };
+        let mask = self.mask();
+        let mut cell = hole;
+        loop {
+            cell = (cell + 1) & mask;
+            let idx = self.cells[cell];
+            if idx == Self::VACANT {
+                break;
+            }
+            let home = self.home(&indexed(infos, idx).addr);
+            if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
+                self.cells[hole] = idx;
+                hole = cell;
+            }
+        }
+        self.cells[hole] = Self::VACANT;
+        self.len -= 1;
+    }
+
+    /// Bytes of the cells.
+    fn footprint(&self) -> usize {
+        self.cells.capacity() * size_of::<u32>()
+    }
+}
+
 /// Bitcoin Core's address manager.
 #[derive(Clone, Debug)]
 pub struct AddrMan {
@@ -148,20 +277,20 @@ pub struct AddrMan {
     /// All known address records (slab: indices are stable; `None` = free).
     infos: Vec<Option<AddrInfo>>,
     /// Free slab slots for reuse.
-    free: Vec<usize>,
+    free: Vec<u32>,
     /// Endpoint → record index.
-    index: IdMap<NetAddr, usize>,
+    index: EndpointIndex,
     /// `new` table: flat slot (`bucket × bucket_size + slot`) → record
     /// index. An absent slot is vacant, so the table costs what it holds.
     new_table: IdMap<u32, u32>,
     /// `tried` table, same layout.
     tried_table: IdMap<u32, u32>,
     /// Record indices currently in the `new` table (O(1) uniform draws).
-    new_members: Vec<usize>,
+    new_members: Vec<u32>,
     /// Record indices currently in the `tried` table.
-    tried_members: Vec<usize>,
+    tried_members: Vec<u32>,
     /// Position of each record inside its member list.
-    member_pos: Vec<usize>,
+    member_pos: Vec<u32>,
 }
 
 impl AddrMan {
@@ -175,7 +304,7 @@ impl AddrMan {
             cfg,
             infos: Vec::new(),
             free: Vec::new(),
-            index: IdMap::default(),
+            index: EndpointIndex::default(),
             new_members: Vec::new(),
             tried_members: Vec::new(),
             member_pos: Vec::new(),
@@ -190,7 +319,7 @@ impl AddrMan {
         self.infos[idx].as_mut().expect("live record")
     }
 
-    fn member_list(&mut self, table: Table) -> &mut Vec<usize> {
+    fn member_list(&mut self, table: Table) -> &mut Vec<u32> {
         match table {
             Table::New => &mut self.new_members,
             Table::Tried => &mut self.tried_members,
@@ -199,19 +328,19 @@ impl AddrMan {
 
     fn member_add(&mut self, table: Table, idx: usize) {
         let list = self.member_list(table);
-        list.push(idx);
+        list.push(idx as u32);
         let pos = list.len() - 1;
-        self.member_pos[idx] = pos;
+        self.member_pos[idx] = pos as u32;
     }
 
     fn member_remove(&mut self, table: Table, idx: usize) {
-        let pos = self.member_pos[idx];
+        let pos = self.member_pos[idx] as usize;
         let list = self.member_list(table);
-        debug_assert_eq!(list[pos], idx);
+        debug_assert_eq!(list[pos], idx as u32);
         list.swap_remove(pos);
         if pos < list.len() {
             let moved = list[pos];
-            self.member_pos[moved] = pos;
+            self.member_pos[moved as usize] = pos as u32;
         }
     }
 
@@ -241,8 +370,8 @@ impl AddrMan {
     }
 
     /// Bytes the manager allocates: the record slab and its free list, the
-    /// endpoint index ([`table_bytes`]), both bucket tables and the member
-    /// lists.
+    /// endpoint index's 4-byte cells, both bucket tables ([`table_bytes`])
+    /// and the member lists.
     pub fn footprint(&self) -> usize {
         let words = self.free.capacity()
             + self.new_members.capacity()
@@ -251,15 +380,20 @@ impl AddrMan {
         let slots =
             |table: &IdMap<u32, u32>| table_bytes(table.capacity(), size_of::<(u32, u32)>());
         self.infos.capacity() * size_of::<Option<AddrInfo>>()
-            + table_bytes(self.index.capacity(), size_of::<(NetAddr, usize)>())
+            + self.index.footprint()
             + slots(&self.new_table)
             + slots(&self.tried_table)
-            + words * size_of::<usize>()
+            + words * size_of::<u32>()
+    }
+
+    /// The slab index of an endpoint's record.
+    fn find(&self, addr: &NetAddr) -> Option<usize> {
+        self.index.get(addr, &self.infos)
     }
 
     /// Looks up the record for an endpoint.
     pub fn info(&self, addr: &NetAddr) -> Option<&AddrInfo> {
-        self.index.get(addr).map(|&i| self.info_at(i))
+        self.find(addr).map(|i| self.info_at(i))
     }
 
     fn new_bucket_of(&self, addr: &NetAddr, source: &NetAddr) -> usize {
@@ -317,7 +451,7 @@ impl AddrMan {
     /// evicted when terrible (Core's behaviour), otherwise the newcomer is
     /// dropped — `new` is lossy by design.
     pub fn add(&mut self, addr: NetAddr, source: NetAddr, now: i64) -> bool {
-        if let Some(&i) = self.index.get(&addr) {
+        if let Some(i) = self.find(&addr) {
             // Periodic time refresh, as Core does (penalty logic omitted).
             let info = self.info_at_mut(i);
             if now > info.time {
@@ -349,7 +483,7 @@ impl AddrMan {
 
     /// Records a connection attempt to `addr` at `now` (Core's `Attempt`).
     pub fn attempt(&mut self, addr: &NetAddr, now: i64) {
-        if let Some(&i) = self.index.get(addr) {
+        if let Some(i) = self.find(addr) {
             let info = self.info_at_mut(i);
             info.last_try = now;
             info.attempts += 1;
@@ -363,7 +497,7 @@ impl AddrMan {
     /// to `new` (Core pre-feeler behaviour), so `tried` never silently loses
     /// addresses.
     pub fn good(&mut self, addr: &NetAddr, now: i64) {
-        let Some(&i) = self.index.get(addr) else {
+        let Some(i) = self.find(addr) else {
             return;
         };
         {
@@ -414,18 +548,17 @@ impl AddrMan {
             self.member_add(Table::New, idx);
         } else {
             // No room: the demoted address is forgotten entirely.
-            self.index.remove(&addr);
+            self.index.remove(&addr, &self.infos);
             self.infos[idx] = None;
-            self.free.push(idx);
+            self.free.push(idx as u32);
         }
     }
 
     fn insert_record(&mut self, info: AddrInfo) -> usize {
-        let addr = info.addr;
         let idx = match self.free.pop() {
             Some(i) => {
-                self.infos[i] = Some(info);
-                i
+                self.infos[i as usize] = Some(info);
+                i as usize
             }
             None => {
                 self.infos.push(Some(info));
@@ -433,16 +566,18 @@ impl AddrMan {
                 self.infos.len() - 1
             }
         };
-        self.index.insert(addr, idx);
+        self.index.insert(idx, &self.infos);
         idx
     }
 
     fn remove_record(&mut self, idx: usize) {
         self.unlink(idx);
-        let removed = self.infos[idx].take().expect("live record");
-        self.member_remove(removed.table, idx);
-        self.index.remove(&removed.addr);
-        self.free.push(idx);
+        // The index reads the record's endpoint, so it goes first.
+        let AddrInfo { addr, table, .. } = *self.info_at(idx);
+        self.index.remove(&addr, &self.infos);
+        self.infos[idx] = None;
+        self.member_remove(table, idx);
+        self.free.push(idx as u32);
     }
 
     /// Selects a candidate for an outgoing connection (Core's `Select`):
@@ -469,7 +604,7 @@ impl AddrMan {
             &self.new_members
         };
         let idx = list[rng.index(list.len())];
-        Some(self.info_at(idx).addr)
+        Some(self.info_at(idx as usize).addr)
     }
 
     /// Builds a `GETADDR` response (Core's `GetAddr`): a random sample of
@@ -480,7 +615,7 @@ impl AddrMan {
         let eligible: Vec<&AddrInfo> = if self.cfg.getaddr_from_tried_only {
             self.tried_members
                 .iter()
-                .map(|&i| self.info_at(i))
+                .map(|&i| self.info_at(i as usize))
                 .collect()
         } else {
             self.infos.iter().flatten().collect()
@@ -511,7 +646,7 @@ impl AddrMan {
             .map(|i| i.addr)
             .collect();
         for v in &victims {
-            if let Some(&idx) = self.index.get(v) {
+            if let Some(idx) = self.find(v) {
                 self.remove_record(idx);
             }
         }
@@ -541,7 +676,11 @@ impl AddrMan {
     /// Verified invariants:
     ///
     /// - the endpoint index, record slab, and member lists all agree on
-    ///   which addresses exist (`len() == new + tried == live records`);
+    ///   which addresses exist (`len() == new + tried == live records`):
+    ///   the index's occupied cells number its length and the live
+    ///   records, each names a live record, and each record is found under
+    ///   its own address;
+    /// - the index has a power-of-two cell count and is at most 7/8 full;
     /// - table sizes never exceed their bucket capacity
     ///   (`new ≤ new_buckets × slots`, `tried ≤ tried_buckets × slots`);
     /// - every live record is filed in the table its `table` tag names at
@@ -554,7 +693,8 @@ impl AddrMan {
     /// - `member_pos` round-trips through the member lists;
     /// - free-list entries are vacant.
     ///
-    /// O(records): it hashes each record once and walks no table. Meant for
+    /// O(records + index cells): it walks the index's cells once, looks each
+    /// record up and hashes it once, and walks no bucket table. Meant for
     /// tests and fuzz harnesses, not for hot paths.
     pub fn try_check_invariants(&self) -> Result<(), String> {
         fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
@@ -568,12 +708,29 @@ impl AddrMan {
         let live: Vec<usize> = (0..self.infos.len())
             .filter(|&i| self.infos[i].is_some())
             .collect();
-        ensure(self.index.len() == live.len(), || {
+        let cells = &self.index.cells;
+        ensure(cells.is_empty() || cells.len().is_power_of_two(), || {
+            format!("index has {} cells", cells.len())
+        })?;
+        let mut occupied = 0;
+        for &i in cells.iter().filter(|&&i| i != EndpointIndex::VACANT) {
+            occupied += 1;
+            ensure(
+                self.infos.get(i as usize).is_some_and(Option::is_some),
+                || format!("index cell names record {i}, which is not live"),
+            )?;
+        }
+        ensure(occupied == self.index.len, || {
             format!(
-                "index size != live records ({} != {})",
-                self.index.len(),
-                live.len()
+                "index has {occupied} occupied cells, counts {}",
+                self.index.len
             )
+        })?;
+        ensure(occupied * 8 <= cells.len() * 7, || {
+            format!("index {occupied} / {} cells full", cells.len())
+        })?;
+        ensure(occupied == live.len(), || {
+            format!("index size != live records ({occupied} != {})", live.len())
         })?;
         ensure(self.len() == live.len(), || {
             format!(
@@ -582,16 +739,13 @@ impl AddrMan {
                 live.len()
             )
         })?;
-        // In slab order, not index order: the index has as many entries as
-        // there are live records, so each record finding itself under its
-        // own address makes the two a bijection.
+        // The index has as many entries as there are live records, so each
+        // record finding itself under its own address makes the two a
+        // bijection.
         for &i in &live {
             let addr = self.info_at(i).addr;
-            ensure(self.index.get(&addr) == Some(&i), || {
-                format!(
-                    "record {i} ({addr:?}) is indexed as {:?}",
-                    self.index.get(&addr)
-                )
+            ensure(self.find(&addr) == Some(i), || {
+                format!("record {i} ({addr:?}) is indexed as {:?}", self.find(&addr))
             })?;
         }
 
@@ -640,7 +794,8 @@ impl AddrMan {
             (Table::Tried, &self.tried_members),
         ] {
             for (pos, &i) in list.iter().enumerate() {
-                ensure(self.member_pos[i] == pos, || {
+                let i = i as usize;
+                ensure(self.member_pos[i] as usize == pos, || {
                     format!(
                         "member_pos out of sync: slot {i} says {} not {pos}",
                         self.member_pos[i]
@@ -656,7 +811,7 @@ impl AddrMan {
         }
 
         for &i in &self.free {
-            ensure(self.infos[i].is_none(), || {
+            ensure(self.infos[i as usize].is_none(), || {
                 format!("free-list slot {i} is occupied")
             })?;
         }
@@ -991,7 +1146,7 @@ mod tests {
     fn invariant_check_names_a_record_filed_under_a_wrong_slot() {
         let mut am = filled(50);
         am.check_invariants();
-        let i = am.new_members[0];
+        let i = am.new_members[0] as usize;
         let info = am.info_at(i).clone();
         let home = am.home_slot(&info);
         let stray = (0..).find(|s| !am.new_table.contains_key(s)).unwrap();
@@ -1013,6 +1168,78 @@ mod tests {
                 members + 1
             )
         );
+    }
+
+    /// A probe chain that runs off the last cell continues at cell 0, and a
+    /// backward-shift removal from its head must carry that wrap with it.
+    #[test]
+    fn index_removal_shifts_a_chain_back_across_the_wrap() {
+        let record = |a: NetAddr| {
+            Some(AddrInfo {
+                addr: a,
+                source: src(),
+                time: NOW,
+                last_try: 0,
+                last_success: 0,
+                attempts: 0,
+                table: Table::New,
+            })
+        };
+        let cells = EndpointIndex::MIN_CELLS;
+        let first = EndpointIndex {
+            cells: vec![EndpointIndex::VACANT; cells],
+            len: 0,
+        };
+        let home = |a: &NetAddr| first.home(a);
+        let candidates = (0..=u16::MAX).map(|i| {
+            let [hi, lo] = i.to_be_bytes();
+            addr(10, 7, hi, lo)
+        });
+        let at_last: Vec<NetAddr> = candidates
+            .clone()
+            .filter(|a| home(a) == cells - 1)
+            .take(3)
+            .collect();
+        let at_first = candidates.clone().find(|a| home(a) == 0).unwrap();
+        // Filed in this order: last cell, then 0, 1 and 2 by the wrap.
+        let chain = [at_last[0], at_last[1], at_first, at_last[2]];
+        let mut infos: Vec<Option<AddrInfo>> = chain.iter().map(|&a| record(a)).collect();
+        let mut index = EndpointIndex::default();
+        for i in 0..chain.len() {
+            index.insert(i, &infos);
+        }
+        assert_eq!(index.cells.len(), cells);
+        assert_eq!(index.cells[cells - 1], 0);
+        assert_eq!(index.cells[..3], [1, 2, 3]);
+
+        index.remove(&chain[0], &infos);
+        infos[0] = None;
+        assert_eq!(index.get(&chain[0], &infos), None);
+        for (i, a) in chain.iter().enumerate().skip(1) {
+            assert_eq!(index.get(a, &infos), Some(i), "{a:?}");
+        }
+        // Every survivor moved back one cell, onto or across the wrap.
+        assert_eq!(index.cells[cells - 1], 1);
+        assert_eq!(index.cells[..3], [2, 3, EndpointIndex::VACANT]);
+
+        // Across a growth step: the index fills to 7/8 of its cells, and
+        // the next record doubles them.
+        let full = cells * 7 / 8;
+        let extra: Vec<NetAddr> = candidates
+            .filter(|a| !chain.contains(a))
+            .take(full - 3 + 1)
+            .collect();
+        for (n, &a) in extra.iter().enumerate() {
+            infos.push(record(a));
+            index.insert(infos.len() - 1, &infos);
+            let grown = n == extra.len() - 1;
+            assert_eq!(index.cells.len(), if grown { 2 * cells } else { cells });
+        }
+        assert_eq!(index.len, full + 1);
+        assert_eq!(index.get(&chain[0], &infos), None);
+        for (i, a) in chain.iter().chain(&extra).enumerate().skip(1) {
+            assert_eq!(index.get(a, &infos), Some(i), "{a:?}");
+        }
     }
 
     #[test]
@@ -1067,6 +1294,58 @@ mod proptests {
                     let sel = am.select(&mut rng, t).unwrap();
                     prop_assert!(am.info(&sel).is_some());
                 }
+            }
+        }
+
+        /// The endpoint index alone, filled past its first growth step and
+        /// emptied again: it finds exactly what the slab holds, so a chain
+        /// a removal broke or a record filed twice fails.
+        #[test]
+        fn endpoint_index_finds_what_the_slab_holds(
+            ops in proptest::collection::vec((any::<bool>(), 0u32..1024), 1..1500),
+        ) {
+            let mut infos: Vec<Option<AddrInfo>> = Vec::new();
+            let mut index = EndpointIndex::default();
+            let mut free = Vec::new();
+            for (insert, v) in ops {
+                let a = addr_of(v);
+                let held = infos.iter().position(|r| r.as_ref().is_some_and(|r| r.addr == a));
+                match (insert, held) {
+                    (true, None) => {
+                        let info = AddrInfo {
+                            addr: a,
+                            source: a,
+                            time: 0,
+                            last_try: 0,
+                            last_success: 0,
+                            attempts: 0,
+                            table: Table::New,
+                        };
+                        let idx = free.pop().unwrap_or(infos.len());
+                        if idx == infos.len() {
+                            infos.push(None);
+                        }
+                        infos[idx] = Some(info);
+                        index.insert(idx, &infos);
+                    }
+                    (false, Some(idx)) => {
+                        index.remove(&a, &infos);
+                        infos[idx] = None;
+                        free.push(idx);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(index.get(&a, &infos).is_some(), insert);
+            }
+            prop_assert_eq!(index.len, infos.iter().flatten().count());
+            for (idx, info) in infos.iter().enumerate() {
+                if let Some(info) = info {
+                    prop_assert_eq!(index.get(&info.addr, &infos), Some(idx));
+                }
+            }
+            for a in (0..1024).map(addr_of) {
+                let held = infos.iter().flatten().any(|r| r.addr == a);
+                prop_assert_eq!(index.get(&a, &infos).is_some(), held, "{:?}", a);
             }
         }
 

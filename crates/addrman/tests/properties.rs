@@ -12,6 +12,7 @@ use bitsync_addrman::{AddrMan, AddrManConfig, Table};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 const NOW: i64 = 1_600_000_000;
@@ -127,6 +128,9 @@ proptest! {
     /// Arbitrary add/attempt/good/evict interleavings keep every internal
     /// structure consistent (single tried slot per address included — see
     /// [`AddrMan::check_invariants`]), on Core's tables and on the small ones.
+    /// The record slab is the model of the endpoint index: after every
+    /// operation each of the 1024 addresses in play is found exactly when
+    /// a live record holds it, so a false hit or a false miss fails.
     #[test]
     fn operations_preserve_invariants(
         ops in proptest::collection::vec((0u8..4, any::<u16>()), 1..200),
@@ -149,6 +153,10 @@ proptest! {
                 _ => { am.evict_terrible(t); }
             }
             am.check_invariants();
+            let held: HashSet<NetAddr> = am.iter().map(|r| r.addr).collect();
+            for a in (0..0x400).map(addr_of) {
+                prop_assert_eq!(am.info(&a).is_some(), held.contains(&a), "{:?}", a);
+            }
         }
     }
 

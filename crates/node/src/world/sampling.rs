@@ -5,7 +5,7 @@
 use super::{NodeMeta, RelayRecord, World};
 use crate::node::Node;
 use crate::peer::NodeId;
-use bitsync_addrman::Table;
+use bitsync_addrman::{AddrMan, Table};
 use bitsync_protocol::hash::{table_bytes, Hash256};
 use bitsync_sim::metrics::{Recorder, DEFAULT_BUCKETS};
 use bitsync_sim::time::SimTime;
@@ -115,11 +115,13 @@ impl World {
     /// sampler's `mem_*` gauges: the event queue, then the online nodes'
     /// chains, mempools, address managers, peer records (with their
     /// message queues and trickle lists) and known-inventory sets, then the
-    /// relay log. An owner counts `capacity × size_of` of its containers,
-    /// hash tables by [`table_bytes`]: only what a container holds inline,
-    /// not what an entry points to (a transaction body is one allocation
-    /// shared by the whole world; a queued message's boxed payload is left
-    /// out). No allocator is asked, so it is the same at any thread count.
+    /// relay log. `mem_addrmans` also holds the books of departed nodes
+    /// that may rejoin (the `peers.dat` a [`NodeMeta`] keeps). An owner
+    /// counts `capacity × size_of` of its containers, hash tables by
+    /// [`table_bytes`]: only what a container holds inline, not what an
+    /// entry points to (a transaction body is one allocation shared by the
+    /// whole world; a queued message's boxed payload is left out). No
+    /// allocator is asked, so it is the same at any thread count.
     pub fn footprint(&self) -> [(&'static str, usize); 7] {
         let mut nodes = [0; 5];
         for (_, _, node) in self.online() {
@@ -136,6 +138,12 @@ impl World {
             }
         }
         let [chains, mempools, addrmans, peers, known_invs] = nodes;
+        let stashed: usize = self
+            .meta
+            .iter()
+            .filter_map(|meta| meta.stashed_addrman.as_ref())
+            .map(AddrMan::footprint)
+            .sum();
         let relay_log = table_bytes(
             self.relay_log.capacity(),
             size_of::<(Hash256, RelayRecord)>(),
@@ -144,7 +152,7 @@ impl World {
             ("mem_queue", self.queue.footprint()),
             ("mem_chains", chains),
             ("mem_mempools", mempools),
-            ("mem_addrmans", addrmans),
+            ("mem_addrmans", addrmans + stashed),
             ("mem_peers", peers),
             ("mem_known_invs", known_invs),
             ("mem_relay_log", relay_log),

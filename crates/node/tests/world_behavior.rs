@@ -397,6 +397,37 @@ fn rejoining_node_restores_its_addrman() {
     assert_eq!(after, before, "addrman not restored across restart");
 }
 
+/// `mem_addrmans` is every book the world holds: the online nodes' and the
+/// one a departed node keeps for its rejoin, counted once either way.
+#[test]
+fn footprint_counts_a_departed_nodes_book() {
+    let mut world = World::new(base_cfg(13));
+    world.run_until(SimTime::from_secs(600));
+    let mem_addrmans = |world: &World| {
+        let (_, bytes) = world
+            .footprint()
+            .into_iter()
+            .find(|&(gauge, _)| gauge == "mem_addrmans")
+            .unwrap();
+        bytes
+    };
+    let online_books = |world: &World| -> usize {
+        world
+            .online_ids()
+            .into_iter()
+            .map(|id| world.node(id).unwrap().addrman.footprint())
+            .sum()
+    };
+    let id = NodeId(0);
+    let stashed = world.node(id).unwrap().addrman.footprint();
+    assert!(stashed > 0);
+    world.force_depart(id);
+    assert!(world.node(id).is_none());
+    assert_eq!(mem_addrmans(&world), online_books(&world) + stashed);
+    world.force_rejoin(id);
+    assert_eq!(mem_addrmans(&world), online_books(&world));
+}
+
 /// Two reachable nodes that never learn of each other: whatever a node's
 /// chain holds, it mined itself.
 fn isolated_pair(seed: u64) -> WorldConfig {
