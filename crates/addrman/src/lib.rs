@@ -18,6 +18,8 @@
 //! - each address stored once, in its record: the endpoint → record index
 //!   is an open-addressing table of 4-byte record numbers, compared against
 //!   the records themselves;
+//! - of the peer it heard an address from, a record keeps only the 4-byte
+//!   group that `new`-bucket placement reads, so a record is 72 B;
 //! - SipHash-keyed bucket placement so bucket positions are unpredictable;
 //! - outgoing-connection candidates drawn from `new` or `tried` with equal
 //!   probability;
@@ -86,7 +88,7 @@ pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
 /// its 4-byte index cell, its table slot and its member-list words, with
 /// the slack of tables that grow by doubling. Nothing is charged per bucket,
 /// so the tests hold managers of every size to this bound.
-pub const FOOTPRINT_PER_RECORD: usize = 256;
+pub const FOOTPRINT_PER_RECORD: usize = 192;
 
 /// Which table an address currently lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,13 +99,16 @@ pub enum Table {
     Tried,
 }
 
-/// Book-keeping for one known address (Core's `CAddrInfo`).
+/// Book-keeping for one known address (Core's `CAddrInfo`): 72 B, as is
+/// the slab's `Option<AddrInfo>` ([`Table`] leaves a niche).
 #[derive(Clone, Debug)]
 pub struct AddrInfo {
     /// The endpoint.
     pub addr: NetAddr,
-    /// Where we heard about it.
-    pub source: NetAddr,
+    /// The group ([`NetAddr::group`]) of the peer we heard about it from:
+    /// all that `new`-bucket placement reads of the source, as in Core's
+    /// `CAddrInfo::GetNewBucket`.
+    pub source_group: [u8; 4],
     /// Advertised last-seen time (UNIX seconds).
     pub time: i64,
     /// Last connection attempt (0 = never).
@@ -396,14 +401,14 @@ impl AddrMan {
         self.find(addr).map(|i| self.info_at(i))
     }
 
-    fn new_bucket_of(&self, addr: &NetAddr, source: &NetAddr) -> usize {
+    fn new_bucket_of(&self, addr: &NetAddr, source_group: &[u8; 4]) -> usize {
         // Core: H(key, source_group, H(key, addr_group, source_group) % 64)
         let mut inner = SipHasher24::new(self.key.0, self.key.1);
         inner.write(&addr.group());
-        inner.write(&source.group());
+        inner.write(source_group);
         let derived = inner.finish() % 64;
         let mut outer = SipHasher24::new(self.key.0, self.key.1);
-        outer.write(&source.group());
+        outer.write(source_group);
         outer.write_u64(derived);
         (outer.finish() as usize) % self.tables.new_buckets
     }
@@ -424,9 +429,9 @@ impl AddrMan {
     }
 
     /// Flat `new`-table slot (`bucket × bucket_size + slot`) of `addr`
-    /// heard from `source`.
-    fn new_slot(&self, addr: &NetAddr, source: &NetAddr) -> u32 {
-        let bucket = self.new_bucket_of(addr, source);
+    /// heard from a peer in `source_group`.
+    fn new_slot(&self, addr: &NetAddr, source_group: &[u8; 4]) -> u32 {
+        let bucket = self.new_bucket_of(addr, source_group);
         (bucket * self.tables.bucket_size + self.slot_of(bucket, addr, false)) as u32
     }
 
@@ -439,7 +444,7 @@ impl AddrMan {
     /// The slot a record's own key hashes to in the table its tag names.
     fn home_slot(&self, info: &AddrInfo) -> u32 {
         match info.table {
-            Table::New => self.new_slot(&info.addr, &info.source),
+            Table::New => self.new_slot(&info.addr, &info.source_group),
             Table::Tried => self.tried_slot(&info.addr),
         }
     }
@@ -459,7 +464,8 @@ impl AddrMan {
             }
             return false;
         }
-        let flat = self.new_slot(&addr, &source);
+        let source_group = source.group();
+        let flat = self.new_slot(&addr, &source_group);
         if let Some(&incumbent) = self.new_table.get(&flat) {
             let terrible = self.info_at(incumbent as usize).is_terrible(now, &self.cfg);
             if !terrible {
@@ -469,7 +475,7 @@ impl AddrMan {
         }
         let idx = self.insert_record(AddrInfo {
             addr,
-            source,
+            source_group,
             time: now,
             last_try: 0,
             last_success: 0,
@@ -540,8 +546,10 @@ impl AddrMan {
 
     fn demote_to_new(&mut self, idx: usize) {
         self.member_remove(Table::Tried, idx);
-        let AddrInfo { addr, source, .. } = *self.info_at(idx);
-        let flat = self.new_slot(&addr, &source);
+        let AddrInfo {
+            addr, source_group, ..
+        } = *self.info_at(idx);
+        let flat = self.new_slot(&addr, &source_group);
         if !self.new_table.contains_key(&flat) {
             self.info_at_mut(idx).table = Table::New;
             self.new_table.insert(flat, idx as u32);
@@ -684,7 +692,7 @@ impl AddrMan {
     /// - table sizes never exceed their bucket capacity
     ///   (`new ≤ new_buckets × slots`, `tried ≤ tried_buckets × slots`);
     /// - every live record is filed in the table its `table` tag names at
-    ///   the slot its own key hashes to (`new`: its `(addr, source)`
+    ///   the slot its own key hashes to (`new`: its `(addr, source_group)`
     ///   bucket; `tried`: its `addr` bucket);
     /// - each table holds exactly as many slots as its member list has
     ///   entries — with the previous point, every live record occupies
@@ -975,7 +983,7 @@ mod tests {
         let cfg = AddrManConfig::bitcoin_core();
         let info = AddrInfo {
             addr: addr(1, 1, 1, 1),
-            source: src(),
+            source_group: src().group(),
             time: NOW - 31 * SECS_PER_DAY,
             last_try: 0,
             last_success: 0,
@@ -999,7 +1007,7 @@ mod tests {
         let cfg = AddrManConfig::bitcoin_core();
         let info = AddrInfo {
             addr: addr(1, 1, 1, 1),
-            source: src(),
+            source_group: src().group(),
             time: NOW + 3600,
             last_try: 0,
             last_success: 0,
@@ -1014,7 +1022,7 @@ mod tests {
         let cfg = AddrManConfig::bitcoin_core();
         let mut info = AddrInfo {
             addr: addr(1, 1, 1, 1),
-            source: src(),
+            source_group: src().group(),
             time: NOW,
             last_try: NOW - 3600,
             last_success: 0,
@@ -1031,7 +1039,7 @@ mod tests {
         let cfg = AddrManConfig::bitcoin_core();
         let info = AddrInfo {
             addr: addr(1, 1, 1, 1),
-            source: src(),
+            source_group: src().group(),
             time: NOW,
             last_try: NOW - 3600,
             last_success: NOW - 8 * SECS_PER_DAY,
@@ -1051,7 +1059,7 @@ mod tests {
         let cfg = AddrManConfig::bitcoin_core();
         let info = AddrInfo {
             addr: addr(1, 1, 1, 1),
-            source: src(),
+            source_group: src().group(),
             time: 0, // would be terrible
             last_try: NOW - 30,
             last_success: 0,
@@ -1177,7 +1185,7 @@ mod tests {
         let record = |a: NetAddr| {
             Some(AddrInfo {
                 addr: a,
-                source: src(),
+                source_group: src().group(),
                 time: NOW,
                 last_try: 0,
                 last_success: 0,
@@ -1255,6 +1263,63 @@ mod tests {
         assert!(am.tried_count() <= 8 * 8);
         assert!(am.tried_count() > 0);
     }
+
+    /// Records are most of a mesh world's address books (DESIGN §6 "Where
+    /// the memory goes — the benchmark worlds (record fields)"): a new
+    /// field, or a [`Table`] that loses its niche, would bring bytes back
+    /// to every one of them.
+    #[test]
+    fn a_record_is_72_bytes() {
+        assert_eq!(size_of::<Option<AddrInfo>>(), 72);
+    }
+
+    /// A record keeps only its source's group, so a record demoted from
+    /// `tried` must land back in the `new` slot it was first filed at from
+    /// its full source.
+    #[test]
+    fn a_demoted_record_returns_to_the_slot_its_full_source_gave_it() {
+        let mut am = AddrMan::new(11, AddrManConfig::small());
+        let mut first_slot = Vec::new();
+        for i in 0..300u32 {
+            let [_, _, hi, lo] = i.to_be_bytes();
+            let a = addr(10 + hi, lo, 7, 1);
+            let source = addr(200, (i % 37) as u8, (i / 37) as u8, 9);
+            if am.add(a, source, NOW) {
+                let idx = am.find(&a).unwrap();
+                let slot = am.new_slot(&a, &source.group());
+                assert_eq!(am.new_table.get(&slot), Some(&(idx as u32)));
+                first_slot.push((a, slot));
+            }
+        }
+        assert!(first_slot.len() > 100, "{} filed", first_slot.len());
+        for (a, _) in &first_slot {
+            am.good(a, NOW + 60);
+        }
+        am.check_invariants();
+        let mut demoted = 0;
+        for (a, slot) in &first_slot {
+            let Some(info) = am.info(a) else { continue };
+            if info.table == Table::New {
+                demoted += 1;
+                let idx = am.find(a).unwrap() as u32;
+                assert_eq!(am.new_table.get(slot), Some(&idx), "{a:?}");
+            }
+        }
+        // 64 tried slots for over 100 promotions: collisions demote.
+        assert!(demoted > 0);
+
+        // Two sources in one /16 file an address alike.
+        let (s1, s2) = (addr(198, 51, 1, 1), addr(198, 51, 200, 7));
+        let a = addr(10, 9, 9, 9);
+        let mut by_s1 = AddrMan::new(11, AddrManConfig::small());
+        let mut by_s2 = AddrMan::new(11, AddrManConfig::small());
+        by_s1.add(a, s1, NOW);
+        by_s2.add(a, s2, NOW);
+        let (r1, r2) = (by_s1.info(&a).unwrap(), by_s2.info(&a).unwrap());
+        assert_eq!(r1.source_group, s1.group());
+        assert_eq!(r1.source_group, r2.source_group);
+        assert_eq!(by_s1.home_slot(r1), by_s2.home_slot(r2));
+    }
 }
 
 #[cfg(test)]
@@ -1314,7 +1379,7 @@ mod proptests {
                     (true, None) => {
                         let info = AddrInfo {
                             addr: a,
-                            source: a,
+                            source_group: a.group(),
                             time: 0,
                             last_try: 0,
                             last_success: 0,

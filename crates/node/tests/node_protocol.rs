@@ -514,19 +514,22 @@ fn ban_on_reorg_misconfiguration_bans_the_fork_announcer() {
 #[test]
 fn addr_entries_land_in_addrman_with_peer_as_source() {
     let now = SimTime::from_secs(1);
-    let mut n = node(0, 11);
+    // The node, its peer (`addr(10)`) and the gossiped addresses sit in
+    // three /16 groups, so the record's source group names the peer alone.
+    let own = NetAddr::from_ipv4(Ipv4Addr::new(198, 51, 100, 1), 8333);
+    let mut n = Node::new(NodeId(0), own, true, NodeConfig::bitcoin_core(), 11);
     ready_inbound_peer(&mut n, 9, now);
+    let gossiped = |last| NetAddr::from_ipv4(Ipv4Addr::new(192, 0, 2, last), 8333);
     let gossip = vec![
-        TimestampedAddr::new(unix_time(now) as u32, addr(100)),
-        TimestampedAddr::new(unix_time(now) as u32, addr(101)),
+        TimestampedAddr::new(unix_time(now) as u32, gossiped(100)),
+        TimestampedAddr::new(unix_time(now) as u32, gossiped(101)),
     ];
     n.deliver(NodeId(9), Message::Addr(gossip));
     n.pump(now);
-    assert!(n.addrman.info(&addr(100)).is_some());
-    assert_eq!(
-        n.addrman.info(&addr(100)).unwrap().source,
-        addr(10) // peer 9's address
-    );
+    let info = n.addrman.info(&gossiped(100)).unwrap();
+    assert_eq!(info.source_group, addr(10).group()); // peer 9's address
+    assert_ne!(info.source_group, own.group());
+    assert_ne!(info.source_group, gossiped(100).group());
     assert_eq!(n.stats.addrs_received, 2);
 }
 
