@@ -19,7 +19,9 @@
 //!   is an open-addressing table of 4-byte record numbers, compared against
 //!   the records themselves;
 //! - of the peer it heard an address from, a record keeps only the 4-byte
-//!   group that `new`-bucket placement reads, so a record is 72 B;
+//!   group that `new`-bucket placement reads, its times are `u32` seconds
+//!   (an `ADDR` entry's width) and its endpoint is unpadded, so a record
+//!   is 48 B;
 //! - SipHash-keyed bucket placement so bucket positions are unpredictable;
 //! - outgoing-connection candidates drawn from `new` or `tried` with equal
 //!   probability;
@@ -62,6 +64,7 @@ use bitsync_protocol::hash::{table_bytes, IdHasher, IdMap};
 use bitsync_sim::rng::SimRng;
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, BuildHasherDefault};
+use std::net::Ipv6Addr;
 
 const SECS_PER_DAY: i64 = 86_400;
 
@@ -88,7 +91,7 @@ pub const GETADDR_MAX: usize = bitsync_protocol::message::MAX_ADDR_PER_MSG;
 /// its 4-byte index cell, its table slot and its member-list words, with
 /// the slack of tables that grow by doubling. Nothing is charged per bucket,
 /// so the tests hold managers of every size to this bound.
-pub const FOOTPRINT_PER_RECORD: usize = 192;
+pub const FOOTPRINT_PER_RECORD: usize = 144;
 
 /// Which table an address currently lives in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,47 +102,93 @@ pub enum Table {
     Tried,
 }
 
-/// Book-keeping for one known address (Core's `CAddrInfo`): 72 B, as is
-/// the slab's `Option<AddrInfo>` ([`Table`] leaves a niche).
+/// Book-keeping for one known address (Core's `CAddrInfo`): 48 B, as is
+/// the slab's `Option<AddrInfo>` ([`Table`] leaves a niche). The endpoint
+/// is stored as its three fields ([`AddrInfo::addr`] rebuilds it), so no
+/// padding follows the port, and the times are `u32` UNIX seconds, the
+/// width an `ADDR` entry carries ([`TimestampedAddr::time`]).
 #[derive(Clone, Debug)]
 pub struct AddrInfo {
-    /// The endpoint.
-    pub addr: NetAddr,
+    services: u64,
+    ip: Ipv6Addr,
+    port: u16,
     /// The group ([`NetAddr::group`]) of the peer we heard about it from:
     /// all that `new`-bucket placement reads of the source, as in Core's
     /// `CAddrInfo::GetNewBucket`.
     pub source_group: [u8; 4],
     /// Advertised last-seen time (UNIX seconds).
-    pub time: i64,
+    pub time: u32,
     /// Last connection attempt (0 = never).
-    pub last_try: i64,
+    pub last_try: u32,
     /// Last successful connection (0 = never).
-    pub last_success: i64,
+    pub last_success: u32,
     /// Failed attempts since the last success.
     pub attempts: u32,
     /// Which table the address is in.
     pub table: Table,
 }
 
+/// A clock reading (`now`, UNIX seconds) as a record stores it, saturated
+/// to `0..=u32::MAX`. Exact in every world: a world's clock starts at
+/// 2020-04-04 (1 585 958 400) and `u32` seconds last until 2106.
+fn stamp(now: i64) -> u32 {
+    now.clamp(0, i64::from(u32::MAX)) as u32
+}
+
 impl AddrInfo {
+    /// A fresh `new`-table record of `addr`, heard from a peer in
+    /// `source_group` at `now`.
+    fn fresh(addr: NetAddr, source_group: [u8; 4], now: i64) -> Self {
+        AddrInfo {
+            services: addr.services,
+            ip: addr.ip,
+            port: addr.port,
+            source_group,
+            time: stamp(now),
+            last_try: 0,
+            last_success: 0,
+            attempts: 0,
+            table: Table::New,
+        }
+    }
+
+    /// The endpoint.
+    pub fn addr(&self) -> NetAddr {
+        NetAddr {
+            services: self.services,
+            ip: self.ip,
+            port: self.port,
+        }
+    }
+
+    /// Whether this is `addr`'s record (`self.addr() == *addr`), compared
+    /// field by field: an index probe builds no `NetAddr`.
+    fn is_at(&self, addr: &NetAddr) -> bool {
+        self.ip == addr.ip && self.port == addr.port && self.services == addr.services
+    }
+
     /// Core's `IsTerrible`: whether this address should be evicted rather
-    /// than gossiped or retried.
+    /// than gossiped or retried. The times are widened before any
+    /// subtraction, so a stamp later than `now` cannot wrap.
     pub fn is_terrible(&self, now: i64, cfg: &AddrManConfig) -> bool {
-        if self.last_try != 0 && now - self.last_try < 60 {
+        let (time, last_try, last_success) = (
+            i64::from(self.time),
+            i64::from(self.last_try),
+            i64::from(self.last_success),
+        );
+        if last_try != 0 && now - last_try < 60 {
             return false; // tried in the last minute: give it a grace period
         }
-        if self.time > now + 600 {
+        if time > now + 600 {
             return true; // claimed last-seen from the future
         }
-        if self.time == 0 || now - self.time > cfg.horizon_days * SECS_PER_DAY {
+        if time == 0 || now - time > cfg.horizon_days * SECS_PER_DAY {
             return true; // not seen within the horizon
         }
-        if self.last_success == 0 && self.attempts >= MAX_RETRIES_NEW {
+        if last_success == 0 && self.attempts >= MAX_RETRIES_NEW {
             return true; // never connected despite retries
         }
-        if now - self.last_success > MAX_FAILURE_DAYS * SECS_PER_DAY
-            && self.attempts >= MAX_FAILURES
-        {
+        if now - last_success > MAX_FAILURE_DAYS * SECS_PER_DAY && self.attempts >= MAX_FAILURES {
             return true; // too many recent failures
         }
         false
@@ -155,12 +204,12 @@ fn indexed(infos: &[Option<AddrInfo>], idx: u32) -> &AddrInfo {
 
 /// Endpoint → record number, without a second copy of the endpoint: an
 /// open-addressing table of slab indices whose keys are the records'
-/// own `addr`s.
+/// own endpoints.
 ///
 /// The cell count is a power of two and at most 7/8 of the cells are
 /// occupied, so every probe chain ends at a [`EndpointIndex::VACANT`] cell.
 /// A lookup hashes the endpoint with [`IdHasher`], probes linearly from
-/// its home cell and compares each record's `addr`. A removal shifts the
+/// its home cell and compares each record's endpoint. A removal shifts the
 /// rest of its chain back over the hole instead of leaving a tombstone,
 /// and so reads the moved records' addresses from the slab: a record
 /// leaves the index before it leaves the slab. Nothing walks the cells,
@@ -197,7 +246,7 @@ impl EndpointIndex {
         loop {
             match self.cells[cell] {
                 Self::VACANT => return Err(cell),
-                idx if indexed(infos, idx).addr == *addr => return Ok(cell),
+                idx if indexed(infos, idx).is_at(addr) => return Ok(cell),
                 _ => cell = (cell + 1) & self.mask(),
             }
         }
@@ -217,7 +266,7 @@ impl EndpointIndex {
             self.grow(infos);
         }
         let cell = self
-            .probe(&indexed(infos, idx as u32).addr, infos)
+            .probe(&indexed(infos, idx as u32).addr(), infos)
             .expect_err("endpoint indexed twice");
         self.cells[cell] = idx as u32;
         self.len += 1;
@@ -229,7 +278,7 @@ impl EndpointIndex {
         let cells = (self.cells.len() * 2).max(Self::MIN_CELLS);
         let old = std::mem::replace(&mut self.cells, vec![Self::VACANT; cells]);
         for idx in old.into_iter().filter(|&idx| idx != Self::VACANT) {
-            let mut cell = self.home(&indexed(infos, idx).addr);
+            let mut cell = self.home(&indexed(infos, idx).addr());
             while self.cells[cell] != Self::VACANT {
                 cell = (cell + 1) & self.mask();
             }
@@ -255,7 +304,7 @@ impl EndpointIndex {
             if idx == Self::VACANT {
                 break;
             }
-            let home = self.home(&indexed(infos, idx).addr);
+            let home = self.home(&indexed(infos, idx).addr());
             if cell.wrapping_sub(home) & mask >= cell.wrapping_sub(hole) & mask {
                 self.cells[hole] = idx;
                 hole = cell;
@@ -444,8 +493,8 @@ impl AddrMan {
     /// The slot a record's own key hashes to in the table its tag names.
     fn home_slot(&self, info: &AddrInfo) -> u32 {
         match info.table {
-            Table::New => self.new_slot(&info.addr, &info.source_group),
-            Table::Tried => self.tried_slot(&info.addr),
+            Table::New => self.new_slot(&info.addr(), &info.source_group),
+            Table::Tried => self.tried_slot(&info.addr()),
         }
     }
 
@@ -458,7 +507,7 @@ impl AddrMan {
     pub fn add(&mut self, addr: NetAddr, source: NetAddr, now: i64) -> bool {
         if let Some(i) = self.find(&addr) {
             // Periodic time refresh, as Core does (penalty logic omitted).
-            let info = self.info_at_mut(i);
+            let (info, now) = (self.info_at_mut(i), stamp(now));
             if now > info.time {
                 info.time = now;
             }
@@ -473,15 +522,7 @@ impl AddrMan {
             }
             self.remove_record(incumbent as usize);
         }
-        let idx = self.insert_record(AddrInfo {
-            addr,
-            source_group,
-            time: now,
-            last_try: 0,
-            last_success: 0,
-            attempts: 0,
-            table: Table::New,
-        });
+        let idx = self.insert_record(AddrInfo::fresh(addr, source_group, now));
         self.new_table.insert(flat, idx as u32);
         self.member_add(Table::New, idx);
         true
@@ -491,7 +532,7 @@ impl AddrMan {
     pub fn attempt(&mut self, addr: &NetAddr, now: i64) {
         if let Some(i) = self.find(addr) {
             let info = self.info_at_mut(i);
-            info.last_try = now;
+            info.last_try = stamp(now);
             info.attempts += 1;
         }
     }
@@ -507,7 +548,7 @@ impl AddrMan {
             return;
         };
         {
-            let info = self.info_at_mut(i);
+            let (info, now) = (self.info_at_mut(i), stamp(now));
             info.last_success = now;
             info.last_try = now;
             info.time = now;
@@ -546,9 +587,8 @@ impl AddrMan {
 
     fn demote_to_new(&mut self, idx: usize) {
         self.member_remove(Table::Tried, idx);
-        let AddrInfo {
-            addr, source_group, ..
-        } = *self.info_at(idx);
+        let info = self.info_at(idx);
+        let (addr, source_group) = (info.addr(), info.source_group);
         let flat = self.new_slot(&addr, &source_group);
         if !self.new_table.contains_key(&flat) {
             self.info_at_mut(idx).table = Table::New;
@@ -581,7 +621,8 @@ impl AddrMan {
     fn remove_record(&mut self, idx: usize) {
         self.unlink(idx);
         // The index reads the record's endpoint, so it goes first.
-        let AddrInfo { addr, table, .. } = *self.info_at(idx);
+        let info = self.info_at(idx);
+        let (addr, table) = (info.addr(), info.table);
         self.index.remove(&addr, &self.infos);
         self.infos[idx] = None;
         self.member_remove(table, idx);
@@ -612,7 +653,7 @@ impl AddrMan {
             &self.new_members
         };
         let idx = list[rng.index(list.len())];
-        Some(self.info_at(idx as usize).addr)
+        Some(self.info_at(idx as usize).addr())
     }
 
     /// Builds a `GETADDR` response (Core's `GetAddr`): a random sample of
@@ -638,7 +679,7 @@ impl AddrMan {
             .into_iter()
             .map(|i| eligible[i])
             .filter(|info| !info.is_terrible(now, &self.cfg))
-            .map(|info| TimestampedAddr::new(info.time.max(0) as u32, info.addr))
+            .map(|info| TimestampedAddr::new(info.time, info.addr()))
             .collect()
     }
 
@@ -651,7 +692,7 @@ impl AddrMan {
             .iter()
             .flatten()
             .filter(|i| i.is_terrible(now, &self.cfg))
-            .map(|i| i.addr)
+            .map(AddrInfo::addr)
             .collect();
         for v in &victims {
             if let Some(idx) = self.find(v) {
@@ -751,7 +792,7 @@ impl AddrMan {
         // record finding itself under its own address makes the two a
         // bijection.
         for &i in &live {
-            let addr = self.info_at(i).addr;
+            let addr = self.info_at(i).addr();
             ensure(self.find(&addr) == Some(i), || {
                 format!("record {i} ({addr:?}) is indexed as {:?}", self.find(&addr))
             })?;
@@ -779,7 +820,7 @@ impl AddrMan {
             ensure(cells.get(&flat) == Some(&(i as u32)), || {
                 format!(
                     "{:?} (record {i}) is not at its {:?} slot {flat}, which holds {:?}",
-                    info.addr,
+                    info.addr(),
                     info.table,
                     cells.get(&flat)
                 )
@@ -813,7 +854,7 @@ impl AddrMan {
                     .as_ref()
                     .ok_or_else(|| format!("member record {i} vacant"))?;
                 ensure(info.table == table, || {
-                    format!("{:?} in the wrong member list", info.addr)
+                    format!("{:?} in the wrong member list", info.addr())
                 })?;
             }
         }
@@ -842,6 +883,17 @@ mod tests {
 
     const NOW: i64 = 1_600_000_000;
 
+    /// A record of `addr(1, 1, 1, 1)` with the given times (UNIX seconds)
+    /// and failed attempts.
+    fn record(time: i64, last_try: i64, last_success: i64, attempts: u32) -> AddrInfo {
+        AddrInfo {
+            last_try: stamp(last_try),
+            last_success: stamp(last_success),
+            attempts,
+            ..AddrInfo::fresh(addr(1, 1, 1, 1), src().group(), time)
+        }
+    }
+
     fn filled(n: u16) -> AddrMan {
         let mut am = AddrMan::new(42, AddrManConfig::bitcoin_core());
         for i in 0..n {
@@ -859,7 +911,10 @@ mod tests {
         assert_eq!(am.new_count(), 1);
         assert_eq!(am.tried_count(), 0);
         // The duplicate add refreshed the timestamp.
-        assert_eq!(am.info(&addr(1, 2, 3, 4)).unwrap().time, NOW + 100);
+        assert_eq!(
+            i64::from(am.info(&addr(1, 2, 3, 4)).unwrap().time),
+            NOW + 100
+        );
     }
 
     #[test]
@@ -872,7 +927,7 @@ mod tests {
         let info = am.info(&a).unwrap();
         assert_eq!(info.table, Table::Tried);
         assert_eq!(info.attempts, 0);
-        assert_eq!(info.last_success, NOW + 20);
+        assert_eq!(i64::from(info.last_success), NOW + 20);
         assert_eq!(am.tried_count(), 1);
         assert_eq!(am.new_count(), 0);
     }
@@ -981,23 +1036,12 @@ mod tests {
     #[test]
     fn terrible_stale_beyond_horizon() {
         let cfg = AddrManConfig::bitcoin_core();
-        let info = AddrInfo {
-            addr: addr(1, 1, 1, 1),
-            source_group: src().group(),
-            time: NOW - 31 * SECS_PER_DAY,
-            last_try: 0,
-            last_success: 0,
-            attempts: 0,
-            table: Table::New,
-        };
+        let info = record(NOW - 31 * SECS_PER_DAY, 0, 0, 0);
         assert!(info.is_terrible(NOW, &cfg));
         // An 18-day-old record is terrible under the paper's 17-day horizon
         // but kept under Core's 30-day horizon.
         let cfg17 = AddrManConfig::paper_proposal();
-        let info18 = AddrInfo {
-            time: NOW - 18 * SECS_PER_DAY,
-            ..info
-        };
+        let info18 = record(NOW - 18 * SECS_PER_DAY, 0, 0, 0);
         assert!(info18.is_terrible(NOW, &cfg17));
         assert!(!info18.is_terrible(NOW, &cfg));
     }
@@ -1005,30 +1049,14 @@ mod tests {
     #[test]
     fn terrible_future_timestamp() {
         let cfg = AddrManConfig::bitcoin_core();
-        let info = AddrInfo {
-            addr: addr(1, 1, 1, 1),
-            source_group: src().group(),
-            time: NOW + 3600,
-            last_try: 0,
-            last_success: 0,
-            attempts: 0,
-            table: Table::New,
-        };
+        let info = record(NOW + 3600, 0, 0, 0);
         assert!(info.is_terrible(NOW, &cfg));
     }
 
     #[test]
     fn terrible_retries_without_success() {
         let cfg = AddrManConfig::bitcoin_core();
-        let mut info = AddrInfo {
-            addr: addr(1, 1, 1, 1),
-            source_group: src().group(),
-            time: NOW,
-            last_try: NOW - 3600,
-            last_success: 0,
-            attempts: 2,
-            table: Table::New,
-        };
+        let mut info = record(NOW, NOW - 3600, 0, 2);
         assert!(!info.is_terrible(NOW, &cfg));
         info.attempts = 3;
         assert!(info.is_terrible(NOW, &cfg));
@@ -1037,35 +1065,16 @@ mod tests {
     #[test]
     fn terrible_many_failures_after_success() {
         let cfg = AddrManConfig::bitcoin_core();
-        let info = AddrInfo {
-            addr: addr(1, 1, 1, 1),
-            source_group: src().group(),
-            time: NOW,
-            last_try: NOW - 3600,
-            last_success: NOW - 8 * SECS_PER_DAY,
-            attempts: 10,
-            table: Table::Tried,
-        };
+        let info = record(NOW, NOW - 3600, NOW - 8 * SECS_PER_DAY, 10);
         assert!(info.is_terrible(NOW, &cfg));
-        let recent_success = AddrInfo {
-            last_success: NOW - 6 * SECS_PER_DAY,
-            ..info
-        };
+        let recent_success = record(NOW, NOW - 3600, NOW - 6 * SECS_PER_DAY, 10);
         assert!(!recent_success.is_terrible(NOW, &cfg));
     }
 
     #[test]
     fn recent_try_grace_period() {
         let cfg = AddrManConfig::bitcoin_core();
-        let info = AddrInfo {
-            addr: addr(1, 1, 1, 1),
-            source_group: src().group(),
-            time: 0, // would be terrible
-            last_try: NOW - 30,
-            last_success: 0,
-            attempts: 99,
-            table: Table::New,
-        };
+        let info = record(0, NOW - 30, 0, 99); // time 0 would be terrible
         assert!(!info.is_terrible(NOW, &cfg));
     }
 
@@ -1162,7 +1171,7 @@ mod tests {
         am.new_table.remove(&home);
         am.new_table.insert(stray, i as u32);
         let msg = am.try_check_invariants().unwrap_err();
-        assert!(msg.contains(&format!("{:?}", info.addr)), "{msg}");
+        assert!(msg.contains(&format!("{:?}", info.addr())), "{msg}");
         assert!(msg.contains(&format!("New slot {home}")), "{msg}");
 
         // Filed twice: at home and at the stray slot.
@@ -1182,17 +1191,7 @@ mod tests {
     /// backward-shift removal from its head must carry that wrap with it.
     #[test]
     fn index_removal_shifts_a_chain_back_across_the_wrap() {
-        let record = |a: NetAddr| {
-            Some(AddrInfo {
-                addr: a,
-                source_group: src().group(),
-                time: NOW,
-                last_try: 0,
-                last_success: 0,
-                attempts: 0,
-                table: Table::New,
-            })
-        };
+        let record = |a: NetAddr| Some(AddrInfo::fresh(a, src().group(), NOW));
         let cells = EndpointIndex::MIN_CELLS;
         let first = EndpointIndex {
             cells: vec![EndpointIndex::VACANT; cells],
@@ -1265,12 +1264,25 @@ mod tests {
     }
 
     /// Records are most of a mesh world's address books (DESIGN §6 "Where
-    /// the memory goes — the benchmark worlds (record fields)"): a new
-    /// field, or a [`Table`] that loses its niche, would bring bytes back
+    /// the memory goes — the benchmark worlds (record width)"): a new
+    /// field, a time widened back to `i64`, an endpoint stored as a padded
+    /// `NetAddr` or a [`Table`] that loses its niche would bring bytes back
     /// to every one of them.
     #[test]
-    fn a_record_is_72_bytes() {
-        assert_eq!(size_of::<Option<AddrInfo>>(), 72);
+    fn a_record_is_48_bytes() {
+        assert_eq!(size_of::<AddrInfo>(), 48);
+        assert_eq!(size_of::<Option<AddrInfo>>(), 48);
+    }
+
+    #[test]
+    fn stamp_saturates_outside_u32() {
+        assert_eq!(stamp(i64::MIN), 0);
+        assert_eq!(stamp(-1), 0);
+        assert_eq!(stamp(0), 0);
+        assert_eq!(stamp(1_585_958_400), 1_585_958_400);
+        assert_eq!(stamp(i64::from(u32::MAX)), u32::MAX);
+        assert_eq!(stamp(i64::from(u32::MAX) + 1), u32::MAX);
+        assert_eq!(stamp(i64::MAX), u32::MAX);
     }
 
     /// A record keeps only its source's group, so a record demoted from
@@ -1333,6 +1345,46 @@ mod proptests {
         NetAddr::from_ipv4(Ipv4Addr::new(10 | (o[0] & 0x7f), o[1], o[2], o[3]), 8333)
     }
 
+    /// An offset from `now` for one of a record's times: far enough back
+    /// to give 0 (the stamp saturates), more than 30 days back, within
+    /// the grace minute and the failure week, or in the future.
+    fn near() -> impl Strategy<Value = i64> {
+        const DAY: u64 = SECS_PER_DAY as u64;
+        prop_oneof![
+            Just(i64::MIN / 2),
+            (29 * DAY..40 * DAY).prop_map(|back| -(back as i64)),
+            (0..8 * DAY + 1200).prop_map(|s| s as i64 - 8 * SECS_PER_DAY),
+            (0u64..240).prop_map(|s| s as i64 - 120),
+            any::<u32>().prop_map(i64::from),
+        ]
+    }
+
+    /// Core's `IsTerrible` on `i64` times, as records held them before
+    /// they were narrowed to `u32`.
+    fn is_terrible_i64(
+        [time, last_try, last_success]: [i64; 3],
+        attempts: u32,
+        now: i64,
+        cfg: &AddrManConfig,
+    ) -> bool {
+        if last_try != 0 && now - last_try < 60 {
+            return false;
+        }
+        if time > now + 600 {
+            return true;
+        }
+        if time == 0 || now - time > cfg.horizon_days * SECS_PER_DAY {
+            return true;
+        }
+        if last_success == 0 && attempts >= MAX_RETRIES_NEW {
+            return true;
+        }
+        if now - last_success > MAX_FAILURE_DAYS * SECS_PER_DAY && attempts >= MAX_FAILURES {
+            return true;
+        }
+        false
+    }
+
     proptest! {
         /// Under arbitrary add/attempt/good/evict sequences the table
         /// counts, index, and bucket occupancy stay mutually consistent.
@@ -1352,7 +1404,7 @@ mod proptests {
                 }
                 prop_assert_eq!(am.len(), am.new_count() + am.tried_count());
                 for info in am.iter() {
-                    prop_assert!(am.info(&info.addr).is_some());
+                    prop_assert!(am.info(&info.addr()).is_some());
                 }
                 let mut rng = SimRng::seed_from(i as u64);
                 if !am.is_empty() {
@@ -1374,18 +1426,10 @@ mod proptests {
             let mut free = Vec::new();
             for (insert, v) in ops {
                 let a = addr_of(v);
-                let held = infos.iter().position(|r| r.as_ref().is_some_and(|r| r.addr == a));
+                let held = infos.iter().position(|r| r.as_ref().is_some_and(|r| r.addr() == a));
                 match (insert, held) {
                     (true, None) => {
-                        let info = AddrInfo {
-                            addr: a,
-                            source_group: a.group(),
-                            time: 0,
-                            last_try: 0,
-                            last_success: 0,
-                            attempts: 0,
-                            table: Table::New,
-                        };
+                        let info = AddrInfo::fresh(a, a.group(), 0);
                         let idx = free.pop().unwrap_or(infos.len());
                         if idx == infos.len() {
                             infos.push(None);
@@ -1405,13 +1449,57 @@ mod proptests {
             prop_assert_eq!(index.len, infos.iter().flatten().count());
             for (idx, info) in infos.iter().enumerate() {
                 if let Some(info) = info {
-                    prop_assert_eq!(index.get(&info.addr, &infos), Some(idx));
+                    prop_assert_eq!(index.get(&info.addr(), &infos), Some(idx));
                 }
             }
             for a in (0..1024).map(addr_of) {
-                let held = infos.iter().flatten().any(|r| r.addr == a);
+                let held = infos.iter().flatten().any(|r| r.addr() == a);
                 prop_assert_eq!(index.get(&a, &infos).is_some(), held, "{:?}", a);
             }
+        }
+
+        /// Narrowing the times to `u32` changes no verdict: over every `now`
+        /// a `u32` stamp can hold, and times at 0, in the future and past
+        /// the horizon, `is_terrible` agrees with Core's formula on `i64`
+        /// times, and `add`, `attempt` and `good` store `now` exactly.
+        #[test]
+        fn u32_times_are_exact(
+            now in any::<u32>().prop_map(i64::from),
+            (time, last_try, last_success) in (near(), near(), near()),
+            attempts in 0u32..12,
+            core in any::<bool>(),
+        ) {
+            let cfg = if core {
+                AddrManConfig::bitcoin_core()
+            } else {
+                AddrManConfig::paper_proposal()
+            };
+            let [time, last_try, last_success] =
+                [time, last_try, last_success].map(|t| stamp(now + t));
+            let info = AddrInfo {
+                time,
+                last_try,
+                last_success,
+                attempts,
+                ..AddrInfo::fresh(addr_of(1), [10, 0, 0, 0], now)
+            };
+            let wide = [time, last_try, last_success].map(i64::from);
+            prop_assert_eq!(
+                info.is_terrible(now, &cfg),
+                is_terrible_i64(wide, attempts, now, &cfg),
+                "{:?} at {}", info, now
+            );
+
+            let a = addr_of(2);
+            let mut am = AddrMan::new(3, cfg);
+            am.add(a, addr_of(3), now);
+            prop_assert_eq!(i64::from(am.info(&a).unwrap().time), now);
+            am.attempt(&a, now);
+            prop_assert_eq!(i64::from(am.info(&a).unwrap().last_try), now);
+            am.good(&a, now);
+            let info = am.info(&a).unwrap();
+            let stamps = [info.time, info.last_try, info.last_success];
+            prop_assert_eq!(stamps.map(i64::from), [now; 3]);
         }
 
         /// GETADDR never exceeds the cap or the percentage bound and never

@@ -107,9 +107,9 @@ fn eviction_spares_fresh_addresses() {
     am.check_invariants();
     for info in am.iter() {
         assert!(
-            NOW - info.time <= horizon * SECS_PER_DAY,
+            NOW - i64::from(info.time) <= horizon * SECS_PER_DAY,
             "survivor older than horizon: {:?}",
-            info.addr
+            info.addr()
         );
     }
     assert!(
@@ -153,7 +153,7 @@ proptest! {
                 _ => { am.evict_terrible(t); }
             }
             am.check_invariants();
-            let held: HashSet<NetAddr> = am.iter().map(|r| r.addr).collect();
+            let held: HashSet<NetAddr> = am.iter().map(|r| r.addr()).collect();
             for a in (0..0x400).map(addr_of) {
                 prop_assert_eq!(am.info(&a).is_some(), held.contains(&a), "{:?}", a);
             }

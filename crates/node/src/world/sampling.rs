@@ -190,7 +190,7 @@ impl World {
                     Table::Tried => &mut tried,
                 };
                 table.0 += 1;
-                table.1 += u64::from(!self.is_reachable_addr(&info.addr));
+                table.1 += u64::from(!self.is_reachable_addr(&info.addr()));
             }
         }
         let events = self.queue.events_processed();

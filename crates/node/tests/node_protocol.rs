@@ -811,7 +811,10 @@ fn a_feeler_marks_promotes_and_hangs_up_and_deferrals_are_reported_once() {
         Attempt::Dial(target)
     );
     let info = n.addrman.info(&target).unwrap();
-    assert_eq!((info.attempts, info.last_try), (1, unix_time(now)));
+    assert_eq!(
+        (info.attempts, i64::from(info.last_try)),
+        (1, unix_time(now))
+    );
     assert_eq!((n.stats.feeler_attempts, n.stats.attempts), (1, 0));
     // One dial at a time, whichever kind.
     assert_eq!(n.begin_attempt(Direction::Feeler, now), Attempt::Idle);

@@ -3,12 +3,17 @@
 # loop PRs 13-15, 22 and 23 typed by hand.
 #
 #   scripts/bench_pairs.sh BASE [PAIRS [WORKLOAD...]]   # PAIRS defaults to 10
+#   SEED=11 scripts/bench_pairs.sh HEAD 3 churn_mesh     # a held-out seed
+#
+# SEED (environment, default 7) is the world seed of every run: the
+# default is the seed the benchmark itself runs, and another checks that a
+# gain is not an artefact of that one world.
 #
 # Builds the `bench` binary of BASE (exported with `git archive` under
 # target/bench-pairs/, its own target directory — as parent_diff.sh builds
 # `repro`) and of the working tree, then runs, per workload of
 # BENCHMARK.json (or the ones named), PAIRS pairs of
-# `bench run --workload W --seed 7 --seconds 6 --trace 0`, base and change
+# `bench run --workload W --seed $SEED --seconds 6 --trace 0`, base and change
 # back to back, swapping which side goes first every pair: this host has
 # minutes-long slow phases, and a pair sees the same one.
 #
@@ -27,7 +32,7 @@ set -euo pipefail
 base=${1:?usage: scripts/bench_pairs.sh BASE [PAIRS [WORKLOAD...]]}
 pairs=${2:-10}
 shift $(($# < 2 ? $# : 2))
-seed=7
+seed=${SEED:-7}
 seconds=6
 root=$(git rev-parse --show-toplevel)
 work=$root/target/bench-pairs
