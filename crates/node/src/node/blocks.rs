@@ -188,9 +188,8 @@ impl Node {
     fn relay_block(&mut self, hash: &Hash256, block: &Block) {
         let prioritize = self.cfg.priority_relay;
         for slot in self.relay_targets(hash) {
-            let p = self.peers.slot_mut(slot);
-            p.mark_known(*hash);
-            let compact = p.prefers_compact && self.cfg.compact_blocks;
+            self.peers.mark_known(slot, *hash);
+            let compact = self.peers.slot_mut(slot).prefers_compact && self.cfg.compact_blocks;
             let msg = Self::block_message(block, compact, &mut self.rng);
             self.peers.push_send(slot, msg, prioritize);
         }

@@ -25,8 +25,8 @@ impl Node {
     /// Records that peer `from` has object `hash` — it announced or sent
     /// it — so the object is never relayed back to it.
     pub(super) fn sender_knows(&mut self, from: NodeId, hash: Hash256) {
-        if let Some(p) = self.peers.get_mut(&from) {
-            p.mark_known(hash);
+        if let Some(slot) = self.peers.slot(&from) {
+            self.peers.mark_known(slot, hash);
         }
     }
 
@@ -95,14 +95,13 @@ impl Node {
         let txid = tx.txid();
         let prioritize = self.cfg.priority_relay;
         for slot in self.relay_targets(&txid) {
-            let p = self.peers.slot_mut(slot);
             match self.cfg.tx_announce {
                 TxAnnounce::Flood => {
-                    p.mark_known(txid);
+                    self.peers.mark_known(slot, txid);
                     self.peers
                         .push_send(slot, Message::Tx(tx.clone()), prioritize);
                 }
-                TxAnnounce::Trickle => p.pending_inv.push(txid),
+                TxAnnounce::Trickle => self.peers.slot_mut(slot).pending_inv.push(txid),
             }
         }
     }
@@ -119,7 +118,8 @@ impl Node {
             if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
                 return ControlFlow::Continue(());
             }
-            let batch = p.take_inv_batch(1000);
+            let batch = node.peers.take_inv_batch(slot, 1000);
+            let p = node.peers.slot_mut(slot);
             let mean = match p.dir {
                 Direction::Outbound | Direction::Feeler => INV_INTERVAL_OUTBOUND,
                 Direction::Inbound => INV_INTERVAL_INBOUND,

@@ -149,10 +149,12 @@ impl Node {
     /// a double connect (see [`crate::peer::PeerTable`]) a peer has two
     /// turns and is sent the object on both.
     pub(super) fn relay_targets(&mut self, hash: &Hash256) -> Vec<u32> {
+        let id = self.peers.inv_id(hash);
         let mut targets = Vec::new();
         self.for_each_turn(|node, slot| {
             let p = &node.peers.as_slice()[slot as usize];
-            if p.is_ready() && p.dir.relays_data() && !p.knows(hash) {
+            let knows = id.is_some_and(|id| node.peers.knows_id(slot, id));
+            if p.is_ready() && p.dir.relays_data() && !knows {
                 targets.push(slot);
             }
             ControlFlow::Continue(())

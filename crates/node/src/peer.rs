@@ -1,9 +1,10 @@
 //! Per-connection state: direction, handshake progress, and the two
 //! message queues of the paper's Figure 9 (`vProcessMsg` inbound,
-//! `vSendMessage` outbound) — and the [`PeerTable`] a node keeps them in.
+//! `vSendMessage` outbound) — and the [`PeerTable`] a node keeps them in,
+//! with the known-inventory filter shared by its records.
 
 use bitsync_protocol::addr::NetAddr;
-use bitsync_protocol::hash::{table_bytes, Hash256, IdSet, InvVect};
+use bitsync_protocol::hash::{table_bytes, Hash256, IdMap, InvVect};
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::SimTime;
 use std::collections::VecDeque;
@@ -66,11 +67,10 @@ pub struct Peer {
     pub send_q: VecDeque<Message>,
     /// Whether the peer negotiated BIP 152 compact blocks.
     pub prefers_compact: bool,
-    /// Inventory the peer is known to have (suppresses re-relay), keyed by
-    /// [`Hash256::prefix_u64`]: the set is only looked up, never walked,
-    /// and it is most of a relay world's memory (9 bytes a slot; the whole
-    /// id would take 33).
-    known_invs: IdSet<u64>,
+    /// Inventory the peer is known to have (suppresses re-relay): one bit
+    /// per id of the inventory-id table of the [`PeerTable`] that holds
+    /// the record. A new record knows nothing.
+    known: KnownBits,
     /// Txids queued for the next trickled `INV` (Core's per-peer
     /// `vInventoryTxToSend`; only used in `TxAnnounce::Trickle` mode).
     pub pending_inv: Vec<Hash256>,
@@ -102,7 +102,7 @@ impl Peer {
             proc_q: VecDeque::new(),
             send_q: VecDeque::new(),
             prefers_compact: false,
-            known_invs: IdSet::default(),
+            known: KnownBits::default(),
             pending_inv: Vec::new(),
             next_inv_at: SimTime::ZERO,
             last_recv: SimTime::ZERO,
@@ -137,39 +137,6 @@ impl Peer {
         }
     }
 
-    /// Marks an inventory item as known to this peer; returns `true` if it
-    /// was previously unknown.
-    pub fn mark_known(&mut self, hash: Hash256) -> bool {
-        self.known_invs.insert(hash.prefix_u64())
-    }
-
-    /// Whether the peer already knows this inventory item.
-    pub fn knows(&self, hash: &Hash256) -> bool {
-        self.known_invs.contains(&hash.prefix_u64())
-    }
-
-    /// Empties the trickle list into the next `INV`: the first `max` txids
-    /// the peer did not know, now marked known (the rest are dropped).
-    pub(crate) fn take_inv_batch(&mut self, max: usize) -> Vec<InvVect> {
-        let known = &self.known_invs;
-        let batch: Vec<InvVect> = self
-            .pending_inv
-            .drain(..)
-            .filter(|h| !known.contains(&h.prefix_u64()))
-            .take(max)
-            .map(InvVect::tx)
-            .collect();
-        for iv in &batch {
-            self.mark_known(iv.hash);
-        }
-        batch
-    }
-
-    /// Bytes the known-inventory set allocates ([`table_bytes`]).
-    fn known_inv_bytes(&self) -> usize {
-        table_bytes(self.known_invs.capacity(), size_of::<u64>())
-    }
-
     /// Bytes the record's two message queues and trickle list allocate
     /// (a queued message's boxed payload is not counted).
     fn queue_bytes(&self) -> usize {
@@ -178,9 +145,73 @@ impl Peer {
     }
 }
 
+/// The inventory ids one peer knows: bit `i` of `words` is id `base + i`.
+/// `base` is a multiple of 64 and the first id marked sets it; a lower id
+/// grows `words` downward.
+#[derive(Clone, Debug, Default)]
+struct KnownBits {
+    base: u32,
+    words: Vec<u64>,
+}
+
+impl KnownBits {
+    /// Whether bit `id` is set.
+    fn has(&self, id: u32) -> bool {
+        id.checked_sub(self.base).is_some_and(|i| {
+            self.words
+                .get((i / 64) as usize)
+                .is_some_and(|w| w >> (i % 64) & 1 == 1)
+        })
+    }
+
+    /// Sets bit `id`; returns `true` if it was clear.
+    fn set(&mut self, id: u32) -> bool {
+        let floor = id & !63;
+        if self.words.is_empty() {
+            self.base = floor;
+        } else if floor < self.base {
+            let below = ((self.base - floor) / 64) as usize;
+            self.words.splice(0..0, std::iter::repeat_n(0, below));
+            self.base = floor;
+        }
+        let i = id - self.base;
+        let word = (i / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let bit = 1 << (i % 64);
+        let was_clear = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        was_clear
+    }
+
+    /// ORs these bits into `union`, whose `base` is at most this one's and
+    /// whose words reach at least as far.
+    fn or_into(&self, union: &mut KnownBits) {
+        let offset = ((self.base - union.base) / 64) as usize;
+        for (to, from) in union.words[offset..].iter_mut().zip(&self.words) {
+            *to |= from;
+        }
+    }
+}
+
+/// The table's inventory ids: [`Hash256::prefix_u64`] → a `u32` id, given
+/// out in first-marked order and never reused.
+#[derive(Clone, Debug, Default)]
+struct InvIds {
+    ids: IdMap<u64, u32>,
+    /// The next id to give out.
+    next: u32,
+    /// How many ids the last sweep kept (0 before the first).
+    kept: usize,
+}
+
+/// The id table holds at least this many ids before its first sweep.
+const SWEEP_FLOOR: usize = 4096;
+
 /// A node's connected peers: the records stored densely, the round-robin
-/// visit order, an id-sorted index, and how many messages wait in their
-/// queues.
+/// visit order, an id-sorted index, how many messages wait in their
+/// queues, and which inventory each peer is known to have.
 ///
 /// Two orders matter to the simulation and the table keeps both:
 /// *connection order* drives the pump and the relay fan-outs (Core walks
@@ -198,6 +229,15 @@ impl Peer {
 /// `send_q`) leaves a count too high, which costs a longer walk and never
 /// skips a message; one that *adds* messages breaks the count (the
 /// world's checker reports it as `pump_queue_counts`).
+///
+/// Known inventory (Core's per-peer `filterInventoryKnown`) is one id table
+/// per node and one bit per id per record. The table maps an object's
+/// [`Hash256::prefix_u64`] to a `u32` id in first-marked order; two objects
+/// sharing a prefix are one object to it. Before it gives out a new id, a
+/// table that holds at least max(4096, 2 × the ids its last sweep kept)
+/// sweeps: it drops every id that no connected peer knows. No answer can
+/// see that: a dropped id was known to no record, a new record knows
+/// nothing, and a re-marked object gets a fresh id, clear at every record.
 #[derive(Clone, Debug, Default)]
 pub struct PeerTable {
     /// Peer records, oldest connection first; `order` and `by_id` hold
@@ -212,6 +252,8 @@ pub struct PeerTable {
     queued_recv: usize,
     /// Messages across every `send_q`; never below the true total.
     queued_send: usize,
+    /// The ids the records' [`KnownBits`] are indexed by.
+    inv_ids: InvIds,
 }
 
 impl PeerTable {
@@ -294,6 +336,7 @@ impl PeerTable {
     /// and the id gains a *second* turn at the end of the visit order.
     pub(crate) fn insert(&mut self, peer: Peer) -> u32 {
         debug_assert!(peer.proc_q.is_empty() && peer.send_q.is_empty());
+        debug_assert!(peer.known.words.is_empty());
         let slot = match self.by_id.binary_search_by_key(&peer.node, |e| e.0) {
             Ok(pos) => {
                 let slot = self.by_id[pos].1;
@@ -350,14 +393,101 @@ impl PeerTable {
 
     /// Bytes the table allocates, as `(records and their queues, known
     /// inventory)`: the records, the visit order and the index, plus each
-    /// record's queues; then the sum of [`Peer::known_inv_bytes`].
+    /// record's queues; then the inventory-id table ([`table_bytes`]) plus
+    /// each record's bit words.
     pub(crate) fn footprint(&self) -> (usize, usize) {
         let own = self.slots.capacity() * size_of::<Peer>()
             + self.order.capacity() * size_of::<u32>()
             + self.by_id.capacity() * size_of::<(NodeId, u32)>();
-        self.slots.iter().fold((own, 0), |(queues, known), p| {
-            (queues + p.queue_bytes(), known + p.known_inv_bytes())
+        let ids = table_bytes(self.inv_ids.ids.capacity(), size_of::<(u64, u32)>());
+        self.slots.iter().fold((own, ids), |(queues, known), p| {
+            (
+                queues + p.queue_bytes(),
+                known + p.known.words.capacity() * size_of::<u64>(),
+            )
         })
+    }
+
+    /// The id `hash` is known under, if any record may know it; never
+    /// gives one out.
+    pub(crate) fn inv_id(&self, hash: &Hash256) -> Option<u32> {
+        self.inv_ids.ids.get(&hash.prefix_u64()).copied()
+    }
+
+    /// Whether the peer in `slot` knows the object of id `id` (from
+    /// [`inv_id`](Self::inv_id): one lookup serves a whole fan-out).
+    pub(crate) fn knows_id(&self, slot: u32, id: u32) -> bool {
+        self.slots[slot as usize].known.has(id)
+    }
+
+    /// Whether the peer in `slot` knows `hash`.
+    pub(crate) fn knows(&self, slot: u32, hash: &Hash256) -> bool {
+        self.inv_id(hash).is_some_and(|id| self.knows_id(slot, id))
+    }
+
+    /// Marks `hash` as known to the peer in `slot`; returns `true` if it
+    /// was unknown. A hash no record knows gets a new id, after a sweep if
+    /// the id table is due one (see the type docs).
+    pub(crate) fn mark_known(&mut self, slot: u32, hash: Hash256) -> bool {
+        let key = hash.prefix_u64();
+        let id = match self.inv_ids.ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                if self.inv_ids.ids.len() >= SWEEP_FLOOR.max(2 * self.inv_ids.kept) {
+                    self.sweep();
+                }
+                let id = self.inv_ids.next;
+                self.inv_ids.next = id.checked_add(1).expect("fewer than 2^32 inventory ids");
+                self.inv_ids.ids.insert(key, id);
+                id
+            }
+        };
+        self.slots[slot as usize].known.set(id)
+    }
+
+    /// Drops every id that no connected peer knows.
+    fn sweep(&mut self) {
+        let marked = || {
+            self.slots
+                .iter()
+                .map(|p| &p.known)
+                .filter(|k| !k.words.is_empty())
+        };
+        let base = marked().map(|k| k.base).min().unwrap_or(0);
+        let len = marked()
+            .map(|k| ((k.base - base) / 64) as usize + k.words.len())
+            .max()
+            .unwrap_or(0);
+        let mut union = KnownBits {
+            base,
+            words: vec![0; len],
+        };
+        for known in marked() {
+            known.or_into(&mut union);
+        }
+        self.inv_ids.ids.retain(|_, id| union.has(*id));
+        self.inv_ids.kept = self.inv_ids.ids.len();
+    }
+
+    /// Empties the trickle list of the peer in `slot` into the next `INV`:
+    /// the first `max` txids the peer did not know, now marked known (the
+    /// rest are dropped). Every txid is tested before any is marked, so
+    /// one queued twice is sent twice.
+    pub(crate) fn take_inv_batch(&mut self, slot: u32, max: usize) -> Vec<InvVect> {
+        let mut pending = std::mem::take(&mut self.slots[slot as usize].pending_inv);
+        let batch: Vec<InvVect> = pending
+            .drain(..)
+            .filter(|h| !self.knows(slot, h))
+            .take(max)
+            .map(InvVect::tx)
+            .collect();
+        // The emptied list goes back with its allocation, which `mem_peers`
+        // counts.
+        self.slots[slot as usize].pending_inv = pending;
+        for iv in &batch {
+            self.mark_known(slot, iv.hash);
+        }
+        batch
     }
 
     /// Appends a delivered message to peer `id`'s `vProcessMsg`; `None`
@@ -422,7 +552,7 @@ mod tests {
     use bitsync_protocol::block::Block;
     use bitsync_protocol::compact::CompactBlock;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn addr() -> NetAddr {
         NetAddr::from_ipv4(std::net::Ipv4Addr::new(192, 0, 2, 1), 8333)
@@ -475,26 +605,91 @@ mod tests {
 
     #[test]
     fn known_inv_dedup() {
-        let mut p = Peer::new(NodeId(2), addr(), Direction::Inbound);
+        let mut table = PeerTable::default();
+        let slot = table.insert(Peer::new(NodeId(2), addr(), Direction::Inbound));
         let h = Hash256::hash_of(b"tx");
-        assert!(p.mark_known(h));
-        assert!(!p.mark_known(h));
-        assert!(p.knows(&h));
+        assert!(!table.knows(slot, &h));
+        assert!(table.mark_known(slot, h));
+        assert!(!table.mark_known(slot, h));
+        assert!(table.knows(slot, &h));
     }
 
-    /// A known id costs 9 bytes a slot — its 8-byte prefix and a control
-    /// byte — and 1000 marked ids are told apart from 1000 others.
+    /// A known id costs one bit at each peer that knows it, plus one
+    /// 16-byte entry of the node's id table, and 1000 marked ids are told
+    /// apart from 1000 others.
     #[test]
-    fn known_inventory_costs_nine_bytes_a_slot() {
-        let mut p = Peer::new(NodeId(2), addr(), Direction::Inbound);
+    fn known_inventory_costs_one_bit_a_peer() {
+        let mut table = PeerTable::default();
+        let first = table.insert(Peer::new(NodeId(2), addr(), Direction::Inbound));
         let id = |i: u32| Hash256::hash_of(&i.to_le_bytes());
         for i in 0..1000 {
-            assert!(p.mark_known(id(i)));
+            assert!(table.mark_known(first, id(i)));
         }
-        assert!((0..1000).all(|i| p.knows(&id(i))));
-        assert!((1000..2000).all(|i| !p.knows(&id(i))));
-        // Grown one doubling at a time: 1024 buckets hold 896, so 2048.
-        assert_eq!(p.known_inv_bytes(), 2048 * 9);
+        assert!((0..1000).all(|i| table.knows(first, &id(i))));
+        assert!((1000..2000).all(|i| !table.knows(first, &id(i))));
+        // 1000 bits in 16 words; the id table grew one doubling at a time
+        // (1024 buckets hold 896, so 2048) of a `(u64, u32)` and its
+        // control byte.
+        assert_eq!(table.slots[first as usize].known.words.capacity(), 16);
+        let ids = 2048 * 17;
+        assert_eq!(table_bytes(table.inv_ids.ids.capacity(), 16), ids);
+        assert_eq!(table.footprint().1, ids + 16 * 8);
+        // A second peer that knows the same ids adds its bits only.
+        let second = table.insert(Peer::new(NodeId(3), addr(), Direction::Outbound));
+        for i in 0..1000 {
+            assert!(table.mark_known(second, id(i)));
+        }
+        assert_eq!(table.footprint().1, ids + 2 * 16 * 8);
+    }
+
+    /// An id below a peer's `base` grows its words downward.
+    #[test]
+    fn known_bits_grow_downward() {
+        let mut bits = KnownBits::default();
+        assert!(bits.set(200));
+        assert_eq!((bits.base, bits.words.len()), (192, 1));
+        assert!(bits.set(5));
+        assert!(!bits.set(200));
+        assert_eq!((bits.base, bits.words.len()), (0, 4));
+        let set: Vec<u32> = (0..300).filter(|&i| bits.has(i)).collect();
+        assert_eq!(set, [5, 200]);
+    }
+
+    /// One long-lived peer and a stream of short-lived ones: the id table
+    /// holds what connected peers know, not every id ever marked, and the
+    /// sweeps that keep it so change no answer.
+    #[test]
+    fn sweep_bounds_the_id_table_by_connection_lifetimes() {
+        let mut table = PeerTable::default();
+        let long = table.insert(Peer::new(NodeId(0), addr(), Direction::Outbound));
+        let id = |i: u32| Hash256::hash_of(&i.to_le_bytes());
+        let mut short = NodeId(1);
+        table.insert(Peer::new(short, addr(), Direction::Inbound));
+        let mut long_knows = Vec::new();
+        for i in 0..100_000u32 {
+            // Each short-lived peer is marked with 250 ids, the long-lived
+            // one with every 1000th: a few hundred known ids at any time.
+            if i % 250 == 0 {
+                table.remove(&short);
+                short = NodeId(short.0 + 1);
+                table.insert(Peer::new(short, addr(), Direction::Inbound));
+            }
+            let slot = if i % 1000 == 0 {
+                long_knows.push(i);
+                long
+            } else {
+                table.slot(&short).unwrap()
+            };
+            assert!(table.mark_known(slot, id(i)));
+            assert!(
+                table.inv_ids.ids.len() <= 4097,
+                "{} ids at {i}",
+                table.inv_ids.ids.len()
+            );
+        }
+        assert!(long_knows.iter().all(|&i| table.knows(long, &id(i))));
+        let fresh = table.insert(Peer::new(NodeId(u32::MAX), addr(), Direction::Inbound));
+        assert!((0..100_000).all(|i| !table.knows(fresh, &id(i))));
     }
 
     #[test]
@@ -502,6 +697,18 @@ mod tests {
         assert!(!Direction::Feeler.relays_data());
         assert!(Direction::Outbound.relays_data());
         assert!(Direction::Inbound.relays_data());
+    }
+
+    /// A pool of `n` hashes in which hash `i` and `i + 6` share a prefix.
+    fn pool(n: u8) -> Vec<Hash256> {
+        (0..n)
+            .map(|i| {
+                let mut bytes = [0u8; 32];
+                bytes[0] = i % 6;
+                bytes[8] = i;
+                Hash256(bytes)
+            })
+            .collect()
     }
 
     /// What tells two records of one id apart: `connected_at` is the
@@ -602,6 +809,65 @@ mod tests {
                     })
                     .collect();
                 prop_assert_eq!(&via_slots, &order);
+            }
+        }
+
+        /// The known-inventory filter against a set of prefixes per
+        /// connected peer, over random connects (a replaced record starts
+        /// empty), disconnects, marks, trickle batches and sweeps, with
+        /// hashes drawn from a pool that re-marks and shares prefixes.
+        #[test]
+        fn known_inventory_matches_a_set_per_peer(
+            ops in proptest::collection::vec((0u8..6, 0u32..5, 0u8..12), 0..120),
+        ) {
+            let hashes = pool(12);
+            let mut table = PeerTable::default();
+            let mut model: BTreeMap<NodeId, BTreeSet<u64>> = BTreeMap::new();
+            for (op, id, h) in ops {
+                let id = NodeId(id);
+                let hash = hashes[h as usize];
+                match (op, table.slot(&id)) {
+                    (0, _) => {
+                        table.insert(Peer::new(id, addr(), Direction::Inbound));
+                        model.insert(id, BTreeSet::new());
+                    }
+                    (1, _) => {
+                        table.remove(&id);
+                        model.remove(&id);
+                    }
+                    (2 | 3, Some(slot)) => {
+                        let new = model.get_mut(&id).unwrap().insert(hash.prefix_u64());
+                        prop_assert_eq!(table.mark_known(slot, hash), new);
+                    }
+                    (4, Some(slot)) => {
+                        let queued = [hash, hashes[(h as usize + 1) % 12], hash];
+                        table.slot_mut(slot).pending_inv.extend(queued);
+                        let known = model.get_mut(&id).unwrap();
+                        let want: Vec<Hash256> = queued
+                            .into_iter()
+                            .filter(|q| !known.contains(&q.prefix_u64()))
+                            .take(2)
+                            .collect();
+                        known.extend(want.iter().map(Hash256::prefix_u64));
+                        let batch: Vec<Hash256> =
+                            table.take_inv_batch(slot, 2).into_iter().map(|iv| iv.hash).collect();
+                        prop_assert_eq!(batch, want);
+                        prop_assert!(table.slot_mut(slot).pending_inv.is_empty());
+                    }
+                    (5, _) => {
+                        table.sweep();
+                        let held: BTreeSet<u64> = table.inv_ids.ids.keys().copied().collect();
+                        let known: BTreeSet<u64> = model.values().flatten().copied().collect();
+                        prop_assert_eq!(held, known);
+                    }
+                    _ => {}
+                }
+                for (peer, known) in &model {
+                    let slot = table.slot(peer).unwrap();
+                    for hash in &hashes {
+                        prop_assert_eq!(table.knows(slot, hash), known.contains(&hash.prefix_u64()));
+                    }
+                }
             }
         }
     }

@@ -114,9 +114,10 @@ impl World {
     /// The bytes each owner of the world's memory allocates now, as the
     /// sampler's `mem_*` gauges: the event queue, then the online nodes'
     /// chains, mempools, address managers, peer records (with their
-    /// message queues and trickle lists) and known-inventory sets, then the
-    /// relay log. `mem_addrmans` also holds the books of departed nodes
-    /// that may rejoin (the `peers.dat` a [`NodeMeta`] keeps). An owner
+    /// message queues and trickle lists) and known inventory (each node's
+    /// inventory-id table and its peers' bits), then the relay log.
+    /// `mem_addrmans` also holds the books of departed nodes that may
+    /// rejoin (the `peers.dat` a [`NodeMeta`] keeps). An owner
     /// counts `capacity × size_of` of its containers, hash tables by
     /// [`table_bytes`]: only what a container holds inline, not what an
     /// entry points to (a transaction body is one allocation shared by the

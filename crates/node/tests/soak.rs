@@ -90,8 +90,9 @@ fn sixty_days_of_churn_and_faults_keep_the_checker_silent_and_the_owners_bounded
         world.checker.violation_count(),
         world.checker.violations().first()
     );
-    // A peer record lives as long as its connection and a known-inventory
-    // set as long as its peer record, so neither grows with the horizon.
+    // A peer record lives as long as its connection, its known-inventory
+    // bits as long as the record, and a node's inventory-id table holds
+    // only what its connected peers know, so none grows with the horizon.
     // Growth in proportion to time would triple the median day from the
     // first month to the second; flat owners stay well under double. (A
     // day's sample can catch a syncing peer's backlog, hence medians.)
