@@ -6,7 +6,7 @@
 //! the 60-day window; and the churn among *synchronized* nodes doubled
 //! between 2019 (3.9 departures / 10 min) and 2020 (7.6 / 10 min).
 //!
-//! [`ChurnModel`] generates per-node session lifetimes and rejoin gaps; the
+//! [`ChurnConfig`] samples per-node session lifetimes and rejoin gaps; the
 //! scenario layer keeps the population size constant by pairing departures
 //! with arrivals, exactly as the paper observes (Figure 13: arrivals ≈
 //! departures).
@@ -65,18 +65,29 @@ impl ChurnConfig {
         let mean_days = self.mean_lifetime.as_days_f64();
         1.0 - (-1.0 / mean_days).exp()
     }
+
+    /// Samples a session lifetime for a node; permanent nodes never leave.
+    pub fn session_lifetime(&self, permanent: bool, rng: &mut SimRng) -> Option<SimDuration> {
+        if permanent {
+            return None;
+        }
+        Some(rng.exp_duration(self.mean_lifetime))
+    }
+
+    /// Samples whether/when a departed node rejoins.
+    pub fn rejoin(&self, rng: &mut SimRng) -> Rejoin {
+        if rng.chance(self.rejoin_probability) {
+            Rejoin::After(rng.exp_duration(self.mean_offline_gap))
+        } else {
+            Rejoin::Never
+        }
+    }
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         Self::paper_2020()
     }
-}
-
-/// Samples session lifetimes and rejoin behaviour.
-#[derive(Clone, Debug)]
-pub struct ChurnModel {
-    cfg: ChurnConfig,
 }
 
 /// Whether, and after how long, a departed node comes back.
@@ -86,35 +97,6 @@ pub enum Rejoin {
     Never,
     /// The node rejoins after the given offline gap.
     After(SimDuration),
-}
-
-impl ChurnModel {
-    /// Creates a model from `cfg`.
-    pub fn new(cfg: ChurnConfig) -> Self {
-        ChurnModel { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ChurnConfig {
-        &self.cfg
-    }
-
-    /// Samples a session lifetime for a node; permanent nodes never leave.
-    pub fn session_lifetime(&self, permanent: bool, rng: &mut SimRng) -> Option<SimDuration> {
-        if permanent {
-            return None;
-        }
-        Some(rng.exp_duration(self.cfg.mean_lifetime))
-    }
-
-    /// Samples whether/when a departed node rejoins.
-    pub fn rejoin(&self, rng: &mut SimRng) -> Rejoin {
-        if rng.chance(self.cfg.rejoin_probability) {
-            Rejoin::After(rng.exp_duration(self.cfg.mean_offline_gap))
-        } else {
-            Rejoin::Never
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,12 +115,12 @@ mod tests {
 
     #[test]
     fn lifetimes_have_configured_mean() {
-        let model = ChurnModel::new(ChurnConfig::paper_2020());
+        let churn = ChurnConfig::paper_2020();
         let mut rng = SimRng::seed_from(1);
         let n = 10_000;
         let total: f64 = (0..n)
             .map(|_| {
-                model
+                churn
                     .session_lifetime(false, &mut rng)
                     .unwrap()
                     .as_days_f64()
@@ -150,18 +132,18 @@ mod tests {
 
     #[test]
     fn permanent_nodes_never_leave() {
-        let model = ChurnModel::new(ChurnConfig::paper_2020());
+        let churn = ChurnConfig::paper_2020();
         let mut rng = SimRng::seed_from(2);
-        assert_eq!(model.session_lifetime(true, &mut rng), None);
+        assert_eq!(churn.session_lifetime(true, &mut rng), None);
     }
 
     #[test]
     fn rejoin_probability_respected() {
-        let model = ChurnModel::new(ChurnConfig::paper_2020());
+        let churn = ChurnConfig::paper_2020();
         let mut rng = SimRng::seed_from(3);
         let n = 10_000;
         let rejoins = (0..n)
-            .filter(|_| matches!(model.rejoin(&mut rng), Rejoin::After(_)))
+            .filter(|_| matches!(churn.rejoin(&mut rng), Rejoin::After(_)))
             .count();
         let frac = rejoins as f64 / n as f64;
         assert!((frac - 0.35).abs() < 0.03, "rejoin fraction {frac}");

@@ -33,7 +33,7 @@ pub mod latency;
 pub mod population;
 
 pub use as_model::AsModel;
-pub use churn::{ChurnConfig, ChurnModel, Rejoin};
+pub use churn::{ChurnConfig, Rejoin};
 pub use latency::{LatencyConfig, LatencyModel};
 pub use population::NodeClass;
 

@@ -14,6 +14,10 @@
 //!   message pump of the paper's Figure 9 / Algorithm 3 and its visit
 //!   order), `inventory` (`INV` / `GETDATA` / `TX`, flood and trickle) and
 //!   `blocks` (blocks, headers, compact blocks, orphans, reorgs, mining).
+//!   A node holds no instrument handle, so it is `Send`: what the world
+//!   traces of it comes back in what `Node::pump` returns (one
+//!   `AddrReceipt` per `ADDR` ingested) or is drained from it
+//!   (`Node::take_reorgs`).
 //! - [`peer`]: per-connection state (`vProcessMsg` / `vSendMessage`).
 //! - [`config`]: Core-0.20 defaults plus the §V refinement knobs.
 //! - [`malicious`]: the ADDR-flooding adversary of §IV-B / Figure 8.
@@ -21,7 +25,7 @@
 //!   struct and its one event loop, with one private submodule per
 //!   mechanism: `population` (addresses, the per-node record, churn),
 //!   `dial` (dial resolution against ground truth), `delivery` (pump →
-//!   link → deliver, relay log, ADDR census), `chain` (mining, tx
+//!   link → deliver, relay log, the traced ADDR split), `chain` (mining, tx
 //!   injection, reorgs, convergence), `faults` (flaps, partitions, the
 //!   resilience sweep) and `sampling` (metric names, sync fractions, the
 //!   sampler row).
@@ -57,7 +61,8 @@ pub mod world;
 pub use config::{NodeConfig, TxAnnounce};
 pub use malicious::{AddrFlooder, FloodScale};
 pub use node::{
-    unix_time, Node, NodeRequest, NodeStats, Outgoing, MAX_ORPHAN_BLOCKS, SIM_EPOCH_UNIX,
+    unix_time, AddrReceipt, Node, NodeRequest, NodeStats, Outgoing, MAX_ORPHAN_BLOCKS,
+    SIM_EPOCH_UNIX,
 };
 pub use peer::{Direction, Handshake, NodeId, Peer};
 pub use world::{ChurnEvent, Fault, World, WorldConfig};

@@ -9,7 +9,6 @@ use crate::peer::NodeId;
 use bitsync_protocol::addr::TimestampedAddr;
 use bitsync_protocol::message::{Message, MAX_ADDR_PER_MSG};
 use bitsync_sim::time::SimTime;
-use bitsync_sim::trace;
 
 /// How many peers an unsolicited small `ADDR` is forwarded to (Core's
 /// `RelayAddress`: 2 for reachable networks).
@@ -30,6 +29,18 @@ pub const ADDR_ENTRY_BUDGET: u64 = 5_000;
 
 /// Penalty per `ADDR` message received past [`ADDR_ENTRY_BUDGET`].
 pub const ADDR_FLOOD_PENALTY: u32 = 25;
+
+/// One `ADDR` a node ingested in a pump round: what the world traces as
+/// its `recv` event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AddrReceipt {
+    /// The peer that sent it.
+    pub from: NodeId,
+    /// Entries the message held.
+    pub count: u32,
+    /// Entries that were new to the address book.
+    pub accepted: u32,
+}
 
 impl Node {
     /// Our own address, timestamped now: what a node tells outbound peers
@@ -56,14 +67,15 @@ impl Node {
         self.send(from, Message::Addr(list));
     }
 
+    /// Ingests an `ADDR` from `from`; `None` when the message gets its
+    /// sender banned and nothing is ingested.
     pub(super) fn on_addr(
         &mut self,
         from: NodeId,
         list: Vec<TimestampedAddr>,
         now: SimTime,
         requests: &mut Vec<NodeRequest>,
-    ) {
-        self.stats.addrs_received += list.len() as u64;
+    ) -> Option<AddrReceipt> {
         if self.cfg.resilience.countermeasures {
             let mut penalty = 0u32;
             if list.len() > MAX_ADDR_PER_MSG {
@@ -78,7 +90,7 @@ impl Node {
                 }
             }
             if penalty > 0 && self.misbehave(from, penalty, now, requests) {
-                return; // banned: do not ingest the flood
+                return None; // banned: do not ingest the flood
             }
         }
         let source = self.peers.get(&from).map_or(self.addr, |p| p.addr);
@@ -88,17 +100,11 @@ impl Node {
                 fresh.push(*entry);
             }
         }
-        if self.tracer.is_enabled() {
-            self.tracer.addr(trace::AddrEvent {
-                at: now,
-                from: from.0,
-                to: self.id.0,
-                dir: trace::AddrDir::Recv,
-                count: list.len() as u32,
-                reachable: None,
-                accepted: Some(fresh.len() as u32),
-            });
-        }
+        let receipt = AddrReceipt {
+            from,
+            count: list.len() as u32,
+            accepted: fresh.len() as u32,
+        };
         // Core forwards small unsolicited ADDR messages to a couple peers.
         // Forward only first-seen entries: each node relays a given
         // address at most once, which bounds gossip amplification.
@@ -121,6 +127,7 @@ impl Node {
                     .push_send(candidates[i], Message::Addr(list.clone()), prioritize);
             }
         }
+        Some(receipt)
     }
 
     /// Adds `penalty` to the peer's misbehavior score (Core's
@@ -144,7 +151,6 @@ impl Node {
         }
         let addr = p.addr;
         self.discouraged.insert(addr, now);
-        self.stats.peers_banned += 1;
         requests.push(NodeRequest::Ban(from));
         true
     }

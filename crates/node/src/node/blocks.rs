@@ -140,13 +140,12 @@ impl Node {
     }
 
     /// Connects one block whose parent is known (`hash` is its block
-    /// hash), updating stats, stale-tip bookkeeping, reorg records, the
+    /// hash), updating stale-tip bookkeeping, reorg records, the
     /// mempool, and relaying it on.
     fn connect_and_relay(&mut self, block: Block, hash: Hash256, now: SimTime) -> bool {
         let Ok(reorg) = self.chain.connect_block(&block) else {
             return false;
         };
-        self.stats.blocks_accepted += 1;
         // The tip advanced: reset stale-tip detection and retire any
         // extra outbound slot it granted (the connection itself stays;
         // natural churn brings the count back to the configured target).
@@ -162,7 +161,6 @@ impl Node {
     fn record_reorg(&mut self, reorg: Option<ReorgInfo>) {
         if let Some(info) = reorg {
             if info.is_reorg() {
-                self.stats.reorgs += 1;
                 self.pending_reorgs.push(info);
             }
         }

@@ -111,14 +111,11 @@ impl Node {
                 .get(&target)
                 .is_some_and(|e| now < e.retry_at);
         if self.is_discouraged(&target, now) || backed_off {
-            self.stats.dial_retries_deferred += 1;
             return Attempt::Deferred(target);
         }
         self.addrman.attempt(&target, unix_time(now));
         self.in_flight_attempt = Some((target, dir));
-        if dir == Direction::Feeler {
-            self.stats.feeler_attempts += 1;
-        } else {
+        if dir != Direction::Feeler {
             self.stats.attempts += 1;
         }
         Attempt::Dial(target)
@@ -186,7 +183,6 @@ impl Node {
             return false;
         }
         self.stale_tip_extra = true;
-        self.stats.stale_rescues += 1;
         true
     }
 }

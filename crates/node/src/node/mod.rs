@@ -28,7 +28,8 @@ mod inventory;
 mod pump;
 
 pub use addr::{
-    ADDR_ENTRY_BUDGET, ADDR_FLOOD_PENALTY, ADDR_RELAY_FANOUT, BAN_THRESHOLD, OVERSIZE_ADDR_PENALTY,
+    AddrReceipt, ADDR_ENTRY_BUDGET, ADDR_FLOOD_PENALTY, ADDR_RELAY_FANOUT, BAN_THRESHOLD,
+    OVERSIZE_ADDR_PENALTY,
 };
 pub use blocks::MAX_ORPHAN_BLOCKS;
 pub use dial::{Attempt, DISCOURAGEMENT_WINDOW, MAX_INBOUND};
@@ -46,7 +47,6 @@ use bitsync_protocol::hash::{Hash256, IdMap};
 use bitsync_protocol::message::Message;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimTime;
-use bitsync_sim::trace::Tracer;
 use std::collections::VecDeque;
 
 /// UNIX timestamp of simulation time zero (April 4, 2020 — the start of the
@@ -73,33 +73,15 @@ pub enum NodeRequest {
     Ban(NodeId),
 }
 
-/// Counters the experiments read off a node.
+/// The dial counters the experiments read off a node (§IV-A's success
+/// rate). Everything else a node does is counted once, by the world's
+/// metrics and trace.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeStats {
-    /// Outgoing connection attempts started.
+    /// Outgoing connection attempts started (feelers not included).
     pub attempts: u64,
     /// Outgoing connections that completed a handshake.
     pub successes: u64,
-    /// Feeler attempts started.
-    pub feeler_attempts: u64,
-    /// ADDR entries received.
-    pub addrs_received: u64,
-    /// Blocks accepted into the chain.
-    pub blocks_accepted: u64,
-    /// Messages processed by the pump.
-    pub msgs_processed: u64,
-    /// Messages flushed by the socket writer.
-    pub msgs_sent: u64,
-    /// Dials skipped because the selected address was backed off or
-    /// discouraged.
-    pub dial_retries_deferred: u64,
-    /// Peers banned for crossing the misbehavior threshold.
-    pub peers_banned: u64,
-    /// Stale-tip episodes that triggered an extra outbound dial.
-    pub stale_rescues: u64,
-    /// Chain reorganizations (active-chain switches disconnecting at least
-    /// one block), counted at header or body connect, whichever first.
-    pub reorgs: u64,
 }
 
 /// A simulated Bitcoin node.
@@ -138,7 +120,7 @@ pub struct Node {
     pending_reorgs: Vec<ReorgInfo>,
     /// Peers we already answered `GETADDR` for (Core answers once).
     getaddr_answered: Vec<NodeId>,
-    /// Instrumentation counters.
+    /// Dial counters.
     pub stats: NodeStats,
     /// When set, the node is ADDR-flooding malware (§IV-B, Figure 8).
     pub flooder: Option<crate::malicious::AddrFlooder>,
@@ -153,11 +135,15 @@ pub struct Node {
     /// Whether the stale-tip countermeasure currently grants one extra
     /// outbound slot.
     pub stale_tip_extra: bool,
-    /// Per-event trace sink; the world clones its own handle in here so the
-    /// pump and message handlers can trace. Disabled by default.
-    pub tracer: Tracer,
     rng: SimRng,
 }
+
+// A node holds no instrument handle (what the world traces leaves it in
+// what `Node::pump` returns), so a node can move to another thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Node>()
+};
 
 impl Node {
     /// Creates a node at `addr`.
@@ -186,7 +172,6 @@ impl Node {
             dial_backoff: IdMap::default(),
             last_tip_change: SimTime::ZERO,
             stale_tip_extra: false,
-            tracer: Tracer::disabled(),
             rng,
         }
     }
@@ -199,12 +184,13 @@ impl Node {
         msg: Message,
         now: SimTime,
         requests: &mut Vec<NodeRequest>,
+        receipts: &mut Vec<AddrReceipt>,
     ) {
         match msg {
             Message::Version(v) => self.on_version(from, *v, now),
             Message::Verack => self.on_verack(from, now, requests),
             Message::GetAddr => self.on_getaddr(from, now),
-            Message::Addr(list) => self.on_addr(from, list, now, requests),
+            Message::Addr(list) => receipts.extend(self.on_addr(from, list, now, requests)),
             Message::Ping(n) => self.send(from, Message::Pong(n)),
             Message::Pong(_) => {}
             Message::Inv(items) => self.on_inv(from, items),

@@ -3,7 +3,7 @@
 //! one-message-per-peer processing and flushing, and the order peers are
 //! visited in — by the round and by every relay fan-out alike.
 
-use super::{Node, NodeRequest};
+use super::{AddrReceipt, Node, NodeRequest};
 use crate::config::TxAnnounce;
 use crate::peer::{Direction, NodeId, Peer};
 use bitsync_protocol::hash::Hash256;
@@ -61,14 +61,16 @@ impl Node {
 
     /// Runs one pump round: processes one inbound message per peer, then
     /// flushes one outbound message per peer through the serialized socket
-    /// writer. Returns the flushed messages (with transmission windows) and
-    /// any world requests.
+    /// writer. Returns the flushed messages (with transmission windows),
+    /// any world requests and one receipt per `ADDR` ingested, in
+    /// processing order.
     ///
     /// Each pass stops at the turn where the table's count of its queue
     /// reaches zero: every later turn would find an empty queue and do
     /// nothing, so an idle round costs two field reads.
-    pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>) {
+    pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>, Vec<AddrReceipt>) {
         let mut requests = Vec::new();
+        let mut receipts = Vec::new();
         self.flush_trickle(now);
         self.keepalive(now, &mut requests);
 
@@ -81,8 +83,7 @@ impl Node {
                 return ControlFlow::Continue(());
             };
             let from = node.peers.slot_mut(slot).node;
-            node.stats.msgs_processed += 1;
-            node.handle_message(from, msg, now, &mut requests);
+            node.handle_message(from, msg, now, &mut requests, &mut receipts);
             ControlFlow::Continue(())
         });
 
@@ -102,7 +103,6 @@ impl Node {
             let tx_time = SimDuration::from_secs_f64(wire_size as f64 / node.cfg.upload_bandwidth);
             let send_end = send_start + tx_time;
             node.socket_free_at = send_end;
-            node.stats.msgs_sent += 1;
             outgoing.push(Outgoing {
                 to,
                 msg,
@@ -112,7 +112,7 @@ impl Node {
             });
             ControlFlow::Continue(())
         });
-        (outgoing, requests)
+        (outgoing, requests, receipts)
     }
 
     /// Calls `f` with the slot of every turn of one round, in visit order,

@@ -3,11 +3,14 @@
 //! fault plane, AS-level latency) and into the receiver. The two
 //! measurements taken on the way are the paper's: the relay log of the
 //! instrumented node (Figures 10/11 — one message per socket per loop
-//! gives the 17 s / 8 s last-connection tails) and the ground-truth ADDR
-//! census per sender (§IV-B: 85.1 % of gossiped addresses unreachable).
+//! gives the 17 s / 8 s last-connection tails) and, under an enabled
+//! tracer, the ground-truth ADDR split (§IV-B: 85.1 % of gossiped
+//! addresses unreachable) — every flushed ADDR's `sent` event counts its
+//! reachable entries, and a sender's split is the sum of its `sent`
+//! events.
 
 use super::{metric, Ev, World};
-use crate::node::{NodeRequest, Outgoing};
+use crate::node::{AddrReceipt, NodeRequest, Outgoing};
 use crate::peer::NodeId;
 use bitsync_protocol::addr::TimestampedAddr;
 use bitsync_protocol::hash::Hash256;
@@ -33,8 +36,6 @@ pub struct RelayRecord {
     pub received: SimTime,
     /// When the last send of the object finished on the socket.
     pub last_sent: Option<SimTime>,
-    /// Number of peers it was sent to.
-    pub sends: u32,
     /// Block (`true`) or transaction (`false`).
     pub is_block: bool,
 }
@@ -49,16 +50,6 @@ impl RelayRecord {
                 .as_secs()
         })
     }
-}
-
-/// Per-sender ADDR statistics, ground-truth classified (the §IV-B census
-/// and the Figure 8 malicious-peer detection input).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AddrSenderStats {
-    /// Total ADDR entries this node sent.
-    pub total: u64,
-    /// Entries whose address belongs to the reachable ground-truth set.
-    pub reachable: u64,
 }
 
 /// The transport counters bumped on every pump round and delivery, kept
@@ -137,7 +128,6 @@ impl World {
         self.relay_log.entry(hash).or_insert(RelayRecord {
             received: now,
             last_sent: None,
-            sends: 0,
             is_block,
         })
     }
@@ -182,14 +172,24 @@ impl World {
         let Some(node) = self.running_node(id) else {
             return;
         };
-        let (outgoing, requests) = node.pump(now);
+        let (outgoing, requests, receipts) = node.pump(now);
         let more_work = node.has_pending_work();
         self.tallies.round(outgoing.len());
 
-        let relay_logged = self.instrumented == Some(id) || self.tracer.is_enabled();
+        let tracing = self.tracer.is_enabled();
+        if tracing {
+            // Receipts first: the round processed them before it flushed
+            // anything, and `addr.jsonl` keeps that order.
+            for receipt in receipts {
+                self.trace_addr_receipt(id, receipt, now);
+            }
+        }
+        let relay_logged = self.instrumented == Some(id) || tracing;
         for out in outgoing {
-            if let Message::Addr(entries) = &out.msg {
-                self.census_addr(id, &out, entries);
+            if tracing {
+                if let Message::Addr(entries) = &out.msg {
+                    self.census_addr(id, &out, entries);
+                }
             }
             if relay_logged {
                 self.log_relay_send(id, &out, now);
@@ -216,27 +216,36 @@ impl World {
         }
     }
 
-    /// ADDR census: classifies what `from` just gossiped against ground
-    /// truth.
-    fn census_addr(&mut self, from: NodeId, out: &Outgoing, entries: &[TimestampedAddr]) {
+    /// Traces one ADDR that node `to` processed.
+    fn trace_addr_receipt(&self, to: NodeId, receipt: AddrReceipt, now: SimTime) {
+        self.tracer.addr(trace::AddrEvent {
+            at: now,
+            from: receipt.from.0,
+            to: to.0,
+            dir: trace::AddrDir::Recv,
+            count: receipt.count,
+            reachable: None,
+            accepted: Some(receipt.accepted),
+        });
+    }
+
+    /// ADDR census: traces what `from` just gossiped, its entries
+    /// classified against ground truth. Called under an enabled tracer
+    /// only; an untraced world classifies nothing.
+    fn census_addr(&self, from: NodeId, out: &Outgoing, entries: &[TimestampedAddr]) {
         let reachable = entries
             .iter()
             .filter(|e| self.is_reachable_addr(&e.addr))
-            .count() as u64;
-        let stats = self.addr_senders.entry(from).or_default();
-        stats.total += entries.len() as u64;
-        stats.reachable += reachable;
-        if self.tracer.is_enabled() {
-            self.tracer.addr(trace::AddrEvent {
-                at: out.send_end,
-                from: from.0,
-                to: out.to.0,
-                dir: trace::AddrDir::Sent,
-                count: entries.len() as u32,
-                reachable: Some(reachable as u32),
-                accepted: None,
-            });
-        }
+            .count();
+        self.tracer.addr(trace::AddrEvent {
+            at: out.send_end,
+            from: from.0,
+            to: out.to.0,
+            dir: trace::AddrDir::Sent,
+            count: entries.len() as u32,
+            reachable: Some(reachable as u32),
+            accepted: None,
+        });
     }
 
     /// Relay instrumentation: records the completion of one send of a
@@ -258,7 +267,6 @@ impl World {
             // Serving an old object to a syncing peer is not relay.
             let hop_delay = out.send_end.saturating_since(rec.received);
             if hop_delay <= FRESH_RELAY_WINDOW {
-                rec.sends += 1;
                 rec.last_sent = Some(rec.last_sent.map_or(out.send_end, |p| p.max(out.send_end)));
                 self.metrics
                     .observe(metric::RELAY_DELAY, hop_delay.as_secs_f64());

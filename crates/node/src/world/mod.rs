@@ -18,7 +18,7 @@ mod population;
 mod sampling;
 
 pub use bitsync_sim::fault::Fault;
-pub use delivery::{AddrSenderStats, RelayRecord, FRESH_RELAY_WINDOW, PUMP_INTERVAL};
+pub use delivery::{RelayRecord, FRESH_RELAY_WINDOW, PUMP_INTERVAL};
 pub use dial::{CONNECT_LOOP_INTERVAL, FEELER_INTERVAL};
 pub use population::{ChurnEvent, NodeMeta};
 pub use sampling::{metric, register_world_histograms};
@@ -27,7 +27,7 @@ use crate::config::{NodeConfig, MAX_OUTBOUND};
 use crate::node::Node;
 use crate::peer::{NodeId, Peer};
 use bitsync_chain::{Miner, TxGenerator};
-use bitsync_net::churn::{ChurnConfig, ChurnModel};
+use bitsync_net::churn::ChurnConfig;
 use bitsync_net::latency::{LatencyConfig, LatencyModel};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::{Hash256, IdMap, IdSet};
@@ -173,7 +173,6 @@ pub struct World {
     queue: EventQueue<Ev>,
     rng: SimRng,
     latency: LatencyModel,
-    churn: Option<ChurnModel>,
     /// Node slots; `None` while offline.
     nodes: Vec<Option<Node>>,
     /// The per-node record, by node id (slot-aligned with `nodes`).
@@ -182,7 +181,9 @@ pub struct World {
     /// Phantom gossip addresses and their dial behaviour.
     phantoms: IdMap<NetAddr, (PhantomKind, u32)>,
     phantom_list: Vec<NetAddr>,
-    /// Ground-truth set of reachable addresses (for the ADDR census).
+    /// Ground-truth set of reachable addresses: what the traced ADDR
+    /// `sent` events count as reachable, and the sampler's addrman
+    /// pollution gauges as not.
     reachable_addrs: IdSet<NetAddr>,
     /// Same addresses as an ordered list (deterministic sampling).
     reachable_addr_list: Vec<NetAddr>,
@@ -192,8 +193,6 @@ pub struct World {
     /// Relay log of the instrumented node.
     pub relay_log: IdMap<Hash256, RelayRecord>,
     instrumented: Option<NodeId>,
-    /// ADDR census per sender.
-    pub addr_senders: IdMap<NodeId, AddrSenderStats>,
     /// Churn history.
     pub churn_events: Vec<(SimTime, ChurnEvent)>,
     /// When set, a BGP-hijack partition is active: the listed ASes are cut
@@ -210,8 +209,8 @@ pub struct World {
     /// [`World::run_steps`], added to `metrics` when it returns.
     tallies: delivery::Tallies,
     /// Per-event trace sink, disabled by default. Replaceable via
-    /// [`World::attach_tracer`]; the handle is also cloned into every node
-    /// so the pump can trace without going through the world.
+    /// [`World::attach_tracer`]. The only handle a world holds: nodes
+    /// hand what it records back in what [`Node::pump`] returns.
     pub tracer: Tracer,
     /// Invariant recorder, disabled by default and owned by this world.
     /// When an enabled one is installed (before running: conservation
@@ -259,7 +258,6 @@ impl World {
             LatencyConfig::internet_2020(),
             rng.fork("latency").next_u64(),
         );
-        let churn = cfg.churn.map(ChurnModel::new);
 
         let queue = EventQueue::new();
         // The plane's stream is salted off the world seed inside
@@ -274,7 +272,6 @@ impl World {
             queue,
             rng: rng.fork("world"),
             latency,
-            churn,
             nodes: Vec::new(),
             meta: Vec::new(),
             addr_index: IdMap::default(),
@@ -287,7 +284,6 @@ impl World {
             best_height: 0,
             relay_log: IdMap::default(),
             instrumented: cfg.instrument.map(|idx| NodeId(idx as u32)),
-            addr_senders: IdMap::default(),
             churn_events: Vec::new(),
             hijacked_asns: None,
             used_ips: IdSet::default(),
@@ -346,14 +342,11 @@ impl World {
         self.metrics = rec;
     }
 
-    /// Points the world (and every current node) at an experiment-owned
-    /// tracer. Like [`World::attach_metrics`], attach before running:
-    /// events are recorded only from this moment on.
+    /// Points the world at an experiment-owned tracer. Like
+    /// [`World::attach_metrics`], attach before running: events are
+    /// recorded only from this moment on.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        for node in self.nodes.iter_mut().flatten() {
-            node.tracer = self.tracer.clone();
-        }
     }
 
     /// Points the world at a time-series sampler. Like

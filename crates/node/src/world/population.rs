@@ -129,7 +129,6 @@ impl World {
             rng.next_u64(),
         );
         node.cfg.compact_blocks = rng.chance(self.cfg.compact_fraction);
-        node.tracer = self.tracer.clone();
         node
     }
 
@@ -148,7 +147,7 @@ impl World {
         };
         let asn = self.as_model.sample(class, rng);
         let permanent =
-            self.churn.is_none() || (reachable && rng.chance(self.cfg.permanent_fraction));
+            self.cfg.churn.is_none() || (reachable && rng.chance(self.cfg.permanent_fraction));
         let mut node = self.build_node(id, addr, reachable, rng);
         if malicious {
             let factor = self.cfg.fault.addr_flood_factor.max(1.0);
@@ -235,7 +234,7 @@ impl World {
         let feeler_offset = SimDuration::from_millis(rng.below(120_000));
         self.queue.schedule(now + feeler_offset, Ev::Feeler(id));
         // Churn: plan the departure.
-        if let Some(churn) = &self.churn {
+        if let Some(churn) = &self.cfg.churn {
             let permanent = self.meta[slot].permanent;
             let mut crng = rng.fork("lifetime");
             if let Some(life) = churn.session_lifetime(permanent, &mut crng) {
@@ -308,7 +307,7 @@ impl World {
         // real restart would; stashing every departure would grow without
         // bound.
         let mut crng = self.rng.fork("rejoin");
-        let may_rejoin = match self.churn.as_ref().map(|c| c.rejoin(&mut crng)) {
+        let may_rejoin = match self.cfg.churn.as_ref().map(|c| c.rejoin(&mut crng)) {
             Some(Rejoin::After(gap)) => {
                 self.queue.schedule(now + gap, Ev::RejoinNode(id));
                 true

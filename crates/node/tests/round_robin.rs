@@ -37,14 +37,14 @@ fn one_message_processed_per_peer_per_round() {
             n.deliver(NodeId(p), Message::Ping(p as u64 * 10 + k));
         }
     }
-    let before = n.stats.msgs_processed;
+    let before = n.peers.queued_recv();
     n.pump(now);
     // Exactly one message per peer processed in one round (Algorithm 3).
-    assert_eq!(n.stats.msgs_processed - before, 3);
+    assert_eq!(before - n.peers.queued_recv(), 3);
     n.pump(now);
-    assert_eq!(n.stats.msgs_processed - before, 6);
+    assert_eq!(before - n.peers.queued_recv(), 6);
     n.pump(now);
-    assert_eq!(n.stats.msgs_processed - before, 9);
+    assert_eq!(before - n.peers.queued_recv(), 9);
 }
 
 #[test]
@@ -57,11 +57,11 @@ fn one_send_flushed_per_peer_per_round() {
         n.deliver(NodeId(p), Message::Ping(1));
         n.deliver(NodeId(p), Message::Ping(2));
     }
-    let (out1, _) = n.pump(now); // processes 4 pings, flushes 4 pongs
+    let (out1, _, _) = n.pump(now); // processes 4 pings, flushes 4 pongs
     assert_eq!(out1.len(), 4);
-    let (out2, _) = n.pump(now);
+    let (out2, _, _) = n.pump(now);
     assert_eq!(out2.len(), 4);
-    let (out3, _) = n.pump(now);
+    let (out3, _, _) = n.pump(now);
     assert!(out3.is_empty());
 }
 
@@ -80,7 +80,7 @@ fn a_block_waits_behind_queued_responses_without_priority() {
     n.mine_and_relay(&mut miner, now);
     let mut order = Vec::new();
     for _ in 0..10 {
-        let (out, _) = n.pump(now);
+        let (out, _, _) = n.pump(now);
         if out.is_empty() {
             break;
         }
@@ -104,7 +104,7 @@ fn priority_relay_sends_the_block_first() {
     }
     let mut miner = bitsync_chain::Miner::new(1, 10);
     n.mine_and_relay(&mut miner, now);
-    let (out, _) = n.pump(now);
+    let (out, _, _) = n.pump(now);
     assert!(
         out.first().is_some_and(|o| o.msg.is_block_bearing()),
         "§V priority relay must send the block first"
@@ -125,7 +125,7 @@ fn outbound_first_ordering_under_proposal() {
         n.deliver(NodeId(p), Message::Ping(p as u64));
     }
     // One round both processes the pings and flushes the pongs.
-    let (out, _) = n.pump(now);
+    let (out, _, _) = n.pump(now);
     let order: Vec<u32> = out.iter().map(|o| o.to.0).collect();
     // Outbound peers (2, 4) must be served before inbound (1, 3).
     assert_eq!(order, vec![2, 4, 1, 3], "got {order:?}");
@@ -138,7 +138,7 @@ fn core_fifo_serves_connection_order() {
     for p in 1..=4 {
         n.deliver(NodeId(p), Message::Ping(p as u64));
     }
-    let (out, _) = n.pump(now);
+    let (out, _, _) = n.pump(now);
     let order: Vec<u32> = out.iter().map(|o| o.to.0).collect();
     assert_eq!(order, vec![1, 2, 3, 4], "got {order:?}");
 }
@@ -165,7 +165,7 @@ fn trickle_mode_delays_announcements_into_inv_batches() {
     let mut full_txs = 0;
     let mut t = now;
     for _ in 0..300 {
-        let (out, _) = n.pump(t);
+        let (out, _, _) = n.pump(t);
         for o in out {
             match o.msg {
                 Message::Inv(items) => {
@@ -185,7 +185,7 @@ fn trickle_mode_delays_announcements_into_inv_batches() {
     n.deliver(NodeId(1), Message::GetData(vec![InvVect::tx(txid)]));
     let mut served = false;
     for _ in 0..5 {
-        let (out, _) = n.pump(t);
+        let (out, _, _) = n.pump(t);
         if out
             .iter()
             .any(|o| matches!(&o.msg, Message::Tx(x) if x.txid() == txid))
@@ -203,7 +203,7 @@ fn visit_order(n: &mut Node, peers: &[u32]) -> Vec<u32> {
     for p in peers {
         assert!(n.deliver(NodeId(*p), Message::Ping(*p as u64)));
     }
-    let (out, _) = n.pump(SimTime::from_secs(1));
+    let (out, _, _) = n.pump(SimTime::from_secs(1));
     out.iter().map(|o| o.to.0).collect()
 }
 
@@ -269,7 +269,7 @@ fn keepalive_walks_peers_in_id_order_not_connection_order() {
     // same nonce however the peers happened to connect.
     let pings = |connect_order: &[u32]| {
         let mut n = ready_node(7, connect_order);
-        let (out, reqs) = n.pump(now);
+        let (out, reqs, _) = n.pump(now);
         assert!(reqs.is_empty());
         out.into_iter()
             .map(|o| match o.msg {
@@ -294,7 +294,7 @@ fn keepalive_walks_peers_in_id_order_not_connection_order() {
         n.peers.get_mut(&NodeId(p)).unwrap().last_recv = now;
     }
     let late = now + PEER_TIMEOUT + SimDuration::from_secs(1);
-    let (_, reqs) = n.pump(late);
+    let (_, reqs, _) = n.pump(late);
     assert_eq!(
         reqs,
         (1..=4)
@@ -370,7 +370,7 @@ proptest! {
                     now += SimDuration::from_secs(secs);
                     let (want_pings, want_reqs) = brute_force_keepalive(&n, now, &mut twin);
                     let before = queued_pings(&n);
-                    let (out, reqs) = n.pump(now);
+                    let (out, reqs, _) = n.pump(now);
                     let flushed = out.iter().filter_map(|o| match o.msg {
                         Message::Ping(nonce) => Some((o.to.0, nonce)),
                         _ => None,
@@ -407,7 +407,7 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     n.deliver(NodeId(1), Message::GetAddr);
     let mut answered = false;
     while n.has_pending_work() {
-        let (out, _) = n.pump(now);
+        let (out, _, _) = n.pump(now);
         answered |= out
             .iter()
             .any(|o| o.to == NodeId(1) && matches!(o.msg, Message::Addr(_)));
@@ -438,12 +438,12 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     for p in [1, 1, 1, 2, 3] {
         n.deliver(NodeId(p), Message::Ping(p as u64));
     }
-    let before = n.stats.msgs_processed;
-    let (out, _) = n.pump(now);
-    assert_eq!(n.stats.msgs_processed - before, 4);
+    let before = n.peers.queued_recv();
+    let (out, _, _) = n.pump(now);
+    assert_eq!(before - n.peers.queued_recv(), 4);
     let order: Vec<u32> = out.iter().map(|o| o.to.0).collect();
     assert_eq!(order, vec![1, 2, 3, 1]);
-    let (out, _) = n.pump(now);
+    let (out, _, _) = n.pump(now);
     assert_eq!(out.len(), 1, "peer 1's third ping, alone");
 
     // Relay fan-outs walk the same order, so the peer is sent the object
@@ -466,7 +466,7 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
 
     // `getaddr_answered` survives the replacement: no second answer.
     n.deliver(NodeId(1), Message::GetAddr);
-    let (out, _) = n.pump(now);
+    let (out, _, _) = n.pump(now);
     assert!(
         out.is_empty(),
         "GETADDR is answered once per id, got {out:?}"

@@ -10,7 +10,8 @@ use bitsync_protocol::hash::Hash256;
 use bitsync_sim::fault::FaultConfig;
 use bitsync_sim::time::{SimDuration, SimTime};
 use bitsync_sim::timeseries::Sampler;
-use bitsync_sim::trace::{RelayPhase, Tracer};
+use bitsync_sim::trace::{AddrDir, ChurnKind, RelayPhase, Tracer, DEFAULT_TRACE_CAP};
+use std::collections::BTreeMap;
 
 fn base_cfg(seed: u64) -> WorldConfig {
     WorldConfig {
@@ -127,12 +128,29 @@ fn unreachable_nodes_never_accept_inbound() {
     }
 }
 
+/// Runs `world` traced until `end` and sums the traced ADDR `sent` events
+/// per sender: `(entries, ground-truth reachable entries)`.
+fn traced_addr_senders(world: &mut World, end: SimTime) -> BTreeMap<u32, (u64, u64)> {
+    let tracer = Tracer::enabled(DEFAULT_TRACE_CAP);
+    world.attach_tracer(tracer.clone());
+    world.run_until(end);
+    let log = tracer.take().unwrap();
+    assert_eq!(log.addr.dropped(), 0, "the addr ring overflowed");
+    let mut senders = BTreeMap::new();
+    for e in log.addr.iter().filter(|e| e.dir == AddrDir::Sent) {
+        let (total, reachable) = senders.entry(e.from).or_insert((0, 0));
+        *total += u64::from(e.count);
+        *reachable += u64::from(e.reachable.expect("a sent event is classified"));
+    }
+    senders
+}
+
 #[test]
 fn addr_census_classifies_gossip() {
     let mut world = World::new(base_cfg(7));
-    world.run_until(SimTime::from_secs(600));
-    let total: u64 = world.addr_senders.values().map(|s| s.total).sum();
-    let reachable: u64 = world.addr_senders.values().map(|s| s.reachable).sum();
+    let senders = traced_addr_senders(&mut world, SimTime::from_secs(600));
+    let total: u64 = senders.values().map(|s| s.0).sum();
+    let reachable: u64 = senders.values().map(|s| s.1).sum();
     assert!(total > 100, "addr entries {total}");
     assert!(reachable > 0);
     assert!(reachable < total, "some gossip must be unreachable");
@@ -143,15 +161,12 @@ fn malicious_senders_emit_zero_reachable_addrs() {
     let mut cfg = base_cfg(8);
     cfg.n_malicious = 3;
     let mut world = World::new(cfg);
-    world.run_until(SimTime::from_secs(900));
+    let senders = traced_addr_senders(&mut world, SimTime::from_secs(900));
     let mut flooders_seen = 0;
-    for (id, stats) in &world.addr_senders {
-        if world.meta[id.0 as usize].malicious && stats.total > 0 {
+    for (&id, &(total, reachable)) in &senders {
+        if world.meta[id as usize].malicious && total > 0 {
             flooders_seen += 1;
-            assert_eq!(
-                stats.reachable, 0,
-                "flooder {id} leaked a reachable address"
-            );
+            assert_eq!(reachable, 0, "flooder {id} leaked a reachable address");
         }
     }
     assert!(flooders_seen >= 1, "no flooder produced ADDR traffic");
@@ -325,11 +340,12 @@ fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
     //
     // Inputs: (mining, resilience sweep, seconds offline). With the sweep
     // on and no blocks, the stale-tip detector fires exactly once per
-    // boot, so a fresh node's `stale_rescues` reads whether its tick chain
-    // is live; sweeping runs last past `STALE_TIP_TIMEOUT` on either side
-    // of the rejoin. Ticks fire every 30 s from boot: a 10 s gap leaves the
-    // old chain (and its flag) in place across the rejoin, a 45 s gap lets
-    // it die on the empty slot so the reboot has to re-arm it.
+    // boot, so the node's traced rescues since its reboot read whether its
+    // tick chain is live; sweeping runs last past `STALE_TIP_TIMEOUT` on
+    // either side of the rejoin. Ticks fire every 30 s from boot: a 10 s
+    // gap leaves the old chain (and its flag) in place across the rejoin,
+    // a 45 s gap lets it die on the empty slot so the reboot has to re-arm
+    // it.
     for (mining, resilience, offline_secs) in [
         (true, ResilienceConfig::off(), 30),
         (false, ResilienceConfig::bitcoin_core(), 10),
@@ -347,11 +363,22 @@ fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
         };
         cfg.node_cfg.resilience = resilience;
         let mut world = World::new(cfg);
-        world.run_for(warmup);
+        let tracer = Tracer::enabled(1 << 12);
+        world.attach_tracer(tracer.clone());
         let id = NodeId(0);
+        // Rescues of the node traced since the last call.
+        let rescues = || {
+            let log = tracer.take().unwrap();
+            assert_eq!(log.churn.dropped(), 0);
+            log.churn
+                .iter()
+                .filter(|e| e.node == id.0 && e.kind == ChurnKind::StaleTipRescue)
+                .count()
+        };
+        world.run_for(warmup);
         assert!(world.node(id).unwrap().outbound_count() > 0, "{label}");
         if sweeping {
-            assert_eq!(world.node(id).unwrap().stats.stale_rescues, 1, "{label}");
+            assert_eq!(rescues(), 1, "{label}");
         }
 
         // Depart mid-activity (pumps and connect ticks are in flight), stay
@@ -374,10 +401,7 @@ fn depart_with_pump_in_flight_does_not_wedge_scheduling() {
             "{label}: no completed handshakes after rejoin: pump chain dead"
         );
         if sweeping {
-            assert_eq!(
-                n.stats.stale_rescues, 1,
-                "{label}: resilience sweep dead after rejoin"
-            );
+            assert_eq!(rescues(), 1, "{label}: resilience sweep dead after rejoin");
         }
     }
 }

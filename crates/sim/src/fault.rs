@@ -45,10 +45,6 @@ use crate::time::SimDuration;
 /// random stream. Spells `faultpln` in ASCII.
 pub const FAULT_SEED_SALT: u64 = 0x6661_756c_7470_6c6e;
 
-/// Bitcoin's protocol cap on entries per ADDR message; replies above this
-/// are protocol violations (Core penalizes the sender).
-pub const MAX_ADDR_PER_MSG: usize = 1_000;
-
 /// Periodic partition schedule: every `period`, cut a random `fraction`
 /// of the AS topology off for `duration`, then heal.
 #[derive(Clone, Copy, Debug, PartialEq)]

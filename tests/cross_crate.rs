@@ -21,14 +21,14 @@ fn shuttle(a: &mut Node, b: &mut Node, now: SimTime) -> usize {
     for _ in 0..200 {
         let mut any = false;
         for _ in 0..4 {
-            let (out_a, _) = a.pump(now);
+            let (out_a, _, _) = a.pump(now);
             for o in out_a {
                 if o.to == b.id && b.deliver(a.id, o.msg) {
                     moved += 1;
                     any = true;
                 }
             }
-            let (out_b, _) = b.pump(now);
+            let (out_b, _, _) = b.pump(now);
             for o in out_b {
                 if o.to == a.id && a.deliver(b.id, o.msg) {
                     moved += 1;
@@ -127,7 +127,7 @@ fn wire_roundtrip_through_framing_for_node_messages() {
     a.on_connected(NodeId(1), addr(2), Direction::Outbound, now);
     b.on_connected(NodeId(0), addr(1), Direction::Inbound, now);
     for _ in 0..50 {
-        let (out_a, _) = a.pump(now);
+        let (out_a, _, _) = a.pump(now);
         for o in out_a {
             let framed = o.msg.encode_framed(MAGIC_MAINNET);
             let (decoded, n) = Message::decode_framed(&framed, MAGIC_MAINNET)
@@ -135,7 +135,7 @@ fn wire_roundtrip_through_framing_for_node_messages() {
             assert_eq!(n, framed.len());
             b.deliver(a.id, decoded);
         }
-        let (out_b, _) = b.pump(now);
+        let (out_b, _, _) = b.pump(now);
         for o in out_b {
             let framed = o.msg.encode_framed(MAGIC_MAINNET);
             let (decoded, _) = Message::decode_framed(&framed, MAGIC_MAINNET).expect("decodes");
@@ -177,7 +177,7 @@ fn feeler_connection_promotes_and_disconnects() {
     // Shuttle until a requests the disconnect.
     let mut disconnected = false;
     for _ in 0..50 {
-        let (out_a, reqs) = a.pump(now);
+        let (out_a, reqs, _) = a.pump(now);
         for o in out_a {
             b.deliver(a.id, o.msg);
         }
@@ -185,7 +185,7 @@ fn feeler_connection_promotes_and_disconnects() {
             disconnected = true;
             break;
         }
-        let (out_b, _) = b.pump(now);
+        let (out_b, _, _) = b.pump(now);
         for o in out_b {
             a.deliver(b.id, o.msg);
         }
