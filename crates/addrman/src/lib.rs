@@ -1264,7 +1264,7 @@ mod tests {
     }
 
     /// Records are most of a mesh world's address books (DESIGN §6 "Where
-    /// the memory goes — the benchmark worlds (record width)"): a new
+    /// the memory goes", and "addrman fidelity" for the layout): a new
     /// field, a time widened back to `i64`, an endpoint stored as a padded
     /// `NetAddr` or a [`Table`] that loses its niche would bring bytes back
     /// to every one of them.
