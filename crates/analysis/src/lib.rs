@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `bitsync-analysis` — the statistics layer every experiment report uses;
 //! each module feeds a report, a bundle file or a test of one:

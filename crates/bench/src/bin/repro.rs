@@ -41,6 +41,8 @@
 //! `competing-miners`, `solo-miners`, `reorg-storms`) must pass all three
 //! harnesses and reconverge onto a single chain once faults end.
 
+#![forbid(unsafe_code)]
+
 use bitsync_core::experiments::fuzz::{self, FuzzConfig};
 use bitsync_core::experiments::{
     experiment_seed, write_bundle, ExperimentRunner, RunnerConfig, Scale, REGISTRY,

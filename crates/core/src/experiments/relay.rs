@@ -112,11 +112,8 @@ impl ToJson for RelayResult {
     }
 }
 
-/// Runs the relay-delay experiment from a forced 8-out/17-in star topology.
-/// The world reports into `ins`: the per-hop relay-delay histogram, relay
-/// origin/recv/send trace events, and — the hub being relay-instrumented —
-/// windowed relay-delay quantiles in every timeseries row.
-pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
+/// The world of `cfg`, attached to `ins`, with the star forced at time 0.
+fn star(cfg: &RelayConfig, ins: &Instruments) -> World {
     let n_nodes = 1 + cfg.n_outbound + cfg.n_inbound;
     let mut node_cfg = cfg.node_cfg.clone();
     node_cfg.upload_bandwidth = cfg.upload_bandwidth;
@@ -147,6 +144,15 @@ pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
     for i in 0..cfg.n_inbound {
         world.force_connect(NodeId(1 + (cfg.n_outbound + i) as u32), hub);
     }
+    world
+}
+
+/// Runs the relay-delay experiment from a forced 8-out/17-in star topology.
+/// The world reports into `ins`: the per-hop relay-delay histogram, relay
+/// origin/recv/send trace events, and — the hub being relay-instrumented —
+/// windowed relay-delay quantiles in every timeseries row.
+pub fn run(cfg: &RelayConfig, ins: &Instruments) -> RelayResult {
+    let mut world = star(cfg, ins);
     world.run_until(SimTime::ZERO + cfg.duration);
 
     let mut block_delays = Vec::new();
@@ -198,6 +204,21 @@ mod tests {
             "txs {}",
             result.tx_delays.len()
         );
+    }
+
+    #[test]
+    fn forced_dials_count_as_attempts() {
+        // A forced link's handshake counts a success at its initiator, so
+        // the forced dial must count an attempt there too.
+        let cfg = RelayConfig::quick(5);
+        let mut world = star(&cfg, &Instruments::default());
+        world.run_until(SimTime::ZERO + cfg.duration);
+        let hub = world.node(NodeId(0)).expect("hub online").stats;
+        assert!(hub.successes >= cfg.n_outbound as u64, "hub {hub:?}");
+        for id in world.online_ids() {
+            let stats = world.node(id).expect("online").stats;
+            assert!(stats.successes <= stats.attempts, "{id:?}: {stats:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `bitsync-core` — the root-cause-analysis toolkit for Bitcoin network
 //! synchronization: a full reproduction of *"Root Cause Analyses for the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `bitsync-crawler` — the paper's measurement apparatus (Figure 2):
 //!

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! Dependency-free cryptographic primitives for the `bitsync` workspace.
 //!
@@ -6,7 +8,7 @@
 //! implements from scratch:
 //!
 //! - [`sha256`]: SHA-256 and Bitcoin's double-SHA-256 (block and transaction
-//!   identifiers, wire-message checksums).
+//!   identifiers, Merkle tree nodes, wire-message checksums).
 //! - [`siphash`]: SipHash-2-4, the keyed PRF Bitcoin Core uses to randomize
 //!   `addrman` bucket placement.
 //!
@@ -19,11 +21,23 @@
 //! let bucket = siphash24(0xdead, 0xbeef, &txid) % 1024;
 //! assert!(bucket < 1024);
 //! ```
+//!
+//! # Which SHA-256 compression runs where
+//!
+//! Every SHA-256 block goes through one compression function that picks
+//! its path at run time. On an x86-64 CPU that reports the SHA extensions
+//! (`sha`, together with `sse4.1` and `ssse3`) it runs the rounds as
+//! `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions. On every other
+//! CPU and architecture it runs the portable FIPS 180-4 rounds. Both give
+//! the same digest bit for bit; the portable rounds are the reference the
+//! tests compare the accelerated path against. The crate's only
+//! `unsafe` code is that path's detected-feature call and its vector loads
+//! and stores, in [`sha256`].
 
 pub mod sha256;
 pub mod siphash;
 
-pub use sha256::{checksum4, sha256 as sha256_digest, sha256d, Digest, Sha256};
+pub use sha256::{checksum4, sha256 as sha256_digest, sha256d, sha256d64, Digest, Sha256};
 pub use siphash::{siphash24, SipHasher24};
 
 #[cfg(test)]

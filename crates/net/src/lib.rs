@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Walk order of an `IdMap` is reproducible, so output that came to depend on
 // it would go unnoticed (see `bitsync_protocol::hash`).
 #![warn(clippy::iter_over_hash_type)]

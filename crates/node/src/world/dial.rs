@@ -222,13 +222,14 @@ impl World {
     /// Directly establishes a connection from `a` (outbound side) to `b`,
     /// bypassing addrman and dialing — used by experiments that need an
     /// exact topology (e.g. the 8-outbound/17-inbound relay star of
-    /// Figures 10/11).
+    /// Figures 10/11). The link's handshake counts a dial success at `a`,
+    /// so the forced dial counts as one of `a`'s attempts.
     ///
     /// # Panics
     ///
     /// Panics if either node is offline.
     pub fn force_connect(&mut self, a: NodeId, b: NodeId) {
-        assert!(self.node(a).is_some(), "initiator offline");
+        self.node_mut(a).expect("initiator offline").stats.attempts += 1;
         assert!(self.node(b).is_some(), "target offline");
         self.connect_pair(a, b, Direction::Outbound, self.now());
     }

@@ -10,6 +10,8 @@
 //! failing case panics with the generated values visible in the assertion
 //! message.
 
+#![forbid(unsafe_code)]
+
 /// Strategy combinators: how arbitrary values are described.
 pub mod strategy {
     use crate::test_runner::TestRng;

@@ -10,7 +10,7 @@
 use crate::hash::Hash256;
 use crate::tx::{Transaction, MIN_TX_BYTES};
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
-use bitsync_crypto::sha256d;
+use bitsync_crypto::sha256d64;
 use std::ops::Deref;
 
 /// Sanity bound on transactions per block when decoding.
@@ -92,23 +92,38 @@ impl Decodable for BlockHeader {
 /// at odd levels exactly as Bitcoin does. An empty list yields the zero hash
 /// (only possible for a malformed block).
 pub fn merkle_root(txids: &[Hash256]) -> Hash256 {
-    if txids.is_empty() {
-        return Hash256::ZERO;
+    merkle_root_of(txids.len(), |i| txids[i])
+}
+
+/// The Merkle root over `n` leaves, leaf `i` being `leaf(i)`. The first
+/// level is hashed from the leaves into one buffer, and every level above
+/// it in place at the front of that buffer: node `i` of a level overwrites
+/// node `i` of the level below only after nodes `2i` and `2i + 1` are read.
+fn merkle_root_of(n: usize, leaf: impl Fn(usize) -> Hash256) -> Hash256 {
+    match n {
+        0 => return Hash256::ZERO,
+        1 => return leaf(0),
+        _ => {}
     }
-    let mut layer: Vec<Hash256> = txids.to_vec();
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        for pair in layer.chunks(2) {
-            let left = pair[0];
-            let right = *pair.get(1).unwrap_or(&left);
-            let mut buf = [0u8; 64];
-            buf[..32].copy_from_slice(left.as_bytes());
-            buf[32..].copy_from_slice(right.as_bytes());
-            next.push(Hash256::from_bytes(sha256d(&buf)));
+    let mut level: Vec<Hash256> = (0..n.div_ceil(2))
+        .map(|i| merkle_node(leaf(2 * i), leaf((2 * i + 1).min(n - 1))))
+        .collect();
+    let mut len = level.len();
+    while len > 1 {
+        for i in 0..len.div_ceil(2) {
+            level[i] = merkle_node(level[2 * i], level[(2 * i + 1).min(len - 1)]);
         }
-        layer = next;
+        len = len.div_ceil(2);
     }
-    layer[0]
+    level[0]
+}
+
+/// An inner Merkle node: SHA-256d of its two children's bytes.
+fn merkle_node(left: Hash256, right: Hash256) -> Hash256 {
+    let mut pair = [0u8; 64];
+    pair[..32].copy_from_slice(left.as_bytes());
+    pair[32..].copy_from_slice(right.as_bytes());
+    Hash256::from_bytes(sha256d64(&pair))
 }
 
 /// The contents of a [`Block`]: header and transactions, readable through
@@ -175,11 +190,10 @@ impl Block {
         nonce: u32,
         txs: Vec<Transaction>,
     ) -> Self {
-        let txids: Vec<Hash256> = txs.iter().map(Transaction::txid).collect();
         let header = BlockHeader {
             version,
             prev_blockhash,
-            merkle_root: merkle_root(&txids),
+            merkle_root: merkle_root_of(txs.len(), |i| txs[i].txid()),
             time,
             bits: 0x1d00ffff,
             nonce,
@@ -194,7 +208,7 @@ impl Block {
 
     /// Whether the header's Merkle root matches the transactions.
     pub fn check_merkle_root(&self) -> bool {
-        merkle_root(&self.txids()) == self.header.merkle_root
+        merkle_root_of(self.txs.len(), |i| self.txs[i].txid()) == self.header.merkle_root
     }
 
     /// Serialized size in bytes, computed without encoding.
@@ -242,6 +256,7 @@ impl Decodable for Block {
 mod tests {
     use super::*;
     use crate::tx::{OutPoint, TxIn, TxOut};
+    use proptest::prelude::*;
 
     fn tx(tag: u8) -> Transaction {
         Transaction::new(
@@ -320,6 +335,36 @@ mod tests {
     #[test]
     fn merkle_empty_is_zero() {
         assert_eq!(merkle_root(&[]), Hash256::ZERO);
+    }
+
+    /// The reference construction: a fresh `Vec` per level, every node
+    /// through the streaming `sha256d`.
+    fn naive_merkle_root(txids: &[Hash256]) -> Hash256 {
+        let mut layer = txids.to_vec();
+        while layer.len() > 1 {
+            layer = layer
+                .chunks(2)
+                .map(|pair| {
+                    let mut buf = [0u8; 64];
+                    buf[..32].copy_from_slice(pair[0].as_bytes());
+                    buf[32..].copy_from_slice(pair.get(1).unwrap_or(&pair[0]).as_bytes());
+                    Hash256::from_bytes(bitsync_crypto::sha256d(&buf))
+                })
+                .collect();
+        }
+        layer[0]
+    }
+
+    proptest! {
+        /// The in-place root equals the level-by-level one over 1 to 600
+        /// leaves, odd levels included.
+        #[test]
+        fn merkle_root_matches_naive_levels(n in 1usize..601, salt in any::<u64>()) {
+            let txids: Vec<Hash256> = (0..n as u64)
+                .map(|i| Hash256::hash_of(&(salt ^ i).to_le_bytes()))
+                .collect();
+            prop_assert_eq!(merkle_root(&txids), naive_merkle_root(&txids));
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `bitsync-protocol` — the Bitcoin P2P wire protocol, reimplemented from
 //! scratch for the `bitsync` network simulation.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! `bitsync-sim` — a small, deterministic discrete-event simulation engine.
 //!

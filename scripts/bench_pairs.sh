@@ -13,9 +13,10 @@
 # target/bench-pairs/, its own target directory — as parent_diff.sh builds
 # `repro`) and of the working tree, then runs, per workload of
 # BENCHMARK.json (or the ones named), PAIRS pairs of
-# `bench run --workload W --seed $SEED --seconds 6 --trace 0`, base and change
+# `bench run --workload W --seed $SEED --seconds S --trace 0`, base and change
 # back to back, swapping which side goes first every pair: this host has
-# minutes-long slow phases, and a pair sees the same one.
+# minutes-long slow phases, and a pair sees the same one. S is
+# BENCHMARK.json's `run_seconds`, the run length the benchmark itself times.
 #
 # For each (workload, end-to-end metric of BENCHMARK.json) it prints every
 # run, both medians, both quartiles (Python's exclusive
@@ -33,8 +34,9 @@ base=${1:?usage: scripts/bench_pairs.sh BASE [PAIRS [WORKLOAD...]]}
 pairs=${2:-10}
 shift $(($# < 2 ? $# : 2))
 seed=${SEED:-7}
-seconds=6
 root=$(git rev-parse --show-toplevel)
+seconds=$(awk -F'[:,]' '$1 ~ /"run_seconds"/ { gsub(/ /, "", $2); print $2 }' "$root/BENCHMARK.json")
+[[ $seconds =~ ^[0-9]+$ ]] || { echo "no run_seconds in BENCHMARK.json" >&2; exit 2; }
 work=$root/target/bench-pairs
 rm -rf "$work/src" "$work/runs"
 mkdir -p "$work/src" "$work/runs"
