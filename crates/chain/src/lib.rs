@@ -170,8 +170,7 @@ mod proptests {
             let pooled = |sid: ShortId| index.get(&sid.to_u64()).and_then(|id| pool.get(id));
             match reconstruct(&cb, |sid| pooled(sid).cloned()) {
                 Reconstruction::Complete(rb) => prop_assert_eq!(*rb, block),
-                Reconstruction::Missing { indexes } =>
-                    prop_assert!(false, "missing {indexes:?}"),
+                other => prop_assert!(false, "{other:?}"),
             }
         }
     }

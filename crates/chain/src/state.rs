@@ -133,9 +133,12 @@ impl ChainState {
         self.tip
     }
 
-    /// Height of the best tip (genesis is 0).
+    /// Height of the best tip (genesis is 0): the active chain's length
+    /// less one, read without hashing the tip.
     pub fn height(&self) -> u64 {
-        self.entries[&self.tip].height
+        let height = self.by_height.len() as u64 - 1;
+        debug_assert_eq!(height, self.entries[&self.tip].height);
+        height
     }
 
     /// Whether the block (header) is known.

@@ -38,7 +38,7 @@ pub mod sha256;
 pub mod siphash;
 
 pub use sha256::{checksum4, sha256 as sha256_digest, sha256d, sha256d64, Digest, Sha256};
-pub use siphash::{siphash24, SipHasher24};
+pub use siphash::{siphash24, siphash24_32, SipHasher24};
 
 #[cfg(test)]
 mod proptests {

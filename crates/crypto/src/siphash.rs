@@ -129,9 +129,49 @@ impl SipHasher24 {
 /// assert_ne!(h, bitsync_crypto::siphash::siphash24(1, 3, b"bucket"));
 /// ```
 pub fn siphash24(k0: u64, k1: u64, data: &[u8]) -> u64 {
+    if let Ok(data) = data.try_into() {
+        return siphash24_32(k0, k1, data);
+    }
     let mut h = SipHasher24::new(k0, k1);
     h.write(data);
     h.finish()
+}
+
+/// SipHash-2-4 of exactly 32 bytes (a txid or block hash) under key (`k0`,
+/// `k1`): [`siphash24`] with the length fixed, so the four message words
+/// are read straight from `data` and no streaming state is kept.
+///
+/// # Examples
+///
+/// ```
+/// use bitsync_crypto::siphash::{siphash24, siphash24_32};
+///
+/// let txid = [7u8; 32];
+/// assert_eq!(siphash24_32(1, 2, &txid), siphash24(1, 2, &txid));
+/// ```
+pub fn siphash24_32(k0: u64, k1: u64, data: &[u8; 32]) -> u64 {
+    let mut v0 = k0 ^ 0x736f6d6570736575;
+    let mut v1 = k1 ^ 0x646f72616e646f6d;
+    let mut v2 = k0 ^ 0x6c7967656e657261;
+    let mut v3 = k1 ^ 0x7465646279746573;
+    // 32 bytes are four whole words: nothing is left over.
+    let (words, _) = data.as_chunks::<8>();
+    // The four words, then the length block: 32 in the top byte, no tail.
+    for m in words
+        .iter()
+        .map(|w| u64::from_le_bytes(*w))
+        .chain([32 << 56])
+    {
+        v3 ^= m;
+        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+        v0 ^= m;
+    }
+    v2 ^= 0xff;
+    for _ in 0..4 {
+        sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+    }
+    v0 ^ v1 ^ v2 ^ v3
 }
 
 #[cfg(test)]
@@ -198,6 +238,27 @@ mod tests {
     fn keyed_distinctness() {
         assert_ne!(siphash24(0, 0, b"x"), siphash24(0, 1, b"x"));
         assert_ne!(siphash24(0, 0, b"x"), siphash24(1, 0, b"x"));
+    }
+
+    /// The fixed-length path against the streaming one: the reference
+    /// vectors' key and bytes, and the 32-byte prefixes of other inputs.
+    #[test]
+    fn thirty_two_bytes_match_the_stream() {
+        let (k0, k1) = test_key();
+        let data: Vec<u8> = (0..=255u8).collect();
+        for start in [0usize, 1, 31, 100, 224] {
+            let bytes: &[u8; 32] = data[start..start + 32].try_into().unwrap();
+            let mut h = SipHasher24::new(k0, k1);
+            h.write(bytes);
+            let want = h.finish();
+            assert_eq!(siphash24_32(k0, k1, bytes), want, "start {start}");
+            assert_eq!(siphash24(k0, k1, bytes), want, "start {start}");
+            assert_eq!(siphash24_32(!k1, k0, bytes), {
+                let mut h = SipHasher24::new(!k1, k0);
+                h.write(bytes);
+                h.finish()
+            });
+        }
     }
 
     #[test]

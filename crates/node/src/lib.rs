@@ -62,7 +62,7 @@ pub mod world;
 pub use config::{NodeConfig, TxAnnounce};
 pub use malicious::{AddrFlooder, FloodScale};
 pub use node::{
-    unix_time, AddrReceipt, Node, NodeRequest, NodeStats, Outgoing, MAX_ORPHAN_BLOCKS,
+    unix_time, AddrReceipt, Node, NodeRequest, NodeStats, Outgoing, PumpBufs, MAX_ORPHAN_BLOCKS,
     SIM_EPOCH_UNIX,
 };
 pub use peer::{Direction, Handshake, NodeId, Peer};

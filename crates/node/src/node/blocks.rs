@@ -288,6 +288,11 @@ impl Node {
                     })),
                 );
             }
+            // Core's answer to `READ_STATUS_INVALID`: drop the
+            // announcement and score its sender up to the ban threshold.
+            Reconstruction::Invalid => {
+                self.misbehave(from, BAN_THRESHOLD, now, requests);
+            }
         }
     }
 
@@ -318,8 +323,14 @@ impl Node {
         let Some(pending) = self.pending_compact.remove(&bt.block_hash) else {
             return;
         };
-        if let Reconstruction::Complete(block) = self.rebuild(&pending.cb, bt.txs.into()) {
-            self.accept_block(*block, Some(pending.from), now, requests);
+        match self.rebuild(&pending.cb, bt.txs.into()) {
+            Reconstruction::Complete(block) => {
+                self.accept_block(*block, Some(pending.from), now, requests);
+            }
+            Reconstruction::Missing { .. } => {}
+            Reconstruction::Invalid => {
+                self.misbehave(pending.from, BAN_THRESHOLD, now, requests);
+            }
         }
     }
 

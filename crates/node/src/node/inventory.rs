@@ -6,7 +6,7 @@
 
 use super::Node;
 use crate::config::TxAnnounce;
-use crate::peer::{Direction, NodeId};
+use crate::peer::{Direction, NodeId, PeerTable};
 use bitsync_protocol::hash::{Hash256, InvType, InvVect};
 use bitsync_protocol::message::Message;
 use bitsync_protocol::tx::Transaction;
@@ -113,11 +113,11 @@ impl Node {
             return;
         }
         let prioritize = self.cfg.priority_relay;
-        self.for_each_turn(|node, slot| {
-            let p = node.peers.slot_mut(slot);
-            if p.pending_inv.is_empty() || now < p.next_inv_at || !p.is_ready() {
-                return ControlFlow::Continue(());
-            }
+        let due = |peers: &PeerTable, slot: u32| {
+            let p = &peers.as_slice()[slot as usize];
+            !p.pending_inv.is_empty() && now >= p.next_inv_at && p.is_ready()
+        };
+        self.for_each_turn(due, |node, slot| {
             let batch = node.peers.take_inv_batch(slot, 1000);
             let p = node.peers.slot_mut(slot);
             let mean = match p.dir {

@@ -35,7 +35,7 @@ pub use blocks::MAX_ORPHAN_BLOCKS;
 pub use dial::{Attempt, DISCOURAGEMENT_WINDOW, MAX_INBOUND};
 pub use handshake::{PEER_TIMEOUT, PING_INTERVAL};
 pub use inventory::{INV_INTERVAL_INBOUND, INV_INTERVAL_OUTBOUND};
-pub use pump::Outgoing;
+pub use pump::{Outgoing, PumpBufs};
 
 use crate::config::NodeConfig;
 use crate::peer::{Direction, NodeId, PeerTable};

@@ -5,7 +5,7 @@
 
 use super::{AddrReceipt, Node, NodeRequest};
 use crate::config::TxAnnounce;
-use crate::peer::{Direction, NodeId, Peer};
+use crate::peer::{Direction, NodeId, Peer, PeerTable};
 use bitsync_protocol::hash::Hash256;
 use bitsync_protocol::message::Message;
 use bitsync_sim::time::{SimDuration, SimTime};
@@ -26,6 +26,20 @@ pub struct Outgoing {
     pub send_start: SimTime,
     /// When transmission finished (delivery latency is added by the world).
     pub send_end: SimTime,
+}
+
+/// What pump rounds hand the world, appended by [`Node::pump_into`]: the
+/// flushed messages (with transmission windows), the world requests and
+/// one receipt per `ADDR` ingested, each in processing order. The caller
+/// drains them and keeps them, so a round allocates no buffer.
+#[derive(Debug, Default)]
+pub struct PumpBufs {
+    /// Messages handed to the socket writer.
+    pub outgoing: Vec<Outgoing>,
+    /// Requests to the hosting world.
+    pub requests: Vec<NodeRequest>,
+    /// One receipt per `ADDR` processed.
+    pub receipts: Vec<AddrReceipt>,
 }
 
 impl Node {
@@ -59,41 +73,48 @@ impl Node {
                     .any(|p| !p.pending_inv.is_empty()))
     }
 
+    /// Runs one pump round ([`Node::pump_into`]) and returns what it
+    /// appended to fresh buffers, as `(outgoing, requests, receipts)`.
+    pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>, Vec<AddrReceipt>) {
+        let mut bufs = PumpBufs::default();
+        self.pump_into(now, &mut bufs);
+        (bufs.outgoing, bufs.requests, bufs.receipts)
+    }
+
     /// Runs one pump round: processes one inbound message per peer, then
     /// flushes one outbound message per peer through the serialized socket
-    /// writer. Returns the flushed messages (with transmission windows),
-    /// any world requests and one receipt per `ADDR` ingested, in
-    /// processing order.
+    /// writer, appending what the round produced to `bufs`.
     ///
-    /// Each pass stops at the turn where the table's count of its queue
-    /// reaches zero: every later turn would find an empty queue and do
-    /// nothing, so an idle round costs two field reads.
-    pub fn pump(&mut self, now: SimTime) -> (Vec<Outgoing>, Vec<NodeRequest>, Vec<AddrReceipt>) {
-        let mut requests = Vec::new();
-        let mut receipts = Vec::new();
+    /// A pass visits only the turns whose readiness bit says the queue may
+    /// hold mail (see [`PeerTable`]), and stops at the turn where the
+    /// table's count of its queue reaches zero: every later turn would find
+    /// an empty queue and do nothing. A pass whose count is zero does not
+    /// start, so an idle round costs two field reads.
+    pub fn pump_into(&mut self, now: SimTime, bufs: &mut PumpBufs) {
         self.flush_trickle(now);
-        self.keepalive(now, &mut requests);
+        self.keepalive(now, &mut bufs.requests);
 
         // ThreadMessageHandler: one message per peer per round.
-        self.for_each_turn(|node, slot| {
-            if node.peers.queued_recv() == 0 {
-                return ControlFlow::Break(());
-            }
-            let Some(msg) = node.peers.pop_recv(slot) else {
-                return ControlFlow::Continue(());
-            };
-            let from = node.peers.slot_mut(slot).node;
-            node.handle_message(from, msg, now, &mut requests, &mut receipts);
-            ControlFlow::Continue(())
-        });
+        if self.peers.queued_recv() > 0 {
+            self.for_each_turn(PeerTable::may_recv, |node, slot| {
+                let Some(msg) = node.peers.pop_recv(slot) else {
+                    return ControlFlow::Continue(());
+                };
+                let from = node.peers.slot_mut(slot).node;
+                node.handle_message(from, msg, now, &mut bufs.requests, &mut bufs.receipts);
+                if node.peers.queued_recv() == 0 {
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            });
+        }
 
         // SocketHandler: one send per peer per round, serialized on the
         // shared upload link.
-        let mut outgoing = Vec::new();
-        self.for_each_turn(|node, slot| {
-            if node.peers.queued_send() == 0 {
-                return ControlFlow::Break(());
-            }
+        if self.peers.queued_send() == 0 {
+            return;
+        }
+        self.for_each_turn(PeerTable::may_send, |node, slot| {
             let Some(msg) = node.peers.pop_send(slot) else {
                 return ControlFlow::Continue(());
             };
@@ -103,26 +124,34 @@ impl Node {
             let tx_time = SimDuration::from_secs_f64(wire_size as f64 / node.cfg.upload_bandwidth);
             let send_end = send_start + tx_time;
             node.socket_free_at = send_end;
-            outgoing.push(Outgoing {
+            bufs.outgoing.push(Outgoing {
                 to,
                 msg,
                 wire_size,
                 send_start,
                 send_end,
             });
+            if node.peers.queued_send() == 0 {
+                return ControlFlow::Break(());
+            }
             ControlFlow::Continue(())
         });
-        (outgoing, requests, receipts)
     }
 
-    /// Calls `f` with the slot of every turn of one round, in visit order,
-    /// until it returns [`ControlFlow::Break`]: the table's connection
-    /// order (Core walks `vNodes`) or, under §V priority relay, outbound
-    /// peers, then feelers, then inbound ones, each class in connection
-    /// order. `f` gets the node back, so a turn can run a message handler;
-    /// handlers never connect, disconnect or change a direction (they only
-    /// *request* it), so the turns stay valid across the walk.
-    pub(super) fn for_each_turn(&mut self, mut f: impl FnMut(&mut Self, u32) -> ControlFlow<()>) {
+    /// Calls `f` with the slot of every turn of one round that `wants`
+    /// accepts, in visit order, until it returns [`ControlFlow::Break`]:
+    /// the table's connection order (Core walks `vNodes`) or, under §V
+    /// priority relay, outbound peers, then feelers, then inbound ones,
+    /// each class in connection order. `wants` sees the table before the
+    /// class test reads the record. `f` gets the node back, so a turn can
+    /// run a message handler; handlers never connect, disconnect or change
+    /// a direction (they only *request* it), so the turns stay valid
+    /// across the walk.
+    pub(super) fn for_each_turn(
+        &mut self,
+        wants: impl Fn(&PeerTable, u32) -> bool,
+        mut f: impl FnMut(&mut Self, u32) -> ControlFlow<()>,
+    ) {
         let classes: &[Option<Direction>] = if self.cfg.priority_relay {
             &[
                 Some(Direction::Outbound),
@@ -135,7 +164,8 @@ impl Node {
         for class in classes {
             for turn in 0..self.peers.order().len() {
                 let slot = self.peers.order()[turn];
-                if class.is_none_or(|dir| self.peers.as_slice()[slot as usize].dir == dir)
+                if wants(&self.peers, slot)
+                    && class.is_none_or(|dir| self.peers.as_slice()[slot as usize].dir == dir)
                     && f(self, slot).is_break()
                 {
                     return;
@@ -150,13 +180,13 @@ impl Node {
     /// turns and is sent the object on both.
     pub(super) fn relay_targets(&mut self, hash: &Hash256) -> Vec<u32> {
         let id = self.peers.inv_id(hash);
+        let wants = |peers: &PeerTable, slot: u32| {
+            let p = &peers.as_slice()[slot as usize];
+            p.is_ready() && p.dir.relays_data() && !id.is_some_and(|id| peers.knows_id(slot, id))
+        };
         let mut targets = Vec::new();
-        self.for_each_turn(|node, slot| {
-            let p = &node.peers.as_slice()[slot as usize];
-            let knows = id.is_some_and(|id| node.peers.knows_id(slot, id));
-            if p.is_ready() && p.dir.relays_data() && !knows {
-                targets.push(slot);
-            }
+        self.for_each_turn(wants, |_, slot| {
+            targets.push(slot);
             ControlFlow::Continue(())
         });
         targets

@@ -195,6 +195,50 @@ impl KnownBits {
     }
 }
 
+/// One bit per slot of a [`PeerTable`], kept aligned with its records; a
+/// bit past the last word is clear.
+#[derive(Clone, Debug, Default)]
+struct SlotBits(Vec<u64>);
+
+impl SlotBits {
+    fn get(&self, slot: u32) -> bool {
+        self.0
+            .get(slot as usize / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    fn set(&mut self, slot: u32) {
+        let word = slot as usize / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (slot % 64);
+    }
+
+    fn clear(&mut self, slot: u32) {
+        if let Some(w) = self.0.get_mut(slot as usize / 64) {
+            *w &= !(1 << (slot % 64));
+        }
+    }
+
+    /// Drops bit `slot` and moves every later bit down by one, as
+    /// `Vec::remove` moves the records.
+    fn remove(&mut self, slot: u32) {
+        let first = slot as usize / 64;
+        for word in first..self.0.len() {
+            let carry = self.0.get(word + 1).map_or(0, |next| next << 63);
+            let w = self.0[word];
+            // Below `slot` nothing moves; in later words every bit does.
+            let below = if word == first {
+                (1 << (slot % 64)) - 1
+            } else {
+                0
+            };
+            self.0[word] = (w & below) | ((w >> 1) & !below) | carry;
+        }
+    }
+}
+
 /// The table's inventory ids: [`Hash256::prefix_u64`] → a `u32` id, given
 /// out in first-marked order and never reused.
 #[derive(Clone, Debug, Default)]
@@ -223,12 +267,14 @@ const SWEEP_FLOOR: usize = 4096;
 /// `push_send`, and the pump takes them out through its `pop_recv` /
 /// `pop_send`, so [`queued_recv`](Self::queued_recv) and
 /// [`queued_send`](Self::queued_send) are the totals over all `proc_q`s
-/// and all `send_q`s. A pump pass stops
-/// once its count reaches zero. The queues themselves stay public fields:
-/// a write through them that *removes* messages (the benchmark empties a
-/// `send_q`) leaves a count too high, which costs a longer walk and never
-/// skips a message; one that *adds* messages breaks the count (the
-/// world's checker reports it as `pump_queue_counts`).
+/// and all `send_q`s, and each slot has a readiness bit per queue: a push
+/// sets it, a pop that leaves the queue empty clears it. A pump pass
+/// tests a turn's bit before it reads the record, and stops once its count
+/// reaches zero. The queues themselves stay public fields: a write through
+/// them that *removes* messages (the benchmark empties a `send_q`) leaves
+/// a count too high and a bit set, which cost a longer walk or one wasted
+/// visit and never skip a message; one that *adds* messages breaks both
+/// (the world's checker reports it as `pump_queue_counts`).
 ///
 /// Known inventory (Core's per-peer `filterInventoryKnown`) is one id table
 /// per node and one bit per id per record. The table maps an object's
@@ -252,6 +298,10 @@ pub struct PeerTable {
     queued_recv: usize,
     /// Messages across every `send_q`; never below the true total.
     queued_send: usize,
+    /// Per slot: its `proc_q` may hold a message.
+    recv_ready: SlotBits,
+    /// Per slot: its `send_q` may hold a message.
+    send_ready: SlotBits,
     /// The ids the records' [`KnownBits`] are indexed by.
     inv_ids: InvIds,
 }
@@ -342,6 +392,8 @@ impl PeerTable {
                 let slot = self.by_id[pos].1;
                 let old = std::mem::replace(&mut self.slots[slot as usize], peer);
                 self.forget_queues(&old);
+                self.recv_ready.clear(slot);
+                self.send_ready.clear(slot);
                 slot
             }
             Err(pos) => {
@@ -370,6 +422,8 @@ impl PeerTable {
         }
         let gone = self.slots.remove(slot as usize);
         self.forget_queues(&gone);
+        self.recv_ready.remove(slot);
+        self.send_ready.remove(slot);
         Some(gone)
     }
 
@@ -392,13 +446,14 @@ impl PeerTable {
     }
 
     /// Bytes the table allocates, as `(records and their queues, known
-    /// inventory)`: the records, the visit order and the index, plus each
-    /// record's queues; then the inventory-id table ([`table_bytes`]) plus
-    /// each record's bit words.
+    /// inventory)`: the records, the visit order, the index and the
+    /// readiness bits, plus each record's queues; then the inventory-id
+    /// table ([`table_bytes`]) plus each record's bit words.
     pub(crate) fn footprint(&self) -> (usize, usize) {
         let own = self.slots.capacity() * size_of::<Peer>()
             + self.order.capacity() * size_of::<u32>()
-            + self.by_id.capacity() * size_of::<(NodeId, u32)>();
+            + self.by_id.capacity() * size_of::<(NodeId, u32)>()
+            + (self.recv_ready.0.capacity() + self.send_ready.0.capacity()) * size_of::<u64>();
         let ids = table_bytes(self.inv_ids.ids.capacity(), size_of::<(u64, u32)>());
         self.slots.iter().fold((own, ids), |(queues, known), p| {
             (
@@ -495,6 +550,7 @@ impl PeerTable {
     pub(crate) fn push_recv(&mut self, id: &NodeId, msg: Message) -> Option<&mut Peer> {
         let slot = self.slot(id)?;
         self.queued_recv += 1;
+        self.recv_ready.set(slot);
         let p = &mut self.slots[slot as usize];
         p.proc_q.push_back(msg);
         Some(p)
@@ -505,21 +561,44 @@ impl PeerTable {
     /// node queues an outbound message.
     pub(crate) fn push_send(&mut self, slot: u32, msg: Message, prioritize_blocks: bool) {
         self.queued_send += 1;
+        self.send_ready.set(slot);
         self.slots[slot as usize].enqueue_send(msg, prioritize_blocks);
     }
 
-    /// The next message from the `vProcessMsg` of the peer in `slot`.
+    /// The next message from the `vProcessMsg` of the peer in `slot`;
+    /// clears the slot's readiness bit once the queue is empty.
     pub(crate) fn pop_recv(&mut self, slot: u32) -> Option<Message> {
-        let msg = self.slots[slot as usize].proc_q.pop_front()?;
-        self.queued_recv -= 1;
-        Some(msg)
+        let q = &mut self.slots[slot as usize].proc_q;
+        let msg = q.pop_front();
+        if q.is_empty() {
+            self.recv_ready.clear(slot);
+        }
+        self.queued_recv -= usize::from(msg.is_some());
+        msg
     }
 
-    /// The next message from the `vSendMessage` of the peer in `slot`.
+    /// The next message from the `vSendMessage` of the peer in `slot`;
+    /// clears the slot's readiness bit once the queue is empty.
     pub(crate) fn pop_send(&mut self, slot: u32) -> Option<Message> {
-        let msg = self.slots[slot as usize].send_q.pop_front()?;
-        self.queued_send -= 1;
-        Some(msg)
+        let q = &mut self.slots[slot as usize].send_q;
+        let msg = q.pop_front();
+        if q.is_empty() {
+            self.send_ready.clear(slot);
+        }
+        self.queued_send -= usize::from(msg.is_some());
+        msg
+    }
+
+    /// Whether the `proc_q` of the peer in `slot` may hold a message: a
+    /// clear bit means it is empty, read without touching the record.
+    pub(crate) fn may_recv(&self, slot: u32) -> bool {
+        self.recv_ready.get(slot)
+    }
+
+    /// Whether the `send_q` of the peer in `slot` may hold a message (as
+    /// [`may_recv`](Self::may_recv)).
+    pub(crate) fn may_send(&self, slot: u32) -> bool {
+        self.send_ready.get(slot)
     }
 
     /// One slot number (for [`slot_mut`](Self::slot_mut)) per pump turn, in
@@ -763,6 +842,12 @@ mod tests {
                 let held = |q: fn(&Peer) -> usize| table.as_slice().iter().map(q).sum::<usize>();
                 prop_assert_eq!(table.queued_recv(), held(|p| p.proc_q.len()));
                 prop_assert_eq!(table.queued_send(), held(|p| p.send_q.len()));
+                // A queue with mail has its readiness bit set: the pump
+                // skips a turn whose bit is clear.
+                for (slot, p) in (0u32..).zip(table.as_slice()) {
+                    prop_assert!(p.proc_q.is_empty() || table.may_recv(slot), "slot {}: proc_q", slot);
+                    prop_assert!(p.send_q.is_empty() || table.may_send(slot), "slot {}: send_q", slot);
+                }
 
                 prop_assert_eq!(table.len(), map.len());
                 prop_assert_eq!(table.is_empty(), map.is_empty());
@@ -809,6 +894,36 @@ mod tests {
                     })
                     .collect();
                 prop_assert_eq!(&via_slots, &order);
+            }
+        }
+
+        /// `SlotBits` against a `Vec<bool>` over random sets, clears and
+        /// removes, across word boundaries.
+        #[test]
+        fn slot_bits_match_a_vec_of_bools(
+            ops in proptest::collection::vec((0u8..3, 0u32..200), 0..120),
+        ) {
+            let mut bits = SlotBits::default();
+            let mut model = vec![false; 200];
+            for (op, slot) in ops {
+                match op {
+                    0 => {
+                        bits.set(slot);
+                        model[slot as usize] = true;
+                    }
+                    1 => {
+                        bits.clear(slot);
+                        model[slot as usize] = false;
+                    }
+                    _ => {
+                        bits.remove(slot);
+                        model.remove(slot as usize);
+                        model.push(false);
+                    }
+                }
+                for (slot, want) in (0u32..).zip(&model) {
+                    prop_assert_eq!(bits.get(slot), *want, "slot {}", slot);
+                }
             }
         }
 

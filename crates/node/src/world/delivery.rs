@@ -169,23 +169,28 @@ impl World {
 
     pub(super) fn on_pump(&mut self, id: NodeId, now: SimTime) {
         self.meta[id.0 as usize].pump_scheduled = false;
+        // The buffers are taken out and put back, so the round can borrow
+        // the world while it drains them, and they keep their capacity.
+        let mut bufs = std::mem::take(&mut self.pump_bufs);
         let Some(node) = self.running_node(id) else {
+            self.pump_bufs = bufs;
             return;
         };
-        let (outgoing, requests, receipts) = node.pump(now);
+        node.pump_into(now, &mut bufs);
         let more_work = node.has_pending_work();
-        self.tallies.round(outgoing.len());
+        self.tallies.round(bufs.outgoing.len());
 
         let tracing = self.tracer.is_enabled();
         if tracing {
             // Receipts first: the round processed them before it flushed
             // anything, and `addr.jsonl` keeps that order.
-            for receipt in receipts {
+            for receipt in bufs.receipts.drain(..) {
                 self.trace_addr_receipt(id, receipt, now);
             }
         }
+        bufs.receipts.clear();
         let relay_logged = self.instrumented == Some(id) || tracing;
-        for out in outgoing {
+        for out in bufs.outgoing.drain(..) {
             if tracing {
                 if let Message::Addr(entries) = &out.msg {
                     self.census_addr(id, &out, entries);
@@ -196,7 +201,7 @@ impl World {
             }
             self.transmit(id, out, now);
         }
-        for req in requests {
+        for req in bufs.requests.drain(..) {
             match req {
                 NodeRequest::Disconnect(peer) => self.disconnect_pair(id, peer),
                 NodeRequest::Ban(peer) => {
@@ -210,6 +215,7 @@ impl World {
                 }
             }
         }
+        self.pump_bufs = bufs;
         if more_work {
             self.meta[id.0 as usize].pump_scheduled = true;
             self.queue.schedule(now + PUMP_INTERVAL, Ev::Pump(id));

@@ -24,7 +24,7 @@ pub use population::{ChurnEvent, NodeMeta};
 pub use sampling::{metric, register_world_histograms};
 
 use crate::config::{NodeConfig, MAX_OUTBOUND};
-use crate::node::Node;
+use crate::node::{Node, PumpBufs};
 use crate::peer::{NodeId, Peer};
 use bitsync_chain::{Miner, TxGenerator};
 use bitsync_net::churn::ChurnConfig;
@@ -162,8 +162,9 @@ enum Ev {
     ResilienceTick(NodeId),
 }
 
-// With the queue's `(time, seq)` key a scheduled event fills one 64-byte
-// cache line; a larger variant makes every push and pop move more.
+// The queue's heap sifts 16-byte keys and leaves each `Ev` in a slab entry
+// of its own size; its same-instant lane moves `(time, seq)` with the `Ev`,
+// one 64-byte cache line. A larger variant makes both move more.
 const _: () = assert!(std::mem::size_of::<Ev>() <= 48);
 
 /// The simulation world.
@@ -208,6 +209,9 @@ pub struct World {
     /// The pump and delivery counters of the current
     /// [`World::run_steps`], added to `metrics` when it returns.
     tallies: delivery::Tallies,
+    /// What a pump round hands the world, empty between rounds; kept so
+    /// no round allocates its buffers.
+    pump_bufs: PumpBufs,
     /// Per-event trace sink, disabled by default. Replaceable via
     /// [`World::attach_tracer`]. The only handle a world holds: nodes
     /// hand what it records back in what [`Node::pump`] returns.
@@ -290,6 +294,7 @@ impl World {
             as_model: bitsync_net::AsModel::from_paper(),
             metrics,
             tallies: delivery::Tallies::default(),
+            pump_bufs: PumpBufs::default(),
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             sampler: Sampler::disabled(),
@@ -505,13 +510,15 @@ impl World {
         let checking = self.checker.is_enabled();
         // Which node's tables this event can mutate; its reorgs are
         // drained (and its invariants checked) after the handler so both
-        // see the post-event state.
+        // see the post-event state. A delivery only enqueues, so it changes
+        // no chain: its `Pump` observes what the message does. Only the
+        // checker looks at the node after a delivery.
         let touched: Option<NodeId> = match &ev {
             Ev::Pump(id) | Ev::ConnectTick(id) | Ev::Feeler(id) | Ev::ResilienceTick(id) => {
                 Some(*id)
             }
             Ev::DialResult(dial) => Some(dial.initiator),
-            Ev::Deliver { to, .. } => Some(*to),
+            Ev::Deliver { to, .. } if checking => Some(*to),
             _ => None,
         };
         if checking {

@@ -511,6 +511,31 @@ fn ban_on_reorg_misconfiguration_bans_the_fork_announcer() {
     assert!(n.take_reorgs().is_empty(), "the broken policy never reorgs");
 }
 
+/// BIP 152's `READ_STATUS_INVALID`: a compact block whose prefilled index
+/// lies past its last transaction is dropped, not asked about, and bans
+/// its sender.
+#[test]
+fn an_invalid_compact_block_bans_its_sender() {
+    let now = SimTime::from_secs(1);
+    let mut n = node(0, 58);
+    ready_inbound_peer(&mut n, 9, now);
+    // A zeroed header and nonce, one short id, and the coinbase prefilled
+    // at index 5 of a two-transaction block.
+    let mut payload = vec![0u8; 80 + 8];
+    payload.extend_from_slice(&[0x01, 1, 2, 3, 4, 5, 6, 0x01, 0x05]);
+    payload.extend_from_slice(&Transaction::coinbase(1, 50).encode_to_vec());
+    let cb = bitsync_protocol::compact::CompactBlock::decode_exact(&payload).unwrap();
+    n.deliver(NodeId(9), Message::CmpctBlock(Box::new(cb)));
+    let (out, reqs, _) = n.pump(now);
+    assert_eq!(reqs, vec![NodeRequest::Ban(NodeId(9))]);
+    assert!(n.is_discouraged(&addr(10), now), "peer 9's address");
+    assert!(
+        !out.iter().any(|o| matches!(o.msg, Message::GetBlockTxn(_))),
+        "the announcement is dropped, not completed"
+    );
+    assert_eq!(n.chain.height(), 0);
+}
+
 #[test]
 fn addr_entries_land_in_addrman_with_peer_as_source() {
     let now = SimTime::from_secs(1);

@@ -17,7 +17,7 @@ use crate::block::{Block, BlockHeader};
 use crate::hash::Hash256;
 use crate::tx::{Transaction, MIN_TX_BYTES};
 use crate::wire::{Decodable, DecodeError, Encodable, Reader, Writer};
-use bitsync_crypto::{sha256_digest, SipHasher24};
+use bitsync_crypto::{sha256_digest, siphash24_32};
 use std::ops::Deref;
 
 /// Sanity bound for list lengths in compact-block structures.
@@ -75,10 +75,7 @@ impl ShortIdKeys {
 
     /// Computes the 6-byte short id of `txid`.
     pub fn short_id(&self, txid: &Hash256) -> ShortId {
-        let mut h = SipHasher24::new(self.k0, self.k1);
-        h.write(txid.as_bytes());
-        let v = h.finish();
-        let b = v.to_le_bytes();
+        let b = siphash24_32(self.k0, self.k1, &txid.0).to_le_bytes();
         ShortId([b[0], b[1], b[2], b[3], b[4], b[5]])
     }
 }
@@ -306,13 +303,18 @@ pub enum Reconstruction {
         /// Absolute indexes that could not be filled.
         indexes: Vec<u32>,
     },
+    /// The announcement cannot describe a block: a prefilled index lies
+    /// past its last transaction (Core's `READ_STATUS_INVALID`). Only a
+    /// hostile peer sends one.
+    Invalid,
 }
 
 /// Attempts to reconstruct the full block from a compact announcement, using
 /// `lookup` to resolve short ids to mempool transactions.
 ///
 /// `lookup` receives the short id and must return the matching transaction
-/// if the mempool has one.
+/// if the mempool has one. Any decodable announcement is safe to pass:
+/// one that cannot describe a block is [`Reconstruction::Invalid`].
 pub fn reconstruct(
     cb: &CompactBlock,
     mut lookup: impl FnMut(ShortId) -> Option<Transaction>,
@@ -320,17 +322,17 @@ pub fn reconstruct(
     let total = cb.tx_count();
     let mut slots: Vec<Option<Transaction>> = vec![None; total];
     for p in &cb.prefilled {
-        let idx = p.index as usize;
-        if idx < total {
-            slots[idx] = Some(p.tx.clone());
+        // Decoding makes the indexes ascending, so only one past the end
+        // can fail; a repeated index (a hand-built announcement) fails too.
+        match slots.get_mut(p.index as usize) {
+            Some(slot @ None) => *slot = Some(p.tx.clone()),
+            _ => return Reconstruction::Invalid,
         }
     }
-    let mut sid_iter = cb.short_ids.iter();
-    for slot in slots.iter_mut() {
-        if slot.is_none() {
-            let sid = *sid_iter.next().expect("short id count matches slots");
-            *slot = lookup(sid);
-        }
+    // Every prefilled transaction took a slot of its own, so exactly one
+    // short id is left per empty slot.
+    for (slot, sid) in slots.iter_mut().filter(|s| s.is_none()).zip(&cb.short_ids) {
+        *slot = lookup(*sid);
     }
     let missing: Vec<u32> = slots
         .iter()
@@ -417,6 +419,53 @@ mod tests {
         match reconstruct(&cb, |sid| (sid.to_u64() == only_sid).then(|| only.clone())) {
             Reconstruction::Missing { indexes } => assert_eq!(indexes, vec![1, 3]),
             other => panic!("expected missing, got {other:?}"),
+        }
+    }
+
+    /// One short id, a prefilled transaction at index 5 of a two-transaction
+    /// block: decodable, and invalid rather than a panic.
+    #[test]
+    fn reconstruct_rejects_a_prefilled_index_past_the_block() {
+        let mut payload = vec![0u8; 80 + 8];
+        payload.extend_from_slice(&[0x01, 1, 2, 3, 4, 5, 6]);
+        payload.extend_from_slice(&[0x01, 0x05]);
+        payload.extend_from_slice(&Transaction::coinbase(1, 50).encode_to_vec());
+        let cb = CompactBlock::decode_exact(&payload).unwrap();
+        assert_eq!((cb.tx_count(), cb.prefilled[0].index), (2, 5));
+        assert_eq!(reconstruct(&cb, |_| None), Reconstruction::Invalid);
+        assert_eq!(reconstruct(&cb, |_| Some(tx(1))), Reconstruction::Invalid);
+    }
+
+    proptest::proptest! {
+        /// Whatever decodes as a compact block reconstructs without a
+        /// panic, with a mempool that knows nothing or everything. The
+        /// bytes are a short-id list and a prefilled list with small index
+        /// differentials (so indexes past the block are common), then a
+        /// few random byte edits.
+        #[test]
+        fn reconstruct_never_panics_on_decoded_bytes(
+            n_short in 0u8..4,
+            diffs in proptest::collection::vec(0u8..6, 0..4),
+            edits in proptest::collection::vec((proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()), 0..3),
+        ) {
+            let mut bytes = vec![0u8; 80 + 8];
+            bytes.push(n_short);
+            for i in 0..n_short {
+                bytes.extend_from_slice(&[i; 6]);
+            }
+            bytes.push(diffs.len() as u8);
+            for &diff in &diffs {
+                bytes.push(diff);
+                bytes.extend_from_slice(&tx(diff + 1).encode_to_vec());
+            }
+            for (at, byte) in edits {
+                let at = (at % bytes.len() as u64) as usize;
+                bytes[at] = byte;
+            }
+            if let Ok(cb) = CompactBlock::decode_exact(&bytes) {
+                let _ = reconstruct(&cb, |_| None);
+                let _ = reconstruct(&cb, |_| Some(tx(9)));
+            }
         }
     }
 

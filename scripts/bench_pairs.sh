@@ -24,7 +24,13 @@
 # change won, then one table row per (workload, metric). The change "wins"
 # a metric when it won at least 9 of 10 pairs and its median beats the
 # base's by more than the base's interquartile distance — the driver's rule
-# for a claimed gain. Exits 1 if any run reports a failed operation.
+# for a claimed gain.
+#
+# Then it runs `--trace 1` once per side and workload and prints
+# `node.world.events` and `alloc.count_per_event` base -> change: counts
+# that repeat exactly on any host, so a change's deterministic cost diff
+# sits beside its wall-clock pairs. Exits 1 if any run reports a failed
+# operation.
 #
 # Not run in CI: whether to gate on timing is ROADMAP 7(d)'s decision,
 # inside the benchmark.
@@ -80,6 +86,17 @@ for w in "${workloads[@]}"; do
     done
 done
 
+for w in "${workloads[@]}"; do
+    for side in base change; do
+        out=$work/runs/$w.$side.trace.txt
+        if ! "${bin[$side]}" run --workload "$w" --seed "$seed" --seconds "$seconds" \
+            --trace 1 >"$out" || ! grep -q '^  ops_failed  *0$' "$out"; then
+            echo "FAILED: $w $side traced run (see $out)" >&2
+            failed=1
+        fi
+    done
+done
+
 # `values W SIDE METRIC`: the metric of every run of one side, in pair order.
 values() {
     for ((i = 1; i <= pairs; i++)); do
@@ -132,4 +149,16 @@ echo
 echo "| workload | metric | base median | change median | change | base Q1..Q3 | change Q1..Q3 | pairs won | verdict |"
 echo "|---|---|---|---|---|---|---|---|---|"
 printf '%s\n' "${rows[@]}"
+echo
+echo "Traced counts, one run per side:"
+echo
+echo "| workload | metric | base | change |"
+echo "|---|---|---:|---:|"
+# `traced W SIDE METRIC`: the metric of one side's traced run.
+traced() { awk -v m="$3" '$1 == m { print $2 }' "$work/runs/$1.$2.trace.txt"; }
+for w in "${workloads[@]}"; do
+    for m in node.world.events alloc.count_per_event; do
+        echo "| \`$w\` | \`$m\` | $(traced "$w" base "$m") | $(traced "$w" change "$m") |"
+    done
+done
 exit $failed
