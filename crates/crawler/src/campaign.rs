@@ -112,11 +112,7 @@ impl Campaign {
         for day in 0..net.cfg.days {
             let t = day as f64 + 0.5;
             let snap = feeds.pull(net, t, rng);
-            let crawl = if net.cfg.sampled_crawl {
-                Crawler::run_experiment_sampled(net, &node_index, &snap.candidates, t, rng, ins)
-            } else {
-                Crawler::run_experiment(net, &node_index, &snap.candidates, t, rng, ins)
-            };
+            let crawl = Crawler::run_experiment(net, &node_index, &snap.candidates, t, rng, ins);
 
             // Figure 3d: connected nodes absent from Bitnodes.
             let bitnodes_set: HashSet<&NetAddr> = snap.bitnodes.iter().collect();

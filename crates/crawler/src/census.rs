@@ -45,7 +45,7 @@ pub struct CensusConfig {
     pub n_malicious: usize,
     /// Store honest address books compactly (sizes only, no index vectors)
     /// and drive the campaign through the closed-form crawl
-    /// (`Crawler::run_experiment_sampled`). Required at full paper scale:
+    /// (`Crawler::run_experiment`'s closed form). Required at full paper scale:
     /// materialized books cost ~34K unique nodes × 8K entries × 4 B ≈ 1 GB,
     /// and exhausting each of them through per-`GETADDR` simulation is
     /// ~10¹¹ operations per campaign. Flooder pools stay materialized in

@@ -2,7 +2,7 @@
 //! `GETADDR` discovery of unreachable addresses) and Algorithm 2 (VER
 //! probing for responsive nodes).
 
-use crate::census::CensusNetwork;
+use crate::census::{CensusNetwork, CensusNode};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::trace::CrawlEvent;
@@ -144,10 +144,25 @@ impl Crawler {
     }
 
     /// One full experiment: connect to every candidate online at `day`,
-    /// run Algorithm 1 on each, and aggregate. `index` is
+    /// have each reveal its book, and aggregate. `index` is
     /// [`CensusNetwork::reachable_index`], built once per campaign. Crawl
     /// metrics go to `ins.metrics`, one [`CrawlEvent`] per crawled node to
     /// `ins.tracer`.
+    ///
+    /// How a node reveals its book is the one thing
+    /// `CensusConfig::sampled_crawl` decides. Without it each node runs
+    /// Algorithm 1 ([`Crawler::crawl_node`]). With it the outcome is drawn
+    /// in closed form, for full-scale campaigns over compact books: the
+    /// exact crawl runs Algorithm 1 to exhaustion, so its outcome is a
+    /// function of each book's *membership*, not of the sampling path: an
+    /// honest node ultimately reveals every live entry of its book plus its
+    /// own address. The sampled crawl draws the per-node live counts from
+    /// their distributions (binomial over the live fraction,
+    /// normal-approximated) and unions the discovered set directly. With
+    /// ~10K books of ~8K uniform samples over a ~700K pool, the probability
+    /// that any given live address escapes every book is
+    /// (1 − 8000/700000)^10000 < 10⁻⁴⁹, so the day's discovered set is the
+    /// live pool itself plus the pools of online flooders.
     pub fn run_experiment(
         net: &CensusNetwork,
         index: &HashMap<NetAddr, usize>,
@@ -160,110 +175,28 @@ impl Crawler {
             candidates: candidates.len(),
             ..CrawlResult::default()
         };
-        for addr in candidates {
-            let Some(&idx) = index.get(addr) else {
-                continue;
-            };
-            if !net.reachable[idx].online_at(day) {
-                continue; // feed staleness: listed but gone
-            }
-            result.connected += 1;
-            let crawl = Self::crawl_node(net, idx, day, rng);
-            ins.metrics.inc(metric::NODES_CRAWLED, 1);
-            ins.metrics
-                .inc(metric::GETADDR_ROUNDS, crawl.getaddr_rounds as u64);
-            ins.metrics
-                .inc(metric::ADDRS_REVEALED, crawl.revealed.len() as u64);
-            if ins.tracer.is_enabled() {
-                ins.tracer.crawl(CrawlEvent {
-                    day,
-                    addr: addr.to_string(),
-                    rounds: crawl.getaddr_rounds as u64,
-                    revealed: crawl.revealed.len() as u64,
-                    reachable_revealed: crawl.reachable_revealed as u64,
-                    malicious: net.reachable[idx].malicious,
-                });
-            }
-            let total = crawl.revealed.len() as u64;
-            result
-                .sender_stats
-                .push((*addr, total, crawl.reachable_revealed as u64));
-            for a in crawl.revealed {
-                if !net.reachable_addrs.contains(&a) {
-                    result.unreachable_found.insert(a);
-                }
-            }
-        }
-        result
-    }
-
-    /// Closed-form variant of [`Crawler::run_experiment`] for
-    /// full-scale campaigns over compact books
-    /// (`CensusConfig::sampled_crawl`).
-    ///
-    /// The exact crawl runs Algorithm 1 to exhaustion, so its outcome is a
-    /// function of each book's *membership*, not of the sampling path: an
-    /// honest node ultimately reveals every live entry of its book plus its
-    /// own address. This variant draws the per-node live counts from their
-    /// distributions (binomial over the live fraction, normal-approximated)
-    /// and unions the discovered set directly. With ~10K books of ~8K
-    /// uniform samples over a ~700K pool, the probability that any given
-    /// live address escapes every book is (1 − 8000/700000)^10000 < 10⁻⁴⁹,
-    /// so the day's discovered set is the live pool itself plus the pools
-    /// of online flooders.
-    pub fn run_experiment_sampled(
-        net: &CensusNetwork,
-        index: &HashMap<NetAddr, usize>,
-        candidates: &[NetAddr],
-        day: f64,
-        rng: &mut SimRng,
-        ins: &Instruments,
-    ) -> CrawlResult {
-        let mut result = CrawlResult {
-            candidates: candidates.len(),
-            ..CrawlResult::default()
-        };
-        // Today's live unreachable pool and the live fraction of the
-        // all-time pool honest books were sampled from.
-        let live: Vec<NetAddr> = net
-            .unreachable
-            .iter()
-            .filter(|u| u.appears <= day && day < u.disappears)
-            .map(|u| u.addr)
-            .collect();
-        let p_live = live.len() as f64 / net.unreachable.len().max(1) as f64;
-        // Reachable book entries gossip while online today or yesterday
-        // (matching the staleness window of the exact crawl).
-        let gossiped = net
-            .reachable
-            .iter()
-            .filter(|n| n.online_at(day) || n.online_at(day - 1.0))
-            .count();
-        let p_reach = gossiped as f64 / net.reachable.len().max(1) as f64;
-
+        let sampled = net.cfg.sampled_crawl.then(|| SampledDay::new(net, day));
         for addr in candidates {
             let Some(&idx) = index.get(addr) else {
                 continue;
             };
             let node = &net.reachable[idx];
             if !node.online_at(day) {
-                continue;
+                continue; // feed staleness: listed but gone
             }
             result.connected += 1;
-            let (revealed, reachable_revealed) = if node.malicious {
-                // A flooder's fabricated pool always circulates in full and
-                // never includes its own (reachable) address.
-                for &i in &node.book {
-                    result.unreachable_found.insert(net.book_addr(i));
+            let found = &mut result.unreachable_found;
+            let (rounds, revealed, reachable_revealed) = match &sampled {
+                None => {
+                    let crawl = Self::crawl_node(net, idx, day, rng);
+                    let revealed = crawl.revealed.len() as u64;
+                    let unreachable = |a: &NetAddr| !net.reachable_addrs.contains(a);
+                    found.extend(crawl.revealed.into_iter().filter(unreachable));
+                    let rounds = u64::from(crawl.getaddr_rounds);
+                    (rounds, revealed, crawl.reachable_revealed as u64)
                 }
-                (node.book.len() as u64, 0u64)
-            } else {
-                let k_book = binomial_approx(u64::from(node.book_size), p_live, rng);
-                let k_reach = binomial_approx(u64::from(node.book_reachable_size), p_reach, rng);
-                // +1: the node's own address, appended to every response.
-                (k_book + k_reach + 1, k_reach + 1)
+                Some(today) => today.reveal(net, node, rng, found),
             };
-            let rounds = expected_exhaustion_rounds(revealed);
             ins.metrics.inc(metric::NODES_CRAWLED, 1);
             ins.metrics.inc(metric::GETADDR_ROUNDS, rounds);
             ins.metrics.inc(metric::ADDRS_REVEALED, revealed);
@@ -281,10 +214,72 @@ impl Crawler {
                 .sender_stats
                 .push((*addr, revealed, reachable_revealed));
         }
-        if result.connected > 0 {
-            result.unreachable_found.extend(live);
+        if let Some(today) = sampled.filter(|_| result.connected > 0) {
+            result.unreachable_found.extend(today.live);
         }
         result
+    }
+}
+
+/// What a sampled crawl knows about one day before it visits a node.
+struct SampledDay {
+    /// Today's live unreachable pool.
+    live: Vec<NetAddr>,
+    /// The live fraction of the all-time pool honest books were sampled
+    /// from.
+    p_live: f64,
+    /// The fraction of reachable book entries that gossip today: nodes
+    /// online today or yesterday (the exact crawl's staleness window).
+    p_reach: f64,
+}
+
+impl SampledDay {
+    fn new(net: &CensusNetwork, day: f64) -> Self {
+        let live: Vec<NetAddr> = net
+            .unreachable
+            .iter()
+            .filter(|u| u.appears <= day && day < u.disappears)
+            .map(|u| u.addr)
+            .collect();
+        let p_live = live.len() as f64 / net.unreachable.len().max(1) as f64;
+        let gossiped = net
+            .reachable
+            .iter()
+            .filter(|n| n.online_at(day) || n.online_at(day - 1.0))
+            .count();
+        let p_reach = gossiped as f64 / net.reachable.len().max(1) as f64;
+        SampledDay {
+            live,
+            p_live,
+            p_reach,
+        }
+    }
+
+    /// A node's closed-form crawl, as `(rounds, revealed,
+    /// reachable_revealed)`; a flooder's pool goes into `found`.
+    fn reveal(
+        &self,
+        net: &CensusNetwork,
+        node: &CensusNode,
+        rng: &mut SimRng,
+        found: &mut HashSet<NetAddr>,
+    ) -> (u64, u64, u64) {
+        let (revealed, reachable_revealed) = if node.malicious {
+            // A flooder's fabricated pool always circulates in full and
+            // never includes its own (reachable) address.
+            found.extend(node.book.iter().map(|&i| net.book_addr(i)));
+            (node.book.len() as u64, 0)
+        } else {
+            let k_book = binomial_approx(u64::from(node.book_size), self.p_live, rng);
+            let k_reach = binomial_approx(u64::from(node.book_reachable_size), self.p_reach, rng);
+            // +1: the node's own address, appended to every response.
+            (k_book + k_reach + 1, k_reach + 1)
+        };
+        (
+            expected_exhaustion_rounds(revealed),
+            revealed,
+            reachable_revealed,
+        )
     }
 }
 
@@ -497,8 +492,10 @@ mod tests {
             &mut rng,
             &ins,
         );
-        let sampled = Crawler::run_experiment_sampled(
-            &net,
+        let mut sampled_net = net.clone();
+        sampled_net.cfg.sampled_crawl = true;
+        let sampled = Crawler::run_experiment(
+            &sampled_net,
             &net.reachable_index(),
             &candidates,
             0.5,
@@ -542,7 +539,7 @@ mod tests {
             .into_iter()
             .map(|i| net.reachable[i].addr)
             .collect();
-        let result = Crawler::run_experiment_sampled(
+        let result = Crawler::run_experiment(
             &net,
             &net.reachable_index(),
             &candidates,

@@ -25,22 +25,23 @@ use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimDuration;
 use std::cell::RefCell;
 
-/// Latency/bandwidth parameters.
+/// Latency/bandwidth parameters. Every world runs on one profile,
+/// [`LatencyConfig::internet_2020`], so the fields are not settable.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyConfig {
     /// Mean one-way delay within a single AS.
-    pub intra_as_mean_ms: f64,
+    intra_as_mean_ms: f64,
     /// Median one-way delay between distinct ASes.
-    pub inter_as_median_ms: f64,
+    inter_as_median_ms: f64,
     /// Log-normal sigma for inter-AS path spread.
-    pub inter_as_sigma: f64,
+    inter_as_sigma: f64,
     /// Per-message jitter bound (uniform, added on top).
-    pub jitter_ms: f64,
+    jitter_ms: f64,
     /// Link throughput used for transmission delay, bytes/second.
-    pub bandwidth_bytes_per_sec: f64,
+    bandwidth_bytes_per_sec: f64,
     /// TCP connect timeout (a failed SYN burns this long — the cost that
     /// makes unreachable addrman entries expensive, §IV-B).
-    pub connect_timeout: SimDuration,
+    connect_timeout: SimDuration,
 }
 
 impl LatencyConfig {
@@ -54,12 +55,6 @@ impl LatencyConfig {
             bandwidth_bytes_per_sec: 2_000_000.0, // ~16 Mbit/s effective
             connect_timeout: SimDuration::from_secs(5),
         }
-    }
-}
-
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        Self::internet_2020()
     }
 }
 
@@ -95,11 +90,6 @@ impl LatencyModel {
             seed,
             base_delays: RefCell::default(),
         }
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &LatencyConfig {
-        &self.cfg
     }
 
     /// The deterministic base one-way propagation delay between two ASes.

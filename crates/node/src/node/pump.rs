@@ -61,10 +61,11 @@ impl Node {
         self.peers.push_recv(&from, msg)
     }
 
-    /// Whether any queue holds work for the pump.
+    /// Whether any queue holds work for the pump: a readiness bit of the
+    /// peer table is set, or a trickled `INV` waits.
     pub fn has_pending_work(&self) -> bool {
-        self.peers.queued_recv() > 0
-            || self.peers.queued_send() > 0
+        self.peers.any_recv()
+            || self.peers.any_send()
             || (self.cfg.tx_announce == TxAnnounce::Trickle
                 && self
                     .peers
@@ -86,32 +87,33 @@ impl Node {
     /// writer, appending what the round produced to `bufs`.
     ///
     /// A pass visits only the turns whose readiness bit says the queue may
-    /// hold mail (see [`PeerTable`]), and stops at the turn where the
-    /// table's count of its queue reaches zero: every later turn would find
-    /// an empty queue and do nothing. A pass whose count is zero does not
-    /// start, so an idle round costs two field reads.
+    /// hold mail (see [`PeerTable`]), and stops after the pop that clears
+    /// the last set bit of its queue: every later turn would find an empty
+    /// queue and do nothing. A pass with no bit set does not start, so an
+    /// idle round costs two word tests.
     pub fn pump_into(&mut self, now: SimTime, bufs: &mut PumpBufs) {
         self.flush_trickle(now);
         self.keepalive(now, &mut bufs.requests);
 
         // ThreadMessageHandler: one message per peer per round.
-        if self.peers.queued_recv() > 0 {
+        if self.peers.any_recv() {
             self.for_each_turn(PeerTable::may_recv, |node, slot| {
                 let Some(msg) = node.peers.pop_recv(slot) else {
                     return ControlFlow::Continue(());
                 };
                 let from = node.peers.slot_mut(slot).node;
                 node.handle_message(from, msg, now, &mut bufs.requests, &mut bufs.receipts);
-                if node.peers.queued_recv() == 0 {
-                    return ControlFlow::Break(());
+                if node.peers.any_recv() {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
                 }
-                ControlFlow::Continue(())
             });
         }
 
         // SocketHandler: one send per peer per round, serialized on the
         // shared upload link.
-        if self.peers.queued_send() == 0 {
+        if !self.peers.any_send() {
             return;
         }
         self.for_each_turn(PeerTable::may_send, |node, slot| {
@@ -131,10 +133,11 @@ impl Node {
                 send_start,
                 send_end,
             });
-            if node.peers.queued_send() == 0 {
-                return ControlFlow::Break(());
+            if node.peers.any_send() {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
             }
-            ControlFlow::Continue(())
         });
     }
 

@@ -121,7 +121,7 @@ impl Peer {
     /// Queues `msg` for sending, honouring the block-priority refinement
     /// when `prioritize_blocks` is set: block-bearing messages are placed
     /// before any queued non-block message. Only [`PeerTable::push_send`]
-    /// calls it, so the table's count sees every message.
+    /// calls it, so the table's readiness bit sees every message.
     fn enqueue_send(&mut self, msg: Message, prioritize_blocks: bool) {
         if prioritize_blocks && msg.is_block_bearing() {
             // Insert after any already-prioritized block messages at the
@@ -221,6 +221,11 @@ impl SlotBits {
         }
     }
 
+    /// Whether any bit is set.
+    fn any(&self) -> bool {
+        self.0.iter().any(|&w| w != 0)
+    }
+
     /// Drops bit `slot` and moves every later bit down by one, as
     /// `Vec::remove` moves the records.
     fn remove(&mut self, slot: u32) {
@@ -254,8 +259,8 @@ struct InvIds {
 const SWEEP_FLOOR: usize = 4096;
 
 /// A node's connected peers: the records stored densely, the round-robin
-/// visit order, an id-sorted index, how many messages wait in their
-/// queues, and which inventory each peer is known to have.
+/// visit order, an id-sorted index, which of their queues hold mail, and
+/// which inventory each peer is known to have.
 ///
 /// Two orders matter to the simulation and the table keeps both:
 /// *connection order* drives the pump and the relay fan-outs (Core walks
@@ -265,16 +270,16 @@ const SWEEP_FLOOR: usize = 4096;
 ///
 /// Every message the node queues goes through the table's `push_recv` or
 /// `push_send`, and the pump takes them out through its `pop_recv` /
-/// `pop_send`, so [`queued_recv`](Self::queued_recv) and
-/// [`queued_send`](Self::queued_send) are the totals over all `proc_q`s
-/// and all `send_q`s, and each slot has a readiness bit per queue: a push
-/// sets it, a pop that leaves the queue empty clears it. A pump pass
-/// tests a turn's bit before it reads the record, and stops once its count
-/// reaches zero. The queues themselves stay public fields: a write through
-/// them that *removes* messages (the benchmark empties a `send_q`) leaves
-/// a count too high and a bit set, which cost a longer walk or one wasted
-/// visit and never skip a message; one that *adds* messages breaks both
-/// (the world's checker reports it as `pump_queue_counts`).
+/// `pop_send`, so each slot has one readiness bit per queue that is set
+/// exactly while the queue holds mail: a push sets it, a pop that leaves
+/// the queue empty clears it. A pump pass starts only if a bit of its
+/// queue is set, tests a turn's bit before it reads the record, and stops
+/// after the pop that clears the last one. The queues themselves stay
+/// public fields: a write through them that *removes* messages (the
+/// benchmark empties a `send_q`) leaves a bit set, which costs one wasted
+/// visit and never skips a message; one that *adds* messages leaves a bit
+/// clear, and the pump never sees the message
+/// ([`check_readiness`](Self::check_readiness) reports both).
 ///
 /// Known inventory (Core's per-peer `filterInventoryKnown`) is one id table
 /// per node and one bit per id per record. The table maps an object's
@@ -294,13 +299,9 @@ pub struct PeerTable {
     order: Vec<u32>,
     /// `(id, slot)` per connected peer, ascending by id.
     by_id: Vec<(NodeId, u32)>,
-    /// Messages across every `proc_q`; never below the true total.
-    queued_recv: usize,
-    /// Messages across every `send_q`; never below the true total.
-    queued_send: usize,
-    /// Per slot: its `proc_q` may hold a message.
+    /// Per slot: its `proc_q` holds a message.
     recv_ready: SlotBits,
-    /// Per slot: its `send_q` may hold a message.
+    /// Per slot: its `send_q` holds a message.
     send_ready: SlotBits,
     /// The ids the records' [`KnownBits`] are indexed by.
     inv_ids: InvIds,
@@ -390,8 +391,7 @@ impl PeerTable {
         let slot = match self.by_id.binary_search_by_key(&peer.node, |e| e.0) {
             Ok(pos) => {
                 let slot = self.by_id[pos].1;
-                let old = std::mem::replace(&mut self.slots[slot as usize], peer);
-                self.forget_queues(&old);
+                self.slots[slot as usize] = peer;
                 self.recv_ready.clear(slot);
                 self.send_ready.clear(slot);
                 slot
@@ -420,29 +420,40 @@ impl PeerTable {
         for s in later.filter(|s| **s > slot) {
             *s -= 1;
         }
-        let gone = self.slots.remove(slot as usize);
-        self.forget_queues(&gone);
         self.recv_ready.remove(slot);
         self.send_ready.remove(slot);
-        Some(gone)
+        Some(self.slots.remove(slot as usize))
     }
 
-    /// Takes a dropped record's queues off the counts (saturating: a
-    /// record filled through its public fields may hold more than was
-    /// counted).
-    fn forget_queues(&mut self, gone: &Peer) {
-        self.queued_recv = self.queued_recv.saturating_sub(gone.proc_q.len());
-        self.queued_send = self.queued_send.saturating_sub(gone.send_q.len());
+    /// Checks that each slot's readiness bits say which of its queues hold
+    /// mail (a bit is set exactly while its queue is non-empty, and no bit
+    /// past the last slot is set); the error names the first slot that
+    /// disagrees.
+    pub fn check_readiness(&self) -> Result<(), String> {
+        self.check_bits("proc_q", &self.recv_ready, |p| p.proc_q.len())?;
+        self.check_bits("send_q", &self.send_ready, |p| p.send_q.len())
     }
 
-    /// Messages waiting in all `proc_q`s (see the type docs).
-    pub fn queued_recv(&self) -> usize {
-        self.queued_recv
-    }
-
-    /// Messages waiting in all `send_q`s (see the type docs).
-    pub fn queued_send(&self) -> usize {
-        self.queued_send
+    /// [`check_readiness`](Self::check_readiness) for one queue of each
+    /// record.
+    fn check_bits(
+        &self,
+        queue: &str,
+        bits: &SlotBits,
+        len: fn(&Peer) -> usize,
+    ) -> Result<(), String> {
+        let slots = self.slots.len().max(bits.0.len() * 64) as u32;
+        for slot in 0..slots {
+            let held = self.slots.get(slot as usize).map_or(0, len);
+            let ready = bits.get(slot);
+            if ready != (held > 0) {
+                let bit = if ready { "set" } else { "clear" };
+                return Err(format!(
+                    "slot {slot}: {queue} holds {held} messages but its readiness bit is {bit}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Bytes the table allocates, as `(records and their queues, known
@@ -549,7 +560,6 @@ impl PeerTable {
     /// (and nothing queued) if `id` is not connected.
     pub(crate) fn push_recv(&mut self, id: &NodeId, msg: Message) -> Option<&mut Peer> {
         let slot = self.slot(id)?;
-        self.queued_recv += 1;
         self.recv_ready.set(slot);
         let p = &mut self.slots[slot as usize];
         p.proc_q.push_back(msg);
@@ -560,7 +570,6 @@ impl PeerTable {
     /// §V block priority when `prioritize_blocks` is set: the one way a
     /// node queues an outbound message.
     pub(crate) fn push_send(&mut self, slot: u32, msg: Message, prioritize_blocks: bool) {
-        self.queued_send += 1;
         self.send_ready.set(slot);
         self.slots[slot as usize].enqueue_send(msg, prioritize_blocks);
     }
@@ -573,7 +582,6 @@ impl PeerTable {
         if q.is_empty() {
             self.recv_ready.clear(slot);
         }
-        self.queued_recv -= usize::from(msg.is_some());
         msg
     }
 
@@ -585,7 +593,6 @@ impl PeerTable {
         if q.is_empty() {
             self.send_ready.clear(slot);
         }
-        self.queued_send -= usize::from(msg.is_some());
         msg
     }
 
@@ -599,6 +606,17 @@ impl PeerTable {
     /// [`may_recv`](Self::may_recv)).
     pub(crate) fn may_send(&self, slot: u32) -> bool {
         self.send_ready.get(slot)
+    }
+
+    /// Whether any `proc_q` may hold a message (some readiness bit is set).
+    pub(crate) fn any_recv(&self) -> bool {
+        self.recv_ready.any()
+    }
+
+    /// Whether any `send_q` may hold a message (as
+    /// [`any_recv`](Self::any_recv)).
+    pub(crate) fn any_send(&self) -> bool {
+        self.send_ready.any()
     }
 
     /// One slot number (for [`slot_mut`](Self::slot_mut)) per pump turn, in
@@ -771,6 +789,33 @@ mod tests {
         assert!((0..100_000).all(|i| !table.knows(fresh, &id(i))));
     }
 
+    /// A write through a public queue field is what the readiness check
+    /// exists to catch: a raw push leaves a bit clear, a raw removal one
+    /// set.
+    #[test]
+    fn check_readiness_reports_a_queue_written_behind_the_table() {
+        let mut table = PeerTable::default();
+        let slot = table.insert(Peer::new(NodeId(4), addr(), Direction::Inbound));
+        table.insert(Peer::new(NodeId(5), addr(), Direction::Inbound));
+        table.slot_mut(slot).send_q.push_back(Message::GetAddr);
+        assert_eq!(
+            table.check_readiness(),
+            Err("slot 0: send_q holds 1 messages but its readiness bit is clear".into())
+        );
+        table.push_recv(&NodeId(4), Message::Ping(1));
+        table.slot_mut(slot).send_q.clear();
+        assert_eq!(table.check_readiness(), Ok(()));
+        table.slot_mut(slot).proc_q.clear();
+        assert_eq!(
+            table.check_readiness(),
+            Err("slot 0: proc_q holds 0 messages but its readiness bit is set".into())
+        );
+        // The pop that finds the queue empty clears the stale bit.
+        assert_eq!(table.pop_recv(slot), None);
+        assert!(!table.any_recv());
+        assert_eq!(table.check_readiness(), Ok(()));
+    }
+
     #[test]
     fn feelers_do_not_relay() {
         assert!(!Direction::Feeler.relays_data());
@@ -803,8 +848,8 @@ mod tests {
         /// `BTreeMap<NodeId, Peer>` plus a `Vec<NodeId>` visit order — over
         /// random connects (a connect of a connected id is the double
         /// connect) and disconnects (of an unknown id: a no-op) — and the
-        /// queue counts against the queues, over random pushes and pops in
-        /// between.
+        /// readiness bits against the queues, over random pushes and pops
+        /// in between.
         #[test]
         fn table_matches_the_map_and_order_it_replaced(
             ops in proptest::collection::vec((0u8..6, 0u32..8, 0u8..3), 0..80),
@@ -839,15 +884,13 @@ mod tests {
                     }
                     _ => {}
                 }
-                let held = |q: fn(&Peer) -> usize| table.as_slice().iter().map(q).sum::<usize>();
-                prop_assert_eq!(table.queued_recv(), held(|p| p.proc_q.len()));
-                prop_assert_eq!(table.queued_send(), held(|p| p.send_q.len()));
-                // A queue with mail has its readiness bit set: the pump
-                // skips a turn whose bit is clear.
-                for (slot, p) in (0u32..).zip(table.as_slice()) {
-                    prop_assert!(p.proc_q.is_empty() || table.may_recv(slot), "slot {}: proc_q", slot);
-                    prop_assert!(p.send_q.is_empty() || table.may_send(slot), "slot {}: send_q", slot);
-                }
+                // A bit is set exactly while its queue holds mail: the
+                // pump skips a turn whose bit is clear and ends a pass when
+                // none is set.
+                prop_assert_eq!(table.check_readiness(), Ok(()));
+                let held = |q: fn(&Peer) -> bool| table.as_slice().iter().any(q);
+                prop_assert_eq!(table.any_recv(), held(|p| !p.proc_q.is_empty()));
+                prop_assert_eq!(table.any_send(), held(|p| !p.send_q.is_empty()));
 
                 prop_assert_eq!(table.len(), map.len());
                 prop_assert_eq!(table.is_empty(), map.is_empty());

@@ -323,7 +323,7 @@ impl World {
         let at = send_end.max(now) + delay + fault_extra;
         if self.checker.is_enabled() {
             if let Some((hash, _)) = relay_key(&msg) {
-                self.ledger.record_send(hash.0);
+                self.checker.record_send(hash.0);
             }
         }
         if self.fault == Some(Fault::DuplicateDeliveries) && relay_key(&msg).is_some() {
@@ -343,14 +343,13 @@ impl World {
             if checking {
                 // Conservation: a delivery of a relayable object must be
                 // covered by a previously scheduled send.
-                let ok = self.ledger.record_delivery(hash.0);
-                let (sends, deliveries) = self.ledger.counts(&hash.0);
-                self.checker.check(ok, now, "deliveries_le_sends", || {
-                    format!(
-                        "object {hash:?}: {deliveries} deliveries > {sends} sends at node {}",
-                        to.0
-                    )
-                });
+                self.checker
+                    .record_delivery(now, hash.0, |deliveries, sends| {
+                        format!(
+                            "object {hash:?}: {deliveries} deliveries > {sends} sends at node {}",
+                            to.0
+                        )
+                    });
             }
             // Relay instrumentation: first receipt of a block/tx object.
             if instrumented {

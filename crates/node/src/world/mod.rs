@@ -25,14 +25,14 @@ pub use sampling::{metric, register_world_histograms};
 
 use crate::config::{NodeConfig, MAX_OUTBOUND};
 use crate::node::{Node, PumpBufs};
-use crate::peer::{NodeId, Peer};
+use crate::peer::NodeId;
 use bitsync_chain::{Miner, TxGenerator};
 use bitsync_net::churn::ChurnConfig;
 use bitsync_net::latency::{LatencyConfig, LatencyModel};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::{Hash256, IdMap, IdSet};
 use bitsync_protocol::message::Message;
-use bitsync_sim::check::{Checker, MonotoneClock, ObjectLedger};
+use bitsync_sim::check::Checker;
 use bitsync_sim::event::EventQueue;
 use bitsync_sim::fault::{FaultConfig, FaultPlane};
 use bitsync_sim::metrics::Recorder;
@@ -182,11 +182,8 @@ pub struct World {
     /// Phantom gossip addresses and their dial behaviour.
     phantoms: IdMap<NetAddr, (PhantomKind, u32)>,
     phantom_list: Vec<NetAddr>,
-    /// Ground-truth set of reachable addresses: what the traced ADDR
-    /// `sent` events count as reachable, and the sampler's addrman
-    /// pollution gauges as not.
-    reachable_addrs: IdSet<NetAddr>,
-    /// Same addresses as an ordered list (deterministic sampling).
+    /// Every address a reachable node ever had, in spawn order (the DNS
+    /// seeds' deterministic sample).
     reachable_addr_list: Vec<NetAddr>,
     miner: Miner,
     txgen: TxGenerator,
@@ -217,11 +214,12 @@ pub struct World {
     /// hand what it records back in what [`Node::pump`] returns.
     pub tracer: Tracer,
     /// Invariant recorder, disabled by default and owned by this world.
-    /// When an enabled one is installed (before running: conservation
-    /// bookkeeping starts from that moment, so sends scheduled earlier
-    /// would be seen as unmatched deliveries) the event loop checks time
+    /// When an enabled one is installed (before running: its conservation
+    /// ledger starts from that moment, so sends scheduled earlier would be
+    /// seen as unmatched deliveries) the event loop checks time
     /// monotonicity, per-object send/delivery conservation, outdegree caps,
-    /// and addrman consistency after every event that can mutate them.
+    /// addrman consistency and the peer tables' readiness bits after every
+    /// event that can mutate them.
     /// Checks are read-only: an enabled checker never perturbs the
     /// simulation.
     pub checker: Checker,
@@ -241,11 +239,6 @@ pub struct World {
     fault: Option<Fault>,
     /// The live fault plane, present only when `cfg.fault` is active.
     fault_plane: Option<FaultPlane>,
-    /// Send/delivery conservation ledger (maintained only while the
-    /// checker is enabled).
-    ledger: ObjectLedger,
-    /// Event-loop timestamp monotonicity witness.
-    clock: MonotoneClock,
     /// Deepest reorg observed anywhere, in disconnected blocks.
     max_reorg_depth: u64,
 }
@@ -281,7 +274,6 @@ impl World {
             addr_index: IdMap::default(),
             phantoms: IdMap::default(),
             phantom_list: Vec::new(),
-            reachable_addrs: IdSet::default(),
             reachable_addr_list: Vec::new(),
             miner: Miner::new(cfg.seed ^ 0xb10c, 10_000),
             txgen: TxGenerator::new(cfg.seed ^ 0x7c5),
@@ -302,8 +294,6 @@ impl World {
             last_sample_events: 0,
             fault: None,
             fault_plane,
-            ledger: ObjectLedger::new(),
-            clock: MonotoneClock::new(),
             max_reorg_depth: 0,
             cfg,
         };
@@ -424,8 +414,12 @@ impl World {
     }
 
     /// Ground truth: is this address a (past or present) reachable node?
+    /// The node index keeps every address it was given, so a departed
+    /// node still answers.
     fn is_reachable_addr(&self, addr: &NetAddr) -> bool {
-        self.reachable_addrs.contains(addr)
+        self.addr_index
+            .get(addr)
+            .is_some_and(|id| self.meta[id.0 as usize].reachable)
     }
 
     // ------------------------------------------------------------------
@@ -495,8 +489,8 @@ impl World {
         // TimeWarpDeliveries bug injection: relayable deliveries are
         // handled with a timestamp skewed one second into the past. The
         // queue itself stays monotone (identical across thread counts), so
-        // the *only* harness that can catch this is the checker's
-        // MonotoneClock.
+        // the *only* harness that can catch this is the checker's clock
+        // (`Checker::check_time`).
         let now = if self.fault == Some(Fault::TimeWarpDeliveries)
             && matches!(&ev, Ev::Deliver { msg, .. } if delivery::relay_key(msg).is_some())
         {
@@ -522,11 +516,7 @@ impl World {
             _ => None,
         };
         if checking {
-            let ok = self.clock.observe(now);
-            let last = self.clock.last();
-            self.checker.check(ok, now, "time_monotone", || {
-                format!("event at {now} after the loop reached {last}")
-            });
+            self.checker.check_time(now);
         }
         match ev {
             Ev::Pump(id) => self.on_pump(id, now),
@@ -557,8 +547,8 @@ impl World {
     }
 
     /// Post-event node checks: outdegree cap, addrman consistency, and the
-    /// pump's queue counts. Skipped silently when the node went offline
-    /// during the event.
+    /// peer table's readiness bits. Skipped silently when the node went
+    /// offline during the event.
     fn check_node_invariants(&mut self, id: NodeId, now: SimTime) {
         let Some(node) = self.nodes[id.0 as usize].as_ref() else {
             return;
@@ -575,21 +565,13 @@ impl World {
                 format!("node {}: {msg}", id.0)
             });
         }
-        // Nothing in a world writes a queue behind the table's back, so
-        // its counts must equal the queues (a push that bypassed the table
-        // would let a pump pass stop before a queued message). Like the
-        // addrman check, only a failure is recorded.
-        let peers = &node.peers;
-        let held = |len: fn(&Peer) -> usize| peers.as_slice().iter().map(len).sum::<usize>();
-        let held = (held(|p| p.proc_q.len()), held(|p| p.send_q.len()));
-        let counted = (peers.queued_recv(), peers.queued_send());
-        if counted != held {
-            self.checker.fail(now, "pump_queue_counts", || {
-                format!(
-                    "node {}: counted {counted:?} (proc_q, send_q) messages, queues hold {held:?}",
-                    id.0
-                )
-            });
+        // Nothing in a world writes a queue behind the table's back, so a
+        // bit is set exactly while its queue holds mail (a push that
+        // bypassed the table would leave a message the pump never visits).
+        // Like the addrman check, only a failure is recorded.
+        if let Err(msg) = node.peers.check_readiness() {
+            self.checker
+                .fail(now, "pump_readiness", || format!("node {}: {msg}", id.0));
         }
     }
 }

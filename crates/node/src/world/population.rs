@@ -182,7 +182,6 @@ impl World {
         });
         self.addr_index.insert(addr, id);
         if reachable {
-            self.reachable_addrs.insert(addr);
             self.reachable_addr_list.push(addr);
         }
         id

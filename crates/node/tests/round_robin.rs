@@ -17,6 +17,12 @@ fn addr(last: u8) -> NetAddr {
     NetAddr::from_ipv4(Ipv4Addr::new(198, 51, 100, last), 8333)
 }
 
+/// Messages waiting in all `proc_q`s and in all `send_q`s.
+fn queued(n: &Node) -> (usize, usize) {
+    let held = |len: fn(&Peer) -> usize| n.peers.values().map(len).sum::<usize>();
+    (held(|p| p.proc_q.len()), held(|p| p.send_q.len()))
+}
+
 fn node_with_peers(cfg: NodeConfig, n_peers: u32) -> Node {
     let now = SimTime::from_secs(1);
     let mut n = Node::new(NodeId(0), addr(250), true, cfg, 1);
@@ -37,14 +43,14 @@ fn one_message_processed_per_peer_per_round() {
             n.deliver(NodeId(p), Message::Ping(p as u64 * 10 + k));
         }
     }
-    let before = n.peers.queued_recv();
+    let before = queued(&n).0;
     n.pump(now);
     // Exactly one message per peer processed in one round (Algorithm 3).
-    assert_eq!(before - n.peers.queued_recv(), 3);
+    assert_eq!(before - queued(&n).0, 3);
     n.pump(now);
-    assert_eq!(before - n.peers.queued_recv(), 6);
+    assert_eq!(before - queued(&n).0, 6);
     n.pump(now);
-    assert_eq!(before - n.peers.queued_recv(), 9);
+    assert_eq!(before - queued(&n).0, 9);
 }
 
 #[test]
@@ -387,11 +393,34 @@ proptest! {
                     }
                 }
             }
-            let held = |len: fn(&Peer) -> usize| n.peers.values().map(len).sum::<usize>();
-            prop_assert_eq!(n.peers.queued_recv(), held(|p| p.proc_q.len()));
-            prop_assert_eq!(n.peers.queued_send(), held(|p| p.send_q.len()));
+            prop_assert_eq!(n.peers.check_readiness(), Ok(()));
         }
     }
+}
+
+/// A queue emptied through its public field, as the benchmark's hub
+/// empties each `send_q` after connecting, leaves its readiness bit set:
+/// the next round visits that peer once, finds nothing, clears the bit,
+/// flushes every other peer and leaves no work pending.
+#[test]
+fn a_queue_emptied_behind_the_table_leaves_no_pending_work() {
+    let now = SimTime::from_secs(1);
+    let mut n = ready_node(1, &[1, 2, 3]);
+    // The first round queues the keepalive pings; flush them.
+    n.pump(now);
+    while n.has_pending_work() {
+        n.pump(now);
+    }
+    for p in 1..=3 {
+        n.send(NodeId(p), Message::Pong(u64::from(p)));
+    }
+    n.peers.get_mut(&NodeId(2)).unwrap().send_q.clear();
+    assert!(n.peers.check_readiness().is_err(), "peer 2's bit is stale");
+    let (out, _, _) = n.pump(now);
+    let to: Vec<u32> = out.iter().map(|o| o.to.0).collect();
+    assert_eq!(to, [1, 3]);
+    assert!(!n.has_pending_work());
+    assert_eq!(n.peers.check_readiness(), Ok(()));
 }
 
 /// Known quirk (DESIGN.md §6, "Double connect"): when two nodes cross-dial,
@@ -415,7 +444,7 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     assert!(answered);
     n.deliver(NodeId(1), Message::Ping(1));
     n.send(NodeId(1), Message::Pong(9));
-    assert_eq!((n.peers.queued_recv(), n.peers.queued_send()), (1, 1));
+    assert_eq!(queued(&n), (1, 1));
 
     // The crossing dial lands: same id, opposite direction.
     n.on_connected(NodeId(1), addr(1), Direction::Outbound, now);
@@ -426,10 +455,11 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     assert!(!p.is_ready(), "the handshake starts over");
     assert_eq!(p.send_q.len(), 1, "old queues dropped; only our VERSION");
     assert!(matches!(p.send_q[0], Message::Version(_)));
+    assert_eq!(queued(&n), (0, 1), "the replaced record's queues are gone");
     assert_eq!(
-        (n.peers.queued_recv(), n.peers.queued_send()),
-        (0, 1),
-        "the counts drop the replaced record's queues and count the VERSION"
+        n.peers.check_readiness(),
+        Ok(()),
+        "the bits drop the replaced record's queues and mark the VERSION"
     );
     n.pump(now); // flush the VERSION
     assert!(!n.has_pending_work());
@@ -438,9 +468,9 @@ fn double_connect_replaces_the_record_and_adds_a_second_turn() {
     for p in [1, 1, 1, 2, 3] {
         n.deliver(NodeId(p), Message::Ping(p as u64));
     }
-    let before = n.peers.queued_recv();
+    let before = queued(&n).0;
     let (out, _, _) = n.pump(now);
-    assert_eq!(before - n.peers.queued_recv(), 4);
+    assert_eq!(before - queued(&n).0, 4);
     let order: Vec<u32> = out.iter().map(|o| o.to.0).collect();
     assert_eq!(order, vec![1, 2, 3, 1]);
     let (out, _, _) = n.pump(now);

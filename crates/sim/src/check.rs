@@ -16,12 +16,14 @@
 //! capped; totals keep counting past the cap so a hot broken invariant
 //! cannot eat memory.
 //!
-//! Two small bookkeeping helpers cover the cross-event invariants the
-//! checker itself cannot see from a single call site:
+//! The checker also keeps what the two cross-event invariants need, which
+//! no single call site can see:
 //!
-//! - [`ObjectLedger`] — conservation: per object, deliveries never exceed
-//!   scheduled sends;
-//! - [`MonotoneClock`] — the event loop's timestamps never regress.
+//! - an object ledger — conservation: per object, deliveries never exceed
+//!   scheduled sends ([`Checker::record_send`],
+//!   [`Checker::record_delivery`], invariant `deliveries_le_sends`);
+//! - a clock — the event loop's timestamps never regress
+//!   ([`Checker::check_time`], invariant `time_monotone`).
 //!
 //! # Examples
 //!
@@ -64,6 +66,10 @@ struct CheckState {
     checks: u64,
     total_violations: u64,
     violations: Vec<Violation>,
+    /// Per 32-byte object: `(sends, deliveries)` recorded so far.
+    ledger: HashMap<[u8; 32], (u64, u64)>,
+    /// The latest event time [`Checker::check_time`] saw.
+    clock: SimTime,
 }
 
 /// An invariant recorder, or a no-op when disabled.
@@ -125,6 +131,44 @@ impl Checker {
         }
     }
 
+    /// Checks `time_monotone`: event time `at` does not precede the latest
+    /// one checked before. The clock advances either way.
+    pub fn check_time(&mut self, at: SimTime) {
+        let Some(state) = &mut self.inner else { return };
+        let last = state.clock.max(at);
+        state.clock = last;
+        self.check(at >= last, at, "time_monotone", || {
+            format!("event at {at} after the loop reached {last}")
+        });
+    }
+
+    /// Records that one send of `object` was scheduled.
+    pub fn record_send(&mut self, object: [u8; 32]) {
+        if let Some(state) = &mut self.inner {
+            state.ledger.entry(object).or_default().0 += 1;
+        }
+    }
+
+    /// Records one delivery of `object` at `at` and checks
+    /// `deliveries_le_sends`: a delivery without a matching prior send is
+    /// the canonical relay-ordering bug (a duplicate or fabricated
+    /// delivery). `detail` gets `(deliveries, sends)` and runs only on
+    /// failure.
+    pub fn record_delivery(
+        &mut self,
+        at: SimTime,
+        object: [u8; 32],
+        detail: impl FnOnce(u64, u64) -> String,
+    ) {
+        let Some(state) = &mut self.inner else { return };
+        let (sends, deliveries) = state.ledger.entry(object).or_default();
+        *deliveries += 1;
+        let (sends, deliveries) = (*sends, *deliveries);
+        self.check(deliveries <= sends, at, "deliveries_le_sends", || {
+            detail(deliveries, sends)
+        });
+    }
+
     /// Total checks performed (passing and failing).
     pub fn checks(&self) -> u64 {
         self.inner.as_ref().map_or(0, |s| s.checks)
@@ -144,77 +188,6 @@ impl Checker {
     /// recording order.
     pub fn violations(&self) -> &[Violation] {
         self.inner.as_ref().map_or(&[], |s| &s.violations)
-    }
-}
-
-/// Conservation bookkeeping: per 32-byte object, how many sends were
-/// scheduled and how many deliveries arrived. A delivery without a
-/// matching prior send is the canonical relay-ordering bug (duplicate or
-/// fabricated delivery), surfaced by [`ObjectLedger::record_delivery`]
-/// returning `false`.
-#[derive(Debug, Default)]
-pub struct ObjectLedger {
-    counts: HashMap<[u8; 32], (u64, u64)>,
-}
-
-impl ObjectLedger {
-    /// An empty ledger.
-    pub fn new() -> ObjectLedger {
-        ObjectLedger::default()
-    }
-
-    /// Records that one send of `object` was scheduled.
-    pub fn record_send(&mut self, object: [u8; 32]) {
-        self.counts.entry(object).or_insert((0, 0)).0 += 1;
-    }
-
-    /// Records one delivery of `object`; `false` when deliveries now
-    /// exceed sends (an invariant violation at the call site).
-    pub fn record_delivery(&mut self, object: [u8; 32]) -> bool {
-        let (sends, deliveries) = self.counts.entry(object).or_insert((0, 0));
-        *deliveries += 1;
-        *deliveries <= *sends
-    }
-
-    /// `(sends, deliveries)` for `object`.
-    pub fn counts(&self, object: &[u8; 32]) -> (u64, u64) {
-        self.counts.get(object).copied().unwrap_or((0, 0))
-    }
-
-    /// Number of distinct objects seen.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when no object was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-}
-
-/// Tracks that observed event timestamps never regress.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonotoneClock {
-    last: SimTime,
-}
-
-impl MonotoneClock {
-    /// A clock starting at [`SimTime::ZERO`].
-    pub fn new() -> MonotoneClock {
-        MonotoneClock::default()
-    }
-
-    /// Observes an event timestamp; `false` when it precedes an earlier
-    /// observation. Advances the clock either way.
-    pub fn observe(&mut self, at: SimTime) -> bool {
-        let ok = at >= self.last;
-        self.last = self.last.max(at);
-        ok
-    }
-
-    /// The latest timestamp observed so far.
-    pub fn last(&self) -> SimTime {
-        self.last
     }
 }
 
@@ -266,29 +239,59 @@ mod tests {
         assert_eq!(c.violation_count(), MAX_RETAINED_VIOLATIONS as u64 + 10);
     }
 
+    /// Each delivery is one check; a send is none.
     #[test]
     fn ledger_flags_delivery_without_send() {
-        let mut ledger = ObjectLedger::new();
-        assert!(ledger.is_empty());
-        ledger.record_send([1; 32]);
-        ledger.record_send([1; 32]);
-        assert!(ledger.record_delivery([1; 32]));
-        assert!(ledger.record_delivery([1; 32]));
+        let mut c = Checker::enabled();
+        let at = SimTime::from_secs(2);
+        let detail = |d: u64, s: u64| format!("{d} deliveries > {s} sends");
+        c.record_send([1; 32]);
+        c.record_send([1; 32]);
+        assert_eq!(c.checks(), 0, "a send checks nothing");
+        c.record_delivery(at, [1; 32], detail);
+        c.record_delivery(at, [1; 32], detail);
+        assert_eq!((c.checks(), c.violation_count()), (2, 0));
         // Third delivery of a twice-sent object: violation.
-        assert!(!ledger.record_delivery([1; 32]));
-        assert_eq!(ledger.counts(&[1; 32]), (2, 3));
+        c.record_delivery(at, [1; 32], detail);
         // A never-sent object fails on its first delivery.
-        assert!(!ledger.record_delivery([2; 32]));
-        assert_eq!(ledger.len(), 2);
+        c.record_delivery(at, [2; 32], detail);
+        assert_eq!((c.checks(), c.violation_count()), (4, 2));
+        let v = c.violations();
+        assert_eq!(v[0].invariant, "deliveries_le_sends");
+        assert_eq!(v[0].detail, "3 deliveries > 2 sends");
+        assert_eq!(v[1].detail, "1 deliveries > 0 sends");
+    }
+
+    /// Each event time is one check; a regression is reported against the
+    /// latest time, which it does not move back.
+    #[test]
+    fn monotone_clock_flags_regressions() {
+        let mut c = Checker::enabled();
+        c.check_time(SimTime::from_secs(1));
+        c.check_time(SimTime::from_secs(1));
+        c.check_time(SimTime::from_secs(5));
+        assert_eq!(
+            (c.checks(), c.violation_count()),
+            (3, 0),
+            "equal times are fine"
+        );
+        c.check_time(SimTime::from_secs(4));
+        c.check_time(SimTime::from_secs(4));
+        assert_eq!((c.checks(), c.violation_count()), (5, 2));
+        let v = c.violations();
+        assert_eq!(v[0].invariant, "time_monotone");
+        assert_eq!(v[1].detail, v[0].detail, "the clock stays at 5 s");
+        c.check_time(SimTime::from_secs(6));
+        assert_eq!((c.checks(), c.violation_count()), (6, 2));
     }
 
     #[test]
-    fn monotone_clock_flags_regressions() {
-        let mut clock = MonotoneClock::new();
-        assert!(clock.observe(SimTime::from_secs(1)));
-        assert!(clock.observe(SimTime::from_secs(1)), "equal times are fine");
-        assert!(clock.observe(SimTime::from_secs(5)));
-        assert!(!clock.observe(SimTime::from_secs(4)));
-        assert_eq!(clock.last(), SimTime::from_secs(5));
+    fn disabled_checker_keeps_no_ledger_or_clock() {
+        let mut c = Checker::disabled();
+        c.record_send([1; 32]);
+        c.record_delivery(SimTime::ZERO, [2; 32], |_, _| unreachable!());
+        c.check_time(SimTime::from_secs(9));
+        c.check_time(SimTime::ZERO);
+        assert_eq!((c.checks(), c.violation_count()), (0, 0));
     }
 }
