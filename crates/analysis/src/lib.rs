@@ -11,7 +11,7 @@
 //! - [`churn`]: synchronized departures per 10-minute window (§IV-D).
 //! - [`propagation`]: the `ceil(log_d N)` gossip-rounds model and the
 //!   effective-outdegree renewal argument (§IV-B).
-//! - [`propagation_tree`]: per-object relay trees rebuilt from trace events.
+//! - [`relay_replay`]: the relay-delay histogram replayed from trace events.
 //! - [`rootcause`]: the four-cause attribution of sync deltas.
 //! - [`ascii_plot`]: sparklines for the text reports.
 //!
@@ -27,7 +27,7 @@ pub mod ascii_plot;
 pub mod churn;
 pub mod kde;
 pub mod propagation;
-pub mod propagation_tree;
+pub mod relay_replay;
 pub mod rootcause;
 pub mod routing;
 pub mod stats;
@@ -37,7 +37,7 @@ pub use ascii_plot::{sparkline, sparkline_fit};
 pub use churn::{mean_synchronized_departures, Departure};
 pub use kde::Kde;
 pub use propagation::{effective_outdegree, rounds_to_cover};
-pub use propagation_tree::{build_trees, replay_relay_histogram, PropagationTree, TreeNode};
+pub use relay_replay::replay_relay_histogram;
 pub use rootcause::{attribute, RootCauseReport};
 pub use routing::{plan_hijack, HijackPlan};
 pub use stats::{percentile, Summary};

@@ -92,10 +92,9 @@ pub struct ChainState {
     entries: IdMap<Hash256, Entry>,
     /// Full blocks we have bodies for (headers-only entries are absent).
     bodies: IdMap<Hash256, Block>,
-    /// Best chain by height: `by_height[h]` is the active block at height h.
+    /// Best chain by height: `by_height[h]` is the active block at height
+    /// h, so its first entry is genesis and its last the best tip.
     by_height: Vec<Hash256>,
-    tip: Hash256,
-    genesis: Hash256,
 }
 
 impl ChainState {
@@ -118,26 +117,24 @@ impl ChainState {
             entries,
             bodies,
             by_height: vec![hash],
-            tip: hash,
-            genesis: hash,
         }
     }
 
     /// The genesis block hash (identical across all simulated nodes).
     pub fn genesis_hash(&self) -> Hash256 {
-        self.genesis
+        self.by_height[0]
     }
 
     /// The best tip hash.
     pub fn tip_hash(&self) -> Hash256 {
-        self.tip
+        self.by_height[self.by_height.len() - 1]
     }
 
     /// Height of the best tip (genesis is 0): the active chain's length
     /// less one, read without hashing the tip.
     pub fn height(&self) -> u64 {
         let height = self.by_height.len() as u64 - 1;
-        debug_assert_eq!(height, self.entries[&self.tip].height);
+        debug_assert_eq!(height, self.entries[&self.tip_hash()].height);
         height
     }
 
@@ -244,12 +241,11 @@ impl ChainState {
     }
 
     fn maybe_reorg(&mut self, hash: Hash256, height: u64) -> Option<ReorgInfo> {
-        let old_tip = self.tip;
-        let old_height = self.entries[&old_tip].height;
+        let old_tip = self.tip_hash();
+        let old_height = self.height();
         if height <= old_height {
             return None; // first-seen wins ties: strictly higher only
         }
-        self.tip = hash;
         // Rebuild the by_height index along the new best path, noting where
         // it rejoins the previously active chain (the fork point).
         self.by_height.resize(height as usize + 1, Hash256::ZERO);
@@ -303,7 +299,7 @@ impl ChainState {
             }
             h -= step;
         }
-        out.push(self.genesis);
+        out.push(self.genesis_hash());
         out
     }
 
@@ -477,6 +473,9 @@ mod tests {
         assert_eq!(reorg.fork_height, 0); // forked at genesis
         assert_eq!(reorg.depth(), 2);
         assert!(reorg.is_reorg());
+        let loc = c.locator();
+        assert_eq!(loc.first(), Some(&c.tip_hash()));
+        assert_eq!(loc.last(), Some(&c.genesis_hash()));
     }
 
     #[test]

@@ -321,6 +321,24 @@ impl<T: ToJson> From<&T> for Value {
     }
 }
 
+/// JSON Lines: each value printed compact on its own `\n`-ended line —
+/// the format of every trace and timeseries file.
+///
+/// ```
+/// use bitsync_json::{jsonl, Value};
+///
+/// let rows = [1u64, 2].map(|t| Value::object().with("t", t));
+/// assert_eq!(jsonl(rows), "{\"t\":1}\n{\"t\":2}\n");
+/// ```
+pub fn jsonl(values: impl IntoIterator<Item = Value>) -> String {
+    let mut out = String::new();
+    for v in values {
+        out.push_str(&v.to_string());
+        out.push('\n');
+    }
+    out
+}
+
 /// Where two documents first differ, depth first in document order, as
 /// `result.arms[2].mean_outdegree: 8.0 != 7.9` (`a`'s value first); `None`
 /// when they are equal. What golden drift and a bundle comparison report.

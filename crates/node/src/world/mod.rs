@@ -232,8 +232,8 @@ pub struct World {
     pub sampler: Sampler,
     /// Next sampler tick, when a sampler with a cadence is attached.
     next_sample_at: Option<SimTime>,
-    /// Events processed as of the previous sampler tick (for the
-    /// per-window event count).
+    /// Events processed as of the previous sampler tick: the start of
+    /// the window that the `events_w` gauge and the perf row both count.
     last_sample_events: u64,
     /// Active fault injection, if any (see [`Fault`]).
     fault: Option<Fault>,
@@ -353,8 +353,7 @@ impl World {
         self.sampler = sampler.clone();
         self.next_sample_at = self.sampler.interval().map(|iv| self.now() + iv);
         self.last_sample_events = self.events_processed();
-        self.sampler
-            .record_perf(self.now(), self.events_processed());
+        self.sampler.record_perf(self.now(), 0);
     }
 
     /// Points the world at every handle of `ins` — the one line that

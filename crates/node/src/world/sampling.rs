@@ -195,6 +195,7 @@ impl World {
             }
         }
         let events = self.queue.events_processed();
+        let events_w = events - self.last_sample_events;
         let mut gauges = vec![
             ("sync_frac", self.honest_sync_fraction()),
             ("honest_online", honest as f64),
@@ -207,11 +208,11 @@ impl World {
             ("addr_unreach_tried", ratio(tried.1, tried.0)),
             ("best_height", self.best_height as f64),
             ("queue_depth", self.queue.len() as f64),
-            ("events_w", (events - self.last_sample_events) as f64),
+            ("events_w", events_w as f64),
         ];
         gauges.extend(self.footprint().map(|(name, bytes)| (name, bytes as f64)));
         self.last_sample_events = events;
         self.sampler.record(at, &gauges);
-        self.sampler.record_perf(at, events);
+        self.sampler.record_perf(at, events_w);
     }
 }

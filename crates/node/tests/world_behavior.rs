@@ -555,3 +555,40 @@ fn sampler_counts_a_dial_ok_before_the_target_is_rechecked() {
     let ok_dials = first_ok + tracer.take().unwrap().dial.iter().filter(|d| d.ok).count();
     assert_eq!(ok_dials, 1);
 }
+
+#[test]
+fn perf_rows_count_the_events_of_the_deterministic_rows_across_worlds() {
+    // One sampler attached to two worlds in turn, as a sweep does. World
+    // `b` runs before it is attached, so it has processed more events than
+    // `a` had: a perf window that spanned the two worlds would count the
+    // difference.
+    let sampler = Sampler::enabled(SimDuration::from_secs(60));
+    let mut a = World::new(base_cfg(21));
+    sampler.set_ctx(Some("a"));
+    a.attach_sampler(&sampler);
+    a.run_until(SimTime::from_secs(300));
+    let mut b = World::new(base_cfg(22));
+    b.run_until(SimTime::from_secs(600));
+    assert!(b.events_processed() > a.events_processed());
+    sampler.set_ctx(Some("b"));
+    b.attach_sampler(&sampler);
+    b.run_until(SimTime::from_secs(900));
+
+    let log = sampler.take().unwrap();
+    let ticks = |ctx: &str| -> Vec<(SimTime, u64)> {
+        let rows = log.rows.iter().filter(|r| r.ctx.as_deref() == Some(ctx));
+        rows.map(|r| (r.at, r.value("events_w").unwrap() as u64))
+            .collect()
+    };
+    let (a_ticks, b_ticks) = (ticks("a"), ticks("b"));
+    assert_eq!((a_ticks.len(), b_ticks.len()), (5, 5));
+    // Attaching `b` closes the window `a` opened at its last tick; no
+    // sampled event falls in it.
+    let expected: Vec<(SimTime, u64)> = a_ticks
+        .into_iter()
+        .chain([(SimTime::from_secs(600), 0)])
+        .chain(b_ticks)
+        .collect();
+    let perf: Vec<(SimTime, u64)> = log.perf.iter().map(|p| (p.at, p.events)).collect();
+    assert_eq!(perf, expected);
+}

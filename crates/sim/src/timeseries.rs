@@ -125,8 +125,8 @@ pub struct TimeseriesLog {
     ctx: Option<String>,
     counters: BTreeMap<&'static str, u64>,
     windows: BTreeMap<&'static str, Histogram>,
+    /// Wall-clock start of the open perf window.
     last_wall: Option<Instant>,
-    last_events: u64,
 }
 
 impl TimeseriesLog {
@@ -139,7 +139,6 @@ impl TimeseriesLog {
             counters: BTreeMap::new(),
             windows: BTreeMap::new(),
             last_wall: None,
-            last_events: 0,
         }
     }
 
@@ -161,12 +160,7 @@ impl TimeseriesLog {
     /// Deterministic JSONL: one compact object per row, `\n`-terminated.
     /// Byte-identical across thread counts for the same experiment seed.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for row in &self.rows {
-            out.push_str(&row.to_json().to_string());
-            out.push('\n');
-        }
-        out
+        bitsync_json::jsonl(self.rows.iter().map(Sample::to_json))
     }
 
     /// Deterministic CSV: header `t_ns,ctx,<keys...>` where the key
@@ -207,12 +201,7 @@ impl TimeseriesLog {
     /// Wall-clock side-channel JSONL (not deterministic; never compare
     /// across runs).
     pub fn perf_to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for row in &self.perf {
-            out.push_str(&row.to_json().to_string());
-            out.push('\n');
-        }
-        out
+        bitsync_json::jsonl(self.perf.iter().map(PerfSample::to_json))
     }
 }
 
@@ -331,17 +320,16 @@ impl Sampler {
         log.rows.push(Sample { at, ctx, values });
     }
 
-    /// Records one wall-clock perf row at tick `at` given the world's
-    /// cumulative event count. The first call only establishes the
-    /// baseline; subsequent calls emit the delta window. Side-channel
-    /// only — see [`PerfSample`].
-    pub fn record_perf(&self, at: SimTime, events_total: u64) {
+    /// Records one wall-clock perf row at tick `at` for the `events`
+    /// processed since the previous call, and opens the next window. The
+    /// first call only starts the wall clock. Side-channel only — see
+    /// [`PerfSample`].
+    pub fn record_perf(&self, at: SimTime, events: u64) {
         let Some(log) = &self.inner else { return };
         let mut log = log.borrow_mut();
         let now = Instant::now();
-        if let Some(last) = log.last_wall {
+        if let Some(last) = log.last_wall.replace(now) {
             let wall_secs = now.duration_since(last).as_secs_f64();
-            let events = events_total.saturating_sub(log.last_events);
             let events_per_sec = if wall_secs > 0.0 {
                 events as f64 / wall_secs
             } else {
@@ -355,8 +343,6 @@ impl Sampler {
                 peak_rss_bytes: crate::metrics::peak_rss_bytes(),
             });
         }
-        log.last_wall = Some(now);
-        log.last_events = events_total;
     }
 
     /// Drains the log, leaving an empty one behind (same cadence).

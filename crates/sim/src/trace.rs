@@ -543,12 +543,7 @@ impl<T: ToJson> Category for Ring<T> {
     }
 
     fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.iter() {
-            out.push_str(&ev.to_json().to_string());
-            out.push('\n');
-        }
-        out
+        bitsync_json::jsonl(self.iter().map(ToJson::to_json))
     }
 }
 

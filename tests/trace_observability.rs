@@ -1,13 +1,13 @@
-//! Trace-layer integration tests: exact drop accounting, propagation-tree
-//! structure, and the exact differential between tree-derived relay delays
-//! and the live `node.relay_delay_secs` histogram. That a trace is the same
+//! Trace-layer integration tests: exact drop accounting, and the exact
+//! differential between trace-derived relay delays and the live
+//! `node.relay_delay_secs` histogram. That a trace is the same
 //! at any thread count is `crates/bench/tests/cli.rs`'s quick-bundle check.
 
-use bitsync_core::analysis::propagation_tree::{build_trees, replay_relay_histogram};
+use bitsync_core::analysis::relay_replay::replay_relay_histogram;
 use bitsync_core::experiments::relay::{self, RelayConfig};
 use bitsync_core::node::world::{metric, FRESH_RELAY_WINDOW};
 use bitsync_core::sim::metrics::Recorder;
-use bitsync_core::sim::trace::{RelayEvent, RelayPhase, Tracer};
+use bitsync_core::sim::trace::{RelayEvent, Tracer};
 use bitsync_core::sim::Instruments;
 
 /// Drop accounting is exact when a category overflows its ring: rerunning
@@ -105,48 +105,4 @@ fn relay_trace_replays_live_histogram_exactly() {
         "per-bucket counts differ"
     );
     assert_eq!(replayed, live, "sum/min/max differ from live histogram");
-}
-
-/// Propagation trees are well-formed: per object, exactly one root (the
-/// origin, no parent), every other covered node has exactly one parent
-/// that received the object no later than the child, depths increment
-/// along edges, and last-delivery matches the latest receive in the raw
-/// events.
-#[test]
-fn propagation_trees_are_well_formed() {
-    let (_rec, events) = relay_events(2022);
-    let trees = build_trees(&events);
-    assert!(!trees.is_empty(), "no trees rebuilt");
-    assert!(
-        trees.iter().any(|t| t.is_block) && trees.iter().any(|t| !t.is_block),
-        "expected both block and tx trees"
-    );
-    for tree in &trees {
-        let roots: Vec<u32> = tree
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.parent.is_none())
-            .map(|(&id, _)| id)
-            .collect();
-        assert_eq!(roots, [tree.origin], "exactly one root, the origin");
-        for (&id, node) in &tree.nodes {
-            let Some(parent) = node.parent else { continue };
-            let p = tree
-                .nodes
-                .get(&parent)
-                .unwrap_or_else(|| panic!("node {id}'s parent {parent} not in tree"));
-            assert!(p.received <= node.received, "parent received later");
-            assert_eq!(node.depth, p.depth + 1, "depth not parent + 1");
-        }
-        // Last delivery: the accessor agrees with a recomputation from the
-        // raw first-receive events of this object.
-        let latest = events
-            .iter()
-            .filter(|e| e.object == tree.object && e.phase != RelayPhase::Send)
-            .filter(|e| tree.nodes.get(&e.to).is_some_and(|n| n.received == e.at))
-            .map(|e| e.at)
-            .max()
-            .expect("tree has events");
-        assert_eq!(tree.last_delivery(), latest);
-    }
 }
