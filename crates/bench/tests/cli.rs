@@ -312,6 +312,19 @@ fn quick_bundle_traces_samples_and_counts_every_experiment() {
             !series.contains("wall_secs"),
             "{name}: perf leaked into the timeseries"
         );
+        // One perf row per deterministic row, paired by `(ctx, t_ns)`.
+        let perf = std::fs::read_to_string(dir.join(name).join("perf.jsonl")).unwrap();
+        let ticks = |jsonl: &str| -> Vec<(Option<Value>, u64)> {
+            let row = |l: &str| {
+                let row = parse(l).unwrap();
+                (
+                    row.get("ctx").cloned(),
+                    at(&row, &["t_ns"]).as_u64().unwrap(),
+                )
+            };
+            jsonl.lines().map(row).collect()
+        };
+        assert_eq!(ticks(&perf), ticks(&series), "{name}: perf rows");
 
         // The footprint's high-water by owner is the maximum of its gauge
         // column; the census builds no world and has none.

@@ -97,7 +97,8 @@ impl Campaign {
     ///
     /// The campaign has no event queue, so the sampler's cadence is ignored
     /// here: the natural sampling unit is the day (the paper's own window),
-    /// stamped at each day's crawl midpoint in sim time.
+    /// stamped at each day's crawl midpoint in sim time; its perf row
+    /// times that day's crawl (0 events).
     pub fn run(&self, net: &CensusNetwork, rng: &mut SimRng, ins: &Instruments) -> CampaignResult {
         let (rec, sampler) = (&ins.metrics, &ins.sampler);
         let feeds = Feeds::new(net, rng);
@@ -109,6 +110,7 @@ impl Campaign {
         // below was a linear scan over all reachable nodes per DNS address,
         // which is quadratic over a full-scale campaign.
         let node_index = net.reachable_index();
+        sampler.open_perf_window();
         for day in 0..net.cfg.days {
             let t = day as f64 + 0.5;
             let snap = feeds.pull(net, t, rng);
@@ -185,6 +187,7 @@ impl Campaign {
                         ("addr_unreach_frac", addr_unreach_frac),
                     ],
                 );
+                sampler.record_perf(at, 0);
             }
 
             result.days.push(DailyRecord {

@@ -19,6 +19,7 @@
 //! - ADDR-flooding malicious nodes with fabricated pools (Figure 8).
 
 use bitsync_net::as_model::AsModel;
+use bitsync_net::churn::ChurnConfig;
 use bitsync_net::population::{fresh_addr, NodeClass};
 use bitsync_protocol::addr::NetAddr;
 use bitsync_protocol::hash::IdSet;
@@ -54,8 +55,12 @@ pub struct CensusConfig {
 }
 
 impl CensusConfig {
-    /// Full paper-scale configuration.
-    pub fn paper_scale() -> Self {
+    /// Full paper scale behind the fast paths: the paper's counts, with
+    /// honest books compact and the campaign on the closed-form crawl,
+    /// keeping a 60-day campaign (10K reachable snapshot, ~700K cumulative
+    /// unreachable) within minutes on one core. This is what `repro
+    /// --scale full` runs.
+    pub fn full_scale() -> Self {
         CensusConfig {
             days: 60,
             reachable_online: 10_114,
@@ -63,23 +68,12 @@ impl CensusConfig {
             unreachable_daily_new: 8_470,
             book_mean: 8_000,
             n_malicious: 73,
-            sampled_crawl: false,
-        }
-    }
-
-    /// Full paper scale behind the fast paths: identical counts to
-    /// [`CensusConfig::paper_scale`], but honest books are compact and the
-    /// campaign runs the closed-form crawl, keeping a 60-day campaign
-    /// (10K reachable snapshot, ~700K cumulative unreachable) within
-    /// minutes on one core. This is what `repro --scale full` runs.
-    pub fn full_scale() -> Self {
-        CensusConfig {
             sampled_crawl: true,
-            ..Self::paper_scale()
         }
     }
 
-    /// A 1:10 scale for fast experiments; fractions unchanged.
+    /// A 1:10 scale for fast experiments, with materialized books;
+    /// fractions unchanged.
     pub fn one_tenth_scale() -> Self {
         CensusConfig {
             reachable_online: 1_011,
@@ -87,11 +81,12 @@ impl CensusConfig {
             unreachable_daily_new: 847,
             book_mean: 800,
             n_malicious: 7,
-            ..Self::paper_scale()
+            sampled_crawl: false,
+            ..Self::full_scale()
         }
     }
 
-    /// A tiny configuration for unit tests.
+    /// A tiny configuration for unit tests, with materialized books.
     pub fn tiny() -> Self {
         CensusConfig {
             days: 10,
@@ -100,7 +95,7 @@ impl CensusConfig {
             unreachable_daily_new: 40,
             book_mean: 100,
             n_malicious: 2,
-            ..Self::paper_scale()
+            sampled_crawl: false,
         }
     }
 }
@@ -164,18 +159,9 @@ pub struct UnreachableAddr {
 }
 
 /// Fraction of reachable nodes that never leave (paper: 3,034 of 28,781
-/// unique ≈ stable core of the ~10K snapshot).
+/// unique ≈ stable core of the ~10K snapshot). Their sessions come from
+/// [`ChurnConfig::census`].
 const PERMANENT_FRACTION: f64 = 0.30;
-
-/// Mean online-session length for non-permanent nodes, days. Calibrated so
-/// ~8.6% of the snapshot departs daily (paper Fig. 13).
-const SESSION_MEAN_DAYS: f64 = 7.0;
-
-/// Probability a departed node rejoins later with the same address.
-const REJOIN_PROBABILITY: f64 = 0.5;
-
-/// Mean offline gap before a rejoin, days.
-const OFFLINE_GAP_DAYS: f64 = 1.5;
 
 /// Fraction of unreachable addresses generated responsive. Set above the
 /// paper's 23.5% *measured* cumulative fraction because flooder addresses
@@ -209,99 +195,101 @@ pub struct CensusNetwork {
     pub reachable_addrs: HashSet<NetAddr>,
 }
 
+/// An exponential draw with mean `mean` days.
+fn exp_days(rng: &mut SimRng, mean: f64) -> f64 {
+    -rng.unit().max(1e-12).ln() * mean
+}
+
 impl CensusNetwork {
-    /// Materializes a census network for the whole window.
+    /// Materializes a census network for the whole window, its sessions
+    /// drawn from [`ChurnConfig::census`].
     pub fn generate(cfg: CensusConfig, rng: &mut SimRng) -> Self {
+        Self::generate_under(cfg, ChurnConfig::census(), PERMANENT_FRACTION, rng)
+    }
+
+    /// [`CensusNetwork::generate`] under any churn regime: sessions and
+    /// rejoins from `churn`, and a `permanent_fraction` of the initial
+    /// snapshot that never leaves.
+    fn generate_under(
+        cfg: CensusConfig,
+        churn: ChurnConfig,
+        permanent_fraction: f64,
+        rng: &mut SimRng,
+    ) -> Self {
+        let session_mean = churn.mean_lifetime.as_days_f64();
+        let offline_gap = churn.mean_offline_gap.as_days_f64();
         let as_model = AsModel::from_paper();
         let mut used = IdSet::default();
         let horizon = cfg.days as f64;
 
         // --- Unreachable pool: initial live set plus daily turnover. ---
+        // Live duration so that steady-state live count holds:
+        // live ≈ daily_new × mean_live_days ⇒ mean ≈ live/daily_new.
+        let mean_live = (cfg.unreachable_live as f64 / cfg.unreachable_daily_new as f64).max(1.0);
         let mut unreachable = Vec::new();
-        let push_unreachable = |appears: f64,
-                                used: &mut IdSet<u32>,
-                                rng: &mut SimRng,
-                                out: &mut Vec<UnreachableAddr>| {
+        let mut push_unreachable = |appears: f64, rng: &mut SimRng| {
             let responsive = rng.chance(RESPONSIVE_FRACTION);
             let class = if responsive {
                 NodeClass::UnreachableResponsive
             } else {
                 NodeClass::UnreachableSilent
             };
-            let addr = fresh_addr(used, 0.8854, rng);
+            let addr = fresh_addr(&mut used, 0.8854, rng);
             let asn = as_model.sample(class, rng);
-            // Live duration so that steady-state live count holds:
-            // live ≈ daily_new × mean_live_days ⇒ mean ≈ live/daily_new.
-            let mean_live =
-                (cfg.unreachable_live as f64 / cfg.unreachable_daily_new as f64).max(1.0);
-            let dur = -rng.unit().max(1e-12).ln() * mean_live;
-            out.push(UnreachableAddr {
+            let disappears = appears + exp_days(rng, mean_live);
+            unreachable.push(UnreachableAddr {
                 addr,
                 asn,
                 appears,
-                disappears: appears + dur,
+                disappears,
                 responsive,
             });
         };
+        // Initial pool: appeared before the window; residual lifetime.
         for _ in 0..cfg.unreachable_live {
-            // Initial pool: appeared before the window; residual lifetime.
-            push_unreachable(0.0, &mut used, rng, &mut unreachable);
+            push_unreachable(0.0, rng);
         }
-        let mut day = 0.0;
-        while day < horizon {
+        for day in 0..cfg.days {
             for _ in 0..cfg.unreachable_daily_new {
-                let t = day + rng.unit();
-                push_unreachable(t, &mut used, rng, &mut unreachable);
+                push_unreachable(f64::from(day) + rng.unit(), rng);
             }
-            day += 1.0;
         }
 
         // --- Reachable nodes: initial snapshot plus churn arrivals. ---
         let mut reachable: Vec<CensusNode> = Vec::new();
         let mut reachable_addrs = HashSet::new();
-        let mut departures_to_replace: Vec<f64> = Vec::new();
-        let make_sessions = |start: f64, permanent: bool, rng: &mut SimRng| -> Vec<Session> {
+        // Files a node online from `start`: a permanent node holds one
+        // session over the window, any other draws sessions and rejoins;
+        // a last session that ends inside the window joins `departures`.
+        let mut join = |addr: NetAddr,
+                        asn: u32,
+                        start: f64,
+                        malicious: bool,
+                        permanent: bool,
+                        departures: &mut Vec<f64>,
+                        rng: &mut SimRng| {
+            let mut sessions = Vec::new();
             if permanent {
-                return vec![Session {
+                sessions.push(Session {
                     start: 0.0,
                     end: horizon,
-                }];
-            }
-            let mut sessions = Vec::new();
-            let mut t = start;
-            loop {
-                let dur = -rng.unit().max(1e-12).ln() * SESSION_MEAN_DAYS;
-                let end = (t + dur).min(horizon);
-                sessions.push(Session { start: t, end });
-                if end >= horizon {
-                    break;
-                }
-                if !rng.chance(REJOIN_PROBABILITY) {
-                    break;
-                }
-                let gap = -rng.unit().max(1e-12).ln() * OFFLINE_GAP_DAYS;
-                t = end + gap;
-                if t >= horizon {
-                    break;
-                }
-            }
-            sessions
-        };
-
-        for i in 0..cfg.reachable_online {
-            let permanent = rng.chance(PERMANENT_FRACTION);
-            let malicious = i < cfg.n_malicious;
-            let addr = fresh_addr(&mut used, 0.9578, rng);
-            let asn = if malicious && rng.chance(MALICIOUS_AS3320_FRACTION) {
-                3320
+                });
             } else {
-                as_model.sample(NodeClass::Reachable, rng)
-            };
-            let sessions = make_sessions(0.0, permanent || malicious, rng);
-            if let Some(last) = sessions.last() {
-                if last.end < horizon {
-                    departures_to_replace.push(last.end);
+                let mut t = start;
+                loop {
+                    let end = (t + exp_days(rng, session_mean)).min(horizon);
+                    sessions.push(Session { start: t, end });
+                    if end >= horizon || !rng.chance(churn.rejoin_probability) {
+                        break;
+                    }
+                    t = end + exp_days(rng, offline_gap);
+                    if t >= horizon {
+                        break;
+                    }
                 }
+            }
+            if let Some(last) = sessions.last().filter(|s| s.end < horizon) {
+                departures.push(last.end);
             }
             reachable_addrs.insert(addr);
             reachable.push(CensusNode {
@@ -313,40 +301,35 @@ impl CensusNetwork {
                 book_reachable: Vec::new(),
                 book_size: 0,
                 book_reachable_size: 0,
-                permanent: permanent || malicious,
+                permanent,
             });
+        };
+
+        let mut departures = Vec::new();
+        for i in 0..cfg.reachable_online {
+            let malicious = i < cfg.n_malicious;
+            let permanent = rng.chance(permanent_fraction) || malicious;
+            let addr = fresh_addr(&mut used, 0.9578, rng);
+            let asn = if malicious && rng.chance(MALICIOUS_AS3320_FRACTION) {
+                3320
+            } else {
+                as_model.sample(NodeClass::Reachable, rng)
+            };
+            join(addr, asn, 0.0, malicious, permanent, &mut departures, rng);
         }
 
         // Replacement arrivals keep the online count roughly constant:
         // every terminal departure spawns a new node shortly after.
-        let mut queue = departures_to_replace;
-        while let Some(depart_day) = queue.pop() {
+        // Replacement arrivals are never permanent; otherwise they draw
+        // sessions and rejoins like the initial population.
+        while let Some(depart_day) = departures.pop() {
             let start = depart_day + rng.unit() * 0.2;
             if start >= horizon {
                 continue;
             }
             let addr = fresh_addr(&mut used, 0.9578, rng);
             let asn = as_model.sample(NodeClass::Reachable, rng);
-            // Replacement arrivals are never permanent; otherwise they draw
-            // sessions and rejoins like the initial population.
-            let sessions = make_sessions(start, false, rng);
-            if let Some(last) = sessions.last() {
-                if last.end < horizon {
-                    queue.push(last.end);
-                }
-            }
-            reachable_addrs.insert(addr);
-            reachable.push(CensusNode {
-                addr,
-                asn,
-                sessions,
-                malicious: false,
-                book: Vec::new(),
-                book_reachable: Vec::new(),
-                book_size: 0,
-                book_reachable_size: 0,
-                permanent: false,
-            });
+            join(addr, asn, start, false, false, &mut departures, rng);
         }
 
         // --- Address books. ---
@@ -451,6 +434,7 @@ impl CensusNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn_matrix::ChurnMatrix;
 
     fn tiny() -> CensusNetwork {
         let mut rng = SimRng::seed_from(1);
@@ -587,6 +571,47 @@ mod tests {
             assert_eq!(n.book.len(), n.book_size as usize);
             assert_eq!(n.book_reachable.len(), n.book_reachable_size as usize);
         }
+    }
+
+    #[test]
+    fn churn_regimes_order_by_their_measured_daily_departures() {
+        // Each regime measured by Figs 12/13's own instrument on a
+        // one-tenth census, instead of by a closed form no figure uses.
+        let regimes = [
+            ("census", ChurnConfig::census(), PERMANENT_FRACTION),
+            // fig1 (`sync_kde`) runs both years at permanent fraction 0.25.
+            ("paper_2020 / fig1", ChurnConfig::paper_2020(), 0.25),
+            ("paper_2019 / fig1", ChurnConfig::paper_2019(), 0.25),
+            // `WorldConfig`'s default, which ablation and resilience keep.
+            (
+                "paper_2020 / world default",
+                ChurnConfig::paper_2020(),
+                0.37,
+            ),
+        ];
+        let cfg = CensusConfig {
+            sampled_crawl: true,
+            ..CensusConfig::one_tenth_scale()
+        };
+        let measured: Vec<f64> = regimes
+            .iter()
+            .map(|&(name, churn, permanent)| {
+                let mut rng = SimRng::seed_from(2021);
+                let net = CensusNetwork::generate_under(cfg.clone(), churn, permanent, &mut rng);
+                let m = ChurnMatrix::build(&net, 1.0);
+                let daily = m.daily_departure_fraction();
+                println!(
+                    "{name}: {:.2} % departures/day, {:.1}-day network lifetime",
+                    daily * 100.0,
+                    m.mean_lifetime_days()
+                );
+                daily
+            })
+            .collect();
+        assert!(
+            measured[0] > measured[1] && measured[1] > measured[2],
+            "census > 2020 > 2019: {measured:?}"
+        );
     }
 
     #[test]

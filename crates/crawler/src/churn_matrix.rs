@@ -201,8 +201,9 @@ mod tests {
 
     #[test]
     fn some_rows_rejoin() {
-        // Rejoins exist with rejoin_probability 0.55 over 10 days in a
-        // 60-node network — but are probabilistic; use a bigger net.
+        // Rejoins exist (`ChurnConfig::census()`: probability 0.5) over 10
+        // days in a 60-node network — but are probabilistic; use a bigger
+        // net.
         let mut rng = SimRng::seed_from(22);
         let net = CensusNetwork::generate(
             CensusConfig {

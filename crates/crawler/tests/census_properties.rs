@@ -16,7 +16,7 @@ fn tiny(seed: u64, n_reach: usize, n_unreach: usize) -> CensusNetwork {
             book_mean: 40,
             n_malicious: 1,
             days: 8,
-            ..CensusConfig::paper_scale()
+            ..CensusConfig::tiny()
         },
         &mut rng,
     )

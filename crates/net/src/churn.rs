@@ -6,10 +6,12 @@
 //! the 60-day window; and the churn among *synchronized* nodes doubled
 //! between 2019 (3.9 departures / 10 min) and 2020 (7.6 / 10 min).
 //!
-//! [`ChurnConfig`] samples per-node session lifetimes and rejoin gaps; the
-//! scenario layer keeps the population size constant by pairing departures
-//! with arrivals, exactly as the paper observes (Figure 13: arrivals ≈
-//! departures).
+//! [`ChurnConfig`] is the one description of a churn regime. The worlds
+//! sample per-node session lifetimes and rejoin gaps from it, and the
+//! 60-day census (`bitsync_crawler::census`) draws its sessions from
+//! [`ChurnConfig::census`]. Both keep the population size constant by
+//! pairing departures with arrivals, exactly as the paper observes
+//! (Figure 13: arrivals ≈ departures).
 
 use bitsync_sim::rng::SimRng;
 use bitsync_sim::time::SimDuration;
@@ -27,7 +29,19 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// Calibrated to the paper's 2020 measurements: 16.6-day mean lifetime.
+    /// The census regime, calibrated to Figs 12/13 (DESIGN §7): a 7-day
+    /// session mean, rejoin probability 0.5 and a 36-hour offline gap.
+    pub const fn census() -> Self {
+        ChurnConfig {
+            mean_lifetime: SimDuration::from_days(7),
+            rejoin_probability: 0.5,
+            mean_offline_gap: SimDuration::from_hours(36),
+        }
+    }
+
+    /// The worlds' 2020 regime: the paper's 16.6-day *network lifetime* as
+    /// the session mean, rejoin probability 0.35 and a 3-day offline gap.
+    /// It churns at about half the census's daily rate (DESIGN §8).
     pub fn paper_2020() -> Self {
         ChurnConfig {
             mean_lifetime: SimDuration::from_secs((16.6 * 86_400.0) as u64),
@@ -59,13 +73,6 @@ impl ChurnConfig {
         }
     }
 
-    /// Expected fraction of nodes departing per day given the exponential
-    /// lifetime model (≈ `1 - exp(-1day/mean)`).
-    pub fn expected_daily_departure_fraction(&self) -> f64 {
-        let mean_days = self.mean_lifetime.as_days_f64();
-        1.0 - (-1.0 / mean_days).exp()
-    }
-
     /// Samples a session lifetime for a node; permanent nodes never leave.
     pub fn session_lifetime(&self, permanent: bool, rng: &mut SimRng) -> Option<SimDuration> {
         if permanent {
@@ -84,12 +91,6 @@ impl ChurnConfig {
     }
 }
 
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        Self::paper_2020()
-    }
-}
-
 /// Whether, and after how long, a departed node comes back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rejoin {
@@ -104,13 +105,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_2020_daily_departure_matches_measured_8_6_pct() {
-        let cfg = ChurnConfig::paper_2020();
-        let frac = cfg.expected_daily_departure_fraction();
-        // 1 - exp(-1/16.6) ≈ 5.8%; with rejoins cycling addresses the
-        // observed daily unique-departure rate reaches ~8.6%. The base
-        // exponential rate must sit below the observed rate.
-        assert!(frac > 0.04 && frac < 0.09, "daily departure {frac}");
+    fn census_means_are_exact_in_days() {
+        // The census draws its sessions in fractional days; exact 7.0 and
+        // 1.5 keep its draws bit for bit what they were as literals.
+        let census = ChurnConfig::census();
+        assert_eq!(census.mean_lifetime.as_days_f64(), 7.0);
+        assert_eq!(census.mean_offline_gap.as_days_f64(), 1.5);
     }
 
     #[test]
@@ -164,9 +164,10 @@ mod tests {
 
     #[test]
     fn year_2019_has_half_the_churn_rate() {
-        let f19 = ChurnConfig::paper_2019().expected_daily_departure_fraction();
-        let f20 = ChurnConfig::paper_2020().expected_daily_departure_fraction();
-        let ratio = f20 / f19;
-        assert!((ratio - 2.0).abs() < 0.15, "churn ratio {ratio}");
+        // Sessions twice as long: half the departures per unit time.
+        let (y19, y20) = (ChurnConfig::paper_2019(), ChurnConfig::paper_2020());
+        let ratio = y19.mean_lifetime.as_secs_f64() / y20.mean_lifetime.as_secs_f64();
+        assert!((ratio - 2.0).abs() < 1e-6, "lifetime ratio {ratio}");
+        assert_eq!(y19.mean_offline_gap, y20.mean_offline_gap);
     }
 }

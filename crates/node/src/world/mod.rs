@@ -346,14 +346,14 @@ impl World {
 
     /// Points the world at a time-series sampler. Like
     /// [`World::attach_metrics`], attach before running: the first tick
-    /// fires one interval after the current sim time, and the wall-clock
-    /// perf baseline is taken now. A disabled sampler costs one branch
+    /// fires one interval after the current sim time, and this world's
+    /// own perf window opens now. A disabled sampler costs one branch
     /// per [`World::run_until`] call and nothing else.
     pub fn attach_sampler(&mut self, sampler: &Sampler) {
         self.sampler = sampler.clone();
         self.next_sample_at = self.sampler.interval().map(|iv| self.now() + iv);
         self.last_sample_events = self.events_processed();
-        self.sampler.record_perf(self.now(), 0);
+        self.sampler.open_perf_window();
     }
 
     /// Points the world at every handle of `ins` — the one line that

@@ -575,20 +575,19 @@ fn perf_rows_count_the_events_of_the_deterministic_rows_across_worlds() {
     b.run_until(SimTime::from_secs(900));
 
     let log = sampler.take().unwrap();
-    let ticks = |ctx: &str| -> Vec<(SimTime, u64)> {
-        let rows = log.rows.iter().filter(|r| r.ctx.as_deref() == Some(ctx));
-        rows.map(|r| (r.at, r.value("events_w").unwrap() as u64))
-            .collect()
-    };
-    let (a_ticks, b_ticks) = (ticks("a"), ticks("b"));
-    assert_eq!((a_ticks.len(), b_ticks.len()), (5, 5));
-    // Attaching `b` closes the window `a` opened at its last tick; no
-    // sampled event falls in it.
-    let expected: Vec<(SimTime, u64)> = a_ticks
-        .into_iter()
-        .chain([(SimTime::from_secs(600), 0)])
-        .chain(b_ticks)
+    let ticks: Vec<(Option<String>, SimTime, u64)> = log
+        .rows
+        .iter()
+        .map(|r| (r.ctx.clone(), r.at, r.value("events_w").unwrap() as u64))
         .collect();
-    let perf: Vec<(SimTime, u64)> = log.perf.iter().map(|p| (p.at, p.events)).collect();
-    assert_eq!(perf, expected);
+    let count = |ctx: &str| ticks.iter().filter(|t| t.0.as_deref() == Some(ctx)).count();
+    assert_eq!((count("a"), count("b")), (5, 5));
+    // Attaching `b` opens its own window: no perf row spans the two
+    // worlds, and each carries the ctx of its deterministic row.
+    let perf: Vec<(Option<String>, SimTime, u64)> = log
+        .perf
+        .iter()
+        .map(|p| (p.ctx.clone(), p.at, p.events))
+        .collect();
+    assert_eq!(perf, ticks);
 }

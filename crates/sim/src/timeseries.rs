@@ -33,7 +33,7 @@
 //! turns cumulative streams into the per-window rates the
 //! `analysis::rootcause` attribution consumes.
 
-use crate::metrics::{Histogram, DEFAULT_BUCKETS};
+use crate::metrics::{Histogram, Throughput, DEFAULT_BUCKETS};
 use crate::time::{SimDuration, SimTime};
 use bitsync_json::Value;
 use std::cell::RefCell;
@@ -81,30 +81,37 @@ impl Sample {
 ///
 /// Strictly side-channel: wall time and RSS differ across machines and
 /// thread placements, so these rows are excluded from the byte-identical
-/// exports and written to their own `perf.jsonl`.
-#[derive(Clone, Copy, Debug)]
+/// exports and written to their own `perf.jsonl`. A perf row pairs with
+/// the deterministic row of its tick by `(ctx, at)`.
+#[derive(Clone, Debug)]
 pub struct PerfSample {
     /// Sim time of the tick this observation rode along with.
     pub at: SimTime,
-    /// Wall-clock seconds since the previous perf row.
+    /// The tick's arm/cell label, as on its [`Sample`].
+    pub ctx: Option<String>,
+    /// Wall-clock seconds since [`Sampler::open_perf_window`] or the
+    /// previous perf row, whichever came last.
     pub wall_secs: f64,
-    /// Events processed since the previous perf row.
+    /// Events processed in the window.
     pub events: u64,
-    /// Events per wall-clock second over the window (0 when
-    /// `wall_secs` is 0).
-    pub events_per_sec: f64,
     /// Peak RSS in bytes, when the platform exposes `/proc`.
     pub peak_rss_bytes: Option<u64>,
 }
 
 impl PerfSample {
-    /// One compact JSON object for the perf side-file.
+    /// One compact JSON object: `t_ns`, optional `ctx`, then the rest.
     pub fn to_json(&self) -> Value {
-        let mut obj = Value::object()
-            .with("t_ns", self.at.as_nanos())
-            .with("wall_secs", self.wall_secs)
-            .with("events", self.events)
-            .with("events_per_sec", self.events_per_sec);
+        let mut obj = Value::object().with("t_ns", self.at.as_nanos());
+        if let Some(ctx) = &self.ctx {
+            obj.set("ctx", ctx.as_str());
+        }
+        obj.set("wall_secs", self.wall_secs);
+        obj.set("events", self.events);
+        let window = Throughput {
+            events: self.events,
+            wall_secs: self.wall_secs,
+        };
+        obj.set("events_per_sec", window.events_per_sec());
         if let Some(rss) = self.peak_rss_bytes {
             obj.set("peak_rss_bytes", rss);
         }
@@ -320,26 +327,29 @@ impl Sampler {
         log.rows.push(Sample { at, ctx, values });
     }
 
-    /// Records one wall-clock perf row at tick `at` for the `events`
-    /// processed since the previous call, and opens the next window. The
-    /// first call only starts the wall clock. Side-channel only — see
-    /// [`PerfSample`].
+    /// Starts a new perf window's wall clock without writing a row, so a
+    /// world attached now times only its own ticks.
+    pub fn open_perf_window(&self) {
+        if let Some(log) = &self.inner {
+            log.borrow_mut().last_wall = Some(Instant::now());
+        }
+    }
+
+    /// Records one wall-clock perf row at tick `at` with the current ctx,
+    /// for the `events` processed in the open window, and opens the next
+    /// (without an open window it only opens one). Called right after
+    /// [`Sampler::record`], so the two rows pair. See [`PerfSample`].
     pub fn record_perf(&self, at: SimTime, events: u64) {
         let Some(log) = &self.inner else { return };
         let mut log = log.borrow_mut();
         let now = Instant::now();
         if let Some(last) = log.last_wall.replace(now) {
-            let wall_secs = now.duration_since(last).as_secs_f64();
-            let events_per_sec = if wall_secs > 0.0 {
-                events as f64 / wall_secs
-            } else {
-                0.0
-            };
+            let ctx = log.ctx.clone();
             log.perf.push(PerfSample {
                 at,
-                wall_secs,
+                ctx,
+                wall_secs: now.duration_since(last).as_secs_f64(),
                 events,
-                events_per_sec,
                 peak_rss_bytes: crate::metrics::peak_rss_bytes(),
             });
         }
@@ -454,13 +464,21 @@ mod tests {
     #[test]
     fn perf_rows_are_deltas_and_stay_out_of_deterministic_exports() {
         let s = Sampler::enabled(TICK);
-        s.record_perf(t(0), 0); // baseline only
+        s.open_perf_window();
+        s.set_ctx(Some("a"));
         s.record(t(1), &[("sync", 1.0)]);
         s.record_perf(t(1), 1000);
+        // Reopening a window writes no row.
+        s.open_perf_window();
         let log = s.take().unwrap();
         assert_eq!(log.perf.len(), 1);
         assert_eq!(log.perf[0].events, 1000);
+        assert_eq!(log.perf[0].ctx, log.rows[0].ctx);
         assert!(log.perf[0].wall_secs >= 0.0);
+        assert!(log.perf_to_jsonl().starts_with(&format!(
+            r#"{{"t_ns":{},"ctx":"a","wall_secs":"#,
+            t(1).as_nanos()
+        )));
         assert!(!log.to_jsonl().contains("events_per_sec"));
         assert!(!log.to_csv().contains("wall_secs"));
     }
